@@ -76,6 +76,7 @@ from .invariants import (
     euler_characteristic,
     filling_invariants,
     h1_boundary,
+    has_exact_form,
     planar_intersection_form,
     sigma,
 )

@@ -43,6 +43,7 @@ from .invariants import (
     arc_family,
     esig_check,
     filling_invariants,
+    has_exact_form,
     planar_intersection_form,
 )
 from .planarity import (
@@ -130,6 +131,16 @@ def _pick_word(doc: Document, name: Optional[str], flag: str = "--word") -> str:
     raise UnsupportedInputError(f"several words declared; pick one with {flag}")
 
 
+def _pick_relator(doc: Document, name: Optional[str]) -> str:
+    if name is None:
+        if len(doc.relator_entries) != 1:
+            raise UnsupportedInputError("pick a relator with --relator")
+        return next(iter(doc.relator_entries))
+    if name not in doc.relator_entries:
+        raise UnsupportedInputError(f"document has no relator named '{name}'")
+    return name
+
+
 def run(command: str, doc: Optional[Document] = None, **options) -> dict:
     """Execute one command against a document and return the report payload.
 
@@ -180,13 +191,7 @@ def run(command: str, doc: Optional[Document] = None, **options) -> dict:
 
     if command == "substitute":
         word_name = _pick_word(doc, options.get("word"))
-        relator_name = options.get("relator")
-        if relator_name is None:
-            if len(doc.relator_entries) != 1:
-                raise UnsupportedInputError("pick a relator with --relator")
-            relator_name = next(iter(doc.relator_entries))
-        if relator_name not in doc.relator_entries:
-            raise UnsupportedInputError(f"document has no relator named '{relator_name}'")
+        relator_name = _pick_relator(doc, options.get("relator"))
         entry = doc.relator_entries[relator_name]
         word = doc.words[word_name]
         declared = doc.disjoint | entry.disjoint
@@ -199,8 +204,7 @@ def run(command: str, doc: Optional[Document] = None, **options) -> dict:
             "positions": list(record.positions),
             "swaps": list(record.swaps),
         }
-        planar = word.surface.genus == 0 and all(t.curve.hole_set is not None for t in word.twists)
-        if planar and all(t.curve.hole_set is not None for t in new_word.twists):
+        if has_exact_form(word) and has_exact_form(new_word):
             before = planar_intersection_form(word)
             after = planar_intersection_form(new_word)
             payload["sigma_before"] = before.sigma
@@ -229,13 +233,7 @@ def run(command: str, doc: Optional[Document] = None, **options) -> dict:
         }
 
     if command == "verify-relator":
-        relator_name = options.get("relator")
-        if relator_name is None:
-            if len(doc.relator_entries) != 1:
-                raise UnsupportedInputError("pick a relator with --relator")
-            relator_name = next(iter(doc.relator_entries))
-        if relator_name not in doc.relator_entries:
-            raise UnsupportedInputError(f"document has no relator named '{relator_name}'")
+        relator_name = _pick_relator(doc, options.get("relator"))
         entry = doc.relator_entries[relator_name]
         report = verify_relator(entry.relator)
         return {

@@ -1,8 +1,10 @@
 """Exact integer linear algebra.
 
 Smith normal form with recorded unimodular transforms, integer kernel
-bases, finitely generated abelian quotients, and signatures of symmetric
-integer forms.  Matrices are plain lists of lists of Python ints, so
+bases and finitely generated abelian quotients.  ``symmetric_signature``
+(exact congruence diagonalization over the rationals) is kept as the
+reference the tests check the planar signature -b2 against; the package
+itself never calls it.  Matrices are plain lists of lists of Python ints, so
 nothing overflows; every computation here is exact.  Sizes in this package
 are tiny (homology ranks of at most a few dozen), so no attempt is made to
 be clever about pivoting beyond picking smallest entries.
@@ -43,36 +45,6 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
 
 def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
-def transpose(a: Sequence[Sequence[int]]) -> Matrix:
-    if not a:
-        return []
-    return [[a[i][j] for i in range(len(a))] for j in range(len(a[0]))]
-
-
-def determinant(a: Sequence[Sequence[int]]) -> Fraction:
-    """Exact determinant via fraction Gaussian elimination."""
-    n = len(a)
-    if n == 0:
-        return Fraction(1)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            factor = m[r][col] * inv
-            if factor:
-                for c in range(col, n):
-                    m[r][c] -= factor * m[col][c]
-    return det
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from .errors import (
     IncomparableSigmaError,
     UnsupportedInputError,
 )
-from .intlinalg import AbelianQuotient, kernel_basis, smith_normal_form, symmetric_signature
+from .intlinalg import AbelianQuotient, kernel_basis, smith_normal_form
 from .surfaces import (
     Arc,
     Surface,
@@ -59,6 +59,16 @@ class PlanarForm:
     invariant_factors: Tuple[int, ...]
 
 
+def has_exact_form(word: Word) -> bool:
+    """Whether the word's filling has an exact intersection form: a positive
+    word on a planar page whose every curve carries a hole set."""
+    return (
+        word.surface.genus == 0
+        and word.is_positive
+        and all(t.curve.hole_set is not None for t in word.twists)
+    )
+
+
 def planar_intersection_form(word: Word) -> PlanarForm:
     """Exact intersection form of the filling over a planar page.
 
@@ -83,10 +93,12 @@ def planar_intersection_form(word: Word) -> PlanarForm:
     b2 = len(kernel)
     q = [[-sum(u[k] * v[k] for k in range(n)) for v in kernel] for u in kernel]
     snf = smith_normal_form(q, rows=b2, cols=b2)
+    # The kernel basis has full column rank, so q = -K^T K is negative
+    # definite and its signature is -b2.
     return PlanarForm(
         matrix=tuple(tuple(row) for row in q),
         b2=b2,
-        sigma=symmetric_signature(q),
+        sigma=-b2,
         invariant_factors=tuple(d for d in snf.diag if d != 0),
     )
 
@@ -129,8 +141,7 @@ def sigma(word: Word, ledger: Optional[SigmaLedger] = None) -> SigmaValue:
     Raises when a non-planar page has no asserted baseline; returns mode
     "unknown" when some applied relator has no stored signature delta.
     """
-    planar = word.surface.genus == 0 and all(t.curve.hole_set is not None for t in word.twists)
-    if planar and word.is_positive:
+    if has_exact_form(word):
         return SigmaValue(mode="exact", value=planar_intersection_form(word).sigma)
     if ledger is None:
         raise BaselineUnavailableError(
@@ -352,8 +363,7 @@ def filling_invariants(
     boundary always, Chern data when rotations and meridians are known."""
     euler = euler_characteristic(word)
     b2 = q_matrix = q_factors = None
-    planar = word.surface.genus == 0 and all(t.curve.hole_set is not None for t in word.twists)
-    if planar and word.is_positive:
+    if has_exact_form(word):
         form = planar_intersection_form(word)
         sigma_value = SigmaValue(mode="exact", value=form.sigma)
         b2, q_matrix, q_factors = form.b2, form.matrix, form.invariant_factors

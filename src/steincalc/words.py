@@ -24,6 +24,7 @@ from .errors import (
     ConsistencyAlarmError,
     NotApplicableError,
     RankMismatchError,
+    UnsupportedInputError,
 )
 from .surfaces import Curve, HomologyClass, NamePair, Surface, curves_commute, twist_action
 
@@ -407,7 +408,7 @@ def substitute(
     if w.surface != relator.left.surface:
         raise RankMismatchError("substitution across different surfaces")
     if not w.is_positive:
-        raise ValueError("substitution is defined on positive words")
+        raise UnsupportedInputError("substitution is defined on positive words")
 
     reach = _dependency_reach(w, declared)
     if positions is not None:

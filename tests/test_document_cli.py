@@ -171,6 +171,19 @@ class TestMain:
         assert code == 3
         assert json.loads(out)["error"]["kind"] == "precondition"
 
+    def test_non_positive_substitution_exit_code(self, tmp_path, capsys):
+        data = json.loads(serialize(lantern_document()))
+        data["words"]["lantern_left"][0]["sign"] = -1
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        code = main(["substitute", "--in", str(path), "--word", "lantern_left"])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert json.loads(out)["error"] == {
+            "kind": "precondition",
+            "message": "substitution is defined on positive words",
+        }
+
     def test_unknown_word_exit_code(self, capsys):
         assert main(["invariants", "--tau-boundary", "0", "4", "--word", "ghost"]) == 3
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "precondition"

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from steincalc.intlinalg import (
     AbelianQuotient,
-    determinant,
     identity,
     kernel_basis,
     mat_mul,
@@ -59,8 +58,6 @@ class TestSmithNormalForm:
                 assert snf.diag[i + 1] % snf.diag[i] == 0
             else:
                 assert snf.diag[i + 1] == 0
-        assert abs(determinant(snf.row_ops)) == 1
-        assert abs(determinant(snf.col_ops)) == 1
         assert mat_mul(snf.row_ops, snf.row_ops_inv) == identity(rows)
         assert mat_mul(snf.col_ops, snf.col_ops_inv) == identity(cols)
 

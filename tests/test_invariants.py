@@ -5,6 +5,7 @@ import pytest
 
 from steincalc.document import tau_boundary_document
 from steincalc.errors import BaselineUnavailableError, IncomparableSigmaError, UnsupportedInputError
+from steincalc.intlinalg import symmetric_signature
 from steincalc.invariants import (
     SigmaLedger,
     arc_relation_vector,
@@ -13,6 +14,7 @@ from steincalc.invariants import (
     filling_invariants,
     h1_boundary,
     chern_pd,
+    has_exact_form,
     planar_intersection_form,
     sigma,
 )
@@ -64,7 +66,7 @@ class TestPlanarForm:
         form = planar_intersection_form(Word(Surface(0, 3), ()))
         assert form.b2 == 0 and form.sigma == 0
 
-    def test_sigma_bounded_by_b2(self):
+    def test_sigma_is_minus_b2(self):
         import random
 
         rng = random.Random(3)
@@ -75,13 +77,21 @@ class TestPlanarForm:
         for _ in range(30):
             w = word_of(s, [rng.choice(pool) for _ in range(rng.randint(0, 12))])
             form = planar_intersection_form(w)
-            assert abs(form.sigma) <= form.b2
+            assert symmetric_signature(form.matrix) == form.sigma == -form.b2
 
     def test_missing_hole_set_rejected(self):
         s = Surface(0, 3)
         bare = Curve("bare", s.d_class(2))
         with pytest.raises(UnsupportedInputError):
             planar_intersection_form(word_of(s, [bare]))
+
+    def test_has_exact_form(self):
+        s = Surface(0, 3)
+        d2 = convex_curve(s, "d2", {2})
+        assert has_exact_form(word_of(s, [d2]))
+        assert not has_exact_form(word_of(s, [Curve("bare", s.d_class(2))]))
+        assert not has_exact_form(Word(s, (Twist(d2, -1),)))
+        assert not has_exact_form(boundary_multitwist(1, 2))
 
     def test_orientation_invariance(self):
         # the outer-parallel curve stores the negated class; swapping it for
