@@ -316,7 +316,7 @@ def curves_commute(
         raise RankMismatchError("curves live on different surfaces")
     if c1 == c2:
         return True
-    if declared_pair(c1.name, c2.name) in set(declared):
+    if declared_pair(c1.name, c2.name) in declared:
         return True
     if c1.hole_set is not None and c2.hole_set is not None:
         s1, s2 = c1.hole_set, c2.hole_set

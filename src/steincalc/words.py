@@ -6,7 +6,9 @@ engine certifies is the commutation of twists about disjoint curves, so
 searches here are sound but deliberately incomplete; a failed search means
 "unknown", never "no".  Containment asks for the target's twists to appear
 in order after certified commutations; substitution additionally needs the
-matched block to become contiguous.
+matched block to become contiguous.  Each search certifies commutation once
+per pair of distinct curves in the word, matches identical target letters
+left to right, and answers "unknown" when its fixed node budget runs out.
 
 A relator is a pair of positive words (left, right) naming the same mapping
 class.  ``verify_relator`` checks the necessary conditions that are
@@ -16,8 +18,9 @@ decidable at the homology level; passing them does not prove the relation.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Collection, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     CommutationUndecidedError,
@@ -27,6 +30,11 @@ from .errors import (
     UnsupportedInputError,
 )
 from .surfaces import Curve, HomologyClass, NamePair, Surface, curves_commute, twist_action
+
+# Positions the embedding search may test in one call before it gives up
+# and answers "unknown"; it bounds the search on words with many identical
+# letters.
+_SEARCH_NODES = 100_000
 
 
 @dataclass(frozen=True)
@@ -125,22 +133,56 @@ def commute_adjacent(w: Word, i: int, declared: Collection[NamePair] = ()) -> Wo
     return Word(w.surface, tuple(twists))
 
 
-def _dependency_reach(w: Word, declared: Collection[NamePair]) -> List[List[bool]]:
-    """reach[i][j] (i < j): some chain of non-commuting occurrences forces
-    position i to stay before position j under certified commutations."""
-    n = len(w)
-    dep = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dep[i][j] = not certified_commute(w.twists[i], w.twists[j], declared)
-    reach = [row[:] for row in dep]
-    for i in range(n - 2, -1, -1):
-        for k in range(i + 1, n):
-            if dep[i][k]:
-                for j in range(k + 1, n):
-                    if reach[k][j]:
-                        reach[i][j] = True
-    return reach
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a bitset, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Dependence:
+    """Certified commutation among the occurrences of one word, as bitsets.
+
+    Commutation is certified once per pair of distinct curves in the word.
+    Bit j of ``dep[i]`` is set when the twists at positions i and j are not
+    certified to commute.  ``reach[i]`` holds the positions j > i that some
+    chain of dependent occurrences forces to stay after position i, and
+    ``cover[i]`` is a subset of the later dependent positions of i whose
+    chains already force all of ``reach[i]``.
+    """
+
+    def __init__(self, w: Word, declared: Collection[NamePair]):
+        self.at: Dict[Curve, int] = {}  # curve -> bitset of its positions
+        for i, t in enumerate(w.twists):
+            self.at[t.curve] = self.at.get(t.curve, 0) | 1 << i
+        curves = list(self.at)
+        masks = list(self.at.values())
+        blocked = [0] * len(curves)
+        for a, c in enumerate(curves):
+            for b in range(a + 1, len(curves)):
+                if curves_commute(c, curves[b], declared) is not True:
+                    blocked[a] |= masks[b]
+                    blocked[b] |= masks[a]
+        n = len(w)
+        self.dep = [0] * n
+        for a, mask in enumerate(masks):
+            for i in _bits(mask):
+                self.dep[i] = blocked[a]
+        self.reach = [0] * n
+        self.cover: List[List[int]] = [[] for _ in range(n)]
+        for i in range(n - 1, -1, -1):
+            # a later dependent position already in ``acc`` is forced after
+            # i through an earlier one, and so is everything it forces
+            todo = self.dep[i] >> (i + 1) << (i + 1)
+            acc = 0
+            while todo:
+                low = todo & -todo
+                k = low.bit_length() - 1
+                self.cover[i].append(k)
+                acc |= low | self.reach[k]
+                todo &= ~acc
+            self.reach[i] = acc
 
 
 @dataclass(frozen=True)
@@ -158,85 +200,99 @@ class ContainmentWitness:
     final_positions: Tuple[int, ...]
 
 
-def _match_candidates(w: Word, target: Word) -> Optional[List[List[int]]]:
+def _match_candidates(w: Word, target: Word, rel: _Dependence) -> Optional[List[List[int]]]:
     candidates = []
     for t in target.twists:
-        slots = [i for i, s in enumerate(w.twists) if s.curve == t.curve and s.sign == t.sign]
+        slots = [i for i in _bits(rel.at.get(t.curve, 0)) if w.twists[i].sign == t.sign]
         if not slots:
             return None
         candidates.append(slots)
     return candidates
 
 
-def _embeddings(w: Word, target: Word, reach: List[List[bool]]) -> Iterator[Tuple[int, ...]]:
-    """All injections of the target into w whose matched occurrences can be
-    put in target order by certified commutations.
+def _embeddings(w: Word, target: Word, rel: _Dependence) -> Iterator[Tuple[int, ...]]:
+    """Injections of the target into w whose matched occurrences can be put
+    in target order by certified commutations, in lexicographic order.
 
     An assignment is valid when no later target letter is forced (by a
     chain of dependent occurrences) to stay before an earlier one; this
     criterion is exact for commutation moves because the dependency
-    closure is.
+    closure is.  Identical target letters take increasing positions: twists
+    about one curve commute, so this loses no embedding, and a valid
+    assignment with a decreasing pair has a lexicographically smaller valid
+    one without it.  After ``_SEARCH_NODES`` tested positions the search
+    stops, which its callers report as "unknown".
     """
-    candidates = _match_candidates(w, target)
+    candidates = _match_candidates(w, target, rel)
     if candidates is None:
         return
     m = len(target.twists)
+    twin: List[int] = []  # index of the previous identical target letter, or -1
+    last: Dict[Twist, int] = {}
+    for k, t in enumerate(target.twists):
+        twin.append(last.get(t, -1))
+        last[t] = k
+    reach = rel.reach
     chosen: List[int] = []
-
-    def ok(pos: int) -> bool:
-        for prev in chosen:
-            if pos == prev:
-                return False
-            if pos < prev and reach[pos][prev]:
-                return False
-        return True
+    taken = 0
+    nodes = 0
 
     def extend(k: int) -> Iterator[Tuple[int, ...]]:
+        nonlocal taken, nodes
         if k == m:
             yield tuple(chosen)
             return
-        for pos in candidates[k]:
-            if ok(pos):
-                chosen.append(pos)
-                yield from extend(k + 1)
-                chosen.pop()
+        slots = candidates[k]
+        lo = bisect_right(slots, chosen[twin[k]]) if twin[k] >= 0 else 0
+        for pos in slots[lo:]:
+            if nodes == _SEARCH_NODES:
+                return
+            nodes += 1
+            if reach[pos] & taken:
+                continue
+            chosen.append(pos)
+            taken |= 1 << pos
+            yield from extend(k + 1)
+            chosen.pop()
+            taken ^= 1 << pos
 
     yield from extend(0)
 
 
 def _linearize(
-    w: Word,
-    declared: Collection[NamePair],
-    reach: List[List[bool]],
+    rel: _Dependence,
     selected: Sequence[int],
     contiguous: bool,
 ) -> Optional[Tuple[List[int], List[int]]]:
-    """Reorder the occurrences of w so the selected ones appear in the given
-    relative order (consecutively when ``contiguous``), moving letters only
-    past certified-disjoint neighbours.
+    """Reorder the occurrences of the word so the selected ones appear in the
+    given relative order (consecutively when ``contiguous``), moving letters
+    only past certified-disjoint neighbours.
 
     Returns (order, swaps) where ``order`` lists original indices in their
     new sequence and ``swaps`` are the adjacent transpositions realizing it,
     or None when contiguity is blocked by a wedged occurrence.
     """
-    n = len(w)
-    sel_set = set(selected)
-    succ: List[set] = [set() for _ in range(n)]
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if not certified_commute(w.twists[i], w.twists[j], declared):
-                succ[i].add(j)
+    dep, reach = rel.dep, rel.reach
+    n = len(dep)
+    # The min-heap topological order below depends only on the transitive
+    # closure of the successor relation, and ``cover`` has the same closure
+    # as the full dependency relation, so it stands in for it.
+    succ: List[set] = [set(ks) for ks in rel.cover]
     for a, b in zip(selected, selected[1:]):
         succ[a].add(b)
 
-    if contiguous and sel_set:
+    if contiguous and selected:
         first, last = selected[0], selected[-1]
+        sel = 0
+        forced_after = 0  # positions some matched occurrence must precede
+        for s in selected:
+            sel |= 1 << s
+            forced_after |= reach[s]
         for x in range(n):
-            if x in sel_set:
+            if (sel >> x) & 1:
                 continue
-            before = any(x < s and reach[x][s] for s in selected)
-            after = any(s < x and reach[s][x] for s in selected)
+            before = reach[x] & sel
+            after = (forced_after >> x) & 1
             if before and after:
                 return None  # wedged between two matched occurrences
             if before:
@@ -274,10 +330,11 @@ def _linearize(
     while changed:
         changed = False
         for i in range(n - 1):
-            if rank[seq[i]] > rank[seq[i + 1]]:
-                if not certified_commute(w.twists[seq[i]], w.twists[seq[i + 1]], declared):
+            a, b = seq[i], seq[i + 1]
+            if rank[a] > rank[b]:
+                if (dep[a] >> b) & 1:
                     raise ConsistencyAlarmError("linearization produced an uncertified swap")
-                seq[i], seq[i + 1] = seq[i + 1], seq[i]
+                seq[i], seq[i + 1] = b, a
                 swaps.append(i)
                 changed = True
     return order, swaps
@@ -294,9 +351,9 @@ def contains(w: Word, target: Word, declared: Collection[NamePair] = ()) -> Opti
         raise RankMismatchError("containment across different surfaces")
     if not target.twists:
         return ContainmentWitness((), (), ())
-    reach = _dependency_reach(w, declared)
-    for positions in _embeddings(w, target, reach):
-        lin = _linearize(w, declared, reach, positions, contiguous=False)
+    rel = _Dependence(w, declared)
+    for positions in _embeddings(w, target, rel):
+        lin = _linearize(rel, positions, contiguous=False)
         if lin is None:
             continue
         order, swaps = lin
@@ -410,18 +467,22 @@ def substitute(
     if not w.is_positive:
         raise UnsupportedInputError("substitution is defined on positive words")
 
-    reach = _dependency_reach(w, declared)
     if positions is not None:
-        chosen = [tuple(positions)]
+        if len(positions) != len(relator.left):
+            raise NotApplicableError(
+                f"{len(positions)} positions given for the {len(relator.left)} twists of {relator.name}"
+            )
         for k, p in enumerate(positions):
+            if not 0 <= p < len(w):
+                raise NotApplicableError(f"position {p} lies outside a word of length {len(w)}")
             t = relator.left.twists[k]
             if w.twists[p].curve != t.curve or w.twists[p].sign != t.sign:
                 raise NotApplicableError(f"position {p} does not carry the twist {t.curve.name}")
-    else:
-        chosen = _embeddings(w, relator.left, reach)
+    rel = _Dependence(w, declared)
+    chosen = [tuple(positions)] if positions is not None else _embeddings(w, relator.left, rel)
 
     for pos in chosen:
-        lin = _linearize(w, declared, reach, pos, contiguous=True)
+        lin = _linearize(rel, pos, contiguous=True)
         if lin is None:
             continue
         order, swaps = lin

@@ -2,16 +2,22 @@
 substitution, and the relator checks."""
 
 import random
+import time
+from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steincalc.errors import CommutationUndecidedError, NotApplicableError, RankMismatchError
 from steincalc.relators import standard_lantern
-from steincalc.surfaces import Curve, Surface, convex_curve
+from steincalc.surfaces import Curve, Surface, convex_curve, declared_pair
 from steincalc.words import (
+    ContainmentWitness,
     Relator,
+    SubstitutionRecord,
     Twist,
     Word,
+    certified_commute,
     commute_adjacent,
     compose,
     contains,
@@ -145,6 +151,27 @@ class TestContains:
             if contains(w, t) is not None:
                 assert contains(compose(w, v), t) is not None
 
+    def test_repeated_letter_witness_is_pinned(self, planar4):
+        s, c = planar4
+        x, y = c["a12"], c["a23"]
+        witness = contains(word_of(s, [x, x, y, x, x, x]), word_of(s, [y, x, x, x]))
+        assert witness == ContainmentWitness(positions=(2, 3, 4, 5), swaps=(), final_positions=(2, 3, 4, 5))
+
+    def test_repeated_letters_past_a_blocker_are_unknown(self, planar4):
+        s, c = planar4
+        x, y = c["a12"], c["a23"]
+        w = word_of(s, [x] * 8 + [y] + [x] * 8)
+        assert contains(w, word_of(s, [y] + [x] * 16)) is None
+
+    def test_node_budget_bounds_the_search(self):
+        s = Surface(0, 6)
+        x, z = convex_curve(s, "x", {2, 3}), convex_curve(s, "z", {3, 4})
+        # z must follow twelve x's but is wedged before all of them; every
+        # increasing choice of the x's is tried until the budget runs out
+        start = time.perf_counter()
+        assert contains(word_of(s, [z] + [x] * 24), word_of(s, [x] * 12 + [z])) is None
+        assert time.perf_counter() - start < 1.0
+
 
 class TestSubstitute:
     def test_lantern_on_boundary_multitwist(self, planar4):
@@ -226,8 +253,99 @@ class TestSubstitute:
         new_w, record = substitute(w, entry.relator, entry.disjoint, positions=(1, 2, 3, 0))
         assert record.positions == (1, 2, 3, 0)
         assert len(new_w) == 3
-        with pytest.raises(NotApplicableError):
-            substitute(w, entry.relator, entry.disjoint, positions=(0, 1, 2, 3))
+        for bad in [(0, 1, 2, 3), (-3, 2, 3, 0), (1, 2, 3, 4), (1, 2, 3)]:
+            with pytest.raises(NotApplicableError):
+                substitute(w, entry.relator, entry.disjoint, positions=bad)
+
+
+    def test_repeated_letter_record_is_pinned(self, planar4):
+        s, c = planar4
+        x, y, d2, d4 = c["a12"], c["a23"], c["d2"], c["d4"]
+        w = word_of(s, [x, d4, x, y, d2, x, x, d4, x])
+        rep = Relator("rep", word_of(s, [y, x, x]), word_of(s, [x, x, y]), euler_delta=0, sigma_delta=0)
+        new_w, record = substitute(w, rep)
+        assert [t.curve.name for t in new_w.twists] == ["a12", "d4", "a12", "a12", "a12", "a23", "d2", "d4", "a12"]
+        assert record == SubstitutionRecord(
+            relator_name="rep", sigma_delta=0, euler_delta=0, positions=(3, 5, 6), swaps=(4, 5)
+        )
+
+
+# Eight convex curves on the 5-holed sphere; several pairs overlap without
+# nesting, so their twists are not certified to commute.
+_SPHERE5 = Surface(0, 5)
+_POOL = [
+    convex_curve(_SPHERE5, f"c{i}", holes)
+    for i, holes in enumerate([{2}, {3}, {2, 3}, {3, 4}, {2, 4}, {4, 5}, {2, 3, 4}, {3, 4, 5}])
+]
+
+
+def _reachable_orders(w, declared):
+    """Every order of w's positions reachable by certified adjacent swaps."""
+    n = len(w)
+    commutes = {
+        (a, b): certified_commute(w.twists[a], w.twists[b], declared) for a in range(n) for b in range(n)
+    }
+    start = tuple(range(n))
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        seq = queue.popleft()
+        for i in range(n - 1):
+            if commutes[seq[i], seq[i + 1]]:
+                nxt = seq[:i] + (seq[i + 1], seq[i]) + seq[i + 2 :]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    queue.append(nxt)
+    return seen
+
+
+def _replay(w, swaps, declared):
+    seq = list(range(len(w)))
+    for i in swaps:
+        assert certified_commute(w.twists[seq[i]], w.twists[seq[i + 1]], declared)
+        seq[i], seq[i + 1] = seq[i + 1], seq[i]
+    return seq
+
+
+def _has_subsequence(letters, target):
+    it = iter(letters)
+    return all(t in it for t in target)
+
+
+class TestSearchExactness:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_POOL), max_size=7),
+        st.lists(st.sampled_from(_POOL), min_size=1, max_size=4),
+        st.lists(st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL)), max_size=1),
+    )
+    def test_search_matches_brute_force(self, letters, target_letters, facts):
+        w, target = word_of(_SPHERE5, letters), word_of(_SPHERE5, target_letters)
+        declared = {declared_pair(a.name, b.name) for a, b in facts}
+        m = len(target)
+        orders = [[letters[i] for i in seq] for seq in _reachable_orders(w, declared)]
+
+        witness = contains(w, target, declared)
+        assert (witness is not None) == any(_has_subsequence(o, target_letters) for o in orders)
+        if witness is not None:
+            seq = _replay(w, witness.swaps, declared)
+            assert list(witness.final_positions) == sorted(set(witness.final_positions))
+            for k, (p, f) in enumerate(zip(witness.positions, witness.final_positions)):
+                assert seq[f] == p and letters[p] == target_letters[k]
+
+        contiguous = any(o[i : i + m] == target_letters for o in orders for i in range(len(o) - m + 1))
+        same = Relator("same", target, target, euler_delta=0, sigma_delta=0)
+        try:
+            new_w, record = substitute(w, same, declared)
+        except NotApplicableError:
+            assert not contiguous
+            return
+        assert contiguous
+        seq = _replay(w, record.swaps, declared)
+        start = seq.index(record.positions[0])
+        assert seq[start : start + m] == list(record.positions)
+        assert [letters[p] for p in record.positions] == target_letters
+        assert new_w == Word(_SPHERE5, tuple(w.twists[i] for i in seq))
 
 
 class TestVerifyRelator:
