@@ -67,7 +67,6 @@ from .invariants import (
     ChernData,
     EsigReport,
     FillingInvariants,
-    H1Group,
     PlanarForm,
     SigmaLedger,
     SigmaValue,

@@ -53,6 +53,14 @@ def _require(condition: bool, location: str, message: str) -> None:
         raise DocumentError(location, message)
 
 
+def _section(data: dict, key: str, kind: type):
+    """The top-level section ``key``, empty when absent; it must be a JSON
+    array (``list``) or object (``dict``)."""
+    value = data.get(key, kind())
+    _require(isinstance(value, kind), key, f"{key} must be a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
 def _parse_curve(surface: Surface, spec: dict, location: str) -> Curve:
     _require(isinstance(spec, dict), location, "curve entries must be objects")
     name = spec.get("name")
@@ -219,27 +227,25 @@ def parse(text: str) -> Document:
     surface = Surface(genus, boundary)
 
     curves: Dict[str, Curve] = {}
-    for i, cspec in enumerate(data.get("curves", [])):
+    for i, cspec in enumerate(_section(data, "curves", list)):
         curve = _parse_curve(surface, cspec, f"curves[{i}]")
         _require(curve.name not in curves, f"curves[{i}]", f"duplicate curve name '{curve.name}'")
         curves[curve.name] = curve
 
     words: Dict[str, Word] = {}
-    wspec = data.get("words", {})
-    _require(isinstance(wspec, dict), "words", "words must be an object of name -> twist list")
-    for wname, twists in wspec.items():
+    for wname, twists in _section(data, "words", dict).items():
         words[wname] = _parse_word(surface, curves, twists, f"words.{wname}")
 
     relator_entries: Dict[str, RelatorEntry] = {}
     relator_decls: List[dict] = []
-    for i, rspec in enumerate(data.get("relators", [])):
+    for i, rspec in enumerate(_section(data, "relators", list)):
         rname, entry = _parse_relator(surface, curves, rspec, f"relators[{i}]")
         _require(rname not in relator_entries, f"relators[{i}]", f"duplicate relator name '{rname}'")
         relator_entries[rname] = entry
         relator_decls.append(rspec)
 
     arcs: List[Arc] = []
-    for i, aspec in enumerate(data.get("arcs", [])):
+    for i, aspec in enumerate(_section(data, "arcs", list)):
         where = f"arcs[{i}]"
         _require(isinstance(aspec, dict), where, "arc entries must be objects")
         index = aspec.get("index")
@@ -256,7 +262,7 @@ def parse(text: str) -> Document:
             raise DocumentError(where, str(exc)) from exc
 
     declarations: List[BoundingDeclaration] = []
-    for i, dspec in enumerate(data.get("declarations", [])):
+    for i, dspec in enumerate(_section(data, "declarations", list)):
         where = f"declarations[{i}]"
         _require(isinstance(dspec, dict), where, "declarations must be objects")
         g = dspec.get("genus")
@@ -272,15 +278,13 @@ def parse(text: str) -> Document:
             raise DocumentError(where, str(exc)) from exc
 
     baselines: Dict[str, int] = {}
-    bspec = data.get("baselines", {})
-    _require(isinstance(bspec, dict), "baselines", "baselines must map word names to integers")
-    for wname, value in bspec.items():
+    for wname, value in _section(data, "baselines", dict).items():
         _require(wname in words, f"baselines.{wname}", f"baseline for undeclared word '{wname}'")
         _require(isinstance(value, int), f"baselines.{wname}", "asserted signature must be an integer")
         baselines[wname] = value
 
     disjoint = set()
-    for i, pair in enumerate(data.get("disjoint", [])):
+    for i, pair in enumerate(_section(data, "disjoint", list)):
         where = f"disjoint[{i}]"
         _require(
             isinstance(pair, list) and len(pair) == 2 and all(isinstance(x, str) for x in pair),
@@ -291,7 +295,7 @@ def parse(text: str) -> Document:
         disjoint.add(frozenset(pair))
 
     rotations: Dict[str, Tuple[int, ...]] = {}
-    for wname, rots in data.get("rotations", {}).items():
+    for wname, rots in _section(data, "rotations", dict).items():
         where = f"rotations.{wname}"
         _require(wname in words, where, f"rotations for undeclared word '{wname}'")
         _require(
@@ -302,7 +306,7 @@ def parse(text: str) -> Document:
         rotations[wname] = tuple(rots)
 
     mu_maps: Dict[str, Tuple[Tuple[int, ...], ...]] = {}
-    for wname, mus in data.get("mu_maps", {}).items():
+    for wname, mus in _section(data, "mu_maps", dict).items():
         where = f"mu_maps.{wname}"
         _require(wname in words, where, f"meridian map for undeclared word '{wname}'")
         _require(
@@ -339,23 +343,24 @@ def word_payload(word: Word) -> List[dict]:
     return [{"curve": t.curve.name, "sign": t.sign} for t in word.twists]
 
 
+def _curve_spec(c: Curve) -> dict:
+    spec: dict = {"name": c.name}
+    if c.hole_set is not None:
+        spec["holes"] = sorted(c.hole_set)
+    else:
+        spec["homology"] = list(c.homology.coords)
+    if c.rotation is not None:
+        spec["rotation"] = c.rotation
+    if c.boundary_parallel_to is not None:
+        spec["boundary_parallel_to"] = c.boundary_parallel_to
+    return spec
+
+
 def document_payload(doc: Document) -> dict:
     """The JSON-ready form of a document; parse(serialize(doc)) == doc."""
-    curves = []
-    for c in doc.curves.values():
-        spec: dict = {"name": c.name}
-        if c.hole_set is not None:
-            spec["holes"] = sorted(c.hole_set)
-        else:
-            spec["homology"] = list(c.homology.coords)
-        if c.rotation is not None:
-            spec["rotation"] = c.rotation
-        if c.boundary_parallel_to is not None:
-            spec["boundary_parallel_to"] = c.boundary_parallel_to
-        curves.append(spec)
     payload: dict = {
         "surface": {"genus": doc.surface.genus, "boundary": doc.surface.boundary_count},
-        "curves": curves,
+        "curves": [_curve_spec(c) for c in doc.curves.values()],
         "words": {name: word_payload(w) for name, w in doc.words.items()},
     }
     if doc.relator_decls:
@@ -472,15 +477,9 @@ def chain_document(n: int) -> Document:
     config = standard_chain_config(n)
     surface = config.surface
     power = 2 * n + 2 if n % 2 == 0 else n + 1
-    curves = []
-    for c in config.curves + config.boundary:
-        spec: dict = {"name": c.name, "homology": list(c.homology.coords)}
-        if c.boundary_parallel_to is not None:
-            spec["boundary_parallel_to"] = c.boundary_parallel_to
-        curves.append(spec)
     data: dict = {
         "surface": {"genus": surface.genus, "boundary": surface.boundary_count},
-        "curves": curves,
+        "curves": [_curve_spec(c) for c in config.curves + config.boundary],
         "words": {
             "boundary": [{"curve": c.name, "sign": 1} for c in config.boundary],
             "chain_power": [{"curve": c.name, "sign": 1} for c in list(config.curves) * power],
@@ -505,16 +504,10 @@ def non_standard_document() -> Document:
     """The genus-1, three-holed surface carrying the non-standard relator,
     with both sides as words."""
     entry = non_standard_relator()
-    curves = []
-    for c in entry.relator.curves():
-        spec: dict = {"name": c.name, "homology": list(c.homology.coords)}
-        if c.boundary_parallel_to is not None:
-            spec["boundary_parallel_to"] = c.boundary_parallel_to
-        curves.append(spec)
     surface = entry.relator.left.surface
     data = {
         "surface": {"genus": surface.genus, "boundary": surface.boundary_count},
-        "curves": curves,
+        "curves": [_curve_spec(c) for c in entry.relator.curves()],
         "words": {
             "short_side": word_payload(entry.relator.left),
             "long_side": word_payload(entry.relator.right),

@@ -212,6 +212,10 @@ class AbelianQuotient:
         rank = sum(1 for d in self.diag if d != 0)
         return self.n - rank
 
+    def report(self) -> list:
+        """The JSON-ready pair [invariant factors, free rank]."""
+        return [list(self.invariant_factors), self.free_rank]
+
     def _coords(self, v: Sequence[int]) -> List[int]:
         if len(v) != self.n:
             raise ValueError(f"vector length {len(v)} != ambient rank {self.n}")

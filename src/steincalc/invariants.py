@@ -11,9 +11,12 @@ curve to its homology class, and on that kernel the -1 framings restrict
 to minus the standard dot product of coefficient vectors (hole-bilinear
 corrections vanish on the kernel, so this representative is well defined;
 it is pinned by the <-b> boundary-multitwist calibration and the lantern
-substitution check).  Off the planar page the signature is ledger-relative
-only: an asserted baseline plus the signature deltas of the substitutions
-applied since.
+substitution check).  One Smith normal form of the boundary map yields the
+kernel and its orthogonal complement, the saturated row space; the two have
+isomorphic discriminant groups, so the form's invariant factors come from
+the complement's Gram matrix, of size at most (b-1) x (b-1).  Off the
+planar page the signature is ledger-relative only: an asserted baseline
+plus the signature deltas of the substitutions applied since.
 
 First homology of the boundary 3-manifold is presented on the surface
 basis by two relation families: the closed ones (phi - id on homology) and
@@ -32,7 +35,7 @@ from .errors import (
     IncomparableSigmaError,
     UnsupportedInputError,
 )
-from .intlinalg import AbelianQuotient, kernel_basis, smith_normal_form
+from .intlinalg import AbelianQuotient, smith_normal_form
 from .surfaces import (
     Arc,
     Surface,
@@ -76,30 +79,32 @@ def planar_intersection_form(word: Word) -> PlanarForm:
     fragment); outer-parallel curves enter through their stored negated
     class, so columns always match homology classes.
     """
-    surface = word.surface
-    if surface.genus != 0:
-        raise UnsupportedInputError("exact intersection forms are computed for planar pages only")
-    if not word.is_positive:
-        raise UnsupportedInputError("fillings are built from positive words")
-    for t in word.twists:
-        if t.curve.hole_set is None:
-            raise UnsupportedInputError(
-                f"curve {t.curve.name} has no hole set; the planar form needs convex curve data"
-            )
+    if not has_exact_form(word):
+        raise UnsupportedInputError(
+            "exact intersection forms need a positive word on a planar page whose curves all have hole sets"
+        )
     n = len(word)
-    rows = surface.rank
-    boundary_map = [[word.twists[j].curve.homology.coords[i] for j in range(n)] for i in range(rows)]
-    kernel = kernel_basis(boundary_map, cols=n)
-    b2 = len(kernel)
-    q = [[-sum(u[k] * v[k] for k in range(n)) for v in kernel] for u in kernel]
-    snf = smith_normal_form(q, rows=b2, cols=b2)
+    rows = word.surface.rank
+    boundary_map = [[t.curve.homology.coords[i] for t in word.twists] for i in range(rows)]
+    snf = smith_normal_form(boundary_map, rows=rows, cols=n)
+    r = snf.rank
+    kernel = [[row[j] for row in snf.col_ops] for j in range(r, n)]
+    q = [[-sum(x * y for x, y in zip(u, v)) for v in kernel] for u in kernel]
+    # The first r rows of V^-1 span the saturated row space of the boundary
+    # map, the orthogonal complement of the kernel in the unimodular lattice
+    # Z^n.  Both are primitive, so their discriminant groups agree (Nikulin)
+    # and the r x r Gram matrix of the complement gives q's factors above 1.
+    complement = snf.col_ops_inv[:r]
+    gram = [[sum(x * y for x, y in zip(u, v)) for v in complement] for u in complement]
+    torsion = tuple(d for d in smith_normal_form(gram, rows=r, cols=r).diag if d > 1)
+    b2 = n - r
     # The kernel basis has full column rank, so q = -K^T K is negative
     # definite and its signature is -b2.
     return PlanarForm(
         matrix=tuple(tuple(row) for row in q),
         b2=b2,
         sigma=-b2,
-        invariant_factors=tuple(d for d in snf.diag if d != 0),
+        invariant_factors=(1,) * (b2 - len(torsion)) + torsion,
     )
 
 
@@ -158,34 +163,6 @@ def sigma(word: Word, ledger: Optional[SigmaLedger] = None) -> SigmaValue:
     )
 
 
-@dataclass(frozen=True)
-class H1Group:
-    """First homology of the boundary 3-manifold, with reduction helpers."""
-
-    surface: Surface
-    quotient: AbelianQuotient
-
-    @property
-    def invariant_factors(self) -> Tuple[int, ...]:
-        return self.quotient.invariant_factors
-
-    @property
-    def free_rank(self) -> int:
-        return self.quotient.free_rank
-
-    def reduce(self, v: Sequence[int]) -> Tuple[int, ...]:
-        return tuple(self.quotient.reduce(v))
-
-    def is_zero(self, v: Sequence[int]) -> bool:
-        return self.quotient.is_zero(v)
-
-    def order(self, v: Sequence[int]) -> Optional[int]:
-        return self.quotient.order(v)
-
-    def report(self) -> list:
-        return [list(self.invariant_factors), self.free_rank]
-
-
 def arc_relation_vector(word: Word, arc: Arc) -> Tuple[int, ...]:
     """The closed class by which the monodromy moves the arc.
 
@@ -219,7 +196,7 @@ def arc_family(surface: Surface, overrides: Sequence[Arc] = ()) -> list:
     return [by_index.get(j, standard_arc(surface, j)) for j in range(2, surface.boundary_count + 1)]
 
 
-def h1_boundary(word: Word, arcs: Optional[Sequence[Arc]] = None) -> H1Group:
+def h1_boundary(word: Word, arcs: Optional[Sequence[Arc]] = None) -> AbelianQuotient:
     """H_1 of the boundary open book of the word.
 
     Quotient of the surface homology by the monodromy-action relations
@@ -236,7 +213,7 @@ def h1_boundary(word: Word, arcs: Optional[Sequence[Arc]] = None) -> H1Group:
             relations.append(tuple(x - y for x, y in zip(image.coords, e.coords)))
     for arc in arcs:
         relations.append(arc_relation_vector(word, arc))
-    return H1Group(surface=surface, quotient=AbelianQuotient.from_relations(surface.rank, relations))
+    return AbelianQuotient.from_relations(surface.rank, relations)
 
 
 @dataclass(frozen=True)
@@ -287,7 +264,7 @@ def boundary_multitwist_defaults(word: Word) -> Optional[Tuple[Tuple[int, ...], 
 
 def chern_pd(
     word: Word,
-    h1: Optional[H1Group] = None,
+    h1: Optional[AbelianQuotient] = None,
     rotations: Optional[Sequence[int]] = None,
     mu_map: Optional[Sequence[Sequence[int]]] = None,
 ) -> ChernData:
@@ -329,7 +306,7 @@ def chern_pd(
             vector[i] += r * mu[i]
     return ChernData(
         vector=tuple(vector),
-        reduced=h1.reduce(vector),
+        reduced=tuple(h1.reduce(vector)),
         is_zero=h1.is_zero(vector),
         order=h1.order(vector),
     )
@@ -345,7 +322,7 @@ class FillingInvariants:
     b2: Optional[int] = None
     q_matrix: Optional[Tuple[Tuple[int, ...], ...]] = None
     q_invariant_factors: Optional[Tuple[int, ...]] = None
-    h1: Optional[H1Group] = None
+    h1: Optional[AbelianQuotient] = None
     esig: Optional[int] = None
     esig_mod4: Optional[int] = None
     c1: Optional[ChernData] = None

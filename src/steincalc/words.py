@@ -220,8 +220,9 @@ def _embeddings(w: Word, target: Word, rel: _Dependence) -> Iterator[Tuple[int, 
     closure is.  Identical target letters take increasing positions: twists
     about one curve commute, so this loses no embedding, and a valid
     assignment with a decreasing pair has a lexicographically smaller valid
-    one without it.  After ``_SEARCH_NODES`` tested positions the search
-    stops, which its callers report as "unknown".
+    one without it, so a letter skips the slots that leave too few for its
+    identical successors.  After ``_SEARCH_NODES`` tested positions the
+    search stops, which its callers report as "unknown".
     """
     candidates = _match_candidates(w, target, rel)
     if candidates is None:
@@ -232,6 +233,10 @@ def _embeddings(w: Word, target: Word, rel: _Dependence) -> Iterator[Tuple[int, 
     for k, t in enumerate(target.twists):
         twin.append(last.get(t, -1))
         last[t] = k
+    left_after = [0] * m  # identical target letters still to place after k
+    for k in range(m - 1, -1, -1):
+        if twin[k] >= 0:
+            left_after[twin[k]] = left_after[k] + 1
     reach = rel.reach
     chosen: List[int] = []
     taken = 0
@@ -244,7 +249,7 @@ def _embeddings(w: Word, target: Word, rel: _Dependence) -> Iterator[Tuple[int, 
             return
         slots = candidates[k]
         lo = bisect_right(slots, chosen[twin[k]]) if twin[k] >= 0 else 0
-        for pos in slots[lo:]:
+        for pos in slots[lo:len(slots) - left_after[k]]:
             if nodes == _SEARCH_NODES:
                 return
             nodes += 1

@@ -65,6 +65,28 @@ class TestParse:
         with pytest.raises(DocumentError):
             parse(json.dumps(bad))
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rotations", []),
+            ("mu_maps", "x"),
+            ("relators", 5),
+            ("arcs", 3),
+            ("disjoint", 7),
+            ("curves", {}),
+            ("declarations", {}),
+        ],
+    )
+    def test_malformed_section_rejected(self, key, value, tmp_path, capsys):
+        text = json.dumps({**MINIMAL, key: value})
+        with pytest.raises(DocumentError) as err:
+            parse(text)
+        assert err.value.location == key
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["invariants", "--in", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "document"
+
     def test_user_relator_non_positive_rejected(self):
         bad = json.loads(json.dumps(MINIMAL))
         bad["relators"] = [{

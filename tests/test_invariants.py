@@ -1,11 +1,14 @@
 """Filling invariants: Euler characteristic, planar forms, signatures,
 boundary homology, Chern data, and the e + sigma comparator."""
 
+import random
+
 import pytest
 
+from steincalc import intlinalg, invariants
 from steincalc.document import tau_boundary_document
 from steincalc.errors import BaselineUnavailableError, IncomparableSigmaError, UnsupportedInputError
-from steincalc.intlinalg import symmetric_signature
+from steincalc.intlinalg import smith_normal_form, symmetric_signature
 from steincalc.invariants import (
     SigmaLedger,
     arc_relation_vector,
@@ -78,6 +81,49 @@ class TestPlanarForm:
             w = word_of(s, [rng.choice(pool) for _ in range(rng.randint(0, 12))])
             form = planar_intersection_form(w)
             assert symmetric_signature(form.matrix) == form.sigma == -form.b2
+
+    def test_invariant_factors_match_full_snf(self):
+        rng = random.Random(11)
+        multi = 0
+        for _ in range(200):
+            b = rng.randint(2, 10)
+            s = Surface(0, b)
+            pool = [convex_curve(s, "empty", ()), convex_curve(s, "outer", range(2, b + 1), outer=True)]
+            for i in range(rng.randint(1, 6)):
+                pool.append(convex_curve(s, f"c{i}", {h for h in range(2, b + 1) if rng.random() < 0.4}))
+            w = word_of(s, [rng.choice(pool) for _ in range(rng.randint(0, 40))])
+            form = planar_intersection_form(w)
+            full = smith_normal_form(form.matrix, rows=form.b2, cols=form.b2)
+            assert form.invariant_factors == tuple(d for d in full.diag if d != 0)
+            multi += sum(d > 1 for d in form.invariant_factors) > 1
+        assert multi > 0
+
+    def test_two_factor_discriminant(self):
+        # A1 + A3: the discriminant group is Z/2 + Z/4
+        s = Surface(0, 3)
+        d2, d3 = convex_curve(s, "d2", {2}), convex_curve(s, "d3", {3})
+        form = planar_intersection_form(word_of(s, [d2] * 2 + [d3] * 4))
+        assert form.b2 == 4
+        assert form.invariant_factors == (1, 1, 2, 4)
+
+    def test_no_snf_of_the_form_itself(self, monkeypatch):
+        shapes = []
+        real = smith_normal_form
+
+        def recording(matrix, rows=None, cols=None):
+            shapes.append((len(matrix), len(matrix[0]) if matrix else 0))
+            return real(matrix, rows=rows, cols=cols)
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+        monkeypatch.setattr(invariants, "smith_normal_form", recording)
+        s = Surface(0, 6)
+        curves = [convex_curve(s, f"c{i}", holes) for i, holes in enumerate([{2}, {2, 3}, {3, 4, 5}, {6}])]
+        form = planar_intersection_form(word_of(s, curves * 3))
+        r = 12 - form.b2
+        assert form.b2 > s.rank
+        assert len(shapes) == 2
+        assert all(rows <= s.rank for rows, _ in shapes)
+        assert shapes[1][1] <= r
 
     def test_missing_hole_set_rejected(self):
         s = Surface(0, 3)

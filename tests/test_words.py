@@ -163,6 +163,16 @@ class TestContains:
         w = word_of(s, [x] * 8 + [y] + [x] * 8)
         assert contains(w, word_of(s, [y] + [x] * 16)) is None
 
+    def test_too_few_slots_for_repeated_letters_answer_at_once(self, planar4):
+        s, c = planar4
+        x, y = c["a12"], c["a23"]
+        # only k slots follow y, so no choice of the first x can be completed
+        start = time.perf_counter()
+        for k in range(20, 61):
+            w = word_of(s, [x] * k + [y] + [x] * k)
+            assert contains(w, word_of(s, [y] + [x] * (2 * k))) is None
+        assert time.perf_counter() - start < 1.0
+
     def test_node_budget_bounds_the_search(self):
         s = Surface(0, 6)
         x, z = convex_curve(s, "x", {2, 3}), convex_curve(s, "z", {3, 4})
