@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 document rejected, 3 precondition failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -96,6 +97,10 @@ def _invariants_payload(inv: FillingInvariants) -> dict:
     }
 
 
+# the _invariants_payload fields a family row repeats
+_FAMILY_FIELDS = ("euler", "sigma", "q_invariant_factors", "h1", "esig", "esig_mod4")
+
+
 def _certificate_payload(cert: PlanarityCertificate) -> dict:
     witness = None
     if cert.witness is not None:
@@ -141,14 +146,15 @@ def _pick_relator(doc: Document, name: Optional[str]) -> str:
     return name
 
 
-def run(command: str, doc: Optional[Document] = None, **options) -> dict:
+def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = None,
+        word2: Optional[str] = None, relator: Optional[str] = None, pair1: Optional[tuple] = None,
+        pair2: Optional[tuple] = None, g_max: int = 3, b_max: int = 12) -> dict:
     """Execute one command against a document and return the report payload.
 
-    The family sweep generates its own documents and ignores ``doc``.
+    The family sweep generates its own documents and ignores ``doc``;
+    esig-compare needs no document when both pairs are given.
     """
     if command == "family":
-        g_max = options.get("g_max", 3)
-        b_max = options.get("b_max", 12)
         rows = []
         for g in range(0, g_max + 1):
             for b in range(2, b_max + 1):
@@ -156,29 +162,22 @@ def run(command: str, doc: Optional[Document] = None, **options) -> dict:
                 inv = filling_invariants(
                     doc_gb.words["tau_del"], ledger=_ledger_for(doc_gb, "tau_del")
                 )
-                rows.append(
-                    {
-                        "genus": g,
-                        "boundary": b,
-                        "euler": inv.euler,
-                        "sigma": _sigma_payload(inv.sigma),
-                        "q_invariant_factors": None
-                        if inv.q_invariant_factors is None
-                        else list(inv.q_invariant_factors),
-                        "h1": inv.h1.report(),
-                        "esig": inv.esig,
-                        "esig_mod4": inv.esig_mod4,
-                        "c1_is_zero": None if inv.c1 is None else inv.c1.is_zero,
-                        "c1_order": None if inv.c1 is None else inv.c1.order,
-                    }
-                )
+                full = _invariants_payload(inv)
+                c1 = full["c1_pd"] or {}
+                rows.append({
+                    "genus": g,
+                    "boundary": b,
+                    **{key: full[key] for key in _FAMILY_FIELDS},
+                    "c1_is_zero": c1.get("is_zero"),
+                    "c1_order": c1.get("order"),
+                })
         return {"rows": rows}
 
-    if doc is None and not (command == "esig-compare" and "pair1" in options and "pair2" in options):
+    if doc is None and not (command == "esig-compare" and pair1 is not None and pair2 is not None):
         raise UnsupportedInputError(f"command '{command}' needs a document")
 
     if command == "invariants":
-        word_name = _pick_word(doc, options.get("word"))
+        word_name = _pick_word(doc, word)
         word = doc.words[word_name]
         inv = filling_invariants(
             word,
@@ -190,8 +189,8 @@ def run(command: str, doc: Optional[Document] = None, **options) -> dict:
         return {"word": word_name, **_invariants_payload(inv)}
 
     if command == "substitute":
-        word_name = _pick_word(doc, options.get("word"))
-        relator_name = _pick_relator(doc, options.get("relator"))
+        word_name = _pick_word(doc, word)
+        relator_name = _pick_relator(doc, relator)
         entry = doc.relator_entries[relator_name]
         word = doc.words[word_name]
         declared = doc.disjoint | entry.disjoint
@@ -217,7 +216,7 @@ def run(command: str, doc: Optional[Document] = None, **options) -> dict:
         return payload
 
     if command == "detect":
-        word_name = _pick_word(doc, options.get("word"))
+        word_name = _pick_word(doc, word)
         word = doc.words[word_name]
         certificates = detect_relator(word, list(doc.relator_entries.values()), doc.disjoint)
         bounding = []
@@ -233,7 +232,7 @@ def run(command: str, doc: Optional[Document] = None, **options) -> dict:
         }
 
     if command == "verify-relator":
-        relator_name = _pick_relator(doc, options.get("relator"))
+        relator_name = _pick_relator(doc, relator)
         entry = doc.relator_entries[relator_name]
         report = verify_relator(entry.relator)
         return {
@@ -248,20 +247,16 @@ def run(command: str, doc: Optional[Document] = None, **options) -> dict:
         }
 
     if command == "esig-compare":
-        pair1 = options.get("pair1")
-        pair2 = options.get("pair2")
         if pair1 is None or pair2 is None:
-            if doc is None:
-                raise UnsupportedInputError("esig-compare needs two --pair values or a document with words")
-            word1 = _pick_word(doc, options.get("word"))
-            word2 = _pick_word(doc, options.get("word2"), flag="--word2")
+            word1 = _pick_word(doc, word)
+            word2 = _pick_word(doc, word2, flag="--word2")
             invs = []
             for name in (word1, word2):
                 inv = filling_invariants(doc.words[name], ledger=_ledger_for(doc, name))
                 if inv.sigma.value is None:
                     raise BaselineUnavailableError(f"word '{name}' has no resolvable signature")
                 invs.append(inv)
-            check = esig_check(invs[0], invs[1])
+            esig_check(invs[0], invs[1])  # raises when the two signatures are incomparable
             pair1 = (invs[0].euler, invs[0].sigma.value)
             pair2 = (invs[1].euler, invs[1].sigma.value)
         cert = esig_planarity_test(tuple(pair1), tuple(pair2))
@@ -292,15 +287,21 @@ def _load_document(args: argparse.Namespace) -> Document:
             return parse(fh.read())
     if args.tau_boundary is not None:
         g, b = args.tau_boundary
+        if g < 0 or b < 1:
+            raise DocumentError("--tau-boundary", "needs a genus G >= 0 and a boundary count B >= 1")
         return tau_boundary_document(g, b)
     if args.lantern:
         return lantern_document()
     if args.chain is not None:
+        if args.chain < 1:
+            raise DocumentError("--chain", "chain length must be at least 1")
         return chain_document(args.chain)
     return non_standard_document()
 
 
-def _parse_pair(text: str) -> tuple:
+def _parse_pair(text: Optional[str]) -> Optional[tuple]:
+    if text is None:
+        return None
     parts = text.split(",")
     if len(parts) != 2:
         raise UnsupportedInputError(f"expected E,SIGMA, got '{text}'")
@@ -323,12 +324,15 @@ def _apply_baseline_flags(doc: Document, flags: Sequence[str]) -> None:
             raise UnsupportedInputError(f"baseline value '{value}' is not an integer") from exc
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="steincalc",
         description="invariants and planarity obstructions of positive Dehn-twist factorizations",
     )
     parser.add_argument("--version", action="version", version=f"steincalc {__version__}")
+    # the options each subcommand leaves out reach run() as None
+    parser.set_defaults(word=None, word2=None, relator=None, pair1=None, pair2=None, g_max=None, b_max=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_io(p: argparse.ArgumentParser, words: bool = True) -> None:
@@ -383,47 +387,36 @@ def _emit(text: str, outfile: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
+def _fail(code: int, **error) -> int:
+    sys.stdout.write(json.dumps({"error": error}, sort_keys=True) + "\n")
+    return code
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "family":
-            payload = run("family", g_max=args.g_max, b_max=args.b_max)
-        elif args.command == "gen":
-            doc = _load_document(args)
-            _emit(serialize(doc), args.json_out)
+        if args.command == "gen":
+            _emit(serialize(_load_document(args)), args.json_out)
             return 0
-        else:
-            options = {}
-            if getattr(args, "word", None) is not None:
-                options["word"] = args.word
-            if getattr(args, "word2", None) is not None:
-                options["word2"] = args.word2
-            if getattr(args, "relator", None) is not None:
-                options["relator"] = args.relator
-            if getattr(args, "pair1", None) is not None:
-                options["pair1"] = _parse_pair(args.pair1)
-            if getattr(args, "pair2", None) is not None:
-                options["pair2"] = _parse_pair(args.pair2)
-            if args.command == "esig-compare" and "pair1" in options and "pair2" in options:
-                doc = None
-            else:
-                doc = _load_document(args)
-                _apply_baseline_flags(doc, args.baseline)
-            payload = run(args.command, doc, **options)
+        pair1, pair2 = _parse_pair(args.pair1), _parse_pair(args.pair2)
+        doc = None
+        if args.command != "family" and (pair1 is None or pair2 is None):
+            doc = _load_document(args)
+            _apply_baseline_flags(doc, args.baseline)
+        payload = run(
+            args.command, doc,
+            word=args.word, word2=args.word2, relator=args.relator,
+            pair1=pair1, pair2=pair2, g_max=args.g_max, b_max=args.b_max,
+        )
     except DocumentError as exc:
-        _emit(json.dumps({"error": {"kind": "document", "location": exc.location, "message": exc.message}},
-                         sort_keys=True) + "\n", None)
-        return 2
+        return _fail(2, kind="document", location=exc.location, message=exc.message)
     except PRECONDITION_ERRORS as exc:
-        _emit(json.dumps({"error": {"kind": "precondition", "message": str(exc)}}, sort_keys=True) + "\n", None)
-        return 3
+        return _fail(3, kind="precondition", message=str(exc))
     except ConsistencyAlarmError as exc:
-        _emit(json.dumps({"error": {"kind": "consistency-alarm", "message": str(exc)}}, sort_keys=True) + "\n", None)
-        return 4
+        return _fail(4, kind="consistency-alarm", message=str(exc))
 
     report = {"tool": "steincalc", "version": __version__, "command": args.command, "result": payload}
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", getattr(args, "json_out", None))
+    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.json_out)
     if args.command == "esig-compare" and payload["certificate"]["verdict"] == ASSERTION_INCONSISTENT:
         return 4
     return 0

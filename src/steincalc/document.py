@@ -48,6 +48,11 @@ class Document:
     mu_maps: Dict[str, Tuple[Tuple[int, ...], ...]] = field(default_factory=dict)
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: ``bool`` subclasses ``int`` in Python but is no integer here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _require(condition: bool, location: str, message: str) -> None:
     if not condition:
         raise DocumentError(location, message)
@@ -66,10 +71,10 @@ def _parse_curve(surface: Surface, spec: dict, location: str) -> Curve:
     name = spec.get("name")
     _require(isinstance(name, str) and bool(name), location, "curve needs a non-empty string name")
     rotation = spec.get("rotation")
-    _require(rotation is None or isinstance(rotation, int), f"{location}.rotation", "rotation must be an integer")
+    _require(rotation is None or _is_int(rotation), f"{location}.rotation", "rotation must be an integer")
     parallel = spec.get("boundary_parallel_to")
     _require(
-        parallel is None or isinstance(parallel, int),
+        parallel is None or _is_int(parallel),
         f"{location}.boundary_parallel_to",
         "boundary index must be an integer",
     )
@@ -83,7 +88,7 @@ def _parse_curve(surface: Surface, spec: dict, location: str) -> Curve:
     try:
         if holes is not None:
             _require(
-                isinstance(holes, list) and all(isinstance(h, int) for h in holes),
+                isinstance(holes, list) and all(_is_int(h) for h in holes),
                 f"{location}.holes",
                 "holes must be a list of integers",
             )
@@ -101,7 +106,7 @@ def _parse_curve(surface: Surface, spec: dict, location: str) -> Curve:
                 boundary_parallel_to=parallel,
             )
         _require(
-            isinstance(homology, list) and all(isinstance(x, int) for x in homology),
+            isinstance(homology, list) and all(_is_int(x) for x in homology),
             f"{location}.homology",
             "homology must be a list of integers",
         )
@@ -132,7 +137,7 @@ def _parse_word(surface: Surface, curves: Dict[str, Curve], spec, location: str)
         _require(isinstance(cname, str), where, "twist needs a curve name")
         _require(cname in curves, where, f"word references undeclared curve '{cname}'")
         sign = t.get("sign", 1)
-        _require(sign in (1, -1), f"{where}.sign", "sign must be 1 or -1")
+        _require(_is_int(sign) and sign in (1, -1), f"{where}.sign", "sign must be 1 or -1")
         twists.append(Twist(curves[cname], sign))
     return Word(surface, tuple(twists))
 
@@ -190,7 +195,7 @@ def _parse_relator(
             _require(left.is_positive and right.is_positive, location,
                      "relator sides must be positive words")
             sigma_delta = spec.get("sigma_delta")
-            _require(sigma_delta is None or isinstance(sigma_delta, int),
+            _require(sigma_delta is None or _is_int(sigma_delta),
                      f"{location}.sigma_delta", "sigma_delta must be an integer when present")
             relator = Relator(
                 name=name,
@@ -222,8 +227,8 @@ def parse(text: str) -> Document:
     _require(isinstance(sspec, dict), "surface", "a document needs a surface {genus, boundary}")
     genus = sspec.get("genus")
     boundary = sspec.get("boundary")
-    _require(isinstance(genus, int) and genus >= 0, "surface.genus", "genus must be a non-negative integer")
-    _require(isinstance(boundary, int) and boundary >= 1, "surface.boundary", "boundary count must be a positive integer")
+    _require(_is_int(genus) and genus >= 0, "surface.genus", "genus must be a non-negative integer")
+    _require(_is_int(boundary) and boundary >= 1, "surface.boundary", "boundary count must be a positive integer")
     surface = Surface(genus, boundary)
 
     curves: Dict[str, Curve] = {}
@@ -250,9 +255,9 @@ def parse(text: str) -> Document:
         _require(isinstance(aspec, dict), where, "arc entries must be objects")
         index = aspec.get("index")
         rel = aspec.get("rel_class")
-        _require(isinstance(index, int), f"{where}.index", "arc index must be an integer")
+        _require(_is_int(index), f"{where}.index", "arc index must be an integer")
         _require(
-            isinstance(rel, list) and all(isinstance(x, int) for x in rel) and len(rel) == surface.rank,
+            isinstance(rel, list) and all(_is_int(x) for x in rel) and len(rel) == surface.rank,
             f"{where}.rel_class",
             f"rel_class must be an integer vector of length {surface.rank}",
         )
@@ -268,8 +273,8 @@ def parse(text: str) -> Document:
         g = dspec.get("genus")
         b = dspec.get("boundary")
         names = dspec.get("multicurve")
-        _require(isinstance(g, int) and g >= 0, f"{where}.genus", "genus must be a non-negative integer")
-        _require(isinstance(b, int) and b >= 1, f"{where}.boundary", "boundary count must be positive")
+        _require(_is_int(g) and g >= 0, f"{where}.genus", "genus must be a non-negative integer")
+        _require(_is_int(b) and b >= 1, f"{where}.boundary", "boundary count must be positive")
         _require(isinstance(names, list), f"{where}.multicurve", "multicurve must be a list of curve names")
         multicurve = tuple(_resolve_curves(curves, names, f"{where}.multicurve"))
         try:
@@ -280,7 +285,7 @@ def parse(text: str) -> Document:
     baselines: Dict[str, int] = {}
     for wname, value in _section(data, "baselines", dict).items():
         _require(wname in words, f"baselines.{wname}", f"baseline for undeclared word '{wname}'")
-        _require(isinstance(value, int), f"baselines.{wname}", "asserted signature must be an integer")
+        _require(_is_int(value), f"baselines.{wname}", "asserted signature must be an integer")
         baselines[wname] = value
 
     disjoint = set()
@@ -299,7 +304,7 @@ def parse(text: str) -> Document:
         where = f"rotations.{wname}"
         _require(wname in words, where, f"rotations for undeclared word '{wname}'")
         _require(
-            isinstance(rots, list) and all(isinstance(r, int) for r in rots) and len(rots) == len(words[wname]),
+            isinstance(rots, list) and all(_is_int(r) for r in rots) and len(rots) == len(words[wname]),
             where,
             "rotations must list one integer per twist of the word",
         )
@@ -317,7 +322,7 @@ def parse(text: str) -> Document:
         vectors = []
         for j, mu in enumerate(mus):
             _require(
-                isinstance(mu, list) and all(isinstance(x, int) for x in mu) and len(mu) == surface.rank,
+                isinstance(mu, list) and all(_is_int(x) for x in mu) and len(mu) == surface.rank,
                 f"{where}[{j}]",
                 f"meridian classes are integer vectors of length {surface.rank}",
             )

@@ -14,9 +14,10 @@ it is pinned by the <-b> boundary-multitwist calibration and the lantern
 substitution check).  One Smith normal form of the boundary map yields the
 kernel and its orthogonal complement, the saturated row space; the two have
 isomorphic discriminant groups, so the form's invariant factors come from
-the complement's Gram matrix, of size at most (b-1) x (b-1).  Off the
-planar page the signature is ledger-relative only: an asserted baseline
-plus the signature deltas of the substitutions applied since.
+the smaller of the two Gram matrices, of size min(b2, r) with r <= b-1 the
+rank of the boundary map.  Off the planar page the signature is
+ledger-relative only: an asserted baseline plus the signature deltas of the
+substitutions applied since.
 
 First homology of the boundary 3-manifold is presented on the surface
 basis by two relation families: the closed ones (phi - id on homology) and
@@ -90,14 +91,19 @@ def planar_intersection_form(word: Word) -> PlanarForm:
     r = snf.rank
     kernel = [[row[j] for row in snf.col_ops] for j in range(r, n)]
     q = [[-sum(x * y for x, y in zip(u, v)) for v in kernel] for u in kernel]
+    b2 = n - r
     # The first r rows of V^-1 span the saturated row space of the boundary
     # map, the orthogonal complement of the kernel in the unimodular lattice
     # Z^n.  Both are primitive, so their discriminant groups agree (Nikulin)
-    # and the r x r Gram matrix of the complement gives q's factors above 1.
-    complement = snf.col_ops_inv[:r]
-    gram = [[sum(x * y for x, y in zip(u, v)) for v in complement] for u in complement]
-    torsion = tuple(d for d in smith_normal_form(gram, rows=r, cols=r).diag if d > 1)
-    b2 = n - r
+    # and the r x r Gram matrix of the complement has q's factors above 1:
+    # take the SNF of whichever of the two is smaller.
+    if b2 < r:
+        smaller = q
+    else:
+        complement = snf.col_ops_inv[:r]
+        smaller = [[sum(x * y for x, y in zip(u, v)) for v in complement] for u in complement]
+    size = len(smaller)
+    torsion = tuple(d for d in smith_normal_form(smaller, rows=size, cols=size).diag if d > 1)
     # The kernel basis has full column rank, so q = -K^T K is negative
     # definite and its signature is -b2.
     return PlanarForm(

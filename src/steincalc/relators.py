@@ -203,8 +203,10 @@ def standard_chain_config(n: int) -> ChainConfig:
     """The chain on its minimal supporting surface.
 
     Odd slots carry the handle classes a_i, even slots b_i + b_{i+1}; an
-    odd chain closes with a_h - a_{h-1} + d_2, so the alternating sum of
-    odd-slot classes is the second boundary class d_2.
+    odd chain closes with a_h - a_{h-1} + a_{h-2} - ... + d_2, coefficient
+    (-1)^(h-i) on a_i, the one class pairing once with b_h and trivially
+    with every other chain curve.  So the alternating sum of odd-slot
+    classes is the second boundary class d_2 up to sign.
     """
     if n < 1:
         raise ValueError("chain length must be at least 1")
@@ -223,10 +225,8 @@ def standard_chain_config(n: int) -> ChainConfig:
             i = (k + 1) // 2
             coords[2 * (i - 1)] = 1
         else:
-            if surface.genus >= 1:
-                coords[2 * (surface.genus - 1)] = 1
-            if surface.genus >= 2:
-                coords[2 * (surface.genus - 2)] = -1
+            for i in range(1, surface.genus + 1):
+                coords[2 * (i - 1)] = (-1) ** (surface.genus - i)
             coords[2 * surface.genus] = 1
         classes.append(HomologyClass(surface, tuple(coords)))
     curves = tuple(Curve(f"c{k + 1}", cls) for k, cls in enumerate(classes))

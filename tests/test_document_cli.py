@@ -1,5 +1,6 @@
 """Document parsing, serialization round-trip, and the command line."""
 
+import argparse
 import json
 
 import pytest
@@ -85,6 +86,26 @@ class TestParse:
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
         assert main(["invariants", "--in", str(bad)]) == 2
+        assert json.loads(capsys.readouterr().out)["error"]["kind"] == "document"
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"surface": {"genus": True, "boundary": 1}, "curves": [], "words": {}},
+            {"words": {"w": [{"curve": "d2", "sign": 1.0}]}},
+            {"words": {"w": [{"curve": "d2", "sign": True}]}},
+            {"curves": MINIMAL["curves"] + [{"name": "x", "homology": [True, 0, 0]}]},
+            {"curves": MINIMAL["curves"] + [{"name": "x", "holes": [2], "rotation": False}]},
+            {"baselines": {"tau_del": True}},
+        ],
+    )
+    def test_bool_and_float_are_not_integers(self, override, tmp_path, capsys):
+        text = json.dumps({**MINIMAL, **override})
+        with pytest.raises(DocumentError):
+            parse(text)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        assert main(["gen", "--in", str(bad)]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "document"
 
     def test_user_relator_non_positive_rejected(self):
@@ -264,3 +285,48 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 4
         assert json.loads(out)["error"]["kind"] == "consistency-alarm"
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--chain", "0"], ["--chain", "-2"], ["--tau-boundary", "0", "0"], ["--tau-boundary", "-1", "3"]],
+    )
+    def test_bad_generator_value_exit_code(self, flags, capsys):
+        for command in ("gen", "invariants"):
+            assert main([command] + flags) == 2
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["kind"] == "document" and error["location"] == flags[0]
+
+    @pytest.mark.parametrize("n", [7, 9, 11])
+    def test_gen_long_odd_chain(self, n, capsys):
+        assert main(["gen", "--chain", str(n)]) == 0
+        doc = parse(capsys.readouterr().out)
+        assert (doc.surface.genus, doc.surface.boundary_count) == ((n - 1) // 2, 2)
+
+    def test_verify_long_odd_chain(self, capsys):
+        assert main(["verify-relator", "--chain", "7"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result["relator"] == "chain-7"
+        assert result["necessary_conditions_hold"]
+        assert all(c["passed"] for c in result["checks"])
+
+    def test_parser_built_once(self, monkeypatch, capsys):
+        calls = []
+        real = argparse._ActionsContainer.add_argument
+
+        def counting(self, *args, **kwargs):
+            calls.append(args)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+        argv = ["invariants", "--tau-boundary", "0", "4"]
+        assert main(argv) == 0
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == []
+
+    def test_baseline_flag_does_not_leak_into_next_call(self, capsys):
+        argv = ["invariants", "--tau-boundary", "1", "2", "--word", "tau_del"]
+        assert main(argv + ["--baseline", "tau_del=5"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["sigma"]["value"] == 5
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["sigma"]["value"] == -1

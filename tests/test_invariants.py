@@ -118,12 +118,16 @@ class TestPlanarForm:
         monkeypatch.setattr(invariants, "smith_normal_form", recording)
         s = Surface(0, 6)
         curves = [convex_curve(s, f"c{i}", holes) for i, holes in enumerate([{2}, {2, 3}, {3, 4, 5}, {6}])]
-        form = planar_intersection_form(word_of(s, curves * 3))
-        r = 12 - form.b2
-        assert form.b2 > s.rank
-        assert len(shapes) == 2
-        assert all(rows <= s.rank for rows, _ in shapes)
-        assert shapes[1][1] <= r
+        # a form larger than the boundary rank, and the boundary multitwist
+        # (b2 = 1 below r = 5), whose own 1 x 1 form is the smaller lattice
+        for word, large in ((word_of(s, curves * 3), True), (boundary_multitwist(0, 6), False)):
+            shapes.clear()
+            form = planar_intersection_form(word)
+            r = len(word) - form.b2
+            assert (form.b2 > r) == large
+            assert len(shapes) == 2
+            assert shapes[0][0] <= s.rank
+            assert shapes[1] == (min(form.b2, r),) * 2
 
     def test_missing_hole_set_rejected(self):
         s = Surface(0, 3)
