@@ -5,8 +5,9 @@ family, gen.  Input comes from --in FILE or one of the generator flags
 (--tau-boundary G B, --lantern, --chain N, --r-ns).  Reports are JSON with
 the tool version in a header field and a byte-stable payload.
 
-Exit codes: 0 success, 2 document rejected, 3 precondition failure,
-4 internal consistency alarm.
+Exit codes: 0 success, 2 document rejected (an --in file that cannot be
+read as UTF-8 text included), 3 precondition failure (a --json-out file
+that cannot be written included), 4 internal consistency alarm.
 """
 
 from __future__ import annotations
@@ -281,10 +282,19 @@ def _load_document(args: argparse.Namespace) -> Document:
     if sum(bool(s) for s in sources) != 1:
         raise DocumentError("$", "give exactly one input: --in FILE or a generator flag")
     if args.infile is not None:
-        if args.infile == "-":
-            return parse(sys.stdin.read())
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            return parse(fh.read())
+        try:
+            if args.infile == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.infile, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+        except OSError as exc:
+            raise DocumentError("--in", f"cannot read '{args.infile}': {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise DocumentError(
+                "--in", f"'{args.infile}' is not UTF-8 text: {exc.reason} at byte {exc.start}"
+            ) from exc
+        return parse(text)
     if args.tau_boundary is not None:
         g, b = args.tau_boundary
         if g < 0 or b < 1:
@@ -380,11 +390,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _emit(text: str, outfile: Optional[str]) -> None:
-    if outfile:
+    if not outfile:
+        sys.stdout.write(text)
+        return
+    try:
         with open(outfile, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UnsupportedInputError(f"--json-out: cannot write '{outfile}': {exc.strerror}") from exc
 
 
 def _fail(code: int, **error) -> int:
@@ -408,6 +421,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             word=args.word, word2=args.word2, relator=args.relator,
             pair1=pair1, pair2=pair2, g_max=args.g_max, b_max=args.b_max,
         )
+        report = {"tool": "steincalc", "version": __version__, "command": args.command, "result": payload}
+        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.json_out)
     except DocumentError as exc:
         return _fail(2, kind="document", location=exc.location, message=exc.message)
     except PRECONDITION_ERRORS as exc:
@@ -415,8 +430,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConsistencyAlarmError as exc:
         return _fail(4, kind="consistency-alarm", message=str(exc))
 
-    report = {"tool": "steincalc", "version": __version__, "command": args.command, "result": payload}
-    _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.json_out)
     if args.command == "esig-compare" and payload["certificate"]["verdict"] == ASSERTION_INCONSISTENT:
         return 4
     return 0

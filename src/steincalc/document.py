@@ -8,7 +8,9 @@ round-trip exactly.
 Generators at the bottom emit ready-made documents for the standard
 configurations (boundary multitwist, lantern, chains, the non-standard
 relator), so the stock examples are reproducible without hand-writing
-vectors.
+vectors.  They build each document from library values (curves, relator
+entries and their sides as words), which the model classes check as they
+are made, so no generator goes through JSON or ``parse``.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .errors import DocumentError
+from .invariants import boundary_rotation
 from .planarity import BoundingDeclaration
 from .relators import (
     RelatorEntry,
@@ -26,9 +29,10 @@ from .relators import (
     ChainConfig,
     lantern,
     non_standard_relator,
+    standard_chain_config,
 )
 from .surfaces import Arc, Curve, HomologyClass, NamePair, Surface, convex_curve
-from .words import Relator, Twist, Word
+from .words import Relator, Twist, Word, word_of
 
 
 @dataclass
@@ -221,6 +225,8 @@ def parse(text: str) -> Document:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    except RecursionError as exc:  # the decoder recurses once per nesting level
+        raise DocumentError("$", "JSON nested too deeply") from exc
     _require(isinstance(data, dict), "$", "a document is a JSON object")
 
     sspec = data.get("surface")
@@ -396,14 +402,6 @@ def serialize(doc: Document) -> str:
 # Ready-made documents
 
 
-def _boundary_rotation(g: int, b: int, j: int) -> int:
-    if j == 1:
-        return 0
-    if j == b:
-        return 2 * g
-    return 1
-
-
 def tau_boundary_document(g: int, b: int) -> Document:
     """One positive twist about each boundary component of the genus-g,
     b-holed page, with the flat-page rotation numbers attached.
@@ -412,111 +410,80 @@ def tau_boundary_document(g: int, b: int) -> Document:
     positive genus the matching bounded-subsurface declaration is.
     """
     surface = Surface(g, b)
-    specs: List[dict] = []
-    if g == 0:
-        specs.append({
-            "name": "d1",
-            "holes": list(range(2, b + 1)),
-            "boundary_parallel_to": 1,
-            "rotation": 0,
-        })
-    else:
-        specs.append({
-            "name": "d1",
-            "homology": list(surface.outer_boundary_class().coords),
-            "boundary_parallel_to": 1,
-            "rotation": 0,
-        })
-    for j in range(2, b + 1):
-        base: dict = {"name": f"d{j}", "rotation": _boundary_rotation(g, b, j), "boundary_parallel_to": j}
+    boundary = []
+    for j in range(1, b + 1):
+        rotation = boundary_rotation(g, b, j)
         if g == 0:
-            base["holes"] = [j]
+            holes = range(2, b + 1) if j == 1 else (j,)
+            boundary.append(convex_curve(surface, f"d{j}", holes, outer=j == 1, rotation=rotation,
+                                         boundary_parallel_to=j))
         else:
-            base["homology"] = list(surface.d_class(j).coords)
-        specs.append(base)
-    data: dict = {
-        "surface": {"genus": g, "boundary": b},
-        "curves": specs,
-        "words": {"tau_del": [{"curve": f"d{j}" if j > 1 else "d1", "sign": 1} for j in range(1, b + 1)]},
-        "baselines": {"tau_del": -1},
-    }
+            homology = surface.outer_boundary_class() if j == 1 else surface.d_class(j)
+            boundary.append(Curve(f"d{j}", homology, rotation=rotation, boundary_parallel_to=j))
+    doc = Document(
+        surface=surface,
+        curves={c.name: c for c in boundary},
+        words={"tau_del": word_of(surface, boundary)},
+        relator_entries={},
+        baselines={"tau_del": -1},
+    )
     if g == 0 and b == 4:
-        data["curves"] += [
-            {"name": "a12", "holes": [2, 3]},
-            {"name": "a23", "holes": [3, 4]},
-            {"name": "a13", "holes": [2, 4]},
-        ]
-        data["relators"] = [
-            {"name": "lantern", "kind": "lantern",
-             "curves": ["d2", "d3", "d4", "d1", "a12", "a23", "a13"]},
-        ]
+        d1, d2, d3, d4 = boundary
+        interior = [convex_curve(surface, name, holes)
+                    for name, holes in (("a12", (2, 3)), ("a23", (3, 4)), ("a13", (2, 4)))]
+        doc.curves.update((c.name, c) for c in interior)
+        entry = lantern(d2, d3, d4, d1, *interior)
+        doc.relator_entries[entry.name] = entry
+        doc.relator_decls = (
+            {"name": entry.name, "kind": "lantern", "curves": [c.name for c in (d2, d3, d4, d1, *interior)]},
+        )
     if g >= 1:
-        data["declarations"] = [
-            {"genus": g, "boundary": b, "multicurve": [f"d{j}" if j > 1 else "d1" for j in range(1, b + 1)]}
-        ]
-    return parse(json.dumps(data))
+        doc.declarations = (BoundingDeclaration(g, b, tuple(boundary)),)
+    return doc
 
 
 def lantern_document() -> Document:
     """The four-holed sphere document with both lantern sides as words."""
-    doc_data = json.loads(serialize(tau_boundary_document(0, 4)))
-    doc_data["words"]["lantern_left"] = [
-        {"curve": "d2", "sign": 1},
-        {"curve": "d3", "sign": 1},
-        {"curve": "d4", "sign": 1},
-        {"curve": "d1", "sign": 1},
-    ]
-    doc_data["words"]["lantern_right"] = [
-        {"curve": "a12", "sign": 1},
-        {"curve": "a23", "sign": 1},
-        {"curve": "a13", "sign": 1},
-    ]
-    return parse(json.dumps(doc_data))
+    doc = tau_boundary_document(0, 4)
+    relator = doc.relator_entries["lantern"].relator
+    doc.words["lantern_left"] = relator.left
+    doc.words["lantern_right"] = relator.right
+    return doc
 
 
 def chain_document(n: int) -> Document:
     """The length-n chain on its minimal supporting surface, with the
     boundary twists and the chain power as words."""
-    from .relators import standard_chain_config
-
     config = standard_chain_config(n)
     surface = config.surface
-    power = 2 * n + 2 if n % 2 == 0 else n + 1
-    data: dict = {
-        "surface": {"genus": surface.genus, "boundary": surface.boundary_count},
-        "curves": [_curve_spec(c) for c in config.curves + config.boundary],
-        "words": {
-            "boundary": [{"curve": c.name, "sign": 1} for c in config.boundary],
-            "chain_power": [{"curve": c.name, "sign": 1} for c in list(config.curves) * power],
-        },
-        "relators": [
-            {"name": f"chain-{n}", "kind": "chain",
+    entry = chain(n, config)
+    return Document(
+        surface=surface,
+        curves={c.name: c for c in config.curves + config.boundary},
+        words={"boundary": entry.relator.left, "chain_power": entry.relator.right},
+        relator_entries={entry.name: entry},
+        relator_decls=(
+            {"name": entry.name, "kind": "chain",
              "curves": [c.name for c in config.curves],
              "boundary": [c.name for c in config.boundary]},
-        ],
-    }
-    if surface.boundary_count >= 2:
-        data["baselines"] = {"boundary": -1}
-    if surface.genus >= 1:
-        data["declarations"] = [
-            {"genus": surface.genus, "boundary": surface.boundary_count,
-             "multicurve": [c.name for c in config.boundary]}
-        ]
-    return parse(json.dumps(data))
+        ),
+        declarations=(
+            (BoundingDeclaration(surface.genus, surface.boundary_count, config.boundary),)
+            if surface.genus >= 1 else ()
+        ),
+        baselines={"boundary": -1} if surface.boundary_count >= 2 else {},
+    )
 
 
 def non_standard_document() -> Document:
     """The genus-1, three-holed surface carrying the non-standard relator,
     with both sides as words."""
     entry = non_standard_relator()
-    surface = entry.relator.left.surface
-    data = {
-        "surface": {"genus": surface.genus, "boundary": surface.boundary_count},
-        "curves": [_curve_spec(c) for c in entry.relator.curves()],
-        "words": {
-            "short_side": word_payload(entry.relator.left),
-            "long_side": word_payload(entry.relator.right),
-        },
-        "relators": [{"name": "non-standard", "kind": "non-standard"}],
-    }
-    return parse(json.dumps(data))
+    relator = entry.relator
+    return Document(
+        surface=relator.left.surface,
+        curves={c.name: c for c in relator.curves()},
+        words={"short_side": relator.left, "long_side": relator.right},
+        relator_entries={entry.name: entry},
+        relator_decls=({"name": entry.name, "kind": "non-standard"},),
+    )

@@ -233,13 +233,22 @@ class ChernData:
     order: Optional[int]
 
 
+def boundary_rotation(g: int, b: int, j: int) -> int:
+    """Rotation number of boundary j in the flat-page Legendrian realization
+    of the genus-g, b-holed page: 0 on the outer boundary, 2g on boundary
+    b, and 1 on every other one."""
+    if j == 1:
+        return 0
+    return 2 * g if j == b else 1
+
+
 def boundary_multitwist_defaults(word: Word) -> Optional[Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]]:
     """Library rotation numbers and meridian classes, available exactly when
     the word is one positive twist about each boundary component.
 
-    Rotations for the flat-page Legendrian realization: 0 on the outer
-    boundary, 1 on boundaries 2..b-1, and 2g on the last one.  Meridian of
-    the twist about boundary j maps to the class of d_j.
+    Rotations are the flat-page ones of ``boundary_rotation``.  Meridian of
+    the twist about boundary j maps to the class of d_j (of -(d_2+...+d_b)
+    for the outer boundary).
     """
     surface = word.surface
     b = surface.boundary_count
@@ -256,15 +265,8 @@ def boundary_multitwist_defaults(word: Word) -> Optional[Tuple[Tuple[int, ...], 
     rotations = [0] * b
     mu: List[Tuple[int, ...]] = [()] * b
     for j, idx in seen.items():
-        if j == 1:
-            rotations[idx] = 0
-            mu[idx] = surface.outer_boundary_class().coords
-        elif j == b and b >= 2:
-            rotations[idx] = 2 * surface.genus
-            mu[idx] = surface.d_class(j).coords
-        else:
-            rotations[idx] = 1
-            mu[idx] = surface.d_class(j).coords
+        rotations[idx] = boundary_rotation(surface.genus, b, j)
+        mu[idx] = (surface.outer_boundary_class() if j == 1 else surface.d_class(j)).coords
     return tuple(rotations), tuple(mu)
 
 

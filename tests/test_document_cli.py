@@ -1,12 +1,19 @@
 """Document parsing, serialization round-trip, and the command line."""
 
 import argparse
+import functools
+import hashlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from steincalc import document
 from steincalc.cli import main, run
 from steincalc.document import (
+    Document,
     chain_document,
     lantern_document,
     non_standard_document,
@@ -26,6 +33,97 @@ MINIMAL = {
     ],
     "words": {"tau_del": [{"curve": c, "sign": 1} for c in ("d1", "d2", "d3", "d4")]},
 }
+
+# every document the generator flags emit, keyed by the flags
+GENERATORS = {
+    **{f"--tau-boundary {g} {b}": functools.partial(tau_boundary_document, g, b)
+       for g in range(4) for b in range(1, 13)},
+    "--lantern": lantern_document,
+    "--r-ns": non_standard_document,
+    **{f"--chain {n}": functools.partial(chain_document, n) for n in range(1, 13)},
+}
+
+# sha256 of `steincalc gen FLAGS` stdout
+GEN_SHA256 = {
+    "--tau-boundary 0 1": "badbf0e8fd7b5a138bf776182316365f77984e4d1ea57ae41d4959ffa2ddcc5e",
+    "--tau-boundary 0 2": "9ccc60e4ef62dfe834a8392d3b40e7389fe21376124b4a4892f27195f786dc95",
+    "--tau-boundary 0 3": "8a9a109d8072703ba5c33566472546845ab5530ce6982d6ec18be04ce2ba11ee",
+    "--tau-boundary 0 4": "1f84fede75c9866e8139a0e9012659e7d455030057b51a4af412164a3c87fbd9",
+    "--tau-boundary 0 5": "dd617166ff7502e348c3b9cb5da225d373b4b832a250bcc0b45db5938c7f31c7",
+    "--tau-boundary 0 6": "54330b98f7e6478e508cfa537a02b57dd33f9c8d3e02afd7eccf16c3b00f6f2f",
+    "--tau-boundary 0 7": "7f1beaea4a7a269fc5086448579171961fc2361462d842a69053b8442305c939",
+    "--tau-boundary 0 8": "242626adeb3ac0ee5e8a871b72eb47ca28422346146d17e06bfc37432e11d330",
+    "--tau-boundary 0 9": "12dd1db03c261519ddf5aca1fbc293a08e3d1b307909084f92d0ef94014aeca5",
+    "--tau-boundary 0 10": "4baf4b1572dfe831a2ab5f5b59a41a1acfa1123f2b5d94a23e9bafe515bbbe25",
+    "--tau-boundary 0 11": "866b11accbabcdb7835002ca1ab690f7010b2498b4288bc42e144aa2b85b0d9a",
+    "--tau-boundary 0 12": "2af8d8dad7a29a37788778f4ee3302948c3eabf05e1b09801a44b71bf8c105f4",
+    "--tau-boundary 1 1": "bcb3b06a630fc16550eb8fd88f7447601e38efca33a1fd8a3b0fd6a877be6a60",
+    "--tau-boundary 1 2": "203a4d6aa28edf74bf19f7701ea6e5ee61cb0fbe6abdcbd723418aaafe89bcef",
+    "--tau-boundary 1 3": "178cd0a3a4004c5c330a5f4c263f6001380e724966ec6e536f4f8de0f0062e2b",
+    "--tau-boundary 1 4": "f9ace038f5f5adcecd8be04d774f6bccd8452bbd74b56ba1be201bcea23e70a8",
+    "--tau-boundary 1 5": "2934dabba2a4cffddb09170aa6b9fc269c81ad97e6f11af10ce97d179336d3a8",
+    "--tau-boundary 1 6": "362d942bde67a9c5dcd4e8840de27a8d8680c3fbd61cf242978c6e2a1e9a0041",
+    "--tau-boundary 1 7": "a6083431c293dfee5ebb89a577b6e94067cf3e01e35d39152813cc91721fed5b",
+    "--tau-boundary 1 8": "7524bf57aeb7bb459b23b63acffb80dc86898809dcbeedaeb26e2fae464bb1d7",
+    "--tau-boundary 1 9": "f92b81fee029b2a7ba8b3707377b930cac57cc5e7d19e72ccfc874d1d4ed55e6",
+    "--tau-boundary 1 10": "db538c607609c117f308c95dc46a636a5f17172140cafd65a4ceea771bdfbc2a",
+    "--tau-boundary 1 11": "3d9420010d74d448299f04ba7eb7a8ba71d8ccc2b4012403e68963fe4ff29d25",
+    "--tau-boundary 1 12": "20ee783148e37c7186c1296da5771eb5115c159c8893ec2354b4c22886628844",
+    "--tau-boundary 2 1": "5764497a84ba211d26d48eece5232968820478ea1527ecfffebe0d4fb59cc759",
+    "--tau-boundary 2 2": "d2e7dfad7a4b25cfe1cb8b37d2a8cb2dcdaa98f2b2b9b7ddbedadd4c3d18df90",
+    "--tau-boundary 2 3": "1cf8622b5aaac4f38a835f1c1b2d5e5b2d971e017c7061949dca0d16faed503b",
+    "--tau-boundary 2 4": "1c65422b2012758cf284986a6f2ec5eda98df1f606939b2a22e3668c8c59a87d",
+    "--tau-boundary 2 5": "0337a167d255f0039e0098e2978755c1fb1102c0e1609aeed7a10485658ca257",
+    "--tau-boundary 2 6": "9774110944970f75c53fa7a0da59defb7f2cf2ad8d4f9e30d7bcf3848bbd78cb",
+    "--tau-boundary 2 7": "49719155d0e9fb229a80a48af5ff04770209cc44cbe099aeb2d54883382d00b7",
+    "--tau-boundary 2 8": "042366cb925f000e61d6bae545d57f2c65f012a0af95c2e45b149552455cee97",
+    "--tau-boundary 2 9": "a38f593c965f39e8deebe3e4ce44f3e4bb874f4b7b03a6a298a8576397b876db",
+    "--tau-boundary 2 10": "8ac92e4957cc9646fa6994d9cdfed73d1f3289e2d8be23ff2ce5af95f83109e4",
+    "--tau-boundary 2 11": "1d3a7185dbfa3bb4afc6ed3f3161a474ccee629c95834a4bdda7edb76e639aab",
+    "--tau-boundary 2 12": "c96dfa473ba6e0b2188c81a84546f5917188387b4c0f2de58b28c1d6ad40787d",
+    "--tau-boundary 3 1": "dd75153e6706163bfff80d7e2bb37b5f6b46f7976c140c293c8653fe31c5bd00",
+    "--tau-boundary 3 2": "07c2d2fb7476f5e3abc1307c0ed7334f1d293371183ad47f69af9819bcfc4129",
+    "--tau-boundary 3 3": "a8315b4ffcc019c79fa678907a033994bee38d673549a209a57f915acb013f31",
+    "--tau-boundary 3 4": "75533233aaf9561bf55675063bf7615173e7f07445da2d5924e3edc7b87106fd",
+    "--tau-boundary 3 5": "c2798b4fe557386cbf4102c95cfd345d7a7beacb72f58f28e738c486b24c664d",
+    "--tau-boundary 3 6": "007879e8cfd26bf4f8158cc41e38bd817ddca30e69e182dd6c933092fb56df9d",
+    "--tau-boundary 3 7": "b01cdec002ba6c9719305738540fe7b2f8db31bbc5723a40853e26ace3bd8159",
+    "--tau-boundary 3 8": "83112891adf9ee2ec3042cb626b70e685f6f1f19be9304bd2f1680c4eefb39ca",
+    "--tau-boundary 3 9": "f8f181b9b1c79b83634a8afe3a11f0878d46d2fbe826c57d808822ce5132e079",
+    "--tau-boundary 3 10": "508df00abc289b2bfe87f0e84181b1e815d86612e199857cf1d789732586438a",
+    "--tau-boundary 3 11": "32a7b3d6474c808d9368a538ea931f95ecd39a9342438dbef30829b492d7d03f",
+    "--tau-boundary 3 12": "b8c9d9f9906bf8296ca214a457fbb2f4a3d728a5b35609b12704fed2ebb4e641",
+    "--lantern": "a05ad2385ddc9222cad7ec37f5df04d39257aa2c5e21042890d21650fe162a9b",
+    "--r-ns": "3334eee291b6a37c30d0d966341f350b24a0d14acb24087b5a8326bd6c4a2925",
+    "--chain 1": "8648d4bda0a3f57f4bf4bf09dec2817fe8f0f0f9898ce5ae126eafd4dfd12bb3",
+    "--chain 2": "86fd07cec079e118dddd0f0e562b2ba3016f4f58ccab3372c16c3a69a067db8c",
+    "--chain 3": "9346db6dc3c7cf37a941acd4c5db503c556151ca49a464c5570190c8887b4f4c",
+    "--chain 4": "f8db1cebf10d75b6969c2c74c73a24c193d6e1c133690313700ac328599bb712",
+    "--chain 5": "a362504508af12b9cc2aa7c103c9aa82abc6c1467f53cec54be8d96d035eee1b",
+    "--chain 6": "d5f752f7a2490d8ae67f56d86081061482f46780c426d1c0c9f4689d6f7de570",
+    "--chain 7": "c2b9dc7da2c4003b56578d1efe2a0d5fd7f2a43f64d7986e59a339191170a23b",
+    "--chain 8": "a321ea08364b9c3221caaaef02e61968e2b4836611c0a1760c09d1a4c12dadc2",
+    "--chain 9": "d470c2eec29ab750ead3646969ac0c52749f93e8202fc646165ce8e6f06a7903",
+    "--chain 10": "44c1094f9e035709de5cf21ab2676d9cb0e828e9b57ffaf3fd6d8c5cad8e2bc4",
+    "--chain 11": "ab415574d7c0d06f8a831db48df86dc2599945e1420b68590b9d294679da920d",
+    "--chain 12": "b0e4133616905fb9af32b189c00a2f171f7aae56776f6e356e170e08e529fd51",
+}
+
+SECTIONS = ("surface", "curves", "words", "relators", "arcs", "declarations",
+            "baselines", "disjoint", "rotations", "mu_maps")
+_KEYS = st.sampled_from(SECTIONS + (
+    "genus", "boundary", "name", "holes", "homology", "rotation", "boundary_parallel_to", "curve",
+    "sign", "kind", "left", "right", "sigma_delta", "index", "rel_class", "multicurve", "tau_del",
+)) | st.text(max_size=3)
+_SCALARS = (
+    st.none() | st.booleans() | st.integers(-3, 6) | st.floats(allow_nan=False)
+    | st.sampled_from(["d1", "d2", "d3", "d4", "tau_del", "lantern", "chain", "braid", "user", "non-standard"])
+)
+JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=7) | st.dictionaries(_KEYS, inner, max_size=5),
+    max_leaves=40,
+)
 
 
 class TestParse:
@@ -59,6 +157,25 @@ class TestParse:
         with pytest.raises(DocumentError) as err:
             parse("{not json")
         assert "line" in err.value.location
+
+    def test_deep_nesting_rejected(self, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+        assert main(["invariants", "--in", str(deep)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "document" and error["location"] == "$"
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        JSON_VALUES.map(json.dumps),
+        st.tuples(st.sampled_from(SECTIONS), JSON_VALUES).map(lambda kv: json.dumps({**MINIMAL, kv[0]: kv[1]})),
+    ))
+    @example("[" * 100000 + "]" * 100000)
+    def test_parse_is_total(self, text):
+        try:
+            assert isinstance(parse(text), Document)
+        except DocumentError:
+            pass
 
     def test_baseline_for_unknown_word_rejected(self):
         bad = json.loads(json.dumps(MINIMAL))
@@ -142,11 +259,27 @@ class TestRoundTrip:
             lambda: chain_document(2),
             lambda: chain_document(3),
             lambda: non_standard_document(),
+            *(pytest.param(factory, id=flags) for flags, factory in GENERATORS.items()),
         ],
     )
     def test_parse_serialize_identity(self, factory):
         doc = factory()
         assert parse(serialize(doc)) == doc
+
+    def test_generators_go_through_neither_json_nor_parse(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a generator went through JSON")
+
+        monkeypatch.setattr(document, "parse", refuse)
+        monkeypatch.setattr(json, "dumps", refuse)
+        monkeypatch.setattr(json, "loads", refuse)
+        for factory in GENERATORS.values():
+            assert isinstance(factory(), Document)
+
+    @pytest.mark.parametrize("flags, digest", GEN_SHA256.items(), ids=list(GEN_SHA256))
+    def test_gen_output_is_pinned(self, flags, digest, capsys):
+        assert main(["gen", *flags.split()]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 class TestRun:
@@ -207,6 +340,26 @@ class TestMain:
         bad.write_text("{}", encoding="utf-8")
         assert main(["invariants", "--in", str(bad)]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "document"
+
+    @pytest.mark.parametrize("case", ["missing", "directory", "not-utf8", "stdin-not-utf8"])
+    def test_unreadable_input_exit_code(self, case, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "doc.json"
+        if case == "directory":
+            path = tmp_path
+        elif case == "not-utf8":
+            path.write_bytes(b'{"surface": "\xff"}')
+        elif case == "stdin-not-utf8":
+            monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8"))
+            path = "-"
+        assert main(["invariants", "--in", str(path)]) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "document" and error["location"] == "--in"
+
+    @pytest.mark.parametrize("argv", [["gen", "--lantern"], ["invariants", "--lantern"]], ids=["gen", "report"])
+    def test_unwritable_json_out_exit_code(self, argv, tmp_path, capsys):
+        assert main(argv + ["--json-out", str(tmp_path / "missing" / "out.json")]) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "precondition" and error["message"].startswith("--json-out")
 
     def test_inapplicable_substitution_exit_code(self, capsys):
         code = main(["substitute", "--lantern", "--word", "lantern_right", "--relator", "lantern"])
