@@ -130,6 +130,8 @@ def _pick_word(doc: Document, name: Optional[str], flag: str = "--word") -> str:
         if name not in doc.words:
             raise UnsupportedInputError(f"document has no word named '{name}'")
         return name
+    if not doc.words:
+        raise UnsupportedInputError("document declares no words")
     if len(doc.words) == 1:
         return next(iter(doc.words))
     if "tau_del" in doc.words:
@@ -174,7 +176,9 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
                 })
         return {"rows": rows}
 
-    if doc is None and not (command == "esig-compare" and pair1 is not None and pair2 is not None):
+    if (pair1 is None) != (pair2 is None):
+        raise UnsupportedInputError("--pair and --pair2 go together; give both or neither")
+    if doc is None and not (command == "esig-compare" and pair1 is not None):
         raise UnsupportedInputError(f"command '{command}' needs a document")
 
     if command == "invariants":
@@ -248,7 +252,7 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
         }
 
     if command == "esig-compare":
-        if pair1 is None or pair2 is None:
+        if pair1 is None:
             word1 = _pick_word(doc, word)
             word2 = _pick_word(doc, word2, flag="--word2")
             invs = []
@@ -294,19 +298,22 @@ def _load_document(args: argparse.Namespace) -> Document:
             raise DocumentError(
                 "--in", f"'{args.infile}' is not UTF-8 text: {exc.reason} at byte {exc.start}"
             ) from exc
-        return parse(text)
-    if args.tau_boundary is not None:
+        doc = parse(text)
+    elif args.tau_boundary is not None:
         g, b = args.tau_boundary
         if g < 0 or b < 1:
             raise DocumentError("--tau-boundary", "needs a genus G >= 0 and a boundary count B >= 1")
-        return tau_boundary_document(g, b)
-    if args.lantern:
-        return lantern_document()
-    if args.chain is not None:
+        doc = tau_boundary_document(g, b)
+    elif args.lantern:
+        doc = lantern_document()
+    elif args.chain is not None:
         if args.chain < 1:
             raise DocumentError("--chain", "chain length must be at least 1")
-        return chain_document(args.chain)
-    return non_standard_document()
+        doc = chain_document(args.chain)
+    else:
+        doc = non_standard_document()
+    _apply_baseline_flags(doc, args.baseline)
+    return doc
 
 
 def _parse_pair(text: Optional[str]) -> Optional[tuple]:
@@ -413,9 +420,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         pair1, pair2 = _parse_pair(args.pair1), _parse_pair(args.pair2)
         doc = None
-        if args.command != "family" and (pair1 is None or pair2 is None):
+        if args.command != "family" and pair1 is None and pair2 is None:
             doc = _load_document(args)
-            _apply_baseline_flags(doc, args.baseline)
         payload = run(
             args.command, doc,
             word=args.word, word2=args.word2, relator=args.relator,

@@ -36,7 +36,7 @@ from .errors import (
     IncomparableSigmaError,
     UnsupportedInputError,
 )
-from .intlinalg import AbelianQuotient, smith_normal_form
+from .intlinalg import AbelianQuotient, mat_mul, smith_normal_form
 from .surfaces import (
     Arc,
     Surface,
@@ -89,8 +89,8 @@ def planar_intersection_form(word: Word) -> PlanarForm:
     boundary_map = [[t.curve.homology.coords[i] for t in word.twists] for i in range(rows)]
     snf = smith_normal_form(boundary_map, rows=rows, cols=n)
     r = snf.rank
-    kernel = [[row[j] for row in snf.col_ops] for j in range(r, n)]
-    q = [[-sum(x * y for x, y in zip(u, v)) for v in kernel] for u in kernel]
+    kernel = [row[r:] for row in snf.col_ops]
+    q = mat_mul([[-x for x in col] for col in zip(*kernel)], kernel)
     b2 = n - r
     # The first r rows of V^-1 span the saturated row space of the boundary
     # map, the orthogonal complement of the kernel in the unimodular lattice
@@ -101,7 +101,7 @@ def planar_intersection_form(word: Word) -> PlanarForm:
         smaller = q
     else:
         complement = snf.col_ops_inv[:r]
-        smaller = [[sum(x * y for x, y in zip(u, v)) for v in complement] for u in complement]
+        smaller = mat_mul(complement, list(zip(*complement)))
     size = len(smaller)
     torsion = tuple(d for d in smith_normal_form(smaller, rows=size, cols=size).diag if d > 1)
     # The kernel basis has full column rank, so q = -K^T K is negative
@@ -312,11 +312,12 @@ def chern_pd(
             raise UnsupportedInputError("meridian class has the wrong rank")
         for i in range(surface.rank):
             vector[i] += r * mu[i]
+    order = h1.order(vector)
     return ChernData(
         vector=tuple(vector),
         reduced=tuple(h1.reduce(vector)),
-        is_zero=h1.is_zero(vector),
-        order=h1.order(vector),
+        is_zero=order == 1,
+        order=order,
     )
 
 

@@ -111,10 +111,8 @@ def free_reduce(w: Word) -> Word:
 
 
 def certified_commute(t1: Twist, t2: Twist, declared: Collection[NamePair] = ()) -> bool:
-    """Twists about the same curve always commute; otherwise fall back to
-    the disjointness certificates of the curve model."""
-    if t1.curve == t2.curve:
-        return True
+    """Whether the curve model certifies that the two twists commute:
+    identical curves, or a disjointness certificate."""
     return curves_commute(t1.curve, t2.curve, declared) is True
 
 

@@ -398,6 +398,36 @@ class TestMain:
         assert code == 0
         assert json.loads(out)["result"]["sigma"]["value"] == -5
 
+    def test_gen_applies_baseline_flag(self, capsys):
+        assert main(["gen", "--lantern", "--baseline", "tau_del=5"]) == 0
+        assert parse(capsys.readouterr().out).baselines["tau_del"] == 5
+        assert main(["gen", "--lantern", "--baseline", "nosuch=5"]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "kind": "precondition",
+            "message": "baseline for undeclared word 'nosuch'",
+        }
+
+    @pytest.mark.parametrize("pair", [["--pair", "100,3"], ["--pair2", "100,3"]], ids=["pair", "pair2"])
+    @pytest.mark.parametrize(
+        "source", [[], ["--lantern", "--word", "lantern_left", "--word2", "lantern_right"]], ids=["no-doc", "doc"]
+    )
+    def test_one_pair_rejected(self, pair, source, capsys):
+        assert main(["esig-compare"] + source + pair) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "kind": "precondition",
+            "message": "--pair and --pair2 go together; give both or neither",
+        }
+
+    @pytest.mark.parametrize("command", ["invariants", "detect", "substitute", "esig-compare"])
+    def test_document_without_words(self, command, tmp_path, capsys):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({**MINIMAL, "words": {}}), encoding="utf-8")
+        assert main([command, "--in", str(path)]) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "kind": "precondition",
+            "message": "document declares no words",
+        }
+
     def test_byte_stable_reports(self, tmp_path):
         out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
         for path in (out1, out2):

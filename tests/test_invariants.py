@@ -98,6 +98,22 @@ class TestPlanarForm:
             multi += sum(d > 1 for d in form.invariant_factors) > 1
         assert multi > 0
 
+    def test_matrix_is_minus_kernel_gram(self):
+        rng = random.Random(5)
+        seen = set()
+        for n in [0, 3, 6, 12, 20, 30, 40, 160]:
+            s = Surface(0, 8)
+            pool = [convex_curve(s, "outer", range(2, 9), outer=True)]
+            pool += [convex_curve(s, f"c{i}", rng.sample(range(2, 9), rng.randint(1, 7))) for i in range(6)]
+            w = word_of(s, [rng.choice(pool) for _ in range(n)])
+            form = planar_intersection_form(w)
+            boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(s.rank)]
+            kernel = intlinalg.kernel_basis(boundary_map, cols=n)
+            assert form.matrix == tuple(tuple(-sum(x * y for x, y in zip(u, v)) for v in kernel) for u in kernel)
+            r = n - form.b2
+            seen.add("b2 = 0" if not form.b2 else "b2 < r" if form.b2 < r else "b2 > r" if form.b2 > r else "b2 = r")
+        assert {"b2 = 0", "b2 < r", "b2 > r"} <= seen
+
     def test_two_factor_discriminant(self):
         # A1 + A3: the discriminant group is Z/2 + Z/4
         s = Surface(0, 3)
@@ -116,15 +132,24 @@ class TestPlanarForm:
 
         monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
         monkeypatch.setattr(invariants, "smith_normal_form", recording)
+        products = []
+
+        def counting(a, b):
+            products.append((len(a), len(b)))
+            return intlinalg.mat_mul(a, b)
+
+        monkeypatch.setattr(invariants, "mat_mul", counting)
         s = Surface(0, 6)
         curves = [convex_curve(s, f"c{i}", holes) for i, holes in enumerate([{2}, {2, 3}, {3, 4, 5}, {6}])]
         # a form larger than the boundary rank, and the boundary multitwist
         # (b2 = 1 below r = 5), whose own 1 x 1 form is the smaller lattice
         for word, large in ((word_of(s, curves * 3), True), (boundary_multitwist(0, 6), False)):
             shapes.clear()
+            products.clear()
             form = planar_intersection_form(word)
             r = len(word) - form.b2
             assert (form.b2 > r) == large
+            assert len(products) == (1 if form.b2 < r else 2)
             assert len(shapes) == 2
             assert shapes[0][0] <= s.rank
             assert shapes[1] == (min(form.b2, r),) * 2
