@@ -420,7 +420,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return 0
         pair1, pair2 = _parse_pair(args.pair1), _parse_pair(args.pair2)
         doc = None
-        if args.command != "family" and pair1 is None and pair2 is None:
+        if pair1 is not None and pair2 is not None:
+            given = [flag for flag, value in (
+                ("--in", args.infile), ("--tau-boundary", args.tau_boundary), ("--lantern", args.lantern or None),
+                ("--chain", args.chain), ("--r-ns", args.r_ns or None), ("--baseline", args.baseline or None),
+                ("--word", args.word), ("--word2", args.word2)) if value is not None]
+            if given:
+                raise UnsupportedInputError(f"--pair and --pair2 take no document; drop {', '.join(given)}")
+        elif args.command != "family" and pair1 is None and pair2 is None:
             doc = _load_document(args)
         payload = run(
             args.command, doc,

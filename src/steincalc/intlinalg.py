@@ -1,13 +1,14 @@
 """Exact integer linear algebra.
 
-Smith normal form with recorded unimodular transforms, integer kernel
-bases and finitely generated abelian quotients.  ``symmetric_signature``
-(exact congruence diagonalization over the rationals) is kept as the
-reference the tests check the planar signature -b2 against; the package
-itself never calls it.  Matrices are plain lists of lists of Python ints, so
-nothing overflows; every computation here is exact.  ``mat_mul`` skips zero
-entries: the planar form builds its Gram matrices with it, because b2 reaches
-the hundreds while each kernel column has only a few nonzeros.
+Smith normal form U A V = D with its unimodular U and V (each inverse a
+caller needs comes from U A = D V^-1 or A V = U^-1 D), integer kernel bases
+and finitely generated abelian quotients.  ``symmetric_signature`` (exact
+congruence diagonalization) is the reference the tests check the planar
+signature -b2 against; the package itself never calls it.  Matrices are
+plain lists of lists of Python ints, so nothing overflows; every computation
+here is exact.  ``mat_mul`` skips zero entries: the planar form builds its
+Gram matrices with it, because b2 reaches the hundreds while each kernel
+column has only a few nonzeros.
 """
 
 from __future__ import annotations
@@ -58,9 +59,7 @@ class SmithForm:
     diag: Tuple[int, ...]
     rank: int
     row_ops: Matrix        # U
-    row_ops_inv: Matrix    # U^{-1}
     col_ops: Matrix        # V
-    col_ops_inv: Matrix    # V^{-1}
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, cols: int | None = None) -> SmithForm:
@@ -70,34 +69,26 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
     if cols is None:
         cols = len(a[0]) if a else 0
 
-    u, u_inv = identity(rows), identity(rows)
-    v, v_inv = identity(cols), identity(cols)
+    u, v = identity(rows), identity(cols)
 
     def row_swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
         u[i], u[j] = u[j], u[i]
-        for r in range(rows):
-            u_inv[r][i], u_inv[r][j] = u_inv[r][j], u_inv[r][i]
 
     def row_negate(i: int) -> None:
         a[i] = [-x for x in a[i]]
         u[i] = [-x for x in u[i]]
-        for r in range(rows):
-            u_inv[r][i] = -u_inv[r][i]
 
     def row_add(i: int, j: int, q: int) -> None:
         # row_i += q * row_j
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
-        for r in range(rows):
-            u_inv[r][j] -= q * u_inv[r][i]
 
     def col_swap(i: int, j: int) -> None:
         for r in range(len(a)):
             a[r][i], a[r][j] = a[r][j], a[r][i]
         for r in range(cols):
             v[r][i], v[r][j] = v[r][j], v[r][i]
-        v_inv[i], v_inv[j] = v_inv[j], v_inv[i]
 
     def col_add(i: int, j: int, q: int) -> None:
         # col_i += q * col_j
@@ -105,7 +96,6 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
             a[r][i] += q * a[r][j]
         for r in range(cols):
             v[r][i] += q * v[r][j]
-        v_inv[j] = [x - q * y for x, y in zip(v_inv[j], v_inv[i])]
 
     def smallest_pivot(t: int):
         best = None
@@ -159,7 +149,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
 
     diag = tuple(a[i][i] for i in range(limit))
     rank = sum(1 for d in diag if d != 0)
-    return SmithForm(diag=diag, rank=rank, row_ops=u, row_ops_inv=u_inv, col_ops=v, col_ops_inv=v_inv)
+    return SmithForm(diag=diag, rank=rank, row_ops=u, col_ops=v)
 
 
 def kernel_basis(matrix: Sequence[Sequence[int]], cols: int | None = None) -> List[List[int]]:
@@ -188,20 +178,21 @@ class AbelianQuotient:
 
     Presents the group as a direct sum of cyclic factors and answers
     membership, canonical-representative, and element-order queries, all
-    over the integers.
+    over the integers.  ``relations`` is A V = U^-1 D for the relation matrix
+    A: subtracting its column i k_i times lowers (U v)_i by k_i d_i.
     """
 
     n: int
     diag: Tuple[int, ...]
-    row_ops: Matrix
-    row_ops_inv: Matrix
+    row_ops: Matrix        # U
+    relations: Matrix      # A V
 
     @classmethod
     def from_relations(cls, n: int, relation_columns: Sequence[Sequence[int]]) -> "AbelianQuotient":
         cols = len(relation_columns)
         matrix = [[relation_columns[j][i] for j in range(cols)] for i in range(n)]
         snf = smith_normal_form(matrix, rows=n, cols=cols)
-        return cls(n=n, diag=snf.diag, row_ops=snf.row_ops, row_ops_inv=snf.row_ops_inv)
+        return cls(n=n, diag=snf.diag, row_ops=snf.row_ops, relations=mat_mul(matrix, snf.col_ops))
 
     @property
     def invariant_factors(self) -> Tuple[int, ...]:
@@ -222,12 +213,10 @@ class AbelianQuotient:
         return mat_vec(self.row_ops, list(v))
 
     def reduce(self, v: Sequence[int]) -> List[int]:
-        """Canonical representative of [v] back in the original coordinates."""
+        """Canonical representative U^-1 (U v mod D) of [v]: v minus relations."""
         y = self._coords(v)
-        for i, d in enumerate(self.diag):
-            if d != 0:
-                y[i] %= d
-        return mat_vec(self.row_ops_inv, y)
+        k = [y[i] // d if d else 0 for i, d in enumerate(self.diag)]
+        return [x - s for x, s in zip(v, mat_vec(self.relations, k))]
 
     def is_zero(self, v: Sequence[int]) -> bool:
         return self.order(v) == 1

@@ -20,10 +20,10 @@ ledger-relative only: an asserted baseline plus the signature deltas of the
 substitutions applied since.
 
 First homology of the boundary 3-manifold is presented on the surface
-basis by two relation families: the closed ones (phi - id on homology) and
-one relation per auxiliary arc joining boundary 1 to boundary j, tracking
-how the monodromy drags the arc.  Invariant factors come from Smith normal
-form; torsion is the payload, so nothing is done rationally.
+basis by one variation map: phi - id on the handle classes (it fixes the
+boundary classes) and one relation per auxiliary arc joining boundary 1 to
+boundary j.  Invariant factors come from Smith normal form; torsion is the
+payload, so nothing is done rationally.
 """
 
 from __future__ import annotations
@@ -96,11 +96,12 @@ def planar_intersection_form(word: Word) -> PlanarForm:
     # map, the orthogonal complement of the kernel in the unimodular lattice
     # Z^n.  Both are primitive, so their discriminant groups agree (Nikulin)
     # and the r x r Gram matrix of the complement has q's factors above 1:
-    # take the SNF of whichever of the two is smaller.
+    # take the SNF of the smaller.  Row i < r of V^-1 is row i of U B / d_i.
     if b2 < r:
         smaller = q
     else:
-        complement = snf.col_ops_inv[:r]
+        scaled = mat_mul(snf.row_ops[:r], boundary_map)
+        complement = [[x // d for x in row] for row, d in zip(scaled, snf.diag)]
         smaller = mat_mul(complement, list(zip(*complement)))
     size = len(smaller)
     torsion = tuple(d for d in smith_normal_form(smaller, rows=size, cols=size).diag if d > 1)
@@ -169,18 +170,18 @@ def sigma(word: Word, ledger: Optional[SigmaLedger] = None) -> SigmaValue:
     )
 
 
-def arc_relation_vector(word: Word, arc: Arc) -> Tuple[int, ...]:
-    """The closed class by which the monodromy moves the arc.
+def variation(word: Word, rel: Sequence[int]) -> Tuple[int, ...]:
+    """The closed class by which the monodromy moves a relative class.
 
     Iterates the relative transvection over the twists in application
-    order: the arc's relative class picks up arc_pairing(rel, [c]) copies
-    of the twisting curve, while the running relative class only sees the
-    image of [c] in relative coordinates (boundary classes die there).
-    The sign convention makes the boundary multitwist produce relations
-    d_j + (d_2 + ... + d_b), i.e. d_j = d_k and b d_j = 0 in the quotient.
+    order: the relative class picks up arc_pairing(rel, [c]) copies of the
+    twisting curve, while the running relative class only sees the image
+    of [c] in relative coordinates (boundary classes die there).  On A_i
+    and B_i this is phi(e) - e for e = a_i, b_i; on arcs the boundary
+    multitwist gives d_j + (d_2 + ... + d_b): d_j = d_k, b d_j = 0 in H_1.
     """
     surface = word.surface
-    rel = list(arc.rel_class)
+    rel = list(rel)
     acc = [0] * surface.rank
     for t in reversed(word.twists):
         c = t.curve.homology
@@ -205,20 +206,20 @@ def arc_family(surface: Surface, overrides: Sequence[Arc] = ()) -> list:
 def h1_boundary(word: Word, arcs: Optional[Sequence[Arc]] = None) -> AbelianQuotient:
     """H_1 of the boundary open book of the word.
 
-    Quotient of the surface homology by the monodromy-action relations
-    (phi - id on every basis class) and one arc relation per boundary
-    component beyond the first.
+    Quotient of the surface homology by the variation of the handle classes
+    (the d_j pair trivially with every class, so the monodromy fixes them)
+    and of one arc per boundary component beyond the first.
     """
     surface = word.surface
     if arcs is None:
         arcs = arc_family(surface)
     relations: List[Sequence[int]] = []
-    for e in surface.basis_classes():
-        image = word.action_on(e)
-        if image != e:
-            relations.append(tuple(x - y for x, y in zip(image.coords, e.coords)))
+    for i in range(2 * surface.genus):
+        moved = variation(word, surface.basis_class(i).coords)
+        if any(moved):
+            relations.append(moved)
     for arc in arcs:
-        relations.append(arc_relation_vector(word, arc))
+        relations.append(variation(word, arc.rel_class))
     return AbelianQuotient.from_relations(surface.rank, relations)
 
 

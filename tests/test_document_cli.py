@@ -385,7 +385,7 @@ class TestMain:
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "precondition"
 
     def test_esig_inconsistent_exit_code(self, capsys):
-        code = main(["esig-compare", "--tau-boundary", "0", "2", "--pair", "1,0", "--pair2", "2,0"])
+        code = main(["esig-compare", "--pair", "1,0", "--pair2", "2,0"])
         out = capsys.readouterr().out
         assert code == 4
         assert json.loads(out)["result"]["certificate"]["verdict"] == "assertion-inconsistent"
@@ -416,6 +416,30 @@ class TestMain:
         assert json.loads(capsys.readouterr().out)["error"] == {
             "kind": "precondition",
             "message": "--pair and --pair2 go together; give both or neither",
+        }
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--in", "missing.json"],
+            ["--in", "-"],
+            ["--tau-boundary", "0", "3"],
+            ["--lantern"],
+            ["--chain", "0"],
+            ["--r-ns"],
+            ["--baseline", "nosuch=5"],
+            ["--word", "w"],
+            ["--word2", "w"],
+        ],
+        ids=" ".join,
+    )
+    def test_both_pairs_reject_document_flags(self, flags, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sys, "stdin", io.StringIO("{}"))
+        assert main(["esig-compare", "--pair", "1,0", "--pair2", "1,0"] + flags) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {
+            "kind": "precondition",
+            "message": f"--pair and --pair2 take no document; drop {flags[0]}",
         }
 
     @pytest.mark.parametrize("command", ["invariants", "detect", "substitute", "esig-compare"])

@@ -1,11 +1,14 @@
 """Exact linear algebra: Smith form, kernels, quotients, signatures."""
 
+import hashlib
+import random
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from steincalc.intlinalg import (
     AbelianQuotient,
-    identity,
     kernel_basis,
     mat_mul,
     smith_normal_form,
@@ -23,6 +26,26 @@ def small_matrix(max_dim=5, max_entry=6):
             )
         )
     )
+
+
+def determinant(m):
+    """Exact determinant of a square integer matrix, by Fraction elimination."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n = len(a)
+    det = Fraction(1)
+    for t in range(n):
+        pivot = next((i for i in range(t, n) if a[i][t] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != t:
+            a[t], a[pivot] = a[pivot], a[t]
+            det = -det
+        det *= a[t][t]
+        for i in range(t + 1, n):
+            f = a[i][t] / a[t][t]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[t])]
+    return det
 
 
 class TestSmithNormalForm:
@@ -58,8 +81,17 @@ class TestSmithNormalForm:
                 assert snf.diag[i + 1] % snf.diag[i] == 0
             else:
                 assert snf.diag[i + 1] == 0
-        assert mat_mul(snf.row_ops, snf.row_ops_inv) == identity(rows)
-        assert mat_mul(snf.col_ops, snf.col_ops_inv) == identity(cols)
+        assert abs(determinant(snf.row_ops)) == 1
+        assert abs(determinant(snf.col_ops)) == 1
+        # U A = D V^-1: row i < rank of U A is d_i times an integer row
+        for row, d in zip(mat_mul(snf.row_ops, a)[:snf.rank], snf.diag):
+            assert all(x % d == 0 for x in row)
+
+    def test_determinant_helper(self):
+        assert determinant([]) == 1
+        assert determinant([[0, 1], [1, 0]]) == -1
+        assert determinant([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == 2 * 2 * 156
+        assert determinant([[1, 2], [2, 4]]) == 0
 
 
 class TestKernel:
@@ -110,6 +142,43 @@ class TestAbelianQuotient:
         assert q.invariant_factors == ()
         assert q.free_rank == 2
         assert not q.is_zero([1, 0])
+
+    @settings(max_examples=150)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=6),
+                st.lists(st.integers(-30, 30), min_size=n, max_size=n),
+                st.lists(st.integers(-4, 4), min_size=6, max_size=6),
+            )
+        )
+    )
+    def test_reduce_is_a_class_function(self, data):
+        relations, v, coeffs = data
+        q = AbelianQuotient.from_relations(len(v), relations)
+        rep = q.reduce(v)
+        shifted = list(v)
+        for c, column in zip(coeffs, relations):
+            shifted = [x + c * y for x, y in zip(shifted, column)]
+        assert q.reduce(shifted) == rep
+        assert q.is_zero([x - y for x, y in zip(v, rep)])
+        assert q.reduce(rep) == rep
+
+    def test_queries_are_pinned(self):
+        # sha256 of reduce/order/is_zero answers on seeded relation
+        # matrices, recorded when the quotient still kept U^-1
+        rng = random.Random(2026)
+        h = hashlib.sha256()
+        for _ in range(400):
+            n, cols, span = rng.randint(0, 6), rng.randint(0, 7), rng.choice([1, 3, 9])
+            relations = [[rng.randint(-span, span) for _ in range(n)] for _ in range(cols)]
+            q = AbelianQuotient.from_relations(n, relations)
+            answers = [q.report()]
+            for _ in range(3):
+                v = [rng.randint(-20, 20) for _ in range(n)]
+                answers.append((q.reduce(v), q.order(v), q.is_zero(v)))
+            h.update(repr(answers).encode())
+        assert h.hexdigest() == "3ab7c20dcea5574d064bcac1d6e72e79565d35b3573dc722b6ffa070975f001b"
 
 
 class TestSignature:

@@ -11,7 +11,6 @@ from steincalc.errors import BaselineUnavailableError, IncomparableSigmaError, U
 from steincalc.intlinalg import smith_normal_form, symmetric_signature
 from steincalc.invariants import (
     SigmaLedger,
-    arc_relation_vector,
     esig_check,
     euler_characteristic,
     filling_invariants,
@@ -20,8 +19,9 @@ from steincalc.invariants import (
     has_exact_form,
     planar_intersection_form,
     sigma,
+    variation,
 )
-from steincalc.surfaces import Curve, Surface, convex_curve, standard_arc
+from steincalc.surfaces import Curve, HomologyClass, Surface, convex_curve, standard_arc
 from steincalc.words import SubstitutionRecord, Twist, Word, word_of
 
 
@@ -149,7 +149,8 @@ class TestPlanarForm:
             form = planar_intersection_form(word)
             r = len(word) - form.b2
             assert (form.b2 > r) == large
-            assert len(products) == (1 if form.b2 < r else 2)
+            # q alone, or q, U_r B and the complement's C C^T
+            assert len(products) == (1 if form.b2 < r else 3)
             assert len(shapes) == 2
             assert shapes[0][0] <= s.rank
             assert shapes[1] == (min(form.b2, r),) * 2
@@ -273,8 +274,29 @@ class TestH1Boundary:
 
     def test_arc_relation_vector_boundary_multitwist(self):
         w = boundary_multitwist(0, 4)
-        vec = arc_relation_vector(w, standard_arc(w.surface, 2))
+        vec = variation(w, standard_arc(w.surface, 2).rel_class)
         assert vec == (2, 1, 1)  # d_2 + (d_2 + d_3 + d_4)
+
+    def test_variation_on_handles_is_the_action(self):
+        rng = random.Random(17)
+        for _ in range(60):
+            s = Surface(rng.randint(1, 3), rng.randint(1, 4))
+            pool = [Curve(f"c{i}", HomologyClass(s, tuple(rng.randint(-2, 2) for _ in range(s.rank))))
+                    for i in range(4)]
+            w = Word(s, tuple(Twist(rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randint(0, 10))))
+            for i in range(2 * s.genus):
+                e = s.basis_class(i)
+                assert variation(w, e.coords) == (w.action_on(e) - e).coords
+
+    def test_h1_does_not_act_on_classes(self, monkeypatch):
+        def refuse(self, x):
+            raise AssertionError("h1_boundary applied the monodromy to a class")
+
+        monkeypatch.setattr(Word, "action_on", refuse)
+        for g, b in ((0, 4), (1, 2), (2, 3)):
+            assert h1_boundary(boundary_multitwist(g, b)).report() == [[b], 2 * g]
+        s = Surface(1, 1)
+        assert h1_boundary(word_of(s, [Curve("a", s.a_class(1))])).report() == [[], 1]
 
     def test_arc_override_merges_with_standard_family(self):
         from steincalc.invariants import arc_family
