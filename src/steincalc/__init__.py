@@ -87,6 +87,7 @@ from .planarity import (
     esig_planarity_test,
 )
 from .document import (
+    MAX_PAGE_RANK,
     Document,
     chain_document,
     lantern_document,

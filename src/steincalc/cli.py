@@ -22,6 +22,7 @@ from . import __version__
 from .document import (
     Document,
     chain_document,
+    check_page,
     lantern_document,
     non_standard_document,
     parse,
@@ -55,6 +56,8 @@ from .planarity import (
     detect_relator,
     esig_planarity_test,
 )
+from .relators import chain_surface
+from .surfaces import Surface
 from .words import substitute, verify_relator
 
 PRECONDITION_ERRORS = (
@@ -303,12 +306,14 @@ def _load_document(args: argparse.Namespace) -> Document:
         g, b = args.tau_boundary
         if g < 0 or b < 1:
             raise DocumentError("--tau-boundary", "needs a genus G >= 0 and a boundary count B >= 1")
+        check_page(Surface(g, b), "--tau-boundary")
         doc = tau_boundary_document(g, b)
     elif args.lantern:
         doc = lantern_document()
     elif args.chain is not None:
         if args.chain < 1:
             raise DocumentError("--chain", "chain length must be at least 1")
+        check_page(chain_surface(args.chain), "--chain")
         doc = chain_document(args.chain)
     else:
         doc = non_standard_document()

@@ -35,6 +35,14 @@ from .surfaces import Arc, Curve, HomologyClass, NamePair, Surface, convex_curve
 from .words import Relator, Twist, Word, word_of
 
 
+# The largest page a document may name, by the rank 2g + b - 1 of its first
+# homology.  Every homology class, curve and meridian vector has that length
+# and the invariants build matrices with a row or column per class, so an
+# unbounded page only ends in exhausted memory.  Every page in the tests and
+# the stock documents has rank at most 17.
+MAX_PAGE_RANK = 128
+
+
 @dataclass
 class Document:
     """A validated input document."""
@@ -60,6 +68,16 @@ def _is_int(value) -> bool:
 def _require(condition: bool, location: str, message: str) -> None:
     if not condition:
         raise DocumentError(location, message)
+
+
+def check_page(surface: Surface, location: str) -> None:
+    """Reject, at ``location``, a page whose rank exceeds ``MAX_PAGE_RANK``."""
+    _require(
+        surface.rank <= MAX_PAGE_RANK,
+        location,
+        f"page rank 2g + b - 1 = {surface.rank} (genus {surface.genus}, boundary {surface.boundary_count}) "
+        f"is above the limit of {MAX_PAGE_RANK}",
+    )
 
 
 def _section(data: dict, key: str, kind: type):
@@ -227,6 +245,8 @@ def parse(text: str) -> Document:
         raise DocumentError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
     except RecursionError as exc:  # the decoder recurses once per nesting level
         raise DocumentError("$", "JSON nested too deeply") from exc
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise DocumentError("$", str(exc)) from exc
     _require(isinstance(data, dict), "$", "a document is a JSON object")
 
     sspec = data.get("surface")
@@ -236,6 +256,7 @@ def parse(text: str) -> Document:
     _require(_is_int(genus) and genus >= 0, "surface.genus", "genus must be a non-negative integer")
     _require(_is_int(boundary) and boundary >= 1, "surface.boundary", "boundary count must be a positive integer")
     surface = Surface(genus, boundary)
+    check_page(surface, "surface")
 
     curves: Dict[str, Curve] = {}
     for i, cspec in enumerate(_section(data, "curves", list)):

@@ -16,12 +16,12 @@ is always reported as inconclusive, never as "planar".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .errors import NotApplicableError
 from .relators import RelatorEntry, bounding_case
 from .surfaces import Curve, NamePair
-from .words import Twist, Word, contains
+from .words import Twist, Word, _contains, _Dependence, contains
 
 NON_PLANAR = "non-planar"
 NO_OBSTRUCTION = "no-obstruction-found"
@@ -95,12 +95,16 @@ def detect_relator(
     """
     certificates = []
     notes = []
+    given = frozenset(declared)
+    relations: Dict[FrozenSet[NamePair], _Dependence] = {}  # one per effective declared set
     for entry in entries:
         left = entry.relator.left if entry.relator.left is not None else entry.left_word
         if left is None or left.surface != word.surface:
             continue
-        entry_declared = set(declared) | set(entry.disjoint)
-        witness = contains(word, left, entry_declared)
+        entry_declared = given.union(entry.disjoint)
+        if entry_declared not in relations:
+            relations[entry_declared] = _Dependence(word, entry_declared)
+        witness = _contains(word, left, relations[entry_declared])
         if witness is None:
             continue
         if not entry.has_nonzero_obstruction:

@@ -199,6 +199,14 @@ class ChainConfig:
             raise ValueError("boundary classes of a chain neighborhood must sum to zero")
 
 
+def chain_surface(n: int) -> Surface:
+    """The minimal supporting surface of the length-n chain: genus n // 2,
+    with one boundary component for even n and two for odd n (rank n)."""
+    if n < 1:
+        raise ValueError("chain length must be at least 1")
+    return Surface(n // 2, 1 if n % 2 == 0 else 2)
+
+
 def standard_chain_config(n: int) -> ChainConfig:
     """The chain on its minimal supporting surface.
 
@@ -208,10 +216,7 @@ def standard_chain_config(n: int) -> ChainConfig:
     with every other chain curve.  So the alternating sum of odd-slot
     classes is the second boundary class d_2 up to sign.
     """
-    if n < 1:
-        raise ValueError("chain length must be at least 1")
-    h = n // 2
-    surface = Surface(h, 1) if n % 2 == 0 else Surface(h, 2)
+    surface = chain_surface(n)
     rank = surface.rank
     classes = []
     for k in range(1, n + 1):

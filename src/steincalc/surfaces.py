@@ -10,7 +10,8 @@ stored with the ``boundary_parallel_to = 1`` flag.
 On a planar surface (g = 0) the decidable curves are the convex ones: each
 is isotopic to the round boundary of a sub-collection of holes and is
 encoded by that subset (its hole set).  Two convex curves are certified
-disjoint exactly when their hole sets are nested or disjoint; every other
+disjoint exactly when their hole sets are nested or disjoint, which
+``hole_masks_commute`` decides on the sets as int bitsets; every other
 geometric question is answered "indeterminate" unless the user declares a
 disjointness fact.
 
@@ -299,6 +300,21 @@ def twist_action(curve: Curve, x: HomologyClass, sign: int = 1) -> HomologyClass
     return x + (sign * k) * c
 
 
+def hole_mask(holes: Iterable[int]) -> int:
+    """A hole set as an int bitset: bit j is set when hole j is enclosed."""
+    mask = 0
+    for j in holes:
+        mask |= 1 << j
+    return mask
+
+
+def hole_masks_commute(a: int, b: int) -> bool:
+    """Whether two hole sets, given as masks, are nested or disjoint: the
+    planar certificate that convex curves around them are disjoint."""
+    m = a & b
+    return m == a or m == b or not m
+
+
 def curves_commute(
     c1: Curve,
     c2: Curve,
@@ -319,7 +335,6 @@ def curves_commute(
     if declared_pair(c1.name, c2.name) in declared:
         return True
     if c1.hole_set is not None and c2.hole_set is not None:
-        s1, s2 = c1.hole_set, c2.hole_set
-        if s1 <= s2 or s2 <= s1 or not (s1 & s2):
+        if hole_masks_commute(hole_mask(c1.hole_set), hole_mask(c2.hole_set)):
             return True
     return None

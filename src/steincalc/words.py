@@ -6,9 +6,11 @@ engine certifies is the commutation of twists about disjoint curves, so
 searches here are sound but deliberately incomplete; a failed search means
 "unknown", never "no".  Containment asks for the target's twists to appear
 in order after certified commutations; substitution additionally needs the
-matched block to become contiguous.  Each search certifies commutation once
-per pair of distinct curves in the word, matches identical target letters
-left to right, and answers "unknown" when its fixed node budget runs out.
+matched block to become contiguous.  Each search tabulates certified
+commutation once per pair of distinct curves in the word, by interned curve
+id and int hole mask (the rules of ``surfaces.curves_commute``, decided on
+integers), matches identical target letters left to right, and answers
+"unknown" when its fixed node budget runs out.
 
 A relator is a pair of positive words (left, right) naming the same mapping
 class.  ``verify_relator`` checks the necessary conditions that are
@@ -29,7 +31,16 @@ from .errors import (
     RankMismatchError,
     UnsupportedInputError,
 )
-from .surfaces import Curve, HomologyClass, NamePair, Surface, curves_commute, twist_action
+from .surfaces import (
+    Curve,
+    HomologyClass,
+    NamePair,
+    Surface,
+    curves_commute,
+    hole_mask,
+    hole_masks_commute,
+    twist_action,
+)
 
 # Positions the embedding search may test in one call before it gives up
 # and answers "unknown"; it bounds the search on words with many identical
@@ -142,7 +153,11 @@ def _bits(mask: int) -> Iterator[int]:
 class _Dependence:
     """Certified commutation among the occurrences of one word, as bitsets.
 
-    Commutation is certified once per pair of distinct curves in the word.
+    The relation is tabulated on small integers: each distinct curve of the
+    word gets an id (equal curves share one), each curve with a hole set an
+    int hole mask, and the declared pairs are indexed by curve name once, so
+    each pair of distinct curves is decided by a bit test or one AND of two
+    masks (``hole_masks_commute``), the rules of ``curves_commute``.
     Bit j of ``dep[i]`` is set when the twists at positions i and j are not
     certified to commute.  ``reach[i]`` holds the positions j > i that some
     chain of dependent occurrences forces to stay after position i, and
@@ -151,22 +166,48 @@ class _Dependence:
     """
 
     def __init__(self, w: Word, declared: Collection[NamePair]):
-        self.at: Dict[Curve, int] = {}  # curve -> bitset of its positions
-        for i, t in enumerate(w.twists):
-            self.at[t.curve] = self.at.get(t.curve, 0) | 1 << i
-        curves = list(self.at)
-        masks = list(self.at.values())
-        blocked = [0] * len(curves)
-        for a, c in enumerate(curves):
+        # each curve object is hashed once; equal objects meet in ``index``
+        ids: Dict[int, int] = {}  # id() of a curve object -> curve id
+        index: Dict[Curve, int] = {}  # curve -> curve id
+        letters = []  # curve id at each position
+        for t in w.twists:
+            k = ids.get(id(t.curve))
+            if k is None:
+                k = ids[id(t.curve)] = index.setdefault(t.curve, len(index))
+            letters.append(k)
+        curves = list(index)
+        spots = [0] * len(curves)  # curve id -> bitset of its positions
+        for i, k in enumerate(letters):
+            spots[k] |= 1 << i
+        self.at: Dict[Curve, int] = dict(zip(curves, spots))
+
+        named: Dict[str, int] = {}  # name -> bitset of the curve ids carrying it
+        for k, c in enumerate(curves):
+            named[c.name] = named.get(c.name, 0) | 1 << k
+        partners = [0] * len(curves)  # curve id -> ids of curves declared disjoint from it
+        for pair in declared:
+            if len(pair) in (1, 2):  # a one-name pair covers two curves sharing a name
+                x, y = min(pair), max(pair)
+                if x in named and y in named:
+                    for k in _bits(named[x]):
+                        partners[k] |= named[y]
+                    for k in _bits(named[y]):
+                        partners[k] |= named[x]
+
+        holes = [None if c.hole_set is None else hole_mask(c.hole_set) for c in curves]
+        blocked = [0] * len(curves)  # curve id -> positions not certified to commute with it
+        for a, ha in enumerate(holes):
+            pa = partners[a]
             for b in range(a + 1, len(curves)):
-                if curves_commute(c, curves[b], declared) is not True:
-                    blocked[a] |= masks[b]
-                    blocked[b] |= masks[a]
+                if pa >> b & 1:
+                    continue
+                hb = holes[b]
+                if ha is not None and hb is not None and hole_masks_commute(ha, hb):
+                    continue
+                blocked[a] |= spots[b]
+                blocked[b] |= spots[a]
         n = len(w)
-        self.dep = [0] * n
-        for a, mask in enumerate(masks):
-            for i in _bits(mask):
-                self.dep[i] = blocked[a]
+        self.dep = [blocked[k] for k in letters]
         self.reach = [0] * n
         self.cover: List[List[int]] = [[] for _ in range(n)]
         for i in range(n - 1, -1, -1):
@@ -354,7 +395,12 @@ def contains(w: Word, target: Word, declared: Collection[NamePair] = ()) -> Opti
         raise RankMismatchError("containment across different surfaces")
     if not target.twists:
         return ContainmentWitness((), (), ())
-    rel = _Dependence(w, declared)
+    return _contains(w, target, _Dependence(w, declared))
+
+
+def _contains(w: Word, target: Word, rel: _Dependence) -> Optional[ContainmentWitness]:
+    """``contains`` on a relation already built for w, so callers that
+    search one word for several targets build it once."""
     for positions in _embeddings(w, target, rel):
         lin = _linearize(rel, positions, contiguous=False)
         if lin is None:
@@ -465,6 +511,8 @@ def substitute(
     """
     if relator.left is None or relator.right is None:
         raise NotApplicableError(f"relator {relator.name} carries no words to substitute")
+    if not relator.left.twists:
+        raise NotApplicableError(f"relator {relator.name} has an empty left side, which marks no place to substitute")
     if w.surface != relator.left.surface:
         raise RankMismatchError("substitution across different surfaces")
     if not w.is_positive:

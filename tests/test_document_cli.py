@@ -1,11 +1,14 @@
 """Document parsing, serialization round-trip, and the command line."""
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import io
 import json
+import random
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -124,6 +127,89 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=7) | st.dictionaries(_KEYS, inner, max_size=5),
     max_leaves=40,
 )
+
+# curve names the fuzzed documents declare and reference ("absent" never declared)
+_FUZZ_NAMES = ("d1", "d2", "d3", "d4", "x", "y", "z", "absent")
+_FUZZ_KINDS = ("user", "user", "lantern", "chain", "braid", "non-standard", "other")
+DOCUMENT_COMMANDS = ("invariants", "substitute", "detect", "verify-relator", "esig-compare", "gen")
+
+
+def _fuzz_document(rng):
+    """A JSON-ready document: a small page, curves by hole set or homology
+    vector, words, relators of every kind and the other sections, filled
+    from the declared curve names.  Two documents in three are clean, so
+    they mostly get past ``parse``; the rest carry a mistake now and then
+    (an undeclared name, a wrong vector length, a bad hole or boundary
+    flag, a negative twist, a bad page or one above the size limit)."""
+    slip = 0.0 if rng.random() < 2 / 3 else 0.1
+    genus = rng.choice((0, 0, 0, 1, 2))
+    boundary = rng.randint(1, 5)
+    rank = 2 * genus + boundary - 1
+    declared = rng.sample(_FUZZ_NAMES[:-1], rng.randint(0, 6))
+
+    def name():
+        return rng.choice(_FUZZ_NAMES) if not declared or rng.random() < slip else rng.choice(declared)
+
+    def vector():
+        return [rng.randint(-2, 2) for _ in range(rng.randint(0, 4) if rng.random() < slip else rank)]
+
+    def word():
+        return [{"curve": name(), "sign": -1 if rng.random() < slip else 1} for _ in range(rng.randint(0, 8))]
+
+    curves = []
+    for n in declared:
+        spec = {"name": n}
+        if genus == 0 and rng.random() < 0.7:
+            spec["holes"] = rng.sample(range(2, boundary + 1), rng.randint(0, boundary - 1))
+            if rng.random() < slip:
+                spec["holes"].append(rng.choice((1, boundary + 1)))
+        else:
+            spec["homology"] = vector()
+        if rng.random() < slip:
+            spec["boundary_parallel_to"] = rng.randint(1, 3)
+        if rng.random() < 0.3:
+            spec["rotation"] = rng.randint(-2, 2)
+        curves.append(spec)
+    relators = []
+    for r in rng.sample(("r", "s"), rng.choice((0, 1, 1, 2))):
+        spec = {"name": r, "kind": rng.choice(_FUZZ_KINDS), "sigma_delta": rng.randint(-2, 2)}
+        spec["curves"] = [name() for _ in range(rng.choice((3, 7, rng.randint(0, 7))))]
+        spec["boundary"] = [name() for _ in range(rng.randint(1, 2))]
+        spec["left"], spec["right"] = word(), word()
+        relators.append(spec)
+    words = {w: word() for w in rng.sample(("tau_del", "w"), rng.randint(0, 2))}
+    if rng.random() < slip:
+        genus, boundary = rng.choice(((-1, 2), (0, 0), (64, 1), (0, 129), (64, 2), (0, 10**12)))
+    return {
+        "surface": {"genus": genus, "boundary": boundary},
+        "curves": curves,
+        "words": words,
+        "relators": relators,
+        "disjoint": [[name(), name()] for _ in range(rng.randint(0, 4))],
+        "baselines": {w: rng.randint(-3, 3) for w in words if rng.random() < 0.5},
+        "declarations": [
+            {"genus": rng.randint(0, 3), "boundary": k, "multicurve": [name() for _ in range(k)]}
+            for k in rng.sample((1, 2, 3), rng.randint(0, 1))
+        ],
+        "arcs": [
+            {"index": rng.randint(2, boundary + (rng.random() < slip)), "rel_class": vector()}
+            for _ in range(rng.randint(0, 2) if boundary >= 2 else 0)
+        ],
+        "rotations": {w: [rng.randint(-2, 2) for _ in t] for w, t in words.items() if rng.random() < 0.3},
+        "mu_maps": {w: [vector() for _ in t] for w, t in words.items() if rng.random() < 0.3},
+    }
+
+
+@st.composite
+def _fuzz_documents(draw):
+    """A fuzzed document from a drawn seed (seeded choices keep most
+    documents valid, which per-field hypothesis draws do not); now and then
+    one section is replaced by an arbitrary JSON value."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    doc = _fuzz_document(rng)
+    if rng.random() < 0.1:
+        doc[rng.choice(SECTIONS)] = draw(JSON_VALUES)
+    return json.dumps(doc)
 
 
 class TestParse:
@@ -334,6 +420,39 @@ class TestMain:
         assert main(["gen", "--chain", "3"]) == 0
         doc = parse(capsys.readouterr().out)
         assert doc.surface.genus == 1 and doc.surface.boundary_count == 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(_fuzz_documents(), JSON_VALUES.map(json.dumps)))
+    @example(json.dumps({"surface": {"genus": 0, "boundary": 100000000}}))
+    @example('{"surface": {"genus": 0, "boundary": ' + "1" * 5000 + "}}")
+    @example(json.dumps({**MINIMAL, "relators": [{"name": "r", "kind": "user", "left": [], "right": []}]}))
+    def test_main_never_crashes_on_a_document(self, text):
+        for command in DOCUMENT_COMMANDS:
+            with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(io.StringIO()):
+                assert main([command, "--in", "-"]) in (0, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "argv, location",
+        [
+            (["--in", "-"], "surface"),
+            (["--tau-boundary", "0", "100000000"], "--tau-boundary"),
+            (["--chain", "100000000"], "--chain"),
+        ],
+    )
+    def test_page_above_size_limit_rejected(self, argv, location, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"surface": {"genus": 0, "boundary": 100000000}})))
+        assert main(["gen"] + argv) == 2
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "document" and error["location"] == location
+        assert str(document.MAX_PAGE_RANK) in error["message"]
+
+    def test_size_limit_admits_its_largest_page(self, capsys):
+        limit = document.MAX_PAGE_RANK
+        assert main(["gen", "--tau-boundary", "0", str(limit + 1)]) == 0
+        assert parse(capsys.readouterr().out).surface.rank == limit
+        assert main(["gen", "--chain", str(limit)]) == 0
+        assert parse(capsys.readouterr().out).surface.rank == limit
+        assert main(["gen", "--tau-boundary", "0", str(limit + 2)]) == 2
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,8 +1,11 @@
 """Non-planarity certificates: relator detection, bounding detection,
 and the e + sigma comparison."""
 
+import dataclasses
+
 import pytest
 
+from steincalc import planarity
 from steincalc.document import chain_document, tau_boundary_document
 from steincalc.errors import NotApplicableError
 from steincalc.planarity import (
@@ -86,6 +89,21 @@ class TestDetectRelator:
         assert certs[0].verdict == NON_PLANAR
         assert certs[0].witness.obstruction is None
         assert certs[0].witness.obstruction_nonzero
+
+    def test_one_relation_per_declared_set(self, monkeypatch):
+        doc, word, entries = chain2_setup()
+        wider = dataclasses.replace(entries[0], disjoint=entries[0].disjoint | {frozenset(("c1",))})
+        built = []
+
+        class Counting(planarity._Dependence):
+            def __init__(self, w, declared):
+                built.append(declared)
+                super().__init__(w, declared)
+
+        monkeypatch.setattr(planarity, "_Dependence", Counting)
+        certs = detect_relator(word, [entries[0], wider, entries[0], wider], doc.disjoint)
+        assert len(built) == 2 and len(certs) == 4
+        assert all(c.witness == certs[0].witness for c in certs)
 
     def test_witness_is_machine_checkable(self):
         doc, word, entries = chain2_setup()

@@ -1,6 +1,7 @@
 """Word calculus: composition, reduction, certified moves, containment,
 substitution, and the relator checks."""
 
+import dataclasses
 import random
 import time
 from collections import deque
@@ -8,10 +9,12 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steincalc import planarity, surfaces, words
 from steincalc.errors import CommutationUndecidedError, NotApplicableError, RankMismatchError
-from steincalc.relators import standard_lantern
-from steincalc.surfaces import Curve, Surface, convex_curve, declared_pair
+from steincalc.relators import RelatorEntry, standard_lantern
+from steincalc.surfaces import Curve, HomologyClass, Surface, convex_curve, curves_commute, declared_pair
 from steincalc.words import (
+    _Dependence,
     ContainmentWitness,
     Relator,
     SubstitutionRecord,
@@ -184,6 +187,13 @@ class TestContains:
 
 
 class TestSubstitute:
+    def test_empty_left_side_is_not_applicable(self, planar4):
+        s, c = planar4
+        w = word_of(s, [c["d2"], c["d3"]])
+        relator = Relator("empty", word_of(s, []), word_of(s, [c["d4"]]), euler_delta=1)
+        with pytest.raises(NotApplicableError, match="empty left side"):
+            substitute(w, relator)
+
     def test_lantern_on_boundary_multitwist(self, planar4):
         s, c = planar4
         entry = standard_lantern()
@@ -356,6 +366,84 @@ class TestSearchExactness:
         assert seq[start : start + m] == list(record.positions)
         assert [letters[p] for p in record.positions] == target_letters
         assert new_w == Word(_SPHERE5, tuple(w.twists[i] for i in seq))
+
+
+_NAMES = ("p", "q", "r", "s")  # few names, so distinct curves share them
+
+
+@st.composite
+def _mixed_word(draw):
+    """A word on a page of genus 0..2 drawn from a small curve pool: convex
+    curves (outer-parallel ones included) on planar pages, curves without a
+    hole set on every page, rebuilt equal copies of pool curves, and
+    distinct curves that share a name.  The pool comes from a drawn seed,
+    which spreads the hole sets (and so their overlaps) wider than drawing
+    each set from hypothesis."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    genus = rng.choice((0, 0, 1, 2))
+    surface = Surface(genus, rng.randint(4, 7) if genus == 0 else rng.randint(1, 3))
+    b = surface.boundary_count
+    pool = []
+    for _ in range(rng.randint(2, 7)):
+        name = rng.choice(_NAMES)
+        kind = rng.choice(("convex", "convex", "outer", "homology") if genus == 0 else ("homology",))
+        if kind == "convex":  # mostly two or more holes, which may overlap without nesting
+            size = rng.randint(2, b - 2) if rng.random() < 0.75 else rng.randint(0, b - 1)
+            pool.append(convex_curve(surface, name, rng.sample(range(2, b + 1), size)))
+        elif kind == "outer":
+            pool.append(convex_curve(surface, name, range(2, b + 1), outer=True))
+        else:
+            pool.append(Curve(name, HomologyClass(surface, tuple(rng.choices((-1, 0, 1), k=surface.rank)))))
+    pool += [dataclasses.replace(c) for c in rng.sample(pool, rng.randint(0, 2))]
+    return word_of(surface, rng.choices(pool, k=rng.randint(2, 12)))
+
+
+def _reference_commute(c1, c2, declared):
+    """The certificate rules spelled out on frozensets, independent of the
+    hole masks: identical curves, a declared name pair, or hole sets that
+    are nested or disjoint."""
+    if c1 == c2 or frozenset((c1.name, c2.name)) in declared:
+        return True
+    s1, s2 = c1.hole_set, c2.hole_set
+    return s1 is not None and s2 is not None and (s1 <= s2 or s2 <= s1 or not s1 & s2)
+
+
+class TestTabulatedRelation:
+    @pytest.mark.parametrize("container", ["list", "set", "one-name set"])
+    @settings(max_examples=150, deadline=None)
+    @given(w=_mixed_word(), pairs=st.lists(st.tuples(st.sampled_from(_NAMES), st.sampled_from(_NAMES)), max_size=4))
+    def test_dependence_matches_curves_commute(self, container, w, pairs):
+        declared = [declared_pair(x, y) for x, y in pairs]
+        if container != "list":
+            declared = set(declared)
+        if container == "one-name set":
+            declared.add(frozenset(_NAMES[:1]))
+        rel = _Dependence(w, declared)
+        curves = [t.curve for t in w.twists]
+        for i, c1 in enumerate(curves):
+            for j, c2 in enumerate(curves):
+                certified = curves_commute(c1, c2, declared)
+                assert certified is (True if _reference_commute(c1, c2, declared) else None)
+                assert (rel.dep[i] >> j) & 1 == (certified is not True)
+
+    def test_search_never_calls_curves_commute(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("curves_commute called by the search")
+
+        monkeypatch.setattr(surfaces, "curves_commute", refuse)
+        monkeypatch.setattr(words, "curves_commute", refuse)
+        rng = random.Random(7)
+        s = Surface(0, 7)
+        pool = [convex_curve(s, f"c{i}", rng.sample(range(2, 8), rng.randint(1, 4))) for i in range(40)]
+        w = word_of(s, [rng.choice(pool) for _ in range(300)])
+        target = word_of(s, [w.twists[p].curve for p in (10, 150, 290)])
+        assert contains(w, target) is not None
+        one = word_of(s, [w.twists[0].curve])
+        _, record = substitute(w, Relator("same", one, one, euler_delta=0, sigma_delta=0))
+        assert record.positions == (0,)
+        relator = Relator("r", target, target, euler_delta=0, sigma_delta=1, allowable=True)
+        entry = RelatorEntry(relator=relator, obstruction=1)
+        assert [c.verdict for c in planarity.detect_relator(w, [entry, entry])] == [planarity.NON_PLANAR] * 2
 
 
 class TestVerifyRelator:
