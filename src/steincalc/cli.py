@@ -161,6 +161,8 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
     esig-compare needs no document when both pairs are given.
     """
     if command == "family":
+        if g_max >= 0 and b_max >= 2:  # the sweep's largest page, checked before any row
+            check_page(Surface(g_max, b_max), "--g-max/--b-max")
         rows = []
         for g in range(0, g_max + 1):
             for b in range(2, b_max + 1):

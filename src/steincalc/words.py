@@ -7,10 +7,11 @@ searches here are sound but deliberately incomplete; a failed search means
 "unknown", never "no".  Containment asks for the target's twists to appear
 in order after certified commutations; substitution additionally needs the
 matched block to become contiguous.  Each search tabulates certified
-commutation once per pair of distinct curves in the word, by interned curve
-id and int hole mask (the rules of ``surfaces.curves_commute``, decided on
-integers), matches identical target letters left to right, and answers
-"unknown" when its fixed node budget runs out.
+commutation once per distinct curve of the word, as the set of positions
+that curve blocks, from per-hole position bitsets (the rules of
+``surfaces.curves_commute``, decided on integers), matches identical target
+letters left to right, and answers "unknown" when its fixed node budget
+runs out.
 
 A relator is a pair of positive words (left, right) naming the same mapping
 class.  ``verify_relator`` checks the necessary conditions that are
@@ -37,8 +38,6 @@ from .surfaces import (
     NamePair,
     Surface,
     curves_commute,
-    hole_mask,
-    hole_masks_commute,
     twist_action,
 )
 
@@ -153,11 +152,17 @@ def _bits(mask: int) -> Iterator[int]:
 class _Dependence:
     """Certified commutation among the occurrences of one word, as bitsets.
 
-    The relation is tabulated on small integers: each distinct curve of the
-    word gets an id (equal curves share one), each curve with a hole set an
-    int hole mask, and the declared pairs are indexed by curve name once, so
-    each pair of distinct curves is decided by a bit test or one AND of two
-    masks (``hole_masks_commute``), the rules of ``curves_commute``.
+    The relation is tabulated per distinct curve of the word (equal curves
+    share one id), with the declared pairs indexed by curve name once.
+    ``inside[h]`` holds the positions whose curve encloses hole h.  A curve
+    with hole set m blocks the positions whose hole set meets m (an OR of
+    ``inside[h]`` over h in m), does not contain m (outside their AND) and
+    does not lie inside m (an OR over h not in m): the hole sets neither
+    nested with m nor disjoint from it, the rule of ``curves_commute``.
+    Curves without a hole set block, and are blocked by, every position.
+    Declared partners and a curve's own positions are never blocked.  A
+    build thus costs O(D·b) bitset operations for D distinct curves and b
+    holes; no pair of curves is compared.
     Bit j of ``dep[i]`` is set when the twists at positions i and j are not
     certified to commute.  ``reach[i]`` holds the positions j > i that some
     chain of dependent occurrences forces to stay after position i, and
@@ -194,19 +199,34 @@ class _Dependence:
                     for k in _bits(named[y]):
                         partners[k] |= named[x]
 
-        holes = [None if c.hole_set is None else hole_mask(c.hole_set) for c in curves]
-        blocked = [0] * len(curves)  # curve id -> positions not certified to commute with it
-        for a, ha in enumerate(holes):
-            pa = partners[a]
-            for b in range(a + 1, len(curves)):
-                if pa >> b & 1:
-                    continue
-                hb = holes[b]
-                if ha is not None and hb is not None and hole_masks_commute(ha, hb):
-                    continue
-                blocked[a] |= spots[b]
-                blocked[b] |= spots[a]
         n = len(w)
+        inside: Dict[int, int] = {}  # hole -> positions whose curve encloses it
+        loose = 0  # positions of the curves without a hole set
+        for k, c in enumerate(curves):
+            if c.hole_set is None:
+                loose |= spots[k]
+            else:
+                for h in c.hole_set:
+                    inside[h] = inside.get(h, 0) | spots[k]
+        everywhere = (1 << n) - 1
+        blocked = []  # curve id -> positions not certified to commute with it
+        for k, c in enumerate(curves):
+            if c.hole_set is None:
+                ban = everywhere
+            else:
+                # hole sets meeting this one, not containing it, not inside it
+                over = out = 0
+                sup = everywhere
+                for h, there in inside.items():
+                    if h in c.hole_set:
+                        over |= there
+                        sup &= there
+                    else:
+                        out |= there
+                ban = over & ~sup & out | loose
+            for j in _bits(partners[k]):
+                ban &= ~spots[j]
+            blocked.append(ban & ~spots[k])
         self.dep = [blocked[k] for k in letters]
         self.reach = [0] * n
         self.cover: List[List[int]] = [[] for _ in range(n)]
@@ -314,7 +334,11 @@ def _linearize(
 
     Returns (order, swaps) where ``order`` lists original indices in their
     new sequence and ``swaps`` are the adjacent transpositions realizing it,
-    or None when contiguity is blocked by a wedged occurrence.
+    or None when contiguity is blocked by a wedged occurrence.  The swaps are
+    those of a bubble sort by rank in ``order`` whose passes each scan only
+    from one before the previous pass's first swap to its last swap: the
+    part before is sorted and the part after is final, so a full pass would
+    make the same swaps.
     """
     dep, reach = rel.dep, rel.reach
     n = len(dep)
@@ -370,17 +394,24 @@ def _linearize(
         rank[i] = r
     seq = list(range(n))
     swaps: List[int] = []
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
+    lo, hi = 0, n - 1  # a pass compares seq[i] and seq[i + 1] for lo <= i < hi
+    while lo < hi:
+        first = last = -1
+        for i in range(lo, hi):
             a, b = seq[i], seq[i + 1]
             if rank[a] > rank[b]:
                 if (dep[a] >> b) & 1:
                     raise ConsistencyAlarmError("linearization produced an uncertified swap")
                 seq[i], seq[i + 1] = b, a
                 swaps.append(i)
-                changed = True
+                if first < 0:
+                    first = i
+                last = i
+        if last < 0:
+            break
+        # seq[:first] was sorted before this pass and is untouched, and
+        # everything past ``last`` is final, so the next pass scans between
+        lo, hi = max(0, first - 1), last
     return order, swaps
 
 

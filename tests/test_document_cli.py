@@ -8,6 +8,7 @@ import io
 import json
 import random
 import sys
+import time
 from unittest import mock
 
 import pytest
@@ -587,6 +588,26 @@ class TestMain:
         assert main(["family", "--g-max", "0", "--b-max", "3"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["result"]["rows"]) == 2
+
+    def test_default_family_sweep_is_pinned(self, capsys):
+        # sha256 of `steincalc family` stdout (g 0..3, b 2..12)
+        assert main(["family"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "0b8c554b31b9e42b1da043a7e41605fea8ba2c9da7f65e80e34e4af314b4ff1c"
+
+    @pytest.mark.parametrize("g_max, b_max", [(0, 400), (1, 128), (64, 2), (0, 10**9)])
+    def test_family_above_size_limit_rejected_at_once(self, g_max, b_max, capsys):
+        start = time.perf_counter()
+        assert main(["family", "--g-max", str(g_max), "--b-max", str(b_max)]) == 2
+        assert time.perf_counter() - start < 1
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "document" and error["location"] == "--g-max/--b-max"
+        assert str(document.MAX_PAGE_RANK) in error["message"]
+
+    @pytest.mark.parametrize("g_max, b_max", [(-1, 400), (0, 1)])
+    def test_empty_family_sweep_has_no_rows(self, g_max, b_max, capsys):
+        assert main(["family", "--g-max", str(g_max), "--b-max", str(b_max)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["rows"] == []
 
     def test_consistency_alarm_exit_code(self, tmp_path, capsys):
         # a user relator asserting the wrong signature delta contradicts the

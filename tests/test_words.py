@@ -2,6 +2,7 @@
 substitution, and the relator checks."""
 
 import dataclasses
+import hashlib
 import random
 import time
 from collections import deque
@@ -15,6 +16,7 @@ from steincalc.relators import RelatorEntry, standard_lantern
 from steincalc.surfaces import Curve, HomologyClass, Surface, convex_curve, curves_commute, declared_pair
 from steincalc.words import (
     _Dependence,
+    _linearize,
     ContainmentWitness,
     Relator,
     SubstitutionRecord,
@@ -444,6 +446,110 @@ class TestTabulatedRelation:
         relator = Relator("r", target, target, euler_delta=0, sigma_delta=1, allowable=True)
         entry = RelatorEntry(relator=relator, obstruction=1)
         assert [c.verdict for c in planarity.detect_relator(w, [entry, entry])] == [planarity.NON_PLANAR] * 2
+
+
+def _pinned_case(seed):
+    """A seeded planar word (b 6..10, up to about 320 twists) with a target
+    drawn from a few core curves inside a small region of holes.  Most
+    fillers commute with the core (disjoint from the region, enclosing it, or
+    one hole of it), the rest overlap it without nesting, so witnesses need
+    long swap lists that take many bubble passes, and some searches fail."""
+    rng = random.Random(f"pin:{seed}")
+    b = rng.randint(6, 10)
+    s = Surface(0, b)
+    holes = list(range(2, b + 1))
+    region = rng.sample(holes, rng.randint(3, 4))
+    rest = [h for h in holes if h not in region]
+    core = [convex_curve(s, f"k{i}", rng.sample(region, rng.randint(1, 2))) for i in range(rng.randint(1, 4))]
+    pool = []
+    for i in range(rng.randint(3, 12)):
+        r = rng.random()
+        if r < 0.35:
+            hs = rng.sample(rest, rng.randint(1, len(rest)))
+        elif r < 0.6:
+            hs = region + rng.sample(rest, rng.randint(0, len(rest)))
+        elif r < 0.75:
+            hs = [rng.choice(region)]
+        else:
+            hs = rng.sample(holes, rng.randint(2, len(holes) - 1))
+        pool.append(convex_curve(s, f"f{i}", hs))
+    if rng.random() < 0.3:
+        pool.append(convex_curve(s, "outer", holes, outer=True))
+    seq = [rng.choice(pool) for _ in range(rng.randint(0, 310))]
+    for c in core:
+        for _ in range(rng.randint(1, 3)):
+            seq.insert(rng.randint(0, len(seq)), c)
+    target = rng.sample(core, len(core))
+    if rng.random() < 0.2:
+        target.insert(rng.randint(0, len(target)), rng.choice(core))
+    declared = set()
+    if rng.random() < 0.3:
+        a, c = rng.sample(core + pool, 2)
+        declared.add(declared_pair(a.name, c.name))
+    return word_of(s, seq), word_of(s, target), declared
+
+
+def _full_pass_swaps(rel, order):
+    """The bubble sort that replays ``order`` as adjacent swaps, every pass
+    over the whole word, as ``_linearize`` ran it before its passes were
+    bounded."""
+    n = len(rel.dep)
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
+    seq = list(range(n))
+    swaps = []
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n - 1):
+            a, b = seq[i], seq[i + 1]
+            if rank[a] > rank[b]:
+                assert not (rel.dep[a] >> b) & 1
+                seq[i], seq[i + 1] = b, a
+                swaps.append(i)
+                changed = True
+    return swaps
+
+
+class TestPinnedWitnesses:
+    # sha256 of the contains witnesses and substitute records on 2000 seeded
+    # planar words (``_pinned_case``): 813 of the 1650 witnesses and 1055 of
+    # the 1455 records carry swaps, up to 8829 in one list
+    DIGEST = "39d51cf3df2ab4bdcc8207c4d6b2398f9a916b4b58bf9c12f98abbdfe2839574"
+
+    def test_witnesses_are_pinned(self):
+        h = hashlib.sha256()
+        for seed in range(2000):
+            w, target, declared = _pinned_case(seed)
+            wit = contains(w, target, declared)
+            h.update(repr(None if wit is None else (wit.positions, wit.swaps, wit.final_positions)).encode())
+            try:
+                new_w, rec = substitute(w, Relator("same", target, target, euler_delta=0, sigma_delta=0), declared)
+            except NotApplicableError:
+                h.update(b"none")
+                continue
+            h.update(repr((rec.positions, rec.swaps, [t.curve.name for t in new_w.twists])).encode())
+        assert h.hexdigest() == self.DIGEST
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(_mixed_word(), st.integers(0, 10**6).map(lambda seed: _pinned_case(seed)[0])),
+        st.randoms(use_true_random=False),
+        st.booleans(),
+    )
+    def test_linearize_swaps_match_full_passes(self, w, rng, contiguous):
+        rel = _Dependence(w, ())
+        selected, taken = [], 0  # positions in an order the search could ask for
+        for p in rng.sample(range(len(w)), len(w)):
+            if len(selected) < 5 and not rel.reach[p] & taken:
+                selected.append(p)
+                taken |= 1 << p
+        lin = _linearize(rel, selected, contiguous)
+        assert lin is not None or contiguous
+        if lin is not None:
+            order, swaps = lin
+            assert swaps == _full_pass_swaps(rel, order)
 
 
 class TestVerifyRelator:
