@@ -288,6 +288,7 @@ def parse(text: str) -> Document:
             f"{where}.rel_class",
             f"rel_class must be an integer vector of length {surface.rank}",
         )
+        _require(all(a.index != index for a in arcs), f"{where}.index", f"duplicate arc to boundary {index}")
         try:
             arcs.append(Arc(surface, index, tuple(rel)))
         except Exception as exc:

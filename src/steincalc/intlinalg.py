@@ -2,13 +2,15 @@
 
 Smith normal form U A V = D with its unimodular U and V (each inverse a
 caller needs comes from U A = D V^-1 or A V = U^-1 D), integer kernel bases
-and finitely generated abelian quotients.  ``symmetric_signature`` (exact
-congruence diagonalization) is the reference the tests check the planar
-signature -b2 against; the package itself never calls it.  Matrices are
-plain lists of lists of Python ints, so nothing overflows; every computation
-here is exact.  ``mat_mul`` skips zero entries: the planar form builds its
-Gram matrices with it, because b2 reaches the hundreds while each kernel
-column has only a few nonzeros.
+and finitely generated abelian quotients.  V is stored by columns, so a
+column operation is one list comprehension and a column swap exchanges two
+list references; the kernel of A is the tail of that column list.
+``symmetric_signature`` (exact congruence diagonalization) is the reference
+the tests check the planar signature -b2 against; the package itself never
+calls it.  Matrices are plain lists of lists of Python ints, so nothing
+overflows; every computation here is exact.  ``mat_mul`` skips zero entries
+in both factors: the planar form builds its Gram matrices with it, because
+b2 reaches the hundreds while each kernel column has only a few nonzeros.
 """
 
 from __future__ import annotations
@@ -30,17 +32,18 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
+    """The product a b, skipping zeros in both factors: each nonzero a_ik
+    costs the nonzeros of row k of b, collected once as (j, x) pairs."""
+    cols = len(b[0]) if b else 0
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for ai in a:
+        oi = [0] * cols
+        for aik, bk in zip(ai, nonzero):
             if aik:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += aik * bk[j]
+                for j, x in bk:
+                    oi[j] += aik * x
+        out.append(oi)
     return out
 
 
@@ -54,12 +57,14 @@ class SmithForm:
 
     ``diag`` is the full diagonal of D (length min(rows, cols)), entries
     non-negative with d_1 | d_2 | ... ; ``rank`` counts the nonzero ones.
+    ``row_ops`` holds the rows of U and ``col_ops`` the columns of V, so
+    ``col_ops[rank:]`` is a basis of the integer kernel of A.
     """
 
     diag: Tuple[int, ...]
     rank: int
-    row_ops: Matrix        # U
-    col_ops: Matrix        # V
+    row_ops: Matrix        # U, by rows
+    col_ops: Matrix        # V, by columns
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, cols: int | None = None) -> SmithForm:
@@ -69,7 +74,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
     if cols is None:
         cols = len(a[0]) if a else 0
 
-    u, v = identity(rows), identity(cols)
+    u, v = identity(rows), identity(cols)  # v[j] is column j of V
 
     def row_swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -85,24 +90,27 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
 
     def col_swap(i: int, j: int) -> None:
-        for r in range(len(a)):
-            a[r][i], a[r][j] = a[r][j], a[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        v[i], v[j] = v[j], v[i]
 
     def col_add(i: int, j: int, q: int) -> None:
         # col_i += q * col_j
-        for r in range(len(a)):
-            a[r][i] += q * a[r][j]
-        for r in range(cols):
-            v[r][i] += q * v[r][j]
+        for row in a:
+            row[i] += q * row[j]
+        v[i] = [x + q * y for x, y in zip(v[i], v[j])]
 
     def smallest_pivot(t: int):
-        best = None
+        """The first entry of least nonzero absolute value in row-major
+        order over the block a[t:, t:]."""
+        best, least = None, 0
         for i in range(t, rows):
-            for j in range(t, cols):
-                if a[i][j] != 0 and (best is None or abs(a[i][j]) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
+            sizes = [abs(x) for x in a[i][t:]]
+            m = min((x for x in sizes if x), default=0)
+            if m and (best is None or m < least):
+                best, least = (i, t + sizes.index(m)), m
+                if m == 1:
+                    break
         return best
 
     def clean_pivot(t: int) -> bool:
@@ -125,9 +133,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
             for j in range(t + 1, cols):
                 if a[t][j] != 0:
                     col_add(j, t, -(a[t][j] // a[t][t]))
-            if all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-                a[t][j] == 0 for j in range(t + 1, cols)
-            ):
+            if not any(a[t][t + 1:]) and not any(a[i][t] for i in range(t + 1, rows)):
                 return True
 
     limit = min(rows, cols)
@@ -139,8 +145,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
         fixed = True
         while fixed:
             fixed = False
+            pivot = a[t][t]
             for i in range(t + 1, rows):
-                if any(a[i][j] % a[t][t] != 0 for j in range(t + 1, cols)):
+                if any(x % pivot for x in a[i][t + 1:]):
                     row_add(t, i, 1)
                     clean_pivot(t)
                     fixed = True
@@ -161,15 +168,8 @@ def kernel_basis(matrix: Sequence[Sequence[int]], cols: int | None = None) -> Li
     rows = len(matrix)
     if cols is None:
         cols = len(matrix[0]) if rows else 0
-    if cols == 0:
-        return []
     snf = smith_normal_form(matrix, rows=rows, cols=cols)
-    basis = []
-    for j in range(cols):
-        d = snf.diag[j] if j < len(snf.diag) else 0
-        if d == 0:
-            basis.append([snf.col_ops[r][j] for r in range(cols)])
-    return basis
+    return snf.col_ops[snf.rank:]
 
 
 @dataclass(frozen=True)
@@ -178,21 +178,23 @@ class AbelianQuotient:
 
     Presents the group as a direct sum of cyclic factors and answers
     membership, canonical-representative, and element-order queries, all
-    over the integers.  ``relations`` is A V = U^-1 D for the relation matrix
-    A: subtracting its column i k_i times lowers (U v)_i by k_i d_i.
+    over the integers.  ``relations`` holds the columns of A V = U^-1 D for
+    the relation matrix A: subtracting column i k_i times lowers (U v)_i by
+    k_i d_i.
     """
 
     n: int
     diag: Tuple[int, ...]
     row_ops: Matrix        # U
-    relations: Matrix      # A V
+    relations: Matrix      # A V, by columns
 
     @classmethod
     def from_relations(cls, n: int, relation_columns: Sequence[Sequence[int]]) -> "AbelianQuotient":
         cols = len(relation_columns)
         matrix = [[relation_columns[j][i] for j in range(cols)] for i in range(n)]
         snf = smith_normal_form(matrix, rows=n, cols=cols)
-        return cls(n=n, diag=snf.diag, row_ops=snf.row_ops, relations=mat_mul(matrix, snf.col_ops))
+        # column j of A V is A (column j of V): rows of V^T A^T
+        return cls(n=n, diag=snf.diag, row_ops=snf.row_ops, relations=mat_mul(snf.col_ops, relation_columns))
 
     @property
     def invariant_factors(self) -> Tuple[int, ...]:
@@ -215,8 +217,13 @@ class AbelianQuotient:
     def reduce(self, v: Sequence[int]) -> List[int]:
         """Canonical representative U^-1 (U v mod D) of [v]: v minus relations."""
         y = self._coords(v)
-        k = [y[i] // d if d else 0 for i, d in enumerate(self.diag)]
-        return [x - s for x, s in zip(v, mat_vec(self.relations, k))]
+        rep = list(v)
+        for yi, d, column in zip(y, self.diag, self.relations):
+            k = yi // d if d else 0
+            if k:
+                for i, x in enumerate(column):
+                    rep[i] -= k * x
+        return rep
 
     def is_zero(self, v: Sequence[int]) -> bool:
         return self.order(v) == 1

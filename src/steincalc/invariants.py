@@ -11,19 +11,22 @@ curve to its homology class, and on that kernel the -1 framings restrict
 to minus the standard dot product of coefficient vectors (hole-bilinear
 corrections vanish on the kernel, so this representative is well defined;
 it is pinned by the <-b> boundary-multitwist calibration and the lantern
-substitution check).  One Smith normal form of the boundary map yields the
-kernel and its orthogonal complement, the saturated row space; the two have
-isomorphic discriminant groups, so the form's invariant factors come from
-the smaller of the two Gram matrices, of size min(b2, r) with r <= b-1 the
-rank of the boundary map.  Off the planar page the signature is
-ledger-relative only: an asserted baseline plus the signature deltas of the
-substitutions applied since.
+substitution check).  One Smith normal form of the boundary map B yields
+the kernel (the columns of V past the rank) and its orthogonal complement,
+the saturated row space; the two have isomorphic discriminant groups, so
+the form's invariant factors come from the smaller of the two Gram
+matrices, of size min(b2, r) with r <= b-1 the rank of B.  Off the planar
+page the signature is ledger-relative only: an asserted baseline plus the
+signature deltas of the substitutions applied since.
 
 First homology of the boundary 3-manifold is presented on the surface
 basis by one variation map: phi - id on the handle classes (it fixes the
 boundary classes) and one relation per auxiliary arc joining boundary 1 to
-boundary j.  Invariant factors come from Smith normal form; torsion is the
-payload, so nothing is done rationally.
+boundary j.  On a planar page the relative class of an arc never moves, so
+the arc relations are the columns of B S B^T, with S the diagonal of twist
+signs, built in one pass over the twists; ``variation`` is the general
+rule for pages of positive genus.  Invariant factors come from Smith normal
+form; torsion is the payload, so nothing is done rationally.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .errors import (
     IncomparableSigmaError,
     UnsupportedInputError,
 )
-from .intlinalg import AbelianQuotient, mat_mul, smith_normal_form
+from .intlinalg import AbelianQuotient, Matrix, mat_mul, smith_normal_form, zeros
 from .surfaces import (
     Arc,
     Surface,
@@ -89,8 +92,8 @@ def planar_intersection_form(word: Word) -> PlanarForm:
     boundary_map = [[t.curve.homology.coords[i] for t in word.twists] for i in range(rows)]
     snf = smith_normal_form(boundary_map, rows=rows, cols=n)
     r = snf.rank
-    kernel = [row[r:] for row in snf.col_ops]
-    q = mat_mul([[-x for x in col] for col in zip(*kernel)], kernel)
+    kernel = snf.col_ops[r:]
+    q = mat_mul([[-x for x in col] for col in kernel], list(zip(*kernel)))
     b2 = n - r
     # The first r rows of V^-1 span the saturated row space of the boundary
     # map, the orthogonal complement of the kernel in the unimodular lattice
@@ -179,6 +182,7 @@ def variation(word: Word, rel: Sequence[int]) -> Tuple[int, ...]:
     of [c] in relative coordinates (boundary classes die there).  On A_i
     and B_i this is phi(e) - e for e = a_i, b_i; on arcs the boundary
     multitwist gives d_j + (d_2 + ... + d_b): d_j = d_k, b d_j = 0 in H_1.
+    ``h1_boundary`` calls it on pages of positive genus only.
     """
     surface = word.surface
     rel = list(rel)
@@ -194,6 +198,22 @@ def variation(word: Word, rel: Sequence[int]) -> Tuple[int, ...]:
         for i in range(surface.rank):
             rel[i] += count * embedded[i]
     return tuple(acc)
+
+
+def _planar_arc_relations(word: Word) -> Matrix:
+    """B S B^T for the boundary map B and the diagonal S of twist signs:
+    on a planar page ``relative_embedding`` vanishes, so an arc of relative
+    class rho has relation B S B^T rho, the ``variation`` of rho."""
+    rank = word.surface.rank
+    m = zeros(rank, rank)
+    for t in word.twists:
+        support = [(i, x) for i, x in enumerate(t.curve.homology.coords) if x]
+        for i, x in support:
+            row = m[i]
+            sx = t.sign * x
+            for k, y in support:
+                row[k] += sx * y
+    return m
 
 
 def arc_family(surface: Surface, overrides: Sequence[Arc] = ()) -> list:
@@ -213,6 +233,11 @@ def h1_boundary(word: Word, arcs: Optional[Sequence[Arc]] = None) -> AbelianQuot
     surface = word.surface
     if arcs is None:
         arcs = arc_family(surface)
+    if surface.genus == 0:
+        # a planar arc to boundary j has relative class S_j (``Arc`` checks
+        # it), so its relation is column j of the symmetric B S B^T
+        m = _planar_arc_relations(word)
+        return AbelianQuotient.from_relations(surface.rank, [m[arc.index - 2] for arc in arcs])
     relations: List[Sequence[int]] = []
     for i in range(2 * surface.genus):
         moved = variation(word, surface.basis_class(i).coords)

@@ -173,7 +173,12 @@ def relative_embedding(x: HomologyClass) -> Tuple[int, ...]:
 
 @dataclass(frozen=True)
 class Arc:
-    """A properly embedded arc from boundary 1 to boundary ``index``, as a relative class."""
+    """A properly embedded arc from boundary 1 to boundary ``index``, as a relative class.
+
+    Its boundary coordinates are forced: an arc from boundary 1 to boundary
+    j has S-part exactly the unit vector S_j, and only its A_i/B_i part can
+    vary.
+    """
 
     surface: Surface
     index: int
@@ -184,6 +189,9 @@ class Arc:
             raise ValueError(f"arc index {self.index} out of range 2..{self.surface.boundary_count}")
         if len(self.rel_class) != self.surface.rank:
             raise RankMismatchError("arc relative class has wrong length")
+        unit = tuple(int(j == self.index) for j in range(2, self.surface.boundary_count + 1))
+        if tuple(self.rel_class[2 * self.surface.genus:]) != unit:
+            raise ValueError(f"an arc to boundary {self.index} has S-part the unit vector S_{self.index}")
 
 
 def standard_arc(surface: Surface, j: int) -> Arc:

@@ -264,6 +264,31 @@ class TestParse:
         except DocumentError:
             pass
 
+    def test_impossible_arc_classes_rejected(self, tmp_path, capsys):
+        # an arc to boundary 2 has S-part exactly S_2, and one arc per boundary
+        doc = {
+            "surface": {"genus": 0, "boundary": 3},
+            "curves": [{"name": "d2", "holes": [2]}],
+            "words": {"w": [{"curve": "d2", "sign": 1}]},
+            "arcs": [{"index": 2, "rel_class": [1, 0]}],
+        }
+        path = tmp_path / "arc.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["invariants", "--in", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["h1"] == [[], 1]
+        for arcs, location in (
+            ([{"index": 2, "rel_class": [2, 0]}], "arcs[0]"),
+            ([{"index": 3, "rel_class": [1, 1]}], "arcs[0]"),
+            ([{"index": 2, "rel_class": [1, 0]}] * 2, "arcs[1].index"),
+        ):
+            text = json.dumps({**doc, "arcs": arcs})
+            with pytest.raises(DocumentError) as err:
+                parse(text)
+            assert err.value.location == location
+            path.write_text(text, encoding="utf-8")
+            assert main(["invariants", "--in", str(path)]) == 2
+            assert json.loads(capsys.readouterr().out)["error"]["location"] == location
+
     def test_baseline_for_unknown_word_rejected(self):
         bad = json.loads(json.dumps(MINIMAL))
         bad["baselines"] = {"ghost": -1}

@@ -28,6 +28,15 @@ def small_matrix(max_dim=5, max_entry=6):
     )
 
 
+def transpose(m):
+    return [list(row) for row in zip(*m)]
+
+
+def naive_mul(a, b):
+    cols = len(b[0]) if b else 0
+    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(cols)] for i in range(len(a))]
+
+
 def determinant(m):
     """Exact determinant of a square integer matrix, by Fraction elimination."""
     a = [[Fraction(x) for x in row] for row in m]
@@ -61,7 +70,7 @@ class TestSmithNormalForm:
     def test_identity_transforms_on_known_matrix(self):
         a = [[6, 4], [2, 8]]
         snf = smith_normal_form(a)
-        assert mat_mul(mat_mul(snf.row_ops, a), snf.col_ops) == [
+        assert mat_mul(mat_mul(snf.row_ops, a), transpose(snf.col_ops)) == [
             [snf.diag[0], 0],
             [0, snf.diag[1]],
         ]
@@ -71,7 +80,7 @@ class TestSmithNormalForm:
     def test_reconstruction_and_unimodularity(self, a):
         rows, cols = len(a), len(a[0])
         snf = smith_normal_form(a)
-        d = mat_mul(mat_mul(snf.row_ops, a), snf.col_ops)
+        d = mat_mul(mat_mul(snf.row_ops, a), transpose(snf.col_ops))
         for i in range(rows):
             for j in range(cols):
                 expected = snf.diag[i] if i == j and i < len(snf.diag) else 0
@@ -87,11 +96,56 @@ class TestSmithNormalForm:
         for row, d in zip(mat_mul(snf.row_ops, a)[:snf.rank], snf.diag):
             assert all(x % d == 0 for x in row)
 
+    def test_column_stored_v_on_random_shapes(self):
+        # U A V = D with col_ops[j] column j of V, on rectangular matrices
+        # with 0 rows, 0 columns and rank 0
+        rng = random.Random(29)
+        shapes = [(0, 0), (0, 4), (3, 0), (2, 2), (9, 40), (40, 9), (5, 7), (7, 5)]
+        ranks = set()
+        for trial in range(120):
+            rows, cols = shapes[trial % len(shapes)]
+            density = rng.choice([0.0, 0.1, 0.5, 1.0])
+            a = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
+            snf = smith_normal_form(a, rows=rows, cols=cols)
+            assert len(snf.col_ops) == cols and all(len(col) == cols for col in snf.col_ops)
+            for j, col in enumerate(snf.col_ops):
+                image = [sum(x * y for x, y in zip(row, col)) for row in a]  # A v_j
+                expected = snf.diag[j] if j < snf.rank else 0
+                assert [sum(u * x for u, x in zip(urow, image)) for urow in snf.row_ops] == [
+                    expected if i == j else 0 for i in range(rows)
+                ]
+            assert abs(determinant(transpose(snf.col_ops))) == 1
+            ranks.add(snf.rank)
+        assert 0 in ranks and max(ranks) >= 7
+
     def test_determinant_helper(self):
         assert determinant([]) == 1
         assert determinant([[0, 1], [1, 0]]) == -1
         assert determinant([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == 2 * 2 * 156
         assert determinant([[1, 2], [2, 4]]) == 0
+
+
+class TestMatMul:
+    def test_matches_naive_triple_loop(self):
+        rng = random.Random(31)
+        for trial in range(300):
+            rows, inner, cols = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+            if trial % 10 == 0:
+                inner = 0  # empty right factor
+            density = rng.choice([0.0, 0.1, 0.5, 1.0])
+            a = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(inner)] for _ in range(rows)]
+            b = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(cols)] for _ in range(inner)]
+            if inner and rows and rng.random() < 0.3:
+                a[rng.randrange(rows)] = [0] * inner  # a zero row
+            if inner and cols and rng.random() < 0.3:
+                j = rng.randrange(cols)
+                for row in b:
+                    row[j] = 0  # a zero column
+            assert mat_mul(a, b) == naive_mul(a, b)
+
+    def test_empty_right_factor(self):
+        assert mat_mul([[], []], []) == [[], []]
+        assert mat_mul([], [[1, 2]]) == []
 
 
 class TestKernel:

@@ -1,6 +1,7 @@
 """Filling invariants: Euler characteristic, planar forms, signatures,
 boundary homology, Chern data, and the e + sigma comparator."""
 
+import hashlib
 import random
 
 import pytest
@@ -8,9 +9,10 @@ import pytest
 from steincalc import intlinalg, invariants
 from steincalc.document import tau_boundary_document
 from steincalc.errors import BaselineUnavailableError, IncomparableSigmaError, UnsupportedInputError
-from steincalc.intlinalg import smith_normal_form, symmetric_signature
+from steincalc.intlinalg import AbelianQuotient, smith_normal_form, symmetric_signature
 from steincalc.invariants import (
     SigmaLedger,
+    arc_family,
     esig_check,
     euler_characteristic,
     filling_invariants,
@@ -28,6 +30,25 @@ from steincalc.words import SubstitutionRecord, Twist, Word, word_of
 def boundary_multitwist(g, b):
     doc = tau_boundary_document(g, b)
     return doc.words["tau_del"]
+
+
+def _planar_pin_case(seed):
+    """A seeded planar word (b 1..10, n 0..60) over a pool holding the
+    empty curve, the outer-parallel curve and random convex curves, with
+    mixed signs on about a third of the seeds; the rng is returned to draw
+    query vectors from."""
+    rng = random.Random(seed)
+    b = rng.randint(1, 10)
+    s = Surface(0, b)
+    holes = range(2, b + 1)
+    pool = [convex_curve(s, "empty", ()), convex_curve(s, "outer", holes, outer=True)]
+    for i in range(rng.randint(1, 8)):
+        pool.append(convex_curve(s, f"c{i}", {h for h in holes if rng.random() < 0.4}))
+    mixed = rng.random() < 0.3
+    twists = tuple(
+        Twist(rng.choice(pool), rng.choice((1, -1)) if mixed else 1) for _ in range(rng.randint(0, 60))
+    )
+    return Word(s, twists), rng
 
 
 class TestEuler:
@@ -201,6 +222,26 @@ class TestPlanarForm:
             assert form.b2 == base.b2
 
 
+class TestPinnedPlanarInvariants:
+    # sha256 of the planar form (matrix, b2, invariant factors) and of H_1
+    # (report, reduce and order on seeded vectors) of ``filling_invariants``
+    # on 2000 seeded planar words, 1388 of them positive; recorded when H_1
+    # still came from ``variation`` and V was stored by rows
+    DIGEST = "a50afa167552c64994bc7ce35fee1a606bc5c0c610cad29e22613910d843b53e"
+
+    def test_planar_outputs_are_pinned(self):
+        h = hashlib.sha256()
+        for seed in range(2000):
+            w, rng = _planar_pin_case(seed)
+            inv = filling_invariants(w)
+            answers = [inv.q_matrix, inv.b2, inv.q_invariant_factors, inv.h1.report()]
+            for _ in range(3):
+                v = [rng.randint(-12, 12) for _ in range(w.surface.rank)]
+                answers.append((inv.h1.reduce(v), inv.h1.order(v)))
+            h.update(repr(answers).encode())
+        assert h.hexdigest() == self.DIGEST
+
+
 class TestSigma:
     def test_exact_on_planar(self):
         value = sigma(boundary_multitwist(0, 6))
@@ -299,17 +340,45 @@ class TestH1Boundary:
         assert h1_boundary(word_of(s, [Curve("a", s.a_class(1))])).report() == [[], 1]
 
     def test_arc_override_merges_with_standard_family(self):
-        from steincalc.invariants import arc_family
         from steincalc.surfaces import Arc
 
-        s = Surface(0, 3)
-        override = Arc(s, 2, (1, 1))  # arc crossing both inner holes
+        s = Surface(1, 3)
+        override = Arc(s, 2, (1, -1, 1, 0))  # handle part A_1 - B_1
         family = arc_family(s, [override])
         assert family[0] == override
         assert family[1] == standard_arc(s, 3)
         # overriding with the standard vector changes nothing
-        same = h1_boundary(boundary_multitwist(0, 3), arcs=arc_family(s, [standard_arc(s, 2)]))
-        assert same.invariant_factors == (3,)
+        same = h1_boundary(boundary_multitwist(1, 3), arcs=arc_family(s, [standard_arc(s, 2)]))
+        assert same.report() == [[3], 2]
+
+    def test_planar_relations_are_the_variation(self, monkeypatch):
+        # on a planar page the arc relations come from B S B^T and must be
+        # the vectors ``variation`` gives twist by twist
+        seen = []
+        real = AbelianQuotient.from_relations.__func__
+
+        def recording(cls, n, relation_columns):
+            seen.append([tuple(col) for col in relation_columns])
+            return real(cls, n, relation_columns)
+
+        monkeypatch.setattr(AbelianQuotient, "from_relations", classmethod(recording))
+        for seed in range(300):
+            w, _ = _planar_pin_case(seed)
+            seen.clear()
+            h1_boundary(w)
+            assert seen == [[variation(w, arc.rel_class) for arc in arc_family(w.surface)]]
+
+    def test_planar_h1_never_calls_variation(self, monkeypatch):
+        def refuse(word, rel):
+            raise AssertionError("h1_boundary called variation on a planar page")
+
+        monkeypatch.setattr(invariants, "variation", refuse)
+        for b in range(1, 8):
+            assert h1_boundary(boundary_multitwist(0, b)).report() == [[b] if b > 1 else [], 0]
+        s = Surface(0, 3)
+        d2, d3 = convex_curve(s, "d2", {2}), convex_curve(s, "d3", {3})
+        assert filling_invariants(word_of(s, [d2, d2, d3], signs=[1, -1, 1])).h1.report() == [[], 1]
+        assert filling_invariants(word_of(s, [d2, d2, d3, d3, d3])).h1.report() == [[6], 0]
 
 
 class TestChern:

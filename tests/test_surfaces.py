@@ -209,3 +209,16 @@ class TestArcs:
     def test_arc_index_range(self):
         with pytest.raises(ValueError):
             Arc(Surface(0, 3), 4, (0, 0))
+
+    def test_arc_boundary_part_is_forced(self):
+        # only the A_i/B_i part of an arc from boundary 1 to boundary j can vary
+        assert Arc(Surface(1, 3), 2, (5, -2, 1, 0)).rel_class[2:] == (1, 0)
+        for surface, index, rel in (
+            (Surface(0, 3), 2, (1, 1)),
+            (Surface(0, 3), 2, (2, 0)),
+            (Surface(0, 3), 3, (1, 0)),
+            (Surface(0, 3), 3, (0, -1)),
+            (Surface(1, 3), 3, (0, 0, 1, 0)),
+        ):
+            with pytest.raises(ValueError):
+                Arc(surface, index, rel)
