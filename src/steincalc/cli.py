@@ -3,11 +3,15 @@
 Commands: invariants, substitute, detect, verify-relator, esig-compare,
 family, gen.  Input comes from --in FILE or one of the generator flags
 (--tau-boundary G B, --lantern, --chain N, --r-ns).  Reports are JSON with
-the tool version in a header field and a byte-stable payload.
+the tool version in a header field and a byte-stable payload.  They are
+written by ``document.dump_json``, which gives the bytes of ``json.dumps``
+with sorted keys and an indent of 2, and stdout is flushed before ``main``
+returns.  A failure is one compact JSON line on stdout, or on stderr when
+stdout cannot be written.
 
 Exit codes: 0 success, 2 document rejected (an --in file that cannot be
-read as UTF-8 text included), 3 precondition failure (a --json-out file
-that cannot be written included), 4 internal consistency alarm.
+read as UTF-8 text included), 3 precondition failure (a --json-out file or
+a stdout that cannot be written included), 4 internal consistency alarm.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from .document import (
     Document,
     chain_document,
     check_page,
+    dump_json,
     lantern_document,
     non_standard_document,
     parse,
@@ -106,16 +111,10 @@ _FAMILY_FIELDS = ("euler", "sigma", "q_invariant_factors", "h1", "esig", "esig_m
 
 
 def _certificate_payload(cert: PlanarityCertificate) -> dict:
-    witness = None
-    if cert.witness is not None:
-        witness = {
-            key: (list(value) if isinstance(value, tuple) else value)
-            for key, value in vars(cert.witness).items()
-        }
     return {
         "verdict": cert.verdict,
         "basis": cert.basis,
-        "witness": witness,
+        "witness": None if cert.witness is None else dict(vars(cert.witness)),
         "notes": list(cert.notes),
     }
 
@@ -403,9 +402,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    sys.stdout.write(text)
+    sys.stdout.flush()
+
+
 def _emit(text: str, outfile: Optional[str]) -> None:
     if not outfile:
-        sys.stdout.write(text)
+        try:
+            _write_stdout(text)
+        except OSError as exc:  # a full device or a closed pipe
+            raise UnsupportedInputError(f"cannot write the report to stdout: {exc.strerror or exc}") from exc
         return
     try:
         with open(outfile, "w", encoding="utf-8") as fh:
@@ -415,7 +422,11 @@ def _emit(text: str, outfile: Optional[str]) -> None:
 
 
 def _fail(code: int, **error) -> int:
-    sys.stdout.write(json.dumps({"error": error}, sort_keys=True) + "\n")
+    line = json.dumps({"error": error}, sort_keys=True) + "\n"
+    try:
+        _write_stdout(line)
+    except OSError:  # stdout is gone, so the error goes to stderr
+        sys.stderr.write(line)
     return code
 
 
@@ -442,7 +453,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             pair1=pair1, pair2=pair2, g_max=args.g_max, b_max=args.b_max,
         )
         report = {"tool": "steincalc", "version": __version__, "command": args.command, "result": payload}
-        _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.json_out)
+        _emit(dump_json(report) + "\n", args.json_out)
     except DocumentError as exc:
         return _fail(2, kind="document", location=exc.location, message=exc.message)
     except PRECONDITION_ERRORS as exc:

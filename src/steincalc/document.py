@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 from .errors import DocumentError
@@ -417,7 +418,69 @@ def document_payload(doc: Document) -> dict:
 
 
 def serialize(doc: Document) -> str:
-    return json.dumps(document_payload(doc), indent=2, sort_keys=True) + "\n"
+    return dump_json(document_payload(doc)) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# The JSON writer
+
+
+def dump_json(value) -> str:
+    """What ``json.dumps`` writes with sorted keys and an indent of 2,
+    byte for byte, for the values reports and documents hold: dicts with
+    str keys, lists, tuples, str, int, bool and None.  Any other type
+    raises TypeError.
+
+    An indent sends ``json.dumps`` to its pure-Python encoder, which makes
+    one generator step per list item; here a flat list of ints is one
+    ``join`` and strings are escaped by the C ``encode_basestring_ascii``.
+    """
+    out: List[str] = []
+    _write_json(value, "\n", out)
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: List[str]) -> None:
+    # newline is "\n" plus the indent of the line value starts on
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        if set(map(type, value)) == {int}:  # bools are no ints here
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            return
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            separator = "," + inner
+            _write_json(item, inner, out)
+        out.append(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + _quote(key) + ": ")
+            separator = "," + inner
+            _write_json(item, inner, out)
+        out.append(newline + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 # ---------------------------------------------------------------------------
