@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -402,17 +403,39 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StdoutUnwritable(UnsupportedInputError):
+    """Stdout cannot be written (a full device, a closed pipe)."""
+
+
 def _write_stdout(text: str) -> None:
-    sys.stdout.write(text)
-    sys.stdout.flush()
+    """Write and flush ``text`` on stdout.
+
+    When that raises OSError, the unwritten bytes stay in stdout's buffer and
+    the flush at interpreter exit would fail again (exit status 120), so
+    stdout's file descriptor is first pointed at os.devnull, as the
+    ``signal`` docs advise for SIGPIPE.
+    """
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError:
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # not backed by a file descriptor
+            fd = None
+        if fd is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        raise
 
 
 def _emit(text: str, outfile: Optional[str]) -> None:
     if not outfile:
         try:
             _write_stdout(text)
-        except OSError as exc:  # a full device or a closed pipe
-            raise UnsupportedInputError(f"cannot write the report to stdout: {exc.strerror or exc}") from exc
+        except OSError as exc:
+            raise _StdoutUnwritable(f"cannot write the report to stdout: {exc.strerror or exc}") from exc
         return
     try:
         with open(outfile, "w", encoding="utf-8") as fh:
@@ -421,12 +444,15 @@ def _emit(text: str, outfile: Optional[str]) -> None:
         raise UnsupportedInputError(f"--json-out: cannot write '{outfile}': {exc.strerror}") from exc
 
 
-def _fail(code: int, **error) -> int:
+def _fail(code: int, stdout_ok: bool = True, **error) -> int:
     line = json.dumps({"error": error}, sort_keys=True) + "\n"
-    try:
-        _write_stdout(line)
-    except OSError:  # stdout is gone, so the error goes to stderr
-        sys.stderr.write(line)
+    if stdout_ok:
+        try:
+            _write_stdout(line)
+            return code
+        except OSError:
+            pass
+    sys.stderr.write(line)  # stdout is gone, so the error goes to stderr
     return code
 
 
@@ -454,6 +480,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         report = {"tool": "steincalc", "version": __version__, "command": args.command, "result": payload}
         _emit(dump_json(report) + "\n", args.json_out)
+    except _StdoutUnwritable as exc:
+        return _fail(3, stdout_ok=False, kind="precondition", message=str(exc))
     except DocumentError as exc:
         return _fail(2, kind="document", location=exc.location, message=exc.message)
     except PRECONDITION_ERRORS as exc:

@@ -248,29 +248,49 @@ def test_unwritable_stdout_exit_code(argv, method, error, monkeypatch, capsys):
     assert failure["message"] == f"cannot write the report to stdout: {STDOUT_ERRORS[error].strerror}"
 
 
-def _run_cli_process(argv, stdout):
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("argv", LONG_AND_SHORT_REPORTS, ids=lambda argv: argv[0])
+def test_unwritable_stdout_leaves_nothing_to_flush(argv, monkeypatch, capsys):
+    # a buffered stdout keeps what it could not write; the flush at
+    # interpreter exit must not fail on it again
+    full = open("/dev/full", "w", encoding="utf-8")
+    monkeypatch.setattr(sys, "stdout", full)
+    try:
+        assert main(argv) == 3
+        full.flush()
+    finally:
+        full.close()
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "precondition"
+
+
+def _run_cli_process(argv, stdout, buffered):
     import steincalc
 
     env = {**os.environ, "PYTHONPATH": str(Path(steincalc.__file__).parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "steincalc.cli", *argv], stdout=stdout,
                           stderr=subprocess.PIPE, text=True, env=env, timeout=120)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a full device")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", LONG_AND_SHORT_REPORTS, ids=lambda argv: argv[0])
-def test_full_device_exit_code(argv):
+def test_full_device_exit_code(argv, buffered):
     with open("/dev/full", "w") as full:
-        proc = _run_cli_process(argv, full)
+        proc = _run_cli_process(argv, full, buffered)
     assert proc.returncode == 3, proc.stderr
     assert json.loads(proc.stderr)["error"]["kind"] == "precondition"
 
 
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize("argv", LONG_AND_SHORT_REPORTS[:2], ids=lambda argv: argv[0])
-def test_closed_pipe_exit_code(argv):
+def test_closed_pipe_exit_code(argv, buffered):
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = _run_cli_process(argv, write_end)
+        proc = _run_cli_process(argv, write_end, buffered)
     finally:
         os.close(write_end)
     assert proc.returncode == 3, proc.stderr
