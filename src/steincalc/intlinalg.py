@@ -2,15 +2,18 @@
 
 Smith normal form U A V = D with its unimodular U and V (each inverse a
 caller needs comes from U A = D V^-1 or A V = U^-1 D), integer kernel bases
-and finitely generated abelian quotients.  V is stored by columns, so a
-column operation is one list comprehension and a column swap exchanges two
-list references; the kernel of A is the tail of that column list.
-``symmetric_signature`` (exact congruence diagonalization) is the reference
-the tests check the planar signature -b2 against; the package itself never
-calls it.  Matrices are plain lists of lists of Python ints, so nothing
-overflows; every computation here is exact.  ``mat_mul`` skips zero entries
-in both factors: the planar form builds its Gram matrices with it, because
-b2 reaches the hundreds while each kernel column has only a few nonzeros.
+and finitely generated abelian quotients.  While it eliminates, the Smith
+form holds each column of V as a ``{row: value}`` dict, so a column
+operation costs the nonzeros of one column (kernel columns of a boundary
+map carry a handful of nonzeros among hundreds of rows) and a column swap
+exchanges two references; V is returned as dense columns, and the kernel
+of A is the tail of that column list.  ``symmetric_signature`` (exact
+congruence diagonalization) is the reference the tests check the planar
+signature -b2 against; the package itself never calls it.  Matrices are
+plain lists of lists of Python ints, so nothing overflows; every
+computation here is exact.  ``mat_mul`` skips zero entries in both
+factors; ``gram`` builds the symmetric Gram matrix of sparse vectors from
+one triangle.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 Matrix = List[List[int]]
 
@@ -44,6 +47,27 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
                 for j, x in bk:
                     oi[j] += aik * x
         out.append(oi)
+    return out
+
+
+def gram(vectors: Sequence[Sequence[int]]) -> Matrix:
+    """The symmetric Gram matrix (u . v) of the vectors.  Nonzeros are
+    grouped by coordinate, each group adds its products to the upper
+    triangle only, and the lower triangle is mirrored from it."""
+    size = len(vectors)
+    by_coord: Dict[int, List[Tuple[int, int]]] = {}
+    for j, vec in enumerate(vectors):
+        for k, x in enumerate(vec):
+            if x:
+                by_coord.setdefault(k, []).append((j, x))
+    out = zeros(size, size)
+    for group in by_coord.values():
+        for at, (j, x) in enumerate(group):
+            row = out[j]
+            for l, y in group[at:]:
+                row[l] += x * y
+    for l, column in enumerate(zip(*out)):
+        out[l][:l] = column[:l]
     return out
 
 
@@ -74,7 +98,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
     if cols is None:
         cols = len(a[0]) if a else 0
 
-    u, v = identity(rows), identity(cols)  # v[j] is column j of V
+    u = identity(rows)
+    v = [{j: 1} for j in range(cols)]  # v[j] is column j of V, sparse
 
     def row_swap(i: int, j: int) -> None:
         a[i], a[j] = a[j], a[i]
@@ -98,7 +123,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
         # col_i += q * col_j
         for row in a:
             row[i] += q * row[j]
-        v[i] = [x + q * y for x, y in zip(v[i], v[j])]
+        vi = v[i]
+        for k, y in v[j].items():
+            x = vi.get(k, 0) + q * y
+            if x:
+                vi[k] = x
+            else:  # q != 0, so only an entry of vi cancels
+                del vi[k]
 
     def smallest_pivot(t: int):
         """The first entry of least nonzero absolute value in row-major
@@ -156,7 +187,13 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
 
     diag = tuple(a[i][i] for i in range(limit))
     rank = sum(1 for d in diag if d != 0)
-    return SmithForm(diag=diag, rank=rank, row_ops=u, col_ops=v)
+    dense = []
+    for column in v:
+        col = [0] * cols
+        for k, x in column.items():
+            col[k] = x
+        dense.append(col)
+    return SmithForm(diag=diag, rank=rank, row_ops=u, col_ops=dense)
 
 
 def kernel_basis(matrix: Sequence[Sequence[int]], cols: int | None = None) -> List[List[int]]:

@@ -11,13 +11,17 @@ curve to its homology class, and on that kernel the -1 framings restrict
 to minus the standard dot product of coefficient vectors (hole-bilinear
 corrections vanish on the kernel, so this representative is well defined;
 it is pinned by the <-b> boundary-multitwist calibration and the lantern
-substitution check).  One Smith normal form of the boundary map B yields
-the kernel (the columns of V past the rank) and its orthogonal complement,
-the saturated row space; the two have isomorphic discriminant groups, so
-the form's invariant factors come from the smaller of the two Gram
-matrices, of size min(b2, r) with r <= b-1 the rank of B.  Off the planar
-page the signature is ledger-relative only: an asserted baseline plus the
-signature deltas of the substitutions applied since.
+substitution check).  One Smith normal form U B V = D of the boundary map
+B yields the kernel (the columns of V past the rank) and its orthogonal
+complement, the saturated row space C (rows of V^-1); the two have
+isomorphic discriminant groups, so the form's invariant factors above 1
+are those of C C^T.  When every nonzero d_i is 1, B B^T is U^-1 (C C^T + 0)
+U^-T, so they are the torsion of H_1 of the boundary below, whose Smith
+form ``filling_invariants`` then shares; otherwise they come from the SNF
+of the smaller of the two Gram matrices, of size min(b2, r) with r <= b-1
+the rank of B.  Off the planar page the signature is ledger-relative only:
+an asserted baseline plus the signature deltas of the substitutions
+applied since.
 
 First homology of the boundary 3-manifold is presented on the surface
 basis by one variation map: phi - id on the handle classes (it fixes the
@@ -32,6 +36,7 @@ form; torsion is the payload, so nothing is done rationally.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -39,7 +44,7 @@ from .errors import (
     IncomparableSigmaError,
     UnsupportedInputError,
 )
-from .intlinalg import AbelianQuotient, Matrix, mat_mul, smith_normal_form, zeros
+from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_normal_form, zeros
 from .surfaces import (
     Arc,
     Surface,
@@ -83,6 +88,12 @@ def planar_intersection_form(word: Word) -> PlanarForm:
     fragment); outer-parallel curves enter through their stored negated
     class, so columns always match homology classes.
     """
+    return _planar_form_and_h1(word)[0]
+
+
+def _planar_form_and_h1(word: Word) -> Tuple[PlanarForm, Optional[AbelianQuotient]]:
+    """The planar form, and H_1 of the boundary for the standard arcs when
+    the form's torsion was read off it (None otherwise)."""
     if not has_exact_form(word):
         raise UnsupportedInputError(
             "exact intersection forms need a positive word on a planar page whose curves all have hole sets"
@@ -92,30 +103,36 @@ def planar_intersection_form(word: Word) -> PlanarForm:
     boundary_map = [[t.curve.homology.coords[i] for t in word.twists] for i in range(rows)]
     snf = smith_normal_form(boundary_map, rows=rows, cols=n)
     r = snf.rank
-    kernel = snf.col_ops[r:]
-    q = mat_mul([[-x for x in col] for col in kernel], list(zip(*kernel)))
+    kernel_gram = gram(snf.col_ops[r:])  # K^T K
     b2 = n - r
-    # The first r rows of V^-1 span the saturated row space of the boundary
-    # map, the orthogonal complement of the kernel in the unimodular lattice
-    # Z^n.  Both are primitive, so their discriminant groups agree (Nikulin)
-    # and the r x r Gram matrix of the complement has q's factors above 1:
-    # take the SNF of the smaller.  Row i < r of V^-1 is row i of U B / d_i.
-    if b2 < r:
-        smaller = q
+    # The first r rows C of V^-1 span the saturated row space of the
+    # boundary map, the orthogonal complement of the kernel in the
+    # unimodular lattice Z^n.  Both are primitive, so their discriminant
+    # groups agree (Nikulin): C C^T has q's invariant factors above 1.
+    if all(d <= 1 for d in snf.diag):
+        # B = U^-1 D V^-1 with D's nonzero entries 1, so B B^T is
+        # U^-1 (C C^T + 0) U^-T and its cokernel, H_1 of the boundary (the
+        # word is positive, so B S B^T = B B^T), has the torsion of C C^T.
+        h1 = h1_boundary(word)
+        torsion = h1.invariant_factors
     else:
-        scaled = mat_mul(snf.row_ops[:r], boundary_map)
-        complement = [[x // d for x in row] for row, d in zip(scaled, snf.diag)]
-        smaller = mat_mul(complement, list(zip(*complement)))
-    size = len(smaller)
-    torsion = tuple(d for d in smith_normal_form(smaller, rows=size, cols=size).diag if d > 1)
+        # Some d_i > 1 scales the row space; take the SNF of the smaller
+        # Gram matrix.  Row i < r of V^-1 is row i of U B / d_i.
+        h1 = None
+        if b2 < r:
+            smaller = kernel_gram
+        else:
+            scaled = mat_mul(snf.row_ops[:r], boundary_map)
+            smaller = gram([[x // d for x in row] for row, d in zip(scaled, snf.diag)])
+        torsion = tuple(d for d in smith_normal_form(smaller, rows=len(smaller), cols=len(smaller)).diag if d > 1)
     # The kernel basis has full column rank, so q = -K^T K is negative
     # definite and its signature is -b2.
     return PlanarForm(
-        matrix=tuple(tuple(row) for row in q),
+        matrix=tuple(tuple(map(neg, row)) for row in kernel_gram),
         b2=b2,
         sigma=-b2,
         invariant_factors=(1,) * (b2 - len(torsion)) + torsion,
-    )
+    ), h1
 
 
 @dataclass(frozen=True)
@@ -374,17 +391,21 @@ def filling_invariants(
     page allows it, ledger-relative signature otherwise, homology of the
     boundary always, Chern data when rotations and meridians are known."""
     euler = euler_characteristic(word)
-    b2 = q_matrix = q_factors = None
+    b2 = q_matrix = q_factors = h1 = None
     if has_exact_form(word):
-        form = planar_intersection_form(word)
+        form, h1 = _planar_form_and_h1(word)
         sigma_value = SigmaValue(mode="exact", value=form.sigma)
         b2, q_matrix, q_factors = form.b2, form.matrix, form.invariant_factors
+        # the form's H_1 holds the arcs to boundaries 2..b in that order
+        if arcs is not None and [a.index for a in arcs] != list(range(2, word.surface.boundary_count + 1)):
+            h1 = None
     else:
         try:
             sigma_value = sigma(word, ledger)
         except BaselineUnavailableError:
             sigma_value = SigmaValue(mode="unknown", value=None)
-    h1 = h1_boundary(word, arcs=arcs)
+    if h1 is None:
+        h1 = h1_boundary(word, arcs=arcs)
     c1: Optional[ChernData]
     try:
         c1 = chern_pd(word, h1=h1, rotations=rotations, mu_map=mu_map)

@@ -68,6 +68,14 @@ class TestEuler:
         assert euler_characteristic(w) == 1
 
 
+def _triangle_word():
+    """a b c a b c on the 4-holed sphere with hole sets {2,3}, {3,4}, {2,4}:
+    its boundary map has Smith diagonal (1, 1, 2)."""
+    s = Surface(0, 4)
+    a, b, c = (convex_curve(s, name, holes) for name, holes in (("a", {2, 3}), ("b", {3, 4}), ("c", {2, 4})))
+    return word_of(s, [a, b, c] * 2)
+
+
 class TestPlanarForm:
     @pytest.mark.parametrize("b", range(2, 11))
     def test_boundary_multitwist_form(self, b):
@@ -144,6 +152,11 @@ class TestPlanarForm:
         assert form.invariant_factors == (1, 1, 2, 4)
 
     def test_no_snf_of_the_form_itself(self, monkeypatch):
+        # filling_invariants runs the boundary SNF and the (b-1) x (b-1) SNF
+        # of H_1, which also gives q's torsion when the nonzero diagonal of
+        # B is all 1; only otherwise one more SNF, of the smaller Gram
+        # matrix.  Besides the boundary SNF none is larger than (b-1) x (b-1)
+        # and none is b2 x b2 for b2 > b-1.
         shapes = []
         real = smith_normal_form
 
@@ -153,28 +166,21 @@ class TestPlanarForm:
 
         monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
         monkeypatch.setattr(invariants, "smith_normal_form", recording)
-        products = []
-
-        def counting(a, b):
-            products.append((len(a), len(b)))
-            return intlinalg.mat_mul(a, b)
-
-        monkeypatch.setattr(invariants, "mat_mul", counting)
         s = Surface(0, 6)
         curves = [convex_curve(s, f"c{i}", holes) for i, holes in enumerate([{2}, {2, 3}, {3, 4, 5}, {6}])]
         # a form larger than the boundary rank, and the boundary multitwist
-        # (b2 = 1 below r = 5), whose own 1 x 1 form is the smaller lattice
+        # (b2 = 1 below r = 5)
         for word, large in ((word_of(s, curves * 3), True), (boundary_multitwist(0, 6), False)):
             shapes.clear()
-            products.clear()
-            form = planar_intersection_form(word)
-            r = len(word) - form.b2
-            assert (form.b2 > r) == large
-            # q alone, or q, U_r B and the complement's C C^T
-            assert len(products) == (1 if form.b2 < r else 3)
-            assert len(shapes) == 2
-            assert shapes[0][0] <= s.rank
-            assert shapes[1] == (min(form.b2, r),) * 2
+            inv = filling_invariants(word)
+            assert (inv.b2 > s.rank) == large
+            assert shapes == [(s.rank, len(word)), (s.rank, s.rank)]
+        # the triangle word: B has diagonal (1, 1, 2), so the form's torsion
+        # needs its own SNF, of the 3 x 3 complement Gram matrix
+        shapes.clear()
+        inv = filling_invariants(_triangle_word())
+        assert inv.b2 == 3
+        assert shapes == [(3, 6), (3, 3), (3, 3)]
 
     def test_missing_hole_set_rejected(self):
         s = Surface(0, 3)
@@ -240,6 +246,72 @@ class TestPinnedPlanarInvariants:
                 answers.append((inv.h1.reduce(v), inv.h1.order(v)))
             h.update(repr(answers).encode())
         assert h.hexdigest() == self.DIGEST
+
+
+def _uncovered_planar_case(rng):
+    """A positive planar word (b 1..10, n 0..24) over a pool holding the
+    outer-parallel curve and curves that avoid some holes, so the boundary
+    map can have rank below b - 1."""
+    b = rng.randint(1, 10)
+    s = Surface(0, b)
+    holes = range(2, b + 1)
+    covered = [h for h in holes if rng.random() < 0.7]
+    pool = [convex_curve(s, "outer", holes, outer=True)]
+    for i in range(rng.randint(1, 6)):
+        pool.append(convex_curve(s, f"c{i}", {h for h in covered if rng.random() < 0.5}))
+    return word_of(s, [rng.choice(pool) for _ in range(rng.randint(0, 24))])
+
+
+class TestTorsionFromH1:
+    # with B = U^-1 D V^-1 and D's nonzero entries 1, B B^T = U^-1 (C C^T + 0) U^-T,
+    # so q's invariant factors above 1 are those of H_1 of the boundary
+
+    def test_factors_match_full_snf_and_h1(self):
+        rng = random.Random(8191)
+        unit = scaled = rank_deficient = 0
+        for _ in range(2000):
+            w = _uncovered_planar_case(rng)
+            inv = filling_invariants(w)
+            full = smith_normal_form(inv.q_matrix, rows=inv.b2, cols=inv.b2)
+            assert inv.q_invariant_factors == tuple(d for d in full.diag if d != 0)
+            rows = w.surface.rank
+            boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(rows)]
+            snf = smith_normal_form(boundary_map, rows=rows, cols=len(w))
+            rank_deficient += snf.rank < rows
+            if all(d <= 1 for d in snf.diag):
+                unit += 1
+                above = tuple(d for d in inv.q_invariant_factors if d > 1)
+                assert above == h1_boundary(w).invariant_factors
+            else:
+                scaled += 1
+        assert unit > 1000 and scaled > 10 and rank_deficient > 200
+
+    def test_triangle_word_keeps_its_own_torsion(self):
+        # B has diagonal (1, 1, 2): q is 2 I_3, while H_1 is Z/2 + Z/2 + Z/8
+        w = _triangle_word()
+        inv = filling_invariants(w)
+        assert inv.q_matrix == ((-2, 0, 0), (0, -2, 0), (0, 0, -2))
+        assert inv.q_invariant_factors == (2, 2, 2)
+        assert inv.h1.report() == [[2, 2, 8], 0]
+        assert planar_intersection_form(w).invariant_factors == (2, 2, 2)
+
+    def test_h1_equals_h1_boundary(self):
+        from steincalc.surfaces import Arc
+
+        rng = random.Random(131)
+        for _ in range(300):
+            w = _uncovered_planar_case(rng)
+            s = w.surface
+            declared = [Arc(s, j, standard_arc(s, j).rel_class) for j in range(2, s.boundary_count + 1) if rng.random() < 0.5]
+            for arcs in (None, arc_family(s), arc_family(s, declared)):
+                inv = filling_invariants(w, arcs=arcs)
+                expected = h1_boundary(w, arcs=arc_family(s))
+                assert (inv.h1.n, inv.h1.diag, inv.h1.row_ops, inv.h1.relations) == (
+                    expected.n, expected.diag, expected.row_ops, expected.relations
+                )
+            # arcs out of the standard order give the quotient of that order
+            arcs = list(reversed(arc_family(s)))
+            assert filling_invariants(w, arcs=arcs).h1 == h1_boundary(w, arcs=arcs)
 
 
 class TestSigma:
