@@ -49,7 +49,6 @@ from .errors import (
 from .invariants import (
     FillingInvariants,
     SigmaLedger,
-    arc_family,
     esig_check,
     filling_invariants,
     has_exact_form,
@@ -194,7 +193,7 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
             ledger=_ledger_for(doc, word_name),
             rotations=doc.rotations.get(word_name),
             mu_map=doc.mu_maps.get(word_name),
-            arcs=arc_family(word.surface, doc.arcs),
+            arcs=doc.arcs,
         )
         return {"word": word_name, **_invariants_payload(inv)}
 

@@ -16,19 +16,21 @@ B yields the kernel (the columns of V past the rank) and its orthogonal
 complement, the saturated row space C (rows of V^-1); the two have
 isomorphic discriminant groups, so the form's invariant factors above 1
 are those of C C^T.  When every nonzero d_i is 1, B B^T is U^-1 (C C^T + 0)
-U^-T, so they are the torsion of H_1 of the boundary below, whose Smith
-form ``filling_invariants`` then shares; otherwise they come from the SNF
-of the smaller of the two Gram matrices, of size min(b2, r) with r <= b-1
-the rank of B.  Off the planar page the signature is ledger-relative only:
-an asserted baseline plus the signature deltas of the substitutions
-applied since.
+U^-T, so they are the torsion of H_1 of the boundary below, which
+``filling_invariants`` builds once per word and hands to the form;
+otherwise they come from the SNF of the smaller of the two Gram matrices,
+of size min(b2, r) with r <= b-1 the rank of B.  Off the planar page the
+signature is ledger-relative only: an asserted baseline plus the signature
+deltas of the substitutions applied since.
 
 First homology of the boundary 3-manifold is presented on the surface
 basis by one variation map: phi - id on the handle classes (it fixes the
 boundary classes) and one relation per auxiliary arc joining boundary 1 to
-boundary j.  On a planar page the relative class of an arc never moves, so
-the arc relations are the columns of B S B^T, with S the diagonal of twist
-signs, built in one pass over the twists; ``variation`` is the general
+boundary j, the standard arc unless an arc to j is declared.  The arcs
+change the presentation, never the group.  On a planar page every arc to
+j has relative class S_j and it never moves, so the arc relations are the
+columns of B S B^T, with S the diagonal of twist signs, built in one pass
+over the twists whatever arcs are declared; ``variation`` is the general
 rule for pages of positive genus.  Invariant factors come from Smith normal
 form; torsion is the payload, so nothing is done rationally.
 """
@@ -39,19 +41,9 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import (
-    BaselineUnavailableError,
-    IncomparableSigmaError,
-    UnsupportedInputError,
-)
+from .errors import BaselineUnavailableError, IncomparableSigmaError, RankMismatchError, UnsupportedInputError
 from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_normal_form, zeros
-from .surfaces import (
-    Arc,
-    Surface,
-    arc_pairing,
-    relative_embedding,
-    standard_arc,
-)
+from .surfaces import Arc, Surface, arc_pairing, standard_arc
 from .words import SubstitutionRecord, Word
 
 
@@ -88,12 +80,12 @@ def planar_intersection_form(word: Word) -> PlanarForm:
     fragment); outer-parallel curves enter through their stored negated
     class, so columns always match homology classes.
     """
-    return _planar_form_and_h1(word)[0]
+    return _planar_form(word, None)
 
 
-def _planar_form_and_h1(word: Word) -> Tuple[PlanarForm, Optional[AbelianQuotient]]:
-    """The planar form, and H_1 of the boundary for the standard arcs when
-    the form's torsion was read off it (None otherwise)."""
+def _planar_form(word: Word, h1: Optional[AbelianQuotient]) -> PlanarForm:
+    """The planar form, reading its torsion off ``h1`` (H_1 of the
+    boundary, built here when None) when the boundary map allows it."""
     if not has_exact_form(word):
         raise UnsupportedInputError(
             "exact intersection forms need a positive word on a planar page whose curves all have hole sets"
@@ -113,12 +105,10 @@ def _planar_form_and_h1(word: Word) -> Tuple[PlanarForm, Optional[AbelianQuotien
         # B = U^-1 D V^-1 with D's nonzero entries 1, so B B^T is
         # U^-1 (C C^T + 0) U^-T and its cokernel, H_1 of the boundary (the
         # word is positive, so B S B^T = B B^T), has the torsion of C C^T.
-        h1 = h1_boundary(word)
-        torsion = h1.invariant_factors
+        torsion = (h1 if h1 is not None else h1_boundary(word)).invariant_factors
     else:
         # Some d_i > 1 scales the row space; take the SNF of the smaller
         # Gram matrix.  Row i < r of V^-1 is row i of U B / d_i.
-        h1 = None
         if b2 < r:
             smaller = kernel_gram
         else:
@@ -132,7 +122,7 @@ def _planar_form_and_h1(word: Word) -> Tuple[PlanarForm, Optional[AbelianQuotien
         b2=b2,
         sigma=-b2,
         invariant_factors=(1,) * (b2 - len(torsion)) + torsion,
-    ), h1
+    )
 
 
 @dataclass(frozen=True)
@@ -201,19 +191,19 @@ def variation(word: Word, rel: Sequence[int]) -> Tuple[int, ...]:
     multitwist gives d_j + (d_2 + ... + d_b): d_j = d_k, b d_j = 0 in H_1.
     ``h1_boundary`` calls it on pages of positive genus only.
     """
-    surface = word.surface
+    handles = 2 * word.surface.genus
     rel = list(rel)
-    acc = [0] * surface.rank
+    acc = [0] * word.surface.rank
     for t in reversed(word.twists):
         c = t.curve.homology
         count = arc_pairing(rel, c) * t.sign
         if count == 0:
             continue
-        for i in range(surface.rank):
-            acc[i] += count * c.coords[i]
-        embedded = relative_embedding(c)
-        for i in range(surface.rank):
-            rel[i] += count * embedded[i]
+        for i, x in enumerate(c.coords):
+            if x:
+                acc[i] += count * x
+                if i < handles:
+                    rel[i] += count * x
     return tuple(acc)
 
 
@@ -235,8 +225,15 @@ def _planar_arc_relations(word: Word) -> Matrix:
 
 def arc_family(surface: Surface, overrides: Sequence[Arc] = ()) -> list:
     """One arc per boundary component beyond the first: declared overrides
-    where given, standard arcs elsewhere."""
-    by_index = {a.index: a for a in overrides}
+    where given, standard arcs elsewhere.  An override on another surface
+    raises ``RankMismatchError``, and two to one boundary ``ValueError``."""
+    by_index: Dict[int, Arc] = {}
+    for a in overrides:
+        if a.surface != surface:
+            raise RankMismatchError(f"an arc to boundary {a.index} lives on a different surface")
+        if a.index in by_index:
+            raise ValueError(f"two arcs are declared to boundary {a.index}")
+        by_index[a.index] = a
     return [by_index.get(j, standard_arc(surface, j)) for j in range(2, surface.boundary_count + 1)]
 
 
@@ -245,23 +242,22 @@ def h1_boundary(word: Word, arcs: Optional[Sequence[Arc]] = None) -> AbelianQuot
 
     Quotient of the surface homology by the variation of the handle classes
     (the d_j pair trivially with every class, so the monodromy fixes them)
-    and of one arc per boundary component beyond the first.
+    and of one arc per boundary component beyond the first: ``arcs`` are
+    declared overrides of the standard arcs, merged by ``arc_family``.  They
+    may change how the group is presented, never which group it is; on a
+    planar page they cannot change even that, and are only checked.
     """
     surface = word.surface
-    if arcs is None:
-        arcs = arc_family(surface)
     if surface.genus == 0:
         # a planar arc to boundary j has relative class S_j (``Arc`` checks
-        # it), so its relation is column j of the symmetric B S B^T
-        m = _planar_arc_relations(word)
-        return AbelianQuotient.from_relations(surface.rank, [m[arc.index - 2] for arc in arcs])
-    relations: List[Sequence[int]] = []
-    for i in range(2 * surface.genus):
-        moved = variation(word, surface.basis_class(i).coords)
-        if any(moved):
-            relations.append(moved)
-    for arc in arcs:
-        relations.append(variation(word, arc.rel_class))
+        # it), so its relation is column j of the symmetric B S B^T; declared
+        # arcs are built only to reject malformed ones
+        if arcs:
+            arc_family(surface, arcs)
+        return AbelianQuotient.from_relations(surface.rank, _planar_arc_relations(word))
+    handles = (variation(word, surface.basis_class(i).coords) for i in range(2 * surface.genus))
+    relations = [moved for moved in handles if any(moved)]
+    relations += [variation(word, arc.rel_class) for arc in arc_family(surface, arcs or ())]
     return AbelianQuotient.from_relations(surface.rank, relations)
 
 
@@ -389,23 +385,21 @@ def filling_invariants(
 ) -> FillingInvariants:
     """Compute everything available for the word: exact planar data when the
     page allows it, ledger-relative signature otherwise, homology of the
-    boundary always, Chern data when rotations and meridians are known."""
+    boundary always (one ``h1_boundary`` with ``arcs`` as declared
+    overrides, which the planar form reuses), Chern data when rotations and
+    meridians are known."""
     euler = euler_characteristic(word)
-    b2 = q_matrix = q_factors = h1 = None
+    h1 = h1_boundary(word, arcs)
+    b2 = q_matrix = q_factors = None
     if has_exact_form(word):
-        form, h1 = _planar_form_and_h1(word)
+        form = _planar_form(word, h1)
         sigma_value = SigmaValue(mode="exact", value=form.sigma)
         b2, q_matrix, q_factors = form.b2, form.matrix, form.invariant_factors
-        # the form's H_1 holds the arcs to boundaries 2..b in that order
-        if arcs is not None and [a.index for a in arcs] != list(range(2, word.surface.boundary_count + 1)):
-            h1 = None
     else:
         try:
             sigma_value = sigma(word, ledger)
         except BaselineUnavailableError:
             sigma_value = SigmaValue(mode="unknown", value=None)
-    if h1 is None:
-        h1 = h1_boundary(word, arcs=arcs)
     c1: Optional[ChernData]
     try:
         c1 = chern_pd(word, h1=h1, rotations=rotations, mu_map=mu_map)

@@ -433,9 +433,10 @@ def _contains(w: Word, target: Word, rel: _Dependence) -> Optional[ContainmentWi
     """``contains`` on a relation already built for w, so callers that
     search one word for several targets build it once."""
     for positions in _embeddings(w, target, rel):
+        # no cycle: ``_embeddings`` forces no later target letter before an earlier one
         lin = _linearize(rel, positions, contiguous=False)
         if lin is None:
-            continue
+            raise ConsistencyAlarmError("an embedding of the target could not be put in target order")
         order, swaps = lin
         rank = {i: r for r, i in enumerate(order)}
         return ContainmentWitness(
@@ -557,6 +558,8 @@ def substitute(
         for k, p in enumerate(positions):
             if not 0 <= p < len(w):
                 raise NotApplicableError(f"position {p} lies outside a word of length {len(w)}")
+            if p in positions[:k]:
+                raise NotApplicableError(f"position {p} is given twice")
             t = relator.left.twists[k]
             if w.twists[p].curve != t.curve or w.twists[p].sign != t.sign:
                 raise NotApplicableError(f"position {p} does not carry the twist {t.curve.name}")

@@ -8,7 +8,12 @@ import pytest
 
 from steincalc import intlinalg, invariants
 from steincalc.document import tau_boundary_document
-from steincalc.errors import BaselineUnavailableError, IncomparableSigmaError, UnsupportedInputError
+from steincalc.errors import (
+    BaselineUnavailableError,
+    IncomparableSigmaError,
+    RankMismatchError,
+    UnsupportedInputError,
+)
 from steincalc.intlinalg import AbelianQuotient, smith_normal_form, symmetric_signature
 from steincalc.invariants import (
     SigmaLedger,
@@ -23,7 +28,7 @@ from steincalc.invariants import (
     sigma,
     variation,
 )
-from steincalc.surfaces import Curve, HomologyClass, Surface, convex_curve, standard_arc
+from steincalc.surfaces import Arc, Curve, HomologyClass, Surface, convex_curve, standard_arc
 from steincalc.words import SubstitutionRecord, Twist, Word, word_of
 
 
@@ -152,11 +157,13 @@ class TestPlanarForm:
         assert form.invariant_factors == (1, 1, 2, 4)
 
     def test_no_snf_of_the_form_itself(self, monkeypatch):
-        # filling_invariants runs the boundary SNF and the (b-1) x (b-1) SNF
-        # of H_1, which also gives q's torsion when the nonzero diagonal of
-        # B is all 1; only otherwise one more SNF, of the smaller Gram
-        # matrix.  Besides the boundary SNF none is larger than (b-1) x (b-1)
-        # and none is b2 x b2 for b2 > b-1.
+        # filling_invariants runs the (b-1) x (b-1) SNF of H_1 and the
+        # boundary SNF, and H_1 also gives q's torsion when the nonzero
+        # diagonal of B is all 1; only otherwise one more SNF, of the smaller
+        # Gram matrix.  Besides the boundary SNF none is larger than
+        # (b-1) x (b-1) and none is b2 x b2 for b2 > b-1.  The shapes are
+        # compared as multisets, since the order of the calls is no part of
+        # the claim.
         shapes = []
         real = smith_normal_form
 
@@ -174,13 +181,13 @@ class TestPlanarForm:
             shapes.clear()
             inv = filling_invariants(word)
             assert (inv.b2 > s.rank) == large
-            assert shapes == [(s.rank, len(word)), (s.rank, s.rank)]
+            assert sorted(shapes) == sorted([(s.rank, len(word)), (s.rank, s.rank)])
         # the triangle word: B has diagonal (1, 1, 2), so the form's torsion
         # needs its own SNF, of the 3 x 3 complement Gram matrix
         shapes.clear()
         inv = filling_invariants(_triangle_word())
         assert inv.b2 == 3
-        assert shapes == [(3, 6), (3, 3), (3, 3)]
+        assert sorted(shapes) == sorted([(3, 6), (3, 3), (3, 3)])
 
     def test_missing_hole_set_rejected(self):
         s = Surface(0, 3)
@@ -309,9 +316,36 @@ class TestTorsionFromH1:
                 assert (inv.h1.n, inv.h1.diag, inv.h1.row_ops, inv.h1.relations) == (
                     expected.n, expected.diag, expected.row_ops, expected.relations
                 )
-            # arcs out of the standard order give the quotient of that order
+            # arcs out of the standard order are overrides too: on a planar
+            # page they give the quotient of the standard arcs
             arcs = list(reversed(arc_family(s)))
-            assert filling_invariants(w, arcs=arcs).h1 == h1_boundary(w, arcs=arcs)
+            assert filling_invariants(w, arcs=arcs).h1 == h1_boundary(w, arcs=arcs) == h1_boundary(w)
+
+    def test_one_h1_per_call(self, monkeypatch):
+        # the planar form reads its torsion off the H_1 that filling_invariants
+        # built, whatever arcs are declared and on every page
+        calls = []
+        real = invariants.h1_boundary
+
+        def counting(word, arcs=None):
+            calls.append(word)
+            return real(word, arcs)
+
+        monkeypatch.setattr(invariants, "h1_boundary", counting)
+        s = Surface(0, 3)
+        d2, d3 = convex_curve(s, "d2", {2}), convex_curve(s, "d3", {3})
+        cases = [
+            boundary_multitwist(0, 6),
+            _triangle_word(),
+            word_of(s, [d2, d2, d3], signs=[1, -1, 1]),
+            boundary_multitwist(1, 3),
+            boundary_multitwist(2, 2),
+        ]
+        for w in cases:
+            for arcs in (None, [], list(reversed(arc_family(w.surface)))):
+                calls.clear()
+                filling_invariants(w, arcs=arcs)
+                assert calls == [w]
 
 
 class TestSigma:
@@ -422,6 +456,51 @@ class TestH1Boundary:
         # overriding with the standard vector changes nothing
         same = h1_boundary(boundary_multitwist(1, 3), arcs=arc_family(s, [standard_arc(s, 2)]))
         assert same.report() == [[3], 2]
+
+    def test_arcs_are_overrides_of_the_standard_family(self):
+        # H_1 = Z/4 on the 4-holed sphere and Z/3 + Z^2 on the 3-holed torus,
+        # whatever arcs are declared: an empty, partial or reordered list is
+        # merged into the standard arcs 2..b
+        for g, b, override in ((0, 4, None), (1, 3, (1, -1, 0, 1))):
+            w = boundary_multitwist(g, b)
+            s = w.surface
+            choices = [[], [standard_arc(s, 3)], list(reversed(arc_family(s)))]
+            if override is not None:
+                choices.append([Arc(s, 3, override)])
+            for arcs in choices:
+                assert h1_boundary(w, arcs=arcs).report() == [[b], 2 * g]
+                assert filling_invariants(w, arcs=arcs).h1.report() == [[b], 2 * g]
+
+    def test_declared_arcs_change_no_group(self):
+        # variation is linear in the relative class, and an arc's handle part
+        # moves by a combination of the handle relations, so any declared
+        # arcs present the group of the standard ones
+        rng = random.Random(29)
+        for _ in range(60):
+            s = Surface(rng.randint(1, 2), rng.randint(2, 4))
+            pool = [Curve(f"c{i}", HomologyClass(s, tuple(rng.randint(-2, 2) for _ in range(s.rank))))
+                    for i in range(4)]
+            w = word_of(s, [rng.choice(pool) for _ in range(rng.randint(0, 8))])
+            declared = []
+            for j in range(2, s.boundary_count + 1):
+                if rng.random() < 0.6:
+                    handle = [rng.randint(-3, 3) for _ in range(2 * s.genus)]
+                    declared.append(Arc(s, j, tuple(handle) + standard_arc(s, j).rel_class[2 * s.genus:]))
+            rng.shuffle(declared)
+            assert h1_boundary(w, arcs=declared).report() == h1_boundary(w).report()
+
+    def test_malformed_overrides_are_rejected(self):
+        for g in (0, 1):
+            w = boundary_multitwist(g, 3)
+            s = w.surface
+            twice = [standard_arc(s, 2), standard_arc(s, 2)]
+            elsewhere = [standard_arc(Surface(g, 4), 2)]
+            for call in (lambda arcs: arc_family(s, arcs), lambda arcs: h1_boundary(w, arcs=arcs),
+                         lambda arcs: filling_invariants(w, arcs=arcs)):
+                with pytest.raises(ValueError, match="two arcs are declared to boundary 2"):
+                    call(twice)
+                with pytest.raises(RankMismatchError):
+                    call(elsewhere)
 
     def test_planar_relations_are_the_variation(self, monkeypatch):
         # on a planar page the arc relations come from B S B^T and must be

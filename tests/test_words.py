@@ -11,7 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steincalc import planarity, surfaces, words
-from steincalc.errors import CommutationUndecidedError, NotApplicableError, RankMismatchError
+from steincalc.errors import (
+    CommutationUndecidedError,
+    ConsistencyAlarmError,
+    NotApplicableError,
+    RankMismatchError,
+)
 from steincalc.relators import RelatorEntry, standard_lantern
 from steincalc.surfaces import Curve, HomologyClass, Surface, convex_curve, curves_commute, declared_pair
 from steincalc.words import (
@@ -178,6 +183,23 @@ class TestContains:
             assert contains(w, word_of(s, [y] + [x] * (2 * k))) is None
         assert time.perf_counter() - start < 1.0
 
+    def test_failed_linearization_is_an_alarm(self, planar4, monkeypatch):
+        # every embedding the search yields can be put in target order, so a
+        # linearization that fails is a fault, not an "unknown"
+        s, c = planar4
+        monkeypatch.setattr(words, "_linearize", lambda rel, selected, contiguous: None)
+        with pytest.raises(ConsistencyAlarmError):
+            contains(word_of(s, [c["a12"], c["d2"]]), word_of(s, [c["d2"]]))
+
+    def test_every_embedding_linearizes(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            w = word_of(_SPHERE5, [rng.choice(_POOL) for _ in range(rng.randint(1, 9))])
+            target = word_of(_SPHERE5, [rng.choice(_POOL[:4]) for _ in range(rng.randint(1, 4))])
+            rel = _Dependence(w, ())
+            for positions in words._embeddings(w, target, rel):
+                assert _linearize(rel, positions, contiguous=False) is not None
+
     def test_node_budget_bounds_the_search(self):
         s = Surface(0, 6)
         x, z = convex_curve(s, "x", {2, 3}), convex_curve(s, "z", {3, 4})
@@ -279,6 +301,14 @@ class TestSubstitute:
             with pytest.raises(NotApplicableError):
                 substitute(w, entry.relator, entry.disjoint, positions=bad)
 
+    def test_repeated_position_is_named(self, planar4):
+        s, c = planar4
+        x = c["a12"]
+        w = word_of(s, [x, x])
+        twice = Relator("twice", w, w, euler_delta=0, sigma_delta=0)
+        with pytest.raises(NotApplicableError, match="position 0 is given twice"):
+            substitute(w, twice, positions=(0, 0))
+        assert substitute(w, twice, positions=(0, 1))[1].positions == (0, 1)
 
     def test_repeated_letter_record_is_pinned(self, planar4):
         s, c = planar4
