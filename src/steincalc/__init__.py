@@ -65,13 +65,12 @@ from .relators import (
 )
 from .invariants import (
     ChernData,
-    EsigReport,
     FillingInvariants,
     PlanarForm,
     SigmaLedger,
     SigmaValue,
+    check_comparable,
     chern_pd,
-    esig_check,
     euler_characteristic,
     filling_invariants,
     h1_boundary,

@@ -49,10 +49,10 @@ from .errors import (
 from .invariants import (
     FillingInvariants,
     SigmaLedger,
-    esig_check,
+    check_comparable,
+    euler_characteristic,
     filling_invariants,
-    has_exact_form,
-    planar_intersection_form,
+    sigma,
 )
 from .planarity import (
     ASSERTION_INCONSISTENT,
@@ -212,14 +212,13 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
             "positions": list(record.positions),
             "swaps": list(record.swaps),
         }
-        if has_exact_form(word) and has_exact_form(new_word):
-            before = planar_intersection_form(word)
-            after = planar_intersection_form(new_word)
-            payload["sigma_before"] = before.sigma
-            payload["sigma_after"] = after.sigma
-            if record.sigma_delta is not None and after.sigma - before.sigma != record.sigma_delta:
+        before, after = sigma(word), sigma(new_word)
+        if before.mode == after.mode == "exact":
+            payload["sigma_before"] = before.value
+            payload["sigma_after"] = after.value
+            if record.sigma_delta is not None and after.value - before.value != record.sigma_delta:
                 raise ConsistencyAlarmError(
-                    f"planar signature change {after.sigma - before.sigma} contradicts the "
+                    f"planar signature change {after.value - before.value} contradicts the "
                     f"relator's stored delta {record.sigma_delta}"
                 )
         return payload
@@ -257,17 +256,13 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
 
     if command == "esig-compare":
         if pair1 is None:
-            word1 = _pick_word(doc, word)
-            word2 = _pick_word(doc, word2, flag="--word2")
-            invs = []
-            for name in (word1, word2):
-                inv = filling_invariants(doc.words[name], ledger=_ledger_for(doc, name))
-                if inv.sigma.value is None:
+            names = (_pick_word(doc, word), _pick_word(doc, word2, flag="--word2"))
+            sigmas = [sigma(doc.words[name], _ledger_for(doc, name)) for name in names]
+            for name, value in zip(names, sigmas):
+                if value.value is None:
                     raise BaselineUnavailableError(f"word '{name}' has no resolvable signature")
-                invs.append(inv)
-            esig_check(invs[0], invs[1])  # raises when the two signatures are incomparable
-            pair1 = (invs[0].euler, invs[0].sigma.value)
-            pair2 = (invs[1].euler, invs[1].sigma.value)
+            check_comparable(*sigmas)
+            pair1, pair2 = ((euler_characteristic(doc.words[name]), s.value) for name, s in zip(names, sigmas))
         cert = esig_planarity_test(tuple(pair1), tuple(pair2))
         return {
             "pair1": list(pair1),

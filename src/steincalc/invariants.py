@@ -19,9 +19,13 @@ are those of C C^T.  When every nonzero d_i is 1, B B^T is U^-1 (C C^T + 0)
 U^-T, so they are the torsion of H_1 of the boundary below, which
 ``filling_invariants`` builds once per word and hands to the form;
 otherwise they come from the SNF of the smaller of the two Gram matrices,
-of size min(b2, r) with r <= b-1 the rank of B.  Off the planar page the
+of size min(b2, r) with r <= b-1 the rank of B.  The form is negative
+definite, so ``sigma`` reads the signature rank B - n off the Smith form
+of B alone, with no Gram matrix and no H_1.  Off the planar page the
 signature is ledger-relative only: an asserted baseline plus the signature
-deltas of the substitutions applied since.
+deltas of the substitutions applied since, and "unknown" without one.
+``check_comparable`` says whether two signatures can enter one e + sigma
+comparison; ``planarity.esig_planarity_test`` gives its verdict.
 
 First homology of the boundary 3-manifold is presented on the surface
 basis by one variation map: phi - id on the handle classes (it fixes the
@@ -41,7 +45,7 @@ from dataclasses import dataclass
 from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import BaselineUnavailableError, IncomparableSigmaError, RankMismatchError, UnsupportedInputError
+from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError
 from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_normal_form, zeros
 from .surfaces import Arc, Surface, arc_pairing, standard_arc
 from .words import SubstitutionRecord, Word
@@ -73,27 +77,26 @@ def has_exact_form(word: Word) -> bool:
     )
 
 
-def planar_intersection_form(word: Word) -> PlanarForm:
+def _boundary_map(word: Word) -> Matrix:
+    """The boundary map B: one column per twist, the homology class of its
+    curve (outer-parallel curves enter through their stored negated class)."""
+    return [[t.curve.homology.coords[i] for t in word.twists] for i in range(word.surface.rank)]
+
+
+def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -> PlanarForm:
     """Exact intersection form of the filling over a planar page.
 
     Requires every curve to carry a hole set (the decidable planar
-    fragment); outer-parallel curves enter through their stored negated
-    class, so columns always match homology classes.
+    fragment).  The torsion is read off ``h1``, H_1 of the boundary (built
+    here when None), when the boundary map allows it.
     """
-    return _planar_form(word, None)
-
-
-def _planar_form(word: Word, h1: Optional[AbelianQuotient]) -> PlanarForm:
-    """The planar form, reading its torsion off ``h1`` (H_1 of the
-    boundary, built here when None) when the boundary map allows it."""
     if not has_exact_form(word):
         raise UnsupportedInputError(
             "exact intersection forms need a positive word on a planar page whose curves all have hole sets"
         )
     n = len(word)
-    rows = word.surface.rank
-    boundary_map = [[t.curve.homology.coords[i] for t in word.twists] for i in range(rows)]
-    snf = smith_normal_form(boundary_map, rows=rows, cols=n)
+    boundary_map = _boundary_map(word)
+    snf = smith_normal_form(boundary_map, rows=word.surface.rank, cols=n)
     r = snf.rank
     kernel_gram = gram(snf.col_ops[r:])  # K^T K
     b2 = n - r
@@ -157,18 +160,20 @@ class SigmaValue:
 
 
 def sigma(word: Word, ledger: Optional[SigmaLedger] = None) -> SigmaValue:
-    """Signature of the filling: exact on fully planar input, otherwise the
+    """Signature of the filling: exact on the planar fragment, otherwise the
     baseline plus the accumulated substitution deltas.
 
-    Raises when a non-planar page has no asserted baseline; returns mode
-    "unknown" when some applied relator has no stored signature delta.
+    The exact value is rank B - n, read off the Smith form of the boundary
+    map B alone: the form is negative definite of rank b2 = n - rank B.
+    Never raises: mode is "unknown" when the page is off the planar
+    fragment and no baseline is asserted, or when some applied relator has
+    no stored signature delta.
     """
     if has_exact_form(word):
-        return SigmaValue(mode="exact", value=planar_intersection_form(word).sigma)
+        snf = smith_normal_form(_boundary_map(word), rows=word.surface.rank, cols=len(word))
+        return SigmaValue(mode="exact", value=snf.rank - len(word))
     if ledger is None:
-        raise BaselineUnavailableError(
-            "signature off the planar fragment is ledger-relative; assert a baseline first"
-        )
+        return SigmaValue(mode="unknown", value=None)
     offset = ledger.offset
     if offset is None:
         return SigmaValue(mode="unknown", value=None, baseline_name=ledger.baseline_name)
@@ -392,14 +397,11 @@ def filling_invariants(
     h1 = h1_boundary(word, arcs)
     b2 = q_matrix = q_factors = None
     if has_exact_form(word):
-        form = _planar_form(word, h1)
+        form = planar_intersection_form(word, h1)
         sigma_value = SigmaValue(mode="exact", value=form.sigma)
         b2, q_matrix, q_factors = form.b2, form.matrix, form.invariant_factors
     else:
-        try:
-            sigma_value = sigma(word, ledger)
-        except BaselineUnavailableError:
-            sigma_value = SigmaValue(mode="unknown", value=None)
+        sigma_value = sigma(word, ledger)
     c1: Optional[ChernData]
     try:
         c1 = chern_pd(word, h1=h1, rotations=rotations, mu_map=mu_map)
@@ -423,31 +425,11 @@ def filling_invariants(
     )
 
 
-@dataclass(frozen=True)
-class EsigReport:
-    """Comparison of e + sigma for two fillings."""
-
-    esig1: int
-    esig2: int
-    equal: bool
-    congruent_mod4: bool
-    alarm: bool
-    detail: str
-
-
-def esig_check(
-    inv1: FillingInvariants,
-    inv2: FillingInvariants,
-    same_monodromy_asserted: bool = False,
-) -> EsigReport:
-    """Compare e + sigma of two fillings.
-
-    Requires comparable signature modes (both exact, or both relative to
-    the same baseline).  When the caller asserts both words present the
-    same monodromy on the same planar page, exact disagreement is
-    impossible and is flagged as an internal alarm.
-    """
-    s1, s2 = inv1.sigma, inv2.sigma
+def check_comparable(s1: SigmaValue, s2: SigmaValue) -> None:
+    """Raise ``IncomparableSigmaError`` unless the two signatures can enter
+    one e + sigma comparison: both resolved, and both exact or both
+    relative to the same baseline.  ``planarity.esig_planarity_test`` gives
+    the verdict."""
     if s1.value is None or s2.value is None:
         raise IncomparableSigmaError("both fillings need a resolved signature")
     if s1.mode != s2.mode:
@@ -456,31 +438,3 @@ def esig_check(
         raise IncomparableSigmaError(
             f"relative signatures over different baselines: {s1.baseline_name} vs {s2.baseline_name}"
         )
-    esig1 = inv1.euler + s1.value
-    esig2 = inv2.euler + s2.value
-    equal = esig1 == esig2
-    congruent = (esig1 - esig2) % 4 == 0
-    alarm = (
-        not equal
-        and same_monodromy_asserted
-        and s1.mode == "exact"
-        and s2.mode == "exact"
-        and inv1.surface == inv2.surface
-        and inv1.surface.genus == 0
-    )
-    if alarm:
-        detail = "exact planar fillings over the same page disagree; internal consistency alarm"
-    elif equal:
-        detail = "e + sigma agree"
-    elif congruent:
-        detail = "e + sigma differ but agree mod 4"
-    else:
-        detail = "e + sigma differ mod 4"
-    return EsigReport(
-        esig1=esig1,
-        esig2=esig2,
-        equal=equal,
-        congruent_mod4=congruent,
-        alarm=alarm,
-        detail=detail,
-    )

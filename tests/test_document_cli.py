@@ -535,6 +535,36 @@ class TestMain:
         assert code == 4
         assert json.loads(out)["result"]["certificate"]["verdict"] == "assertion-inconsistent"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["--chain", "3", "--baseline", "boundary=-1", "--baseline", "chain_power=-7",
+                 "--word", "boundary", "--word2", "chain_power"],
+                "relative signatures over different baselines: boundary vs chain_power",
+            ),
+            (["--in", "-", "--word", "w", "--word2", "v"], "signature modes differ: exact vs relative"),
+            (["--r-ns", "--word", "short_side", "--word2", "long_side"],
+             "word 'short_side' has no resolvable signature"),
+        ],
+        ids=["baselines", "modes", "unresolved"],
+    )
+    def test_esig_incomparable_exit_code(self, argv, message, monkeypatch, capsys):
+        # w is positive on the planar page (exact sigma); v holds a -1 twist,
+        # so its sigma is relative to its asserted baseline
+        data = {
+            "surface": {"genus": 0, "boundary": 3},
+            "curves": [{"name": "d2", "holes": [2]}, {"name": "d3", "holes": [3]}],
+            "words": {
+                "w": [{"curve": "d2", "sign": 1}, {"curve": "d3", "sign": 1}],
+                "v": [{"curve": "d2", "sign": 1}, {"curve": "d3", "sign": -1}],
+            },
+            "baselines": {"v": -1},
+        }
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(data)))
+        assert main(["esig-compare"] + argv) == 3
+        assert json.loads(capsys.readouterr().out)["error"] == {"kind": "precondition", "message": message}
+
     def test_baseline_flag(self, capsys):
         code = main([
             "invariants", "--tau-boundary", "1", "2", "--word", "tau_del", "--baseline", "tau_del=-5",

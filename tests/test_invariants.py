@@ -1,15 +1,14 @@
 """Filling invariants: Euler characteristic, planar forms, signatures,
-boundary homology, Chern data, and the e + sigma comparator."""
+boundary homology, Chern data, and the e + sigma comparability guard."""
 
 import hashlib
 import random
 
 import pytest
 
-from steincalc import intlinalg, invariants
+from steincalc import cli, intlinalg, invariants
 from steincalc.document import tau_boundary_document
 from steincalc.errors import (
-    BaselineUnavailableError,
     IncomparableSigmaError,
     RankMismatchError,
     UnsupportedInputError,
@@ -17,8 +16,9 @@ from steincalc.errors import (
 from steincalc.intlinalg import AbelianQuotient, smith_normal_form, symmetric_signature
 from steincalc.invariants import (
     SigmaLedger,
+    SigmaValue,
     arc_family,
-    esig_check,
+    check_comparable,
     euler_characteristic,
     filling_invariants,
     h1_boundary,
@@ -28,6 +28,7 @@ from steincalc.invariants import (
     sigma,
     variation,
 )
+from steincalc.planarity import NO_OBSTRUCTION, NON_PLANAR_CONDITIONAL, esig_planarity_test
 from steincalc.surfaces import Arc, Curve, HomologyClass, Surface, convex_curve, standard_arc
 from steincalc.words import SubstitutionRecord, Twist, Word, word_of
 
@@ -115,6 +116,7 @@ class TestPlanarForm:
             w = word_of(s, [rng.choice(pool) for _ in range(rng.randint(0, 12))])
             form = planar_intersection_form(w)
             assert symmetric_signature(form.matrix) == form.sigma == -form.b2
+            assert sigma(w).value == form.sigma
 
     def test_invariant_factors_match_full_snf(self):
         rng = random.Random(11)
@@ -281,6 +283,7 @@ class TestTorsionFromH1:
             inv = filling_invariants(w)
             full = smith_normal_form(inv.q_matrix, rows=inv.b2, cols=inv.b2)
             assert inv.q_invariant_factors == tuple(d for d in full.diag if d != 0)
+            assert sigma(w).value == -inv.b2
             rows = w.surface.rank
             boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(rows)]
             snf = smith_normal_form(boundary_map, rows=rows, cols=len(w))
@@ -370,9 +373,35 @@ class TestSigma:
         ))
         assert sigma(w, ledger).mode == "unknown"
 
-    def test_no_baseline_raises(self):
-        with pytest.raises(BaselineUnavailableError):
-            sigma(boundary_multitwist(1, 2))
+    def test_no_baseline_gives_unknown(self):
+        assert sigma(boundary_multitwist(1, 2)) == SigmaValue(mode="unknown", value=None)
+        s = Surface(0, 3)
+        d2 = convex_curve(s, "d2", {2})
+        assert sigma(word_of(s, [d2, d2], signs=[1, -1])) == SigmaValue(mode="unknown", value=None)
+
+    def test_cli_signatures_read_the_boundary_snf_only(self, monkeypatch, capsys):
+        # substitute and esig-compare read sigma = rank B - n: one SNF of
+        # each word's boundary map, no Gram matrix, no H_1
+        shapes = []
+        real = smith_normal_form
+
+        def recording(matrix, rows=None, cols=None):
+            shapes.append((len(matrix), len(matrix[0]) if matrix else 0))
+            return real(matrix, rows=rows, cols=cols)
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+        monkeypatch.setattr(invariants, "smith_normal_form", recording)
+        for argv in (
+            ["substitute", "--lantern"],
+            ["esig-compare", "--lantern", "--word", "lantern_left", "--word2", "lantern_right"],
+        ):
+            shapes.clear()
+            assert cli.main(argv) == 0
+            assert sorted(shapes) == [(3, 3), (3, 4)]
+        shapes.clear()
+        assert cli.main(["esig-compare", "--tau-boundary", "0", "6", "--word2", "tau_del"]) == 0
+        assert shapes == [(5, 6), (5, 6)]
+        capsys.readouterr()
 
     def test_no_substitutions_returns_baseline(self):
         value = sigma(boundary_multitwist(1, 2), SigmaLedger("tau_del", -1))
@@ -572,56 +601,70 @@ class TestChern:
         assert c1.is_zero  # H1 = Z/2
 
 
+def _esig_pair(word, ledger=None):
+    return euler_characteristic(word), sigma(word, ledger).value
+
+
 class TestEsigCheck:
+    # e + sigma of two fillings: check_comparable guards the comparison and
+    # esig_planarity_test gives the verdict, as esig-compare runs them
+
     def test_lantern_pair_is_equal(self):
-        inv1 = filling_invariants(boundary_multitwist(0, 4))
         s = Surface(0, 4)
+        left = boundary_multitwist(0, 4)
         right = word_of(s, [
             convex_curve(s, "a12", {2, 3}),
             convex_curve(s, "a23", {3, 4}),
             convex_curve(s, "a13", {2, 4}),
         ])
-        inv2 = filling_invariants(right)
-        report = esig_check(inv1, inv2)
-        assert report.equal and report.esig1 == 1
+        check_comparable(sigma(left), sigma(right))
+        assert _esig_pair(left) == (2, -1) and _esig_pair(right) == (1, 0)
+        assert esig_planarity_test(_esig_pair(left), _esig_pair(right)).verdict == NO_OBSTRUCTION
 
     def test_ten_twist_baseline_pair_agrees(self):
         # (e, sigma) = (9, -8) against (1, 0): the pairs differ but the sums
         # agree (1 = 1), hence congruent mod 4 as well.
-        w1 = boundary_multitwist(1, 1)
-        inv1 = filling_invariants(w1, ledger=SigmaLedger("base", -8 + 9 - euler_characteristic(w1)))
-        inv2 = filling_invariants(w1, ledger=SigmaLedger("base", 1 - euler_characteristic(w1)))
-        report = esig_check(inv1, inv2)
-        assert report.esig1 == 1 and report.esig2 == 1
-        assert report.equal and report.congruent_mod4
+        w = boundary_multitwist(1, 1)
+        ledger1 = SigmaLedger("base", -8 + 9 - euler_characteristic(w))
+        ledger2 = SigmaLedger("base", 1 - euler_characteristic(w))
+        check_comparable(sigma(w, ledger1), sigma(w, ledger2))
+        pair1, pair2 = _esig_pair(w, ledger1), _esig_pair(w, ledger2)
+        assert sum(pair1) == sum(pair2) == 1
+        assert esig_planarity_test(pair1, pair2).verdict == NO_OBSTRUCTION
 
     def test_congruent_but_not_equal(self):
-        w1 = boundary_multitwist(1, 1)
-        inv1 = filling_invariants(w1, ledger=SigmaLedger("base", 1 - euler_characteristic(w1)))
-        inv2 = filling_invariants(w1, ledger=SigmaLedger("base", 5 - euler_characteristic(w1)))
-        report = esig_check(inv1, inv2)
-        assert report.esig1 == 1 and report.esig2 == 5
-        assert not report.equal and report.congruent_mod4
+        w = boundary_multitwist(1, 1)
+        ledger1 = SigmaLedger("base", 1 - euler_characteristic(w))
+        ledger2 = SigmaLedger("base", 5 - euler_characteristic(w))
+        check_comparable(sigma(w, ledger1), sigma(w, ledger2))
+        pair1, pair2 = _esig_pair(w, ledger1), _esig_pair(w, ledger2)
+        assert (sum(pair1), sum(pair2)) == (1, 5)
+        assert esig_planarity_test(pair1, pair2).verdict == NON_PLANAR_CONDITIONAL
 
     def test_identical_inputs(self):
-        inv = filling_invariants(boundary_multitwist(0, 5))
-        report = esig_check(inv, inv)
-        assert report.equal
+        w = boundary_multitwist(0, 5)
+        check_comparable(sigma(w), sigma(w))
+        assert esig_planarity_test(_esig_pair(w), _esig_pair(w)).verdict == NO_OBSTRUCTION
 
     def test_incomparable_modes(self):
-        inv1 = filling_invariants(boundary_multitwist(0, 4))
-        inv2 = filling_invariants(boundary_multitwist(1, 2), ledger=SigmaLedger("tau_del", -1))
-        with pytest.raises(IncomparableSigmaError):
-            esig_check(inv1, inv2)
+        exact = sigma(boundary_multitwist(0, 4))
+        relative = sigma(boundary_multitwist(1, 2), SigmaLedger("tau_del", -1))
+        with pytest.raises(IncomparableSigmaError, match="signature modes differ: exact vs relative"):
+            check_comparable(exact, relative)
+        with pytest.raises(IncomparableSigmaError, match="signature modes differ: relative vs exact"):
+            check_comparable(relative, exact)
 
-    def test_alarm_needs_assertion(self):
-        inv1 = filling_invariants(boundary_multitwist(0, 4))
-        s = Surface(0, 4)
-        other = filling_invariants(word_of(s, [convex_curve(s, "d2", {2})]))
-        relaxed = esig_check(inv1, other)
-        assert not relaxed.alarm
-        asserted = esig_check(inv1, other, same_monodromy_asserted=True)
-        assert asserted.alarm
+    def test_different_baselines(self):
+        w = boundary_multitwist(1, 2)
+        with pytest.raises(IncomparableSigmaError, match="relative signatures over different baselines: a vs b"):
+            check_comparable(sigma(w, SigmaLedger("a", -1)), sigma(w, SigmaLedger("b", -1)))
+
+    def test_unresolved_signature(self):
+        exact = sigma(boundary_multitwist(0, 4))
+        for unknown in (sigma(boundary_multitwist(1, 2)), SigmaValue(mode="unknown", value=None, baseline_name="b")):
+            for pair in ((exact, unknown), (unknown, exact), (unknown, unknown)):
+                with pytest.raises(IncomparableSigmaError, match="both fillings need a resolved signature"):
+                    check_comparable(*pair)
 
 
 class TestFillingInvariants:
