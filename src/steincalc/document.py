@@ -220,17 +220,8 @@ def _parse_relator(
             sigma_delta = spec.get("sigma_delta")
             _require(sigma_delta is None or _is_int(sigma_delta),
                      f"{location}.sigma_delta", "sigma_delta must be an integer when present")
-            relator = Relator(
-                name=name,
-                left=left,
-                right=right,
-                euler_delta=len(right) - len(left),
-                sigma_delta=sigma_delta,
-                allowable=all(c.is_allowable for c in set(t.curve for t in left.twists + right.twists)),
-                provenance="user-asserted",
-            )
-            obstruction = relator.obstruction
-            return name, RelatorEntry(relator=relator, obstruction=obstruction)
+            relator = Relator(name=name, left=left, right=right, sigma_delta=sigma_delta)
+            return name, RelatorEntry(relator=relator)
     except DocumentError:
         raise
     except Exception as exc:

@@ -19,7 +19,6 @@ one triangle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, lcm
 from typing import Dict, List, Sequence, Tuple
 
@@ -287,6 +286,8 @@ def symmetric_signature(q: Sequence[Sequence[int]]) -> int:
     produces a nonzero diagonal entry (2 * m[i][j]) and diagonalization
     proceeds.
     """
+    from fractions import Fraction  # imported here: nothing else needs it, and it pulls in decimal
+
     n = len(q)
     m = [[Fraction(q[i][j]) for j in range(n)] for i in range(n)]
     active = list(range(n))

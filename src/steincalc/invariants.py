@@ -214,8 +214,8 @@ def variation(word: Word, rel: Sequence[int]) -> Tuple[int, ...]:
 
 def _planar_arc_relations(word: Word) -> Matrix:
     """B S B^T for the boundary map B and the diagonal S of twist signs:
-    on a planar page ``relative_embedding`` vanishes, so an arc of relative
-    class rho has relation B S B^T rho, the ``variation`` of rho."""
+    on a planar page every closed class dies in relative coordinates, so an
+    arc of relative class rho has relation B S B^T rho, the ``variation`` of rho."""
     rank = word.surface.rank
     m = zeros(rank, rank)
     for t in word.twists:

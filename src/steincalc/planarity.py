@@ -20,7 +20,7 @@ from typing import Collection, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from .errors import NotApplicableError
 from .relators import RelatorEntry, bounding_case
-from .surfaces import Curve, NamePair
+from .surfaces import Curve, NamePair, pairwise_disjoint
 from .words import Twist, Word, _contains, _Dependence, contains
 
 NON_PLANAR = "non-planar"
@@ -98,7 +98,7 @@ def detect_relator(
     given = frozenset(declared)
     relations: Dict[FrozenSet[NamePair], _Dependence] = {}  # one per effective declared set
     for entry in entries:
-        left = entry.relator.left if entry.relator.left is not None else entry.left_word
+        left = entry.relator.left
         if left is None or left.surface != word.surface:
             continue
         entry_declared = given.union(entry.disjoint)
@@ -175,12 +175,8 @@ def detect_bounding(
     9 holes, genus 2 with at most 8.
     """
     multicurve_names = tuple(c.name for c in declaration.multicurve)
-    pair_declared = set(declared)
-    for i, c1 in enumerate(declaration.multicurve):
-        for c2 in declaration.multicurve[i + 1:]:
-            pair_declared.add(frozenset((c1.name, c2.name)))
     target = Word(word.surface, tuple(Twist(c, 1) for c in declaration.multicurve))
-    witness = contains(word, target, pair_declared)
+    witness = contains(word, target, pairwise_disjoint(declaration.multicurve).union(declared))
     if witness is None:
         raise NotApplicableError(
             "the declared boundary multicurve does not appear in the factorization "

@@ -4,7 +4,11 @@ Each entry pairs a relator with the two integers that drive the planarity
 obstruction: ``sigma_delta`` (the signature change of the filling under a
 substitution) and ``euler_delta`` (the Euler-characteristic change, i.e.
 the exponent difference of the two sides).  Signature deltas are stored
-constants plus additivity; they are never computed from a cocycle.
+constants plus additivity; they are never computed from a cocycle.  The
+Euler change, the allowability and the obstruction value follow from the
+words (``words.Relator``, ``RelatorEntry``), so the functions below state
+only the signature change, apart from the ledger totals of
+``compose_relators`` and the obstruction of ``genus_boundary_relator``.
 
 The boundary curve of an even chain bounds its supporting subsurface and is
 therefore null-homologous, so even-chain relators are never allowable in
@@ -29,14 +33,13 @@ from .surfaces import (
     convex_curve,
     declared_pair,
     intersection_pairing,
+    pairwise_disjoint,
     twist_action,
 )
-from .words import Relator, Word, word_of
+from .words import Relator, word_of
 
 LANTERN_SIGMA_DELTA = 1
-LANTERN_EULER_DELTA = -1
 CHAIN2_SIGMA_DELTA = -7
-CHAIN2_EULER_DELTA = 11
 CHAIN3_SIGMA_DELTA = -6
 
 
@@ -44,7 +47,8 @@ CHAIN3_SIGMA_DELTA = -6
 class RelatorEntry:
     """A relator plus obstruction bookkeeping.
 
-    ``obstruction`` is sigma_delta + euler_delta when both are known.  Some
+    ``obstruction`` is sigma_delta + euler_delta when both are known, taken
+    from the relator when not given; a given value must agree with it.  Some
     entries have a known-nonzero obstruction without a stored value
     (``obstruction_nonzero``).  ``obstruction_asserted`` marks entries whose
     obstruction stands on an external construction rather than on the
@@ -61,15 +65,16 @@ class RelatorEntry:
     decomposition: Optional[Tuple[Tuple[str, int], ...]] = None
     disjoint: FrozenSet[NamePair] = frozenset()
     note: str = ""
-    left_word: Optional[Word] = None  # for ledger-only entries whose left side is still known
 
     def __post_init__(self):
-        if self.relator.obstruction is not None and self.obstruction is not None:
-            if self.obstruction != self.relator.obstruction:
-                raise ValueError(
-                    f"entry {self.name}: obstruction {self.obstruction} != "
-                    f"sigma_delta + euler_delta = {self.relator.obstruction}"
-                )
+        derived = self.relator.obstruction
+        if self.obstruction is None:
+            object.__setattr__(self, "obstruction", derived)
+        elif derived is not None and self.obstruction != derived:
+            raise ValueError(
+                f"entry {self.name}: obstruction {self.obstruction} != "
+                f"sigma_delta + euler_delta = {derived}"
+            )
 
     @property
     def name(self) -> str:
@@ -113,31 +118,19 @@ def lantern(
             "lantern homology identity fails: "
             f"[a12]+[a23]+[a13]-[a1]-[a2]-[a3] = {difference.coords}, [a4] = {a4.homology.coords}"
         )
-    left = word_of(surface, boundary)
-    right = word_of(surface, interior)
     relator = Relator(
         name=name,
-        left=left,
-        right=right,
-        euler_delta=LANTERN_EULER_DELTA,
+        left=word_of(surface, boundary),
+        right=word_of(surface, interior),
         sigma_delta=LANTERN_SIGMA_DELTA,
-        allowable=all(c.is_allowable for c in boundary + interior),
         provenance="tabulated",
     )
-    disjoint = set()
-    for i in range(4):
-        for j in range(i + 1, 4):
-            disjoint.add(declared_pair(boundary[i].name, boundary[j].name))
-    for c in interior:
-        disjoint.add(declared_pair(a4.name, c.name))
-    disjoint.add(declared_pair(a1.name, a23.name))
-    disjoint.add(declared_pair(a2.name, a13.name))
-    disjoint.add(declared_pair(a3.name, a12.name))
-    return RelatorEntry(
-        relator=relator,
-        obstruction=LANTERN_SIGMA_DELTA + LANTERN_EULER_DELTA,
-        disjoint=frozenset(disjoint),
+    # the boundary curves, and each interior curve with a4 and with the one
+    # of a1, a2, a3 it does not enclose
+    disjoint = pairwise_disjoint(boundary).union(
+        *(pairwise_disjoint((a, c, a4)) for a, c in ((a1, a23), (a2, a13), (a3, a12)))
     )
+    return RelatorEntry(relator=relator, disjoint=disjoint)
 
 
 def standard_lantern() -> RelatorEntry:
@@ -259,34 +252,23 @@ def chain(n: int, config: Optional[ChainConfig] = None, name: Optional[str] = No
         raise ValueError(f"config carries {len(config.curves)} curves, chain length is {n}")
     name = name or f"chain-{n}"
     power = 2 * n + 2 if n % 2 == 0 else n + 1
-    left = word_of(config.surface, config.boundary)
-    right = word_of(config.surface, list(config.curves) * power)
-    sigma_delta = {1: 0, 2: CHAIN2_SIGMA_DELTA, 3: CHAIN3_SIGMA_DELTA}.get(n)
-    euler_delta = len(right) - len(left)
+    curves, boundary = config.curves, config.boundary
     relator = Relator(
         name=name,
-        left=left,
-        right=right,
-        euler_delta=euler_delta,
-        sigma_delta=sigma_delta,
-        allowable=all(c.is_allowable for c in config.curves + config.boundary),
+        left=word_of(config.surface, boundary),
+        right=word_of(config.surface, list(curves) * power),
+        sigma_delta={1: 0, 2: CHAIN2_SIGMA_DELTA, 3: CHAIN3_SIGMA_DELTA}.get(n),
         provenance="tabulated" if n in (2, 3) else "derived",
     )
-    disjoint = set()
-    for i in range(n):
-        for j in range(i + 2, n):
-            disjoint.add(declared_pair(config.curves[i].name, config.curves[j].name))
-    for d in config.boundary:
-        for c in config.curves:
-            disjoint.add(declared_pair(d.name, c.name))
-    if len(config.boundary) == 2:
-        disjoint.add(declared_pair(config.boundary[0].name, config.boundary[1].name))
+    # the boundary curves with each chain curve, and non-consecutive chain curves
+    disjoint = frozenset().union(
+        *(pairwise_disjoint(boundary + (c,)) for c in curves),
+        (declared_pair(c.name, d.name) for i, c in enumerate(curves) for d in curves[i + 2:]),
+    )
     return RelatorEntry(
         relator=relator,
-        obstruction=None if sigma_delta is None else sigma_delta + euler_delta,
         obstruction_asserted=n in (2, 3),
-        decomposition=None,
-        disjoint=frozenset(disjoint),
+        disjoint=disjoint,
         note="" if n != 1 else "degenerate: both boundary curves are isotopic to the chain curve",
     )
 
@@ -310,12 +292,10 @@ def braid_relator(alpha: Curve, beta: Curve, image: Curve, name: str = "braid") 
         name=name,
         left=word_of(surface, (alpha, beta)),
         right=word_of(surface, (image, alpha)),
-        euler_delta=0,
         sigma_delta=0,
-        allowable=all(c.is_allowable for c in (alpha, beta, image)),
         provenance="tabulated",
     )
-    return RelatorEntry(relator=relator, obstruction=0)
+    return RelatorEntry(relator=relator)
 
 
 def standard_braid() -> RelatorEntry:
@@ -349,22 +329,15 @@ def non_standard_relator() -> RelatorEntry:
     ap13 = Curve("ap13", cls(0, 1, 0, 1))
     ap4 = Curve("ap4", cls(0, -1, -1, -1))
 
-    left = word_of(surface, (ap4, a13, a12))
-    right = word_of(surface, [alpha] + [beta, alpha] * 5 + [ap13, ap12, a1])
     relator = Relator(
         name="non-standard",
-        left=left,
-        right=right,
-        euler_delta=CHAIN2_EULER_DELTA,
+        left=word_of(surface, (ap4, a13, a12)),
+        right=word_of(surface, [alpha] + [beta, alpha] * 5 + [ap13, ap12, a1]),
         sigma_delta=CHAIN2_SIGMA_DELTA,
-        allowable=all(
-            c.is_allowable for c in (alpha, beta, a1, a12, a13, ap12, ap13, ap4)
-        ),
         provenance="tabulated",
     )
     return RelatorEntry(
         relator=relator,
-        obstruction=CHAIN2_SIGMA_DELTA + CHAIN2_EULER_DELTA,
         obstruction_asserted=True,
         decomposition=(("lantern", 1), ("lantern", -1), ("chain-2", 1)),
     )
@@ -398,12 +371,7 @@ def compose_relators(parts: Sequence[RelatorEntry], name: Optional[str] = None) 
         allowable=allowable,
         provenance="derived",
     )
-    obstruction = None if sigma_total is None or euler_total is None else sigma_total + euler_total
-    return RelatorEntry(
-        relator=relator,
-        obstruction=obstruction,
-        decomposition=tuple(decomposition),
-    )
+    return RelatorEntry(relator=relator, decomposition=tuple(decomposition))
 
 
 @dataclass(frozen=True)
@@ -454,10 +422,10 @@ def genus_boundary_relator(g: int, b: int) -> Optional[RelatorEntry]:
     genus-g surface with b boundary components, when one is known.
 
     Only the left side (the b boundary twists, on the minimal surface) is
-    stored; the explicit right-hand factorizations are external
-    constructions.  For g = 1 the obstruction value is 4; for g = 2 it is
-    known nonzero but unspecified.  Returns None where no relator exists or
-    existence is open.
+    stored, so the relator is not allowable as stored; the explicit
+    right-hand factorizations are external constructions.  For g = 1 the
+    obstruction value is 4; for g = 2 it is known nonzero but unspecified.
+    Returns None where no relator exists or existence is open.
     """
     case = bounding_case(g, b)
     if case.verdict != "obstructs" or g not in (1, 2) or b < 2:
@@ -468,17 +436,9 @@ def genus_boundary_relator(g: int, b: int) -> Optional[RelatorEntry]:
         curves.append(Curve(f"delta{j}", surface.d_class(j), boundary_parallel_to=j))
     relator = Relator(
         name=f"boundary-genus{g}-holes{b}",
-        left=None,
+        left=word_of(surface, curves),
         right=None,
-        euler_delta=None,
-        sigma_delta=None,
-        allowable=False,
         provenance="tabulated",
-    )
-    disjoint = frozenset(
-        declared_pair(c1.name, c2.name)
-        for i, c1 in enumerate(curves)
-        for c2 in curves[i + 1:]
     )
     return RelatorEntry(
         relator=relator,
@@ -486,8 +446,7 @@ def genus_boundary_relator(g: int, b: int) -> Optional[RelatorEntry]:
         obstruction_nonzero=True,
         obstruction_asserted=True,
         note=case.note,
-        disjoint=disjoint,
-        left_word=word_of(surface, curves),
+        disjoint=pairwise_disjoint(curves),
     )
 
 

@@ -10,10 +10,10 @@ stored with the ``boundary_parallel_to = 1`` flag.
 On a planar surface (g = 0) the decidable curves are the convex ones: each
 is isotopic to the round boundary of a sub-collection of holes and is
 encoded by that subset (its hole set).  Two convex curves are certified
-disjoint exactly when their hole sets are nested or disjoint, which
-``hole_masks_commute`` decides on the sets as int bitsets; every other
-geometric question is answered "indeterminate" unless the user declares a
-disjointness fact.
+disjoint exactly when their hole sets are nested or disjoint
+(``curves_commute``); every other geometric question is answered
+"indeterminate" unless the user declares a disjointness fact
+(``declared_pair``, ``pairwise_disjoint``).
 
 Everything here is an immutable value and every operation is a pure
 function, so concurrent evaluation needs no coordination.
@@ -33,6 +33,11 @@ def declared_pair(name1: str, name2: str) -> NamePair:
     return frozenset((name1, name2))
 
 
+def pairwise_disjoint(curves: Sequence[Curve]) -> FrozenSet[NamePair]:
+    """The declared pairs stating that the given curves are pairwise disjoint."""
+    return frozenset(declared_pair(c.name, d.name) for i, c in enumerate(curves) for d in curves[i + 1:])
+
+
 @dataclass(frozen=True)
 class Surface:
     """An oriented compact surface of genus ``genus`` with ``boundary_count`` >= 1 holes."""
@@ -49,14 +54,6 @@ class Surface:
     @property
     def rank(self) -> int:
         return 2 * self.genus + self.boundary_count - 1
-
-    def basis_names(self) -> Tuple[str, ...]:
-        names = []
-        for i in range(1, self.genus + 1):
-            names += [f"a{i}", f"b{i}"]
-        for j in range(2, self.boundary_count + 1):
-            names.append(f"d{j}")
-        return tuple(names)
 
     def zero_class(self) -> "HomologyClass":
         return HomologyClass(self, (0,) * self.rank)
@@ -159,16 +156,6 @@ def arc_pairing(rel: Sequence[int], y: HomologyClass) -> int:
     for j in range(offset, surface.rank):
         total += rel[j] * y.coords[j]
     return total
-
-
-def relative_embedding(x: HomologyClass) -> Tuple[int, ...]:
-    """Image of a closed class in the relative coordinates (A_i, B_i, S_j).
-
-    Sends a_i to A_i and b_i to B_i; boundary classes d_j die (they bound
-    in the surface rel its boundary).
-    """
-    offset = 2 * x.surface.genus
-    return x.coords[:offset] + (0,) * (x.surface.rank - offset)
 
 
 @dataclass(frozen=True)
@@ -308,21 +295,6 @@ def twist_action(curve: Curve, x: HomologyClass, sign: int = 1) -> HomologyClass
     return x + (sign * k) * c
 
 
-def hole_mask(holes: Iterable[int]) -> int:
-    """A hole set as an int bitset: bit j is set when hole j is enclosed."""
-    mask = 0
-    for j in holes:
-        mask |= 1 << j
-    return mask
-
-
-def hole_masks_commute(a: int, b: int) -> bool:
-    """Whether two hole sets, given as masks, are nested or disjoint: the
-    planar certificate that convex curves around them are disjoint."""
-    m = a & b
-    return m == a or m == b or not m
-
-
 def curves_commute(
     c1: Curve,
     c2: Curve,
@@ -343,6 +315,7 @@ def curves_commute(
     if declared_pair(c1.name, c2.name) in declared:
         return True
     if c1.hole_set is not None and c2.hole_set is not None:
-        if hole_masks_commute(hole_mask(c1.hole_set), hole_mask(c2.hole_set)):
+        common = c1.hole_set & c2.hole_set
+        if not common or common == c1.hole_set or common == c2.hole_set:
             return True
     return None

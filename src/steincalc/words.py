@@ -120,18 +120,12 @@ def free_reduce(w: Word) -> Word:
     return Word(w.surface, tuple(stack))
 
 
-def certified_commute(t1: Twist, t2: Twist, declared: Collection[NamePair] = ()) -> bool:
-    """Whether the curve model certifies that the two twists commute:
-    identical curves, or a disjointness certificate."""
-    return curves_commute(t1.curve, t2.curve, declared) is True
-
-
 def commute_adjacent(w: Word, i: int, declared: Collection[NamePair] = ()) -> Word:
     """Swap positions i and i+1, refusing without a disjointness certificate."""
     if not 0 <= i < len(w) - 1:
         raise IndexError(f"no adjacent pair at position {i} in a word of length {len(w)}")
     t1, t2 = w.twists[i], w.twists[i + 1]
-    if not certified_commute(t1, t2, declared):
+    if curves_commute(t1.curve, t2.curve, declared) is not True:
         raise CommutationUndecidedError(
             f"commutation of {t1.curve.name} and {t2.curve.name} is not certified "
             "(curves may intersect; declare disjointness to allow the move)"
@@ -342,13 +336,7 @@ def _linearize(
     """
     dep, reach = rel.dep, rel.reach
     n = len(dep)
-    # The min-heap topological order below depends only on the transitive
-    # closure of the successor relation, and ``cover`` has the same closure
-    # as the full dependency relation, so it stands in for it.
-    succ: List[set] = [set(ks) for ks in rel.cover]
-    for a, b in zip(selected, selected[1:]):
-        succ[a].add(b)
-
+    edges = list(zip(selected, selected[1:]))
     if contiguous and selected:
         first, last = selected[0], selected[-1]
         sel = 0
@@ -364,14 +352,21 @@ def _linearize(
             if before and after:
                 return None  # wedged between two matched occurrences
             if before:
-                succ[x].add(first)
+                edges.append((x, first))
             elif after:
-                succ[last].add(x)
+                edges.append((last, x))
             elif x < first:
-                succ[x].add(first)
+                edges.append((x, first))
             else:
-                succ[last].add(x)
+                edges.append((last, x))
 
+    # The min-heap topological order below depends only on the transitive
+    # closure of the successor relation, and ``cover`` has the same closure
+    # as the full dependency relation, so it stands in for it.  The successor
+    # sets are built only once no occurrence is wedged.
+    succ: List[set] = [set(ks) for ks in rel.cover]
+    for a, b in edges:
+        succ[a].add(b)
     indegree = [0] * n
     for i in range(n):
         for j in succ[i]:
@@ -453,33 +448,47 @@ class Relator:
 
     ``euler_delta`` is the total exponent difference len(right) - len(left):
     the Euler-characteristic change of the filling when a substitution
-    replaces the left side by the right side.  ``sigma_delta`` is the
+    replaces the left side by the right side.  ``allowable`` says every
+    twist is about a homologically nontrivial curve.  When both sides are
+    given, both values follow from the words: an omitted one is filled in,
+    a stated ``euler_delta`` must match, and a stated ``allowable`` is kept
+    so ``verify_relator`` can compare it.  ``sigma_delta`` is the
     corresponding signature change; it is stored (from known values and
     additivity), never derived from the words.  Ledger-only relators
-    produced by composition carry no words.
+    produced by composition carry no words; a relator whose right side is
+    an external construction carries only its left side.  Without both
+    sides, ``allowable`` defaults to False.
     """
 
     name: str
     left: Optional[Word]
     right: Optional[Word]
-    euler_delta: Optional[int]
+    euler_delta: Optional[int] = None
     sigma_delta: Optional[int] = None
-    allowable: bool = False
+    allowable: Optional[bool] = None
     provenance: str = "user-asserted"
 
     def __post_init__(self):
-        if (self.left is None) != (self.right is None):
-            raise ValueError(f"relator {self.name}: both sides or neither must be given")
-        if self.left is not None and self.right is not None:
-            if self.left.surface != self.right.surface:
-                raise RankMismatchError(f"relator {self.name}: sides live on different surfaces")
-            if not (self.left.is_positive and self.right.is_positive):
-                raise ValueError(f"relator {self.name}: both sides must be positive words")
-            if self.euler_delta != len(self.right) - len(self.left):
-                raise ValueError(
-                    f"relator {self.name}: euler_delta {self.euler_delta} != "
-                    f"len(right) - len(left) = {len(self.right) - len(self.left)}"
-                )
+        if self.left is None and self.right is not None:
+            raise ValueError(f"relator {self.name}: a right side needs a left side")
+        if not all(side.is_positive for side in (self.left, self.right) if side is not None):
+            raise ValueError(f"relator {self.name}: both sides must be positive words")
+        if self.right is None:
+            if self.allowable is None:
+                object.__setattr__(self, "allowable", False)
+            return
+        if self.left.surface != self.right.surface:
+            raise RankMismatchError(f"relator {self.name}: sides live on different surfaces")
+        euler_delta = len(self.right) - len(self.left)
+        if self.euler_delta is None:
+            object.__setattr__(self, "euler_delta", euler_delta)
+        elif self.euler_delta != euler_delta:
+            raise ValueError(
+                f"relator {self.name}: euler_delta {self.euler_delta} != "
+                f"len(right) - len(left) = {euler_delta}"
+            )
+        if self.allowable is None:
+            object.__setattr__(self, "allowable", computed_allowable(self))
 
     @property
     def obstruction(self) -> Optional[int]:
@@ -511,10 +520,12 @@ class Relator:
 
 
 def computed_allowable(r: Relator) -> Optional[bool]:
-    """All twists about homologically non-trivial curves; None without words."""
-    if r.left is None:
+    """All twists about homologically non-trivial curves; None without both sides."""
+    if r.right is None:
         return None
-    return all(c.is_allowable for c in r.curves())
+    # a word repeats its curve objects, so each is tested once
+    distinct = {id(t.curve): t.curve for side in (r.left, r.right) for t in side.twists}
+    return all(c.is_allowable for c in distinct.values())
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,13 @@ import functools
 import hashlib
 import io
 import json
+import os
 import random
+import re
+import subprocess
 import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -732,3 +736,72 @@ class TestMain:
         assert json.loads(capsys.readouterr().out)["result"]["sigma"]["value"] == 5
         assert main(argv) == 0
         assert json.loads(capsys.readouterr().out)["result"]["sigma"]["value"] == -1
+
+    def test_admitted_relator_that_is_not_allowable(self, tmp_path, capsys):
+        # U twists about the class-0 curve z, so its nonzero obstruction
+        # (2 + 1) certifies nothing
+        data = {
+            "surface": {"genus": 0, "boundary": 3},
+            "curves": [{"name": "z", "holes": []}, {"name": "a", "holes": [2]}],
+            "words": {"w": [{"curve": "a"}, {"curve": "z"}]},
+            "relators": [{"name": "U", "kind": "user", "left": [{"curve": "z"}],
+                          "right": [{"curve": "z"}, {"curve": "a"}], "sigma_delta": 2}],
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["detect", "--in", str(path)]) == 0
+        (cert,) = json.loads(capsys.readouterr().out)["result"]["certificates"]
+        assert cert["verdict"] == "no-obstruction-found"
+        assert cert["notes"] == ["relator U is admitted with nonzero obstruction but is not allowable"]
+        assert main(["verify-relator", "--in", str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        check = next(c for c in result["checks"] if c["name"] == "allowable_consistent")
+        assert check["passed"] is True and check["detail"].startswith("stored allowable=False")
+        assert result["ledger"] == {"sigma_delta": 2, "euler_delta": 1, "obstruction": 3}
+
+    def test_import_loads_no_fractions(self):
+        import steincalc
+
+        probe = "import sys, steincalc.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        env = {**os.environ, "PYTHONPATH": str(Path(steincalc.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
+                             timeout=120, check=True).stdout
+        assert out.strip() == "[]"
+
+
+README = Path(__file__).parents[1] / "README.md"
+
+
+def _readme_blocks(lang):
+    return re.findall(rf"```{lang}\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+
+
+class TestReadme:
+    """The README's examples run and do what their comments say."""
+
+    # CLI example -> (exit code, what its comment states about the result)
+    CLI = {
+        "invariants --tau-boundary 0 4": (
+            0, lambda r: (r["euler"], r["sigma"]["value"], r["q_matrix"], r["h1"]) == (2, -1, [[-4]], [[4], 0])),
+        "substitute --lantern --word tau_del --relator lantern": (
+            0, lambda r: r["ledger"] == {"sigma_delta": 1, "euler_delta": -1}),
+        "detect --chain 2 --word boundary": (
+            0, lambda r: [(c["verdict"], c["witness"]["obstruction"]) for c in r["certificates"]]
+            == [("non-planar", 4)]),
+        "verify-relator --r-ns --relator non-standard": (0, lambda r: r["necessary_conditions_hold"]),
+        "esig-compare --pair 2,-1 --pair2 2,0": (
+            4, lambda r: r["certificate"]["verdict"] == "assertion-inconsistent"),
+        "family --g-max 3 --b-max 12": (0, lambda r: len(r["rows"]) == 4 * 11),
+    }
+
+    def test_library_example(self):
+        (block,) = _readme_blocks("python")
+        exec(compile(block, str(README), "exec"), {})
+
+    def test_cli_examples(self, capsys):
+        examples = [line.split(None, 1)[1] for block in _readme_blocks("sh")
+                    for line in block.splitlines() if line.startswith("steincalc ")]
+        assert sorted(examples) == sorted(self.CLI)
+        for example_args, (code, holds) in self.CLI.items():
+            assert main(example_args.split()) == code, example_args
+            assert holds(json.loads(capsys.readouterr().out)["result"]), example_args

@@ -83,8 +83,8 @@ class TestDetectRelator:
 
         entry = genus_boundary_relator(2, 5)
         # word containing the boundary multicurve in scrambled order
-        twists = entry.left_word.twists
-        word = Word(entry.left_word.surface, twists[::-1])
+        twists = entry.relator.left.twists
+        word = Word(entry.relator.left.surface, twists[::-1])
         certs = detect_relator(word, [entry])
         assert certs[0].verdict == NON_PLANAR
         assert certs[0].witness.obstruction is None

@@ -1,8 +1,13 @@
 """Relator database: ledger values, configurations, composition, bounding table."""
 
+import hashlib
+import json
+
 import pytest
 
+from steincalc.document import chain_document, lantern_document, non_standard_document, parse, tau_boundary_document
 from steincalc.relators import (
+    RelatorEntry,
     bounding_case,
     braid_relator,
     builtin_entries,
@@ -180,6 +185,12 @@ class TestCompose:
         assert inv.sigma_delta == -1
         assert inv.euler_delta == 1
 
+    def test_entry_obstruction_from_relator(self):
+        inverse = chain(2).relator.inverse()
+        assert RelatorEntry(relator=inverse).obstruction == 7 - 11
+        with pytest.raises(ValueError, match="obstruction 4 != sigma_delta"):
+            RelatorEntry(relator=inverse, obstruction=4)
+
 
 class TestGenusBoundary:
     def test_genus_one_known_range(self):
@@ -188,7 +199,7 @@ class TestGenusBoundary:
             assert entry is not None
             assert entry.obstruction == 4
             assert entry.relator.sigma_delta is None and entry.relator.euler_delta is None
-            assert len(entry.left_word) == b
+            assert len(entry.relator.left) == b
 
     def test_genus_one_beyond_nine_absent(self):
         assert genus_boundary_relator(1, 10) is None
@@ -222,3 +233,68 @@ class TestBuiltins:
         for entry in builtin_entries():
             if entry.obstruction is not None:
                 assert entry.obstruction % 4 == 0, entry.name
+
+
+# A document whose user relators cover a class-0 curve and a relator
+# without sigma_delta.
+USER_RELATORS = {
+    "surface": {"genus": 0, "boundary": 3},
+    "curves": [{"name": "z", "holes": []}, {"name": "a", "holes": [2]}, {"name": "b", "holes": [3]}],
+    "words": {"w": [{"curve": "a"}, {"curve": "z"}]},
+    "relators": [
+        {"name": "U", "kind": "user", "left": [{"curve": "z"}], "right": [{"curve": "z"}, {"curve": "a"}],
+         "sigma_delta": 2},
+        {"name": "V", "kind": "user", "left": [{"curve": "a"}, {"curve": "b"}], "right": [{"curve": "b"}]},
+    ],
+}
+
+
+def _entry_fields(entry):
+    r = entry.relator
+
+    def names(side):
+        return None if side is None else tuple(t.curve.name for t in side.twists)
+
+    return (
+        r.name, names(r.left), names(r.right), r.euler_delta, r.sigma_delta, r.allowable, r.provenance,
+        entry.obstruction, entry.obstruction_nonzero, entry.obstruction_asserted, entry.decomposition,
+        tuple(sorted(tuple(sorted(pair)) for pair in entry.disjoint)), entry.note,
+    )
+
+
+class TestEntryPins:
+    """Every entry the package builds, pinned field by field: the Euler
+    change, allowability and obstruction the words give must equal the
+    values the builders once stated by hand."""
+
+    GROUPS = {
+        "builtins": lambda: builtin_entries(),
+        "documents": lambda: [
+            entry
+            for doc in (
+                *(tau_boundary_document(g, b) for g in range(3) for b in range(1, 7)),
+                lantern_document(),
+                *(chain_document(n) for n in range(1, 9)),
+                non_standard_document(),
+            )
+            for entry in doc.relator_entries.values()
+        ],
+        "composition": lambda: [compose_relators([standard_lantern(), chain(2)])],
+        "genus_boundary": lambda: [
+            entry for g in range(4) for b in range(1, 14) for entry in [genus_boundary_relator(g, b)] if entry
+        ],
+        "user": lambda: list(parse(json.dumps(USER_RELATORS)).relator_entries.values()),
+    }
+    SHA256 = {
+        "builtins": (9, "cef3cec08f97210f6bce6ac74f491a2049452f5717b5714df048955357092a1d"),
+        "documents": (11, "0f63fa9c1ce7508b9e95597df658a5d01725306d9ca7bf1f8c98e29769428b69"),
+        "composition": (1, "ba906ab5013df2e263d614c3936d7624af9c84a5565a97b48e22051ff5a5fc80"),
+        "genus_boundary": (15, "41e605a08ed5107d091f85450dd313f2ce4804f64d3dc16ad3c74a1f03d7698c"),
+        "user": (2, "d1342e7eeff3659a91cc8d1eaeb0633c62f8c0d9586e3aafbf3011822840c747"),
+    }
+
+    @pytest.mark.parametrize("group", sorted(GROUPS))
+    def test_entry_fields_pinned(self, group):
+        entries = list(self.GROUPS[group]())
+        digest = hashlib.sha256(repr([_entry_fields(e) for e in entries]).encode()).hexdigest()
+        assert (len(entries), digest) == self.SHA256[group]

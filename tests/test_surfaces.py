@@ -13,7 +13,6 @@ from steincalc.surfaces import (
     convex_curve,
     curves_commute,
     intersection_pairing,
-    relative_embedding,
     standard_arc,
     twist_action,
 )
@@ -29,7 +28,6 @@ class TestSurface:
     def test_rank_and_basis(self):
         s = Surface(2, 3)
         assert s.rank == 6
-        assert s.basis_names() == ("a1", "b1", "a2", "b2", "d2", "d3")
 
     def test_boundary_required(self):
         with pytest.raises(ValueError):
@@ -86,11 +84,6 @@ class TestArcPairing:
         b_slot = (0, 1, 0)  # B_1
         assert arc_pairing(a_slot, s.b_class(1)) == 1
         assert arc_pairing(b_slot, s.a_class(1)) == -1
-
-    def test_relative_embedding_kills_boundary(self):
-        s = Surface(1, 3)
-        assert relative_embedding(s.d_class(2)) == (0, 0, 0, 0)
-        assert relative_embedding(s.a_class(1)) == (1, 0, 0, 0)
 
 
 class TestTwistAction:

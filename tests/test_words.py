@@ -27,7 +27,6 @@ from steincalc.words import (
     SubstitutionRecord,
     Twist,
     Word,
-    certified_commute,
     commute_adjacent,
     compose,
     contains,
@@ -335,7 +334,9 @@ def _reachable_orders(w, declared):
     """Every order of w's positions reachable by certified adjacent swaps."""
     n = len(w)
     commutes = {
-        (a, b): certified_commute(w.twists[a], w.twists[b], declared) for a in range(n) for b in range(n)
+        (a, b): curves_commute(w.twists[a].curve, w.twists[b].curve, declared) is True
+        for a in range(n)
+        for b in range(n)
     }
     start = tuple(range(n))
     seen = {start}
@@ -354,7 +355,7 @@ def _reachable_orders(w, declared):
 def _replay(w, swaps, declared):
     seq = list(range(len(w)))
     for i in swaps:
-        assert certified_commute(w.twists[seq[i]], w.twists[seq[i + 1]], declared)
+        assert curves_commute(w.twists[seq[i]].curve, w.twists[seq[i + 1]].curve, declared) is True
         seq[i], seq[i + 1] = seq[i + 1], seq[i]
     return seq
 
@@ -602,3 +603,37 @@ class TestVerifyRelator:
         report = verify_relator(fake)
         assert report.check("homology_identity").passed is False
         assert not report.necessary_conditions_hold
+
+
+class TestRelatorValues:
+    """``Relator`` works out its Euler change and allowability from its words."""
+
+    def test_allowable_follows_the_curves(self):
+        s = Surface(0, 3)
+        z = convex_curve(s, "z", [])  # class 0
+        a, b = convex_curve(s, "a", {2}), convex_curve(s, "b", {3})
+        over_zero = Relator("u", word_of(s, [z]), word_of(s, [z, a]))
+        assert over_zero.allowable is False and over_zero.euler_delta == 1
+        assert verify_relator(over_zero).check("allowable_consistent").passed
+        nonzero = Relator("v", word_of(s, [a, b]), word_of(s, [b, a]))
+        assert nonzero.allowable is True and nonzero.euler_delta == 0
+        assert verify_relator(nonzero).check("allowable_consistent").passed
+
+    def test_stated_values(self):
+        s = Surface(0, 3)
+        a = convex_curve(s, "a", {2})
+        kept = Relator("w", word_of(s, [a]), word_of(s, [a]), allowable=False)
+        assert kept.allowable is False  # kept as stated, so verify_relator can disagree
+        assert verify_relator(kept).check("allowable_consistent").passed is False
+        with pytest.raises(ValueError, match="euler_delta 1 != len"):
+            Relator("w", word_of(s, [a]), word_of(s, [a]), 1)
+
+    def test_left_side_alone(self):
+        s = Surface(0, 3)
+        a = convex_curve(s, "a", {2})
+        known = Relator("k", word_of(s, [a]), None)
+        assert (known.euler_delta, known.allowable, known.obstruction) == (None, False, None)
+        with pytest.raises(ValueError, match="positive"):
+            Relator("k", word_of(s, [a], [-1]), None)
+        with pytest.raises(ValueError, match="needs a left side"):
+            Relator("k", None, word_of(s, [a]))
