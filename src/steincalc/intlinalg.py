@@ -2,25 +2,24 @@
 
 Smith normal form U A V = D with its unimodular U and V (each inverse a
 caller needs comes from U A = D V^-1 or A V = U^-1 D), integer kernel bases
-and finitely generated abelian quotients.  While it eliminates, the Smith
-form holds each column of V as a ``{row: value}`` dict, so a column
-operation costs the nonzeros of one column (kernel columns of a boundary
-map carry a handful of nonzeros among hundreds of rows) and a column swap
-exchanges two references; V is returned as dense columns, and the kernel
-of A is the tail of that column list.  ``symmetric_signature`` (exact
-congruence diagonalization) is the reference the tests check the planar
-signature -b2 against; the package itself never calls it.  Matrices are
-plain lists of lists of Python ints, so nothing overflows; every
-computation here is exact.  ``mat_mul`` skips zero entries in both
-factors; ``gram`` builds the symmetric Gram matrix of sparse vectors from
-one triangle.
+and finitely generated abelian quotients.  The Smith form holds each column
+of V as a ``{row: value}`` dict, so a column operation costs the nonzeros of
+one column (kernel columns of a boundary map carry a handful of nonzeros
+among hundreds of rows) and a column swap exchanges two references; it
+returns V in that form, and the kernel of A is the tail of that column
+list.  ``symmetric_signature`` is a fraction-free (Bareiss) congruence
+elimination, the one route to a signature; ``invariants.sigma`` reads a
+rank off it.  Matrices are plain lists of lists of Python ints, so nothing
+overflows; every computation here is exact.  ``mat_mul`` skips zero
+entries in both factors; ``gram`` builds the symmetric Gram matrix of
+sparse vectors from one triangle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 Matrix = List[List[int]]
 
@@ -49,16 +48,16 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return out
 
 
-def gram(vectors: Sequence[Sequence[int]]) -> Matrix:
-    """The symmetric Gram matrix (u . v) of the vectors.  Nonzeros are
-    grouped by coordinate, each group adds its products to the upper
-    triangle only, and the lower triangle is mirrored from it."""
+def gram(vectors: Sequence[Mapping[int, int]]) -> Matrix:
+    """The symmetric Gram matrix (u . v) of sparse ``{coord: value}``
+    vectors.  Entries are grouped by coordinate, each group adds its
+    products to the upper triangle only, and the lower triangle is
+    mirrored from it."""
     size = len(vectors)
     by_coord: Dict[int, List[Tuple[int, int]]] = {}
     for j, vec in enumerate(vectors):
-        for k, x in enumerate(vec):
-            if x:
-                by_coord.setdefault(k, []).append((j, x))
+        for k, x in vec.items():
+            by_coord.setdefault(k, []).append((j, x))
     out = zeros(size, size)
     for group in by_coord.values():
         for at, (j, x) in enumerate(group):
@@ -80,14 +79,24 @@ class SmithForm:
 
     ``diag`` is the full diagonal of D (length min(rows, cols)), entries
     non-negative with d_1 | d_2 | ... ; ``rank`` counts the nonzero ones.
-    ``row_ops`` holds the rows of U and ``col_ops`` the columns of V, so
-    ``col_ops[rank:]`` is a basis of the integer kernel of A.
+    ``row_ops`` holds the rows of U and ``columns`` the columns of V as
+    sparse ``{row: value}`` dicts, so ``columns[rank:]`` is a basis of the
+    integer kernel of A; ``col_ops`` expands them to dense lists.
     """
 
     diag: Tuple[int, ...]
     rank: int
-    row_ops: Matrix        # U, by rows
-    col_ops: Matrix        # V, by columns
+    row_ops: Matrix                # U, by rows
+    columns: List[Dict[int, int]]  # V, by sparse columns
+
+    @property
+    def col_ops(self) -> Matrix:
+        """V by dense columns."""
+        dense = [[0] * len(self.columns) for _ in self.columns]
+        for col, column in zip(dense, self.columns):
+            for k, x in column.items():
+                col[k] = x
+        return dense
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, cols: int | None = None) -> SmithForm:
@@ -186,13 +195,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
 
     diag = tuple(a[i][i] for i in range(limit))
     rank = sum(1 for d in diag if d != 0)
-    dense = []
-    for column in v:
-        col = [0] * cols
-        for k, x in column.items():
-            col[k] = x
-        dense.append(col)
-    return SmithForm(diag=diag, rank=rank, row_ops=u, col_ops=dense)
+    return SmithForm(diag=diag, rank=rank, row_ops=u, columns=v)
 
 
 def kernel_basis(matrix: Sequence[Sequence[int]], cols: int | None = None) -> List[List[int]]:
@@ -226,11 +229,16 @@ class AbelianQuotient:
 
     @classmethod
     def from_relations(cls, n: int, relation_columns: Sequence[Sequence[int]]) -> "AbelianQuotient":
+        for j, column in enumerate(relation_columns):
+            if len(column) != n:
+                raise ValueError(f"relation column {j} has length {len(column)} != ambient rank {n}")
         cols = len(relation_columns)
         matrix = [[relation_columns[j][i] for j in range(cols)] for i in range(n)]
         snf = smith_normal_form(matrix, rows=n, cols=cols)
-        # column j of A V is A (column j of V): rows of V^T A^T
-        return cls(n=n, diag=snf.diag, row_ops=snf.row_ops, relations=mat_mul(snf.col_ops, relation_columns))
+        # column j of A V is the sum over k of V_kj times column k of A
+        relations = [[sum(x * relation_columns[k][i] for k, x in column.items()) for i in range(n)]
+                     for column in snf.columns]
+        return cls(n=n, diag=snf.diag, row_ops=snf.row_ops, relations=relations)
 
     @property
     def invariant_factors(self) -> Tuple[int, ...]:
@@ -279,45 +287,39 @@ class AbelianQuotient:
 
 
 def symmetric_signature(q: Sequence[Sequence[int]]) -> int:
-    """Signature of a symmetric integer form, by exact congruence diagonalization.
+    """Signature of a symmetric integer form, by fraction-free congruence
+    elimination (Bareiss, Math. Comp. 22, 1968).
 
-    Zero eigenvalues contribute nothing.  When every active diagonal entry
-    vanishes but some pairing survives, the congruence e_i <- e_i + e_j
-    produces a nonzero diagonal entry (2 * m[i][j]) and diagonalization
-    proceeds.
+    Each step pivots on a nonzero diagonal entry d of the remaining block
+    and replaces every other entry x by (d x - x_ip x_pj) / prev, an exact
+    division by the previous pivot (Sylvester's identity); the LDL^T entry
+    of the step is d / prev, so it counts sign(d) sign(prev).  Zero
+    eigenvalues contribute nothing.  When every remaining diagonal entry
+    vanishes but some pairing survives, the unimodular congruence
+    e_i <- e_i + e_j produces a nonzero diagonal entry (2 * m[i][j]) and
+    keeps the divisions exact.
     """
-    from fractions import Fraction  # imported here: nothing else needs it, and it pulls in decimal
-
-    n = len(q)
-    m = [[Fraction(q[i][j]) for j in range(n)] for i in range(n)]
-    active = list(range(n))
-    pos = neg = 0
-    while active:
-        pivot = next((i for i in active if m[i][i] != 0), None)
-        if pivot is None:
-            pair = next(
-                ((i, j) for ai, i in enumerate(active) for j in active[ai + 1:] if m[i][j] != 0),
-                None,
-            )
+    m = [list(map(int, row)) for row in q]
+    prev, signature = 1, 0
+    while m:
+        p = next((i for i, row in enumerate(m) if row[i]), None)
+        if p is None:
+            pair = next(((i, j) for i, row in enumerate(m) for j in range(i + 1, len(m)) if row[j]), None)
             if pair is None:
                 break  # remaining block is zero
-            i0, j0 = pair
-            for l in active:
-                m[i0][l] += m[j0][l]
-            for k in active:
-                m[k][i0] += m[k][j0]
+            i, j = pair
+            m[i] = [x + y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[i] += row[j]
             continue
-        d = m[pivot][pivot]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
-        rest = [i for i in active if i != pivot]
-        factors = {i: m[i][pivot] / d for i in rest}
-        for i in rest:
-            fi = factors[i]
-            if fi:
-                for j in rest:
-                    m[i][j] -= fi * m[pivot][j]
-        active = rest
-    return pos - neg
+        d = m[p][p]
+        signature += 1 if (d > 0) == (prev > 0) else -1
+        pivot_row = m.pop(p)
+        del pivot_row[p]
+        rest = []
+        for row in m:
+            f = row.pop(p)
+            rest.append([(d * x - f * y) // prev for x, y in zip(row, pivot_row)])
+        m = rest
+        prev = d
+    return signature

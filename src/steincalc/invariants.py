@@ -20,10 +20,12 @@ U^-T, so they are the torsion of H_1 of the boundary below, which
 ``filling_invariants`` builds once per word and hands to the form;
 otherwise they come from the SNF of the smaller of the two Gram matrices,
 of size min(b2, r) with r <= b-1 the rank of B.  The form is negative
-definite, so ``sigma`` reads the signature rank B - n off the Smith form
-of B alone, with no Gram matrix and no H_1.  Off the planar page the
-signature is ledger-relative only: an asserted baseline plus the signature
-deltas of the substitutions applied since, and "unknown" without one.
+definite, so its signature is rank B - n, and ``sigma`` reads rank B as
+the signature of the positive semidefinite B B^T (the planar arc
+relations) by ``symmetric_signature``, with no Smith form, no Gram matrix
+and no H_1.  Off the planar page the signature is ledger-relative only:
+an asserted baseline plus the signature deltas of the substitutions
+applied since, and "unknown" without one.
 ``check_comparable`` says whether two signatures can enter one e + sigma
 comparison; ``planarity.esig_planarity_test`` gives its verdict.
 
@@ -46,7 +48,7 @@ from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError
-from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_normal_form, zeros
+from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_normal_form, symmetric_signature, zeros
 from .surfaces import Arc, Surface, arc_pairing, standard_arc
 from .words import SubstitutionRecord, Word
 
@@ -77,12 +79,6 @@ def has_exact_form(word: Word) -> bool:
     )
 
 
-def _boundary_map(word: Word) -> Matrix:
-    """The boundary map B: one column per twist, the homology class of its
-    curve (outer-parallel curves enter through their stored negated class)."""
-    return [[t.curve.homology.coords[i] for t in word.twists] for i in range(word.surface.rank)]
-
-
 def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -> PlanarForm:
     """Exact intersection form of the filling over a planar page.
 
@@ -95,10 +91,12 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
             "exact intersection forms need a positive word on a planar page whose curves all have hole sets"
         )
     n = len(word)
-    boundary_map = _boundary_map(word)
+    # the boundary map B: one column per twist, the homology class of its
+    # curve (outer-parallel curves enter through their stored negated class)
+    boundary_map = [[t.curve.homology.coords[i] for t in word.twists] for i in range(word.surface.rank)]
     snf = smith_normal_form(boundary_map, rows=word.surface.rank, cols=n)
     r = snf.rank
-    kernel_gram = gram(snf.col_ops[r:])  # K^T K
+    kernel_gram = gram(snf.columns[r:])  # K^T K
     b2 = n - r
     # The first r rows C of V^-1 span the saturated row space of the
     # boundary map, the orthogonal complement of the kernel in the
@@ -116,7 +114,7 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
             smaller = kernel_gram
         else:
             scaled = mat_mul(snf.row_ops[:r], boundary_map)
-            smaller = gram([[x // d for x in row] for row, d in zip(scaled, snf.diag)])
+            smaller = gram([{k: x // d for k, x in enumerate(row) if x} for row, d in zip(scaled, snf.diag)])
         torsion = tuple(d for d in smith_normal_form(smaller, rows=len(smaller), cols=len(smaller)).diag if d > 1)
     # The kernel basis has full column rank, so q = -K^T K is negative
     # definite and its signature is -b2.
@@ -163,15 +161,15 @@ def sigma(word: Word, ledger: Optional[SigmaLedger] = None) -> SigmaValue:
     """Signature of the filling: exact on the planar fragment, otherwise the
     baseline plus the accumulated substitution deltas.
 
-    The exact value is rank B - n, read off the Smith form of the boundary
-    map B alone: the form is negative definite of rank b2 = n - rank B.
+    The exact value is rank B - n for the boundary map B: the form is
+    negative definite of rank b2 = n - rank B.
     Never raises: mode is "unknown" when the page is off the planar
     fragment and no baseline is asserted, or when some applied relator has
     no stored signature delta.
     """
     if has_exact_form(word):
-        snf = smith_normal_form(_boundary_map(word), rows=word.surface.rank, cols=len(word))
-        return SigmaValue(mode="exact", value=snf.rank - len(word))
+        # a positive word's arc relations B B^T are positive semidefinite: signature = rank = rank B
+        return SigmaValue(mode="exact", value=symmetric_signature(_planar_arc_relations(word)) - len(word))
     if ledger is None:
         return SigmaValue(mode="unknown", value=None)
     offset = ledger.offset

@@ -760,9 +760,20 @@ class TestMain:
         assert result["ledger"] == {"sigma_delta": 2, "euler_delta": 1, "obstruction": 3}
 
     def test_import_loads_no_fractions(self):
+        # nor does computing a signature: the package's arithmetic is integer only
         import steincalc
 
-        probe = "import sys, steincalc.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        package = Path(steincalc.__file__).parent
+        assert not [p.name for p in package.glob("*.py") if "fractions" in p.read_text(encoding="utf-8")]
+        probe = (
+            "import sys, steincalc.cli\n"
+            "from steincalc.document import tau_boundary_document\n"
+            "from steincalc.intlinalg import symmetric_signature\n"
+            "from steincalc.invariants import sigma\n"
+            "assert symmetric_signature([[0, 2], [2, 0]]) == 0\n"
+            "assert sigma(tau_boundary_document(0, 4).words['tau_del']).value == -1\n"
+            "print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+        )
         env = {**os.environ, "PYTHONPATH": str(Path(steincalc.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env,
                              timeout=120, check=True).stdout

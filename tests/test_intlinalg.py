@@ -192,13 +192,15 @@ class TestMatMul:
 
 class TestGram:
     def test_matches_naive_product(self):
-        # sparse and dense vectors, zero vectors, no vectors, length 0
+        # sparse and dense vectors as {coord: value} dicts, zero vectors, no
+        # vectors, length 0
         rng = random.Random(37)
         for _ in range(300):
             count, length = rng.randint(0, 8), rng.randint(0, 12)
             density = rng.choice([0.0, 0.2, 0.5, 1.0])
             vectors = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(length)] for _ in range(count)]
-            assert gram(vectors) == [[sum(x * y for x, y in zip(u, v)) for v in vectors] for u in vectors]
+            sparse = [{k: x for k, x in enumerate(vec) if x} for vec in vectors]
+            assert gram(sparse) == [[sum(x * y for x, y in zip(u, v)) for v in vectors] for u in vectors]
 
 
 class TestKernel:
@@ -244,6 +246,12 @@ class TestAbelianQuotient:
         assert r1 == r2
         assert q.is_zero([x - y for x, y in zip([5, 2], r1)])
 
+    @pytest.mark.parametrize("columns,bad", [([[2, 0, 5]], 0), ([[2]], 0), ([[1, 0], [3]], 1)])
+    def test_ragged_relation_columns_are_rejected(self, columns, bad):
+        # a long column used to lose its tail silently, a short one to raise IndexError
+        with pytest.raises(ValueError, match=f"relation column {bad} has length"):
+            AbelianQuotient.from_relations(2, columns)
+
     def test_no_relations(self):
         q = AbelianQuotient.from_relations(2, [])
         assert q.invariant_factors == ()
@@ -288,6 +296,102 @@ class TestAbelianQuotient:
         assert h.hexdigest() == "3ab7c20dcea5574d064bcac1d6e72e79565d35b3573dc722b6ffa070975f001b"
 
 
+def fraction_signature(q):
+    """Signature by congruence diagonalization over the rationals: the
+    reference for the fraction-free ``symmetric_signature``."""
+    n = len(q)
+    m = [[Fraction(q[i][j]) for j in range(n)] for i in range(n)]
+    active = list(range(n))
+    pos = neg = 0
+    while active:
+        pivot = next((i for i in active if m[i][i] != 0), None)
+        if pivot is None:
+            pair = next(((i, j) for ai, i in enumerate(active) for j in active[ai + 1:] if m[i][j] != 0), None)
+            if pair is None:
+                break  # remaining block is zero
+            i0, j0 = pair
+            for l in active:
+                m[i0][l] += m[j0][l]
+            for k in active:
+                m[k][i0] += m[k][j0]
+            continue
+        d = m[pivot][pivot]
+        if d > 0:
+            pos += 1
+        else:
+            neg += 1
+        rest = [i for i in active if i != pivot]
+        factors = {i: m[i][pivot] / d for i in rest}
+        for i in rest:
+            fi = factors[i]
+            if fi:
+                for j in rest:
+                    m[i][j] -= fi * m[pivot][j]
+        active = rest
+    return pos - neg
+
+
+def symmetric(raw):
+    n = len(raw)
+    return [[raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)]
+
+
+def zero_diagonal_forms():
+    def build(raw):
+        q = symmetric(raw)
+        for i in range(len(q)):
+            q[i][i] = 0
+        return q
+
+    return st.integers(0, 7).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n)
+    ).map(build)
+
+
+def low_rank_forms():
+    # sum of +-v v^T over at most three vectors, so rank <= 3 in dimension up to 7
+    def build(data):
+        n, terms = data
+        q = [[0] * n for _ in range(n)]
+        for sign, v in terms:
+            for i in range(n):
+                for j in range(n):
+                    q[i][j] += sign * v[i] * v[j]
+        return q
+
+    return st.integers(0, 7).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(st.tuples(st.sampled_from((1, -1)), st.lists(st.integers(-3, 3), min_size=n, max_size=n)),
+                     max_size=3),
+        )
+    ).map(build)
+
+
+def hyperbolic_forms():
+    # direct sums of [[0, k], [k, 0]], then a congruence by a unit upper
+    # triangular matrix on about half of them
+    def build(data):
+        ks, u, mix = data
+        n = 2 * len(ks)
+        q = [[0] * n for _ in range(n)]
+        for b, k in enumerate(ks):
+            q[2 * b][2 * b + 1] = q[2 * b + 1][2 * b] = k
+        if not mix:
+            return q
+        u = [[1 if i == j else (u[i][j] if i < j else 0) for j in range(n)] for i in range(n)]
+        return mat_mul(mat_mul(transpose(u), q), u)
+
+    return st.lists(st.integers(-4, 4), max_size=4).flatmap(
+        lambda ks: st.tuples(
+            st.just(ks),
+            st.lists(st.lists(st.integers(-2, 2), min_size=2 * len(ks), max_size=2 * len(ks)),
+                     min_size=2 * len(ks), max_size=2 * len(ks)),
+            st.booleans(),
+        )
+    ).map(build)
+
+
 class TestSignature:
     @pytest.mark.parametrize(
         "matrix,expected",
@@ -319,7 +423,7 @@ class TestSignature:
     def test_congruence_invariance(self, data):
         raw, u = data
         n = len(raw)
-        q = [[raw[i][j] + raw[j][i] for j in range(n)] for i in range(n)]
+        q = symmetric(raw)
         # force u unimodular by making it unit upper triangular
         for i in range(n):
             for j in range(n):
@@ -330,3 +434,16 @@ class TestSignature:
         ut = [[u[j][i] for j in range(n)] for i in range(n)]
         congruent = mat_mul(mat_mul(ut, q), u)
         assert symmetric_signature(congruent) == symmetric_signature(q)
+
+    @settings(max_examples=150)
+    @given(st.one_of(zero_diagonal_forms(), low_rank_forms(), hyperbolic_forms()))
+    def test_matches_the_fraction_oracle(self, q):
+        assert symmetric_signature(q) == fraction_signature(q)
+
+    def test_oracle_on_seeded_dense_forms(self):
+        # generic dense forms, larger than the hypothesis draws
+        rng = random.Random(53)
+        for _ in range(40):
+            n = rng.randint(1, 14)
+            q = symmetric([[rng.randint(-6, 6) for _ in range(n)] for _ in range(n)])
+            assert symmetric_signature(q) == fraction_signature(q)
