@@ -7,12 +7,15 @@ of V as a ``{row: value}`` dict, so a column operation costs the nonzeros of
 one column (kernel columns of a boundary map carry a handful of nonzeros
 among hundreds of rows) and a column swap exchanges two references; it
 returns V in that form, and the kernel of A is the tail of that column
-list.  ``symmetric_signature`` is a fraction-free (Bareiss) congruence
-elimination, the one route to a signature; ``invariants.sigma`` reads a
-rank off it.  Matrices are plain lists of lists of Python ints, so nothing
-overflows; every computation here is exact.  ``mat_mul`` skips zero
-entries in both factors; ``gram`` builds the symmetric Gram matrix of
-sparse vectors from one triangle.
+list.  ``smith_diagonal`` gives D alone, by Euclidean elimination with no
+transforms: a quotient's invariant factors and free rank read only D,
+and a quotient builds U and A V (one ``smith_normal_form``) only when a
+class is reduced or its order is asked.  ``symmetric_signature`` is a
+fraction-free (Bareiss) congruence elimination, the one route to a
+signature; ``invariants.sigma`` reads a rank off it.  Matrices are plain
+lists of lists of Python ints, so nothing overflows; every computation
+here is exact.  ``mat_mul`` skips zero entries in both factors; ``gram``
+builds the symmetric Gram matrix of sparse vectors from one triangle.
 """
 
 from __future__ import annotations
@@ -20,6 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
+
+from .errors import ConsistencyAlarmError
 
 Matrix = List[List[int]]
 
@@ -122,17 +127,21 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
         a[i] = [x + q * y for x, y in zip(a[i], a[j])]
         u[i] = [x + q * y for x, y in zip(u[i], u[j])]
 
-    def col_swap(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        v[i], v[j] = v[j], v[i]
+    # Column operations at step t touch rows t.. only: the rows above hold
+    # nothing but their pivot, so columns t.. are zero there.
+    def col_swap(t: int, j: int) -> None:
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+        v[t], v[j] = v[j], v[t]
 
-    def col_add(i: int, j: int, q: int) -> None:
-        # col_i += q * col_j
-        for row in a:
-            row[i] += q * row[j]
-        vi = v[i]
-        for k, y in v[j].items():
+    def col_add(t: int, j: int, q: int) -> None:
+        # col_j += q * col_t
+        for row in a[t:]:
+            y = row[t]
+            if y:
+                row[j] += q * y
+        vi = v[j]
+        for k, y in v[t].items():
             x = vi.get(k, 0) + q * y
             if x:
                 vi[k] = x
@@ -144,12 +153,15 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
         order over the block a[t:, t:]."""
         best, least = None, 0
         for i in range(t, rows):
-            sizes = [abs(x) for x in a[i][t:]]
-            m = min((x for x in sizes if x), default=0)
-            if m and (best is None or m < least):
-                best, least = (i, t + sizes.index(m)), m
-                if m == 1:
-                    break
+            row = a[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x:
+                    x = abs(x)
+                    if best is None or x < least:
+                        best, least = (i, j), x
+                        if x == 1:
+                            return best
         return best
 
     def clean_pivot(t: int) -> bool:
@@ -166,13 +178,17 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
                 col_swap(t, best[1])
             if a[t][t] < 0:
                 row_negate(t)
+            pivot = a[t][t]
             for i in range(t + 1, rows):
-                if a[i][t] != 0:
-                    row_add(i, t, -(a[i][t] // a[t][t]))
+                q = a[i][t] // pivot
+                if q:
+                    row_add(i, t, -q)
+            top = a[t]
             for j in range(t + 1, cols):
-                if a[t][j] != 0:
-                    col_add(j, t, -(a[t][j] // a[t][t]))
-            if not any(a[t][t + 1:]) and not any(a[i][t] for i in range(t + 1, rows)):
+                q = top[j] // pivot
+                if q:
+                    col_add(t, j, -q)
+            if not any(top[t + 1:]) and not any(a[i][t] for i in range(t + 1, rows)):
                 return True
 
     limit = min(rows, cols)
@@ -180,8 +196,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
     while t < limit:
         if not clean_pivot(t):
             break
-        # Enforce divisibility of the remaining block by the pivot.
-        fixed = True
+        # Enforce divisibility of the remaining block by the pivot (a unit
+        # pivot divides everything).
+        fixed = a[t][t] != 1
         while fixed:
             fixed = False
             pivot = a[t][t]
@@ -211,34 +228,136 @@ def kernel_basis(matrix: Sequence[Sequence[int]], cols: int | None = None) -> Li
     return snf.col_ops[snf.rank:]
 
 
-@dataclass(frozen=True)
+def smith_diagonal(matrix: Sequence[Sequence[int]]) -> Tuple[int, ...]:
+    """The Smith diagonal of ``matrix``, equal to ``smith_normal_form(matrix).diag``,
+    with no transforms.
+
+    Each pivot starts as an entry of least absolute value.  Row operations
+    reduce its column modulo the pivot, column operations its row; a
+    nonzero remainder, smaller than the pivot, becomes the next pivot, so
+    the steps run Euclid's algorithm through the matrix and the pivot ends
+    as the gcd of its row and column (Kannan and Bachem, SIAM J. Comput. 8,
+    1979, do the same with one extended-gcd step each, whose coefficients
+    multiply and, unreduced, blow up on dense 40 x 40 matrices).  Once the
+    pivot divides its whole row and column, clearing them touches nothing
+    else, so it splits off as one diagonal entry.  A gcd/lcm pass over the
+    entries found turns them into the divisor chain d_1 | d_2 | ... (per
+    prime it sorts the exponents); zeros fill the rest.
+    """
+    a = [list(map(int, row)) for row in matrix]
+    size = min(len(a), len(a[0])) if a else 0
+    a = [row for row in a if any(row)]
+    found = []
+    while a:
+        least, i = min((min(map(abs, filter(None, row))), i) for i, row in enumerate(a))
+        j = [abs(x) for x in a[i]].index(least)
+        while True:
+            top = a[i]
+            p = top[j]
+            smaller = None
+            for k, row in enumerate(a):
+                x = row[j]
+                if x and k != i:
+                    q = x // p
+                    if q:
+                        a[k] = row = [y - q * z for y, z in zip(row, top)]
+                        x = row[j]
+                    if x and abs(x) < least:
+                        smaller, least = k, abs(x)
+            if smaller is not None:
+                i = smaller
+                continue
+            if not any(x % p for x in top):
+                break
+            # column j is clear below and above, so these column steps change row i only
+            top[:] = [x % p for x in top]
+            top[j] = p
+            least = min(map(abs, filter(None, top)))
+            j = [abs(x) for x in top].index(least)
+        found.append(abs(p))
+        del a[i]
+        for row in a:
+            del row[j]
+        a = [row for row in a if any(row)]
+    for i in range(len(found)):
+        for k in range(i + 1, len(found)):
+            found[i], found[k] = gcd(found[i], found[k]), lcm(found[i], found[k])
+    return tuple(found) + (0,) * (size - len(found))
+
+
 class AbelianQuotient:
-    """The quotient of Z^n by the column lattice of a relation matrix.
+    """The quotient of Z^n by the column lattice of a relation matrix A.
 
     Presents the group as a direct sum of cyclic factors and answers
     membership, canonical-representative, and element-order queries, all
-    over the integers.  ``relations`` holds the columns of A V = U^-1 D for
-    the relation matrix A: subtracting column i k_i times lowers (U v)_i by
-    k_i d_i.
+    over the integers.  ``from_relations`` only stores the columns of A.
+    ``diag`` (all that ``report``, ``invariant_factors`` and ``free_rank``
+    read) comes from ``smith_diagonal``.  ``row_ops`` (U) and ``relations``
+    (the columns of A V = U^-1 D; subtracting column i k_i times lowers
+    (U v)_i by k_i d_i) come from one ``smith_normal_form``, run by the
+    first ``reduce`` or ``order``; a diagonal read before then must agree
+    with its D, else ``ConsistencyAlarmError``.  Two quotients are equal
+    when their n, diag, row_ops and relations are.
     """
 
-    n: int
-    diag: Tuple[int, ...]
-    row_ops: Matrix        # U
-    relations: Matrix      # A V, by columns
+    __slots__ = ("_n", "_columns", "_diag", "_row_ops", "_relations")
+
+    def __init__(self, n: int, relation_columns: Sequence[Sequence[int]]):
+        self._n = n
+        self._columns = tuple(map(tuple, relation_columns))
+        self._diag: Tuple[int, ...] | None = None
+        self._row_ops: Matrix | None = None
+        self._relations: Matrix | None = None
 
     @classmethod
     def from_relations(cls, n: int, relation_columns: Sequence[Sequence[int]]) -> "AbelianQuotient":
         for j, column in enumerate(relation_columns):
             if len(column) != n:
                 raise ValueError(f"relation column {j} has length {len(column)} != ambient rank {n}")
-        cols = len(relation_columns)
-        matrix = [[relation_columns[j][i] for j in range(cols)] for i in range(n)]
-        snf = smith_normal_form(matrix, rows=n, cols=cols)
+        return cls(n, relation_columns)
+
+    def _matrix(self) -> Matrix:
+        return [[column[i] for column in self._columns] for i in range(self._n)]
+
+    def _smith(self) -> None:
+        snf = smith_normal_form(self._matrix(), rows=self._n, cols=len(self._columns))
+        if self._diag is not None and self._diag != snf.diag:
+            raise ConsistencyAlarmError(f"Smith diagonal {self._diag} differs from the Smith form's {snf.diag}")
+        self._diag, self._row_ops = snf.diag, snf.row_ops
         # column j of A V is the sum over k of V_kj times column k of A
-        relations = [[sum(x * relation_columns[k][i] for k, x in column.items()) for i in range(n)]
-                     for column in snf.columns]
-        return cls(n=n, diag=snf.diag, row_ops=snf.row_ops, relations=relations)
+        self._relations = [[sum(x * self._columns[k][i] for k, x in column.items()) for i in range(self._n)]
+                           for column in snf.columns]
+
+    @property
+    def n(self) -> int:
+        return self._n
+
+    @property
+    def diag(self) -> Tuple[int, ...]:
+        if self._diag is None:
+            self._diag = smith_diagonal(self._matrix())
+        return self._diag
+
+    @property
+    def row_ops(self) -> Matrix:
+        """U, by rows."""
+        if self._row_ops is None:
+            self._smith()
+        return self._row_ops  # type: ignore[return-value]
+
+    @property
+    def relations(self) -> Matrix:
+        """A V, by columns."""
+        if self._relations is None:
+            self._smith()
+        return self._relations  # type: ignore[return-value]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AbelianQuotient):
+            return NotImplemented
+        if (self._n, self._columns) == (other._n, other._columns):
+            return True
+        return (self._n, self.diag, self.row_ops, self.relations) == (other._n, other.diag, other.row_ops, other.relations)
 
     @property
     def invariant_factors(self) -> Tuple[int, ...]:

@@ -18,8 +18,9 @@ isomorphic discriminant groups, so the form's invariant factors above 1
 are those of C C^T.  When every nonzero d_i is 1, B B^T is U^-1 (C C^T + 0)
 U^-T, so they are the torsion of H_1 of the boundary below, which
 ``filling_invariants`` builds once per word and hands to the form;
-otherwise they come from the SNF of the smaller of the two Gram matrices,
-of size min(b2, r) with r <= b-1 the rank of B.  The form is negative
+otherwise they come from the Smith diagonal (``smith_diagonal``, no
+transforms) of the smaller of the two Gram matrices, of size min(b2, r)
+with r <= b-1 the rank of B.  The form is negative
 definite, so its signature is rank B - n, and ``sigma`` reads rank B as
 the signature of the positive semidefinite B B^T (the planar arc
 relations) by ``symmetric_signature``, with no Smith form, no Gram matrix
@@ -37,8 +38,13 @@ change the presentation, never the group.  On a planar page every arc to
 j has relative class S_j and it never moves, so the arc relations are the
 columns of B S B^T, with S the diagonal of twist signs, built in one pass
 over the twists whatever arcs are declared; ``variation`` is the general
-rule for pages of positive genus.  Invariant factors come from Smith normal
-form; torsion is the payload, so nothing is done rationally.
+rule for pages of positive genus.  Torsion is the payload, so nothing is
+done rationally.  The h1 report and q's torsion read only H_1's Smith
+diagonal, which ``smith_diagonal`` gives without transforms; the c1 report
+reduces a class, so ``chern_pd`` alone makes H_1 build U and A V (one
+``smith_normal_form``).  ``filling_invariants`` runs it before the planar
+form, so a word with Chern inputs builds one Smith form per H_1 and reads
+its diagonal from it, and a word without them builds no U.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError
-from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_normal_form, symmetric_signature, zeros
+from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_diagonal, smith_normal_form, symmetric_signature, zeros
 from .surfaces import Arc, Surface, arc_pairing, standard_arc
 from .words import SubstitutionRecord, Word
 
@@ -108,14 +114,14 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
         # word is positive, so B S B^T = B B^T), has the torsion of C C^T.
         torsion = (h1 if h1 is not None else h1_boundary(word)).invariant_factors
     else:
-        # Some d_i > 1 scales the row space; take the SNF of the smaller
-        # Gram matrix.  Row i < r of V^-1 is row i of U B / d_i.
+        # Some d_i > 1 scales the row space; take the Smith diagonal of the
+        # smaller Gram matrix.  Row i < r of V^-1 is row i of U B / d_i.
         if b2 < r:
             smaller = kernel_gram
         else:
             scaled = mat_mul(snf.row_ops[:r], boundary_map)
             smaller = gram([{k: x // d for k, x in enumerate(row) if x} for row, d in zip(scaled, snf.diag)])
-        torsion = tuple(d for d in smith_normal_form(smaller, rows=len(smaller), cols=len(smaller)).diag if d > 1)
+        torsion = tuple(d for d in smith_diagonal(smaller) if d > 1)
     # The kernel basis has full column rank, so q = -K^T K is negative
     # definite and its signature is -b2.
     return PlanarForm(
@@ -393,6 +399,14 @@ def filling_invariants(
     meridians are known."""
     euler = euler_characteristic(word)
     h1 = h1_boundary(word, arcs)
+    # c1 first: with Chern inputs its reduction builds H_1's one Smith form,
+    # whose diagonal the planar form then reads; without them chern_pd
+    # raises before it touches H_1, and only the diagonal is ever computed
+    c1: Optional[ChernData]
+    try:
+        c1 = chern_pd(word, h1=h1, rotations=rotations, mu_map=mu_map)
+    except UnsupportedInputError:
+        c1 = None
     b2 = q_matrix = q_factors = None
     if has_exact_form(word):
         form = planar_intersection_form(word, h1)
@@ -400,11 +414,6 @@ def filling_invariants(
         b2, q_matrix, q_factors = form.b2, form.matrix, form.invariant_factors
     else:
         sigma_value = sigma(word, ledger)
-    c1: Optional[ChernData]
-    try:
-        c1 = chern_pd(word, h1=h1, rotations=rotations, mu_map=mu_map)
-    except UnsupportedInputError:
-        c1 = None
     esig = esig_mod4 = None
     if sigma_value.value is not None:
         esig = euler + sigma_value.value

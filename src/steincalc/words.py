@@ -70,11 +70,10 @@ class Word:
     twists: Tuple[Twist, ...]
 
     def __post_init__(self):
-        for t in self.twists:
-            if t.curve.surface != self.surface:
-                raise RankMismatchError(
-                    f"twist about {t.curve.name} lives on {t.curve.surface}, not {self.surface}"
-                )
+        # each distinct curve object once, in order of first occurrence
+        for curve in {id(t.curve): t.curve for t in self.twists}.values():
+            if curve.surface != self.surface:
+                raise RankMismatchError(f"twist about {curve.name} lives on {curve.surface}, not {self.surface}")
 
     def __len__(self) -> int:
         return len(self.twists)

@@ -7,11 +7,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from steincalc import intlinalg
+from steincalc.errors import ConsistencyAlarmError
 from steincalc.intlinalg import (
     AbelianQuotient,
     gram,
     kernel_basis,
     mat_mul,
+    smith_diagonal,
     smith_normal_form,
     symmetric_signature,
 )
@@ -167,6 +170,84 @@ class TestSmithNormalForm:
         assert determinant([[1, 2], [2, 4]]) == 0
 
 
+def entries(rows, cols, span):
+    return st.lists(st.lists(st.integers(-span, span), min_size=cols, max_size=cols), min_size=rows, max_size=rows)
+
+
+def smith_inputs():
+    """(matrix, rows, cols) of shape 0..8 x 0..8: dense draws with negative
+    entries, or products P Q through an inner dimension 0..3 (rank at most
+    3), with some rows and columns then zeroed."""
+
+    def product(shape):
+        rows, inner, cols = shape
+        return st.tuples(entries(rows, inner, 4), entries(inner, cols, 4)).map(
+            lambda pq: [[sum(x * pq[1][k][j] for k, x in enumerate(prow)) for j in range(cols)] for prow in pq[0]]
+        )
+
+    def zeroed(shape):
+        rows, cols = shape
+        dense = entries(rows, cols, 9)
+        low_rank = st.integers(0, 3).flatmap(lambda inner: product((rows, inner, cols)))
+        return st.tuples(
+            st.just(rows), st.just(cols), st.one_of(dense, low_rank),
+            st.sets(st.integers(0, max(rows - 1, 0))), st.sets(st.integers(0, max(cols - 1, 0))),
+        )
+
+    def build(data):
+        rows, cols, a, zero_rows, zero_cols = data
+        a = [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(row)] for i, row in enumerate(a)]
+        return a, rows, cols
+
+    return st.tuples(st.integers(0, 8), st.integers(0, 8)).flatmap(zeroed).map(build)
+
+
+class TestSmithDiagonal:
+    @settings(max_examples=300)
+    @given(smith_inputs())
+    def test_matches_the_smith_form(self, data):
+        a, rows, cols = data
+        assert smith_diagonal(a) == smith_normal_form(a, rows=rows, cols=cols).diag
+
+    def test_matches_the_smith_form_on_larger_seeded_matrices(self):
+        rng = random.Random(61)
+        for _ in range(12):
+            rows, cols, span = rng.randint(9, 20), rng.randint(9, 20), rng.choice([2, 9, 80])
+            a = [[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)]
+            for m in (a, [[sum(x * y for x, y in zip(u, v)) for v in a] for u in a]):
+                assert smith_diagonal(m) == smith_normal_form(m, rows=len(m), cols=len(m[0])).diag
+
+    def test_dense_40_by_40_gram_matrix(self):
+        # unreduced extended-gcd steps let the coefficients of such a matrix
+        # blow up (seconds, not milliseconds); the diagonal must be a divisor
+        # chain whose product is the determinant, det(A)^2
+        rng = random.Random(67)
+        a = [[rng.randint(-9, 9) for _ in range(40)] for _ in range(40)]
+        diag = smith_diagonal([[sum(x * y for x, y in zip(u, v)) for v in a] for u in a])
+        assert all(d2 % d1 == 0 for d1, d2 in zip(diag, diag[1:]))
+        product = 1
+        for d in diag:
+            product *= d
+        assert product == determinant(a) ** 2 != 0
+
+    @pytest.mark.parametrize(
+        "matrix,expected",
+        [
+            ([], ()),
+            ([[]], ()),
+            ([[0]], (0,)),
+            ([[-7]], (7,)),
+            ([[3, -6, 9]], (3,)),
+            ([[4], [6], [-10]], (2,)),
+            ([[2, 4, 4], [-6, 6, 12], [10, 4, 16]], (2, 2, 156)),
+            ([[2, 0], [0, 3]], (1, 6)),
+            ([[0, 0, 0], [0, 4, 0], [0, 0, 6]], (2, 12, 0)),
+        ],
+    )
+    def test_anchors(self, matrix, expected):
+        assert smith_diagonal(matrix) == expected
+
+
 class TestMatMul:
     def test_matches_naive_triple_loop(self):
         rng = random.Random(31)
@@ -278,6 +359,42 @@ class TestAbelianQuotient:
         assert q.reduce(shifted) == rep
         assert q.is_zero([x - y for x, y in zip(v, rep)])
         assert q.reduce(rep) == rep
+
+    def test_transforms_wait_for_a_reduction(self, monkeypatch):
+        # from_relations computes nothing, the report reads smith_diagonal
+        # alone, and the first reduce runs the one Smith form
+        calls = []
+        real_snf, real_diagonal = intlinalg.smith_normal_form, intlinalg.smith_diagonal
+        monkeypatch.setattr(intlinalg, "smith_normal_form", lambda *a, **k: calls.append("snf") or real_snf(*a, **k))
+        monkeypatch.setattr(intlinalg, "smith_diagonal", lambda *a: calls.append("diagonal") or real_diagonal(*a))
+        q = AbelianQuotient.from_relations(3, [[2, 0, 0], [0, 3, 0]])
+        assert calls == []
+        assert q.report() == [[6], 1] and calls == ["diagonal"]
+        assert q.order([1, 1, 0]) == 6 and q.reduce([3, 3, 0]) == q.reduce([1, 0, 0])
+        assert calls == ["diagonal", "snf"]
+        # with the transforms built first, the diagonal is read from them
+        q = AbelianQuotient.from_relations(3, [[2, 0, 0], [0, 3, 0]])
+        q.reduce([1, 1, 1])
+        assert q.report() == [[6], 1] and calls == ["diagonal", "snf", "snf"]
+
+    def test_diagonal_mismatch_raises(self, monkeypatch):
+        q = AbelianQuotient.from_relations(1, [[5]])
+        monkeypatch.setattr(intlinalg, "smith_diagonal", lambda matrix: (1,))
+        assert q.invariant_factors == ()
+        with pytest.raises(ConsistencyAlarmError, match="Smith diagonal"):
+            q.reduce([1])
+
+    def test_value_equality(self):
+        # equal presentations, or unequal ones with the same n, D, U and A V
+        q = AbelianQuotient.from_relations(2, [[4, 0], [0, 1]])
+        assert q == AbelianQuotient.from_relations(2, [(4, 0), (0, 1)])
+        assert q == AbelianQuotient.from_relations(2, [[0, 1], [4, 0]])  # same U and A V
+        assert q != AbelianQuotient.from_relations(2, [[4, 0], [0, -1]])  # same group, another U
+        assert q != AbelianQuotient.from_relations(2, [[8, 0], [0, 1]])
+        assert q != AbelianQuotient.from_relations(3, [[4, 0, 0], [0, 1, 0]])
+        assert q != (2, (4, 1))
+        with pytest.raises(TypeError):
+            hash(q)
 
     def test_queries_are_pinned(self):
         # sha256 of reduce/order/is_zero answers on seeded relation

@@ -2,6 +2,7 @@
 boundary homology, Chern data, and the e + sigma comparability guard."""
 
 import hashlib
+import json
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from steincalc.errors import (
     RankMismatchError,
     UnsupportedInputError,
 )
-from steincalc.intlinalg import AbelianQuotient, smith_normal_form, symmetric_signature
+from steincalc.intlinalg import AbelianQuotient, smith_diagonal, smith_normal_form, symmetric_signature
 from steincalc.invariants import (
     SigmaLedger,
     SigmaValue,
@@ -159,37 +160,51 @@ class TestPlanarForm:
         assert form.invariant_factors == (1, 1, 2, 4)
 
     def test_no_snf_of_the_form_itself(self, monkeypatch):
-        # filling_invariants runs the (b-1) x (b-1) SNF of H_1 and the
-        # boundary SNF, and H_1 also gives q's torsion when the nonzero
-        # diagonal of B is all 1; only otherwise one more SNF, of the smaller
-        # Gram matrix.  Besides the boundary SNF none is larger than
-        # (b-1) x (b-1) and none is b2 x b2 for b2 > b-1.  The shapes are
-        # compared as multisets, since the order of the calls is no part of
-        # the claim.
+        # filling_invariants runs the boundary SNF and reads H_1's (b-1) x
+        # (b-1) Smith diagonal, which also gives q's torsion when the nonzero
+        # diagonal of B is all 1; only otherwise one more Smith diagonal, of
+        # the smaller Gram matrix.  H_1 runs a full SNF (U and A V) only for
+        # a word with Chern inputs, and then reads its diagonal from it.
+        # Besides the boundary SNF nothing is larger than (b-1) x (b-1) and
+        # nothing is b2 x b2 for b2 > b-1.  The shapes are compared as
+        # multisets, since the order of the calls is no part of the claim.
         shapes = []
-        real = smith_normal_form
+        real_snf, real_diagonal = smith_normal_form, smith_diagonal
 
-        def recording(matrix, rows=None, cols=None):
-            shapes.append((len(matrix), len(matrix[0]) if matrix else 0))
-            return real(matrix, rows=rows, cols=cols)
+        def recording_snf(matrix, rows=None, cols=None):
+            shapes.append(("snf", len(matrix), len(matrix[0]) if matrix else 0))
+            return real_snf(matrix, rows=rows, cols=cols)
 
-        monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
-        monkeypatch.setattr(invariants, "smith_normal_form", recording)
+        def recording_diagonal(matrix):
+            shapes.append(("diagonal", len(matrix), len(matrix[0]) if matrix else 0))
+            return real_diagonal(matrix)
+
+        for module in (intlinalg, invariants):
+            monkeypatch.setattr(module, "smith_normal_form", recording_snf)
+            monkeypatch.setattr(module, "smith_diagonal", recording_diagonal)
         s = Surface(0, 6)
         curves = [convex_curve(s, f"c{i}", holes) for i, holes in enumerate([{2}, {2, 3}, {3, 4, 5}, {6}])]
-        # a form larger than the boundary rank, and the boundary multitwist
-        # (b2 = 1 below r = 5)
-        for word, large in ((word_of(s, curves * 3), True), (boundary_multitwist(0, 6), False)):
-            shapes.clear()
-            inv = filling_invariants(word)
-            assert (inv.b2 > s.rank) == large
-            assert sorted(shapes) == sorted([(s.rank, len(word)), (s.rank, s.rank)])
+        # a form larger than the boundary rank, with no Chern inputs
+        shapes.clear()
+        word = word_of(s, curves * 3)
+        inv = filling_invariants(word)
+        assert inv.b2 > s.rank and inv.c1 is None
+        assert sorted(shapes) == sorted([("snf", s.rank, len(word)), ("diagonal", s.rank, s.rank)])
+        # the boundary multitwist (b2 = 1 below r = 5) reduces c1 in H_1
+        shapes.clear()
+        word = boundary_multitwist(0, 6)
+        inv = filling_invariants(word)
+        assert inv.b2 == 1 and inv.c1 is not None
+        assert sorted(shapes) == sorted([("snf", s.rank, len(word)), ("snf", s.rank, s.rank)])
         # the triangle word: B has diagonal (1, 1, 2), so the form's torsion
-        # needs its own SNF, of the 3 x 3 complement Gram matrix
+        # needs its own Smith diagonal, of the 3 x 3 complement Gram matrix;
+        # H_1's diagonal waits until its report reads it
         shapes.clear()
         inv = filling_invariants(_triangle_word())
-        assert inv.b2 == 3
-        assert sorted(shapes) == sorted([(3, 6), (3, 3), (3, 3)])
+        assert inv.b2 == 3 and inv.c1 is None
+        assert sorted(shapes) == sorted([("snf", 3, 6), ("diagonal", 3, 3)])
+        assert inv.h1.report() == [[2, 2, 8], 0]
+        assert sorted(shapes) == sorted([("snf", 3, 6), ("diagonal", 3, 3), ("diagonal", 3, 3)])
 
     def test_missing_hole_set_rejected(self):
         s = Surface(0, 3)
@@ -269,6 +284,69 @@ def _uncovered_planar_case(rng):
     for i in range(rng.randint(1, 6)):
         pool.append(convex_curve(s, f"c{i}", {h for h in covered if rng.random() < 0.5}))
     return word_of(s, [rng.choice(pool) for _ in range(rng.randint(0, 24))])
+
+
+def _recording_snf(monkeypatch):
+    """Patch smith_normal_form where the package calls it; returns the list
+    of matrices it is then called on."""
+    seen = []
+    real = smith_normal_form
+
+    def recording(matrix, rows=None, cols=None):
+        seen.append([list(row) for row in matrix])
+        return real(matrix, rows=rows, cols=cols)
+
+    monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
+    monkeypatch.setattr(invariants, "smith_normal_form", recording)
+    return seen
+
+
+class TestLazyH1:
+    # H_1's report and q's torsion read only its Smith diagonal; U and A V
+    # (one smith_normal_form) are built only when chern_pd reduces c1
+
+    def test_diagonal_of_seeded_h1_matrices(self):
+        for seed in range(2000):
+            w, _ = _planar_pin_case(seed)
+            m = invariants._planar_arc_relations(w)
+            assert smith_diagonal(m) == smith_normal_form(m, rows=len(m), cols=len(m)).diag
+
+    def test_no_chern_inputs_build_no_u(self, monkeypatch, capsys):
+        seen = _recording_snf(monkeypatch)
+        checked = 0
+        for seed in range(300):
+            w, _ = _planar_pin_case(seed)
+            seen.clear()
+            inv = filling_invariants(w)
+            if inv.c1 is not None:
+                continue  # a lone outer-parallel twist on the disk is a boundary multitwist
+            inv.h1.report()
+            rows = w.surface.rank
+            boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(rows)]
+            # the boundary SNF of an exact form, and nothing for H_1
+            assert seen == ([boundary_map] if has_exact_form(w) else [])
+            checked += 1
+        assert checked > 250
+        seen.clear()
+        assert cli.main(["invariants", "--lantern", "--word", "lantern_right"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["c1_pd"] is None
+        assert len(seen) == 1
+
+    @pytest.mark.parametrize("g", range(0, 3))
+    def test_boundary_multitwist_one_snf_per_h1(self, g, monkeypatch):
+        # c1 is reduced, so H_1 runs one Smith form, whose diagonal the
+        # report and the planar form then read; a planar page adds the
+        # boundary SNF
+        seen = _recording_snf(monkeypatch)
+        for b in range(2, 9):
+            w = boundary_multitwist(g, b)
+            seen.clear()
+            inv = filling_invariants(w)
+            assert inv.c1 is not None and inv.h1.report() == [[b], 2 * g]
+            assert inv.h1.order(inv.c1.vector) == inv.c1.order and inv.h1.reduce(inv.c1.vector) == list(inv.c1.reduced)
+            assert len(seen) == (2 if g == 0 else 1)
+            if g == 0:
+                assert seen.count(invariants._planar_arc_relations(w)) == 1
 
 
 class TestTorsionFromH1:

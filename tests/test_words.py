@@ -78,6 +78,16 @@ class TestCompose:
         with pytest.raises(RankMismatchError):
             compose(Word(s1, ()), Word(s2, ()))
 
+    def test_foreign_curve_named_at_its_first_twist(self):
+        # each distinct curve is checked once, in order of first occurrence
+        s, other = Surface(0, 3), Surface(0, 4)
+        home = convex_curve(s, "home", {2})
+        far, farther = convex_curve(other, "far", {2}), convex_curve(other, "farther", {3})
+        with pytest.raises(RankMismatchError, match="twist about far lives on"):
+            word_of(s, [home, far, home, farther, far])
+        with pytest.raises(RankMismatchError, match="twist about farther lives on"):
+            word_of(s, [home] * 5 + [farther, far])
+
 
 class TestFreeReduce:
     def test_inverse_pair_cancels(self, torus1):
