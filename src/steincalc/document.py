@@ -90,16 +90,17 @@ def _section(data: dict, key: str, kind: type):
 
 
 def _parse_curve(surface: Surface, spec: dict, location: str) -> Curve:
-    # sub-locations and messages are formatted only for a failing check
     _require(isinstance(spec, dict), location, "curve entries must be objects")
     name = spec.get("name")
     _require(isinstance(name, str) and bool(name), location, "curve needs a non-empty string name")
     rotation = spec.get("rotation")
-    if not (rotation is None or _is_int(rotation)):
-        raise DocumentError(f"{location}.rotation", "rotation must be an integer")
+    _require(rotation is None or _is_int(rotation), f"{location}.rotation", "rotation must be an integer")
     parallel = spec.get("boundary_parallel_to")
-    if not (parallel is None or _is_int(parallel)):
-        raise DocumentError(f"{location}.boundary_parallel_to", "boundary index must be an integer")
+    _require(
+        parallel is None or _is_int(parallel),
+        f"{location}.boundary_parallel_to",
+        "boundary index must be an integer",
+    )
     holes = spec.get("holes")
     homology = spec.get("homology")
     _require(
@@ -109,10 +110,12 @@ def _parse_curve(surface: Surface, spec: dict, location: str) -> Curve:
     )
     try:
         if holes is not None:
-            if not (isinstance(holes, list) and all(_is_int(h) for h in holes)):
-                raise DocumentError(f"{location}.holes", "holes must be a list of integers")
-            if surface.genus != 0:
-                raise DocumentError(f"{location}.holes", "hole sets only make sense on planar surfaces")
+            _require(
+                isinstance(holes, list) and all(_is_int(h) for h in holes),
+                f"{location}.holes",
+                "holes must be a list of integers",
+            )
+            _require(surface.genus == 0, f"{location}.holes", "hole sets only make sense on planar surfaces")
             if 1 in holes:
                 raise DocumentError(
                     f"{location}.holes",
@@ -125,13 +128,16 @@ def _parse_curve(surface: Surface, spec: dict, location: str) -> Curve:
                 rotation=rotation,
                 boundary_parallel_to=parallel,
             )
-        if not (isinstance(homology, list) and all(_is_int(x) for x in homology)):
-            raise DocumentError(f"{location}.homology", "homology must be a list of integers")
-        if len(homology) != surface.rank:
-            raise DocumentError(
-                f"{location}.homology",
-                f"vector length {len(homology)} does not match surface rank {surface.rank}",
-            )
+        _require(
+            isinstance(homology, list) and all(_is_int(x) for x in homology),
+            f"{location}.homology",
+            "homology must be a list of integers",
+        )
+        _require(
+            len(homology) == surface.rank,
+            f"{location}.homology",
+            f"vector length {len(homology)} does not match surface rank {surface.rank}",
+        )
         return Curve(
             name=name,
             homology=HomologyClass(surface, tuple(homology)),
@@ -148,19 +154,14 @@ def _parse_word(surface: Surface, curves: Dict[str, Curve], spec, location: str)
     _require(isinstance(spec, list), location, "a word is a list of {curve, sign} objects")
     twists = []
     for i, t in enumerate(spec):
-        # the twist's location and message are formatted only when a check fails
-        if not isinstance(t, dict):
-            raise DocumentError(f"{location}[{i}]", "each twist is an object")
+        where = f"{location}[{i}]"
+        _require(isinstance(t, dict), where, "each twist is an object")
         cname = t.get("curve")
-        if not isinstance(cname, str):
-            raise DocumentError(f"{location}[{i}]", "twist needs a curve name")
-        curve = curves.get(cname)
-        if curve is None:
-            raise DocumentError(f"{location}[{i}]", f"word references undeclared curve '{cname}'")
+        _require(isinstance(cname, str), where, "twist needs a curve name")
+        _require(cname in curves, where, f"word references undeclared curve '{cname}'")
         sign = t.get("sign", 1)
-        if not (_is_int(sign) and sign in (1, -1)):
-            raise DocumentError(f"{location}[{i}].sign", "sign must be 1 or -1")
-        twists.append(Twist(curve, sign))
+        _require(_is_int(sign) and sign in (1, -1), f"{where}.sign", "sign must be 1 or -1")
+        twists.append(Twist(curves[cname], sign))
     return Word(surface, tuple(twists))
 
 

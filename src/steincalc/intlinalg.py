@@ -303,6 +303,9 @@ class AbelianQuotient:
     __slots__ = ("_n", "_columns", "_diag", "_row_ops", "_relations")
 
     def __init__(self, n: int, relation_columns: Sequence[Sequence[int]]):
+        for j, column in enumerate(relation_columns):
+            if len(column) != n:
+                raise ValueError(f"relation column {j} has length {len(column)} != ambient rank {n}")
         self._n = n
         self._columns = tuple(map(tuple, relation_columns))
         self._diag: Tuple[int, ...] | None = None
@@ -311,9 +314,6 @@ class AbelianQuotient:
 
     @classmethod
     def from_relations(cls, n: int, relation_columns: Sequence[Sequence[int]]) -> "AbelianQuotient":
-        for j, column in enumerate(relation_columns):
-            if len(column) != n:
-                raise ValueError(f"relation column {j} has length {len(column)} != ambient rank {n}")
         return cls(n, relation_columns)
 
     def _matrix(self) -> Matrix:

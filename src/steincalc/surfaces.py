@@ -213,13 +213,11 @@ class Curve:
             bad = [j for j in self.hole_set if not 2 <= j <= surface.boundary_count]
             if bad:
                 raise ValueError(f"curve {self.name}: hole indices {bad} outside 2..{surface.boundary_count}")
-            # the indicator vector of the set on the d_j coordinates, negated for an outer-parallel curve
-            one = -1 if self.boundary_parallel_to == 1 else 1
-            expected = tuple(one if j in self.hole_set else 0 for j in range(2, surface.boundary_count + 1))
-            if self.homology.coords != expected:
+            expected = _hole_set_class(surface, self.hole_set, self.boundary_parallel_to == 1)
+            if self.homology != expected:
                 raise ValueError(
                     f"curve {self.name}: homology {self.homology.coords} does not match "
-                    f"hole set {sorted(self.hole_set)} (expected {expected})"
+                    f"hole set {sorted(self.hole_set)} (expected {expected.coords})"
                 )
         if self.boundary_parallel_to is not None:
             b = surface.boundary_count

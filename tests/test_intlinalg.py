@@ -332,6 +332,8 @@ class TestAbelianQuotient:
         # a long column used to lose its tail silently, a short one to raise IndexError
         with pytest.raises(ValueError, match=f"relation column {bad} has length"):
             AbelianQuotient.from_relations(2, columns)
+        with pytest.raises(ValueError, match=f"relation column {bad} has length"):
+            AbelianQuotient(2, columns)
 
     def test_no_relations(self):
         q = AbelianQuotient.from_relations(2, [])
