@@ -111,10 +111,11 @@ _FAMILY_FIELDS = ("euler", "sigma", "q_invariant_factors", "h1", "esig", "esig_m
 
 
 def _certificate_payload(cert: PlanarityCertificate) -> dict:
+    witness = cert.witness
     return {
         "verdict": cert.verdict,
         "basis": cert.basis,
-        "witness": None if cert.witness is None else dict(vars(cert.witness)),
+        "witness": None if witness is None else {name: getattr(witness, name) for name in witness._fields},
         "notes": list(cert.notes),
     }
 

@@ -16,11 +16,10 @@ are made, so no generator goes through JSON or ``parse``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .errors import DocumentError
+from .errors import DocumentError, Value
 from .invariants import boundary_rotation
 from .planarity import BoundingDeclaration
 from .relators import (
@@ -44,21 +43,55 @@ from .words import Relator, Twist, Word, word_of
 MAX_PAGE_RANK = 128
 
 
-@dataclass
-class Document:
-    """A validated input document."""
+class Document(Value):
+    """A validated input document.
 
-    surface: Surface
-    curves: Dict[str, Curve]
-    words: Dict[str, Word]
-    relator_entries: Dict[str, RelatorEntry]
-    relator_decls: Tuple[dict, ...] = ()
-    arcs: Tuple[Arc, ...] = ()
-    declarations: Tuple[BoundingDeclaration, ...] = ()
-    baselines: Dict[str, int] = field(default_factory=dict)
-    disjoint: FrozenSet[NamePair] = frozenset()
-    rotations: Dict[str, Tuple[int, ...]] = field(default_factory=dict)
-    mu_maps: Dict[str, Tuple[Tuple[int, ...], ...]] = field(default_factory=dict)
+    Unlike the package's other values it is mutable and unhashable:
+    ``tau_boundary_document`` fills some fields in after construction.
+    """
+
+    __slots__ = (
+        "surface",
+        "curves",
+        "words",
+        "relator_entries",
+        "relator_decls",
+        "arcs",
+        "declarations",
+        "baselines",
+        "disjoint",
+        "rotations",
+        "mu_maps",
+    )
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(
+        self,
+        surface: Surface,
+        curves: Dict[str, Curve],
+        words: Dict[str, Word],
+        relator_entries: Dict[str, RelatorEntry],
+        relator_decls: Tuple[dict, ...] = (),
+        arcs: Tuple[Arc, ...] = (),
+        declarations: Tuple[BoundingDeclaration, ...] = (),
+        baselines: Optional[Dict[str, int]] = None,
+        disjoint: FrozenSet[NamePair] = frozenset(),
+        rotations: Optional[Dict[str, Tuple[int, ...]]] = None,
+        mu_maps: Optional[Dict[str, Tuple[Tuple[int, ...], ...]]] = None,
+    ):
+        self.surface = surface
+        self.curves = curves
+        self.words = words
+        self.relator_entries = relator_entries
+        self.relator_decls = relator_decls
+        self.arcs = arcs
+        self.declarations = declarations
+        self.baselines = {} if baselines is None else baselines
+        self.disjoint = disjoint
+        self.rotations = {} if rotations is None else rotations
+        self.mu_maps = {} if mu_maps is None else mu_maps
 
 
 def _is_int(value) -> bool:

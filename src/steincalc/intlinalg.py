@@ -20,11 +20,10 @@ builds the symmetric Gram matrix of sparse vectors from one triangle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, lcm
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from .errors import ConsistencyAlarmError
+from .errors import ConsistencyAlarmError, Value
 
 Matrix = List[List[int]]
 
@@ -78,8 +77,7 @@ def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
     return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
 
 
-@dataclass(frozen=True)
-class SmithForm:
+class SmithForm(Value):
     """Diagonalization U @ A @ V = D with U, V unimodular.
 
     ``diag`` is the full diagonal of D (length min(rows, cols)), entries
@@ -89,10 +87,13 @@ class SmithForm:
     integer kernel of A; ``col_ops`` expands them to dense lists.
     """
 
-    diag: Tuple[int, ...]
-    rank: int
-    row_ops: Matrix                # U, by rows
-    columns: List[Dict[int, int]]  # V, by sparse columns
+    __slots__ = ("diag", "rank", "row_ops", "columns")
+
+    def __init__(self, diag: Tuple[int, ...], rank: int, row_ops: Matrix, columns: List[Dict[int, int]]):
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "row_ops", row_ops)
+        object.__setattr__(self, "columns", columns)
 
     @property
     def col_ops(self) -> Matrix:

@@ -49,11 +49,10 @@ its diagonal from it, and a word without them builds no U.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError
+from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError, Value
 from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_diagonal, smith_normal_form, symmetric_signature, zeros
 from .surfaces import Arc, Surface, arc_pairing, standard_arc
 from .words import SubstitutionRecord, Word
@@ -65,14 +64,16 @@ def euler_characteristic(word: Word) -> int:
     return (2 - 2 * surface.genus - surface.boundary_count) + len(word)
 
 
-@dataclass(frozen=True)
-class PlanarForm:
+class PlanarForm(Value):
     """Exact intersection form data of a planar filling."""
 
-    matrix: Tuple[Tuple[int, ...], ...]
-    b2: int
-    sigma: int
-    invariant_factors: Tuple[int, ...]
+    __slots__ = ("matrix", "b2", "sigma", "invariant_factors")
+
+    def __init__(self, matrix: Tuple[Tuple[int, ...], ...], b2: int, sigma: int, invariant_factors: Tuple[int, ...]):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "invariant_factors", invariant_factors)
 
 
 def has_exact_form(word: Word) -> bool:
@@ -132,13 +133,15 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
     )
 
 
-@dataclass(frozen=True)
-class SigmaLedger:
+class SigmaLedger(Value):
     """An asserted signature for one factorization plus applied substitutions."""
 
-    baseline_name: str
-    baseline_sigma: int
-    records: Tuple[SubstitutionRecord, ...] = ()
+    __slots__ = ("baseline_name", "baseline_sigma", "records")
+
+    def __init__(self, baseline_name: str, baseline_sigma: int, records: Tuple[SubstitutionRecord, ...] = ()):
+        object.__setattr__(self, "baseline_name", baseline_name)
+        object.__setattr__(self, "baseline_sigma", baseline_sigma)
+        object.__setattr__(self, "records", records)
 
     def extended(self, record: SubstitutionRecord) -> "SigmaLedger":
         return SigmaLedger(self.baseline_name, self.baseline_sigma, self.records + (record,))
@@ -153,14 +156,22 @@ class SigmaLedger:
         return total
 
 
-@dataclass(frozen=True)
-class SigmaValue:
+class SigmaValue(Value):
     """An exact, baseline-relative, or unknown signature."""
 
-    mode: str  # "exact" | "relative" | "unknown"
-    value: Optional[int]
-    baseline_name: Optional[str] = None
-    offset: Optional[int] = None
+    __slots__ = ("mode", "value", "baseline_name", "offset")  # mode: "exact" | "relative" | "unknown"
+
+    def __init__(
+        self,
+        mode: str,
+        value: Optional[int],
+        baseline_name: Optional[str] = None,
+        offset: Optional[int] = None,
+    ):
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "baseline_name", baseline_name)
+        object.__setattr__(self, "offset", offset)
 
 
 def sigma(word: Word, ledger: Optional[SigmaLedger] = None) -> SigmaValue:
@@ -270,15 +281,17 @@ def h1_boundary(word: Word, arcs: Optional[Sequence[Arc]] = None) -> AbelianQuot
     return AbelianQuotient.from_relations(surface.rank, relations)
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Value):
     """Poincare dual of the first Chern class of the induced contact
     structure, as a vector over the surface basis reduced in H_1(M)."""
 
-    vector: Tuple[int, ...]
-    reduced: Tuple[int, ...]
-    is_zero: bool
-    order: Optional[int]
+    __slots__ = ("vector", "reduced", "is_zero", "order")
+
+    def __init__(self, vector: Tuple[int, ...], reduced: Tuple[int, ...], is_zero: bool, order: Optional[int]):
+        object.__setattr__(self, "vector", vector)
+        object.__setattr__(self, "reduced", reduced)
+        object.__setattr__(self, "is_zero", is_zero)
+        object.__setattr__(self, "order", order)
 
 
 def boundary_rotation(g: int, b: int, j: int) -> int:
@@ -369,20 +382,34 @@ def chern_pd(
     )
 
 
-@dataclass(frozen=True)
-class FillingInvariants:
+class FillingInvariants(Value):
     """The full invariant record of one positive factorization."""
 
-    surface: Surface
-    euler: int
-    sigma: SigmaValue
-    b2: Optional[int] = None
-    q_matrix: Optional[Tuple[Tuple[int, ...], ...]] = None
-    q_invariant_factors: Optional[Tuple[int, ...]] = None
-    h1: Optional[AbelianQuotient] = None
-    esig: Optional[int] = None
-    esig_mod4: Optional[int] = None
-    c1: Optional[ChernData] = None
+    __slots__ = ("surface", "euler", "sigma", "b2", "q_matrix", "q_invariant_factors", "h1", "esig", "esig_mod4", "c1")
+
+    def __init__(
+        self,
+        surface: Surface,
+        euler: int,
+        sigma: SigmaValue,
+        b2: Optional[int] = None,
+        q_matrix: Optional[Tuple[Tuple[int, ...], ...]] = None,
+        q_invariant_factors: Optional[Tuple[int, ...]] = None,
+        h1: Optional[AbelianQuotient] = None,
+        esig: Optional[int] = None,
+        esig_mod4: Optional[int] = None,
+        c1: Optional[ChernData] = None,
+    ):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "euler", euler)
+        object.__setattr__(self, "sigma", sigma)
+        object.__setattr__(self, "b2", b2)
+        object.__setattr__(self, "q_matrix", q_matrix)
+        object.__setattr__(self, "q_invariant_factors", q_invariant_factors)
+        object.__setattr__(self, "h1", h1)
+        object.__setattr__(self, "esig", esig)
+        object.__setattr__(self, "esig_mod4", esig_mod4)
+        object.__setattr__(self, "c1", c1)
 
 
 def filling_invariants(

@@ -15,10 +15,9 @@ is always reported as inconclusive, never as "planar".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, Dict, FrozenSet, Optional, Sequence, Tuple
 
-from .errors import NotApplicableError
+from .errors import NotApplicableError, Value
 from .relators import RelatorEntry, bounding_case
 from .surfaces import Curve, NamePair, pairwise_disjoint
 from .words import Twist, Word, _contains, _Dependence, contains
@@ -29,53 +28,83 @@ NON_PLANAR_CONDITIONAL = "non-planar-conditional"
 ASSERTION_INCONSISTENT = "assertion-inconsistent"
 
 
-@dataclass(frozen=True)
-class RelatorWitness:
+class RelatorWitness(Value):
     """Evidence for a relator-admission certificate: re-running containment
     with these positions and allowability data reproduces the verdict."""
 
-    relator_name: str
-    obstruction: Optional[int]
-    obstruction_nonzero: bool
-    positions: Tuple[int, ...]
-    swaps: Tuple[int, ...]
-    homology_allowable: bool
-    obstruction_asserted: bool
+    __slots__ = (
+        "relator_name",
+        "obstruction",
+        "obstruction_nonzero",
+        "positions",
+        "swaps",
+        "homology_allowable",
+        "obstruction_asserted",
+    )
+
+    def __init__(
+        self,
+        relator_name: str,
+        obstruction: Optional[int],
+        obstruction_nonzero: bool,
+        positions: Tuple[int, ...],
+        swaps: Tuple[int, ...],
+        homology_allowable: bool,
+        obstruction_asserted: bool,
+    ):
+        object.__setattr__(self, "relator_name", relator_name)
+        object.__setattr__(self, "obstruction", obstruction)
+        object.__setattr__(self, "obstruction_nonzero", obstruction_nonzero)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "swaps", swaps)
+        object.__setattr__(self, "homology_allowable", homology_allowable)
+        object.__setattr__(self, "obstruction_asserted", obstruction_asserted)
 
 
-@dataclass(frozen=True)
-class BoundingWitness:
+class BoundingWitness(Value):
     """Evidence for a bounded-subsurface certificate."""
 
-    genus: int
-    boundary_count: int
-    multicurve: Tuple[str, ...]
-    positions: Tuple[int, ...]
-    swaps: Tuple[int, ...]
+    __slots__ = ("genus", "boundary_count", "multicurve", "positions", "swaps")
+
+    def __init__(
+        self,
+        genus: int,
+        boundary_count: int,
+        multicurve: Tuple[str, ...],
+        positions: Tuple[int, ...],
+        swaps: Tuple[int, ...],
+    ):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary_count", boundary_count)
+        object.__setattr__(self, "multicurve", multicurve)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "swaps", swaps)
 
 
-@dataclass(frozen=True)
-class PlanarityCertificate:
-    verdict: str
-    basis: str
-    witness: Optional[object] = None
-    notes: Tuple[str, ...] = ()
+class PlanarityCertificate(Value):
+    __slots__ = ("verdict", "basis", "witness", "notes")
+
+    def __init__(self, verdict: str, basis: str, witness: Optional[object] = None, notes: Tuple[str, ...] = ()):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "notes", notes)
 
 
-@dataclass(frozen=True)
-class BoundingDeclaration:
+class BoundingDeclaration(Value):
     """A user-declared embedded subsurface: its genus and boundary count,
     with the boundary multicurve named among the factorization's curves."""
 
-    genus: int
-    boundary_count: int
-    multicurve: Tuple[Curve, ...]
+    __slots__ = ("genus", "boundary_count", "multicurve")
 
-    def __post_init__(self):
-        if len(self.multicurve) != self.boundary_count:
+    def __init__(self, genus: int, boundary_count: int, multicurve: Tuple[Curve, ...]):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary_count", boundary_count)
+        object.__setattr__(self, "multicurve", multicurve)
+        if len(multicurve) != boundary_count:
             raise ValueError(
-                f"declared subsurface has {self.boundary_count} boundary components "
-                f"but the multicurve lists {len(self.multicurve)} curves"
+                f"declared subsurface has {boundary_count} boundary components "
+                f"but the multicurve lists {len(multicurve)} curves"
             )
 
 

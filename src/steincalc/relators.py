@@ -21,10 +21,9 @@ record which basis applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import FrozenSet, Optional, Sequence, Tuple
 
-from .errors import RankMismatchError
+from .errors import RankMismatchError, Value
 from .surfaces import (
     Curve,
     HomologyClass,
@@ -43,8 +42,7 @@ CHAIN2_SIGMA_DELTA = -7
 CHAIN3_SIGMA_DELTA = -6
 
 
-@dataclass(frozen=True)
-class RelatorEntry:
+class RelatorEntry(Value):
     """A relator plus obstruction bookkeeping.
 
     ``obstruction`` is sigma_delta + euler_delta when both are known, taken
@@ -58,23 +56,41 @@ class RelatorEntry:
     relator.
     """
 
-    relator: Relator
-    obstruction: Optional[int] = None
-    obstruction_nonzero: bool = False
-    obstruction_asserted: bool = False
-    decomposition: Optional[Tuple[Tuple[str, int], ...]] = None
-    disjoint: FrozenSet[NamePair] = frozenset()
-    note: str = ""
+    __slots__ = (
+        "relator",
+        "obstruction",
+        "obstruction_nonzero",
+        "obstruction_asserted",
+        "decomposition",
+        "disjoint",
+        "note",
+    )
 
-    def __post_init__(self):
-        derived = self.relator.obstruction
-        if self.obstruction is None:
-            object.__setattr__(self, "obstruction", derived)
-        elif derived is not None and self.obstruction != derived:
+    def __init__(
+        self,
+        relator: Relator,
+        obstruction: Optional[int] = None,
+        obstruction_nonzero: bool = False,
+        obstruction_asserted: bool = False,
+        decomposition: Optional[Tuple[Tuple[str, int], ...]] = None,
+        disjoint: FrozenSet[NamePair] = frozenset(),
+        note: str = "",
+    ):
+        derived = relator.obstruction
+        if obstruction is None:
+            obstruction = derived
+        elif derived is not None and obstruction != derived:
             raise ValueError(
-                f"entry {self.name}: obstruction {self.obstruction} != "
+                f"entry {relator.name}: obstruction {obstruction} != "
                 f"sigma_delta + euler_delta = {derived}"
             )
+        object.__setattr__(self, "relator", relator)
+        object.__setattr__(self, "obstruction", obstruction)
+        object.__setattr__(self, "obstruction_nonzero", obstruction_nonzero)
+        object.__setattr__(self, "obstruction_asserted", obstruction_asserted)
+        object.__setattr__(self, "decomposition", decomposition)
+        object.__setattr__(self, "disjoint", disjoint)
+        object.__setattr__(self, "note", note)
 
     @property
     def name(self) -> str:
@@ -146,8 +162,7 @@ def standard_lantern() -> RelatorEntry:
     return lantern(a1, a2, a3, a4, a12, a23, a13)
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(Value):
     """A chain of curves plus the boundary of its regular neighborhood.
 
     Consecutive chain curves pair once, non-consecutive ones not at all.
@@ -156,11 +171,12 @@ class ChainConfig:
     with two boundary curves whose classes cancel.
     """
 
-    surface: Surface
-    curves: Tuple[Curve, ...]
-    boundary: Tuple[Curve, ...]
+    __slots__ = ("surface", "curves", "boundary")
 
-    def __post_init__(self):
+    def __init__(self, surface: Surface, curves: Tuple[Curve, ...], boundary: Tuple[Curve, ...]):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "boundary", boundary)
         n = len(self.curves)
         if n < 1:
             raise ValueError("a chain needs at least one curve")
@@ -374,12 +390,14 @@ def compose_relators(parts: Sequence[RelatorEntry], name: Optional[str] = None) 
     return RelatorEntry(relator=relator, decomposition=tuple(decomposition))
 
 
-@dataclass(frozen=True)
-class BoundingCase:
+class BoundingCase(Value):
     """What is known when a factorization bounds a genus-g, b-holed subsurface."""
 
-    verdict: str  # "obstructs" | "unknown" | "no-relator" | "none"
-    note: str
+    __slots__ = ("verdict", "note")  # verdict: "obstructs" | "unknown" | "no-relator" | "none"
+
+    def __init__(self, verdict: str, note: str):
+        object.__setattr__(self, "verdict", verdict)
+        object.__setattr__(self, "note", note)
 
 
 def bounding_case(g: int, b: int) -> BoundingCase:

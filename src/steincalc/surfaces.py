@@ -15,16 +15,17 @@ disjoint exactly when their hole sets are nested or disjoint
 "indeterminate" unless the user declares a disjointness fact
 (``declared_pair``, ``pairwise_disjoint``).
 
-Everything here is an immutable value and every operation is a pure
-function, so concurrent evaluation needs no coordination.
+Everything here is an immutable value (an ``errors.Value``: slotted, with
+equality, hash and repr from its fields, and assignment refused) and every
+operation is a pure function, so concurrent evaluation needs no
+coordination.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Collection, FrozenSet, Iterable, Optional, Sequence, Tuple
 
-from .errors import RankMismatchError
+from .errors import RankMismatchError, Value
 
 NamePair = FrozenSet[str]
 
@@ -38,17 +39,17 @@ def pairwise_disjoint(curves: Sequence[Curve]) -> FrozenSet[NamePair]:
     return frozenset(declared_pair(c.name, d.name) for i, c in enumerate(curves) for d in curves[i + 1:])
 
 
-@dataclass(frozen=True)
-class Surface:
+class Surface(Value):
     """An oriented compact surface of genus ``genus`` with ``boundary_count`` >= 1 holes."""
 
-    genus: int
-    boundary_count: int
+    __slots__ = ("genus", "boundary_count")
 
-    def __post_init__(self):
-        if self.genus < 0:
-            raise ValueError(f"genus must be non-negative, got {self.genus}")
-        if self.boundary_count < 1:
+    def __init__(self, genus: int, boundary_count: int):
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "boundary_count", boundary_count)
+        if genus < 0:
+            raise ValueError(f"genus must be non-negative, got {genus}")
+        if boundary_count < 1:
             raise ValueError("pages of open books always have boundary (b >= 1)")
 
     @property
@@ -89,18 +90,18 @@ class Surface:
         return tuple(self.basis_class(i) for i in range(self.rank))
 
 
-@dataclass(frozen=True)
-class HomologyClass:
+class HomologyClass(Value):
     """An element of H_1 of a fixed surface, as an integer coordinate vector."""
 
-    surface: Surface
-    coords: Tuple[int, ...]
+    __slots__ = ("surface", "coords")
 
-    def __post_init__(self):
-        if len(self.coords) != self.surface.rank:
+    def __init__(self, surface: Surface, coords: Tuple[int, ...]):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "coords", coords)
+        if len(coords) != surface.rank:
             raise RankMismatchError(
-                f"vector length {len(self.coords)} != rank {self.surface.rank} "
-                f"of surface ({self.surface.genus},{self.surface.boundary_count})"
+                f"vector length {len(coords)} != rank {surface.rank} "
+                f"of surface ({surface.genus},{surface.boundary_count})"
             )
 
     def __add__(self, other: "HomologyClass") -> "HomologyClass":
@@ -158,8 +159,7 @@ def arc_pairing(rel: Sequence[int], y: HomologyClass) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Value):
     """A properly embedded arc from boundary 1 to boundary ``index``, as a relative class.
 
     Its boundary coordinates are forced: an arc from boundary 1 to boundary
@@ -167,18 +167,19 @@ class Arc:
     vary.
     """
 
-    surface: Surface
-    index: int
-    rel_class: Tuple[int, ...]
+    __slots__ = ("surface", "index", "rel_class")
 
-    def __post_init__(self):
-        if not 2 <= self.index <= self.surface.boundary_count:
-            raise ValueError(f"arc index {self.index} out of range 2..{self.surface.boundary_count}")
-        if len(self.rel_class) != self.surface.rank:
+    def __init__(self, surface: Surface, index: int, rel_class: Tuple[int, ...]):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "rel_class", rel_class)
+        if not 2 <= index <= surface.boundary_count:
+            raise ValueError(f"arc index {index} out of range 2..{surface.boundary_count}")
+        if len(rel_class) != surface.rank:
             raise RankMismatchError("arc relative class has wrong length")
-        unit = tuple(int(j == self.index) for j in range(2, self.surface.boundary_count + 1))
-        if tuple(self.rel_class[2 * self.surface.genus:]) != unit:
-            raise ValueError(f"an arc to boundary {self.index} has S-part the unit vector S_{self.index}")
+        unit = tuple(int(j == index) for j in range(2, surface.boundary_count + 1))
+        if tuple(rel_class[2 * surface.genus:]) != unit:
+            raise ValueError(f"an arc to boundary {index} has S-part the unit vector S_{index}")
 
 
 def standard_arc(surface: Surface, j: int) -> Arc:
@@ -188,8 +189,7 @@ def standard_arc(surface: Surface, j: int) -> Arc:
     return Arc(surface, j, tuple(coords))
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Value):
     """A simple closed curve, identified by name plus declared data.
 
     The engine never decides isotopy of arbitrary curves; equality is by
@@ -199,46 +199,63 @@ class Curve:
     outer boundary).
     """
 
-    name: str
-    homology: HomologyClass
-    hole_set: Optional[FrozenSet[int]] = None
-    rotation: Optional[int] = None
-    boundary_parallel_to: Optional[int] = None
+    # _hash caches the field tuple's hash, set by the first __hash__: curves
+    # key the search's tables
+    __slots__ = ("name", "homology", "hole_set", "rotation", "boundary_parallel_to", "_hash")
 
-    def __post_init__(self):
-        surface = self.homology.surface
-        if self.hole_set is not None:
+    def __init__(
+        self,
+        name: str,
+        homology: HomologyClass,
+        hole_set: Optional[FrozenSet[int]] = None,
+        rotation: Optional[int] = None,
+        boundary_parallel_to: Optional[int] = None,
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "homology", homology)
+        object.__setattr__(self, "hole_set", hole_set)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "boundary_parallel_to", boundary_parallel_to)
+        surface = homology.surface
+        if hole_set is not None:
             if surface.genus != 0:
-                raise ValueError(f"curve {self.name}: hole sets only make sense on planar surfaces")
-            bad = [j for j in self.hole_set if not 2 <= j <= surface.boundary_count]
+                raise ValueError(f"curve {name}: hole sets only make sense on planar surfaces")
+            bad = [j for j in hole_set if not 2 <= j <= surface.boundary_count]
             if bad:
-                raise ValueError(f"curve {self.name}: hole indices {bad} outside 2..{surface.boundary_count}")
-            expected = _hole_set_class(surface, self.hole_set, self.boundary_parallel_to == 1)
-            if self.homology != expected:
+                raise ValueError(f"curve {name}: hole indices {bad} outside 2..{surface.boundary_count}")
+            expected = _hole_set_class(surface, hole_set, boundary_parallel_to == 1)
+            if homology != expected:
                 raise ValueError(
-                    f"curve {self.name}: homology {self.homology.coords} does not match "
-                    f"hole set {sorted(self.hole_set)} (expected {expected.coords})"
+                    f"curve {name}: homology {homology.coords} does not match "
+                    f"hole set {sorted(hole_set)} (expected {expected.coords})"
                 )
-        if self.boundary_parallel_to is not None:
+        if boundary_parallel_to is not None:
             b = surface.boundary_count
-            if not 1 <= self.boundary_parallel_to <= b:
-                raise ValueError(f"curve {self.name}: boundary index {self.boundary_parallel_to} out of range")
-            if self.boundary_parallel_to == 1:
-                if self.hole_set is not None and self.hole_set != frozenset(range(2, b + 1)):
-                    raise ValueError(f"curve {self.name}: an outer-parallel curve encloses every hole")
-                if self.homology != surface.outer_boundary_class():
-                    raise ValueError(f"curve {self.name}: outer-parallel curves carry class -(d_2+...+d_b)")
-            elif self.hole_set is not None:
-                if self.hole_set != frozenset((self.boundary_parallel_to,)):
+            if not 1 <= boundary_parallel_to <= b:
+                raise ValueError(f"curve {name}: boundary index {boundary_parallel_to} out of range")
+            if boundary_parallel_to == 1:
+                if hole_set is not None and hole_set != frozenset(range(2, b + 1)):
+                    raise ValueError(f"curve {name}: an outer-parallel curve encloses every hole")
+                if homology != surface.outer_boundary_class():
+                    raise ValueError(f"curve {name}: outer-parallel curves carry class -(d_2+...+d_b)")
+            elif hole_set is not None:
+                if hole_set != frozenset((boundary_parallel_to,)):
                     raise ValueError(
-                        f"curve {self.name}: a curve parallel to boundary {self.boundary_parallel_to} "
+                        f"curve {name}: a curve parallel to boundary {boundary_parallel_to} "
                         "encloses exactly that hole"
                     )
             elif not (
-                self.homology == surface.d_class(self.boundary_parallel_to)
-                or self.homology == -surface.d_class(self.boundary_parallel_to)
+                homology == surface.d_class(boundary_parallel_to)
+                or homology == -surface.d_class(boundary_parallel_to)
             ):
-                raise ValueError(f"curve {self.name}: boundary-parallel class must be +/- d_{self.boundary_parallel_to}")
+                raise ValueError(f"curve {name}: boundary-parallel class must be +/- d_{boundary_parallel_to}")
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:  # first call
+            object.__setattr__(self, "_hash", hash(self._key(self)))
+            return self._hash
 
     @property
     def surface(self) -> Surface:

@@ -31,6 +31,7 @@ from .errors import (
     NotApplicableError,
     RankMismatchError,
     UnsupportedInputError,
+    Value,
 )
 from .surfaces import (
     Curve,
@@ -47,33 +48,33 @@ from .surfaces import (
 _SEARCH_NODES = 100_000
 
 
-@dataclass(frozen=True)
-class Twist:
+class Twist(Value):
     """A signed Dehn twist: sign +1 is the positive (right-handed) twist."""
 
-    curve: Curve
-    sign: int = 1
+    __slots__ = ("curve", "sign")
 
-    def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise ValueError(f"twist sign must be +1 or -1, got {self.sign}")
+    def __init__(self, curve: Curve, sign: int = 1):
+        object.__setattr__(self, "curve", curve)
+        object.__setattr__(self, "sign", sign)
+        if sign not in (1, -1):
+            raise ValueError(f"twist sign must be +1 or -1, got {sign}")
 
     def inverse(self) -> "Twist":
         return Twist(self.curve, -self.sign)
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Value):
     """An ordered sequence of twists on one surface, applied right to left."""
 
-    surface: Surface
-    twists: Tuple[Twist, ...]
+    __slots__ = ("surface", "twists")
 
-    def __post_init__(self):
+    def __init__(self, surface: Surface, twists: Tuple[Twist, ...]):
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "twists", twists)
         # each distinct curve object once, in order of first occurrence
-        for curve in {id(t.curve): t.curve for t in self.twists}.values():
-            if curve.surface != self.surface:
-                raise RankMismatchError(f"twist about {curve.name} lives on {curve.surface}, not {self.surface}")
+        for curve in {id(t.curve): t.curve for t in twists}.values():
+            if curve.surface != surface:
+                raise RankMismatchError(f"twist about {curve.name} lives on {curve.surface}, not {surface}")
 
     def __len__(self) -> int:
         return len(self.twists)
@@ -237,6 +238,8 @@ class _Dependence:
             self.reach[i] = acc
 
 
+# The one dataclass of the package: the benchmark's checks build tampered
+# witnesses with ``dataclasses.replace``.
 @dataclass(frozen=True)
 class ContainmentWitness:
     """Machine-checkable evidence that a target appears in order.
@@ -441,8 +444,7 @@ def _contains(w: Word, target: Word, rel: _Dependence) -> Optional[ContainmentWi
     return None
 
 
-@dataclass(frozen=True)
-class Relator:
+class Relator(Value):
     """Two positive words naming the same mapping class.
 
     ``euler_delta`` is the total exponent difference len(right) - len(left):
@@ -459,34 +461,44 @@ class Relator:
     sides, ``allowable`` defaults to False.
     """
 
-    name: str
-    left: Optional[Word]
-    right: Optional[Word]
-    euler_delta: Optional[int] = None
-    sigma_delta: Optional[int] = None
-    allowable: Optional[bool] = None
-    provenance: str = "user-asserted"
+    __slots__ = ("name", "left", "right", "euler_delta", "sigma_delta", "allowable", "provenance")
 
-    def __post_init__(self):
-        if self.left is None and self.right is not None:
-            raise ValueError(f"relator {self.name}: a right side needs a left side")
-        if not all(side.is_positive for side in (self.left, self.right) if side is not None):
-            raise ValueError(f"relator {self.name}: both sides must be positive words")
-        if self.right is None:
-            if self.allowable is None:
+    def __init__(
+        self,
+        name: str,
+        left: Optional[Word],
+        right: Optional[Word],
+        euler_delta: Optional[int] = None,
+        sigma_delta: Optional[int] = None,
+        allowable: Optional[bool] = None,
+        provenance: str = "user-asserted",
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "euler_delta", euler_delta)
+        object.__setattr__(self, "sigma_delta", sigma_delta)
+        object.__setattr__(self, "allowable", allowable)
+        object.__setattr__(self, "provenance", provenance)
+        if left is None and right is not None:
+            raise ValueError(f"relator {name}: a right side needs a left side")
+        if not all(side.is_positive for side in (left, right) if side is not None):
+            raise ValueError(f"relator {name}: both sides must be positive words")
+        if right is None:
+            if allowable is None:
                 object.__setattr__(self, "allowable", False)
             return
-        if self.left.surface != self.right.surface:
-            raise RankMismatchError(f"relator {self.name}: sides live on different surfaces")
-        euler_delta = len(self.right) - len(self.left)
-        if self.euler_delta is None:
-            object.__setattr__(self, "euler_delta", euler_delta)
-        elif self.euler_delta != euler_delta:
+        if left.surface != right.surface:
+            raise RankMismatchError(f"relator {name}: sides live on different surfaces")
+        derived = len(right) - len(left)
+        if euler_delta is None:
+            object.__setattr__(self, "euler_delta", derived)
+        elif euler_delta != derived:
             raise ValueError(
-                f"relator {self.name}: euler_delta {self.euler_delta} != "
-                f"len(right) - len(left) = {euler_delta}"
+                f"relator {name}: euler_delta {euler_delta} != "
+                f"len(right) - len(left) = {derived}"
             )
-        if self.allowable is None:
+        if allowable is None:
             object.__setattr__(self, "allowable", computed_allowable(self))
 
     @property
@@ -527,15 +539,24 @@ def computed_allowable(r: Relator) -> Optional[bool]:
     return all(c.is_allowable for c in distinct.values())
 
 
-@dataclass(frozen=True)
-class SubstitutionRecord:
+class SubstitutionRecord(Value):
     """Ledger entry left behind by one substitution."""
 
-    relator_name: str
-    sigma_delta: Optional[int]
-    euler_delta: int
-    positions: Tuple[int, ...]
-    swaps: Tuple[int, ...]
+    __slots__ = ("relator_name", "sigma_delta", "euler_delta", "positions", "swaps")
+
+    def __init__(
+        self,
+        relator_name: str,
+        sigma_delta: Optional[int],
+        euler_delta: int,
+        positions: Tuple[int, ...],
+        swaps: Tuple[int, ...],
+    ):
+        object.__setattr__(self, "relator_name", relator_name)
+        object.__setattr__(self, "sigma_delta", sigma_delta)
+        object.__setattr__(self, "euler_delta", euler_delta)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "swaps", swaps)
 
 
 def substitute(
@@ -604,23 +625,27 @@ def substitute(
     )
 
 
-@dataclass(frozen=True)
-class RelatorCheck:
-    name: str
-    passed: Optional[bool]
-    detail: str
+class RelatorCheck(Value):
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: Optional[bool], detail: str):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "detail", detail)
 
 
-@dataclass(frozen=True)
-class RelatorReport:
+class RelatorReport(Value):
     """Per-check results of the necessary-condition suite for a relator.
 
     A pass does not prove the two sides are equal in the mapping class
     group; it says the homology-level necessary conditions hold.
     """
 
-    relator_name: str
-    checks: Tuple[RelatorCheck, ...]
+    __slots__ = ("relator_name", "checks")
+
+    def __init__(self, relator_name: str, checks: Tuple[RelatorCheck, ...]):
+        object.__setattr__(self, "relator_name", relator_name)
+        object.__setattr__(self, "checks", checks)
 
     @property
     def necessary_conditions_hold(self) -> bool:

@@ -1,8 +1,6 @@
 """Non-planarity certificates: relator detection, bounding detection,
 and the e + sigma comparison."""
 
-import dataclasses
-
 import pytest
 
 from steincalc import planarity
@@ -18,7 +16,7 @@ from steincalc.planarity import (
     detect_relator,
     esig_planarity_test,
 )
-from steincalc.relators import bounding_case
+from steincalc.relators import RelatorEntry, bounding_case
 from steincalc.surfaces import Curve, Surface
 from steincalc.words import Twist, Word, contains, word_of
 
@@ -92,7 +90,9 @@ class TestDetectRelator:
 
     def test_one_relation_per_declared_set(self, monkeypatch):
         doc, word, entries = chain2_setup()
-        wider = dataclasses.replace(entries[0], disjoint=entries[0].disjoint | {frozenset(("c1",))})
+        e = entries[0]
+        wider = RelatorEntry(e.relator, e.obstruction, e.obstruction_nonzero, e.obstruction_asserted,
+                             e.decomposition, e.disjoint | {frozenset(("c1",))}, e.note)
         built = []
 
         class Counting(planarity._Dependence):

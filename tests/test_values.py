@@ -1,0 +1,280 @@
+"""Value semantics of the package's classes: equality, hashing, repr,
+immutability and construction, for every class built on ``errors.Value``."""
+
+import copy
+import importlib
+import inspect
+import pickle
+import pkgutil
+
+import pytest
+
+import steincalc
+from steincalc.document import Document, chain_document, tau_boundary_document
+from steincalc.errors import RankMismatchError, Value
+from steincalc.intlinalg import SmithForm, smith_normal_form
+from steincalc.invariants import (
+    ChernData,
+    FillingInvariants,
+    PlanarForm,
+    SigmaLedger,
+    SigmaValue,
+    filling_invariants,
+    planar_intersection_form,
+    sigma,
+)
+from steincalc.planarity import (
+    BoundingDeclaration,
+    BoundingWitness,
+    PlanarityCertificate,
+    RelatorWitness,
+    detect_bounding,
+    detect_relator,
+)
+from steincalc.relators import (
+    BoundingCase,
+    ChainConfig,
+    RelatorEntry,
+    bounding_case,
+    standard_chain_config,
+    standard_lantern,
+)
+from steincalc.surfaces import Arc, Curve, HomologyClass, Surface, convex_curve, standard_arc
+from steincalc.words import (
+    Relator,
+    RelatorCheck,
+    RelatorReport,
+    SubstitutionRecord,
+    Twist,
+    Word,
+    substitute,
+    verify_relator,
+)
+
+
+def _substitution_record():
+    relator = standard_lantern().relator
+    return substitute(relator.left, relator)[1]
+
+
+def _relator_certificate():
+    doc = chain_document(2)
+    word = doc.words["boundary"]
+    extra = doc.curves["c1"]
+    extended = Word(word.surface, word.twists + (Twist(extra), Twist(extra)))
+    return detect_relator(extended, list(doc.relator_entries.values()), doc.disjoint)[0]
+
+
+def _bounding_certificate():
+    doc = tau_boundary_document(1, 1)
+    return detect_bounding(doc.words["tau_del"], doc.declarations[0], doc.disjoint)
+
+
+def _filling():
+    return filling_invariants(tau_boundary_document(0, 4).words["tau_del"])
+
+
+# Each builder makes a fresh instance from scratch, so two calls give equal
+# but distinct values, down to their nested fields.
+BUILDERS = {
+    Surface: lambda: Surface(0, 4),
+    HomologyClass: lambda: Surface(0, 4).d_class(3),
+    Arc: lambda: standard_arc(Surface(1, 3), 2),
+    Curve: lambda: convex_curve(Surface(0, 4), "a12", {2, 3}),
+    Twist: lambda: Twist(convex_curve(Surface(0, 4), "a12", {2, 3}), -1),
+    Word: lambda: standard_lantern().relator.left,
+    Relator: lambda: standard_lantern().relator,
+    SubstitutionRecord: _substitution_record,
+    RelatorCheck: lambda: verify_relator(standard_lantern().relator).checks[0],
+    RelatorReport: lambda: verify_relator(standard_lantern().relator),
+    RelatorEntry: standard_lantern,
+    ChainConfig: lambda: standard_chain_config(2),
+    BoundingCase: lambda: bounding_case(1, 1),
+    PlanarForm: lambda: planar_intersection_form(standard_lantern().relator.right),
+    SigmaLedger: lambda: SigmaLedger("tau_del", -1, (_substitution_record(),)),
+    SigmaValue: lambda: sigma(standard_lantern().relator.right),
+    ChernData: lambda: _filling().c1,
+    FillingInvariants: _filling,
+    SmithForm: lambda: smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]),
+    RelatorWitness: lambda: _relator_certificate().witness,
+    BoundingWitness: lambda: _bounding_certificate().witness,
+    PlanarityCertificate: _bounding_certificate,
+    BoundingDeclaration: lambda: tau_boundary_document(1, 2).declarations[0],
+    Document: lambda: tau_boundary_document(0, 4),
+}
+
+# Unhashable through a field: SmithForm holds lists, and FillingInvariants an
+# AbelianQuotient.  Document is unhashable as a class.
+UNHASHABLE = {SmithForm, FillingInvariants, Document}
+
+IMMUTABLE = [cls for cls in BUILDERS if cls is not Document]
+
+REQUIRED = inspect.Parameter.empty
+
+# Constructor parameters: each class's field names, order and defaults
+# (Document's None stands for a fresh dict).
+SIGNATURES = {
+    Surface: [("genus", REQUIRED), ("boundary_count", REQUIRED)],
+    HomologyClass: [("surface", REQUIRED), ("coords", REQUIRED)],
+    Arc: [("surface", REQUIRED), ("index", REQUIRED), ("rel_class", REQUIRED)],
+    Curve: [("name", REQUIRED), ("homology", REQUIRED), ("hole_set", None), ("rotation", None),
+            ("boundary_parallel_to", None)],
+    Twist: [("curve", REQUIRED), ("sign", 1)],
+    Word: [("surface", REQUIRED), ("twists", REQUIRED)],
+    Relator: [("name", REQUIRED), ("left", REQUIRED), ("right", REQUIRED), ("euler_delta", None),
+              ("sigma_delta", None), ("allowable", None), ("provenance", "user-asserted")],
+    SubstitutionRecord: [("relator_name", REQUIRED), ("sigma_delta", REQUIRED), ("euler_delta", REQUIRED),
+                         ("positions", REQUIRED), ("swaps", REQUIRED)],
+    RelatorCheck: [("name", REQUIRED), ("passed", REQUIRED), ("detail", REQUIRED)],
+    RelatorReport: [("relator_name", REQUIRED), ("checks", REQUIRED)],
+    RelatorEntry: [("relator", REQUIRED), ("obstruction", None), ("obstruction_nonzero", False),
+                   ("obstruction_asserted", False), ("decomposition", None), ("disjoint", frozenset()),
+                   ("note", "")],
+    ChainConfig: [("surface", REQUIRED), ("curves", REQUIRED), ("boundary", REQUIRED)],
+    BoundingCase: [("verdict", REQUIRED), ("note", REQUIRED)],
+    PlanarForm: [("matrix", REQUIRED), ("b2", REQUIRED), ("sigma", REQUIRED), ("invariant_factors", REQUIRED)],
+    SigmaLedger: [("baseline_name", REQUIRED), ("baseline_sigma", REQUIRED), ("records", ())],
+    SigmaValue: [("mode", REQUIRED), ("value", REQUIRED), ("baseline_name", None), ("offset", None)],
+    ChernData: [("vector", REQUIRED), ("reduced", REQUIRED), ("is_zero", REQUIRED), ("order", REQUIRED)],
+    FillingInvariants: [("surface", REQUIRED), ("euler", REQUIRED), ("sigma", REQUIRED), ("b2", None),
+                        ("q_matrix", None), ("q_invariant_factors", None), ("h1", None), ("esig", None),
+                        ("esig_mod4", None), ("c1", None)],
+    SmithForm: [("diag", REQUIRED), ("rank", REQUIRED), ("row_ops", REQUIRED), ("columns", REQUIRED)],
+    RelatorWitness: [("relator_name", REQUIRED), ("obstruction", REQUIRED), ("obstruction_nonzero", REQUIRED),
+                     ("positions", REQUIRED), ("swaps", REQUIRED), ("homology_allowable", REQUIRED),
+                     ("obstruction_asserted", REQUIRED)],
+    BoundingWitness: [("genus", REQUIRED), ("boundary_count", REQUIRED), ("multicurve", REQUIRED),
+                      ("positions", REQUIRED), ("swaps", REQUIRED)],
+    PlanarityCertificate: [("verdict", REQUIRED), ("basis", REQUIRED), ("witness", None), ("notes", ())],
+    BoundingDeclaration: [("genus", REQUIRED), ("boundary_count", REQUIRED), ("multicurve", REQUIRED)],
+    Document: [("surface", REQUIRED), ("curves", REQUIRED), ("words", REQUIRED), ("relator_entries", REQUIRED),
+               ("relator_decls", ()), ("arcs", ()), ("declarations", ()), ("baselines", None),
+               ("disjoint", frozenset()), ("rotations", None), ("mu_maps", None)],
+}
+
+
+def _fields(value):
+    return tuple(getattr(value, name) for name in value._fields)
+
+
+def _package_classes():
+    for info in pkgutil.iter_modules(steincalc.__path__):
+        module = importlib.import_module(f"steincalc.{info.name}")
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == module.__name__:
+                yield cls
+
+
+def test_every_value_class_is_covered():
+    values = {cls for cls in _package_classes() if issubclass(cls, Value) and cls is not Value}
+    assert values == set(BUILDERS) == set(SIGNATURES)
+
+
+def test_only_the_containment_witness_is_a_dataclass():
+    assert [cls.__name__ for cls in _package_classes() if hasattr(cls, "__dataclass_fields__")] == [
+        "ContainmentWitness"
+    ]
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
+def test_equal_but_distinct_instances(cls):
+    a, b = BUILDERS[cls](), BUILDERS[cls]()
+    assert type(a) is cls and a is not b
+    assert a == b and not a != b
+    if cls in UNHASHABLE:
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) == hash(_fields(a))
+
+
+def test_hash_is_the_field_tuple_hash():
+    assert hash(Surface(0, 4)) == hash((0, 4))
+    curve = BUILDERS[Curve]()
+    assert hash(curve) == hash(curve) == hash(_fields(curve))
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
+def test_other_classes_never_equal(cls):
+    a = BUILDERS[cls]()
+    twin = object.__new__(type(f"Twin{cls.__name__}", (Value,), {"__slots__": cls._fields}))
+    for name in cls._fields:
+        object.__setattr__(twin, name, getattr(a, name))
+    assert _fields(twin) == _fields(a)
+    assert a != twin and twin != a and not a == twin
+    assert a != _fields(a)
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
+def test_fields_order_and_defaults(cls):
+    params = list(inspect.signature(cls).parameters.values())
+    assert [(p.name, p.default) for p in params] == SIGNATURES[cls]
+    assert cls._fields == tuple(p.name for p in params)
+    a = BUILDERS[cls]()
+    assert cls(*_fields(a)) == a
+    assert cls(**{name: getattr(a, name) for name in cls._fields}) == a
+
+
+@pytest.mark.parametrize("cls", IMMUTABLE, ids=lambda cls: cls.__name__)
+def test_assignment_and_deletion_raise(cls):
+    a = BUILDERS[cls]()
+    before = _fields(a)
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    with pytest.raises(AttributeError):
+        a.extra = 1
+    assert _fields(a) == before
+
+
+def test_document_is_mutable_and_unhashable():
+    doc = BUILDERS[Document]()
+    doc.arcs = (standard_arc(doc.surface, 2),)
+    assert doc != BUILDERS[Document]()
+    del doc.arcs
+    with pytest.raises(AttributeError):
+        doc.arcs
+    with pytest.raises(AttributeError):
+        doc.extra = 1
+    assert Document.__hash__ is None
+
+
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
+def test_copies_are_rebuilt_through_the_constructor(cls):
+    a = BUILDERS[cls]()
+    for twin in (copy.copy(a), copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert type(twin) is cls and twin == a
+
+
+def test_reprs_are_pinned():
+    surface = Surface(0, 4)
+    curve = convex_curve(surface, "a12", {2, 3})
+    assert repr(surface) == "Surface(genus=0, boundary_count=4)"
+    assert repr(surface.d_class(3)) == "HomologyClass(surface=Surface(genus=0, boundary_count=4), coords=(0, 1, 0))"
+    assert repr(curve) == (
+        "Curve(name='a12', homology=HomologyClass(surface=Surface(genus=0, boundary_count=4), coords=(1, 1, 0)), "
+        "hole_set=frozenset({2, 3}), rotation=None, boundary_parallel_to=None)"
+    )
+    assert repr(Twist(curve, -1)) == (
+        "Twist(curve=Curve(name='a12', homology=HomologyClass(surface=Surface(genus=0, boundary_count=4), "
+        "coords=(1, 1, 0)), hole_set=frozenset({2, 3}), rotation=None, boundary_parallel_to=None), sign=-1)"
+    )
+    # the surface reprs reach two RankMismatchError messages
+    with pytest.raises(RankMismatchError) as exc:
+        surface.d_class(2) + Surface(0, 3).d_class(2)
+    assert str(exc.value) == (
+        "classes live on different surfaces: Surface(genus=0, boundary_count=4) vs Surface(genus=0, boundary_count=3)"
+    )
+    with pytest.raises(RankMismatchError) as exc:
+        Word(Surface(0, 5), (Twist(curve),))
+    assert str(exc.value) == (
+        "twist about a12 lives on Surface(genus=0, boundary_count=4), not Surface(genus=0, boundary_count=5)"
+    )
+
+
+def test_a_value_class_needs_two_fields():
+    with pytest.raises(TypeError):
+        type("OneField", (Value,), {"__slots__": ("only",)})
+

@@ -1,7 +1,6 @@
 """Word calculus: composition, reduction, certified moves, containment,
 substitution, and the relator checks."""
 
-import dataclasses
 import hashlib
 import random
 import time
@@ -437,7 +436,9 @@ def _mixed_word(draw):
             pool.append(convex_curve(surface, name, range(2, b + 1), outer=True))
         else:
             pool.append(Curve(name, HomologyClass(surface, tuple(rng.choices((-1, 0, 1), k=surface.rank)))))
-    pool += [dataclasses.replace(c) for c in rng.sample(pool, rng.randint(0, 2))]
+    # equal but distinct curve objects
+    pool += [Curve(c.name, c.homology, c.hole_set, c.rotation, c.boundary_parallel_to)
+             for c in rng.sample(pool, rng.randint(0, 2))]
     return word_of(surface, rng.choices(pool, k=rng.randint(2, 12)))
 
 
