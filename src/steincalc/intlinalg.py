@@ -2,15 +2,20 @@
 
 Smith normal form U A V = D with its unimodular U and V (each inverse a
 caller needs comes from U A = D V^-1 or A V = U^-1 D), integer kernel bases
-and finitely generated abelian quotients.  The Smith form holds each column
-of V as a ``{row: value}`` dict, so a column operation costs the nonzeros of
-one column (kernel columns of a boundary map carry a handful of nonzeros
-among hundreds of rows) and a column swap exchanges two references; it
-returns V in that form, and the kernel of A is the tail of that column
-list.  ``smith_diagonal`` gives D alone, by Euclidean elimination with no
-transforms: a quotient's invariant factors and free rank read only D,
-and a quotient builds U and A V (one ``smith_normal_form``) only when a
-class is reduced or its order is asked.  ``symmetric_signature`` is a
+and finitely generated abelian quotients.  The Smith form eliminates on the
+augmented rows [A | I], so U is the right block and a row swap, negation or
+addition is one list operation; column steps and the pivot search read the
+left block only.  It holds each column of V as a ``{row: value}`` dict, so
+a column operation costs the nonzeros of one column (kernel columns of a
+boundary map carry a handful of nonzeros among hundreds of rows) and a
+column swap exchanges two references; it returns V in that form, and the
+kernel of A is the tail of that column list.  ``smith_diagonal`` gives D
+alone, by Euclidean elimination with no transforms: a quotient's invariant
+factors and free rank read only D, and a quotient builds U and A V (one
+``smith_normal_form``, A V from V's sparse columns times the nonzeros of
+A's columns) only when a class is reduced or its order is asked;
+``order_and_reduce`` answers both from one U v, which reads only v's
+nonzeros.  ``symmetric_signature`` is a
 fraction-free (Bareiss) congruence elimination, the one route to a
 signature; ``invariants.sigma`` reads a rank off it.  Matrices are plain
 lists of lists of Python ints, so nothing overflows; every computation
@@ -26,10 +31,6 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 from .errors import ConsistencyAlarmError, Value
 
 Matrix = List[List[int]]
-
-
-def identity(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -73,10 +74,6 @@ def gram(vectors: Sequence[Mapping[int, int]]) -> Matrix:
     return out
 
 
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
-    return [sum(row[j] * v[j] for j in range(len(v))) for row in a]
-
-
 class SmithForm(Value):
     """Diagonalization U @ A @ V = D with U, V unimodular.
 
@@ -106,27 +103,15 @@ class SmithForm(Value):
 
 
 def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, cols: int | None = None) -> SmithForm:
-    a = [list(map(int, row)) for row in matrix]
     if rows is None:
-        rows = len(a)
+        rows = len(matrix)
     if cols is None:
-        cols = len(a[0]) if a else 0
-
-    u = identity(rows)
+        cols = len(matrix[0]) if matrix else 0
+    # Row i is [A_i | U_i], the augmented row [A | I]: a row step moves A and
+    # U in one list operation.  Column steps, the pivot search and the
+    # divisibility scan read columns < cols only, so U never enters them.
+    a = [[*map(int, row), *(0,) * i, 1, *(0,) * (rows - 1 - i)] for i, row in enumerate(matrix)]
     v = [{j: 1} for j in range(cols)]  # v[j] is column j of V, sparse
-
-    def row_swap(i: int, j: int) -> None:
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def row_negate(i: int) -> None:
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
-    def row_add(i: int, j: int, q: int) -> None:
-        # row_i += q * row_j
-        a[i] = [x + q * y for x, y in zip(a[i], a[j])]
-        u[i] = [x + q * y for x, y in zip(u[i], u[j])]
 
     # Column operations at step t touch rows t.. only: the rows above hold
     # nothing but their pivot, so columns t.. are zero there.
@@ -135,23 +120,9 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
             row[t], row[j] = row[j], row[t]
         v[t], v[j] = v[j], v[t]
 
-    def col_add(t: int, j: int, q: int) -> None:
-        # col_j += q * col_t
-        for row in a[t:]:
-            y = row[t]
-            if y:
-                row[j] += q * y
-        vi = v[j]
-        for k, y in v[t].items():
-            x = vi.get(k, 0) + q * y
-            if x:
-                vi[k] = x
-            else:  # q != 0, so only an entry of vi cancels
-                del vi[k]
-
     def smallest_pivot(t: int):
         """The first entry of least nonzero absolute value in row-major
-        order over the block a[t:, t:]."""
+        order over the block a[t:, t:cols]."""
         best, least = None, 0
         for i in range(t, rows):
             row = a[i]
@@ -173,23 +144,35 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
             best = smallest_pivot(t)
             if best is None:
                 return False
-            if best[0] != t:
-                row_swap(t, best[0])
-            if best[1] != t:
-                col_swap(t, best[1])
-            if a[t][t] < 0:
-                row_negate(t)
-            pivot = a[t][t]
+            i, j = best
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+            if j != t:
+                col_swap(t, j)
+            top = a[t]
+            if top[t] < 0:
+                a[t] = top = [-x for x in top]
+            pivot = top[t]
             for i in range(t + 1, rows):
                 q = a[i][t] // pivot
                 if q:
-                    row_add(i, t, -q)
-            top = a[t]
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+            # col_j -= q col_t changes only the rows with a nonzero in column t
+            live = [row for row in a[t:] if row[t]]
+            vt = v[t]
             for j in range(t + 1, cols):
                 q = top[j] // pivot
                 if q:
-                    col_add(t, j, -q)
-            if not any(top[t + 1:]) and not any(a[i][t] for i in range(t + 1, rows)):
+                    for row in live:
+                        row[j] -= q * row[t]
+                    vj = v[j]
+                    for k, y in vt.items():
+                        x = vj.get(k, 0) - q * y
+                        if x:
+                            vj[k] = x
+                        else:  # q != 0, so only an entry of vj cancels
+                            del vj[k]
+            if len(live) == 1 and not any(top[t + 1:cols]):
                 return True
 
     limit = min(rows, cols)
@@ -204,8 +187,8 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
             fixed = False
             pivot = a[t][t]
             for i in range(t + 1, rows):
-                if any(x % pivot for x in a[i][t + 1:]):
-                    row_add(t, i, 1)
+                if any(x % pivot for x in a[i][t + 1:cols]):
+                    a[t] = [x + y for x, y in zip(a[t], a[i])]
                     clean_pivot(t)
                     fixed = True
                     break
@@ -213,7 +196,7 @@ def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, 
 
     diag = tuple(a[i][i] for i in range(limit))
     rank = sum(1 for d in diag if d != 0)
-    return SmithForm(diag=diag, rank=rank, row_ops=u, columns=v)
+    return SmithForm(diag=diag, rank=rank, row_ops=[row[cols:] for row in a], columns=v)
 
 
 def kernel_basis(matrix: Sequence[Sequence[int]], cols: int | None = None) -> List[List[int]]:
@@ -296,9 +279,9 @@ class AbelianQuotient:
     read) comes from ``smith_diagonal``.  ``row_ops`` (U) and ``relations``
     (the columns of A V = U^-1 D; subtracting column i k_i times lowers
     (U v)_i by k_i d_i) come from one ``smith_normal_form``, run by the
-    first ``reduce`` or ``order``; a diagonal read before then must agree
-    with its D, else ``ConsistencyAlarmError``.  Two quotients are equal
-    when their n, diag, row_ops and relations are.
+    first ``reduce``, ``order`` or ``order_and_reduce``; a diagonal read
+    before then must agree with its D, else ``ConsistencyAlarmError``.  Two
+    quotients are equal when their n, diag, row_ops and relations are.
     """
 
     __slots__ = ("_n", "_columns", "_diag", "_row_ops", "_relations")
@@ -326,8 +309,15 @@ class AbelianQuotient:
             raise ConsistencyAlarmError(f"Smith diagonal {self._diag} differs from the Smith form's {snf.diag}")
         self._diag, self._row_ops = snf.diag, snf.row_ops
         # column j of A V is the sum over k of V_kj times column k of A
-        self._relations = [[sum(x * self._columns[k][i] for k, x in column.items()) for i in range(self._n)]
-                           for column in snf.columns]
+        nonzero = [[(i, y) for i, y in enumerate(column) if y] for column in self._columns]
+        relations = []
+        for column in snf.columns:
+            out = [0] * self._n
+            for k, x in column.items():
+                for i, y in nonzero[k]:
+                    out[i] += x * y
+            relations.append(out)
+        self._relations = relations
 
     @property
     def n(self) -> int:
@@ -374,13 +364,13 @@ class AbelianQuotient:
         return [list(self.invariant_factors), self.free_rank]
 
     def _coords(self, v: Sequence[int]) -> List[int]:
+        """U v, from the nonzero entries of v."""
         if len(v) != self.n:
             raise ValueError(f"vector length {len(v)} != ambient rank {self.n}")
-        return mat_vec(self.row_ops, list(v))
+        nonzero = [(j, x) for j, x in enumerate(v) if x]
+        return [sum(row[j] * x for j, x in nonzero) for row in self.row_ops]
 
-    def reduce(self, v: Sequence[int]) -> List[int]:
-        """Canonical representative U^-1 (U v mod D) of [v]: v minus relations."""
-        y = self._coords(v)
+    def _reduce(self, v: Sequence[int], y: Sequence[int]) -> List[int]:
         rep = list(v)
         for yi, d, column in zip(y, self.diag, self.relations):
             k = yi // d if d else 0
@@ -389,12 +379,7 @@ class AbelianQuotient:
                     rep[i] -= k * x
         return rep
 
-    def is_zero(self, v: Sequence[int]) -> bool:
-        return self.order(v) == 1
-
-    def order(self, v: Sequence[int]) -> int | None:
-        """Order of [v]; None when the class is non-torsion."""
-        y = self._coords(v)
+    def _order(self, y: Sequence[int]) -> int | None:
         result = 1
         for i, x in enumerate(y):
             d = self.diag[i] if i < len(self.diag) else 0
@@ -404,6 +389,22 @@ class AbelianQuotient:
             elif x % d != 0:
                 result = lcm(result, d // gcd(d, x % d))
         return result
+
+    def reduce(self, v: Sequence[int]) -> List[int]:
+        """Canonical representative U^-1 (U v mod D) of [v]: v minus relations."""
+        return self._reduce(v, self._coords(v))
+
+    def is_zero(self, v: Sequence[int]) -> bool:
+        return self.order(v) == 1
+
+    def order(self, v: Sequence[int]) -> int | None:
+        """Order of [v]; None when the class is non-torsion."""
+        return self._order(self._coords(v))
+
+    def order_and_reduce(self, v: Sequence[int]) -> Tuple[int | None, List[int]]:
+        """``(order(v), reduce(v))`` from one U v."""
+        y = self._coords(v)
+        return self._order(y), self._reduce(v, y)
 
 
 def symmetric_signature(q: Sequence[Sequence[int]]) -> int:

@@ -34,17 +34,21 @@ First homology of the boundary 3-manifold is presented on the surface
 basis by one variation map: phi - id on the handle classes (it fixes the
 boundary classes) and one relation per auxiliary arc joining boundary 1 to
 boundary j, the standard arc unless an arc to j is declared.  The arcs
-change the presentation, never the group.  On a planar page every arc to
-j has relative class S_j and it never moves, so the arc relations are the
+change the presentation, never the group.  On a planar page every arc to j
+has relative class S_j and it never moves, so the arc relations are the
 columns of B S B^T, with S the diagonal of twist signs, built in one pass
-over the twists whatever arcs are declared; ``variation`` is the general
-rule for pages of positive genus.  Torsion is the payload, so nothing is
-done rationally.  The h1 report and q's torsion read only H_1's Smith
-diagonal, which ``smith_diagonal`` gives without transforms; the c1 report
-reduces a class, so ``chern_pd`` alone makes H_1 build U and A V (one
-``smith_normal_form``).  ``filling_invariants`` runs it before the planar
-form, so a word with Chern inputs builds one Smith form per H_1 and reads
-its diagonal from it, and a word without them builds no U.
+over the twists whatever arcs are declared.  On pages of positive genus
+``variations`` moves the 2g handle classes and every arc together in one
+pass over the twists, right to left, building each distinct curve's
+support and pairing functional once; ``variation`` is its one-class case.
+Torsion is the payload, so nothing is done rationally.  The h1 report and
+q's torsion read only H_1's Smith diagonal, which ``smith_diagonal`` gives
+without transforms; the c1 report reduces a class, so ``chern_pd`` alone
+makes H_1 build U and A V (one ``smith_normal_form``), and reads the order
+and the representative of c1 from one U v.  ``filling_invariants`` runs it
+before the planar form, so a word with Chern inputs builds one Smith form
+per H_1 and reads its diagonal from it, and a word without them builds no
+U.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError, Value
 from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_diagonal, smith_normal_form, symmetric_signature, zeros
-from .surfaces import Arc, Surface, arc_pairing, standard_arc
+from .surfaces import Arc, Curve, Surface, standard_arc
 from .words import SubstitutionRecord, Word
 
 
@@ -200,31 +204,56 @@ def sigma(word: Word, ledger: Optional[SigmaLedger] = None) -> SigmaValue:
     )
 
 
-def variation(word: Word, rel: Sequence[int]) -> Tuple[int, ...]:
-    """The closed class by which the monodromy moves a relative class.
+def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """The closed classes by which the monodromy moves relative classes.
 
-    Iterates the relative transvection over the twists in application
-    order: the relative class picks up arc_pairing(rel, [c]) copies of the
-    twisting curve, while the running relative class only sees the image
-    of [c] in relative coordinates (boundary classes die there).  On A_i
-    and B_i this is phi(e) - e for e = a_i, b_i; on arcs the boundary
-    multitwist gives d_j + (d_2 + ... + d_b): d_j = d_k, b d_j = 0 in H_1.
-    ``h1_boundary`` calls it on pages of positive genus only.
+    One pass over the twists in application order (right to left) moves
+    every relative class together: at a twist about c each picks up
+    arc_pairing(rel, [c]) copies of [c], while the running relative class
+    only sees the image of [c] in relative coordinates (boundary classes
+    die there, so only its A_i/B_i part moves).  Each distinct curve's
+    nonzero support and pairing functional are built once: the arc pairing
+    reads rel[i ^ 1] against a handle coordinate i (B_i against a_i with
+    sign -1, A_i against b_i with sign +1) and rel[j] against a boundary
+    coordinate j.  On A_i and B_i this is phi(e) - e for e = a_i, b_i; on
+    arcs the boundary multitwist gives d_j + (d_2 + ... + d_b): d_j = d_k,
+    b d_j = 0 in H_1.  A class of the wrong length raises
+    ``RankMismatchError`` before any twist is read.
     """
-    handles = 2 * word.surface.genus
-    rel = list(rel)
-    acc = [0] * word.surface.rank
+    surface = word.surface
+    rank, handles = surface.rank, 2 * surface.genus
+    for rel in rels:
+        if len(rel) != rank:
+            raise RankMismatchError(f"relative vector length {len(rel)} != rank {rank}")
+    # by coordinates: moving[i] and moved[i] hold coordinate i of every class
+    moving = [[rel[i] for rel in rels] for i in range(rank)]
+    moved = [[0] * len(rels) for _ in range(rank)]
+    curves: Dict[Curve, tuple] = {}
     for t in reversed(word.twists):
-        c = t.curve.homology
-        count = arc_pairing(rel, c) * t.sign
-        if count == 0:
+        curve = curves.get(t.curve)
+        if curve is None:
+            support = [(i, x) for i, x in enumerate(t.curve.homology.coords) if x]
+            functional = [(i ^ 1, x if i & 1 else -x) if i < handles else (i, x) for i, x in support]
+            curve = curves[t.curve] = (support, [(i, x) for i, x in support if i < handles], functional)
+        support, handle_support, functional = curve
+        counts = None  # arc_pairing(rel, [c]) of every class; None for a null class
+        for i, x in functional:
+            counts = [x * y for y in moving[i]] if counts is None else [k + x * y for k, y in zip(counts, moving[i])]
+        if counts is None or not any(counts):
             continue
-        for i, x in enumerate(c.coords):
-            if x:
-                acc[i] += count * x
-                if i < handles:
-                    rel[i] += count * x
-    return tuple(acc)
+        if t.sign < 0:
+            counts = [-k for k in counts]
+        for i, x in support:
+            moved[i] = [y + x * k for y, k in zip(moved[i], counts)]
+        for i, x in handle_support:
+            moving[i] = [y + x * k for y, k in zip(moving[i], counts)]
+    return list(zip(*moved)) if rank else [()] * len(rels)
+
+
+def variation(word: Word, rel: Sequence[int]) -> Tuple[int, ...]:
+    """The closed class by which the monodromy moves one relative class:
+    ``variations`` of a one-vector list."""
+    return variations(word, [rel])[0]
 
 
 def _planar_arc_relations(word: Word) -> Matrix:
@@ -275,9 +304,13 @@ def h1_boundary(word: Word, arcs: Optional[Sequence[Arc]] = None) -> AbelianQuot
         if arcs:
             arc_family(surface, arcs)
         return AbelianQuotient.from_relations(surface.rank, _planar_arc_relations(word))
-    handles = (variation(word, surface.basis_class(i).coords) for i in range(2 * surface.genus))
-    relations = [moved for moved in handles if any(moved)]
-    relations += [variation(word, arc.rel_class) for arc in arc_family(surface, arcs or ())]
+    handles = 2 * surface.genus
+    # the unit vectors A_1, B_1, ..., A_g, B_g, then S_2, ..., S_b: the standard arcs
+    rels = [[int(i == k) for k in range(surface.rank)] for i in range(surface.rank)]
+    if arcs:
+        rels[handles:] = [arc.rel_class for arc in arc_family(surface, arcs)]
+    moved = variations(word, rels)
+    relations = [m for m in moved[:handles] if any(m)] + moved[handles:]
     return AbelianQuotient.from_relations(surface.rank, relations)
 
 
@@ -367,16 +400,17 @@ def chern_pd(
         raise UnsupportedInputError("rotations and meridian classes must cover every twist")
     if h1 is None:
         h1 = h1_boundary(word)
-    vector = [0] * surface.rank
+    rank = surface.rank
+    vector = [0] * rank
     for r, mu in zip(rotations, mu_map):
-        if len(mu) != surface.rank:
+        if len(mu) != rank:
             raise UnsupportedInputError("meridian class has the wrong rank")
-        for i in range(surface.rank):
-            vector[i] += r * mu[i]
-    order = h1.order(vector)
+        for i, x in enumerate(mu):
+            vector[i] += r * x
+    order, reduced = h1.order_and_reduce(vector)
     return ChernData(
         vector=tuple(vector),
-        reduced=tuple(h1.reduce(vector)),
+        reduced=tuple(reduced),
         is_zero=order == 1,
         order=order,
     )

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steincalc import intlinalg
+from steincalc.document import tau_boundary_document
 from steincalc.errors import ConsistencyAlarmError
 from steincalc.intlinalg import (
     AbelianQuotient,
@@ -18,6 +19,7 @@ from steincalc.intlinalg import (
     smith_normal_form,
     symmetric_signature,
 )
+from steincalc.invariants import h1_boundary
 
 
 def small_matrix(max_dim=5, max_entry=6):
@@ -162,6 +164,23 @@ class TestSmithNormalForm:
             rows, cols = rng.randint(0, 3), rng.randint(0, 3)
             record([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], rows, cols)
         assert h.hexdigest() == "a81b9c3782115fd0d68f25705a669c2957afa2832153cea366c7fef6e6bcf346"
+
+    def test_boundary_multitwist_h1_outputs_are_pinned(self):
+        # sha256 of (diag, rank, row_ops, columns) on the H_1 relation
+        # matrices of the boundary multitwist at g 0..3, b 2..12, whose 2g
+        # handle rows are all zero; recorded when U was still kept apart
+        # from A during the elimination
+        h = hashlib.sha256()
+        zero_rows = 0
+        for g in range(4):
+            for b in range(2, 13):
+                q = h1_boundary(tau_boundary_document(g, b).words["tau_del"])
+                a = [[column[i] for column in q._columns] for i in range(q.n)]
+                zero_rows += sum(1 for row in a if not any(row))
+                snf = smith_normal_form(a, rows=q.n, cols=len(q._columns))
+                h.update(repr((snf.diag, snf.rank, snf.row_ops, snf.columns)).encode())
+        assert zero_rows == 11 * (0 + 2 + 4 + 6)
+        assert h.hexdigest() == "51bf26929c2e34cc9d968c67bf598f315c72cf5f2bd5f0f544a2a882af6b9db6"
 
     def test_determinant_helper(self):
         assert determinant([]) == 1
@@ -397,6 +416,43 @@ class TestAbelianQuotient:
         assert q != (2, (4, 1))
         with pytest.raises(TypeError):
             hash(q)
+
+    # (n, relation columns, D, U, A V, report, v, reduce(v), order(v)), as
+    # the quotient answered when it built A V entry by entry
+    ANCHORS = [
+        (0, [], (), [], [], [[], 0], [], [], 1),
+        (1, [], (), [[1]], [], [[], 1], [4], [4], None),
+        (3, [], (), [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [], [[], 3], [1, -2, 0], [1, -2, 0], None),
+        (0, [[]], (), [], [[]], [[], 0], [], [], 1),
+        (1, [[0]], (0,), [[1]], [[0]], [[], 1], [0], [0], 1),
+        (1, [[-6]], (6,), [[-1]], [[-6]], [[6], 0], [4], [-2], 3),
+        (3, [[0, 4, 6]], (2,), [[0, -1, 1], [1, 0, 0], [0, 3, -2]], [[0, 4, 6]], [[2], 2], [5, 2, 3], [5, 2, 3], None),
+        (3, [[0, 4, 6]], (2,), [[0, -1, 1], [1, 0, 0], [0, 3, -2]], [[0, 4, 6]], [[2], 2], [0, 2, 3], [0, 2, 3], 2),
+        (2, [[-1, 5]], (1,), [[-1, 0], [5, 1]], [[-1, 5]], [[], 1], [3, 1], [0, 16], None),
+    ]
+
+    @pytest.mark.parametrize("n,columns,diag,row_ops,relations,report,v,rep,order", ANCHORS)
+    def test_anchors(self, n, columns, diag, row_ops, relations, report, v, rep, order):
+        # no relations (n x 0, 1 x 0 among them) and one relation (n x 1)
+        q = AbelianQuotient(n, columns)
+        assert (q.report(), q.reduce(v), q.order(v)) == (report, rep, order)
+        assert q.order_and_reduce(v) == (order, rep)
+        assert (q.diag, q.row_ops, q.relations) == (diag, row_ops, relations)
+
+    def test_relations_are_the_dense_product(self):
+        # A V from the sparse V columns and A's nonzeros is the dense product
+        rng = random.Random(6113)
+        for _ in range(300):
+            n, cols, density = rng.randint(0, 7), rng.randint(0, 7), rng.choice([0.2, 0.6, 1.0])
+            columns = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n)] for _ in range(cols)]
+            q = AbelianQuotient(n, columns)
+            a = [[column[i] for column in columns] for i in range(n)]
+            snf = smith_normal_form(a, rows=n, cols=cols)
+            # column j of A V: (A V)_ij = sum over k of A_ik V_kj
+            assert q.relations == [[sum(a[i][k] * x for k, x in enumerate(column)) for i in range(n)]
+                                   for column in snf.col_ops]
+            v = [rng.randint(-9, 9) for _ in range(n)]
+            assert q.order_and_reduce(v) == (q.order(v), q.reduce(v))
 
     def test_queries_are_pinned(self):
         # sha256 of reduce/order/is_zero answers on seeded relation

@@ -6,6 +6,7 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steincalc import cli, intlinalg, invariants
 from steincalc.document import tau_boundary_document
@@ -28,15 +29,45 @@ from steincalc.invariants import (
     planar_intersection_form,
     sigma,
     variation,
+    variations,
 )
 from steincalc.planarity import NO_OBSTRUCTION, NON_PLANAR_CONDITIONAL, esig_planarity_test
-from steincalc.surfaces import Arc, Curve, HomologyClass, Surface, convex_curve, standard_arc
+from steincalc.surfaces import Arc, Curve, HomologyClass, Surface, arc_pairing, convex_curve, standard_arc
 from steincalc.words import SubstitutionRecord, Twist, Word, word_of
 
 
 def boundary_multitwist(g, b):
     doc = tau_boundary_document(g, b)
     return doc.words["tau_del"]
+
+
+def _variation_oracle(word, rel):
+    """The closed class by which the monodromy moves ``rel``: one vector at
+    a time, one ``arc_pairing`` per twist, the rule the one-pass
+    ``variations`` replaces."""
+    handles = 2 * word.surface.genus
+    rel = list(rel)
+    acc = [0] * word.surface.rank
+    for t in reversed(word.twists):
+        c = t.curve.homology
+        count = arc_pairing(rel, c) * t.sign
+        if count == 0:
+            continue
+        for i, x in enumerate(c.coords):
+            if x:
+                acc[i] += count * x
+                if i < handles:
+                    rel[i] += count * x
+    return tuple(acc)
+
+
+def _h1_oracle(word, arcs=()):
+    """H_1 of the boundary presented by the oracle's variations, in the
+    order ``h1_boundary`` gives: moved handle classes, then the arcs."""
+    s = word.surface
+    handles = [_variation_oracle(word, s.basis_class(i).coords) for i in range(2 * s.genus)]
+    arcs = [_variation_oracle(word, arc.rel_class) for arc in arc_family(s, arcs)]
+    return AbelianQuotient(s.rank, [moved for moved in handles if any(moved)] + arcs)
 
 
 def _planar_pin_case(seed):
@@ -606,6 +637,47 @@ class TestH1Boundary:
                 with pytest.raises(RankMismatchError):
                     call(elsewhere)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_one_pass_matches_the_per_twist_oracle(self, data):
+        # genus 1..3 words with mixed signs over curves of arbitrary classes,
+        # and declared arcs with random handle parts, in any order
+        g, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+        s = Surface(g, b)
+        coords = st.lists(st.integers(-3, 3), min_size=s.rank, max_size=s.rank).map(tuple)
+        pool = [Curve(f"c{i}", HomologyClass(s, c)) for i, c in enumerate(data.draw(st.lists(coords, min_size=1, max_size=5)))]
+        letters = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((1, -1))), max_size=12))
+        w = Word(s, tuple(Twist(c, sign) for c, sign in letters))
+        declared = []
+        for j in range(2, b + 1):
+            if data.draw(st.booleans()):
+                handle = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=2 * g, max_size=2 * g)))
+                declared.append(Arc(s, j, handle + standard_arc(s, j).rel_class[2 * g:]))
+        declared = data.draw(st.permutations(declared))
+        got, want = h1_boundary(w, arcs=declared), _h1_oracle(w, declared)
+        assert got._columns == want._columns
+        assert (got.diag, got.row_ops, got.relations) == (want.diag, want.row_ops, want.relations)
+        rels = [arc.rel_class for arc in declared] + [s.basis_class(i).coords for i in range(s.rank)]
+        assert variations(w, rels) == [_variation_oracle(w, rel) for rel in rels]
+        assert [variation(w, rel) for rel in rels] == [_variation_oracle(w, rel) for rel in rels]
+
+    def test_wrong_length_is_rejected_before_any_twist(self):
+        # an empty word used to return zeros for a class of any length
+        class Unread:
+            surface = Surface(1, 2)
+
+            @property
+            def twists(self):
+                raise AssertionError("a twist was read")
+
+        for w in (Unread(), Word(Surface(1, 2), ()), Word(Surface(0, 3), ()), boundary_multitwist(2, 3)):
+            rank = w.surface.rank
+            for rel in ((), (0,) * (rank - 1), (1,) * (rank + 1)):
+                with pytest.raises(RankMismatchError, match=f"relative vector length {len(rel)} != rank {rank}"):
+                    variation(w, rel)
+                with pytest.raises(RankMismatchError, match="relative vector length"):
+                    variations(w, [(0,) * rank, rel])
+
     def test_planar_relations_are_the_variation(self, monkeypatch):
         # on a planar page the arc relations come from B S B^T and must be
         # the vectors ``variation`` gives twist by twist
@@ -624,10 +696,11 @@ class TestH1Boundary:
             assert seen == [[variation(w, arc.rel_class) for arc in arc_family(w.surface)]]
 
     def test_planar_h1_never_calls_variation(self, monkeypatch):
-        def refuse(word, rel):
+        def refuse(word, rels):
             raise AssertionError("h1_boundary called variation on a planar page")
 
         monkeypatch.setattr(invariants, "variation", refuse)
+        monkeypatch.setattr(invariants, "variations", refuse)
         for b in range(1, 8):
             assert h1_boundary(boundary_multitwist(0, b)).report() == [[b] if b > 1 else [], 0]
         s = Surface(0, 3)
@@ -660,6 +733,20 @@ class TestChern:
                 target = [0] * w.surface.rank
                 target[2 * g] = 2 * g - 2
                 assert h1.is_zero([x - y for x, y in zip(c1.vector, target)])
+
+    def test_one_u_v_per_chern_class(self, monkeypatch):
+        # order and reduce read one U v between them
+        calls = []
+        real = AbelianQuotient._coords
+        monkeypatch.setattr(AbelianQuotient, "_coords", lambda q, v: calls.append(tuple(v)) or real(q, v))
+        for g in range(4):
+            for b in (2, 5, 9):
+                calls.clear()
+                c1 = chern_pd(boundary_multitwist(g, b))
+                assert calls == [c1.vector]
+        calls.clear()
+        inv = filling_invariants(boundary_multitwist(1, 4))
+        assert calls == [inv.c1.vector]
 
     def test_rotations_required_off_the_multitwist(self):
         s = Surface(1, 1)
