@@ -11,7 +11,9 @@ stdout cannot be written.
 
 Exit codes: 0 success, 2 document rejected (an --in file that cannot be
 read as UTF-8 text included), 3 precondition failure (a --json-out file or
-a stdout that cannot be written included), 4 internal consistency alarm.
+a stdout that cannot be written, and a report integer longer than
+``sys.get_int_max_str_digits()`` digits, included), 4 internal consistency
+alarm.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Optional, Sequence
 
 from . import __version__
 from .document import (
+    TAU_BOUNDARY_WORD,
     Document,
     chain_document,
     check_page,
@@ -34,6 +37,7 @@ from .document import (
     parse,
     serialize,
     tau_boundary_document,
+    tau_boundary_word,
     word_payload,
 )
 from .errors import (
@@ -157,8 +161,10 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
         pair2: Optional[tuple] = None, g_max: int = 3, b_max: int = 12) -> dict:
     """Execute one command against a document and return the report payload.
 
-    The family sweep generates its own documents and ignores ``doc``;
-    esig-compare needs no document when both pairs are given.
+    The family sweep ignores ``doc``: each row reads the word and baseline
+    of ``tau_boundary_document(g, b)`` from ``tau_boundary_word``, so no
+    document is built.  esig-compare needs no document when both pairs are
+    given.
     """
     if command == "family":
         if g_max >= 0 and b_max >= 2:  # the sweep's largest page, checked before any row
@@ -166,10 +172,8 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
         rows = []
         for g in range(0, g_max + 1):
             for b in range(2, b_max + 1):
-                doc_gb = tau_boundary_document(g, b)
-                inv = filling_invariants(
-                    doc_gb.words["tau_del"], ledger=_ledger_for(doc_gb, "tau_del")
-                )
+                tau, baseline = tau_boundary_word(g, b)
+                inv = filling_invariants(tau, ledger=SigmaLedger(TAU_BOUNDARY_WORD, baseline))
                 full = _invariants_payload(inv)
                 c1 = full["c1_pd"] or {}
                 rows.append({
@@ -474,7 +478,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             pair1=pair1, pair2=pair2, g_max=args.g_max, b_max=args.b_max,
         )
         report = {"tool": "steincalc", "version": __version__, "command": args.command, "result": payload}
-        _emit(dump_json(report) + "\n", args.json_out)
+        try:
+            text = dump_json(report) + "\n"
+        except ValueError as exc:  # an int too long for str(); only ints raise ValueError here
+            raise UnsupportedInputError(
+                f"the report holds an integer of more than {sys.get_int_max_str_digits()} digits, "
+                "the interpreter's limit for int-to-str conversion (sys.get_int_max_str_digits)"
+            ) from exc
+        _emit(text, args.json_out)
     except _StdoutUnwritable as exc:
         return _fail(3, stdout_ok=False, kind="precondition", message=str(exc))
     except DocumentError as exc:

@@ -511,13 +511,15 @@ def _write_json(value, newline: str, out: List[str]) -> None:
 # Ready-made documents
 
 
-def tau_boundary_document(g: int, b: int) -> Document:
-    """One positive twist about each boundary component of the genus-g,
-    b-holed page, with the flat-page rotation numbers attached.
+# The name of the boundary multitwist in ``tau_boundary_document``
+TAU_BOUNDARY_WORD = "tau_del"
 
-    On the four-holed sphere the lantern configuration is included; at
-    positive genus the matching bounded-subsurface declaration is.
-    """
+
+def tau_boundary_word(g: int, b: int) -> Tuple[Word, int]:
+    """One positive twist about each boundary component of the genus-g,
+    b-holed page, with the flat-page rotation numbers attached, and its
+    asserted signature -1: the word and baseline of
+    ``tau_boundary_document``, without the document around them."""
     surface = Surface(g, b)
     boundary = []
     for j in range(1, b + 1):
@@ -529,12 +531,24 @@ def tau_boundary_document(g: int, b: int) -> Document:
         else:
             homology = surface.outer_boundary_class() if j == 1 else surface.d_class(j)
             boundary.append(Curve(f"d{j}", homology, rotation=rotation, boundary_parallel_to=j))
+    return word_of(surface, boundary), -1
+
+
+def tau_boundary_document(g: int, b: int) -> Document:
+    """The boundary multitwist of ``tau_boundary_word`` as a document.
+
+    On the four-holed sphere the lantern configuration is included; at
+    positive genus the matching bounded-subsurface declaration is.
+    """
+    word, baseline = tau_boundary_word(g, b)
+    surface = word.surface
+    boundary = [t.curve for t in word.twists]
     doc = Document(
         surface=surface,
         curves={c.name: c for c in boundary},
-        words={"tau_del": word_of(surface, boundary)},
+        words={TAU_BOUNDARY_WORD: word},
         relator_entries={},
-        baselines={"tau_del": -1},
+        baselines={TAU_BOUNDARY_WORD: baseline},
     )
     if g == 0 and b == 4:
         d1, d2, d3, d4 = boundary

@@ -3,19 +3,20 @@
 Smith normal form U A V = D with its unimodular U and V (each inverse a
 caller needs comes from U A = D V^-1 or A V = U^-1 D), integer kernel bases
 and finitely generated abelian quotients.  The Smith form eliminates on the
-augmented rows [A | I], so U is the right block and a row swap, negation or
-addition is one list operation; column steps and the pivot search read the
-left block only.  It holds each column of V as a ``{row: value}`` dict, so
-a column operation costs the nonzeros of one column (kernel columns of a
-boundary map carry a handful of nonzeros among hundreds of rows) and a
-column swap exchanges two references; it returns V in that form, and the
-kernel of A is the tail of that column list.  ``smith_diagonal`` gives D
-alone, by Euclidean elimination with no transforms: a quotient's invariant
-factors and free rank read only D, and a quotient builds U and A V (one
-``smith_normal_form``, A V from V's sparse columns times the nonzeros of
-A's columns) only when a class is reduced or its order is asked;
-``order_and_reduce`` answers both from one U v, which reads only v's
-nonzeros.  ``symmetric_signature`` is a
+augmented rows [A | X] for columns X the caller passes, so the right block
+ends as U X and a row swap, negation or addition is one list operation;
+column steps and the pivot search read the left block only, so D and V do
+not depend on X.  X = I, the default, gives U itself.  It holds each column
+of V as a ``{row: value}`` dict, so a column operation costs the nonzeros
+of one column (kernel columns of a boundary map carry a handful of
+nonzeros among hundreds of rows) and a column swap exchanges two
+references; it returns V in that form, and the kernel of A is the tail of
+that column list.  ``smith_diagonal`` gives D alone, by Euclidean
+elimination with no transforms: a quotient's invariant factors and free
+rank read only D.  A quotient reduces a class v, or asks its order, by one
+``smith_normal_form`` carrying X = v, which gives U v and V but no U, and
+subtracts A (V k) with k_i = (U v)_i // d_i, so neither U nor A V is
+built; ``order_and_reduce`` answers both from that one elimination.  ``symmetric_signature`` is a
 fraction-free (Bareiss) congruence elimination, the one route to a
 signature; ``invariants.sigma`` reads a rank off it.  Matrices are plain
 lists of lists of Python ints, so nothing overflows; every computation
@@ -102,15 +103,30 @@ class SmithForm(Value):
         return dense
 
 
-def smith_normal_form(matrix: Sequence[Sequence[int]], rows: int | None = None, cols: int | None = None) -> SmithForm:
+def smith_normal_form(
+    matrix: Sequence[Sequence[int]],
+    rows: int | None = None,
+    cols: int | None = None,
+    carried: Sequence[Sequence[int]] | None = None,
+) -> SmithForm:
+    """U A V = D for ``matrix`` (A).  ``carried`` are columns X of length
+    ``rows`` that ride along as the right block of [A | X], so ``row_ops``
+    is U X by rows; the default X = I gives U itself."""
     if rows is None:
         rows = len(matrix)
     if cols is None:
         cols = len(matrix[0]) if matrix else 0
-    # Row i is [A_i | U_i], the augmented row [A | I]: a row step moves A and
-    # U in one list operation.  Column steps, the pivot search and the
-    # divisibility scan read columns < cols only, so U never enters them.
-    a = [[*map(int, row), *(0,) * i, 1, *(0,) * (rows - 1 - i)] for i, row in enumerate(matrix)]
+    # Row i is [A_i | X_i], the augmented row [A | X]: a row step moves A and
+    # U X in one list operation.  Column steps, the pivot search and the
+    # divisibility scan read columns < cols only, so X never enters them and
+    # D and V do not depend on it.
+    if carried is None:
+        a = [[*map(int, row), *(0,) * i, 1, *(0,) * (rows - 1 - i)] for i, row in enumerate(matrix)]
+    else:
+        for k, column in enumerate(carried):
+            if len(column) != rows:
+                raise ValueError(f"carried column {k} has length {len(column)} != {rows} rows")
+        a = [[*map(int, row), *(int(column[i]) for column in carried)] for i, row in enumerate(matrix)]
     v = [{j: 1} for j in range(cols)]  # v[j] is column j of V, sparse
 
     # Column operations at step t touch rows t.. only: the rows above hold
@@ -276,15 +292,20 @@ class AbelianQuotient:
     membership, canonical-representative, and element-order queries, all
     over the integers.  ``from_relations`` only stores the columns of A.
     ``diag`` (all that ``report``, ``invariant_factors`` and ``free_rank``
-    read) comes from ``smith_diagonal``.  ``row_ops`` (U) and ``relations``
-    (the columns of A V = U^-1 D; subtracting column i k_i times lowers
-    (U v)_i by k_i d_i) come from one ``smith_normal_form``, run by the
-    first ``reduce``, ``order`` or ``order_and_reduce``; a diagonal read
-    before then must agree with its D, else ``ConsistencyAlarmError``.  Two
-    quotients are equal when their n, diag, row_ops and relations are.
+    read) comes from ``smith_diagonal``.  A class v is read by one
+    ``smith_normal_form`` that carries v as the one column of [A | v]: it
+    gives D, V and y = U v, and no U.  The order compares y with D, and the
+    canonical representative is v - A (V k) with k_i = y_i // d_i, since
+    subtracting column i of A V k_i times lowers y_i by k_i d_i, so A V is
+    never formed.  ``order``, ``reduce`` and ``order_and_reduce`` each run
+    that elimination once; a diagonal read before then must agree with its
+    D, else ``ConsistencyAlarmError``.  ``row_ops`` (U) and ``relations``
+    (the columns of A V = U^-1 D) are views of one Smith form with X = I,
+    built when they are first read, by ``__eq__`` or a caller of its own.
+    Two quotients are equal when their n, diag, row_ops and relations are.
     """
 
-    __slots__ = ("_n", "_columns", "_diag", "_row_ops", "_relations")
+    __slots__ = ("_n", "_columns", "_diag", "_snf")
 
     def __init__(self, n: int, relation_columns: Sequence[Sequence[int]]):
         for j, column in enumerate(relation_columns):
@@ -293,8 +314,7 @@ class AbelianQuotient:
         self._n = n
         self._columns = tuple(map(tuple, relation_columns))
         self._diag: Tuple[int, ...] | None = None
-        self._row_ops: Matrix | None = None
-        self._relations: Matrix | None = None
+        self._snf: SmithForm | None = None  # the Smith form with U, once row_ops or relations is read
 
     @classmethod
     def from_relations(cls, n: int, relation_columns: Sequence[Sequence[int]]) -> "AbelianQuotient":
@@ -303,21 +323,23 @@ class AbelianQuotient:
     def _matrix(self) -> Matrix:
         return [[column[i] for column in self._columns] for i in range(self._n)]
 
-    def _smith(self) -> None:
-        snf = smith_normal_form(self._matrix(), rows=self._n, cols=len(self._columns))
-        if self._diag is not None and self._diag != snf.diag:
+    def _smith(self, carried: Sequence[Sequence[int]] | None = None) -> SmithForm:
+        snf = smith_normal_form(self._matrix(), rows=self._n, cols=len(self._columns), carried=carried)
+        if self._diag is None:
+            self._diag = snf.diag
+        elif self._diag != snf.diag:
             raise ConsistencyAlarmError(f"Smith diagonal {self._diag} differs from the Smith form's {snf.diag}")
-        self._diag, self._row_ops = snf.diag, snf.row_ops
-        # column j of A V is the sum over k of V_kj times column k of A
-        nonzero = [[(i, y) for i, y in enumerate(column) if y] for column in self._columns]
-        relations = []
-        for column in snf.columns:
-            out = [0] * self._n
-            for k, x in column.items():
-                for i, y in nonzero[k]:
-                    out[i] += x * y
-            relations.append(out)
-        self._relations = relations
+        return snf
+
+    def _combine(self, coeffs: Mapping[int, int]) -> List[int]:
+        """A w for a sparse ``{column: coefficient}`` vector w."""
+        out = [0] * self._n
+        for k, x in coeffs.items():
+            if x:
+                for i, y in enumerate(self._columns[k]):
+                    if y:
+                        out[i] += x * y
+        return out
 
     @property
     def n(self) -> int:
@@ -332,16 +354,16 @@ class AbelianQuotient:
     @property
     def row_ops(self) -> Matrix:
         """U, by rows."""
-        if self._row_ops is None:
-            self._smith()
-        return self._row_ops  # type: ignore[return-value]
+        if self._snf is None:
+            self._snf = self._smith()
+        return self._snf.row_ops
 
     @property
     def relations(self) -> Matrix:
         """A V, by columns."""
-        if self._relations is None:
-            self._smith()
-        return self._relations  # type: ignore[return-value]
+        if self._snf is None:
+            self._snf = self._smith()
+        return [self._combine(column) for column in self._snf.columns]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AbelianQuotient):
@@ -363,21 +385,21 @@ class AbelianQuotient:
         """The JSON-ready pair [invariant factors, free rank]."""
         return [list(self.invariant_factors), self.free_rank]
 
-    def _coords(self, v: Sequence[int]) -> List[int]:
-        """U v, from the nonzero entries of v."""
+    def _coords(self, v: Sequence[int]) -> Tuple[List[int], SmithForm]:
+        """U v and the Smith form of A that carried v to it."""
         if len(v) != self.n:
             raise ValueError(f"vector length {len(v)} != ambient rank {self.n}")
-        nonzero = [(j, x) for j, x in enumerate(v) if x]
-        return [sum(row[j] * x for j, x in nonzero) for row in self.row_ops]
+        snf = self._smith(carried=(v,))
+        return [row[0] for row in snf.row_ops], snf
 
-    def _reduce(self, v: Sequence[int], y: Sequence[int]) -> List[int]:
-        rep = list(v)
-        for yi, d, column in zip(y, self.diag, self.relations):
+    def _reduce(self, v: Sequence[int], y: Sequence[int], snf: SmithForm) -> List[int]:
+        combination: Dict[int, int] = {}  # V k, sparse
+        for yi, d, column in zip(y, snf.diag, snf.columns):
             k = yi // d if d else 0
             if k:
-                for i, x in enumerate(column):
-                    rep[i] -= k * x
-        return rep
+                for j, x in column.items():
+                    combination[j] = combination.get(j, 0) + k * x
+        return [x - y for x, y in zip(v, self._combine(combination))]
 
     def _order(self, y: Sequence[int]) -> int | None:
         result = 1
@@ -392,19 +414,19 @@ class AbelianQuotient:
 
     def reduce(self, v: Sequence[int]) -> List[int]:
         """Canonical representative U^-1 (U v mod D) of [v]: v minus relations."""
-        return self._reduce(v, self._coords(v))
+        return self._reduce(v, *self._coords(v))
 
     def is_zero(self, v: Sequence[int]) -> bool:
         return self.order(v) == 1
 
     def order(self, v: Sequence[int]) -> int | None:
         """Order of [v]; None when the class is non-torsion."""
-        return self._order(self._coords(v))
+        return self._order(self._coords(v)[0])
 
     def order_and_reduce(self, v: Sequence[int]) -> Tuple[int | None, List[int]]:
-        """``(order(v), reduce(v))`` from one U v."""
-        y = self._coords(v)
-        return self._order(y), self._reduce(v, y)
+        """``(order(v), reduce(v))`` from one elimination carrying v."""
+        y, snf = self._coords(v)
+        return self._order(y), self._reduce(v, y, snf)
 
 
 def symmetric_signature(q: Sequence[Sequence[int]]) -> int:

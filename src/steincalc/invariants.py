@@ -39,16 +39,16 @@ has relative class S_j and it never moves, so the arc relations are the
 columns of B S B^T, with S the diagonal of twist signs, built in one pass
 over the twists whatever arcs are declared.  On pages of positive genus
 ``variations`` moves the 2g handle classes and every arc together in one
-pass over the twists, right to left, building each distinct curve's
+pass over the twists, right to left, building each curve object's
 support and pairing functional once; ``variation`` is its one-class case.
 Torsion is the payload, so nothing is done rationally.  The h1 report and
 q's torsion read only H_1's Smith diagonal, which ``smith_diagonal`` gives
 without transforms; the c1 report reduces a class, so ``chern_pd`` alone
-makes H_1 build U and A V (one ``smith_normal_form``), and reads the order
-and the representative of c1 from one U v.  ``filling_invariants`` runs it
-before the planar form, so a word with Chern inputs builds one Smith form
-per H_1 and reads its diagonal from it, and a word without them builds no
-U.
+makes H_1 run a ``smith_normal_form``, one that carries c1's vector v in
+place of U and reads the order and the representative of c1 from U v, with
+no U and no A V.  ``filling_invariants`` runs it before the planar form, so
+a word with Chern inputs runs one Smith form per H_1 and reads its diagonal
+from it, and a word without them runs none.
 """
 
 from __future__ import annotations
@@ -58,7 +58,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError, Value
 from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_diagonal, smith_normal_form, symmetric_signature, zeros
-from .surfaces import Arc, Curve, Surface, standard_arc
+from .surfaces import Arc, Surface, standard_arc
 from .words import SubstitutionRecord, Word
 
 
@@ -211,14 +211,15 @@ def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...
     every relative class together: at a twist about c each picks up
     arc_pairing(rel, [c]) copies of [c], while the running relative class
     only sees the image of [c] in relative coordinates (boundary classes
-    die there, so only its A_i/B_i part moves).  Each distinct curve's
-    nonzero support and pairing functional are built once: the arc pairing
-    reads rel[i ^ 1] against a handle coordinate i (B_i against a_i with
-    sign -1, A_i against b_i with sign +1) and rel[j] against a boundary
-    coordinate j.  On A_i and B_i this is phi(e) - e for e = a_i, b_i; on
-    arcs the boundary multitwist gives d_j + (d_2 + ... + d_b): d_j = d_k,
-    b d_j = 0 in H_1.  A class of the wrong length raises
-    ``RankMismatchError`` before any twist is read.
+    die there, so only its A_i/B_i part moves).  Each curve object's
+    nonzero support and pairing functional are built once, in a table
+    keyed by ``id()`` as in ``words._Dependence``, so no curve is hashed:
+    the arc pairing reads rel[i ^ 1] against a handle coordinate i (B_i
+    against a_i with sign -1, A_i against b_i with sign +1) and rel[j]
+    against a boundary coordinate j.  On A_i and B_i this is phi(e) - e
+    for e = a_i, b_i; on arcs the boundary multitwist gives
+    d_j + (d_2 + ... + d_b): d_j = d_k, b d_j = 0 in H_1.  A class of the
+    wrong length raises ``RankMismatchError`` before any twist is read.
     """
     surface = word.surface
     rank, handles = surface.rank, 2 * surface.genus
@@ -228,13 +229,13 @@ def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...
     # by coordinates: moving[i] and moved[i] hold coordinate i of every class
     moving = [[rel[i] for rel in rels] for i in range(rank)]
     moved = [[0] * len(rels) for _ in range(rank)]
-    curves: Dict[Curve, tuple] = {}
+    curves: Dict[int, tuple] = {}  # id() of a curve object -> its support and functional
     for t in reversed(word.twists):
-        curve = curves.get(t.curve)
+        curve = curves.get(id(t.curve))
         if curve is None:
             support = [(i, x) for i, x in enumerate(t.curve.homology.coords) if x]
             functional = [(i ^ 1, x if i & 1 else -x) if i < handles else (i, x) for i, x in support]
-            curve = curves[t.curve] = (support, [(i, x) for i, x in support if i < handles], functional)
+            curve = curves[id(t.curve)] = (support, [(i, x) for i, x in support if i < handles], functional)
         support, handle_support, functional = curve
         counts = None  # arc_pairing(rel, [c]) of every class; None for a null class
         for i, x in functional:
@@ -360,7 +361,7 @@ def boundary_multitwist_defaults(word: Word) -> Optional[Tuple[Tuple[int, ...], 
     mu: List[Tuple[int, ...]] = [()] * b
     for j, idx in seen.items():
         rotations[idx] = boundary_rotation(surface.genus, b, j)
-        mu[idx] = (surface.outer_boundary_class() if j == 1 else surface.d_class(j)).coords
+        mu[idx] = surface.outer_boundary_coords() if j == 1 else surface.d_coords(j)
     return tuple(rotations), tuple(mu)
 
 
@@ -460,9 +461,10 @@ def filling_invariants(
     meridians are known."""
     euler = euler_characteristic(word)
     h1 = h1_boundary(word, arcs)
-    # c1 first: with Chern inputs its reduction builds H_1's one Smith form,
-    # whose diagonal the planar form then reads; without them chern_pd
-    # raises before it touches H_1, and only the diagonal is ever computed
+    # c1 first: with Chern inputs its reduction runs H_1's one Smith form,
+    # carrying c1's vector and no U, whose diagonal the planar form then
+    # reads; without them chern_pd raises before it touches H_1, and only
+    # the diagonal is ever computed
     c1: Optional[ChernData]
     try:
         c1 = chern_pd(word, h1=h1, rotations=rotations, mu_map=mu_map)

@@ -74,17 +74,23 @@ class Surface(Value):
             raise ValueError(f"b_{i} does not exist on genus {self.genus}")
         return self.basis_class(2 * (i - 1) + 1)
 
-    def d_class(self, j: int) -> "HomologyClass":
+    def d_coords(self, j: int) -> Tuple[int, ...]:
+        """Coordinates of d_j."""
         if not 2 <= j <= self.boundary_count:
             raise ValueError(f"d_{j} is not a basis class (valid range 2..{self.boundary_count})")
-        return self.basis_class(2 * self.genus + (j - 2))
+        at = 2 * self.genus + (j - 2)
+        return (0,) * at + (1,) + (0,) * (self.rank - 1 - at)
+
+    def d_class(self, j: int) -> "HomologyClass":
+        return HomologyClass(self, self.d_coords(j))
+
+    def outer_boundary_coords(self) -> Tuple[int, ...]:
+        """Coordinates of -(d_2 + ... + d_b), the class of a curve parallel to boundary 1."""
+        return (0,) * (2 * self.genus) + (-1,) * (self.boundary_count - 1)
 
     def outer_boundary_class(self) -> "HomologyClass":
         """Class of a curve parallel to boundary 1, i.e. -(d_2 + ... + d_b)."""
-        coords = [0] * self.rank
-        for j in range(2, self.boundary_count + 1):
-            coords[2 * self.genus + (j - 2)] = -1
-        return HomologyClass(self, tuple(coords))
+        return HomologyClass(self, self.outer_boundary_coords())
 
     def basis_classes(self) -> Tuple["HomologyClass", ...]:
         return tuple(self.basis_class(i) for i in range(self.rank))
@@ -223,11 +229,11 @@ class Curve(Value):
             bad = [j for j in hole_set if not 2 <= j <= surface.boundary_count]
             if bad:
                 raise ValueError(f"curve {name}: hole indices {bad} outside 2..{surface.boundary_count}")
-            expected = _hole_set_class(surface, hole_set, boundary_parallel_to == 1)
-            if homology != expected:
+            expected = _hole_set_coords(surface, hole_set, boundary_parallel_to == 1)
+            if homology.coords != expected:
                 raise ValueError(
                     f"curve {name}: homology {homology.coords} does not match "
-                    f"hole set {sorted(hole_set)} (expected {expected.coords})"
+                    f"hole set {sorted(hole_set)} (expected {expected})"
                 )
         if boundary_parallel_to is not None:
             b = surface.boundary_count
@@ -236,7 +242,7 @@ class Curve(Value):
             if boundary_parallel_to == 1:
                 if hole_set is not None and hole_set != frozenset(range(2, b + 1)):
                     raise ValueError(f"curve {name}: an outer-parallel curve encloses every hole")
-                if homology != surface.outer_boundary_class():
+                if homology.coords != surface.outer_boundary_coords():
                     raise ValueError(f"curve {name}: outer-parallel curves carry class -(d_2+...+d_b)")
             elif hole_set is not None:
                 if hole_set != frozenset((boundary_parallel_to,)):
@@ -244,11 +250,10 @@ class Curve(Value):
                         f"curve {name}: a curve parallel to boundary {boundary_parallel_to} "
                         "encloses exactly that hole"
                     )
-            elif not (
-                homology == surface.d_class(boundary_parallel_to)
-                or homology == -surface.d_class(boundary_parallel_to)
-            ):
-                raise ValueError(f"curve {name}: boundary-parallel class must be +/- d_{boundary_parallel_to}")
+            else:
+                d = surface.d_coords(boundary_parallel_to)
+                if homology.coords != d and homology.coords != tuple(-x for x in d):
+                    raise ValueError(f"curve {name}: boundary-parallel class must be +/- d_{boundary_parallel_to}")
 
     def __hash__(self):
         try:
@@ -267,12 +272,11 @@ class Curve(Value):
         return not self.homology.is_zero()
 
 
-def _hole_set_class(surface: Surface, holes: Collection[int], outer: bool) -> HomologyClass:
+def _hole_set_coords(surface: Surface, holes: Collection[int], outer: bool) -> Tuple[int, ...]:
     coords = [0] * surface.rank
     for j in holes:
-        coords[j - 2] = 1
-    cls = HomologyClass(surface, tuple(coords))
-    return -cls if outer else cls
+        coords[j - 2] = -1 if outer else 1
+    return tuple(coords)
 
 
 def convex_curve(
@@ -294,7 +298,7 @@ def convex_curve(
         boundary_parallel_to = 1
     return Curve(
         name=name,
-        homology=_hole_set_class(surface, hole_set, outer),
+        homology=HomologyClass(surface, _hole_set_coords(surface, hole_set, outer)),
         hole_set=hole_set,
         rotation=rotation,
         boundary_parallel_to=boundary_parallel_to,

@@ -18,7 +18,7 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from steincalc import document
+from steincalc import cli, document
 from steincalc.cli import main, run
 from steincalc.document import (
     Document,
@@ -28,6 +28,7 @@ from steincalc.document import (
     parse,
     serialize,
     tau_boundary_document,
+    tau_boundary_word,
 )
 from steincalc.errors import DocumentError
 
@@ -436,6 +437,22 @@ class TestRun:
         assert rows[(1, 3)]["h1"] == [[3], 2]
         assert rows[(0, 2)]["sigma"]["value"] == -1
 
+    def test_family_builds_no_document(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("family built a document")
+
+        monkeypatch.setattr(document, "tau_boundary_document", refused)
+        monkeypatch.setattr(cli, "tau_boundary_document", refused)
+        monkeypatch.setattr(Document, "__init__", refused)
+        rows = run("family", g_max=3, b_max=12)["rows"]
+        assert len(rows) == 44 and rows[-1]["genus"] == 3 and rows[-1]["sigma"]["baseline"] == "tau_del"
+
+    @pytest.mark.parametrize("g", range(4))
+    def test_family_word_and_baseline_are_the_documents(self, g):
+        for b in range(1, 13):
+            doc = tau_boundary_document(g, b)
+            assert tau_boundary_word(g, b) == (doc.words["tau_del"], doc.baselines["tau_del"])
+
 
 class TestMain:
     def test_invariants_command(self, capsys):
@@ -642,6 +659,17 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["certificates"][0]["verdict"] == "non-planar"
         assert report["result"]["certificates"][0]["witness"]["obstruction"] == 4
+
+    @pytest.mark.parametrize("json_out", [False, True])
+    def test_report_integer_over_the_str_limit_exits_3(self, json_out, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: {"reduced": [1, 10**5000]})
+        out = tmp_path / "report.json"
+        argv = ["family"] + (["--json-out", str(out)] if json_out else [])
+        assert main(argv) == 3
+        error = json.loads(capsys.readouterr().out)["error"]
+        assert error["kind"] == "precondition"
+        assert str(sys.get_int_max_str_digits()) in error["message"]
+        assert not out.exists()
 
     def test_family_command(self, capsys):
         assert main(["family", "--g-max", "0", "--b-max", "3"]) == 0

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -123,6 +124,21 @@ class TestSmithNormalForm:
             assert abs(determinant(transpose(snf.col_ops))) == 1
             ranks.add(snf.rank)
         assert 0 in ranks and max(ranks) >= 7
+
+    def test_carried_columns_ride_along(self):
+        # eliminating on [A | X] gives the D and V of [A | I] and U X as row_ops
+        rng = random.Random(31)
+        for trial in range(200):
+            rows, cols, width = rng.randint(0, 8), rng.randint(0, 8), rng.randint(0, 3)
+            a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
+            carried = [[rng.randint(-9, 9) for _ in range(rows)] for _ in range(width)]
+            full = smith_normal_form(a, rows=rows, cols=cols)
+            snf = smith_normal_form(a, rows=rows, cols=cols, carried=carried)
+            assert (snf.diag, snf.rank, snf.columns) == (full.diag, full.rank, full.columns)
+            assert snf.row_ops == [[sum(u * x for u, x in zip(urow, column)) for column in carried]
+                                   for urow in full.row_ops]
+        with pytest.raises(ValueError, match="carried column 0 has length 1 != 2 rows"):
+            smith_normal_form([[1], [2]], carried=[[1]])
 
     def test_outputs_are_pinned(self):
         # sha256 of (diag, rank, row_ops, col_ops) on seeded matrices of the
@@ -383,20 +399,33 @@ class TestAbelianQuotient:
 
     def test_transforms_wait_for_a_reduction(self, monkeypatch):
         # from_relations computes nothing, the report reads smith_diagonal
-        # alone, and the first reduce runs the one Smith form
+        # alone, each query runs one Smith form carrying its vector and no
+        # U, and only reading row_ops or relations builds U (once)
         calls = []
         real_snf, real_diagonal = intlinalg.smith_normal_form, intlinalg.smith_diagonal
-        monkeypatch.setattr(intlinalg, "smith_normal_form", lambda *a, **k: calls.append("snf") or real_snf(*a, **k))
+
+        def recording_snf(*a, carried=None, **k):
+            calls.append(("snf", None if carried is None else [list(c) for c in carried]))
+            return real_snf(*a, carried=carried, **k)
+
+        monkeypatch.setattr(intlinalg, "smith_normal_form", recording_snf)
         monkeypatch.setattr(intlinalg, "smith_diagonal", lambda *a: calls.append("diagonal") or real_diagonal(*a))
         q = AbelianQuotient.from_relations(3, [[2, 0, 0], [0, 3, 0]])
         assert calls == []
         assert q.report() == [[6], 1] and calls == ["diagonal"]
         assert q.order([1, 1, 0]) == 6 and q.reduce([3, 3, 0]) == q.reduce([1, 0, 0])
-        assert calls == ["diagonal", "snf"]
-        # with the transforms built first, the diagonal is read from them
+        assert calls == ["diagonal", ("snf", [[1, 1, 0]]), ("snf", [[3, 3, 0]]), ("snf", [[1, 0, 0]])]
+        calls.clear()
+        assert q.order_and_reduce([0, 2, 0]) == (3, q.reduce([0, 2, 0]))
+        assert calls == [("snf", [[0, 2, 0]])] * 2
+        calls.clear()
+        q.row_ops, q.relations, q.row_ops
+        assert calls == [("snf", None)]
+        # with a reduction first, the diagonal is read from its Smith form
+        calls.clear()
         q = AbelianQuotient.from_relations(3, [[2, 0, 0], [0, 3, 0]])
         q.reduce([1, 1, 1])
-        assert q.report() == [[6], 1] and calls == ["diagonal", "snf", "snf"]
+        assert q.report() == [[6], 1] and calls == [("snf", [[1, 1, 1]])]
 
     def test_diagonal_mismatch_raises(self, monkeypatch):
         q = AbelianQuotient.from_relations(1, [[5]])
@@ -454,6 +483,34 @@ class TestAbelianQuotient:
             v = [rng.randint(-9, 9) for _ in range(n)]
             assert q.order_and_reduce(v) == (q.order(v), q.reduce(v))
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_queries_match_the_transform_oracles(self, data):
+        n = data.draw(st.integers(0, 12), label="rows")
+        cols = data.draw(st.integers(0, 12), label="columns")
+        columns = data.draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+                                     min_size=cols, max_size=cols), label="relations")
+        if n:
+            for i in data.draw(st.sets(st.integers(0, n - 1), max_size=3), label="zero rows"):
+                columns = [column[:i] + [0] + column[i + 1:] for column in columns]
+        if cols:
+            for j in data.draw(st.sets(st.integers(0, cols - 1), max_size=3), label="zero columns"):
+                columns[j] = [0] * n
+        vectors = data.draw(st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=3))
+        check_queries(n, columns, vectors)
+
+    def test_queries_match_the_transform_oracles_on_seeded_matrices(self):
+        rng = random.Random(4099)
+        for _ in range(300):
+            n, cols = rng.randint(0, 12), rng.randint(0, 12)
+            columns = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(cols)]
+            for i in rng.sample(range(n), min(n, rng.randint(0, 2))):
+                for column in columns:
+                    column[i] = 0
+            for j in rng.sample(range(cols), min(cols, rng.randint(0, 2))):
+                columns[j] = [0] * n
+            check_queries(n, columns, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(3)])
+
     def test_queries_are_pinned(self):
         # sha256 of reduce/order/is_zero answers on seeded relation
         # matrices, recorded when the quotient still kept U^-1
@@ -469,6 +526,74 @@ class TestAbelianQuotient:
                 answers.append((q.reduce(v), q.order(v), q.is_zero(v)))
             h.update(repr(answers).encode())
         assert h.hexdigest() == "3ab7c20dcea5574d064bcac1d6e72e79565d35b3573dc722b6ffa070975f001b"
+
+
+def rational_rank(columns, n):
+    """Rank of the integer columns, by Fraction elimination."""
+    rows = [[Fraction(column[i]) for column in columns] for i in range(n)]
+    rank = 0
+    for j in range(len(columns)):
+        pivot = next((i for i in range(rank, n) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(n):
+            if i != rank and rows[i][j]:
+                f = rows[i][j] / rows[rank][j]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def torsion_order(columns, n):
+    """The product of the nonzero Smith diagonal entries of the columns."""
+    product = 1
+    for d in smith_diagonal([[column[i] for column in columns] for i in range(n)]):
+        product *= d or 1
+    return product
+
+
+def check_queries(n, columns, vectors):
+    """The quotient's queries against two oracles that build no quotient.
+
+    The first is the formula the quotient used while it kept U and A V:
+    y = U v and reduce(v) = v - sum of k_i (A V)_i with k_i = y_i // d_i,
+    from ``smith_normal_form(A)``'s U and V.  The second reads no
+    transform: the order of [v] is the index of L = im A in L + Z v, the
+    quotient of the products of the nonzero Smith diagonals of A and
+    [A | v], or None when v raises the rank; v - reduce(v) lies in the
+    rational span of A (a rational solve) with index 1.
+    """
+    q = AbelianQuotient(n, columns)
+    a = [[column[i] for column in columns] for i in range(n)]
+    snf = smith_normal_form(a, rows=n, cols=len(columns))
+    relations = [[sum(a[i][k] * x for k, x in column.items()) for i in range(n)] for column in snf.columns]
+    rank = rational_rank(columns, n)
+    lattice = torsion_order(columns, n)
+    for v in vectors:
+        y = [sum(u * x for u, x in zip(row, v)) for row in snf.row_ops]
+        rep, order = list(v), 1
+        for i, yi in enumerate(y):
+            d = snf.diag[i] if i < len(snf.diag) else 0
+            k = yi // d if d else 0
+            if i < len(relations):
+                rep = [r - k * c for r, c in zip(rep, relations[i])]
+            if d == 0:
+                if yi:
+                    order = None  # a free coordinate
+            elif order is not None and yi % d:
+                order = lcm(order, d // gcd(d, yi % d))
+        if rational_rank(columns + [v], n) > rank:
+            assert order is None
+        else:
+            assert lattice % torsion_order(columns + [v], n) == 0
+            assert order == lattice // torsion_order(columns + [v], n)
+        assert q.order(v) == order
+        assert q.reduce(v) == rep
+        assert q.order_and_reduce(v) == (order, rep)
+        difference = [x - r for x, r in zip(v, rep)]
+        assert rational_rank(columns + [difference], n) == rank
+        assert torsion_order(columns + [difference], n) == lattice
 
 
 def fraction_signature(q):

@@ -191,20 +191,22 @@ class TestPlanarForm:
         assert form.invariant_factors == (1, 1, 2, 4)
 
     def test_no_snf_of_the_form_itself(self, monkeypatch):
-        # filling_invariants runs the boundary SNF and reads H_1's (b-1) x
-        # (b-1) Smith diagonal, which also gives q's torsion when the nonzero
+        # filling_invariants runs the boundary SNF (with U, which the form
+        # reads when B's diagonal scales) and reads H_1's (b-1) x (b-1)
+        # Smith diagonal, which also gives q's torsion when the nonzero
         # diagonal of B is all 1; only otherwise one more Smith diagonal, of
-        # the smaller Gram matrix.  H_1 runs a full SNF (U and A V) only for
-        # a word with Chern inputs, and then reads its diagonal from it.
-        # Besides the boundary SNF nothing is larger than (b-1) x (b-1) and
-        # nothing is b2 x b2 for b2 > b-1.  The shapes are compared as
-        # multisets, since the order of the calls is no part of the claim.
+        # the smaller Gram matrix.  H_1 runs a Smith form only for a word
+        # with Chern inputs, carrying c1's one vector and no U, and then
+        # reads its diagonal from it.  Besides the boundary SNF nothing is
+        # larger than (b-1) x (b-1) and nothing is b2 x b2 for b2 > b-1.
+        # The shapes are compared as multisets, since the order of the calls
+        # is no part of the claim.
         shapes = []
         real_snf, real_diagonal = smith_normal_form, smith_diagonal
 
-        def recording_snf(matrix, rows=None, cols=None):
-            shapes.append(("snf", len(matrix), len(matrix[0]) if matrix else 0))
-            return real_snf(matrix, rows=rows, cols=cols)
+        def recording_snf(matrix, rows=None, cols=None, carried=None):
+            shapes.append(("snf", len(matrix), len(matrix[0]) if matrix else 0, "U" if carried is None else len(carried)))
+            return real_snf(matrix, rows=rows, cols=cols, carried=carried)
 
         def recording_diagonal(matrix):
             shapes.append(("diagonal", len(matrix), len(matrix[0]) if matrix else 0))
@@ -220,22 +222,22 @@ class TestPlanarForm:
         word = word_of(s, curves * 3)
         inv = filling_invariants(word)
         assert inv.b2 > s.rank and inv.c1 is None
-        assert sorted(shapes) == sorted([("snf", s.rank, len(word)), ("diagonal", s.rank, s.rank)])
+        assert sorted(shapes) == sorted([("snf", s.rank, len(word), "U"), ("diagonal", s.rank, s.rank)])
         # the boundary multitwist (b2 = 1 below r = 5) reduces c1 in H_1
         shapes.clear()
         word = boundary_multitwist(0, 6)
         inv = filling_invariants(word)
         assert inv.b2 == 1 and inv.c1 is not None
-        assert sorted(shapes) == sorted([("snf", s.rank, len(word)), ("snf", s.rank, s.rank)])
+        assert sorted(shapes) == sorted([("snf", s.rank, len(word), "U"), ("snf", s.rank, s.rank, 1)])
         # the triangle word: B has diagonal (1, 1, 2), so the form's torsion
         # needs its own Smith diagonal, of the 3 x 3 complement Gram matrix;
         # H_1's diagonal waits until its report reads it
         shapes.clear()
         inv = filling_invariants(_triangle_word())
         assert inv.b2 == 3 and inv.c1 is None
-        assert sorted(shapes) == sorted([("snf", 3, 6), ("diagonal", 3, 3)])
+        assert sorted(shapes) == sorted([("snf", 3, 6, "U"), ("diagonal", 3, 3)])
         assert inv.h1.report() == [[2, 2, 8], 0]
-        assert sorted(shapes) == sorted([("snf", 3, 6), ("diagonal", 3, 3), ("diagonal", 3, 3)])
+        assert sorted(shapes) == sorted([("snf", 3, 6, "U"), ("diagonal", 3, 3), ("diagonal", 3, 3)])
 
     def test_missing_hole_set_rejected(self):
         s = Surface(0, 3)
@@ -319,13 +321,14 @@ def _uncovered_planar_case(rng):
 
 def _recording_snf(monkeypatch):
     """Patch smith_normal_form where the package calls it; returns the list
-    of matrices it is then called on."""
+    of (matrix, carried columns) pairs it is then called on, with None for
+    the carried columns of a call that builds U."""
     seen = []
     real = smith_normal_form
 
-    def recording(matrix, rows=None, cols=None):
-        seen.append([list(row) for row in matrix])
-        return real(matrix, rows=rows, cols=cols)
+    def recording(matrix, *args, carried=None, **kwargs):
+        seen.append(([list(row) for row in matrix], None if carried is None else [list(c) for c in carried]))
+        return real(matrix, *args, carried=carried, **kwargs)
 
     monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
     monkeypatch.setattr(invariants, "smith_normal_form", recording)
@@ -333,8 +336,9 @@ def _recording_snf(monkeypatch):
 
 
 class TestLazyH1:
-    # H_1's report and q's torsion read only its Smith diagonal; U and A V
-    # (one smith_normal_form) are built only when chern_pd reduces c1
+    # H_1's report and q's torsion read only its Smith diagonal; one
+    # smith_normal_form, carrying c1's vector and building no U or A V, runs
+    # only when chern_pd reduces c1
 
     def test_diagonal_of_seeded_h1_matrices(self):
         for seed in range(2000):
@@ -355,29 +359,54 @@ class TestLazyH1:
             rows = w.surface.rank
             boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(rows)]
             # the boundary SNF of an exact form, and nothing for H_1
-            assert seen == ([boundary_map] if has_exact_form(w) else [])
+            assert seen == ([(boundary_map, None)] if has_exact_form(w) else [])
             checked += 1
         assert checked > 250
         seen.clear()
         assert cli.main(["invariants", "--lantern", "--word", "lantern_right"]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["c1_pd"] is None
-        assert len(seen) == 1
+        assert len(seen) == 1 and seen[0][1] is None and len(seen[0][0]) == 3  # the 3 x 3 boundary map
 
     @pytest.mark.parametrize("g", range(0, 3))
     def test_boundary_multitwist_one_snf_per_h1(self, g, monkeypatch):
-        # c1 is reduced, so H_1 runs one Smith form, whose diagonal the
-        # report and the planar form then read; a planar page adds the
-        # boundary SNF
+        # c1 is reduced, so H_1 runs one Smith form, carrying c1's vector
+        # and building no U, whose diagonal the report and the planar form
+        # then read; a planar page adds the boundary SNF, with U
         seen = _recording_snf(monkeypatch)
         for b in range(2, 9):
             w = boundary_multitwist(g, b)
             seen.clear()
             inv = filling_invariants(w)
             assert inv.c1 is not None and inv.h1.report() == [[b], 2 * g]
-            assert inv.h1.order(inv.c1.vector) == inv.c1.order and inv.h1.reduce(inv.c1.vector) == list(inv.c1.reduced)
+            h1_matrix = inv.h1._matrix()
+            assert [(m, c) for m, c in seen if c is not None] == [(h1_matrix, [list(inv.c1.vector)])]
             assert len(seen) == (2 if g == 0 else 1)
             if g == 0:
-                assert seen.count(invariants._planar_arc_relations(w)) == 1
+                assert h1_matrix == invariants._planar_arc_relations(w)
+                rows = w.surface.rank
+                boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(rows)]
+                assert (boundary_map, None) in seen
+            assert inv.h1.order(inv.c1.vector) == inv.c1.order and inv.h1.reduce(inv.c1.vector) == list(inv.c1.reduced)
+
+    def test_no_package_path_reads_u_or_a_v(self, monkeypatch, capsys):
+        # every stock document's invariants, the family sweep and the
+        # quotient's own queries reduce classes without H_1's U or A V
+        def refused(q):
+            raise AssertionError("U or A V of a quotient was read")
+
+        monkeypatch.setattr(AbelianQuotient, "row_ops", property(refused))
+        monkeypatch.setattr(AbelianQuotient, "relations", property(refused))
+        argvs = [["invariants", "--tau-boundary", str(g), str(b)] for g in range(4) for b in range(1, 8)]
+        argvs += [["invariants", "--lantern", "--word", name] for name in ("tau_del", "lantern_left", "lantern_right")]
+        argvs += [["invariants", "--chain", str(n), "--word", name] for n in range(1, 5) for name in ("boundary", "chain_power")]
+        argvs += [["invariants", "--r-ns", "--word", name] for name in ("short_side", "long_side")]
+        argvs += [["family", "--g-max", "2", "--b-max", "6"]]
+        for argv in argvs:
+            assert cli.main(argv) == 0, argv
+        capsys.readouterr()
+        q = h1_boundary(boundary_multitwist(1, 5))
+        order, rep = q.order_and_reduce([1, 0, 1, 0, 0, 0])
+        assert order is None and q.reduce(rep) == rep and q.is_zero([0, 0, 5, 0, 0, 0])
 
 
 class TestTorsionFromH1:
@@ -735,15 +764,19 @@ class TestChern:
                 assert h1.is_zero([x - y for x, y in zip(c1.vector, target)])
 
     def test_one_u_v_per_chern_class(self, monkeypatch):
-        # order and reduce read one U v between them
+        # order and reduce read one U v between them, from the one Smith
+        # form of H_1, which carries c1's vector in place of U
         calls = []
         real = AbelianQuotient._coords
         monkeypatch.setattr(AbelianQuotient, "_coords", lambda q, v: calls.append(tuple(v)) or real(q, v))
+        seen = _recording_snf(monkeypatch)
         for g in range(4):
             for b in (2, 5, 9):
                 calls.clear()
+                seen.clear()
                 c1 = chern_pd(boundary_multitwist(g, b))
                 assert calls == [c1.vector]
+                assert [c for _, c in seen] == [[list(c1.vector)]]
         calls.clear()
         inv = filling_invariants(boundary_multitwist(1, 4))
         assert calls == [inv.c1.vector]
