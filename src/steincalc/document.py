@@ -44,11 +44,7 @@ MAX_PAGE_RANK = 128
 
 
 class Document(Value):
-    """A validated input document.
-
-    Unlike the package's other values it is mutable and unhashable:
-    ``tau_boundary_document`` fills some fields in after construction.
-    """
+    """A validated input document."""
 
     __slots__ = (
         "surface",
@@ -63,9 +59,6 @@ class Document(Value):
         "rotations",
         "mu_maps",
     )
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
 
     def __init__(
         self,
@@ -81,17 +74,17 @@ class Document(Value):
         rotations: Optional[Dict[str, Tuple[int, ...]]] = None,
         mu_maps: Optional[Dict[str, Tuple[Tuple[int, ...], ...]]] = None,
     ):
-        self.surface = surface
-        self.curves = curves
-        self.words = words
-        self.relator_entries = relator_entries
-        self.relator_decls = relator_decls
-        self.arcs = arcs
-        self.declarations = declarations
-        self.baselines = {} if baselines is None else baselines
-        self.disjoint = disjoint
-        self.rotations = {} if rotations is None else rotations
-        self.mu_maps = {} if mu_maps is None else mu_maps
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "curves", curves)
+        object.__setattr__(self, "words", words)
+        object.__setattr__(self, "relator_entries", relator_entries)
+        object.__setattr__(self, "relator_decls", relator_decls)
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "declarations", declarations)
+        object.__setattr__(self, "baselines", {} if baselines is None else baselines)
+        object.__setattr__(self, "disjoint", disjoint)
+        object.__setattr__(self, "rotations", {} if rotations is None else rotations)
+        object.__setattr__(self, "mu_maps", {} if mu_maps is None else mu_maps)
 
 
 def _is_int(value) -> bool:
@@ -543,26 +536,28 @@ def tau_boundary_document(g: int, b: int) -> Document:
     word, baseline = tau_boundary_word(g, b)
     surface = word.surface
     boundary = [t.curve for t in word.twists]
-    doc = Document(
-        surface=surface,
-        curves={c.name: c for c in boundary},
-        words={TAU_BOUNDARY_WORD: word},
-        relator_entries={},
-        baselines={TAU_BOUNDARY_WORD: baseline},
-    )
+    curves = {c.name: c for c in boundary}
+    relator_entries: Dict[str, RelatorEntry] = {}
+    relator_decls: Tuple[dict, ...] = ()
     if g == 0 and b == 4:
         d1, d2, d3, d4 = boundary
         interior = [convex_curve(surface, name, holes)
                     for name, holes in (("a12", (2, 3)), ("a23", (3, 4)), ("a13", (2, 4)))]
-        doc.curves.update((c.name, c) for c in interior)
+        curves.update((c.name, c) for c in interior)
         entry = lantern(d2, d3, d4, d1, *interior)
-        doc.relator_entries[entry.name] = entry
-        doc.relator_decls = (
+        relator_entries[entry.name] = entry
+        relator_decls = (
             {"name": entry.name, "kind": "lantern", "curves": [c.name for c in (d2, d3, d4, d1, *interior)]},
         )
-    if g >= 1:
-        doc.declarations = (BoundingDeclaration(g, b, tuple(boundary)),)
-    return doc
+    return Document(
+        surface=surface,
+        curves=curves,
+        words={TAU_BOUNDARY_WORD: word},
+        relator_entries=relator_entries,
+        relator_decls=relator_decls,
+        declarations=(BoundingDeclaration(g, b, tuple(boundary)),) if g >= 1 else (),
+        baselines={TAU_BOUNDARY_WORD: baseline},
+    )
 
 
 def lantern_document() -> Document:

@@ -13,15 +13,17 @@ nonzeros among hundreds of rows) and a column swap exchanges two
 references; it returns V in that form, and the kernel of A is the tail of
 that column list.  ``smith_diagonal`` gives D alone, by Euclidean
 elimination with no transforms: a quotient's invariant factors and free
-rank read only D.  A quotient reduces a class v, or asks its order, by one
-``smith_normal_form`` carrying X = v, which gives U v and V but no U, and
-subtracts A (V k) with k_i = (U v)_i // d_i, so neither U nor A V is
-built; ``order_and_reduce`` answers both from that one elimination.  ``symmetric_signature`` is a
-fraction-free (Bareiss) congruence elimination, the one route to a
-signature; ``invariants.sigma`` reads a rank off it.  Matrices are plain
-lists of lists of Python ints, so nothing overflows; every computation
-here is exact.  ``mat_mul`` skips zero entries in both factors; ``gram``
-builds the symmetric Gram matrix of sparse vectors from one triangle.
+rank read only D.  A quotient is the value of n and its relation columns,
+and its one query, ``order_and_reduce``, gives the order and the canonical
+representative of a class v from one ``smith_normal_form`` carrying X = v,
+which gives U v and V but no U, and subtracts A (V k) with
+k_i = (U v)_i // d_i, so neither U nor A V is built.
+``symmetric_signature`` is a fraction-free (Bareiss) congruence
+elimination, the one route to a signature; ``invariants.sigma`` reads a
+rank off it.  Matrices are plain lists of lists of Python ints, so nothing
+overflows; every computation here is exact.  ``mat_mul`` skips zero
+entries in both factors; ``gram`` builds the symmetric Gram matrix of
+sparse vectors from one triangle.
 """
 
 from __future__ import annotations
@@ -285,92 +287,46 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     return tuple(found) + (0,) * (size - len(found))
 
 
-class AbelianQuotient:
+class AbelianQuotient(Value):
     """The quotient of Z^n by the column lattice of a relation matrix A.
 
-    Presents the group as a direct sum of cyclic factors and answers
-    membership, canonical-representative, and element-order queries, all
-    over the integers.  ``from_relations`` only stores the columns of A.
-    ``diag`` (all that ``report``, ``invariant_factors`` and ``free_rank``
-    read) comes from ``smith_diagonal``.  A class v is read by one
-    ``smith_normal_form`` that carries v as the one column of [A | v]: it
-    gives D, V and y = U v, and no U.  The order compares y with D, and the
-    canonical representative is v - A (V k) with k_i = y_i // d_i, since
-    subtracting column i of A V k_i times lowers y_i by k_i d_i, so A V is
-    never formed.  ``order``, ``reduce`` and ``order_and_reduce`` each run
-    that elimination once; a diagonal read before then must agree with its
-    D, else ``ConsistencyAlarmError``.  ``row_ops`` (U) and ``relations``
-    (the columns of A V = U^-1 D) are views of one Smith form with X = I,
-    built when they are first read, by ``__eq__`` or a caller of its own.
-    Two quotients are equal when their n, diag, row_ops and relations are.
+    Its fields are ``n`` and ``columns``, the columns of A as tuples, so
+    two quotients are equal when their presentations are.  ``diag``, all
+    that ``report``, ``invariant_factors`` and ``free_rank`` read, comes
+    from ``smith_diagonal``; a copy or a pickle rebuilds it when read.
+    ``order_and_reduce`` runs one ``smith_normal_form`` carrying v as the
+    one column of [A | v], which gives D, V and y = U v, and no U.  The
+    order compares y with D, and the canonical representative is
+    v - A (V k) with k_i = y_i // d_i, since subtracting column i of A V
+    k_i times lowers y_i by k_i d_i, so A V is never formed.  A diagonal
+    read before must equal that D, else ``ConsistencyAlarmError``.
     """
 
-    __slots__ = ("_n", "_columns", "_diag", "_snf")
+    # _diag caches the Smith diagonal, set by the first read of ``diag`` or
+    # the first ``order_and_reduce``
+    __slots__ = ("n", "columns", "_diag")
 
-    def __init__(self, n: int, relation_columns: Sequence[Sequence[int]]):
-        for j, column in enumerate(relation_columns):
+    def __init__(self, n: int, columns: Sequence[Sequence[int]]):
+        for j, column in enumerate(columns):
             if len(column) != n:
                 raise ValueError(f"relation column {j} has length {len(column)} != ambient rank {n}")
-        self._n = n
-        self._columns = tuple(map(tuple, relation_columns))
-        self._diag: Tuple[int, ...] | None = None
-        self._snf: SmithForm | None = None  # the Smith form with U, once row_ops or relations is read
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "columns", tuple(map(tuple, columns)))
 
     @classmethod
-    def from_relations(cls, n: int, relation_columns: Sequence[Sequence[int]]) -> "AbelianQuotient":
-        return cls(n, relation_columns)
+    def from_relations(cls, n: int, columns: Sequence[Sequence[int]]) -> "AbelianQuotient":
+        return cls(n, columns)
 
     def _matrix(self) -> Matrix:
-        return [[column[i] for column in self._columns] for i in range(self._n)]
-
-    def _smith(self, carried: Sequence[Sequence[int]] | None = None) -> SmithForm:
-        snf = smith_normal_form(self._matrix(), rows=self._n, cols=len(self._columns), carried=carried)
-        if self._diag is None:
-            self._diag = snf.diag
-        elif self._diag != snf.diag:
-            raise ConsistencyAlarmError(f"Smith diagonal {self._diag} differs from the Smith form's {snf.diag}")
-        return snf
-
-    def _combine(self, coeffs: Mapping[int, int]) -> List[int]:
-        """A w for a sparse ``{column: coefficient}`` vector w."""
-        out = [0] * self._n
-        for k, x in coeffs.items():
-            if x:
-                for i, y in enumerate(self._columns[k]):
-                    if y:
-                        out[i] += x * y
-        return out
-
-    @property
-    def n(self) -> int:
-        return self._n
+        return [[column[i] for column in self.columns] for i in range(self.n)]
 
     @property
     def diag(self) -> Tuple[int, ...]:
-        if self._diag is None:
-            self._diag = smith_diagonal(self._matrix())
-        return self._diag
-
-    @property
-    def row_ops(self) -> Matrix:
-        """U, by rows."""
-        if self._snf is None:
-            self._snf = self._smith()
-        return self._snf.row_ops
-
-    @property
-    def relations(self) -> Matrix:
-        """A V, by columns."""
-        if self._snf is None:
-            self._snf = self._smith()
-        return [self._combine(column) for column in self._snf.columns]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, AbelianQuotient):
-            return NotImplemented
-        if (self._n, self._columns) == (other._n, other._columns):
-            return True
-        return (self._n, self.diag, self.row_ops, self.relations) == (other._n, other.diag, other.row_ops, other.relations)
+        try:
+            return self._diag
+        except AttributeError:  # first read
+            object.__setattr__(self, "_diag", smith_diagonal(self._matrix()))
+            return self._diag
 
     @property
     def invariant_factors(self) -> Tuple[int, ...]:
@@ -378,55 +334,47 @@ class AbelianQuotient:
 
     @property
     def free_rank(self) -> int:
-        rank = sum(1 for d in self.diag if d != 0)
-        return self.n - rank
+        return self.n - sum(1 for d in self.diag if d)
 
     def report(self) -> list:
         """The JSON-ready pair [invariant factors, free rank]."""
         return [list(self.invariant_factors), self.free_rank]
 
-    def _coords(self, v: Sequence[int]) -> Tuple[List[int], SmithForm]:
-        """U v and the Smith form of A that carried v to it."""
+    def order_and_reduce(self, v: Sequence[int]) -> Tuple[int | None, List[int]]:
+        """The order of [v] (None when the class is non-torsion) and its
+        canonical representative U^-1 (U v mod D), v minus relations."""
         if len(v) != self.n:
             raise ValueError(f"vector length {len(v)} != ambient rank {self.n}")
-        snf = self._smith(carried=(v,))
-        return [row[0] for row in snf.row_ops], snf
-
-    def _reduce(self, v: Sequence[int], y: Sequence[int], snf: SmithForm) -> List[int]:
+        snf = smith_normal_form(self._matrix(), rows=self.n, cols=len(self.columns), carried=(v,))
+        diag = snf.diag
+        try:
+            known = self._diag
+        except AttributeError:
+            object.__setattr__(self, "_diag", diag)
+        else:
+            if known != diag:
+                raise ConsistencyAlarmError(f"Smith diagonal {known} differs from the Smith form's {diag}")
+        order: int | None = 1
         combination: Dict[int, int] = {}  # V k, sparse
-        for yi, d, column in zip(y, snf.diag, snf.columns):
-            k = yi // d if d else 0
+        for i, (y,) in enumerate(snf.row_ops):
+            d = diag[i] if i < len(diag) else 0
+            if not d:
+                if y:
+                    order = None  # a free coordinate
+                continue
+            k, rest = divmod(y, d)
+            if rest and order is not None:
+                order = lcm(order, d // gcd(d, rest))
             if k:
-                for j, x in column.items():
+                for j, x in snf.columns[i].items():
                     combination[j] = combination.get(j, 0) + k * x
-        return [x - y for x, y in zip(v, self._combine(combination))]
-
-    def _order(self, y: Sequence[int]) -> int | None:
-        result = 1
-        for i, x in enumerate(y):
-            d = self.diag[i] if i < len(self.diag) else 0
-            if d == 0:
-                if x != 0:
-                    return None
-            elif x % d != 0:
-                result = lcm(result, d // gcd(d, x % d))
-        return result
-
-    def reduce(self, v: Sequence[int]) -> List[int]:
-        """Canonical representative U^-1 (U v mod D) of [v]: v minus relations."""
-        return self._reduce(v, *self._coords(v))
-
-    def is_zero(self, v: Sequence[int]) -> bool:
-        return self.order(v) == 1
-
-    def order(self, v: Sequence[int]) -> int | None:
-        """Order of [v]; None when the class is non-torsion."""
-        return self._order(self._coords(v)[0])
-
-    def order_and_reduce(self, v: Sequence[int]) -> Tuple[int | None, List[int]]:
-        """``(order(v), reduce(v))`` from one elimination carrying v."""
-        y, snf = self._coords(v)
-        return self._order(y), self._reduce(v, y, snf)
+        rep = list(v)
+        for j, k in combination.items():
+            if k:
+                for i, x in enumerate(self.columns[j]):
+                    if x:
+                        rep[i] -= k * x
+        return order, rep
 
 
 def symmetric_signature(q: Sequence[Sequence[int]]) -> int:

@@ -40,15 +40,16 @@ columns of B S B^T, with S the diagonal of twist signs, built in one pass
 over the twists whatever arcs are declared.  On pages of positive genus
 ``variations`` moves the 2g handle classes and every arc together in one
 pass over the twists, right to left, building each curve object's
-support and pairing functional once; ``variation`` is its one-class case.
-Torsion is the payload, so nothing is done rationally.  The h1 report and
-q's torsion read only H_1's Smith diagonal, which ``smith_diagonal`` gives
-without transforms; the c1 report reduces a class, so ``chern_pd`` alone
-makes H_1 run a ``smith_normal_form``, one that carries c1's vector v in
-place of U and reads the order and the representative of c1 from U v, with
-no U and no A V.  ``filling_invariants`` runs it before the planar form, so
-a word with Chern inputs runs one Smith form per H_1 and reads its diagonal
-from it, and a word without them runs none.
+support and pairing functional once.  Torsion is the payload, so nothing
+is done rationally.  The h1 report and q's torsion read only H_1's Smith
+diagonal, which ``smith_diagonal`` gives without transforms; the c1 report
+reduces a class, so ``chern_pd`` alone makes H_1 run a
+``smith_normal_form``, in the quotient's one query ``order_and_reduce``,
+which carries c1's vector v in place of U and reads the order and the
+representative of c1 from U v, with no U and no A V.
+``filling_invariants`` runs it before the planar form, so a word with
+Chern inputs runs one Smith form per H_1 and reads its diagonal from it,
+and a word without them runs none.
 """
 
 from __future__ import annotations
@@ -71,13 +72,17 @@ def euler_characteristic(word: Word) -> int:
 class PlanarForm(Value):
     """Exact intersection form data of a planar filling."""
 
-    __slots__ = ("matrix", "b2", "sigma", "invariant_factors")
+    __slots__ = ("matrix", "b2", "invariant_factors")
 
-    def __init__(self, matrix: Tuple[Tuple[int, ...], ...], b2: int, sigma: int, invariant_factors: Tuple[int, ...]):
+    def __init__(self, matrix: Tuple[Tuple[int, ...], ...], b2: int, invariant_factors: Tuple[int, ...]):
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "invariant_factors", invariant_factors)
+
+    @property
+    def sigma(self) -> int:
+        """The form is negative definite, so its signature is -b2."""
+        return -self.b2
 
 
 def has_exact_form(word: Word) -> bool:
@@ -132,7 +137,6 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
     return PlanarForm(
         matrix=tuple(tuple(map(neg, row)) for row in kernel_gram),
         b2=b2,
-        sigma=-b2,
         invariant_factors=(1,) * (b2 - len(torsion)) + torsion,
     )
 
@@ -251,16 +255,10 @@ def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...
     return list(zip(*moved)) if rank else [()] * len(rels)
 
 
-def variation(word: Word, rel: Sequence[int]) -> Tuple[int, ...]:
-    """The closed class by which the monodromy moves one relative class:
-    ``variations`` of a one-vector list."""
-    return variations(word, [rel])[0]
-
-
 def _planar_arc_relations(word: Word) -> Matrix:
     """B S B^T for the boundary map B and the diagonal S of twist signs:
     on a planar page every closed class dies in relative coordinates, so an
-    arc of relative class rho has relation B S B^T rho, the ``variation`` of rho."""
+    arc of relative class rho has relation B S B^T rho, the variation of rho."""
     rank = word.surface.rank
     m = zeros(rank, rank)
     for t in word.twists:
@@ -319,13 +317,16 @@ class ChernData(Value):
     """Poincare dual of the first Chern class of the induced contact
     structure, as a vector over the surface basis reduced in H_1(M)."""
 
-    __slots__ = ("vector", "reduced", "is_zero", "order")
+    __slots__ = ("vector", "reduced", "order")
 
-    def __init__(self, vector: Tuple[int, ...], reduced: Tuple[int, ...], is_zero: bool, order: Optional[int]):
+    def __init__(self, vector: Tuple[int, ...], reduced: Tuple[int, ...], order: Optional[int]):
         object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "is_zero", is_zero)
         object.__setattr__(self, "order", order)
+
+    @property
+    def is_zero(self) -> bool:
+        return self.order == 1
 
 
 def boundary_rotation(g: int, b: int, j: int) -> int:
@@ -376,7 +377,10 @@ def chern_pd(
     Rotation numbers come from per-twist input, falling back to the curves'
     stored rotations, with library defaults only for the boundary
     multitwist configuration; the meridian map has the same default and is
-    otherwise required input.
+    otherwise required input.  Absent inputs raise ``UnsupportedInputError``;
+    a rotation list or meridian map that is not one per twist raises
+    ``ValueError``, and a meridian class of the wrong rank
+    ``RankMismatchError``.
     """
     surface = word.surface
     defaults = boundary_multitwist_defaults(word)
@@ -398,29 +402,28 @@ def chern_pd(
                 "a meridian-to-homology map is required outside the boundary-multitwist configuration"
             )
     if len(rotations) != len(word) or len(mu_map) != len(word):
-        raise UnsupportedInputError("rotations and meridian classes must cover every twist")
+        raise ValueError(
+            f"{len(rotations)} rotations and {len(mu_map)} meridian classes for {len(word)} twists: "
+            "give one of each per twist"
+        )
+    rank = surface.rank
+    for mu in mu_map:
+        if len(mu) != rank:
+            raise RankMismatchError(f"meridian class of length {len(mu)} != rank {rank}")
     if h1 is None:
         h1 = h1_boundary(word)
-    rank = surface.rank
     vector = [0] * rank
     for r, mu in zip(rotations, mu_map):
-        if len(mu) != rank:
-            raise UnsupportedInputError("meridian class has the wrong rank")
         for i, x in enumerate(mu):
             vector[i] += r * x
     order, reduced = h1.order_and_reduce(vector)
-    return ChernData(
-        vector=tuple(vector),
-        reduced=tuple(reduced),
-        is_zero=order == 1,
-        order=order,
-    )
+    return ChernData(vector=tuple(vector), reduced=tuple(reduced), order=order)
 
 
 class FillingInvariants(Value):
     """The full invariant record of one positive factorization."""
 
-    __slots__ = ("surface", "euler", "sigma", "b2", "q_matrix", "q_invariant_factors", "h1", "esig", "esig_mod4", "c1")
+    __slots__ = ("surface", "euler", "sigma", "b2", "q_matrix", "q_invariant_factors", "h1", "c1")
 
     def __init__(
         self,
@@ -431,8 +434,6 @@ class FillingInvariants(Value):
         q_matrix: Optional[Tuple[Tuple[int, ...], ...]] = None,
         q_invariant_factors: Optional[Tuple[int, ...]] = None,
         h1: Optional[AbelianQuotient] = None,
-        esig: Optional[int] = None,
-        esig_mod4: Optional[int] = None,
         c1: Optional[ChernData] = None,
     ):
         object.__setattr__(self, "surface", surface)
@@ -442,9 +443,17 @@ class FillingInvariants(Value):
         object.__setattr__(self, "q_matrix", q_matrix)
         object.__setattr__(self, "q_invariant_factors", q_invariant_factors)
         object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "esig", esig)
-        object.__setattr__(self, "esig_mod4", esig_mod4)
         object.__setattr__(self, "c1", c1)
+
+    @property
+    def esig(self) -> Optional[int]:
+        """e + sigma, when the signature is resolved."""
+        return None if self.sigma.value is None else self.euler + self.sigma.value
+
+    @property
+    def esig_mod4(self) -> Optional[int]:
+        esig = self.esig
+        return None if esig is None else esig % 4
 
 
 def filling_invariants(
@@ -464,7 +473,8 @@ def filling_invariants(
     # c1 first: with Chern inputs its reduction runs H_1's one Smith form,
     # carrying c1's vector and no U, whose diagonal the planar form then
     # reads; without them chern_pd raises before it touches H_1, and only
-    # the diagonal is ever computed
+    # the diagonal is ever computed.  Only absent inputs give no c1:
+    # malformed ones raise
     c1: Optional[ChernData]
     try:
         c1 = chern_pd(word, h1=h1, rotations=rotations, mu_map=mu_map)
@@ -477,10 +487,6 @@ def filling_invariants(
         b2, q_matrix, q_factors = form.b2, form.matrix, form.invariant_factors
     else:
         sigma_value = sigma(word, ledger)
-    esig = esig_mod4 = None
-    if sigma_value.value is not None:
-        esig = euler + sigma_value.value
-        esig_mod4 = esig % 4
     return FillingInvariants(
         surface=word.surface,
         euler=euler,
@@ -489,8 +495,6 @@ def filling_invariants(
         q_matrix=q_matrix,
         q_invariant_factors=q_factors,
         h1=h1,
-        esig=esig,
-        esig_mod4=esig_mod4,
         c1=c1,
     )
 

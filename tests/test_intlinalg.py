@@ -1,6 +1,7 @@
 """Exact linear algebra: Smith form, kernels, quotients, signatures."""
 
 import hashlib
+import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm
@@ -191,9 +192,9 @@ class TestSmithNormalForm:
         for g in range(4):
             for b in range(2, 13):
                 q = h1_boundary(tau_boundary_document(g, b).words["tau_del"])
-                a = [[column[i] for column in q._columns] for i in range(q.n)]
+                a = [[column[i] for column in q.columns] for i in range(q.n)]
                 zero_rows += sum(1 for row in a if not any(row))
-                snf = smith_normal_form(a, rows=q.n, cols=len(q._columns))
+                snf = smith_normal_form(a, rows=q.n, cols=len(q.columns))
                 h.update(repr((snf.diag, snf.rank, snf.row_ops, snf.columns)).encode())
         assert zero_rows == 11 * (0 + 2 + 4 + 6)
         assert h.hexdigest() == "51bf26929c2e34cc9d968c67bf598f315c72cf5f2bd5f0f544a2a882af6b9db6"
@@ -338,29 +339,37 @@ class TestKernel:
             assert all(sum(row[j] * v[j] for j in range(len(v))) == 0 for row in a)
 
 
+def order_of(q, v):
+    return q.order_and_reduce(v)[0]
+
+
+def reduce_of(q, v):
+    return q.order_and_reduce(v)[1]
+
+
 class TestAbelianQuotient:
     def test_cyclic_quotient(self):
         q = AbelianQuotient.from_relations(1, [[5]])
         assert q.invariant_factors == (5,)
         assert q.free_rank == 0
-        assert q.is_zero([10]) and not q.is_zero([3])
-        assert q.order([1]) == 5
-        assert q.order([2]) == 5
+        assert order_of(q, [10]) == 1 and order_of(q, [3]) != 1
+        assert order_of(q, [1]) == 5
+        assert order_of(q, [2]) == 5
 
     def test_mixed_quotient(self):
         # Z^3 / <2e1, 3e2> = Z/2 + Z/3 + Z = Z/6 + Z
         q = AbelianQuotient.from_relations(3, [[2, 0, 0], [0, 3, 0]])
         assert q.invariant_factors == (6,)
         assert q.free_rank == 1
-        assert q.order([0, 0, 1]) is None
-        assert q.order([1, 1, 0]) == 6
+        assert order_of(q, [0, 0, 1]) is None
+        assert order_of(q, [1, 1, 0]) == 6
 
     def test_reduce_is_canonical(self):
         q = AbelianQuotient.from_relations(2, [[4, 0]])
-        r1 = q.reduce([5, 2])
-        r2 = q.reduce([1, 2])
+        r1 = reduce_of(q, [5, 2])
+        r2 = reduce_of(q, [1, 2])
         assert r1 == r2
-        assert q.is_zero([x - y for x, y in zip([5, 2], r1)])
+        assert order_of(q, [x - y for x, y in zip([5, 2], r1)]) == 1
 
     @pytest.mark.parametrize("columns,bad", [([[2, 0, 5]], 0), ([[2]], 0), ([[1, 0], [3]], 1)])
     def test_ragged_relation_columns_are_rejected(self, columns, bad):
@@ -374,7 +383,7 @@ class TestAbelianQuotient:
         q = AbelianQuotient.from_relations(2, [])
         assert q.invariant_factors == ()
         assert q.free_rank == 2
-        assert not q.is_zero([1, 0])
+        assert order_of(q, [1, 0]) != 1
 
     @settings(max_examples=150)
     @given(
@@ -389,18 +398,18 @@ class TestAbelianQuotient:
     def test_reduce_is_a_class_function(self, data):
         relations, v, coeffs = data
         q = AbelianQuotient.from_relations(len(v), relations)
-        rep = q.reduce(v)
+        rep = reduce_of(q, v)
         shifted = list(v)
         for c, column in zip(coeffs, relations):
             shifted = [x + c * y for x, y in zip(shifted, column)]
-        assert q.reduce(shifted) == rep
-        assert q.is_zero([x - y for x, y in zip(v, rep)])
-        assert q.reduce(rep) == rep
+        assert reduce_of(q, shifted) == rep
+        assert order_of(q, [x - y for x, y in zip(v, rep)]) == 1
+        assert reduce_of(q, rep) == rep
 
     def test_transforms_wait_for_a_reduction(self, monkeypatch):
         # from_relations computes nothing, the report reads smith_diagonal
-        # alone, each query runs one Smith form carrying its vector and no
-        # U, and only reading row_ops or relations builds U (once)
+        # alone, and each query runs one Smith form carrying its vector and
+        # no U
         calls = []
         real_snf, real_diagonal = intlinalg.smith_normal_form, intlinalg.smith_diagonal
 
@@ -413,18 +422,12 @@ class TestAbelianQuotient:
         q = AbelianQuotient.from_relations(3, [[2, 0, 0], [0, 3, 0]])
         assert calls == []
         assert q.report() == [[6], 1] and calls == ["diagonal"]
-        assert q.order([1, 1, 0]) == 6 and q.reduce([3, 3, 0]) == q.reduce([1, 0, 0])
+        assert order_of(q, [1, 1, 0]) == 6 and reduce_of(q, [3, 3, 0]) == reduce_of(q, [1, 0, 0])
         assert calls == ["diagonal", ("snf", [[1, 1, 0]]), ("snf", [[3, 3, 0]]), ("snf", [[1, 0, 0]])]
-        calls.clear()
-        assert q.order_and_reduce([0, 2, 0]) == (3, q.reduce([0, 2, 0]))
-        assert calls == [("snf", [[0, 2, 0]])] * 2
-        calls.clear()
-        q.row_ops, q.relations, q.row_ops
-        assert calls == [("snf", None)]
         # with a reduction first, the diagonal is read from its Smith form
         calls.clear()
         q = AbelianQuotient.from_relations(3, [[2, 0, 0], [0, 3, 0]])
-        q.reduce([1, 1, 1])
+        q.order_and_reduce([1, 1, 1])
         assert q.report() == [[6], 1] and calls == [("snf", [[1, 1, 1]])]
 
     def test_diagonal_mismatch_raises(self, monkeypatch):
@@ -432,22 +435,30 @@ class TestAbelianQuotient:
         monkeypatch.setattr(intlinalg, "smith_diagonal", lambda matrix: (1,))
         assert q.invariant_factors == ()
         with pytest.raises(ConsistencyAlarmError, match="Smith diagonal"):
-            q.reduce([1])
+            q.order_and_reduce([1])
 
     def test_value_equality(self):
-        # equal presentations, or unequal ones with the same n, D, U and A V
+        # a quotient is the value of its presentation: n and the relation
+        # columns in order
         q = AbelianQuotient.from_relations(2, [[4, 0], [0, 1]])
-        assert q == AbelianQuotient.from_relations(2, [(4, 0), (0, 1)])
-        assert q == AbelianQuotient.from_relations(2, [[0, 1], [4, 0]])  # same U and A V
-        assert q != AbelianQuotient.from_relations(2, [[4, 0], [0, -1]])  # same group, another U
+        twin = AbelianQuotient.from_relations(2, [(4, 0), (0, 1)])
+        assert q == twin and hash(q) == hash(twin) == hash((2, ((4, 0), (0, 1))))
+        assert q != AbelianQuotient.from_relations(2, [[0, 1], [4, 0]])  # the columns permuted
+        assert q != AbelianQuotient.from_relations(2, [[4, 0], [0, -1]])  # same group, another presentation
         assert q != AbelianQuotient.from_relations(2, [[8, 0], [0, 1]])
         assert q != AbelianQuotient.from_relations(3, [[4, 0, 0], [0, 1, 0]])
-        assert q != (2, (4, 1))
-        with pytest.raises(TypeError):
-            hash(q)
+        assert q != (2, ((4, 0), (0, 1)))
 
-    # (n, relation columns, D, U, A V, report, v, reduce(v), order(v)), as
-    # the quotient answered when it built A V entry by entry
+    def test_copies_leave_the_diagonal_unset_until_read(self):
+        q = AbelianQuotient.from_relations(2, [[4, 0], [0, 6]])
+        assert q.diag == (2, 12)
+        twin = pickle.loads(pickle.dumps(q))
+        assert twin == q and not hasattr(twin, "_diag")
+        assert twin.report() == [[2, 12], 0] and twin._diag == (2, 12)
+
+    # (n, relation columns, D, U, A V, report, v, reduce(v), order(v)): U and
+    # A V are those of the Smith form of A, as the quotient built them when
+    # it kept both views; the quotient answers the rest
     ANCHORS = [
         (0, [], (), [], [], [[], 0], [], [], 1),
         (1, [], (), [[1]], [], [[], 1], [4], [4], None),
@@ -464,24 +475,11 @@ class TestAbelianQuotient:
     def test_anchors(self, n, columns, diag, row_ops, relations, report, v, rep, order):
         # no relations (n x 0, 1 x 0 among them) and one relation (n x 1)
         q = AbelianQuotient(n, columns)
-        assert (q.report(), q.reduce(v), q.order(v)) == (report, rep, order)
-        assert q.order_and_reduce(v) == (order, rep)
-        assert (q.diag, q.row_ops, q.relations) == (diag, row_ops, relations)
-
-    def test_relations_are_the_dense_product(self):
-        # A V from the sparse V columns and A's nonzeros is the dense product
-        rng = random.Random(6113)
-        for _ in range(300):
-            n, cols, density = rng.randint(0, 7), rng.randint(0, 7), rng.choice([0.2, 0.6, 1.0])
-            columns = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(n)] for _ in range(cols)]
-            q = AbelianQuotient(n, columns)
-            a = [[column[i] for column in columns] for i in range(n)]
-            snf = smith_normal_form(a, rows=n, cols=cols)
-            # column j of A V: (A V)_ij = sum over k of A_ik V_kj
-            assert q.relations == [[sum(a[i][k] * x for k, x in enumerate(column)) for i in range(n)]
-                                   for column in snf.col_ops]
-            v = [rng.randint(-9, 9) for _ in range(n)]
-            assert q.order_and_reduce(v) == (q.order(v), q.reduce(v))
+        assert (q.report(), q.order_and_reduce(v), q.diag) == (report, (order, rep), diag)
+        a = [[column[i] for column in columns] for i in range(n)]
+        snf = smith_normal_form(a, rows=n, cols=len(columns))
+        product = [[sum(a[i][k] * x for k, x in column.items()) for i in range(n)] for column in snf.columns]
+        assert (snf.diag, snf.row_ops, product) == (diag, row_ops, relations)
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
@@ -513,7 +511,8 @@ class TestAbelianQuotient:
 
     def test_queries_are_pinned(self):
         # sha256 of reduce/order/is_zero answers on seeded relation
-        # matrices, recorded when the quotient still kept U^-1
+        # matrices, recorded when the quotient still kept U^-1; all three
+        # now come from one order_and_reduce
         rng = random.Random(2026)
         h = hashlib.sha256()
         for _ in range(400):
@@ -523,7 +522,8 @@ class TestAbelianQuotient:
             answers = [q.report()]
             for _ in range(3):
                 v = [rng.randint(-20, 20) for _ in range(n)]
-                answers.append((q.reduce(v), q.order(v), q.is_zero(v)))
+                order, rep = q.order_and_reduce(v)
+                answers.append((rep, order, order == 1))
             h.update(repr(answers).encode())
         assert h.hexdigest() == "3ab7c20dcea5574d064bcac1d6e72e79565d35b3573dc722b6ffa070975f001b"
 
@@ -588,8 +588,6 @@ def check_queries(n, columns, vectors):
         else:
             assert lattice % torsion_order(columns + [v], n) == 0
             assert order == lattice // torsion_order(columns + [v], n)
-        assert q.order(v) == order
-        assert q.reduce(v) == rep
         assert q.order_and_reduce(v) == (order, rep)
         difference = [x - r for x, r in zip(v, rep)]
         assert rational_rank(columns + [difference], n) == rank

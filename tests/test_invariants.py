@@ -28,7 +28,6 @@ from steincalc.invariants import (
     has_exact_form,
     planar_intersection_form,
     sigma,
-    variation,
     variations,
 )
 from steincalc.planarity import NO_OBSTRUCTION, NON_PLANAR_CONDITIONAL, esig_planarity_test
@@ -300,7 +299,8 @@ class TestPinnedPlanarInvariants:
             answers = [inv.q_matrix, inv.b2, inv.q_invariant_factors, inv.h1.report()]
             for _ in range(3):
                 v = [rng.randint(-12, 12) for _ in range(w.surface.rank)]
-                answers.append((inv.h1.reduce(v), inv.h1.order(v)))
+                order, rep = inv.h1.order_and_reduce(v)
+                answers.append((rep, order))
             h.update(repr(answers).encode())
         assert h.hexdigest() == self.DIGEST
 
@@ -386,16 +386,13 @@ class TestLazyH1:
                 rows = w.surface.rank
                 boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(rows)]
                 assert (boundary_map, None) in seen
-            assert inv.h1.order(inv.c1.vector) == inv.c1.order and inv.h1.reduce(inv.c1.vector) == list(inv.c1.reduced)
+            assert inv.h1.order_and_reduce(inv.c1.vector) == (inv.c1.order, list(inv.c1.reduced))
 
-    def test_no_package_path_reads_u_or_a_v(self, monkeypatch, capsys):
-        # every stock document's invariants, the family sweep and the
-        # quotient's own queries reduce classes without H_1's U or A V
-        def refused(q):
-            raise AssertionError("U or A V of a quotient was read")
-
-        monkeypatch.setattr(AbelianQuotient, "row_ops", property(refused))
-        monkeypatch.setattr(AbelianQuotient, "relations", property(refused))
+    def test_no_package_path_reads_u_or_a_v(self, capsys):
+        # the quotient keeps no U or A V view to read, and every stock
+        # document's invariants and the family sweep reduce classes without
+        # them
+        assert not hasattr(AbelianQuotient, "row_ops") and not hasattr(AbelianQuotient, "relations")
         argvs = [["invariants", "--tau-boundary", str(g), str(b)] for g in range(4) for b in range(1, 8)]
         argvs += [["invariants", "--lantern", "--word", name] for name in ("tau_del", "lantern_left", "lantern_right")]
         argvs += [["invariants", "--chain", str(n), "--word", name] for n in range(1, 5) for name in ("boundary", "chain_power")]
@@ -406,7 +403,8 @@ class TestLazyH1:
         capsys.readouterr()
         q = h1_boundary(boundary_multitwist(1, 5))
         order, rep = q.order_and_reduce([1, 0, 1, 0, 0, 0])
-        assert order is None and q.reduce(rep) == rep and q.is_zero([0, 0, 5, 0, 0, 0])
+        assert order is None and q.order_and_reduce(rep) == (None, rep)
+        assert q.order_and_reduce([0, 0, 5, 0, 0, 0])[0] == 1
 
 
 class TestTorsionFromH1:
@@ -453,10 +451,7 @@ class TestTorsionFromH1:
             declared = [Arc(s, j, standard_arc(s, j).rel_class) for j in range(2, s.boundary_count + 1) if rng.random() < 0.5]
             for arcs in (None, arc_family(s), arc_family(s, declared)):
                 inv = filling_invariants(w, arcs=arcs)
-                expected = h1_boundary(w, arcs=arc_family(s))
-                assert (inv.h1.n, inv.h1.diag, inv.h1.row_ops, inv.h1.relations) == (
-                    expected.n, expected.diag, expected.row_ops, expected.relations
-                )
+                assert inv.h1 == h1_boundary(w, arcs=arc_family(s))
             # arcs out of the standard order are overrides too: on a planar
             # page they give the quotient of the standard arcs
             arcs = list(reversed(arc_family(s)))
@@ -585,7 +580,7 @@ class TestH1Boundary:
 
     def test_arc_relation_vector_boundary_multitwist(self):
         w = boundary_multitwist(0, 4)
-        vec = variation(w, standard_arc(w.surface, 2).rel_class)
+        vec = variations(w, [standard_arc(w.surface, 2).rel_class])[0]
         assert vec == (2, 1, 1)  # d_2 + (d_2 + d_3 + d_4)
 
     def test_variation_on_handles_is_the_action(self):
@@ -597,7 +592,7 @@ class TestH1Boundary:
             w = Word(s, tuple(Twist(rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randint(0, 10))))
             for i in range(2 * s.genus):
                 e = s.basis_class(i)
-                assert variation(w, e.coords) == (w.action_on(e) - e).coords
+                assert variations(w, [e.coords]) == [(w.action_on(e) - e).coords]
 
     def test_h1_does_not_act_on_classes(self, monkeypatch):
         def refuse(self, x):
@@ -684,11 +679,10 @@ class TestH1Boundary:
                 declared.append(Arc(s, j, handle + standard_arc(s, j).rel_class[2 * g:]))
         declared = data.draw(st.permutations(declared))
         got, want = h1_boundary(w, arcs=declared), _h1_oracle(w, declared)
-        assert got._columns == want._columns
-        assert (got.diag, got.row_ops, got.relations) == (want.diag, want.row_ops, want.relations)
+        assert got == want
         rels = [arc.rel_class for arc in declared] + [s.basis_class(i).coords for i in range(s.rank)]
         assert variations(w, rels) == [_variation_oracle(w, rel) for rel in rels]
-        assert [variation(w, rel) for rel in rels] == [_variation_oracle(w, rel) for rel in rels]
+        assert [variations(w, [rel])[0] for rel in rels] == [_variation_oracle(w, rel) for rel in rels]
 
     def test_wrong_length_is_rejected_before_any_twist(self):
         # an empty word used to return zeros for a class of any length
@@ -703,32 +697,31 @@ class TestH1Boundary:
             rank = w.surface.rank
             for rel in ((), (0,) * (rank - 1), (1,) * (rank + 1)):
                 with pytest.raises(RankMismatchError, match=f"relative vector length {len(rel)} != rank {rank}"):
-                    variation(w, rel)
+                    variations(w, [rel])
                 with pytest.raises(RankMismatchError, match="relative vector length"):
                     variations(w, [(0,) * rank, rel])
 
     def test_planar_relations_are_the_variation(self, monkeypatch):
         # on a planar page the arc relations come from B S B^T and must be
-        # the vectors ``variation`` gives twist by twist
+        # the vectors ``variations`` gives twist by twist
         seen = []
         real = AbelianQuotient.from_relations.__func__
 
-        def recording(cls, n, relation_columns):
-            seen.append([tuple(col) for col in relation_columns])
-            return real(cls, n, relation_columns)
+        def recording(cls, n, columns):
+            seen.append([tuple(col) for col in columns])
+            return real(cls, n, columns)
 
         monkeypatch.setattr(AbelianQuotient, "from_relations", classmethod(recording))
         for seed in range(300):
             w, _ = _planar_pin_case(seed)
             seen.clear()
             h1_boundary(w)
-            assert seen == [[variation(w, arc.rel_class) for arc in arc_family(w.surface)]]
+            assert seen == [variations(w, [arc.rel_class for arc in arc_family(w.surface)])]
 
     def test_planar_h1_never_calls_variation(self, monkeypatch):
         def refuse(word, rels):
-            raise AssertionError("h1_boundary called variation on a planar page")
+            raise AssertionError("h1_boundary called variations on a planar page")
 
-        monkeypatch.setattr(invariants, "variation", refuse)
         monkeypatch.setattr(invariants, "variations", refuse)
         for b in range(1, 8):
             assert h1_boundary(boundary_multitwist(0, b)).report() == [[b] if b > 1 else [], 0]
@@ -761,14 +754,19 @@ class TestChern:
                 # the class equals (2g-2) d_2 in the quotient
                 target = [0] * w.surface.rank
                 target[2 * g] = 2 * g - 2
-                assert h1.is_zero([x - y for x, y in zip(c1.vector, target)])
+                assert h1.order_and_reduce([x - y for x, y in zip(c1.vector, target)])[0] == 1
 
     def test_one_u_v_per_chern_class(self, monkeypatch):
-        # order and reduce read one U v between them, from the one Smith
-        # form of H_1, which carries c1's vector in place of U
+        # the order and the representative come from one order_and_reduce,
+        # whose one Smith form of H_1 carries c1's vector in place of U
         calls = []
-        real = AbelianQuotient._coords
-        monkeypatch.setattr(AbelianQuotient, "_coords", lambda q, v: calls.append(tuple(v)) or real(q, v))
+        real = AbelianQuotient.order_and_reduce
+
+        def recording(q, v, *args, **kwargs):
+            calls.append(tuple(v))
+            return real(q, v, *args, **kwargs)
+
+        monkeypatch.setattr(AbelianQuotient, "order_and_reduce", recording)
         seen = _recording_snf(monkeypatch)
         for g in range(4):
             for b in (2, 5, 9):
@@ -786,6 +784,22 @@ class TestChern:
         a = Curve("a", s.a_class(1))
         with pytest.raises(UnsupportedInputError):
             chern_pd(word_of(s, [a]))
+
+    def test_malformed_inputs_raise(self):
+        # only absent inputs give no c1: a rotation list or meridian map that
+        # is not one per twist, or a meridian of the wrong rank, raises
+        w = boundary_multitwist(1, 3)  # 3 twists, rank 4
+        for call in (chern_pd, filling_invariants):
+            with pytest.raises(ValueError, match="1 rotations and 1 meridian classes for 3 twists"):
+                call(w, rotations=[1], mu_map=[(0, 0, 1, 0)])
+            with pytest.raises(ValueError, match="3 rotations and 1 meridian classes for 3 twists"):
+                call(w, mu_map=[(0, 0, 1, 0)])
+            with pytest.raises(RankMismatchError, match="meridian class of length 1 != rank 4"):
+                call(w, rotations=[0, 1, 2], mu_map=[(1,), (1,), (1,)])
+        s = Surface(1, 1)
+        lone = word_of(s, [Curve("a", s.a_class(1))])
+        assert filling_invariants(lone).c1 is None
+        assert filling_invariants(lone, rotations=[1]).c1 is None  # no meridian map
 
     def test_explicit_rotations_and_meridians(self):
         s = Surface(0, 2)

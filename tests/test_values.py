@@ -12,7 +12,7 @@ import pytest
 import steincalc
 from steincalc.document import Document, chain_document, tau_boundary_document
 from steincalc.errors import RankMismatchError, Value
-from steincalc.intlinalg import SmithForm, smith_normal_form
+from steincalc.intlinalg import AbelianQuotient, SmithForm, smith_normal_form
 from steincalc.invariants import (
     ChernData,
     FillingInvariants,
@@ -96,6 +96,7 @@ BUILDERS = {
     ChernData: lambda: _filling().c1,
     FillingInvariants: _filling,
     SmithForm: lambda: smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]),
+    AbelianQuotient: lambda: AbelianQuotient(3, [[2, 0, 0], [0, 3, 0]]),
     RelatorWitness: lambda: _relator_certificate().witness,
     BoundingWitness: lambda: _bounding_certificate().witness,
     PlanarityCertificate: _bounding_certificate,
@@ -103,11 +104,8 @@ BUILDERS = {
     Document: lambda: tau_boundary_document(0, 4),
 }
 
-# Unhashable through a field: SmithForm holds lists, and FillingInvariants an
-# AbelianQuotient.  Document is unhashable as a class.
-UNHASHABLE = {SmithForm, FillingInvariants, Document}
-
-IMMUTABLE = [cls for cls in BUILDERS if cls is not Document]
+# Unhashable through a field: SmithForm holds lists, and Document dicts.
+UNHASHABLE = {SmithForm, Document}
 
 REQUIRED = inspect.Parameter.empty
 
@@ -132,14 +130,14 @@ SIGNATURES = {
                    ("note", "")],
     ChainConfig: [("surface", REQUIRED), ("curves", REQUIRED), ("boundary", REQUIRED)],
     BoundingCase: [("verdict", REQUIRED), ("note", REQUIRED)],
-    PlanarForm: [("matrix", REQUIRED), ("b2", REQUIRED), ("sigma", REQUIRED), ("invariant_factors", REQUIRED)],
+    PlanarForm: [("matrix", REQUIRED), ("b2", REQUIRED), ("invariant_factors", REQUIRED)],
     SigmaLedger: [("baseline_name", REQUIRED), ("baseline_sigma", REQUIRED), ("records", ())],
     SigmaValue: [("mode", REQUIRED), ("value", REQUIRED), ("baseline_name", None), ("offset", None)],
-    ChernData: [("vector", REQUIRED), ("reduced", REQUIRED), ("is_zero", REQUIRED), ("order", REQUIRED)],
+    ChernData: [("vector", REQUIRED), ("reduced", REQUIRED), ("order", REQUIRED)],
     FillingInvariants: [("surface", REQUIRED), ("euler", REQUIRED), ("sigma", REQUIRED), ("b2", None),
-                        ("q_matrix", None), ("q_invariant_factors", None), ("h1", None), ("esig", None),
-                        ("esig_mod4", None), ("c1", None)],
+                        ("q_matrix", None), ("q_invariant_factors", None), ("h1", None), ("c1", None)],
     SmithForm: [("diag", REQUIRED), ("rank", REQUIRED), ("row_ops", REQUIRED), ("columns", REQUIRED)],
+    AbelianQuotient: [("n", REQUIRED), ("columns", REQUIRED)],
     RelatorWitness: [("relator_name", REQUIRED), ("obstruction", REQUIRED), ("obstruction_nonzero", REQUIRED),
                      ("positions", REQUIRED), ("swaps", REQUIRED), ("homology_allowable", REQUIRED),
                      ("obstruction_asserted", REQUIRED)],
@@ -215,7 +213,7 @@ def test_fields_order_and_defaults(cls):
     assert cls(**{name: getattr(a, name) for name in cls._fields}) == a
 
 
-@pytest.mark.parametrize("cls", IMMUTABLE, ids=lambda cls: cls.__name__)
+@pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
 def test_assignment_and_deletion_raise(cls):
     a = BUILDERS[cls]()
     before = _fields(a)
@@ -229,16 +227,28 @@ def test_assignment_and_deletion_raise(cls):
     assert _fields(a) == before
 
 
-def test_document_is_mutable_and_unhashable():
+def test_document_is_unhashable_through_its_dicts():
+    # a document is a value like the others; only its dict fields keep it
+    # from hashing
     doc = BUILDERS[Document]()
-    doc.arcs = (standard_arc(doc.surface, 2),)
-    assert doc != BUILDERS[Document]()
-    del doc.arcs
-    with pytest.raises(AttributeError):
-        doc.arcs
-    with pytest.raises(AttributeError):
-        doc.extra = 1
-    assert Document.__hash__ is None
+    assert Document.__hash__ is Value.__hash__
+    with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+        hash(doc)
+
+
+def test_derived_fields_follow_their_sources():
+    # is_zero, sigma, esig and esig_mod4 are read off the stored fields, so
+    # no constructor call can make them disagree
+    assert ChernData((2,), (0,), 1).is_zero and not ChernData((1,), (1,), 2).is_zero
+    assert not ChernData((1,), (1,), None).is_zero
+    assert PlanarForm(((-1,),), 1, (1,)).sigma == -1
+    surface = Surface(0, 4)
+    inv = FillingInvariants(surface, 5, SigmaValue("exact", -2))
+    assert (inv.esig, inv.esig_mod4) == (3, 3)
+    inv = FillingInvariants(surface, 1, SigmaValue("relative", -4, "tau_del", 0))
+    assert (inv.esig, inv.esig_mod4) == (-3, 1)
+    inv = FillingInvariants(surface, 5, SigmaValue("unknown", None))
+    assert (inv.esig, inv.esig_mod4) == (None, None)
 
 
 @pytest.mark.parametrize("cls", BUILDERS, ids=lambda cls: cls.__name__)
