@@ -130,6 +130,9 @@ def detect_relator(
         left = entry.relator.left
         if left is None or left.surface != word.surface:
             continue
+        if not left.twists:  # contained in every word, so it certifies nothing
+            notes.append(f"relator {entry.name} has an empty left side, which marks no place in the word")
+            continue
         entry_declared = given.union(entry.disjoint)
         if entry_declared not in relations:
             relations[entry_declared] = _Dependence(word, entry_declared)

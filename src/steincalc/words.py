@@ -9,9 +9,11 @@ in order after certified commutations; substitution additionally needs the
 matched block to become contiguous.  Each search tabulates certified
 commutation once per distinct curve of the word, as the set of positions
 that curve blocks, from per-hole position bitsets (the rules of
-``surfaces.curves_commute``, decided on integers), matches identical target
-letters left to right, and answers "unknown" when its fixed node budget
-runs out.
+``surfaces.curves_commute``, decided on integers), closes that relation
+only from the target's first candidate position rightwards, matches
+identical target letters left to right, and answers "unknown" when its
+fixed node budget runs out.  A witness reorders only the window of
+positions that the target's backward constraints span.
 
 A relator is a pair of positive words (left, right) naming the same mapping
 class.  ``verify_relator`` checks the necessary conditions that are
@@ -161,7 +163,11 @@ class _Dependence:
     certified to commute.  ``reach[i]`` holds the positions j > i that some
     chain of dependent occurrences forces to stay after position i, and
     ``cover[i]`` is a subset of the later dependent positions of i whose
-    chains already force all of ``reach[i]``.
+    chains already force all of ``reach[i]``.  Both read only later
+    positions, so ``fill`` builds them right to left and stops at the
+    smallest position a search needs (the target's first candidate); a
+    later search on the same relation extends the fill and recomputes
+    nothing.  Below ``low`` both hold None.
     """
 
     def __init__(self, w: Word, declared: Collection[NamePair]):
@@ -222,20 +228,29 @@ class _Dependence:
                 ban &= ~spots[j]
             blocked.append(ban & ~spots[k])
         self.dep = [blocked[k] for k in letters]
-        self.reach = [0] * n
-        self.cover: List[List[int]] = [[] for _ in range(n)]
-        for i in range(n - 1, -1, -1):
+        # None until ``fill`` reaches the position: read as 0, an unfilled
+        # entry would let ``_embeddings`` accept an unsound embedding
+        self.reach: List[Optional[int]] = [None] * n
+        self.cover: List[Optional[List[int]]] = [None] * n
+        self.low = n  # ``reach`` and ``cover`` hold at positions >= low
+
+    def fill(self, p: int) -> None:
+        """Extend ``reach`` and ``cover`` right to left down to position p."""
+        dep, reach, cover = self.dep, self.reach, self.cover
+        for i in range(self.low - 1, p - 1, -1):
             # a later dependent position already in ``acc`` is forced after
             # i through an earlier one, and so is everything it forces
-            todo = self.dep[i] >> (i + 1) << (i + 1)
+            todo = dep[i] >> (i + 1) << (i + 1)
             acc = 0
+            ks = cover[i] = []
             while todo:
-                low = todo & -todo
-                k = low.bit_length() - 1
-                self.cover[i].append(k)
-                acc |= low | self.reach[k]
+                bit = todo & -todo
+                k = bit.bit_length() - 1
+                ks.append(k)
+                acc |= bit | reach[k]
                 todo &= ~acc
-            self.reach[i] = acc
+            reach[i] = acc
+        self.low = min(self.low, p)
 
 
 # The one dataclass of the package: the benchmark's checks build tampered
@@ -282,6 +297,7 @@ def _embeddings(w: Word, target: Word, rel: _Dependence) -> Iterator[Tuple[int, 
     candidates = _match_candidates(w, target, rel)
     if candidates is None:
         return
+    rel.fill(min(slots[0] for slots in candidates))
     m = len(target.twists)
     twin: List[int] = []  # index of the previous identical target letter, or -1
     last: Dict[Twist, int] = {}
@@ -330,13 +346,19 @@ def _linearize(
 
     Returns (order, swaps) where ``order`` lists original indices in their
     new sequence and ``swaps`` are the adjacent transpositions realizing it,
-    or None when contiguity is blocked by a wedged occurrence.  The swaps are
-    those of a bubble sort by rank in ``order`` whose passes each scan only
-    from one before the previous pass's first swap to its last swap: the
-    part before is sorted and the part after is final, so a full pass would
-    make the same swaps.
+    or None when contiguity is blocked by a wedged occurrence.  ``order`` is
+    the least topological order of the forced precedences, found by a
+    min-heap; ``rel`` must be filled down to min(selected).  Only a backward
+    edge a -> b (a > b) moves anything: positions below the smallest b, and
+    above the largest a, have no backward edge into or out of them, so they
+    keep their place, no path between two positions of the window [b, a]
+    leaves it, and the heap runs over the window alone.  The swaps are those
+    of a bubble sort by rank in ``order`` whose passes each scan only from
+    one before the previous pass's first swap to its last swap (the first
+    scans the window): the part before is sorted and the part after is
+    final, so a full pass would make the same swaps.
     """
-    dep, reach = rel.dep, rel.reach
+    dep, reach, cover = rel.dep, rel.reach, rel.cover
     n = len(dep)
     edges = list(zip(selected, selected[1:]))
     if contiguous and selected:
@@ -346,52 +368,58 @@ def _linearize(
         for s in selected:
             sel |= 1 << s
             forced_after |= reach[s]
-        for x in range(n):
+        # below min(selected) nothing is forced after a matched occurrence,
+        # above max(selected) nothing is forced before one: no wedge, and
+        # the edge to or from x points forward
+        for x in range(min(selected) + 1, max(selected)):
             if (sel >> x) & 1:
                 continue
             before = reach[x] & sel
             after = (forced_after >> x) & 1
             if before and after:
                 return None  # wedged between two matched occurrences
-            if before:
-                edges.append((x, first))
-            elif after:
-                edges.append((last, x))
-            elif x < first:
+            if before or (not after and x < first):
                 edges.append((x, first))
             else:
                 edges.append((last, x))
+    back = [(a, b) for a, b in edges if a > b]
+    if not back:
+        return list(range(n)), []
+    lo = min(b for _, b in back)
+    hi = max(a for a, _ in back)
 
-    # The min-heap topological order below depends only on the transitive
-    # closure of the successor relation, and ``cover`` has the same closure
-    # as the full dependency relation, so it stands in for it.  The successor
-    # sets are built only once no occurrence is wedged.
-    succ: List[set] = [set(ks) for ks in rel.cover]
+    # The min-heap order depends only on the transitive closure of the
+    # successor relation, and ``cover`` has the same closure as the full
+    # dependency relation, so it stands in for it.  The successor sets are
+    # built only once no occurrence is wedged.
+    succ = {i: set(cover[i][:bisect_right(cover[i], hi)]) for i in range(lo, hi + 1)}
     for a, b in edges:
-        succ[a].add(b)
-    indegree = [0] * n
-    for i in range(n):
-        for j in succ[i]:
+        if lo <= a and b <= hi:  # both ends in the window
+            succ[a].add(b)
+    indegree = dict.fromkeys(succ, 0)
+    for ks in succ.values():
+        for j in ks:
             indegree[j] += 1
-    heap = [i for i in range(n) if indegree[i] == 0]
+    heap = [i for i, d in indegree.items() if d == 0]
     heapq.heapify(heap)
-    order: List[int] = []
+    window: List[int] = []
     while heap:
         i = heapq.heappop(heap)
-        order.append(i)
+        window.append(i)
         for j in succ[i]:
             indegree[j] -= 1
             if indegree[j] == 0:
                 heapq.heappush(heap, j)
-    if len(order) != n:
+    if len(window) != len(succ):
         return None  # cycle: the required order is not reachable
 
-    rank = [0] * n
-    for r, i in enumerate(order):
+    order = list(range(lo)) + window + list(range(hi + 1, n))
+    rank = list(range(n))
+    for r, i in enumerate(window, lo):
         rank[i] = r
     seq = list(range(n))
     swaps: List[int] = []
-    lo, hi = 0, n - 1  # a pass compares seq[i] and seq[i + 1] for lo <= i < hi
+    # a pass compares seq[i] and seq[i + 1] for lo <= i < hi
     while lo < hi:
         first = last = -1
         for i in range(lo, hi):
@@ -435,11 +463,11 @@ def _contains(w: Word, target: Word, rel: _Dependence) -> Optional[ContainmentWi
         if lin is None:
             raise ConsistencyAlarmError("an embedding of the target could not be put in target order")
         order, swaps = lin
-        rank = {i: r for r, i in enumerate(order)}
+        # a position outside the reordered window has order[p] == p
         return ContainmentWitness(
             positions=positions,
             swaps=tuple(swaps),
-            final_positions=tuple(rank[p] for p in positions),
+            final_positions=tuple(p if order[p] == p else order.index(p) for p in positions),
         )
     return None
 
@@ -595,6 +623,8 @@ def substitute(
             if w.twists[p].curve != t.curve or w.twists[p].sign != t.sign:
                 raise NotApplicableError(f"position {p} does not carry the twist {t.curve.name}")
     rel = _Dependence(w, declared)
+    if positions is not None:
+        rel.fill(min(positions))
     chosen = [tuple(positions)] if positions is not None else _embeddings(w, relator.left, rel)
 
     for pos in chosen:

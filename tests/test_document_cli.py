@@ -787,6 +787,24 @@ class TestMain:
         assert check["passed"] is True and check["detail"].startswith("stored allowable=False")
         assert result["ledger"] == {"sigma_delta": 2, "euler_delta": 1, "obstruction": 3}
 
+    def test_relator_with_an_empty_left_side_certifies_nothing(self, tmp_path, capsys):
+        # an empty left side is contained in every word, so its obstruction
+        # 5 + 1 would otherwise certify any word non-planar
+        data = {
+            "surface": {"genus": 0, "boundary": 4},
+            "curves": [{"name": "a", "holes": [2, 3]}, {"name": "b", "holes": [3, 4]}],
+            "words": {"w": [{"curve": "a"}, {"curve": "b"}]},
+            "relators": [{"name": "bogus", "kind": "user", "left": [], "right": [{"curve": "a"}],
+                          "sigma_delta": 5}],
+        }
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["detect", "--in", str(path)]) == 0
+        (cert,) = json.loads(capsys.readouterr().out)["result"]["certificates"]
+        assert cert["verdict"] == "no-obstruction-found"
+        assert cert["notes"] == ["relator bogus has an empty left side, which marks no place in the word"]
+        assert main(["substitute", "--in", str(path), "--relator", "bogus"]) == 3
+
     def test_import_loads_no_fractions(self):
         # nor does computing a signature: the package's arithmetic is integer only
         import steincalc

@@ -2,6 +2,7 @@
 substitution, and the relator checks."""
 
 import hashlib
+import heapq
 import random
 import time
 from collections import deque
@@ -531,11 +532,11 @@ def _pinned_case(seed):
     return word_of(s, seq), word_of(s, target), declared
 
 
-def _full_pass_swaps(rel, order):
+def _full_pass_swaps(dep, order):
     """The bubble sort that replays ``order`` as adjacent swaps, every pass
     over the whole word, as ``_linearize`` ran it before its passes were
     bounded."""
-    n = len(rel.dep)
+    n = len(dep)
     rank = [0] * n
     for r, i in enumerate(order):
         rank[i] = r
@@ -547,11 +548,92 @@ def _full_pass_swaps(rel, order):
         for i in range(n - 1):
             a, b = seq[i], seq[i + 1]
             if rank[a] > rank[b]:
-                assert not (rel.dep[a] >> b) & 1
+                assert not (dep[a] >> b) & 1
                 seq[i], seq[i + 1] = b, a
                 swaps.append(i)
                 changed = True
     return swaps
+
+
+def _full_closure(dep):
+    """``reach`` and ``cover`` at every position, filled right to left over
+    the whole word, as ``_Dependence`` built them before it filled on demand."""
+    n = len(dep)
+    reach, cover = [0] * n, [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        todo = dep[i] >> (i + 1) << (i + 1)
+        acc = 0
+        while todo:
+            low = todo & -todo
+            k = low.bit_length() - 1
+            cover[i].append(k)
+            acc |= low | reach[k]
+            todo &= ~acc
+        reach[i] = acc
+    return reach, cover
+
+
+def _full_linearize(dep, reach, cover, selected, contiguous):
+    """``_linearize`` as it ran before it ordered only the window: the wedge
+    scan over every position, the min-heap over every position and bubble
+    passes over the whole word."""
+    n = len(dep)
+    edges = list(zip(selected, selected[1:]))
+    if contiguous and selected:
+        first, last = selected[0], selected[-1]
+        sel = forced_after = 0
+        for s in selected:
+            sel |= 1 << s
+            forced_after |= reach[s]
+        for x in range(n):
+            if (sel >> x) & 1:
+                continue
+            before = reach[x] & sel
+            after = (forced_after >> x) & 1
+            if before and after:
+                return None
+            if before:
+                edges.append((x, first))
+            elif after:
+                edges.append((last, x))
+            elif x < first:
+                edges.append((x, first))
+            else:
+                edges.append((last, x))
+    succ = [set(ks) for ks in cover]
+    for a, b in edges:
+        succ[a].add(b)
+    indegree = [0] * n
+    for i in range(n):
+        for j in succ[i]:
+            indegree[j] += 1
+    heap = [i for i in range(n) if indegree[i] == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        i = heapq.heappop(heap)
+        order.append(i)
+        for j in succ[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(heap, j)
+    if len(order) != n:
+        return None
+    return order, _full_pass_swaps(dep, order)
+
+
+def _search_selection(reach, rng, n):
+    """Up to five positions in an order the search could ask for: none is
+    forced after a later one."""
+    selected, taken = [], 0
+    for p in rng.sample(range(n), n):
+        if len(selected) < 5 and not reach[p] & taken:
+            selected.append(p)
+            taken |= 1 << p
+    return selected
+
+
+_SEARCH_WORDS = st.one_of(_mixed_word(), st.integers(0, 10**6).map(lambda seed: _pinned_case(seed)[0]))
 
 
 class TestPinnedWitnesses:
@@ -575,23 +657,43 @@ class TestPinnedWitnesses:
         assert h.hexdigest() == self.DIGEST
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.one_of(_mixed_word(), st.integers(0, 10**6).map(lambda seed: _pinned_case(seed)[0])),
-        st.randoms(use_true_random=False),
-        st.booleans(),
-    )
+    @given(_SEARCH_WORDS, st.randoms(use_true_random=False), st.booleans())
     def test_linearize_swaps_match_full_passes(self, w, rng, contiguous):
         rel = _Dependence(w, ())
-        selected, taken = [], 0  # positions in an order the search could ask for
-        for p in rng.sample(range(len(w)), len(w)):
-            if len(selected) < 5 and not rel.reach[p] & taken:
-                selected.append(p)
-                taken |= 1 << p
+        rel.fill(0)
+        selected = _search_selection(rel.reach, rng, len(w))
         lin = _linearize(rel, selected, contiguous)
         assert lin is not None or contiguous
         if lin is not None:
             order, swaps = lin
-            assert swaps == _full_pass_swaps(rel, order)
+            assert swaps == _full_pass_swaps(rel.dep, order)
+
+
+class TestWindowedSearch:
+    """``_linearize`` orders only the window its backward edges span, and
+    ``_Dependence`` fills its closure only down to what a caller asks for;
+    both give what the full-word computations give."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SEARCH_WORDS, st.randoms(use_true_random=False), st.booleans())
+    def test_window_and_fill_match_the_full_word_oracles(self, w, rng, contiguous):
+        names = sorted({t.curve.name for t in w.twists})
+        declared = {declared_pair(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 4))}
+        n = len(w)
+        dep = _Dependence(w, declared).dep
+        reach, cover = _full_closure(dep)
+        targets = [_search_selection(reach, rng, n) for _ in range(2)]
+        for pair in (targets, targets[::-1]):  # two targets on one relation, in either order
+            rel = _Dependence(w, declared)
+            for selected in pair:
+                rel.fill(min(selected))
+                assert rel.low <= min(selected)
+                for i in range(n):
+                    if i < rel.low:
+                        assert rel.reach[i] is None and rel.cover[i] is None
+                    else:
+                        assert (rel.reach[i], rel.cover[i]) == (reach[i], cover[i])
+                assert _linearize(rel, selected, contiguous) == _full_linearize(dep, reach, cover, selected, contiguous)
 
 
 class TestVerifyRelator:
