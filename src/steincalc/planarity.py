@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Collection, Dict, FrozenSet, Optional, Sequence, Tuple
 
-from .errors import NotApplicableError, Value
+from .errors import NotApplicableError, UnsupportedInputError, Value
 from .relators import RelatorEntry, bounding_case
 from .surfaces import Curve, NamePair, pairwise_disjoint
 from .words import Twist, Word, _contains, _Dependence, contains
@@ -120,8 +120,11 @@ def detect_relator(
     allowability (from homology, or asserted by the entry's construction),
     yields a non-planar certificate.  Matches with zero obstruction are
     reported in notes.  No matches means no obstruction was found, which is
-    never a planarity proof.
+    never a planarity proof.  The word must be positive: the obstructions
+    are read off a Stein filling.
     """
+    if not word.is_positive:
+        raise UnsupportedInputError("obstruction detection is defined on positive words")
     certificates = []
     notes = []
     given = frozenset(declared)
@@ -204,8 +207,10 @@ def detect_bounding(
     The boundary multicurve twists must all appear in the factorization
     (they pairwise commute, so ordering is free).  Obstructing shapes:
     two or fewer boundary components at genus >= 1, genus 1 with at most
-    9 holes, genus 2 with at most 8.
+    9 holes, genus 2 with at most 8.  The word must be positive.
     """
+    if not word.is_positive:
+        raise UnsupportedInputError("obstruction detection is defined on positive words")
     multicurve_names = tuple(c.name for c in declaration.multicurve)
     target = Word(word.surface, tuple(Twist(c, 1) for c in declaration.multicurve))
     witness = contains(word, target, pairwise_disjoint(declaration.multicurve).union(declared))

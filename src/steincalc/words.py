@@ -353,10 +353,11 @@ def _linearize(
     above the largest a, have no backward edge into or out of them, so they
     keep their place, no path between two positions of the window [b, a]
     leaves it, and the heap runs over the window alone.  The swaps are those
-    of a bubble sort by rank in ``order`` whose passes each scan only from
-    one before the previous pass's first swap to its last swap (the first
-    scans the window): the part before is sorted and the part after is
-    final, so a full pass would make the same swaps.
+    of a bubble sort by rank in ``order``, read off the placement: when the
+    heap places x, the earlier positions still pending are the ones x
+    passes, ``passed[x]`` of them.  Such a sort moves x one place left in
+    each of its first ``passed[x]`` passes and in no other, so pass p swaps
+    at x - p for every x with ``passed[x] >= p``, in increasing x.
     """
     dep, reach, cover = rel.dep, rel.reach, rel.cover
     n = len(dep)
@@ -403,9 +404,18 @@ def _linearize(
     heap = [i for i, d in indegree.items() if d == 0]
     heapq.heapify(heap)
     window: List[int] = []
+    pending = (1 << (hi + 1)) - (1 << lo)  # window positions not yet placed
+    passed: Dict[int, int] = {}  # position -> earlier positions it moves past, if any
     while heap:
         i = heapq.heappop(heap)
         window.append(i)
+        bit = 1 << i
+        pending ^= bit
+        over = pending & (bit - 1)
+        if over:
+            if dep[i] & over:
+                raise ConsistencyAlarmError("linearization produced an uncertified swap")
+            passed[i] = over.bit_count()
         for j in succ[i]:
             indegree[j] -= 1
             if indegree[j] == 0:
@@ -414,29 +424,13 @@ def _linearize(
         return None  # cycle: the required order is not reachable
 
     order = list(range(lo)) + window + list(range(hi + 1, n))
-    rank = list(range(n))
-    for r, i in enumerate(window, lo):
-        rank[i] = r
-    seq = list(range(n))
     swaps: List[int] = []
-    # a pass compares seq[i] and seq[i + 1] for lo <= i < hi
-    while lo < hi:
-        first = last = -1
-        for i in range(lo, hi):
-            a, b = seq[i], seq[i + 1]
-            if rank[a] > rank[b]:
-                if (dep[a] >> b) & 1:
-                    raise ConsistencyAlarmError("linearization produced an uncertified swap")
-                seq[i], seq[i + 1] = b, a
-                swaps.append(i)
-                if first < 0:
-                    first = i
-                last = i
-        if last < 0:
-            break
-        # seq[:first] was sorted before this pass and is untouched, and
-        # everything past ``last`` is final, so the next pass scans between
-        lo, hi = max(0, first - 1), last
+    movers = sorted(passed)
+    p = 1
+    while movers:
+        swaps.extend(x - p for x in movers)
+        p += 1
+        movers = [x for x in movers if passed[x] >= p]
     return order, swaps
 
 

@@ -1,11 +1,14 @@
 """Non-planarity certificates: relator detection, bounding detection,
 and the e + sigma comparison."""
 
+import json
+
 import pytest
 
 from steincalc import planarity
+from steincalc.cli import main
 from steincalc.document import chain_document, tau_boundary_document
-from steincalc.errors import NotApplicableError
+from steincalc.errors import NotApplicableError, UnsupportedInputError
 from steincalc.planarity import (
     ASSERTION_INCONSISTENT,
     NO_OBSTRUCTION,
@@ -155,6 +158,37 @@ class TestDetectBounding:
         s = Surface(1, 2)
         with pytest.raises(ValueError):
             BoundingDeclaration(1, 2, (Curve("x", s.d_class(2)),))
+
+
+class TestPositiveWords:
+    """Both obstructions are read off a Stein filling, so detection refuses a
+    word with a negative twist.  On the chain-2 page the word
+    delta delta^-1 delta^-1 is t_delta^-1, which is not right-veering, so its
+    contact structure is overtwisted and planar; it contains the chain-2
+    relator's left side and the genus-1 multicurve all the same."""
+
+    def inverse_boundary_twist(self):
+        doc, word, entries = chain2_setup()
+        delta = doc.curves["delta"]
+        return doc, word_of(word.surface, [delta] * 3, [1, -1, -1]), entries
+
+    def test_library_refuses_a_negative_twist(self):
+        doc, w, entries = self.inverse_boundary_twist()
+        with pytest.raises(UnsupportedInputError, match="positive words"):
+            detect_relator(w, entries, doc.disjoint)
+        with pytest.raises(UnsupportedInputError, match="positive words"):
+            detect_bounding(w, doc.declarations[0], doc.disjoint)
+
+    def test_detect_exits_3_without_a_certificate(self, tmp_path, capsys):
+        assert main(["gen", "--chain", "2"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        doc["words"] = {"w": [{"curve": "delta", "sign": sign} for sign in (1, -1, -1)]}
+        path = tmp_path / "inverse.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["detect", "--in", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert json.loads(out)["error"]["kind"] == "precondition"
+        assert NON_PLANAR not in out
 
 
 class TestEsigPlanarityTest:

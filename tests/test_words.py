@@ -496,7 +496,8 @@ def _pinned_case(seed):
     drawn from a few core curves inside a small region of holes.  Most
     fillers commute with the core (disjoint from the region, enclosing it, or
     one hole of it), the rest overlap it without nesting, so witnesses need
-    long swap lists that take many bubble passes, and some searches fail."""
+    long swap lists in which a letter passes many others (and so moves in
+    many passes of the bubble sort), and some searches fail."""
     rng = random.Random(f"pin:{seed}")
     b = rng.randint(6, 10)
     s = Surface(0, b)
@@ -667,6 +668,28 @@ class TestPinnedWitnesses:
         if lin is not None:
             order, swaps = lin
             assert swaps == _full_pass_swaps(rel.dep, order)
+
+
+class TestLinearizeAlarm:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_an_uncertified_swap_raises(self, seed):
+        # a witness that moves letters, then one pair it inverts marked dependent
+        for case in range(seed, 2000, 12):
+            w, target, declared = _pinned_case(case)
+            wit = contains(w, target, declared)
+            if wit is not None and wit.swaps:
+                break
+        rel = _Dependence(w, declared)
+        rel.fill(min(wit.positions))
+        order, swaps = _linearize(rel, wit.positions, False)
+        assert tuple(swaps) == wit.swaps
+        placed = {x: r for r, x in enumerate(order)}
+        inverted = [(y, x) for y in range(len(w)) for x in range(y + 1, len(w)) if placed[x] < placed[y]]
+        y, x = random.Random(seed).choice(inverted)
+        rel.dep[y] |= 1 << x
+        rel.dep[x] |= 1 << y
+        with pytest.raises(ConsistencyAlarmError, match="uncertified swap"):
+            _linearize(rel, wit.positions, False)
 
 
 class TestWindowedSearch:
