@@ -21,7 +21,6 @@ from .errors import (
     UnsupportedInputError,
 )
 from .surfaces import (
-    Arc,
     Curve,
     HomologyClass,
     Surface,
@@ -29,7 +28,6 @@ from .surfaces import (
     convex_curve,
     curves_commute,
     intersection_pairing,
-    standard_arc,
     twist_action,
 )
 from .words import (

@@ -141,8 +141,8 @@ def _pick_word(doc: Document, name: Optional[str], flag: str = "--word") -> str:
         raise UnsupportedInputError("document declares no words")
     if len(doc.words) == 1:
         return next(iter(doc.words))
-    if "tau_del" in doc.words:
-        return "tau_del"
+    if TAU_BOUNDARY_WORD in doc.words:
+        return TAU_BOUNDARY_WORD
     raise UnsupportedInputError(f"several words declared; pick one with {flag}")
 
 
@@ -167,8 +167,9 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
     given.
     """
     if command == "family":
-        if g_max >= 0 and b_max >= 2:  # the sweep's largest page, checked before any row
-            check_page(Surface(g_max, b_max), "--g-max/--b-max")
+        if g_max < 0 or b_max < 2:  # no page in the sweep
+            return {"rows": []}
+        check_page(Surface(g_max, b_max), "--g-max/--b-max")  # the largest page, checked before any row
         rows = []
         for g in range(0, g_max + 1):
             for b in range(2, b_max + 1):
@@ -198,7 +199,6 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
             ledger=_ledger_for(doc, word_name),
             rotations=doc.rotations.get(word_name),
             mu_map=doc.mu_maps.get(word_name),
-            arcs=doc.arcs,
         )
         return {"word": word_name, **_invariants_payload(inv)}
 

@@ -31,7 +31,7 @@ from .relators import (
     non_standard_relator,
     standard_chain_config,
 )
-from .surfaces import Arc, Curve, HomologyClass, NamePair, Surface, convex_curve
+from .surfaces import Curve, HomologyClass, NamePair, Surface, convex_curve
 from .words import Relator, Twist, Word, word_of
 
 
@@ -52,7 +52,6 @@ class Document(Value):
         "words",
         "relator_entries",
         "relator_decls",
-        "arcs",
         "declarations",
         "baselines",
         "disjoint",
@@ -67,7 +66,6 @@ class Document(Value):
         words: Dict[str, Word],
         relator_entries: Dict[str, RelatorEntry],
         relator_decls: Tuple[dict, ...] = (),
-        arcs: Tuple[Arc, ...] = (),
         declarations: Tuple[BoundingDeclaration, ...] = (),
         baselines: Optional[Dict[str, int]] = None,
         disjoint: FrozenSet[NamePair] = frozenset(),
@@ -79,7 +77,6 @@ class Document(Value):
         object.__setattr__(self, "words", words)
         object.__setattr__(self, "relator_entries", relator_entries)
         object.__setattr__(self, "relator_decls", relator_decls)
-        object.__setattr__(self, "arcs", arcs)
         object.__setattr__(self, "declarations", declarations)
         object.__setattr__(self, "baselines", {} if baselines is None else baselines)
         object.__setattr__(self, "disjoint", disjoint)
@@ -255,6 +252,21 @@ def _parse_relator(
     raise DocumentError(location, f"unknown relator kind '{kind}'")
 
 
+# the keys each relator kind reads besides its name and kind
+_RELATOR_KEYS = {"lantern": ("curves",), "chain": ("curves", "boundary"), "braid": ("curves",),
+                 "non-standard": (), "user": ("sigma_delta",)}
+
+
+def _relator_decl(spec: dict, entry: RelatorEntry) -> dict:
+    """The relator declaration as read: its name, its kind when given and
+    the keys that kind reads, with a user relator's sides as words."""
+    kind = spec.get("kind", "user")
+    decl = {key: spec[key] for key in ("name", "kind") + _RELATOR_KEYS[kind] if key in spec}
+    if kind == "user":
+        decl["left"], decl["right"] = word_payload(entry.relator.left), word_payload(entry.relator.right)
+    return decl
+
+
 def parse(text: str) -> Document:
     """Parse and validate a document; reject with located errors."""
     try:
@@ -292,25 +304,7 @@ def parse(text: str) -> Document:
         rname, entry = _parse_relator(surface, curves, rspec, f"relators[{i}]")
         _require(rname not in relator_entries, f"relators[{i}]", f"duplicate relator name '{rname}'")
         relator_entries[rname] = entry
-        relator_decls.append(rspec)
-
-    arcs: List[Arc] = []
-    for i, aspec in enumerate(_section(data, "arcs", list)):
-        where = f"arcs[{i}]"
-        _require(isinstance(aspec, dict), where, "arc entries must be objects")
-        index = aspec.get("index")
-        rel = aspec.get("rel_class")
-        _require(_is_int(index), f"{where}.index", "arc index must be an integer")
-        _require(
-            isinstance(rel, list) and all(_is_int(x) for x in rel) and len(rel) == surface.rank,
-            f"{where}.rel_class",
-            f"rel_class must be an integer vector of length {surface.rank}",
-        )
-        _require(all(a.index != index for a in arcs), f"{where}.index", f"duplicate arc to boundary {index}")
-        try:
-            arcs.append(Arc(surface, index, tuple(rel)))
-        except Exception as exc:
-            raise DocumentError(where, str(exc)) from exc
+        relator_decls.append(_relator_decl(rspec, entry))
 
     declarations: List[BoundingDeclaration] = []
     for i, dspec in enumerate(_section(data, "declarations", list)):
@@ -381,7 +375,6 @@ def parse(text: str) -> Document:
         words=words,
         relator_entries=relator_entries,
         relator_decls=tuple(relator_decls),
-        arcs=tuple(arcs),
         declarations=tuple(declarations),
         baselines=baselines,
         disjoint=frozenset(disjoint),
@@ -416,8 +409,6 @@ def document_payload(doc: Document) -> dict:
     }
     if doc.relator_decls:
         payload["relators"] = [dict(d) for d in doc.relator_decls]
-    if doc.arcs:
-        payload["arcs"] = [{"index": a.index, "rel_class": list(a.rel_class)} for a in doc.arcs]
     if doc.declarations:
         payload["declarations"] = [
             {"genus": d.genus, "boundary": d.boundary_count, "multicurve": [c.name for c in d.multicurve]}

@@ -32,15 +32,16 @@ comparison; ``planarity.esig_planarity_test`` gives its verdict.
 
 First homology of the boundary 3-manifold is presented on the surface
 basis by one variation map: phi - id on the handle classes (it fixes the
-boundary classes) and one relation per auxiliary arc joining boundary 1 to
-boundary j, the standard arc unless an arc to j is declared.  The arcs
-change the presentation, never the group.  On a planar page every arc to j
-has relative class S_j and it never moves, so the arc relations are the
-columns of B S B^T, with S the diagonal of twist signs, built in one pass
-over the twists whatever arcs are declared.  On pages of positive genus
-``variations`` moves the 2g handle classes and every arc together in one
-pass over the twists, right to left, building each curve object's
-support and pairing functional once.  Torsion is the payload, so nothing
+boundary classes) and one relation per standard arc, the arc of relative
+class S_j joining boundary 1 to boundary j.  Any other arc to j differs
+from it by a handle class, whose variation is already a relation, so no
+other choice of arcs changes the group.  On a planar page an arc's
+relative class never moves, so the arc relations are the columns of
+B S B^T, with S the diagonal of twist signs, built in one pass over the
+twists.  On pages of positive genus ``variations`` moves the 2g handle
+classes and the b - 1 arcs together in one pass over the twists, right
+to left, building each curve object's support and pairing functional
+once.  Torsion is the payload, so nothing
 is done rationally.  The h1 report and q's torsion read only H_1's Smith
 diagonal, which ``smith_diagonal`` gives without transforms; the c1 report
 reduces a class, so ``chern_pd`` alone makes H_1 run a
@@ -59,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError, Value
 from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_diagonal, smith_normal_form, symmetric_signature, zeros
-from .surfaces import Arc, Surface, standard_arc
+from .surfaces import Surface
 from .words import SubstitutionRecord, Word
 
 
@@ -271,44 +272,21 @@ def _planar_arc_relations(word: Word) -> Matrix:
     return m
 
 
-def arc_family(surface: Surface, overrides: Sequence[Arc] = ()) -> list:
-    """One arc per boundary component beyond the first: declared overrides
-    where given, standard arcs elsewhere.  An override on another surface
-    raises ``RankMismatchError``, and two to one boundary ``ValueError``."""
-    by_index: Dict[int, Arc] = {}
-    for a in overrides:
-        if a.surface != surface:
-            raise RankMismatchError(f"an arc to boundary {a.index} lives on a different surface")
-        if a.index in by_index:
-            raise ValueError(f"two arcs are declared to boundary {a.index}")
-        by_index[a.index] = a
-    return [by_index.get(j, standard_arc(surface, j)) for j in range(2, surface.boundary_count + 1)]
-
-
-def h1_boundary(word: Word, arcs: Optional[Sequence[Arc]] = None) -> AbelianQuotient:
+def h1_boundary(word: Word) -> AbelianQuotient:
     """H_1 of the boundary open book of the word.
 
     Quotient of the surface homology by the variation of the handle classes
     (the d_j pair trivially with every class, so the monodromy fixes them)
-    and of one arc per boundary component beyond the first: ``arcs`` are
-    declared overrides of the standard arcs, merged by ``arc_family``.  They
-    may change how the group is presented, never which group it is; on a
-    planar page they cannot change even that, and are only checked.
+    and of the standard arc to each boundary component beyond the first.
     """
     surface = word.surface
     if surface.genus == 0:
-        # a planar arc to boundary j has relative class S_j (``Arc`` checks
-        # it), so its relation is column j of the symmetric B S B^T; declared
-        # arcs are built only to reject malformed ones
-        if arcs:
-            arc_family(surface, arcs)
+        # the standard arc to boundary j has relative class S_j, so its
+        # relation is column j of the symmetric B S B^T
         return AbelianQuotient.from_relations(surface.rank, _planar_arc_relations(word))
     handles = 2 * surface.genus
     # the unit vectors A_1, B_1, ..., A_g, B_g, then S_2, ..., S_b: the standard arcs
-    rels = [[int(i == k) for k in range(surface.rank)] for i in range(surface.rank)]
-    if arcs:
-        rels[handles:] = [arc.rel_class for arc in arc_family(surface, arcs)]
-    moved = variations(word, rels)
+    moved = variations(word, [[int(i == k) for k in range(surface.rank)] for i in range(surface.rank)])
     relations = [m for m in moved[:handles] if any(m)] + moved[handles:]
     return AbelianQuotient.from_relations(surface.rank, relations)
 
@@ -461,15 +439,13 @@ def filling_invariants(
     ledger: Optional[SigmaLedger] = None,
     rotations: Optional[Sequence[int]] = None,
     mu_map: Optional[Sequence[Sequence[int]]] = None,
-    arcs: Optional[Sequence[Arc]] = None,
 ) -> FillingInvariants:
     """Compute everything available for the word: exact planar data when the
     page allows it, ledger-relative signature otherwise, homology of the
-    boundary always (one ``h1_boundary`` with ``arcs`` as declared
-    overrides, which the planar form reuses), Chern data when rotations and
-    meridians are known."""
+    boundary always (one ``h1_boundary``, which the planar form reuses),
+    Chern data when rotations and meridians are known."""
     euler = euler_characteristic(word)
-    h1 = h1_boundary(word, arcs)
+    h1 = h1_boundary(word)
     # c1 first: with Chern inputs its reduction runs H_1's one Smith form,
     # carrying c1's vector and no U, whose diagonal the planar form then
     # reads; without them chern_pd raises before it touches H_1, and only

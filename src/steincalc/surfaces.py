@@ -1,4 +1,4 @@
-"""Surfaces with boundary, their first homology, curves, and arcs.
+"""Surfaces with boundary, their first homology, and curves.
 
 A surface of genus ``g`` with ``b >= 1`` boundary components carries the
 ordered homology basis ``(a_1, b_1, ..., a_g, b_g, d_2, ..., d_b)`` of rank
@@ -163,36 +163,6 @@ def arc_pairing(rel: Sequence[int], y: HomologyClass) -> int:
     for j in range(offset, surface.rank):
         total += rel[j] * y.coords[j]
     return total
-
-
-class Arc(Value):
-    """A properly embedded arc from boundary 1 to boundary ``index``, as a relative class.
-
-    Its boundary coordinates are forced: an arc from boundary 1 to boundary
-    j has S-part exactly the unit vector S_j, and only its A_i/B_i part can
-    vary.
-    """
-
-    __slots__ = ("surface", "index", "rel_class")
-
-    def __init__(self, surface: Surface, index: int, rel_class: Tuple[int, ...]):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "index", index)
-        object.__setattr__(self, "rel_class", rel_class)
-        if not 2 <= index <= surface.boundary_count:
-            raise ValueError(f"arc index {index} out of range 2..{surface.boundary_count}")
-        if len(rel_class) != surface.rank:
-            raise RankMismatchError("arc relative class has wrong length")
-        unit = tuple(int(j == index) for j in range(2, surface.boundary_count + 1))
-        if tuple(rel_class[2 * surface.genus:]) != unit:
-            raise ValueError(f"an arc to boundary {index} has S-part the unit vector S_{index}")
-
-
-def standard_arc(surface: Surface, j: int) -> Arc:
-    """The standard arc sigma_j, dual to d_j: rel class = unit vector S_j."""
-    coords = [0] * surface.rank
-    coords[2 * surface.genus + (j - 2)] = 1
-    return Arc(surface, j, tuple(coords))
 
 
 class Curve(Value):

@@ -118,6 +118,8 @@ GEN_SHA256 = {
     "--chain 12": "b0e4133616905fb9af32b189c00a2f171f7aae56776f6e356e170e08e529fd51",
 }
 
+# "arcs" is no section any more: parse ignores it, as it ignores every
+# top-level key it does not read, and old documents carry it
 SECTIONS = ("surface", "curves", "words", "relators", "arcs", "declarations",
             "baselines", "disjoint", "rotations", "mu_maps")
 _KEYS = st.sampled_from(SECTIONS + (
@@ -137,6 +139,17 @@ JSON_VALUES = st.recursive(
 # curve names the fuzzed documents declare and reference ("absent" never declared)
 _FUZZ_NAMES = ("d1", "d2", "d3", "d4", "x", "y", "z", "absent")
 _FUZZ_KINDS = ("user", "user", "lantern", "chain", "braid", "non-standard", "other")
+# a relator or twist key that parse never reads
+_UNREAD_KEY = "weight"
+
+# a user relator with an unread key: `gen` wrote it back verbatim, and a
+# float there raised TypeError in the JSON writer
+UNREAD_RELATOR_KEY = {
+    "surface": {"genus": 0, "boundary": 3},
+    "curves": [{"name": "a", "holes": [2]}],
+    "words": {"w": [{"curve": "a"}]},
+    "relators": [{"name": "r", "kind": "user", "left": [{"curve": "a"}], "right": [{"curve": "a"}], "weight": 0.5}],
+}
 DOCUMENT_COMMANDS = ("invariants", "substitute", "detect", "verify-relator", "esig-compare", "gen")
 
 
@@ -210,9 +223,16 @@ def _fuzz_document(rng):
 def _fuzz_documents(draw):
     """A fuzzed document from a drawn seed (seeded choices keep most
     documents valid, which per-field hypothesis draws do not); now and then
-    one section is replaced by an arbitrary JSON value."""
+    a relator spec or a twist gets an unread key holding an arbitrary JSON
+    value, and one section is replaced by one."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     doc = _fuzz_document(rng)
+    # an unread key on relator specs and twist objects, which parse drops
+    specs = doc["relators"]
+    twists = [t for w in doc["words"].values() for t in w] + [t for r in specs for t in r["left"] + r["right"]]
+    for obj in specs + twists:
+        if rng.random() < 0.15:
+            obj[_UNREAD_KEY] = draw(JSON_VALUES)
     if rng.random() < 0.1:
         doc[rng.choice(SECTIONS)] = draw(JSON_VALUES)
     return json.dumps(doc)
@@ -269,30 +289,39 @@ class TestParse:
         except DocumentError:
             pass
 
-    def test_impossible_arc_classes_rejected(self, tmp_path, capsys):
-        # an arc to boundary 2 has S-part exactly S_2, and one arc per boundary
-        doc = {
-            "surface": {"genus": 0, "boundary": 3},
-            "curves": [{"name": "d2", "holes": [2]}],
-            "words": {"w": [{"curve": "d2", "sign": 1}]},
-            "arcs": [{"index": 2, "rel_class": [1, 0]}],
-        }
-        path = tmp_path / "arc.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        assert main(["invariants", "--in", str(path)]) == 0
-        assert json.loads(capsys.readouterr().out)["result"]["h1"] == [[], 1]
-        for arcs, location in (
-            ([{"index": 2, "rel_class": [2, 0]}], "arcs[0]"),
-            ([{"index": 3, "rel_class": [1, 1]}], "arcs[0]"),
-            ([{"index": 2, "rel_class": [1, 0]}] * 2, "arcs[1].index"),
+    @pytest.mark.parametrize("doc", [
+        # the planar page of an old arc rejection test
+        {"surface": {"genus": 0, "boundary": 3},
+         "curves": [{"name": "d2", "holes": [2]}],
+         "words": {"w": [{"curve": "d2", "sign": 1}]}},
+        # a genus-1 page on which declared arcs used to move c1_pd.reduced
+        {"surface": {"genus": 1, "boundary": 3},
+         "curves": [{"name": "b", "homology": [0, 0, 0, 1]}, {"name": "c", "homology": [-1, 0, -1, 0]}],
+         "words": {"w": [{"curve": c, "sign": 1} for c in "cccb"]},
+         "rotations": {"w": [1, 1, 1, 1]}, "mu_maps": {"w": [[0, 0, 1, 0]] * 4}},
+    ], ids=["planar", "genus-1"])
+    def test_arcs_section_is_ignored(self, doc, tmp_path, capsys):
+        # H_1, the order of c1 and is_zero never depended on the arcs; now
+        # an arcs key, valid or not, changes no report byte
+        path = tmp_path / "doc.json"
+
+        def report(data):
+            path.write_text(json.dumps(data), encoding="utf-8")
+            assert main(["invariants", "--in", str(path)]) == 0
+            return capsys.readouterr().out
+
+        plain = report(doc)
+        handle = [1, -1] * doc["surface"]["genus"]
+        for arcs in (
+            [{"index": 2, "rel_class": handle + [1, 0]}],
+            [{"index": 3, "rel_class": handle + [0, 1]}, {"index": 2, "rel_class": [0] * len(handle) + [1, 0]}],
+            [{"index": 2, "rel_class": handle + [2, 0]}],
+            [{"index": 2, "rel_class": handle + [1, 0]}] * 2,
+            [{"index": 7}, "x"],
+            3,
         ):
-            text = json.dumps({**doc, "arcs": arcs})
-            with pytest.raises(DocumentError) as err:
-                parse(text)
-            assert err.value.location == location
-            path.write_text(text, encoding="utf-8")
-            assert main(["invariants", "--in", str(path)]) == 2
-            assert json.loads(capsys.readouterr().out)["error"]["location"] == location
+            assert report({**doc, "arcs": arcs}) == plain
+            assert parse(json.dumps({**doc, "arcs": arcs})) == parse(json.dumps(doc))
 
     def test_baseline_for_unknown_word_rejected(self):
         bad = json.loads(json.dumps(MINIMAL))
@@ -306,7 +335,7 @@ class TestParse:
             ("rotations", []),
             ("mu_maps", "x"),
             ("relators", 5),
-            ("arcs", 3),
+            ("baselines", 3),
             ("disjoint", 7),
             ("curves", {}),
             ("declarations", {}),
@@ -473,6 +502,7 @@ class TestMain:
     @example(json.dumps({"surface": {"genus": 0, "boundary": 100000000}}))
     @example('{"surface": {"genus": 0, "boundary": ' + "1" * 5000 + "}}")
     @example(json.dumps({**MINIMAL, "relators": [{"name": "r", "kind": "user", "left": [], "right": []}]}))
+    @example(json.dumps(UNREAD_RELATOR_KEY))
     def test_main_never_crashes_on_a_document(self, text):
         for command in DOCUMENT_COMMANDS:
             with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(io.StringIO()):
@@ -695,6 +725,38 @@ class TestMain:
     def test_empty_family_sweep_has_no_rows(self, g_max, b_max, capsys):
         assert main(["family", "--g-max", str(g_max), "--b-max", str(b_max)]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["rows"] == []
+
+    def test_empty_boundary_range_returns_at_once(self):
+        # with no boundary count >= 2 the sweep used to loop over every genus
+        # up to --g-max anyway, emitting no row
+        import steincalc
+
+        env = {**os.environ, "PYTHONPATH": str(Path(steincalc.__file__).parents[1])}
+        out = subprocess.run(
+            [sys.executable, "-m", "steincalc.cli", "family", "--g-max", "1000000000000", "--b-max", "1"],
+            capture_output=True, text=True, env=env, timeout=10,
+        )
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["result"]["rows"] == []
+
+    def test_gen_keeps_only_the_keys_a_relator_reads(self, tmp_path, capsys):
+        # an unread key on a relator or on one of its twists is dropped, as
+        # at the top level, and the sides are written as the words section is
+        data = json.loads(json.dumps(UNREAD_RELATOR_KEY))
+        data["relators"][0]["left"][0]["weight"] = 0.25
+        data["relators"].append({"name": "s", "kind": "user", "left": [{"curve": "a", "sign": 1}],
+                                 "right": [{"curve": "a"}], "sigma_delta": 0, "curves": [1.5]})
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["gen", "--in", str(path)]) == 0
+        out = capsys.readouterr().out
+        side = [{"curve": "a", "sign": 1}]
+        assert json.loads(out)["relators"] == [
+            {"name": "r", "kind": "user", "left": side, "right": side},
+            {"name": "s", "kind": "user", "left": side, "right": side, "sigma_delta": 0},
+        ]
+        assert parse(out) == parse(json.dumps(data))
+        assert serialize(parse(out)) == out
 
     def test_consistency_alarm_exit_code(self, tmp_path, capsys):
         # a user relator asserting the wrong signature delta contradicts the

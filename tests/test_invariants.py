@@ -19,7 +19,6 @@ from steincalc.intlinalg import AbelianQuotient, smith_diagonal, smith_normal_fo
 from steincalc.invariants import (
     SigmaLedger,
     SigmaValue,
-    arc_family,
     check_comparable,
     euler_characteristic,
     filling_invariants,
@@ -31,7 +30,7 @@ from steincalc.invariants import (
     variations,
 )
 from steincalc.planarity import NO_OBSTRUCTION, NON_PLANAR_CONDITIONAL, esig_planarity_test
-from steincalc.surfaces import Arc, Curve, HomologyClass, Surface, arc_pairing, convex_curve, standard_arc
+from steincalc.surfaces import Curve, HomologyClass, Surface, arc_pairing, convex_curve
 from steincalc.words import SubstitutionRecord, Twist, Word, word_of
 
 
@@ -60,13 +59,14 @@ def _variation_oracle(word, rel):
     return tuple(acc)
 
 
-def _h1_oracle(word, arcs=()):
+def _h1_oracle(word):
     """H_1 of the boundary presented by the oracle's variations, in the
-    order ``h1_boundary`` gives: moved handle classes, then the arcs."""
+    order ``h1_boundary`` gives: moved handle classes, then the standard
+    arcs, whose relative classes S_j are the basis vectors past 2g."""
     s = word.surface
-    handles = [_variation_oracle(word, s.basis_class(i).coords) for i in range(2 * s.genus)]
-    arcs = [_variation_oracle(word, arc.rel_class) for arc in arc_family(s, arcs)]
-    return AbelianQuotient(s.rank, [moved for moved in handles if any(moved)] + arcs)
+    handles = 2 * s.genus
+    moved = [_variation_oracle(word, s.basis_class(i).coords) for i in range(s.rank)]
+    return AbelianQuotient(s.rank, [m for m in moved[:handles] if any(m)] + moved[handles:])
 
 
 def _planar_pin_case(seed):
@@ -442,30 +442,20 @@ class TestTorsionFromH1:
         assert planar_intersection_form(w).invariant_factors == (2, 2, 2)
 
     def test_h1_equals_h1_boundary(self):
-        from steincalc.surfaces import Arc
-
         rng = random.Random(131)
         for _ in range(300):
             w = _uncovered_planar_case(rng)
-            s = w.surface
-            declared = [Arc(s, j, standard_arc(s, j).rel_class) for j in range(2, s.boundary_count + 1) if rng.random() < 0.5]
-            for arcs in (None, arc_family(s), arc_family(s, declared)):
-                inv = filling_invariants(w, arcs=arcs)
-                assert inv.h1 == h1_boundary(w, arcs=arc_family(s))
-            # arcs out of the standard order are overrides too: on a planar
-            # page they give the quotient of the standard arcs
-            arcs = list(reversed(arc_family(s)))
-            assert filling_invariants(w, arcs=arcs).h1 == h1_boundary(w, arcs=arcs) == h1_boundary(w)
+            assert filling_invariants(w).h1 == h1_boundary(w)
 
     def test_one_h1_per_call(self, monkeypatch):
         # the planar form reads its torsion off the H_1 that filling_invariants
-        # built, whatever arcs are declared and on every page
+        # built, on every page
         calls = []
         real = invariants.h1_boundary
 
-        def counting(word, arcs=None):
+        def counting(word):
             calls.append(word)
-            return real(word, arcs)
+            return real(word)
 
         monkeypatch.setattr(invariants, "h1_boundary", counting)
         s = Surface(0, 3)
@@ -478,10 +468,9 @@ class TestTorsionFromH1:
             boundary_multitwist(2, 2),
         ]
         for w in cases:
-            for arcs in (None, [], list(reversed(arc_family(w.surface)))):
-                calls.clear()
-                filling_invariants(w, arcs=arcs)
-                assert calls == [w]
+            calls.clear()
+            filling_invariants(w)
+            assert calls == [w]
 
 
 class TestSigma:
@@ -580,7 +569,7 @@ class TestH1Boundary:
 
     def test_arc_relation_vector_boundary_multitwist(self):
         w = boundary_multitwist(0, 4)
-        vec = variations(w, [standard_arc(w.surface, 2).rel_class])[0]
+        vec = variations(w, [(1, 0, 0)])[0]  # S_2, the standard arc to boundary 2
         assert vec == (2, 1, 1)  # d_2 + (d_2 + d_3 + d_4)
 
     def test_variation_on_handles_is_the_action(self):
@@ -604,83 +593,47 @@ class TestH1Boundary:
         s = Surface(1, 1)
         assert h1_boundary(word_of(s, [Curve("a", s.a_class(1))])).report() == [[], 1]
 
-    def test_arc_override_merges_with_standard_family(self):
-        from steincalc.surfaces import Arc
-
-        s = Surface(1, 3)
-        override = Arc(s, 2, (1, -1, 1, 0))  # handle part A_1 - B_1
-        family = arc_family(s, [override])
-        assert family[0] == override
-        assert family[1] == standard_arc(s, 3)
-        # overriding with the standard vector changes nothing
-        same = h1_boundary(boundary_multitwist(1, 3), arcs=arc_family(s, [standard_arc(s, 2)]))
-        assert same.report() == [[3], 2]
-
-    def test_arcs_are_overrides_of_the_standard_family(self):
-        # H_1 = Z/4 on the 4-holed sphere and Z/3 + Z^2 on the 3-holed torus,
-        # whatever arcs are declared: an empty, partial or reordered list is
-        # merged into the standard arcs 2..b
-        for g, b, override in ((0, 4, None), (1, 3, (1, -1, 0, 1))):
-            w = boundary_multitwist(g, b)
-            s = w.surface
-            choices = [[], [standard_arc(s, 3)], list(reversed(arc_family(s)))]
-            if override is not None:
-                choices.append([Arc(s, 3, override)])
-            for arcs in choices:
-                assert h1_boundary(w, arcs=arcs).report() == [[b], 2 * g]
-                assert filling_invariants(w, arcs=arcs).h1.report() == [[b], 2 * g]
-
     def test_declared_arcs_change_no_group(self):
-        # variation is linear in the relative class, and an arc's handle part
-        # moves by a combination of the handle relations, so any declared
-        # arcs present the group of the standard ones
+        # variation is linear in the relative class, and an arc to boundary j
+        # differs from the standard arc S_j by a handle class, whose variation
+        # is already a relation: arcs with any handle parts present the group
+        # and the class orders of the standard ones, so h1_boundary takes none
         rng = random.Random(29)
         for _ in range(60):
             s = Surface(rng.randint(1, 2), rng.randint(2, 4))
             pool = [Curve(f"c{i}", HomologyClass(s, tuple(rng.randint(-2, 2) for _ in range(s.rank))))
                     for i in range(4)]
             w = word_of(s, [rng.choice(pool) for _ in range(rng.randint(0, 8))])
-            declared = []
-            for j in range(2, s.boundary_count + 1):
-                if rng.random() < 0.6:
-                    handle = [rng.randint(-3, 3) for _ in range(2 * s.genus)]
-                    declared.append(Arc(s, j, tuple(handle) + standard_arc(s, j).rel_class[2 * s.genus:]))
-            rng.shuffle(declared)
-            assert h1_boundary(w, arcs=declared).report() == h1_boundary(w).report()
-
-    def test_malformed_overrides_are_rejected(self):
-        for g in (0, 1):
-            w = boundary_multitwist(g, 3)
-            s = w.surface
-            twice = [standard_arc(s, 2), standard_arc(s, 2)]
-            elsewhere = [standard_arc(Surface(g, 4), 2)]
-            for call in (lambda arcs: arc_family(s, arcs), lambda arcs: h1_boundary(w, arcs=arcs),
-                         lambda arcs: filling_invariants(w, arcs=arcs)):
-                with pytest.raises(ValueError, match="two arcs are declared to boundary 2"):
-                    call(twice)
-                with pytest.raises(RankMismatchError):
-                    call(elsewhere)
+            handles = 2 * s.genus
+            basis = [s.basis_class(i).coords for i in range(s.rank)]
+            arcs = [tuple(rng.randint(-3, 3) for _ in range(handles)) + e[handles:] for e in basis[handles:]]
+            declared = AbelianQuotient.from_relations(s.rank, variations(w, basis[:handles] + arcs))
+            standard = h1_boundary(w)
+            assert declared.report() == standard.report()
+            for _ in range(3):
+                v = [rng.randint(-3, 3) for _ in range(s.rank)]
+                assert declared.order_and_reduce(v)[0] == standard.order_and_reduce(v)[0]
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_one_pass_matches_the_per_twist_oracle(self, data):
         # genus 1..3 words with mixed signs over curves of arbitrary classes,
-        # and declared arcs with random handle parts, in any order
+        # and the relative classes of arcs with random handle parts, in any order
         g, b = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
         s = Surface(g, b)
         coords = st.lists(st.integers(-3, 3), min_size=s.rank, max_size=s.rank).map(tuple)
         pool = [Curve(f"c{i}", HomologyClass(s, c)) for i, c in enumerate(data.draw(st.lists(coords, min_size=1, max_size=5)))]
         letters = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((1, -1))), max_size=12))
         w = Word(s, tuple(Twist(c, sign) for c, sign in letters))
-        declared = []
-        for j in range(2, b + 1):
+        basis = [s.basis_class(i).coords for i in range(s.rank)]
+        arcs = []
+        for e in basis[2 * g:]:
             if data.draw(st.booleans()):
                 handle = tuple(data.draw(st.lists(st.integers(-3, 3), min_size=2 * g, max_size=2 * g)))
-                declared.append(Arc(s, j, handle + standard_arc(s, j).rel_class[2 * g:]))
-        declared = data.draw(st.permutations(declared))
-        got, want = h1_boundary(w, arcs=declared), _h1_oracle(w, declared)
-        assert got == want
-        rels = [arc.rel_class for arc in declared] + [s.basis_class(i).coords for i in range(s.rank)]
+                arcs.append(handle + e[2 * g:])
+        arcs = data.draw(st.permutations(arcs))
+        assert h1_boundary(w) == _h1_oracle(w)
+        rels = arcs + basis
         assert variations(w, rels) == [_variation_oracle(w, rel) for rel in rels]
         assert [variations(w, [rel])[0] for rel in rels] == [_variation_oracle(w, rel) for rel in rels]
 
@@ -716,7 +669,7 @@ class TestH1Boundary:
             w, _ = _planar_pin_case(seed)
             seen.clear()
             h1_boundary(w)
-            assert seen == [variations(w, [arc.rel_class for arc in arc_family(w.surface)])]
+            assert seen == [variations(w, [e.coords for e in w.surface.basis_classes()])]
 
     def test_planar_h1_never_calls_variation(self, monkeypatch):
         def refuse(word, rels):

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from steincalc.errors import RankMismatchError
 from steincalc.surfaces import (
-    Arc,
     Curve,
     HomologyClass,
     Surface,
@@ -13,7 +12,6 @@ from steincalc.surfaces import (
     convex_curve,
     curves_commute,
     intersection_pairing,
-    standard_arc,
     twist_action,
 )
 
@@ -69,14 +67,14 @@ class TestIntersectionPairing:
 class TestArcPairing:
     def test_dual_basis(self):
         s = Surface(0, 3)
-        s2 = standard_arc(s, 2)
-        assert arc_pairing(s2.rel_class, s.d_class(2)) == 1
-        assert arc_pairing(s2.rel_class, s.d_class(3)) == 0
+        s2 = (1, 0)  # S_2, the standard arc to boundary 2
+        assert arc_pairing(s2, s.d_class(2)) == 1
+        assert arc_pairing(s2, s.d_class(3)) == 0
 
     def test_outer_class_against_arc(self):
         s = Surface(0, 3)
-        s3 = standard_arc(s, 3)
-        assert arc_pairing(s3.rel_class, s.outer_boundary_class()) == -1
+        s3 = (0, 1)  # S_3
+        assert arc_pairing(s3, s.outer_boundary_class()) == -1
 
     def test_symplectic_slots(self):
         s = Surface(1, 2)
@@ -192,26 +190,3 @@ class TestCurvesCommute:
         s = Surface(0, 4)
         outer = convex_curve(s, "outer", {2, 3, 4}, outer=True)
         assert curves_commute(outer, convex_curve(s, "x", {2, 3})) is True
-
-
-class TestArcs:
-    def test_standard_arc_is_unit_vector(self):
-        s = Surface(1, 3)
-        assert standard_arc(s, 3).rel_class == (0, 0, 0, 1)
-
-    def test_arc_index_range(self):
-        with pytest.raises(ValueError):
-            Arc(Surface(0, 3), 4, (0, 0))
-
-    def test_arc_boundary_part_is_forced(self):
-        # only the A_i/B_i part of an arc from boundary 1 to boundary j can vary
-        assert Arc(Surface(1, 3), 2, (5, -2, 1, 0)).rel_class[2:] == (1, 0)
-        for surface, index, rel in (
-            (Surface(0, 3), 2, (1, 1)),
-            (Surface(0, 3), 2, (2, 0)),
-            (Surface(0, 3), 3, (1, 0)),
-            (Surface(0, 3), 3, (0, -1)),
-            (Surface(1, 3), 3, (0, 0, 1, 0)),
-        ):
-            with pytest.raises(ValueError):
-                Arc(surface, index, rel)

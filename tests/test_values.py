@@ -39,7 +39,7 @@ from steincalc.relators import (
     standard_chain_config,
     standard_lantern,
 )
-from steincalc.surfaces import Arc, Curve, HomologyClass, Surface, convex_curve, standard_arc
+from steincalc.surfaces import Curve, HomologyClass, Surface, convex_curve
 from steincalc.words import (
     Relator,
     RelatorCheck,
@@ -79,7 +79,6 @@ def _filling():
 BUILDERS = {
     Surface: lambda: Surface(0, 4),
     HomologyClass: lambda: Surface(0, 4).d_class(3),
-    Arc: lambda: standard_arc(Surface(1, 3), 2),
     Curve: lambda: convex_curve(Surface(0, 4), "a12", {2, 3}),
     Twist: lambda: Twist(convex_curve(Surface(0, 4), "a12", {2, 3}), -1),
     Word: lambda: standard_lantern().relator.left,
@@ -114,7 +113,6 @@ REQUIRED = inspect.Parameter.empty
 SIGNATURES = {
     Surface: [("genus", REQUIRED), ("boundary_count", REQUIRED)],
     HomologyClass: [("surface", REQUIRED), ("coords", REQUIRED)],
-    Arc: [("surface", REQUIRED), ("index", REQUIRED), ("rel_class", REQUIRED)],
     Curve: [("name", REQUIRED), ("homology", REQUIRED), ("hole_set", None), ("rotation", None),
             ("boundary_parallel_to", None)],
     Twist: [("curve", REQUIRED), ("sign", 1)],
@@ -146,8 +144,8 @@ SIGNATURES = {
     PlanarityCertificate: [("verdict", REQUIRED), ("basis", REQUIRED), ("witness", None), ("notes", ())],
     BoundingDeclaration: [("genus", REQUIRED), ("boundary_count", REQUIRED), ("multicurve", REQUIRED)],
     Document: [("surface", REQUIRED), ("curves", REQUIRED), ("words", REQUIRED), ("relator_entries", REQUIRED),
-               ("relator_decls", ()), ("arcs", ()), ("declarations", ()), ("baselines", None),
-               ("disjoint", frozenset()), ("rotations", None), ("mu_maps", None)],
+               ("relator_decls", ()), ("declarations", ()), ("baselines", None), ("disjoint", frozenset()),
+               ("rotations", None), ("mu_maps", None)],
 }
 
 
