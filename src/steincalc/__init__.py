@@ -10,8 +10,6 @@ non-planarity certificates.
 __version__ = "0.1.0"
 
 from .errors import (
-    BaselineUnavailableError,
-    CommutationUndecidedError,
     ConsistencyAlarmError,
     DocumentError,
     IncomparableSigmaError,
@@ -37,7 +35,6 @@ from .words import (
     SubstitutionRecord,
     Twist,
     Word,
-    commute_adjacent,
     compose,
     contains,
     free_reduce,
@@ -54,7 +51,6 @@ from .relators import (
     builtin_entries,
     chain,
     compose_relators,
-    genus_boundary_relator,
     lantern,
     non_standard_relator,
     standard_braid,

@@ -41,8 +41,6 @@ from .document import (
     word_payload,
 )
 from .errors import (
-    BaselineUnavailableError,
-    CommutationUndecidedError,
     ConsistencyAlarmError,
     DocumentError,
     IncomparableSigmaError,
@@ -72,9 +70,7 @@ from .words import substitute, verify_relator
 PRECONDITION_ERRORS = (
     UnsupportedInputError,
     NotApplicableError,
-    BaselineUnavailableError,
     IncomparableSigmaError,
-    CommutationUndecidedError,
     RankMismatchError,
 )
 
@@ -94,8 +90,8 @@ def _invariants_payload(inv: FillingInvariants) -> dict:
         "euler": inv.euler,
         "sigma": _sigma_payload(inv.sigma),
         "b2": inv.b2,
-        "q_matrix": None if inv.q_matrix is None else [list(r) for r in inv.q_matrix],
-        "q_invariant_factors": None if inv.q_invariant_factors is None else list(inv.q_invariant_factors),
+        "q_matrix": inv.q_matrix,
+        "q_invariant_factors": inv.q_invariant_factors,
         "h1": None if inv.h1 is None else inv.h1.report(),
         "esig": inv.esig,
         "esig_mod4": inv.esig_mod4,
@@ -265,7 +261,7 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
             sigmas = [sigma(doc.words[name], _ledger_for(doc, name)) for name in names]
             for name, value in zip(names, sigmas):
                 if value.value is None:
-                    raise BaselineUnavailableError(f"word '{name}' has no resolvable signature")
+                    raise UnsupportedInputError(f"word '{name}' has no resolvable signature")
             check_comparable(*sigmas)
             pair1, pair2 = ((euler_characteristic(doc.words[name]), s.value) for name, s in zip(names, sigmas))
         cert = esig_planarity_test(tuple(pair1), tuple(pair2))

@@ -1,7 +1,7 @@
 """Exception types and the immutable value base shared across the package.
 
-The engine distinguishes "certified no" from "could not certify": searches
-that fail raise the *Undecided / NotApplicable errors below rather than
+The engine distinguishes "certified no" from "could not certify": a search
+that fails raises ``NotApplicableError`` (or answers "unknown") rather than
 claiming a definite negative.
 """
 
@@ -65,14 +65,6 @@ class RankMismatchError(SteincalcError):
     """Vectors or classes from surfaces of different homology rank were combined."""
 
 
-class CommutationUndecidedError(SteincalcError):
-    """A reordering needed a disjointness certificate that is not available.
-
-    Distinct from "the curves intersect": the engine only ever certifies
-    disjointness, never intersection.
-    """
-
-
 class NotApplicableError(SteincalcError):
     """No certified embedding was found for a substitution.
 
@@ -82,10 +74,6 @@ class NotApplicableError(SteincalcError):
 
 class UnsupportedInputError(SteincalcError):
     """Input lacks data an exact computation needs (hole sets, rotations, ...)."""
-
-
-class BaselineUnavailableError(SteincalcError):
-    """A relative signature was requested without an asserted baseline."""
 
 
 class IncomparableSigmaError(SteincalcError):

@@ -158,8 +158,7 @@ def detect_relator(
         value = entry.obstruction
         basis = (
             "the factorization admits an allowable relator whose signature-plus-exponent "
-            f"obstruction is {'nonzero (value unspecified)' if value is None else value}; "
-            "a planar open book would force that value to vanish"
+            f"obstruction is {value}; a planar open book would force that value to vanish"
         )
         cert_notes = []
         if not allowable and entry.obstruction_asserted:
@@ -176,7 +175,7 @@ def detect_relator(
                 witness=RelatorWitness(
                     relator_name=entry.name,
                     obstruction=value,
-                    obstruction_nonzero=entry.has_nonzero_obstruction,
+                    obstruction_nonzero=True,
                     positions=witness.positions,
                     swaps=witness.swaps,
                     homology_allowable=allowable,

@@ -8,7 +8,9 @@ constants plus additivity; they are never computed from a cocycle.  The
 Euler change, the allowability and the obstruction value follow from the
 words (``words.Relator``, ``RelatorEntry``), so the functions below state
 only the signature change, apart from the ledger totals of
-``compose_relators`` and the obstruction of ``genus_boundary_relator``.
+``compose_relators``.  The bounded-subsurface obstruction is not a relator
+here: it is the ``bounding_case`` table, which ``planarity.detect_bounding``
+reads.
 
 The boundary curve of an even chain bounds its supporting subsurface and is
 therefore null-homologous, so even-chain relators are never allowable in
@@ -46,11 +48,11 @@ class RelatorEntry(Value):
     """A relator plus obstruction bookkeeping.
 
     ``obstruction`` is sigma_delta + euler_delta when both are known, taken
-    from the relator when not given; a given value must agree with it.  Some
-    entries have a known-nonzero obstruction without a stored value
-    (``obstruction_nonzero``).  ``obstruction_asserted`` marks entries whose
-    obstruction stands on an external construction rather than on the
-    homology allowability of the stored words (see module docstring).
+    from the relator when not given; a given value must agree with it.  An
+    entry certifies non-planarity only through a known nonzero value.
+    ``obstruction_asserted`` marks entries whose obstruction stands on an
+    external construction rather than on the homology allowability of the
+    stored words (see module docstring).
     ``decomposition`` lists (relator name, multiplicity) factors realizing
     the relator as a product; negative multiplicity means the reversed
     relator.
@@ -59,7 +61,6 @@ class RelatorEntry(Value):
     __slots__ = (
         "relator",
         "obstruction",
-        "obstruction_nonzero",
         "obstruction_asserted",
         "decomposition",
         "disjoint",
@@ -70,7 +71,6 @@ class RelatorEntry(Value):
         self,
         relator: Relator,
         obstruction: Optional[int] = None,
-        obstruction_nonzero: bool = False,
         obstruction_asserted: bool = False,
         decomposition: Optional[Tuple[Tuple[str, int], ...]] = None,
         disjoint: FrozenSet[NamePair] = frozenset(),
@@ -86,7 +86,6 @@ class RelatorEntry(Value):
             )
         object.__setattr__(self, "relator", relator)
         object.__setattr__(self, "obstruction", obstruction)
-        object.__setattr__(self, "obstruction_nonzero", obstruction_nonzero)
         object.__setattr__(self, "obstruction_asserted", obstruction_asserted)
         object.__setattr__(self, "decomposition", decomposition)
         object.__setattr__(self, "disjoint", disjoint)
@@ -98,9 +97,7 @@ class RelatorEntry(Value):
 
     @property
     def has_nonzero_obstruction(self) -> bool:
-        if self.obstruction is not None:
-            return self.obstruction != 0
-        return self.obstruction_nonzero
+        return self.obstruction is not None and self.obstruction != 0
 
 
 def lantern(
@@ -433,39 +430,6 @@ def bounding_case(g: int, b: int) -> BoundingCase:
             return BoundingCase("unknown", "it is not known whether relators exist for 9 <= b <= 12")
         return BoundingCase("no-relator", "no such relator for b > 12")
     return BoundingCase("unknown", f"no configured obstruction for genus {g} with {b} boundary components")
-
-
-def genus_boundary_relator(g: int, b: int) -> Optional[RelatorEntry]:
-    """The relator certifying non-planarity when a factorization bounds a
-    genus-g surface with b boundary components, when one is known.
-
-    Only the left side (the b boundary twists, on the minimal surface) is
-    stored, so the relator is not allowable as stored; the explicit
-    right-hand factorizations are external constructions.  For g = 1 the
-    obstruction value is 4; for g = 2 it is known nonzero but unspecified.
-    Returns None where no relator exists or existence is open.
-    """
-    case = bounding_case(g, b)
-    if case.verdict != "obstructs" or g not in (1, 2) or b < 2:
-        return None
-    surface = Surface(g, b)
-    curves = [Curve("delta1", surface.outer_boundary_class(), boundary_parallel_to=1)]
-    for j in range(2, b + 1):
-        curves.append(Curve(f"delta{j}", surface.d_class(j), boundary_parallel_to=j))
-    relator = Relator(
-        name=f"boundary-genus{g}-holes{b}",
-        left=word_of(surface, curves),
-        right=None,
-        provenance="tabulated",
-    )
-    return RelatorEntry(
-        relator=relator,
-        obstruction=4 if g == 1 else None,
-        obstruction_nonzero=True,
-        obstruction_asserted=True,
-        note=case.note,
-        disjoint=pairwise_disjoint(curves),
-    )
 
 
 def builtin_entries() -> Tuple[RelatorEntry, ...]:

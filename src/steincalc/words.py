@@ -28,21 +28,13 @@ from dataclasses import dataclass
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
-    CommutationUndecidedError,
     ConsistencyAlarmError,
     NotApplicableError,
     RankMismatchError,
     UnsupportedInputError,
     Value,
 )
-from .surfaces import (
-    Curve,
-    HomologyClass,
-    NamePair,
-    Surface,
-    curves_commute,
-    twist_action,
-)
+from .surfaces import Curve, HomologyClass, NamePair, Surface, twist_action
 
 # Positions the embedding search may test in one call before it gives up
 # and answers "unknown"; it bounds the search on words with many identical
@@ -120,21 +112,6 @@ def free_reduce(w: Word) -> Word:
         else:
             stack.append(t)
     return Word(w.surface, tuple(stack))
-
-
-def commute_adjacent(w: Word, i: int, declared: Collection[NamePair] = ()) -> Word:
-    """Swap positions i and i+1, refusing without a disjointness certificate."""
-    if not 0 <= i < len(w) - 1:
-        raise IndexError(f"no adjacent pair at position {i} in a word of length {len(w)}")
-    t1, t2 = w.twists[i], w.twists[i + 1]
-    if curves_commute(t1.curve, t2.curve, declared) is not True:
-        raise CommutationUndecidedError(
-            f"commutation of {t1.curve.name} and {t2.curve.name} is not certified "
-            "(curves may intersect; declare disjointness to allow the move)"
-        )
-    twists = list(w.twists)
-    twists[i], twists[i + 1] = t2, t1
-    return Word(w.surface, tuple(twists))
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -477,10 +454,9 @@ class Relator(Value):
     a stated ``euler_delta`` must match, and a stated ``allowable`` is kept
     so ``verify_relator`` can compare it.  ``sigma_delta`` is the
     corresponding signature change; it is stored (from known values and
-    additivity), never derived from the words.  Ledger-only relators
-    produced by composition carry no words; a relator whose right side is
-    an external construction carries only its left side.  Without both
-    sides, ``allowable`` defaults to False.
+    additivity), never derived from the words.  A relator carries both
+    words or neither: ledger-only relators produced by composition carry
+    none, and their ``allowable`` defaults to False.
     """
 
     __slots__ = ("name", "left", "right", "euler_delta", "sigma_delta", "allowable", "provenance")
@@ -502,14 +478,14 @@ class Relator(Value):
         object.__setattr__(self, "sigma_delta", sigma_delta)
         object.__setattr__(self, "allowable", allowable)
         object.__setattr__(self, "provenance", provenance)
-        if left is None and right is not None:
-            raise ValueError(f"relator {name}: a right side needs a left side")
-        if not all(side.is_positive for side in (left, right) if side is not None):
-            raise ValueError(f"relator {name}: both sides must be positive words")
-        if right is None:
+        if (left is None) != (right is None):
+            raise ValueError(f"relator {name}: give both sides or neither")
+        if left is None:
             if allowable is None:
                 object.__setattr__(self, "allowable", False)
             return
+        if not (left.is_positive and right.is_positive):
+            raise ValueError(f"relator {name}: both sides must be positive words")
         if left.surface != right.surface:
             raise RankMismatchError(f"relator {name}: sides live on different surfaces")
         derived = len(right) - len(left)
@@ -594,7 +570,7 @@ def substitute(
     The engine searches for such an embedding (or verifies a supplied one)
     and records the move for the signature ledger.
     """
-    if relator.left is None or relator.right is None:
+    if relator.left is None:
         raise NotApplicableError(f"relator {relator.name} carries no words to substitute")
     if not relator.left.twists:
         raise NotApplicableError(f"relator {relator.name} has an empty left side, which marks no place to substitute")
@@ -691,7 +667,7 @@ def verify_relator(r: Relator) -> RelatorReport:
     matches the homology computation (twists about nonzero classes only).
     """
     checks: List[RelatorCheck] = []
-    if r.left is None or r.right is None:
+    if r.left is None:
         checks.append(RelatorCheck("homology_identity", None, "skipped: ledger-only relator has no words"))
         checks.append(RelatorCheck("euler_delta_consistent", None, "skipped: ledger-only relator has no words"))
         checks.append(RelatorCheck("allowable_consistent", None, "skipped: ledger-only relator has no words"))

@@ -434,8 +434,8 @@ class TestRun:
         payload = run("invariants", doc)
         assert payload["euler"] == 2
         assert payload["sigma"]["value"] == -1
-        assert payload["q_matrix"] == [[-4]]
-        assert payload["q_invariant_factors"] == [4]
+        assert payload["q_matrix"] == ((-4,),)
+        assert payload["q_invariant_factors"] == (4,)
         assert payload["h1"] == [[4], 0]
         assert payload["esig"] == 1
 

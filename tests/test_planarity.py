@@ -79,23 +79,12 @@ class TestDetectRelator:
             for cert in detect_relator(w, entries, doc.disjoint):
                 assert cert.verdict == NO_OBSTRUCTION
 
-    def test_flagged_nonzero_obstruction_fires(self):
-        from steincalc.relators import genus_boundary_relator
-
-        entry = genus_boundary_relator(2, 5)
-        # word containing the boundary multicurve in scrambled order
-        twists = entry.relator.left.twists
-        word = Word(entry.relator.left.surface, twists[::-1])
-        certs = detect_relator(word, [entry])
-        assert certs[0].verdict == NON_PLANAR
-        assert certs[0].witness.obstruction is None
-        assert certs[0].witness.obstruction_nonzero
-
     def test_one_relation_per_declared_set(self, monkeypatch):
         doc, word, entries = chain2_setup()
         e = entries[0]
-        wider = RelatorEntry(e.relator, e.obstruction, e.obstruction_nonzero, e.obstruction_asserted,
-                             e.decomposition, e.disjoint | {frozenset(("c1",))}, e.note)
+        wider = RelatorEntry(relator=e.relator, obstruction=e.obstruction,
+                             obstruction_asserted=e.obstruction_asserted, decomposition=e.decomposition,
+                             disjoint=e.disjoint | {frozenset(("c1",))}, note=e.note)
         built = []
 
         class Counting(planarity._Dependence):

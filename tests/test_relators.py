@@ -14,7 +14,6 @@ from steincalc.relators import (
     chain,
     ChainConfig,
     compose_relators,
-    genus_boundary_relator,
     lantern,
     non_standard_relator,
     standard_braid,
@@ -193,26 +192,10 @@ class TestCompose:
 
 
 class TestGenusBoundary:
-    def test_genus_one_known_range(self):
-        for b in range(2, 10):
-            entry = genus_boundary_relator(1, b)
-            assert entry is not None
-            assert entry.obstruction == 4
-            assert entry.relator.sigma_delta is None and entry.relator.euler_delta is None
-            assert len(entry.relator.left) == b
-
     def test_genus_one_beyond_nine_absent(self):
-        assert genus_boundary_relator(1, 10) is None
         assert "no such relator" in bounding_case(1, 10).note
 
-    def test_genus_two_flagged_nonzero(self):
-        entry = genus_boundary_relator(2, 5)
-        assert entry is not None
-        assert entry.obstruction is None
-        assert entry.obstruction_nonzero
-
     def test_genus_two_unknown_zone(self):
-        assert genus_boundary_relator(2, 10) is None
         assert bounding_case(2, 10).verdict == "unknown"
 
     def test_case_table(self):
@@ -257,7 +240,7 @@ def _entry_fields(entry):
 
     return (
         r.name, names(r.left), names(r.right), r.euler_delta, r.sigma_delta, r.allowable, r.provenance,
-        entry.obstruction, entry.obstruction_nonzero, entry.obstruction_asserted, entry.decomposition,
+        entry.obstruction, entry.obstruction_asserted, entry.decomposition,
         tuple(sorted(tuple(sorted(pair)) for pair in entry.disjoint)), entry.note,
     )
 
@@ -280,17 +263,13 @@ class TestEntryPins:
             for entry in doc.relator_entries.values()
         ],
         "composition": lambda: [compose_relators([standard_lantern(), chain(2)])],
-        "genus_boundary": lambda: [
-            entry for g in range(4) for b in range(1, 14) for entry in [genus_boundary_relator(g, b)] if entry
-        ],
         "user": lambda: list(parse(json.dumps(USER_RELATORS)).relator_entries.values()),
     }
     SHA256 = {
-        "builtins": (9, "cef3cec08f97210f6bce6ac74f491a2049452f5717b5714df048955357092a1d"),
-        "documents": (11, "0f63fa9c1ce7508b9e95597df658a5d01725306d9ca7bf1f8c98e29769428b69"),
-        "composition": (1, "ba906ab5013df2e263d614c3936d7624af9c84a5565a97b48e22051ff5a5fc80"),
-        "genus_boundary": (15, "41e605a08ed5107d091f85450dd313f2ce4804f64d3dc16ad3c74a1f03d7698c"),
-        "user": (2, "d1342e7eeff3659a91cc8d1eaeb0633c62f8c0d9586e3aafbf3011822840c747"),
+        "builtins": (9, "ceccd44b9eda49ab5cc7f32935b26cc140c2cd431d48f7aa661e43d4c8807fb4"),
+        "documents": (11, "84561d2109df067bfc8f7955f420c130610b1d96832bb31cbe8c613b6ae38e9c"),
+        "composition": (1, "af2a21d948306d4d39bfe1d79883989e306bc43652f99db7dc911c862188dfc1"),
+        "user": (2, "e7e6cc71322eaf26cbef3ee5a419145bb85f07ee1774a5a0f9f2e97f58307ae7"),
     }
 
     @pytest.mark.parametrize("group", sorted(GROUPS))

@@ -1,7 +1,7 @@
 """Surface model: pairings, twists, convex curves, commutation certificates."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steincalc.errors import RankMismatchError
 from steincalc.surfaces import (
@@ -190,3 +190,95 @@ class TestCurvesCommute:
         s = Surface(0, 4)
         outer = convex_curve(s, "outer", {2, 3, 4}, outer=True)
         assert curves_commute(outer, convex_curve(s, "x", {2, 3})) is True
+
+
+# An exact oracle for commutation on planar pages: the Artin action of the
+# braid group B_n on the free group F_n, which is faithful.  Holes 2..b sit
+# on a circle in index order and become punctures 1..b-1; boundary 1 lies
+# outside.  A free-group word is a tuple of nonzero ints, k for x_k and -k
+# for its inverse; a braid word is a list of (i, +1 or -1) for sigma_i^(+-1).
+
+
+def _sigma_images(i, sign):
+    """The generators sigma_i^sign moves, with their images."""
+    if sign == 1:
+        return {i: (i, i + 1, -i), i + 1: (i,)}
+    return {i: (i + 1,), i + 1: (-(i + 1), i, i + 1)}
+
+
+def _braid_images(braid, n):
+    """The images of x_1..x_n under the braid word, freely reduced."""
+    images = [(k,) for k in range(1, n + 1)]
+    for i, sign in braid:
+        move = _sigma_images(i, sign)
+        moved = []
+        for word in images:
+            out = []
+            for x in word:
+                image = move.get(abs(x), (abs(x),))
+                for y in image if x > 0 else [-y for y in reversed(image)]:
+                    if out and out[-1] == -y:
+                        out.pop()
+                    else:
+                        out.append(y)
+            moved.append(tuple(out))
+        images = moved
+    return images
+
+
+def _band(i, j):
+    """A_ij = sigma_{j-1}..sigma_{i+1} sigma_i^2 sigma_{i+1}^-1..sigma_{j-1}^-1, for punctures i < j."""
+    down = [(k, 1) for k in range(j - 1, i, -1)]
+    return down + [(i, 1), (i, 1)] + [(k, -1) for k, _ in reversed(down)]
+
+
+def _convex_twist(holes):
+    """The twist about the convex curve around the holes: prod_b prod_{a<b} A_{p_a p_b}."""
+    p = sorted(h - 1 for h in holes)
+    return [g for b in range(1, len(p)) for a in range(b) for g in _band(p[a], p[b])]
+
+
+def _braid_twists_commute(holes1, holes2, b):
+    t1, t2 = _convex_twist(holes1), _convex_twist(holes2)
+    return _braid_images(t1 + t2, b - 1) == _braid_images(t2 + t1, b - 1)
+
+
+def _alternate(holes1, holes2):
+    """Disjoint hole sets whose holes interleave around the circle: a < b < c
+    < d with a, c in one set and b, d in the other, i.e. the sets change at
+    least three times along the sorted union."""
+    if holes1 & holes2:
+        return False
+    owners = [h in holes1 for h in sorted(holes1 | holes2)]
+    return sum(x != y for x, y in zip(owners, owners[1:])) >= 3
+
+
+@st.composite
+def _convex_pairs(draw):
+    b = draw(st.integers(3, 8))
+    holes = st.frozensets(st.integers(2, b), min_size=1)
+    return b, draw(holes), draw(holes)
+
+
+class TestBraidOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(_convex_pairs())
+    @example((5, frozenset({2, 4}), frozenset({3, 5})))  # alternating
+    @example((5, frozenset({2, 5}), frozenset({3, 4})))  # disjoint, not alternating
+    @example((5, frozenset({2, 3}), frozenset({3, 4})))  # overlapping
+    @example((8, frozenset({2, 4, 6, 8}), frozenset({3, 4, 5, 6, 7})))  # nested
+    def test_convex_twists_commute_as_the_braid_group_says(self, pair):
+        b, holes1, holes2 = pair
+        s = Surface(0, b)
+        x, y = convex_curve(s, "x", holes1), convex_curve(s, "y", holes2)
+        if holes1 <= holes2 or holes2 <= holes1 or not (holes1 & holes2 or _alternate(holes1, holes2)):
+            assert curves_commute(x, y) is True
+            assert _braid_twists_commute(holes1, holes2, b)
+        else:  # alternating, or overlapping and not nested
+            assert not _braid_twists_commute(holes1, holes2, b)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: curves_commute certifies alternating hole sets")
+    def test_alternating_hole_sets_are_not_certified(self):
+        s = Surface(0, 5)
+        a, c = convex_curve(s, "a", {2, 4}), convex_curve(s, "c", {3, 5})
+        assert curves_commute(a, c) is not True or _braid_twists_commute({2, 4}, {3, 5}, 5)

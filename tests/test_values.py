@@ -123,9 +123,8 @@ SIGNATURES = {
                          ("positions", REQUIRED), ("swaps", REQUIRED)],
     RelatorCheck: [("name", REQUIRED), ("passed", REQUIRED), ("detail", REQUIRED)],
     RelatorReport: [("relator_name", REQUIRED), ("checks", REQUIRED)],
-    RelatorEntry: [("relator", REQUIRED), ("obstruction", None), ("obstruction_nonzero", False),
-                   ("obstruction_asserted", False), ("decomposition", None), ("disjoint", frozenset()),
-                   ("note", "")],
+    RelatorEntry: [("relator", REQUIRED), ("obstruction", None), ("obstruction_asserted", False),
+                   ("decomposition", None), ("disjoint", frozenset()), ("note", "")],
     ChainConfig: [("surface", REQUIRED), ("curves", REQUIRED), ("boundary", REQUIRED)],
     BoundingCase: [("verdict", REQUIRED), ("note", REQUIRED)],
     PlanarForm: [("matrix", REQUIRED), ("b2", REQUIRED), ("invariant_factors", REQUIRED)],

@@ -12,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from steincalc import planarity, surfaces, words
 from steincalc.errors import (
-    CommutationUndecidedError,
     ConsistencyAlarmError,
     NotApplicableError,
     RankMismatchError,
@@ -27,7 +26,6 @@ from steincalc.words import (
     SubstitutionRecord,
     Twist,
     Word,
-    commute_adjacent,
     compose,
     contains,
     free_reduce,
@@ -108,29 +106,6 @@ class TestFreeReduce:
         s, a, b = torus1
         w = Word(s, (Twist(a, 1), Twist(b, 1), Twist(b, -1), Twist(a, -1), Twist(b, 1)))
         assert free_reduce(w).action_matrix() == w.action_matrix()
-
-
-class TestCommuteAdjacent:
-    def test_disjoint_boundary_twists(self):
-        s = Surface(0, 3)
-        d2, d3 = convex_curve(s, "d2", {2}), convex_curve(s, "d3", {3})
-        w = commute_adjacent(word_of(s, [d2, d3]), 0)
-        assert [t.curve.name for t in w.twists] == ["d3", "d2"]
-
-    def test_nested_convex_curves(self, planar4):
-        s, c = planar4
-        w = commute_adjacent(word_of(s, [c["d2"], c["a12"]]), 0)
-        assert [t.curve.name for t in w.twists] == ["a12", "d2"]
-
-    def test_lantern_interior_curves_refuse(self, planar4):
-        s, c = planar4
-        with pytest.raises(CommutationUndecidedError):
-            commute_adjacent(word_of(s, [c["a12"], c["a23"]]), 0)
-
-    def test_preserves_action(self, planar4):
-        s, c = planar4
-        w = word_of(s, [c["d2"], c["d3"], c["d4"]])
-        assert commute_adjacent(w, 1).action_matrix() == w.action_matrix()
 
 
 class TestContains:
@@ -476,7 +451,6 @@ class TestTabulatedRelation:
             raise AssertionError("curves_commute called by the search")
 
         monkeypatch.setattr(surfaces, "curves_commute", refuse)
-        monkeypatch.setattr(words, "curves_commute", refuse)
         rng = random.Random(7)
         s = Surface(0, 7)
         pool = [convex_curve(s, f"c{i}", rng.sample(range(2, 8), rng.randint(1, 4))) for i in range(40)]
@@ -765,11 +739,10 @@ class TestRelatorValues:
             Relator("w", word_of(s, [a]), word_of(s, [a]), 1)
 
     def test_left_side_alone(self):
+        # a relator carries both words or neither; either side alone raises
         s = Surface(0, 3)
         a = convex_curve(s, "a", {2})
-        known = Relator("k", word_of(s, [a]), None)
-        assert (known.euler_delta, known.allowable, known.obstruction) == (None, False, None)
-        with pytest.raises(ValueError, match="positive"):
-            Relator("k", word_of(s, [a], [-1]), None)
-        with pytest.raises(ValueError, match="needs a left side"):
+        with pytest.raises(ValueError, match="both sides or neither"):
+            Relator("k", word_of(s, [a]), None)
+        with pytest.raises(ValueError, match="both sides or neither"):
             Relator("k", None, word_of(s, [a]))
