@@ -113,17 +113,16 @@ def _section(data: dict, key: str, kind: type):
 
 
 def _parse_curve(surface: Surface, spec: dict, location: str) -> Curve:
+    # sub-locations are formatted only on the way to a raise
     _require(isinstance(spec, dict), location, "curve entries must be objects")
     name = spec.get("name")
     _require(isinstance(name, str) and bool(name), location, "curve needs a non-empty string name")
     rotation = spec.get("rotation")
-    _require(rotation is None or _is_int(rotation), f"{location}.rotation", "rotation must be an integer")
+    if not (rotation is None or _is_int(rotation)):
+        raise DocumentError(f"{location}.rotation", "rotation must be an integer")
     parallel = spec.get("boundary_parallel_to")
-    _require(
-        parallel is None or _is_int(parallel),
-        f"{location}.boundary_parallel_to",
-        "boundary index must be an integer",
-    )
+    if not (parallel is None or _is_int(parallel)):
+        raise DocumentError(f"{location}.boundary_parallel_to", "boundary index must be an integer")
     holes = spec.get("holes")
     homology = spec.get("homology")
     _require(
@@ -133,12 +132,11 @@ def _parse_curve(surface: Surface, spec: dict, location: str) -> Curve:
     )
     try:
         if holes is not None:
-            _require(
-                isinstance(holes, list) and all(_is_int(h) for h in holes),
-                f"{location}.holes",
-                "holes must be a list of integers",
-            )
-            _require(surface.genus == 0, f"{location}.holes", "hole sets only make sense on planar surfaces")
+            # the element types are checked in C; bool is its own type, not int
+            if not (isinstance(holes, list) and set(map(type, holes)) <= {int}):
+                raise DocumentError(f"{location}.holes", "holes must be a list of integers")
+            if surface.genus != 0:
+                raise DocumentError(f"{location}.holes", "hole sets only make sense on planar surfaces")
             if 1 in holes:
                 raise DocumentError(
                     f"{location}.holes",
@@ -151,16 +149,13 @@ def _parse_curve(surface: Surface, spec: dict, location: str) -> Curve:
                 rotation=rotation,
                 boundary_parallel_to=parallel,
             )
-        _require(
-            isinstance(homology, list) and all(_is_int(x) for x in homology),
-            f"{location}.homology",
-            "homology must be a list of integers",
-        )
-        _require(
-            len(homology) == surface.rank,
-            f"{location}.homology",
-            f"vector length {len(homology)} does not match surface rank {surface.rank}",
-        )
+        if not (isinstance(homology, list) and set(map(type, homology)) <= {int}):
+            raise DocumentError(f"{location}.homology", "homology must be a list of integers")
+        if len(homology) != surface.rank:
+            raise DocumentError(
+                f"{location}.homology",
+                f"vector length {len(homology)} does not match surface rank {surface.rank}",
+            )
         return Curve(
             name=name,
             homology=HomologyClass(surface, tuple(homology)),
@@ -177,21 +172,35 @@ def _parse_word(surface: Surface, curves: Dict[str, Curve], spec, location: str)
     _require(isinstance(spec, list), location, "a word is a list of {curve, sign} objects")
     twists = []
     for i, t in enumerate(spec):
-        where = f"{location}[{i}]"
-        _require(isinstance(t, dict), where, "each twist is an object")
-        cname = t.get("curve")
-        _require(isinstance(cname, str), where, "twist needs a curve name")
-        _require(cname in curves, where, f"word references undeclared curve '{cname}'")
-        sign = t.get("sign", 1)
-        _require(_is_int(sign) and sign in (1, -1), f"{where}.sign", "sign must be 1 or -1")
-        twists.append(Twist(curves[cname], sign))
+        # the location and message are built only for a twist that fails
+        if isinstance(t, dict):
+            cname = t.get("curve")
+            sign = t.get("sign", 1)
+            # type() is int rejects the bool True, which equals 1
+            if isinstance(cname, str) and cname in curves and (sign == 1 or sign == -1) and type(sign) is int:
+                twists.append(Twist(curves[cname], sign))
+                continue
+        raise _twist_error(curves, t, f"{location}[{i}]")
     return Word(surface, tuple(twists))
+
+
+def _twist_error(curves: Dict[str, Curve], t, where: str) -> DocumentError:
+    """The rejection of a twist spec ``_parse_word`` refused: its first failed check."""
+    if not isinstance(t, dict):
+        return DocumentError(where, "each twist is an object")
+    cname = t.get("curve")
+    if not isinstance(cname, str):
+        return DocumentError(where, "twist needs a curve name")
+    if cname not in curves:
+        return DocumentError(where, f"word references undeclared curve '{cname}'")
+    return DocumentError(f"{where}.sign", "sign must be 1 or -1")
 
 
 def _resolve_curves(curves: Dict[str, Curve], names: Sequence[str], location: str) -> List[Curve]:
     out = []
     for n in names:
-        _require(isinstance(n, str) and n in curves, location, f"unknown curve name '{n}'")
+        if not (isinstance(n, str) and n in curves):
+            raise DocumentError(location, f"unknown curve name '{n}'")
         out.append(curves[n])
     return out
 
@@ -291,7 +300,8 @@ def parse(text: str) -> Document:
     curves: Dict[str, Curve] = {}
     for i, cspec in enumerate(_section(data, "curves", list)):
         curve = _parse_curve(surface, cspec, f"curves[{i}]")
-        _require(curve.name not in curves, f"curves[{i}]", f"duplicate curve name '{curve.name}'")
+        if curve.name in curves:
+            raise DocumentError(f"curves[{i}]", f"duplicate curve name '{curve.name}'")
         curves[curve.name] = curve
 
     words: Dict[str, Word] = {}
@@ -433,6 +443,23 @@ def serialize(doc: Document) -> str:
 # The JSON writer
 
 
+class _IntText(dict):
+    """Decimal texts of ints by value.  A key not held is formatted by
+    ``int.__repr__`` and not stored, so the table never grows and an int
+    past the interpreter's digit limit raises ValueError as it would
+    without the table."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> str:
+        return int.__repr__(key)
+
+
+# Nearly every entry of an intersection form lies within +-64; a lookup here
+# costs less than half of an ``int.__repr__`` call.
+_INT_TEXT = _IntText(zip(range(-1024, 1025), map(int.__repr__, range(-1024, 1025))))
+
+
 def dump_json(value) -> str:
     """What ``json.dumps`` writes with sorted keys and an indent of 2,
     byte for byte, for the values reports and documents hold: dicts with
@@ -441,7 +468,9 @@ def dump_json(value) -> str:
 
     An indent sends ``json.dumps`` to its pure-Python encoder, which makes
     one generator step per list item; here a flat list of ints is one
-    ``join`` and strings are escaped by the C ``encode_basestring_ascii``.
+    ``join`` over texts read from a table of the ints in -1024..1024
+    (others are formatted as they come), and strings are escaped by the C
+    ``encode_basestring_ascii``.
     """
     out: List[str] = []
     _write_json(value, "\n", out)
@@ -459,14 +488,14 @@ def _write_json(value, newline: str, out: List[str]) -> None:
     elif value is False:
         out.append("false")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.append(_INT_TEXT[value])
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append("[]")
             return
         inner = newline + "  "
         if set(map(type, value)) == {int}:  # bools are no ints here
-            out.append("[" + inner + ("," + inner).join(map(int.__repr__, value)) + newline + "]")
+            out.append("[" + inner + ("," + inner).join(map(_INT_TEXT.__getitem__, value)) + newline + "]")
             return
         separator = "[" + inner
         for item in value:

@@ -22,8 +22,9 @@ k_i = (U v)_i // d_i, so neither U nor A V is built.
 elimination, the one route to a signature; ``invariants.sigma`` reads a
 rank off it.  Matrices are plain lists of lists of Python ints, so nothing
 overflows; every computation here is exact.  ``mat_mul`` skips zero
-entries in both factors; ``gram`` builds the symmetric Gram matrix of
-sparse vectors from one triangle.
+entries in both factors; ``negated_gram`` builds the symmetric matrix
+-(u . v) of sparse vectors from one triangle, as the tuple rows a planar
+form stores.
 """
 
 from __future__ import annotations
@@ -56,11 +57,13 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     return out
 
 
-def gram(vectors: Sequence[Mapping[int, int]]) -> Matrix:
-    """The symmetric Gram matrix (u . v) of sparse ``{coord: value}``
-    vectors.  Entries are grouped by coordinate, each group adds its
-    products to the upper triangle only, and the lower triangle is
-    mirrored from it."""
+def negated_gram(vectors: Sequence[Mapping[int, int]]) -> Tuple[Tuple[int, ...], ...]:
+    """The negated Gram matrix -(u . v) of sparse ``{coord: value}``
+    vectors, as tuple rows.  Entries are grouped by coordinate, each group
+    subtracts its products from the upper triangle only, and the lower
+    triangle is mirrored from it.  The negation is the sign of a planar
+    intersection form, -K^T K, and changes no Smith diagonal, so no caller
+    needs the unsigned matrix."""
     size = len(vectors)
     by_coord: Dict[int, List[Tuple[int, int]]] = {}
     for j, vec in enumerate(vectors):
@@ -71,10 +74,10 @@ def gram(vectors: Sequence[Mapping[int, int]]) -> Matrix:
         for at, (j, x) in enumerate(group):
             row = out[j]
             for l, y in group[at:]:
-                row[l] += x * y
+                row[l] -= x * y
     for l, column in enumerate(zip(*out)):
         out[l][:l] = column[:l]
-    return out
+    return tuple(map(tuple, out))
 
 
 class SmithForm(Value):

@@ -12,10 +12,12 @@ to minus the standard dot product of coefficient vectors (hole-bilinear
 corrections vanish on the kernel, so this representative is well defined;
 it is pinned by the <-b> boundary-multitwist calibration and the lantern
 substitution check).  One Smith normal form U B V = D of the boundary map
-B yields the kernel (the columns of V past the rank) and its orthogonal
-complement, the saturated row space C (rows of V^-1); the two have
-isomorphic discriminant groups, so the form's invariant factors above 1
-are those of C C^T.  When every nonzero d_i is 1, B B^T is U^-1 (C C^T + 0)
+B yields the kernel K (the columns of V past the rank, as sparse columns),
+whose form -K^T K ``negated_gram`` builds from one triangle as the tuple
+rows ``PlanarForm.matrix`` stores, and its orthogonal complement, the
+saturated row space C (rows of V^-1); the two have isomorphic
+discriminant groups, so the form's invariant factors above 1 are those of
+C C^T.  When every nonzero d_i is 1, B B^T is U^-1 (C C^T + 0)
 U^-T, so they are the torsion of H_1 of the boundary below, which
 ``filling_invariants`` builds once per word and hands to the form;
 otherwise they come from the Smith diagonal (``smith_diagonal``, no
@@ -55,11 +57,10 @@ and a word without them runs none.
 
 from __future__ import annotations
 
-from operator import neg
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError, Value
-from .intlinalg import AbelianQuotient, Matrix, gram, mat_mul, smith_diagonal, smith_normal_form, symmetric_signature, zeros
+from .intlinalg import AbelianQuotient, Matrix, mat_mul, negated_gram, smith_diagonal, smith_normal_form, symmetric_signature, zeros
 from .surfaces import Surface
 from .words import SubstitutionRecord, Word
 
@@ -113,7 +114,7 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
     boundary_map = [[t.curve.homology.coords[i] for t in word.twists] for i in range(word.surface.rank)]
     snf = smith_normal_form(boundary_map, rows=word.surface.rank, cols=n)
     r = snf.rank
-    kernel_gram = gram(snf.columns[r:])  # K^T K
+    matrix = negated_gram(snf.columns[r:])  # -K^T K
     b2 = n - r
     # The first r rows C of V^-1 span the saturated row space of the
     # boundary map, the orthogonal complement of the kernel in the
@@ -126,17 +127,18 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
         torsion = (h1 if h1 is not None else h1_boundary(word)).invariant_factors
     else:
         # Some d_i > 1 scales the row space; take the Smith diagonal of the
-        # smaller Gram matrix.  Row i < r of V^-1 is row i of U B / d_i.
+        # smaller Gram matrix, whose sign it does not see.  Row i < r of
+        # V^-1 is row i of U B / d_i.
         if b2 < r:
-            smaller = kernel_gram
+            smaller = matrix
         else:
             scaled = mat_mul(snf.row_ops[:r], boundary_map)
-            smaller = gram([{k: x // d for k, x in enumerate(row) if x} for row, d in zip(scaled, snf.diag)])
+            smaller = negated_gram([{k: x // d for k, x in enumerate(row) if x} for row, d in zip(scaled, snf.diag)])
         torsion = tuple(d for d in smith_diagonal(smaller) if d > 1)
     # The kernel basis has full column rank, so q = -K^T K is negative
     # definite and its signature is -b2.
     return PlanarForm(
-        matrix=tuple(tuple(map(neg, row)) for row in kernel_gram),
+        matrix=matrix,
         b2=b2,
         invariant_factors=(1,) * (b2 - len(torsion)) + torsion,
     )

@@ -196,9 +196,10 @@ class Curve(Value):
         if hole_set is not None:
             if surface.genus != 0:
                 raise ValueError(f"curve {name}: hole sets only make sense on planar surfaces")
-            bad = [j for j in hole_set if not 2 <= j <= surface.boundary_count]
-            if bad:
-                raise ValueError(f"curve {name}: hole indices {bad} outside 2..{surface.boundary_count}")
+            b = surface.boundary_count
+            if hole_set and not (2 <= min(hole_set) and max(hole_set) <= b):
+                bad = [j for j in hole_set if not 2 <= j <= b]
+                raise ValueError(f"curve {name}: hole indices {bad} outside 2..{b}")
             expected = _hole_set_coords(surface, hole_set, boundary_parallel_to == 1)
             if homology.coords != expected:
                 raise ValueError(

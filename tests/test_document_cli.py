@@ -371,6 +371,69 @@ class TestParse:
         assert main(["gen", "--in", str(bad)]) == 2
         assert json.loads(capsys.readouterr().out)["error"]["kind"] == "document"
 
+    @pytest.mark.parametrize(
+        "override, location, message",
+        [
+            # _parse_word: the second twist of word w is the bad one
+            *[({"words": {"w": [{"curve": "d2"}, twist]}}, "words.w[1]", message) for twist, message in (
+                (5, "each twist is an object"),
+                ([], "each twist is an object"),
+                ({"sign": 1}, "twist needs a curve name"),
+                ({"curve": 7}, "twist needs a curve name"),
+                ({"curve": ["d2"]}, "twist needs a curve name"),
+                ({"curve": "ghost"}, "word references undeclared curve 'ghost'"),
+            )],
+            *[({"words": {"w": [{"curve": "d2"}, {"curve": "d3", "sign": sign}]}}, "words.w[1].sign",
+               "sign must be 1 or -1") for sign in (True, 2, "1", 1.0, 0, None)],
+            ({"words": {"w": {"curve": "d2"}}}, "words.w", "a word is a list of {curve, sign} objects"),
+            # _parse_curve: the fifth curve is the bad one
+            *[({"curves": MINIMAL["curves"] + [spec]}, location, message) for spec, location, message in (
+                (3, "curves[4]", "curve entries must be objects"),
+                ({"holes": [2]}, "curves[4]", "curve needs a non-empty string name"),
+                ({"name": "", "holes": [2]}, "curves[4]", "curve needs a non-empty string name"),
+                ({"name": "x", "holes": [2], "rotation": True}, "curves[4].rotation", "rotation must be an integer"),
+                ({"name": "x", "holes": [2], "rotation": 1.0}, "curves[4].rotation", "rotation must be an integer"),
+                ({"name": "x", "holes": [2], "boundary_parallel_to": False}, "curves[4].boundary_parallel_to",
+                 "boundary index must be an integer"),
+                ({"name": "x", "holes": [2], "boundary_parallel_to": 2.0}, "curves[4].boundary_parallel_to",
+                 "boundary index must be an integer"),
+                ({"name": "x"}, "curves[4]", "declare exactly one of 'holes' (planar convex curve) or 'homology'"),
+                ({"name": "x", "holes": [2], "homology": [1, 0, 0]}, "curves[4]",
+                 "declare exactly one of 'holes' (planar convex curve) or 'homology'"),
+                ({"name": "x", "holes": [2, True]}, "curves[4].holes", "holes must be a list of integers"),
+                ({"name": "x", "holes": [2.0]}, "curves[4].holes", "holes must be a list of integers"),
+                ({"name": "x", "holes": ["2"]}, "curves[4].holes", "holes must be a list of integers"),
+                ({"name": "x", "holes": 2}, "curves[4].holes", "holes must be a list of integers"),
+                ({"name": "x", "holes": [1, 2]}, "curves[4].holes",
+                 "boundary 1 is the outer boundary; declare the curve parallel to it with "
+                 "boundary_parallel_to: 1 and holes [2..b]"),
+                ({"name": "x", "holes": [0]}, "curves[4]", "curve x: hole indices [0] outside 2..4"),
+                ({"name": "x", "holes": [0, -1]}, "curves[4]", "curve x: hole indices [0, -1] outside 2..4"),
+                ({"name": "x", "holes": [2, 5]}, "curves[4]", "list assignment index out of range"),
+                ({"name": "x", "holes": [3, 0, -2]}, "curves[4]", "list assignment index out of range"),
+                ({"name": "x", "holes": [2], "boundary_parallel_to": 1}, "curves[4]",
+                 "curve x: an outer-parallel curve encloses every hole"),
+                ({"name": "x", "holes": [2], "boundary_parallel_to": 3}, "curves[4]",
+                 "curve x: a curve parallel to boundary 3 encloses exactly that hole"),
+                ({"name": "x", "holes": [2], "boundary_parallel_to": 9}, "curves[4]",
+                 "curve x: boundary index 9 out of range"),
+                ({"name": "x", "homology": [1, 0, True]}, "curves[4].homology", "homology must be a list of integers"),
+                ({"name": "x", "homology": "1"}, "curves[4].homology", "homology must be a list of integers"),
+                ({"name": "x", "homology": [1, 0]}, "curves[4].homology", "vector length 2 does not match surface rank 3"),
+                ({"name": "x", "homology": [1, 0, 0], "boundary_parallel_to": 3}, "curves[4]",
+                 "curve x: boundary-parallel class must be +/- d_3"),
+                ({"name": "d2", "holes": [3]}, "curves[4]", "duplicate curve name 'd2'"),
+            )],
+            ({"surface": {"genus": 1, "boundary": 2}, "curves": [{"name": "x", "holes": [2]}], "words": {}},
+             "curves[0].holes", "hole sets only make sense on planar surfaces"),
+        ],
+    )
+    def test_rejection_table(self, override, location, message):
+        # every raise of _parse_curve and _parse_word, with its exact location and message
+        with pytest.raises(DocumentError) as err:
+            parse(json.dumps({**MINIMAL, **override}))
+        assert (err.value.location, err.value.message) == (location, message)
+
     def test_user_relator_non_positive_rejected(self):
         bad = json.loads(json.dumps(MINIMAL))
         bad["relators"] = [{

@@ -14,9 +14,9 @@ from steincalc.document import tau_boundary_document
 from steincalc.errors import ConsistencyAlarmError
 from steincalc.intlinalg import (
     AbelianQuotient,
-    gram,
     kernel_basis,
     mat_mul,
+    negated_gram,
     smith_diagonal,
     smith_normal_form,
     symmetric_signature,
@@ -310,14 +310,14 @@ class TestMatMul:
 class TestGram:
     def test_matches_naive_product(self):
         # sparse and dense vectors as {coord: value} dicts, zero vectors, no
-        # vectors, length 0
+        # vectors, length 0; the rows are tuples, as a planar form stores them
         rng = random.Random(37)
         for _ in range(300):
             count, length = rng.randint(0, 8), rng.randint(0, 12)
             density = rng.choice([0.0, 0.2, 0.5, 1.0])
             vectors = [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(length)] for _ in range(count)]
             sparse = [{k: x for k, x in enumerate(vec) if x} for vec in vectors]
-            assert gram(sparse) == [[sum(x * y for x, y in zip(u, v)) for v in vectors] for u in vectors]
+            assert negated_gram(sparse) == tuple(tuple(-sum(x * y for x, y in zip(u, v)) for v in vectors) for u in vectors)
 
 
 class TestKernel:

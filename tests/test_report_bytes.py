@@ -155,8 +155,13 @@ _SCALARS = (
     st.none() | st.booleans() | st.integers() | st.integers(-2**200, 2**200)
     | st.lists(st.integers(), max_size=12) | _TEXT
 )
+# square int matrices, as an intersection form is written, with entries on
+# both sides of the writer's int table (-1024..1024)
+_MATRICES = st.integers(0, 6).flatmap(
+    lambda n: st.lists(st.lists(st.integers(-1100, 1100), min_size=n, max_size=n), min_size=n, max_size=n)
+)
 _VALUES = st.recursive(
-    _SCALARS,
+    _SCALARS | _MATRICES,
     lambda inner: st.lists(inner, max_size=6) | st.lists(inner, max_size=6).map(tuple)
     | st.dictionaries(_TEXT, inner, max_size=6),
     max_leaves=30,
@@ -173,8 +178,20 @@ _VALUES = st.recursive(
 @example((2**100, -2**70, 0))
 @example([[[]], [()], [{}]])
 @example({ODD_CURVE: ODD_WORD, "\ud800": ["\udfff", "\x00"]})
+@example([-1025, -1024, 1024, 1025])  # the edges of the writer's int table
+@example({"a": -1025, "b": -1024, "c": 1024, "d": 1025})
+@example([2, True, -1025])
+@example([[-2, 1], [1, 1025]])
+@example([1, 10 ** sys.get_int_max_str_digits()])  # one digit past the limit
 def test_dump_json_matches_json_dumps(value):
-    assert document.dump_json(value) == json.dumps(value, indent=2, sort_keys=True)
+    try:
+        expected = json.dumps(value, indent=2, sort_keys=True)
+    except ValueError:  # an int past the digit limit; the CLI exits 3 on it
+        with pytest.raises(ValueError):
+            document.dump_json(value)
+    else:
+        assert document.dump_json(value) == expected
+    assert len(document._INT_TEXT) == 2049  # an int past the table is not kept
 
 
 @pytest.mark.parametrize(
