@@ -23,7 +23,7 @@ import functools
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from . import __version__
 from .document import (
@@ -275,15 +275,18 @@ def run(command: str, doc: Optional[Document] = None, *, word: Optional[str] = N
     raise UnsupportedInputError(f"unknown command '{command}'")
 
 
+# The document sources of ``add_io``, as (flag, dest).
+_SOURCES = (("--in", "infile"), ("--tau-boundary", "tau_boundary"), ("--lantern", "lantern"),
+            ("--chain", "chain"), ("--r-ns", "r_ns"))
+
+
+def _given_sources(args: argparse.Namespace) -> List[str]:
+    """The source flags given; ``--chain 0`` is given (and rejected later)."""
+    return [flag for flag, dest in _SOURCES if (value := getattr(args, dest)) is not None and value is not False]
+
+
 def _load_document(args: argparse.Namespace) -> Document:
-    sources = [
-        args.infile is not None,
-        args.tau_boundary is not None,
-        args.lantern,
-        args.chain is not None,
-        args.r_ns,
-    ]
-    if sum(bool(s) for s in sources) != 1:
+    if len(_given_sources(args)) != 1:
         raise DocumentError("$", "give exactly one input: --in FILE or a generator flag")
     if args.infile is not None:
         try:
@@ -460,10 +463,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         pair1, pair2 = _parse_pair(args.pair1), _parse_pair(args.pair2)
         doc = None
         if pair1 is not None and pair2 is not None:
-            given = [flag for flag, value in (
-                ("--in", args.infile), ("--tau-boundary", args.tau_boundary), ("--lantern", args.lantern or None),
-                ("--chain", args.chain), ("--r-ns", args.r_ns or None), ("--baseline", args.baseline or None),
-                ("--word", args.word), ("--word2", args.word2)) if value is not None]
+            given = _given_sources(args) + [flag for flag, value in (
+                ("--baseline", args.baseline or None), ("--word", args.word), ("--word2", args.word2))
+                if value is not None]
             if given:
                 raise UnsupportedInputError(f"--pair and --pair2 take no document; drop {', '.join(given)}")
         elif args.command != "family" and pair1 is None and pair2 is None:

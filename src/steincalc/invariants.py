@@ -42,8 +42,9 @@ relative class never moves, so the arc relations are the columns of
 B S B^T, with S the diagonal of twist signs, built in one pass over the
 twists.  On pages of positive genus ``variations`` moves the 2g handle
 classes and the b - 1 arcs together in one pass over the twists, right
-to left, building each curve object's support and pairing functional
-once.  Torsion is the payload, so nothing
+to left.  Both build each curve's support (and pairing functional) once,
+from the table of distinct curves that every ``Word`` carries, and walk
+its letters.  Torsion is the payload, so nothing
 is done rationally.  The h1 report and q's torsion read only H_1's Smith
 diagonal, which ``smith_diagonal`` gives without transforms; the c1 report
 reduces a class, so ``chern_pd`` alone makes H_1 run a
@@ -93,7 +94,7 @@ def has_exact_form(word: Word) -> bool:
     return (
         word.surface.genus == 0
         and word.is_positive
-        and all(t.curve.hole_set is not None for t in word.twists)
+        and all(c.hole_set is not None for c in word._curves)
     )
 
 
@@ -153,9 +154,6 @@ class SigmaLedger(Value):
         object.__setattr__(self, "baseline_name", baseline_name)
         object.__setattr__(self, "baseline_sigma", baseline_sigma)
         object.__setattr__(self, "records", records)
-
-    def extended(self, record: SubstitutionRecord) -> "SigmaLedger":
-        return SigmaLedger(self.baseline_name, self.baseline_sigma, self.records + (record,))
 
     @property
     def offset(self) -> Optional[int]:
@@ -218,10 +216,9 @@ def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...
     every relative class together: at a twist about c each picks up
     arc_pairing(rel, [c]) copies of [c], while the running relative class
     only sees the image of [c] in relative coordinates (boundary classes
-    die there, so only its A_i/B_i part moves).  Each curve object's
-    nonzero support and pairing functional are built once, in a table
-    keyed by ``id()`` as in ``words._Dependence``, so no curve is hashed:
-    the arc pairing reads rel[i ^ 1] against a handle coordinate i (B_i
+    die there, so only its A_i/B_i part moves).  Each distinct curve of
+    the word's table has its nonzero support and pairing functional built
+    once: the arc pairing reads rel[i ^ 1] against a handle coordinate i (B_i
     against a_i with sign -1, A_i against b_i with sign +1) and rel[j]
     against a boundary coordinate j.  On A_i and B_i this is phi(e) - e
     for e = a_i, b_i; on arcs the boundary multitwist gives
@@ -236,14 +233,13 @@ def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...
     # by coordinates: moving[i] and moved[i] hold coordinate i of every class
     moving = [[rel[i] for rel in rels] for i in range(rank)]
     moved = [[0] * len(rels) for _ in range(rank)]
-    curves: Dict[int, tuple] = {}  # id() of a curve object -> its support and functional
-    for t in reversed(word.twists):
-        curve = curves.get(id(t.curve))
-        if curve is None:
-            support = [(i, x) for i, x in enumerate(t.curve.homology.coords) if x]
-            functional = [(i ^ 1, x if i & 1 else -x) if i < handles else (i, x) for i, x in support]
-            curve = curves[id(t.curve)] = (support, [(i, x) for i, x in support if i < handles], functional)
-        support, handle_support, functional = curve
+    table = []  # per distinct curve: its support, its handle support and its functional
+    for c in word._curves:
+        support = [(i, x) for i, x in enumerate(c.homology.coords) if x]
+        functional = [(i ^ 1, x if i & 1 else -x) if i < handles else (i, x) for i, x in support]
+        table.append((support, [(i, x) for i, x in support if i < handles], functional))
+    for t, k in zip(reversed(word.twists), reversed(word._letters)):
+        support, handle_support, functional = table[k]
         counts = None  # arc_pairing(rel, [c]) of every class; None for a null class
         for i, x in functional:
             counts = [x * y for y in moving[i]] if counts is None else [k + x * y for k, y in zip(counts, moving[i])]
@@ -264,13 +260,14 @@ def _planar_arc_relations(word: Word) -> Matrix:
     arc of relative class rho has relation B S B^T rho, the variation of rho."""
     rank = word.surface.rank
     m = zeros(rank, rank)
-    for t in word.twists:
-        support = [(i, x) for i, x in enumerate(t.curve.homology.coords) if x]
+    supports = [[(i, x) for i, x in enumerate(c.homology.coords) if x] for c in word._curves]
+    for t, k in zip(word.twists, word._letters):
+        support = supports[k]
         for i, x in support:
             row = m[i]
             sx = t.sign * x
-            for k, y in support:
-                row[k] += sx * y
+            for j, y in support:
+                row[j] += sx * y
     return m
 
 

@@ -196,11 +196,7 @@ class Curve(Value):
         if hole_set is not None:
             if surface.genus != 0:
                 raise ValueError(f"curve {name}: hole sets only make sense on planar surfaces")
-            b = surface.boundary_count
-            if hole_set and not (2 <= min(hole_set) and max(hole_set) <= b):
-                bad = [j for j in hole_set if not 2 <= j <= b]
-                raise ValueError(f"curve {name}: hole indices {bad} outside 2..{b}")
-            expected = _hole_set_coords(surface, hole_set, boundary_parallel_to == 1)
+            expected = _hole_set_coords(surface, name, hole_set, boundary_parallel_to == 1)
             if homology.coords != expected:
                 raise ValueError(
                     f"curve {name}: homology {homology.coords} does not match "
@@ -243,7 +239,12 @@ class Curve(Value):
         return not self.homology.is_zero()
 
 
-def _hole_set_coords(surface: Surface, holes: Collection[int], outer: bool) -> Tuple[int, ...]:
+def _hole_set_coords(surface: Surface, name: str, holes: Collection[int], outer: bool) -> Tuple[int, ...]:
+    # the range check comes before any hole indexes a coordinate
+    b = surface.boundary_count
+    if holes and not (2 <= min(holes) and max(holes) <= b):
+        bad = [j for j in holes if not 2 <= j <= b]
+        raise ValueError(f"curve {name}: hole indices {bad} outside 2..{b}")
     coords = [0] * surface.rank
     for j in holes:
         coords[j - 2] = -1 if outer else 1
@@ -269,7 +270,7 @@ def convex_curve(
         boundary_parallel_to = 1
     return Curve(
         name=name,
-        homology=HomologyClass(surface, _hole_set_coords(surface, hole_set, outer)),
+        homology=HomologyClass(surface, _hole_set_coords(surface, name, hole_set, outer)),
         hole_set=hole_set,
         rotation=rotation,
         boundary_parallel_to=boundary_parallel_to,

@@ -6,7 +6,9 @@ engine certifies is the commutation of twists about disjoint curves, so
 searches here are sound but deliberately incomplete; a failed search means
 "unknown", never "no".  Containment asks for the target's twists to appear
 in order after certified commutations; substitution additionally needs the
-matched block to become contiguous.  Each search tabulates certified
+matched block to become contiguous.  A ``Word`` indexes its distinct curve
+objects once, when it is built, and every per-curve pass (here and in
+``invariants``) reads that table.  Each search tabulates certified
 commutation once per distinct curve of the word, as the set of positions
 that curve blocks, from per-hole position bitsets (the rules of
 ``surfaces.curves_commute``, decided on integers), closes that relation
@@ -53,20 +55,26 @@ class Twist(Value):
         if sign not in (1, -1):
             raise ValueError(f"twist sign must be +1 or -1, got {sign}")
 
-    def inverse(self) -> "Twist":
-        return Twist(self.curve, -self.sign)
-
 
 class Word(Value):
-    """An ordered sequence of twists on one surface, applied right to left."""
+    """An ordered sequence of twists on one surface, applied right to left.
 
-    __slots__ = ("surface", "twists")
+    ``_curves`` caches the distinct curve objects of the twists in order of
+    first occurrence, told apart by identity so that no curve is hashed
+    (equal but distinct objects keep separate entries), and ``_letters``
+    the index into it of each position's curve.
+    """
+
+    __slots__ = ("surface", "twists", "_curves", "_letters")
 
     def __init__(self, surface: Surface, twists: Tuple[Twist, ...]):
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "twists", twists)
-        # each distinct curve object once, in order of first occurrence
-        for curve in {id(t.curve): t.curve for t in twists}.values():
+        first = {id(t.curve): t.curve for t in twists}
+        index = dict(zip(first, range(len(first))))
+        object.__setattr__(self, "_curves", tuple(first.values()))
+        object.__setattr__(self, "_letters", tuple([index[id(t.curve)] for t in twists]))
+        for curve in self._curves:
             if curve.surface != surface:
                 raise RankMismatchError(f"twist about {curve.name} lives on {curve.surface}, not {surface}")
 
@@ -85,9 +93,6 @@ class Word(Value):
     def action_matrix(self) -> Tuple[Tuple[int, ...], ...]:
         """Columns of the induced map on the homology basis."""
         return tuple(self.action_on(e).coords for e in self.surface.basis_classes())
-
-    def inverse(self) -> "Word":
-        return Word(self.surface, tuple(t.inverse() for t in reversed(self.twists)))
 
 
 def word_of(surface: Surface, curves: Sequence[Curve], signs: Optional[Sequence[int]] = None) -> Word:
@@ -125,8 +130,9 @@ def _bits(mask: int) -> Iterator[int]:
 class _Dependence:
     """Certified commutation among the occurrences of one word, as bitsets.
 
-    The relation is tabulated per distinct curve of the word (equal curves
-    share one id), with the declared pairs indexed by curve name once.
+    The relation is tabulated per distinct curve of the word (the word's
+    curve table with equal objects merged into one id), with the declared
+    pairs indexed by curve name once.
     ``inside[h]`` holds the positions whose curve encloses hole h.  A curve
     with hole set m blocks the positions whose hole set meets m (an OR of
     ``inside[h]`` over h in m), does not contain m (outside their AND) and
@@ -148,15 +154,10 @@ class _Dependence:
     """
 
     def __init__(self, w: Word, declared: Collection[NamePair]):
-        # each curve object is hashed once; equal objects meet in ``index``
-        ids: Dict[int, int] = {}  # id() of a curve object -> curve id
+        # each curve object of the word is hashed once; equal objects meet in ``index``
         index: Dict[Curve, int] = {}  # curve -> curve id
-        letters = []  # curve id at each position
-        for t in w.twists:
-            k = ids.get(id(t.curve))
-            if k is None:
-                k = ids[id(t.curve)] = index.setdefault(t.curve, len(index))
-            letters.append(k)
+        merged = [index.setdefault(c, len(index)) for c in w._curves]
+        letters = [merged[k] for k in w._letters]  # curve id at each position
         curves = list(index)
         spots = [0] * len(curves)  # curve id -> bitset of its positions
         for i, k in enumerate(letters):
@@ -518,23 +519,17 @@ class Relator(Value):
         )
 
     def curves(self) -> Tuple[Curve, ...]:
-        seen: List[Curve] = []
-        for side in (self.left, self.right):
-            if side is None:
-                continue
-            for t in side.twists:
-                if t.curve not in seen:
-                    seen.append(t.curve)
-        return tuple(seen)
+        """The distinct curves of both sides, in order of first occurrence."""
+        if self.left is None:
+            return ()
+        return tuple(dict.fromkeys(self.left._curves + self.right._curves))
 
 
 def computed_allowable(r: Relator) -> Optional[bool]:
     """All twists about homologically non-trivial curves; None without both sides."""
     if r.right is None:
         return None
-    # a word repeats its curve objects, so each is tested once
-    distinct = {id(t.curve): t.curve for side in (r.left, r.right) for t in side.twists}
-    return all(c.is_allowable for c in distinct.values())
+    return all(c.is_allowable for side in (r.left, r.right) for c in side._curves)
 
 
 class SubstitutionRecord(Value):

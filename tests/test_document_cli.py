@@ -409,8 +409,8 @@ class TestParse:
                  "boundary_parallel_to: 1 and holes [2..b]"),
                 ({"name": "x", "holes": [0]}, "curves[4]", "curve x: hole indices [0] outside 2..4"),
                 ({"name": "x", "holes": [0, -1]}, "curves[4]", "curve x: hole indices [0, -1] outside 2..4"),
-                ({"name": "x", "holes": [2, 5]}, "curves[4]", "list assignment index out of range"),
-                ({"name": "x", "holes": [3, 0, -2]}, "curves[4]", "list assignment index out of range"),
+                ({"name": "x", "holes": [2, 5]}, "curves[4]", "curve x: hole indices [5] outside 2..4"),
+                ({"name": "x", "holes": [3, 0, -2]}, "curves[4]", "curve x: hole indices [0, -2] outside 2..4"),
                 ({"name": "x", "holes": [2], "boundary_parallel_to": 1}, "curves[4]",
                  "curve x: an outer-parallel curve encloses every hole"),
                 ({"name": "x", "holes": [2], "boundary_parallel_to": 3}, "curves[4]",

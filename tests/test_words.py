@@ -1,8 +1,10 @@
 """Word calculus: composition, reduction, certified moves, containment,
 substitution, and the relator checks."""
 
+import copy
 import hashlib
 import heapq
+import pickle
 import random
 import time
 from collections import deque
@@ -463,6 +465,34 @@ class TestTabulatedRelation:
         relator = Relator("r", target, target, euler_delta=0, sigma_delta=1, allowable=True)
         entry = RelatorEntry(relator=relator, obstruction=1)
         assert [c.verdict for c in planarity.detect_relator(w, [entry, entry])] == [planarity.NON_PLANAR] * 2
+
+
+class TestCurveTable:
+    """``Word`` indexes its distinct curve objects once; the per-curve
+    passes of ``words`` and ``invariants`` read that table."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mixed_word())
+    def test_table_reproduces_the_word(self, w):
+        for word in (w, copy.copy(w), pickle.loads(pickle.dumps(w))):
+            curves, letters = word._curves, word._letters
+            first = []  # the curve objects in order of first occurrence, told apart by identity
+            for t in word.twists:
+                if all(c is not t.curve for c in first):
+                    first.append(t.curve)
+            assert len(curves) == len(first) and all(a is b for a, b in zip(curves, first))
+            assert len(letters) == len(word.twists)
+            assert all(curves[k] is t.curve for k, t in zip(letters, word.twists))
+            assert letters == w._letters
+        # Relator.curves: the equal curves of both sides once, in order of first occurrence
+        half = len(w) // 2
+        relator = Relator("r", Word(w.surface, w.twists[:half]), Word(w.surface, w.twists[half:]))
+        seen = []
+        for t in w.twists:
+            if t.curve not in seen:
+                seen.append(t.curve)
+        found = relator.curves()
+        assert len(found) == len(seen) and all(a is b for a, b in zip(found, seen))
 
 
 def _pinned_case(seed):
