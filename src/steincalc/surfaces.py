@@ -175,8 +175,8 @@ class Curve(Value):
     outer boundary).
     """
 
-    # _hash caches the field tuple's hash, set by the first __hash__: curves
-    # key the search's tables
+    # _hash caches the field tuple's hash, set by the first __hash__ (the
+    # word search hashes no curve; dicts and sets of curves elsewhere do)
     __slots__ = ("name", "homology", "hole_set", "rotation", "boundary_parallel_to", "_hash")
 
     def __init__(
@@ -187,13 +187,8 @@ class Curve(Value):
         rotation: Optional[int] = None,
         boundary_parallel_to: Optional[int] = None,
     ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "homology", homology)
-        object.__setattr__(self, "hole_set", hole_set)
-        object.__setattr__(self, "rotation", rotation)
-        object.__setattr__(self, "boundary_parallel_to", boundary_parallel_to)
-        surface = homology.surface
         if hole_set is not None:
+            surface = homology.surface
             if surface.genus != 0:
                 raise ValueError(f"curve {name}: hole sets only make sense on planar surfaces")
             expected = _hole_set_coords(surface, name, hole_set, boundary_parallel_to == 1)
@@ -202,6 +197,24 @@ class Curve(Value):
                     f"curve {name}: homology {homology.coords} does not match "
                     f"hole set {sorted(hole_set)} (expected {expected})"
                 )
+        self._settle(name, homology, hole_set, rotation, boundary_parallel_to)
+
+    def _settle(
+        self,
+        name: str,
+        homology: HomologyClass,
+        hole_set: Optional[FrozenSet[int]],
+        rotation: Optional[int],
+        boundary_parallel_to: Optional[int],
+    ) -> None:
+        """Set the fields and check the boundary flag against them; the
+        class already agrees with the hole set."""
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "homology", homology)
+        object.__setattr__(self, "hole_set", hole_set)
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "boundary_parallel_to", boundary_parallel_to)
+        surface = homology.surface
         if boundary_parallel_to is not None:
             b = surface.boundary_count
             if not 1 <= boundary_parallel_to <= b:
@@ -268,13 +281,14 @@ def convex_curve(
     hole_set = frozenset(holes)
     if outer:
         boundary_parallel_to = 1
-    return Curve(
-        name=name,
-        homology=HomologyClass(surface, _hole_set_coords(surface, name, hole_set, outer)),
-        hole_set=hole_set,
-        rotation=rotation,
-        boundary_parallel_to=boundary_parallel_to,
-    )
+    homology = HomologyClass(surface, _hole_set_coords(surface, name, hole_set, outer))
+    if surface.genus != 0 or boundary_parallel_to == 1 and not outer:
+        # a class that may not fit the hole set: ``Curve`` compares them
+        return Curve(name, homology, hole_set, rotation, boundary_parallel_to)
+    # ``Curve`` would rebuild this class from the hole set only to find it equal
+    curve = object.__new__(Curve)
+    curve._settle(name, homology, hole_set, rotation, boundary_parallel_to)
+    return curve
 
 
 def twist_action(curve: Curve, x: HomologyClass, sign: int = 1) -> HomologyClass:

@@ -8,14 +8,17 @@ searches here are sound but deliberately incomplete; a failed search means
 in order after certified commutations; substitution additionally needs the
 matched block to become contiguous.  A ``Word`` indexes its distinct curve
 objects once, when it is built, and every per-curve pass (here and in
-``invariants``) reads that table.  Each search tabulates certified
-commutation once per distinct curve of the word, as the set of positions
-that curve blocks, from per-hole position bitsets (the rules of
-``surfaces.curves_commute``, decided on integers), closes that relation
-only from the target's first candidate position rightwards, matches
-identical target letters left to right, and answers "unknown" when its
-fixed node budget runs out.  A witness reorders only the window of
-positions that the target's backward constraints span.
+``invariants``) reads that table.  Each search merges equal curves of that
+table by name, so it hashes no curve, and looks its target's letters and
+its declared pairs' names up there.  Once every target letter has a
+candidate position, it tabulates certified commutation once per distinct
+curve of the word, as the set of positions that curve blocks, from
+per-hole position bitsets (the rules of ``surfaces.curves_commute``,
+decided on integers), closes that relation only between the target's
+first and last candidate positions, matches identical target letters left
+to right, and answers "unknown" when its fixed node budget runs out.  A
+witness reorders only the window of positions that the target's backward
+constraints span.
 
 A relator is a pair of positive words (left, right) naming the same mapping
 class.  ``verify_relator`` checks the necessary conditions that are
@@ -27,6 +30,7 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -42,6 +46,8 @@ from .surfaces import Curve, HomologyClass, NamePair, Surface, twist_action
 # and answers "unknown"; it bounds the search on words with many identical
 # letters.
 _SEARCH_NODES = 100_000
+
+_sign = attrgetter("sign")
 
 
 class Twist(Value):
@@ -83,7 +89,7 @@ class Word(Value):
 
     @property
     def is_positive(self) -> bool:
-        return all(t.sign == 1 for t in self.twists)
+        return -1 not in map(_sign, self.twists)
 
     def action_on(self, x: HomologyClass) -> HomologyClass:
         for t in reversed(self.twists):
@@ -130,95 +136,136 @@ def _bits(mask: int) -> Iterator[int]:
 class _Dependence:
     """Certified commutation among the occurrences of one word, as bitsets.
 
-    The relation is tabulated per distinct curve of the word (the word's
-    curve table with equal objects merged into one id), with the declared
-    pairs indexed by curve name once.
-    ``inside[h]`` holds the positions whose curve encloses hole h.  A curve
-    with hole set m blocks the positions whose hole set meets m (an OR of
-    ``inside[h]`` over h in m), does not contain m (outside their AND) and
-    does not lie inside m (an OR over h not in m): the hole sets neither
-    nested with m nor disjoint from it, the rule of ``curves_commute``.
-    Curves without a hole set block, and are blocked by, every position.
-    Declared partners and a curve's own positions are never blocked.  A
-    build thus costs O(D·b) bitset operations for D distinct curves and b
-    holes; no pair of curves is compared.
+    The relation's curve table is the word's, with equal objects merged by
+    ``==`` within each name (curves with different names are never equal),
+    so no curve is hashed: ``names`` maps a name to the ids of its distinct
+    curves, and ``spots[k]`` holds the positions of curve id k.  The table
+    finds the target's letters (``find``) and the declared pairs' partners,
+    reading only the names they carry.
+    The relation itself is tabulated per distinct curve on the first read
+    of ``dep``, which a search makes only once every target letter has a
+    candidate.  ``inside[h]`` holds the positions whose curve encloses hole
+    h.  A curve with hole set m blocks the positions whose hole set meets m
+    (an OR of ``inside[h]`` over h in m), does not contain m (outside their
+    AND) and does not lie inside m (an OR over h not in m): the hole sets
+    neither nested with m nor disjoint from it, the rule of
+    ``curves_commute``.  Curves without a hole set block, and are blocked
+    by, every position.  Declared partners and a curve's own positions are
+    never blocked.  A tabulation thus costs O(D·b) bitset operations for D
+    distinct curves and b holes; no pair of curves is compared.
     Bit j of ``dep[i]`` is set when the twists at positions i and j are not
-    certified to commute.  ``reach[i]`` holds the positions j > i that some
-    chain of dependent occurrences forces to stay after position i, and
-    ``cover[i]`` is a subset of the later dependent positions of i whose
-    chains already force all of ``reach[i]``.  Both read only later
-    positions, so ``fill`` builds them right to left and stops at the
-    smallest position a search needs (the target's first candidate); a
-    later search on the same relation extends the fill and recomputes
-    nothing.  Below ``low`` both hold None.
+    certified to commute.  ``reach[i]`` holds the positions j in (i, high]
+    that some chain of dependent occurrences forces to stay after position
+    i, and ``cover[i]`` is a subset of the later dependent positions of i up
+    to ``high`` whose chains already force all of ``reach[i]``.  A chain
+    ending at or before ``high`` never passes it, so these are the full
+    closure cut at ``high``.  ``fill`` builds them right to left between the
+    first and the last position a search reads (its target's first and last
+    candidates); a later search on the same relation extends the fill to
+    the left, and refills when it reads past ``high``.  Outside
+    [``low``, ``high``] both hold None.
     """
 
     def __init__(self, w: Word, declared: Collection[NamePair]):
-        # each curve object of the word is hashed once; equal objects meet in ``index``
-        index: Dict[Curve, int] = {}  # curve -> curve id
-        merged = [index.setdefault(c, len(index)) for c in w._curves]
-        letters = [merged[k] for k in w._letters]  # curve id at each position
-        curves = list(index)
-        spots = [0] * len(curves)  # curve id -> bitset of its positions
-        for i, k in enumerate(letters):
-            spots[k] |= 1 << i
-        self.at: Dict[Curve, int] = dict(zip(curves, spots))
-
-        named: Dict[str, int] = {}  # name -> bitset of the curve ids carrying it
-        for k, c in enumerate(curves):
-            named[c.name] = named.get(c.name, 0) | 1 << k
-        partners = [0] * len(curves)  # curve id -> ids of curves declared disjoint from it
-        for pair in declared:
-            if len(pair) in (1, 2):  # a one-name pair covers two curves sharing a name
-                x, y = min(pair), max(pair)
-                if x in named and y in named:
-                    for k in _bits(named[x]):
-                        partners[k] |= named[y]
-                    for k in _bits(named[y]):
-                        partners[k] |= named[x]
-
+        self.declared = declared
+        self.names: Dict[str, List[int]] = {}  # name -> ids of the distinct curves carrying it
+        self.curves: List[Curve] = []  # curve id -> curve
+        merged = []  # index into ``w._curves`` -> curve id
+        for c in w._curves:
+            ids = self.names.setdefault(c.name, [])
+            for k in ids:
+                if self.curves[k] == c:
+                    break
+            else:
+                k = len(self.curves)
+                ids.append(k)
+                self.curves.append(c)
+            merged.append(k)
+        # ids are handed out in order of first occurrence, so without a merge
+        # they are the word's own indices
+        self.letters = w._letters if len(merged) == len(self.curves) else [merged[k] for k in w._letters]
+        self.spots = [0] * len(self.curves)  # curve id -> bitset of its positions
+        for i, k in enumerate(self.letters):
+            self.spots[k] |= 1 << i
         n = len(w)
+        self._dep: Optional[List[int]] = None
+        # None until ``fill`` reaches the position: read as 0, an unfilled
+        # entry would let ``_embeddings`` accept an unsound embedding
+        self.reach: List[Optional[int]] = [None] * n
+        self.cover: List[Optional[List[int]]] = [None] * n
+        self.low, self.high = n, -1  # ``reach`` and ``cover`` hold at positions low..high
+
+    def find(self, c: Curve) -> int:
+        """The id of the word's curve equal to c, or -1 when c is absent."""
+        for k in self.names.get(c.name, ()):
+            if self.curves[k] == c:
+                return k
+        return -1
+
+    @property
+    def dep(self) -> List[int]:
+        if self._dep is None:
+            self._dep = self._tabulate()
+        return self._dep
+
+    def _tabulate(self) -> List[int]:
+        """``dep``, from the per-curve bitsets."""
+        curves, names, spots = self.curves, self.names, self.spots
+        partners = [0] * len(curves)  # curve id -> positions of the curves declared disjoint from it
+        for pair in self.declared:
+            # a one-name pair covers two curves sharing a name
+            if len(pair) in (1, 2) and pair <= names.keys():
+                x, y = min(pair), max(pair)
+                for k in names[x]:
+                    for j in names[y]:
+                        partners[k] |= spots[j]
+                        partners[j] |= spots[k]
+
         inside: Dict[int, int] = {}  # hole -> positions whose curve encloses it
         loose = 0  # positions of the curves without a hole set
-        for k, c in enumerate(curves):
+        for c, here in zip(curves, spots):
             if c.hole_set is None:
-                loose |= spots[k]
+                loose |= here
             else:
                 for h in c.hole_set:
-                    inside[h] = inside.get(h, 0) | spots[k]
-        everywhere = (1 << n) - 1
+                    inside[h] = inside.get(h, 0) | here
+        holes = list(inside.items())
+        everywhere = (1 << len(self.letters)) - 1
         blocked = []  # curve id -> positions not certified to commute with it
-        for k, c in enumerate(curves):
-            if c.hole_set is None:
+        for c, here, partner in zip(curves, spots, partners):
+            m = c.hole_set
+            if m is None:
                 ban = everywhere
             else:
                 # hole sets meeting this one, not containing it, not inside it
                 over = out = 0
                 sup = everywhere
-                for h, there in inside.items():
-                    if h in c.hole_set:
+                for h, there in holes:
+                    if h in m:
                         over |= there
                         sup &= there
                     else:
                         out |= there
                 ban = over & ~sup & out | loose
-            for j in _bits(partners[k]):
-                ban &= ~spots[j]
-            blocked.append(ban & ~spots[k])
-        self.dep = [blocked[k] for k in letters]
-        # None until ``fill`` reaches the position: read as 0, an unfilled
-        # entry would let ``_embeddings`` accept an unsound embedding
-        self.reach: List[Optional[int]] = [None] * n
-        self.cover: List[Optional[List[int]]] = [None] * n
-        self.low = n  # ``reach`` and ``cover`` hold at positions >= low
+            blocked.append(ban & ~(partner | here))
+        return [blocked[k] for k in self.letters]
 
-    def fill(self, p: int) -> None:
-        """Extend ``reach`` and ``cover`` right to left down to position p."""
+    def fill(self, p: int, q: Optional[int] = None) -> None:
+        """Fill ``reach`` and ``cover`` right to left at positions p..q, cut
+        at q (at the word's end when q is None)."""
         dep, reach, cover = self.dep, self.reach, self.cover
-        for i in range(self.low - 1, p - 1, -1):
+        if q is None:
+            q = len(reach) - 1
+        stop = min(p, self.low)
+        if q > self.high:  # entries cut at the old right end miss chains past it: refill them
+            start = self.high = q
+        else:
+            start = self.low - 1
+        keep = (2 << self.high) - 1  # positions up to the right end
+        for i in range(start, stop - 1, -1):
             # a later dependent position already in ``acc`` is forced after
             # i through an earlier one, and so is everything it forces
-            todo = dep[i] >> (i + 1) << (i + 1)
+            todo = (dep[i] & keep) >> (i + 1) << (i + 1)
             acc = 0
             ks = cover[i] = []
             while todo:
@@ -228,7 +275,7 @@ class _Dependence:
                 acc |= bit | reach[k]
                 todo &= ~acc
             reach[i] = acc
-        self.low = min(self.low, p)
+        self.low = stop
 
 
 # The one dataclass of the package: the benchmark's checks build tampered
@@ -248,14 +295,27 @@ class ContainmentWitness:
     final_positions: Tuple[int, ...]
 
 
-def _match_candidates(w: Word, target: Word, rel: _Dependence) -> Optional[List[List[int]]]:
-    candidates = []
+def _match_candidates(w: Word, target: Word, rel: _Dependence) -> Optional[Tuple[List[List[int]], List[int]]]:
+    """Each target letter's positions in w, and the index of the previous
+    identical target letter (or -1); None when some letter has no position.
+    Letters are told apart by their id in ``rel``'s curve table and their
+    sign, so no curve is hashed."""
+    candidates: List[List[int]] = []
+    twin: List[int] = []
+    last: Dict[Tuple[int, int], int] = {}  # (curve id, sign) -> its latest target index
     for t in target.twists:
-        slots = [i for i in _bits(rel.at.get(t.curve, 0)) if w.twists[i].sign == t.sign]
+        c = rel.find(t.curve)
+        if c < 0:
+            return None
+        key = (c, t.sign)
+        prev = last.get(key, -1)
+        slots = candidates[prev] if prev >= 0 else [i for i in _bits(rel.spots[c]) if w.twists[i].sign == t.sign]
         if not slots:
             return None
+        last[key] = len(twin)
+        twin.append(prev)
         candidates.append(slots)
-    return candidates
+    return candidates, twin
 
 
 def _embeddings(w: Word, target: Word, rel: _Dependence) -> Iterator[Tuple[int, ...]]:
@@ -272,16 +332,12 @@ def _embeddings(w: Word, target: Word, rel: _Dependence) -> Iterator[Tuple[int, 
     identical successors.  After ``_SEARCH_NODES`` tested positions the
     search stops, which its callers report as "unknown".
     """
-    candidates = _match_candidates(w, target, rel)
-    if candidates is None:
+    found = _match_candidates(w, target, rel)
+    if found is None:
         return
-    rel.fill(min(slots[0] for slots in candidates))
+    candidates, twin = found
+    rel.fill(min(slots[0] for slots in candidates), max(slots[-1] for slots in candidates))
     m = len(target.twists)
-    twin: List[int] = []  # index of the previous identical target letter, or -1
-    last: Dict[Twist, int] = {}
-    for k, t in enumerate(target.twists):
-        twin.append(last.get(t, -1))
-        last[t] = k
     left_after = [0] * m  # identical target letters still to place after k
     for k in range(m - 1, -1, -1):
         if twin[k] >= 0:
@@ -326,16 +382,17 @@ def _linearize(
     new sequence and ``swaps`` are the adjacent transpositions realizing it,
     or None when contiguity is blocked by a wedged occurrence.  ``order`` is
     the least topological order of the forced precedences, found by a
-    min-heap; ``rel`` must be filled down to min(selected).  Only a backward
-    edge a -> b (a > b) moves anything: positions below the smallest b, and
-    above the largest a, have no backward edge into or out of them, so they
-    keep their place, no path between two positions of the window [b, a]
-    leaves it, and the heap runs over the window alone.  The swaps are those
-    of a bubble sort by rank in ``order``, read off the placement: when the
-    heap places x, the earlier positions still pending are the ones x
-    passes, ``passed[x]`` of them.  Such a sort moves x one place left in
-    each of its first ``passed[x]`` passes and in no other, so pass p swaps
-    at x - p for every x with ``passed[x] >= p``, in increasing x.
+    min-heap; ``rel`` must be filled from min(selected) to max(selected).
+    Only a backward edge a -> b (a > b) moves anything: positions below the
+    smallest b, and above the largest a, have no backward edge into or out
+    of them, so they keep their place, no path between two positions of the
+    window [b, a] leaves it, and the heap runs over the window alone.  The
+    swaps are those of a bubble sort by rank in ``order``, read off the
+    placement: when the heap places x, the earlier positions still pending
+    are the ones x passes, ``passed[x]`` of them.  Such a sort moves x one
+    place left in each of its first ``passed[x]`` passes and in no other, so
+    pass p swaps at x - p for every x with ``passed[x] >= p``, in increasing
+    x.
     """
     dep, reach, cover = rel.dep, rel.reach, rel.cover
     n = len(dep)
@@ -369,17 +426,20 @@ def _linearize(
 
     # The min-heap order depends only on the transitive closure of the
     # successor relation, and ``cover`` has the same closure as the full
-    # dependency relation, so it stands in for it.  The successor sets are
-    # built only once no occurrence is wedged.
-    succ = {i: set(cover[i][:bisect_right(cover[i], hi)]) for i in range(lo, hi + 1)}
+    # dependency relation, so it stands in for it.  The successor lists,
+    # indexed by position and empty below the window, are built only once
+    # no occurrence is wedged; an edge may repeat one of ``cover``, and
+    # ``indegree`` counts it each time, so a position still reaches 0
+    # exactly once.
+    succ = [()] * lo + [cover[i][:bisect_right(cover[i], hi)] for i in range(lo, hi + 1)]
     for a, b in edges:
         if lo <= a and b <= hi:  # both ends in the window
-            succ[a].add(b)
-    indegree = dict.fromkeys(succ, 0)
-    for ks in succ.values():
+            succ[a].append(b)
+    indegree = [0] * (hi + 1)
+    for ks in succ[lo:]:
         for j in ks:
             indegree[j] += 1
-    heap = [i for i, d in indegree.items() if d == 0]
+    heap = [i for i in range(lo, hi + 1) if not indegree[i]]
     heapq.heapify(heap)
     window: List[int] = []
     pending = (1 << (hi + 1)) - (1 << lo)  # window positions not yet placed
@@ -398,7 +458,7 @@ def _linearize(
             indegree[j] -= 1
             if indegree[j] == 0:
                 heapq.heappush(heap, j)
-    if len(window) != len(succ):
+    if len(window) != hi + 1 - lo:
         return None  # cycle: the required order is not reachable
 
     order = list(range(lo)) + window + list(range(hi + 1, n))
@@ -406,7 +466,7 @@ def _linearize(
     movers = sorted(passed)
     p = 1
     while movers:
-        swaps.extend(x - p for x in movers)
+        swaps.extend(map(p.__rsub__, movers))
         p += 1
         movers = [x for x in movers if passed[x] >= p]
     return order, swaps
@@ -589,7 +649,7 @@ def substitute(
                 raise NotApplicableError(f"position {p} does not carry the twist {t.curve.name}")
     rel = _Dependence(w, declared)
     if positions is not None:
-        rel.fill(min(positions))
+        rel.fill(min(positions), max(positions))
     chosen = [tuple(positions)] if positions is not None else _embeddings(w, relator.left, rel)
 
     for pos in chosen:

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from steincalc import surfaces
 from steincalc.errors import RankMismatchError
 from steincalc.surfaces import (
     Curve,
@@ -139,6 +140,29 @@ class TestConvexCurves:
         s = Surface(0, 3)
         with pytest.raises(ValueError):
             Curve("c", s.d_class(2), hole_set=frozenset({3}))
+
+    def test_class_is_built_once_and_checked_where_it_may_not_fit(self, monkeypatch):
+        s = Surface(0, 5)
+        built = []
+        real = surfaces._hole_set_coords
+        monkeypatch.setattr(surfaces, "_hole_set_coords", lambda *args: built.append(args[2]) or real(*args))
+        assert convex_curve(s, "c", {2, 4}).homology.coords == (1, 0, 1, 0)
+        assert convex_curve(s, "o", {2, 3, 4, 5}, outer=True).homology.coords == (-1, -1, -1, -1)
+        assert built == [frozenset({2, 4}), frozenset({2, 3, 4, 5})]
+        # a class that disagrees with the hole set still raises, named by the check
+        with pytest.raises(ValueError, match=r"^curve c: homology \(1, 0, 0, 0\) does not match hole set \[3\] "
+                                             r"\(expected \(0, 1, 0, 0\)\)$"):
+            Curve("c", s.d_class(2), hole_set=frozenset({3}))
+        # flagged parallel to boundary 1 without outer=True: the indicator class is not the outer one
+        with pytest.raises(ValueError, match=r"^curve o: homology \(1, 1, 1, 1\) does not match"):
+            convex_curve(s, "o", {2, 3, 4, 5}, boundary_parallel_to=1)
+        # the range check runs before any hole indexes a coordinate
+        built.clear()
+        with pytest.raises(ValueError, match=r"^curve c: hole indices \[6\] outside 2..5$"):
+            convex_curve(s, "c", {2, 6})
+        assert built == [frozenset({2, 6})]
+        with pytest.raises(ValueError, match="^curve c: hole sets only make sense on planar surfaces$"):
+            convex_curve(Surface(1, 3), "c", {2})
 
     def test_empty_and_full_hole_sets_allowed(self):
         s = Surface(0, 3)

@@ -317,6 +317,17 @@ _POOL = [
 ]
 
 
+# Two unequal curves that share the name x, with a curve overlapping both,
+# one nested in both and an equal copy of the first.
+_TWINS = [
+    convex_curve(_SPHERE5, "x", {2, 3}),
+    convex_curve(_SPHERE5, "x", {3, 4}),
+    _POOL[4],
+    _POOL[1],
+    convex_curve(_SPHERE5, "x", {2, 3}),
+]
+
+
 def _reachable_orders(w, declared):
     """Every order of w's positions reachable by certified adjacent swaps."""
     n = len(w)
@@ -360,32 +371,50 @@ class TestSearchExactness:
         st.lists(st.tuples(st.sampled_from(_POOL), st.sampled_from(_POOL)), max_size=1),
     )
     def test_search_matches_brute_force(self, letters, target_letters, facts):
-        w, target = word_of(_SPHERE5, letters), word_of(_SPHERE5, target_letters)
         declared = {declared_pair(a.name, b.name) for a, b in facts}
-        m = len(target)
-        orders = [[letters[i] for i in seq] for seq in _reachable_orders(w, declared)]
+        _check_against_brute_force(_SPHERE5, letters, target_letters, declared)
 
-        witness = contains(w, target, declared)
-        assert (witness is not None) == any(_has_subsequence(o, target_letters) for o in orders)
-        if witness is not None:
-            seq = _replay(w, witness.swaps, declared)
-            assert list(witness.final_positions) == sorted(set(witness.final_positions))
-            for k, (p, f) in enumerate(zip(witness.positions, witness.final_positions)):
-                assert seq[f] == p and letters[p] == target_letters[k]
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.sampled_from(_TWINS), max_size=7),
+        st.lists(st.sampled_from(_TWINS), min_size=1, max_size=4),
+        st.booleans(),
+    )
+    def test_one_name_pair_matches_brute_force(self, letters, target_letters, one_name):
+        # two unequal curves named x overlap without nesting: only the
+        # one-name pair {x} certifies that they commute
+        declared = {frozenset({"x"})} if one_name else set()
+        _check_against_brute_force(_SPHERE5, letters, target_letters, declared)
 
-        contiguous = any(o[i : i + m] == target_letters for o in orders for i in range(len(o) - m + 1))
-        same = Relator("same", target, target, euler_delta=0, sigma_delta=0)
-        try:
-            new_w, record = substitute(w, same, declared)
-        except NotApplicableError:
-            assert not contiguous
-            return
-        assert contiguous
-        seq = _replay(w, record.swaps, declared)
-        start = seq.index(record.positions[0])
-        assert seq[start : start + m] == list(record.positions)
-        assert [letters[p] for p in record.positions] == target_letters
-        assert new_w == Word(_SPHERE5, tuple(w.twists[i] for i in seq))
+
+def _check_against_brute_force(surface, letters, target_letters, declared):
+    """``contains`` and ``substitute`` answer as the search over every
+    reachable order does, and their witnesses replay."""
+    w, target = word_of(surface, letters), word_of(surface, target_letters)
+    m = len(target)
+    orders = [[letters[i] for i in seq] for seq in _reachable_orders(w, declared)]
+
+    witness = contains(w, target, declared)
+    assert (witness is not None) == any(_has_subsequence(o, target_letters) for o in orders)
+    if witness is not None:
+        seq = _replay(w, witness.swaps, declared)
+        assert list(witness.final_positions) == sorted(set(witness.final_positions))
+        for k, (p, f) in enumerate(zip(witness.positions, witness.final_positions)):
+            assert seq[f] == p and letters[p] == target_letters[k]
+
+    contiguous = any(o[i : i + m] == target_letters for o in orders for i in range(len(o) - m + 1))
+    same = Relator("same", target, target, euler_delta=0, sigma_delta=0)
+    try:
+        new_w, record = substitute(w, same, declared)
+    except NotApplicableError:
+        assert not contiguous
+        return
+    assert contiguous
+    seq = _replay(w, record.swaps, declared)
+    start = seq.index(record.positions[0])
+    assert seq[start : start + m] == list(record.positions)
+    assert [letters[p] for p in record.positions] == target_letters
+    assert new_w == Word(surface, tuple(w.twists[i] for i in seq))
 
 
 _NAMES = ("p", "q", "r", "s")  # few names, so distinct curves share them
@@ -465,6 +494,56 @@ class TestTabulatedRelation:
         relator = Relator("r", target, target, euler_delta=0, sigma_delta=1, allowable=True)
         entry = RelatorEntry(relator=relator, obstruction=1)
         assert [c.verdict for c in planarity.detect_relator(w, [entry, entry])] == [planarity.NON_PLANAR] * 2
+
+
+class TestNameKeyedTable:
+    """The search's curve table is keyed by name, so no curve is hashed,
+    and a target with an absent letter tabulates nothing."""
+
+    def test_search_hashes_no_curve(self, monkeypatch):
+        w, target, declared = _pinned_case(27)  # 317 twists, five target letters
+        assert len(w) == 317
+        same = Relator("same", target, target, euler_delta=0, sigma_delta=0)
+        entry = RelatorEntry(relator=Relator("r", target, target, euler_delta=0, sigma_delta=1, allowable=True),
+                             obstruction=1, disjoint=frozenset(declared))
+        bounding = planarity.BoundingDeclaration(1, 2, w._curves[:2])
+        hashed = []
+        real = Curve.__hash__
+
+        def counting(curve):
+            hashed.append(curve.name)
+            return real(curve)
+
+        monkeypatch.setattr(Curve, "__hash__", counting)
+        assert contains(w, target, declared) is not None
+        assert substitute(w, same, declared)[1].positions
+        assert [c.verdict for c in planarity.detect_relator(w, [entry, entry])] == [planarity.NON_PLANAR] * 2
+        assert planarity.detect_bounding(w, bounding).verdict == planarity.NON_PLANAR
+        assert hashed == []
+
+    def test_absent_letter_tabulates_nothing(self, monkeypatch):
+        s = Surface(0, 5)
+        a, b = convex_curve(s, "a", {2, 3}), convex_curve(s, "b", {3, 4})
+        w = word_of(s, [a, b, a, b])
+        tabulated = []
+        real = _Dependence._tabulate
+        monkeypatch.setattr(_Dependence, "_tabulate", lambda rel: tabulated.append(rel) or real(rel))
+        for absent in (
+            convex_curve(s, "z", {2, 3}),  # a's hole set under another name
+            convex_curve(s, "a", {2, 4}),  # a's name on another hole set
+        ):
+            target = word_of(s, [a, absent])
+            assert contains(w, target) is None
+            with pytest.raises(NotApplicableError):
+                substitute(w, Relator("r", target, target, euler_delta=0, sigma_delta=0))
+            with pytest.raises(NotApplicableError):
+                planarity.detect_bounding(w, planarity.BoundingDeclaration(1, 2, (a, absent)))
+        assert contains(w, word_of(s, [a], [-1])) is None  # present curve, absent sign
+        assert tabulated == []
+        assert contains(w, word_of(s, [b, a])) is not None
+        assert len(tabulated) == 1
+        # the relation is readable as soon as it is built
+        assert _Dependence(w, ()).dep == [0b1010, 0b0101, 0b1010, 0b0101]
 
 
 class TestCurveTable:
@@ -698,8 +777,9 @@ class TestLinearizeAlarm:
 
 class TestWindowedSearch:
     """``_linearize`` orders only the window its backward edges span, and
-    ``_Dependence`` fills its closure only down to what a caller asks for;
-    both give what the full-word computations give."""
+    ``_Dependence`` fills its closure only between the positions a caller
+    asks for, cut at the right end; both give what the full-word
+    computations give."""
 
     @settings(max_examples=200, deadline=None)
     @given(_SEARCH_WORDS, st.randoms(use_true_random=False), st.booleans())
@@ -709,18 +789,26 @@ class TestWindowedSearch:
         n = len(w)
         dep = _Dependence(w, declared).dep
         reach, cover = _full_closure(dep)
-        targets = [_search_selection(reach, rng, n) for _ in range(2)]
+        # the second target's last position lies at or past the first's
+        targets = sorted((_search_selection(reach, rng, n) for _ in range(2)), key=max)
         for pair in (targets, targets[::-1]):  # two targets on one relation, in either order
             rel = _Dependence(w, declared)
             for selected in pair:
-                rel.fill(min(selected))
-                assert rel.low <= min(selected)
+                rel.fill(min(selected), max(selected))
+                assert rel.low <= min(selected) and max(selected) <= rel.high
+                keep = (2 << rel.high) - 1  # the full closure cut at the right end
                 for i in range(n):
-                    if i < rel.low:
-                        assert rel.reach[i] is None and rel.cover[i] is None
+                    if rel.low <= i <= rel.high:
+                        assert rel.reach[i] == reach[i] & keep
+                        assert rel.cover[i] == [k for k in cover[i] if k <= rel.high]
                     else:
-                        assert (rel.reach[i], rel.cover[i]) == (reach[i], cover[i])
+                        assert rel.reach[i] is None and rel.cover[i] is None
                 assert _linearize(rel, selected, contiguous) == _full_linearize(dep, reach, cover, selected, contiguous)
+        # without a right end, the fill runs to the end of the word
+        rel = _Dependence(w, declared)
+        rel.fill(min(targets[0]))
+        assert rel.high == n - 1
+        assert rel.reach[rel.low:] == reach[rel.low:] and rel.cover[rel.low:] == cover[rel.low:]
 
 
 class TestVerifyRelator:
