@@ -15,12 +15,12 @@ is always reported as inconclusive, never as "planar".
 
 from __future__ import annotations
 
-from typing import Collection, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Collection, Optional, Sequence, Tuple
 
 from .errors import NotApplicableError, UnsupportedInputError, Value
 from .relators import RelatorEntry, bounding_case
 from .surfaces import Curve, NamePair, pairwise_disjoint
-from .words import Twist, Word, _contains, _Dependence, contains
+from .words import Twist, Word, contains
 
 NON_PLANAR = "non-planar"
 NO_OBSTRUCTION = "no-obstruction-found"
@@ -101,6 +101,10 @@ class BoundingDeclaration(Value):
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "boundary_count", boundary_count)
         object.__setattr__(self, "multicurve", multicurve)
+        if genus < 0:
+            raise ValueError(f"declared subsurface has negative genus {genus}")
+        if boundary_count < 1:
+            raise ValueError(f"declared subsurface has {boundary_count} boundary components, not at least one")
         if len(multicurve) != boundary_count:
             raise ValueError(
                 f"declared subsurface has {boundary_count} boundary components "
@@ -128,7 +132,6 @@ def detect_relator(
     certificates = []
     notes = []
     given = frozenset(declared)
-    relations: Dict[FrozenSet[NamePair], _Dependence] = {}  # one per effective declared set
     for entry in entries:
         left = entry.relator.left
         if left is None or left.surface != word.surface:
@@ -136,10 +139,7 @@ def detect_relator(
         if not left.twists:  # contained in every word, so it certifies nothing
             notes.append(f"relator {entry.name} has an empty left side, which marks no place in the word")
             continue
-        entry_declared = given.union(entry.disjoint)
-        if entry_declared not in relations:
-            relations[entry_declared] = _Dependence(word, entry_declared)
-        witness = _contains(word, left, relations[entry_declared])
+        witness = contains(word, left, given.union(entry.disjoint))
         if witness is None:
             continue
         if not entry.has_nonzero_obstruction:

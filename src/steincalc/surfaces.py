@@ -175,9 +175,7 @@ class Curve(Value):
     outer boundary).
     """
 
-    # _hash caches the field tuple's hash, set by the first __hash__ (the
-    # word search hashes no curve; dicts and sets of curves elsewhere do)
-    __slots__ = ("name", "homology", "hole_set", "rotation", "boundary_parallel_to", "_hash")
+    __slots__ = ("name", "homology", "hole_set", "rotation", "boundary_parallel_to")
 
     def __init__(
         self,
@@ -234,13 +232,6 @@ class Curve(Value):
                 d = surface.d_coords(boundary_parallel_to)
                 if homology.coords != d and homology.coords != tuple(-x for x in d):
                     raise ValueError(f"curve {name}: boundary-parallel class must be +/- d_{boundary_parallel_to}")
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:  # first call
-            object.__setattr__(self, "_hash", hash(self._key(self)))
-            return self._hash
 
     @property
     def surface(self) -> Surface:

@@ -6,19 +6,19 @@ engine certifies is the commutation of twists about disjoint curves, so
 searches here are sound but deliberately incomplete; a failed search means
 "unknown", never "no".  Containment asks for the target's twists to appear
 in order after certified commutations; substitution additionally needs the
-matched block to become contiguous.  A ``Word`` indexes its distinct curve
-objects once, when it is built, and every per-curve pass (here and in
-``invariants``) reads that table.  Each search merges equal curves of that
-table by name, so it hashes no curve, and looks its target's letters and
-its declared pairs' names up there.  Once every target letter has a
-candidate position, it tabulates certified commutation once per distinct
-curve of the word, as the set of positions that curve blocks, from
-per-hole position bitsets (the rules of ``surfaces.curves_commute``,
-decided on integers), closes that relation only between the target's
-first and last candidate positions, matches identical target letters left
-to right, and answers "unknown" when its fixed node budget runs out.  A
-witness reorders only the window of positions that the target's backward
-constraints span.
+matched block to become contiguous.  A ``Word`` indexes its distinct curves
+once, when it is built, in one table keyed by name (equal objects merged),
+which the search and every per-curve pass (here and in ``invariants``) read,
+so no search hashes a curve.  The first search that finds a candidate
+position for every target letter also builds the word's commutation blocks,
+per distinct curve the positions it does not commute with, from per-hole
+position bitsets (the rules of ``surfaces.curves_commute``, decided on
+integers), and keeps them on the word for every later search.  Each search
+clears its declared pairs' partners in its own copy of them, closes that
+relation only between the target's first and last candidate positions,
+matches identical target letters left to right, and answers "unknown" when
+its fixed node budget runs out.  A witness reorders only the window of
+positions that the target's backward constraints span.
 
 A relator is a pair of positive words (left, right) naming the same mapping
 class.  ``verify_relator`` checks the necessary conditions that are
@@ -65,22 +65,39 @@ class Twist(Value):
 class Word(Value):
     """An ordered sequence of twists on one surface, applied right to left.
 
-    ``_curves`` caches the distinct curve objects of the twists in order of
-    first occurrence, told apart by identity so that no curve is hashed
-    (equal but distinct objects keep separate entries), and ``_letters``
-    the index into it of each position's curve.
+    The underscore slots are caches, not fields; a copy or a pickle
+    rebuilds them.  ``_curves`` holds the distinct curves of the twists in
+    order of first occurrence, equal objects merged by ``==`` within each
+    name (curves with different names are never equal), so no curve is
+    hashed; ``_names`` maps a name to the ids (indices into ``_curves``) of
+    the curves carrying it, and ``_letters`` holds each position's curve
+    id.  ``_spots`` (each curve id's positions) and ``_blocks`` (the
+    positions each curve id does not commute with by the hole rule) are
+    int bitsets, set by the first search that reads them.
     """
 
-    __slots__ = ("surface", "twists", "_curves", "_letters")
+    __slots__ = ("surface", "twists", "_curves", "_names", "_letters", "_spots", "_blocks")
 
     def __init__(self, surface: Surface, twists: Tuple[Twist, ...]):
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "twists", twists)
-        first = {id(t.curve): t.curve for t in twists}
-        index = dict(zip(first, range(len(first))))
-        object.__setattr__(self, "_curves", tuple(first.values()))
+        curves: List[Curve] = []
+        names: Dict[str, List[int]] = {}
+        index = {}  # id of a curve object -> its curve id
+        for key, c in {id(t.curve): t.curve for t in twists}.items():
+            ids = names.setdefault(c.name, [])
+            for k in ids:
+                if curves[k] == c:
+                    break
+            else:
+                k = len(curves)
+                ids.append(k)
+                curves.append(c)
+            index[key] = k
+        object.__setattr__(self, "_curves", tuple(curves))
+        object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_letters", tuple([index[id(t.curve)] for t in twists]))
-        for curve in self._curves:
+        for curve in curves:
             if curve.surface != surface:
                 raise RankMismatchError(f"twist about {curve.name} lives on {curve.surface}, not {surface}")
 
@@ -99,6 +116,76 @@ class Word(Value):
     def action_matrix(self) -> Tuple[Tuple[int, ...], ...]:
         """Columns of the induced map on the homology basis."""
         return tuple(self.action_on(e).coords for e in self.surface.basis_classes())
+
+    def _find(self, c: Curve) -> int:
+        """The id of the word's curve equal to c, or -1 when c is absent."""
+        for k in self._names.get(c.name, ()):
+            if self._curves[k] == c:
+                return k
+        return -1
+
+    def _positions(self) -> List[int]:
+        """``_spots``: bit i of entry k is set when position i carries curve id k."""
+        try:
+            return self._spots
+        except AttributeError:  # first read
+            spots = [0] * len(self._curves)
+            for i, k in enumerate(self._letters):
+                spots[k] |= 1 << i
+            object.__setattr__(self, "_spots", spots)
+            return spots
+
+    def _blocked(self) -> List[int]:
+        """``_blocks``, built by ``_tabulate`` on the first read."""
+        try:
+            return self._blocks
+        except AttributeError:  # first read
+            object.__setattr__(self, "_blocks", self._tabulate())
+            return self._blocks
+
+    def _tabulate(self) -> List[int]:
+        """Per curve id, the positions not certified to commute with it by
+        the hole rule of ``curves_commute``, decided on integers.
+
+        ``inside[h]`` holds the positions whose curve encloses hole h.  A
+        curve with hole set m blocks the positions whose hole set meets m
+        (an OR of ``inside[h]`` over h in m), does not contain m (outside
+        their AND) and does not lie inside m (an OR over h not in m): the
+        hole sets neither nested with m nor disjoint from it.  Curves
+        without a hole set block, and are blocked by, every position.  A
+        curve's own positions are never blocked.  This costs O(D·b) bitset
+        operations for D distinct curves and b holes; no pair of curves is
+        compared.
+        """
+        spots = self._positions()
+        inside: Dict[int, int] = {}  # hole -> positions whose curve encloses it
+        loose = 0  # positions of the curves without a hole set
+        for c, here in zip(self._curves, spots):
+            if c.hole_set is None:
+                loose |= here
+            else:
+                for h in c.hole_set:
+                    inside[h] = inside.get(h, 0) | here
+        holes = list(inside.items())
+        everywhere = (1 << len(self.twists)) - 1
+        blocked = []
+        for c, here in zip(self._curves, spots):
+            m = c.hole_set
+            if m is None:
+                ban = everywhere
+            else:
+                # hole sets meeting this one, not containing it, not inside it
+                over = out = 0
+                sup = everywhere
+                for h, there in holes:
+                    if h in m:
+                        over |= there
+                        sup &= there
+                    else:
+                        out |= there
+                ban = over & ~sup & out | loose
+            blocked.append(ban & ~here)
+        return blocked
 
 
 def word_of(surface: Surface, curves: Sequence[Curve], signs: Optional[Sequence[int]] = None) -> Word:
@@ -134,135 +221,56 @@ def _bits(mask: int) -> Iterator[int]:
 
 
 class _Dependence:
-    """Certified commutation among the occurrences of one word, as bitsets.
+    """Certified commutation among the occurrences of one word under one
+    declared set, as bitsets, and its transitive closure over one window.
 
-    The relation's curve table is the word's, with equal objects merged by
-    ``==`` within each name (curves with different names are never equal),
-    so no curve is hashed: ``names`` maps a name to the ids of its distinct
-    curves, and ``spots[k]`` holds the positions of curve id k.  The table
-    finds the target's letters (``find``) and the declared pairs' partners,
-    reading only the names they carry.
-    The relation itself is tabulated per distinct curve on the first read
-    of ``dep``, which a search makes only once every target letter has a
-    candidate.  ``inside[h]`` holds the positions whose curve encloses hole
-    h.  A curve with hole set m blocks the positions whose hole set meets m
-    (an OR of ``inside[h]`` over h in m), does not contain m (outside their
-    AND) and does not lie inside m (an OR over h not in m): the hole sets
-    neither nested with m nor disjoint from it, the rule of
-    ``curves_commute``.  Curves without a hole set block, and are blocked
-    by, every position.  Declared partners and a curve's own positions are
-    never blocked.  A tabulation thus costs O(D·b) bitset operations for D
-    distinct curves and b holes; no pair of curves is compared.
     Bit j of ``dep[i]`` is set when the twists at positions i and j are not
-    certified to commute.  ``reach[i]`` holds the positions j in (i, high]
-    that some chain of dependent occurrences forces to stay after position
-    i, and ``cover[i]`` is a subset of the later dependent positions of i up
-    to ``high`` whose chains already force all of ``reach[i]``.  A chain
-    ending at or before ``high`` never passes it, so these are the full
-    closure cut at ``high``.  ``fill`` builds them right to left between the
-    first and the last position a search reads (its target's first and last
-    candidates); a later search on the same relation extends the fill to
-    the left, and refills when it reads past ``high``.  Outside
-    [``low``, ``high``] both hold None.
+    certified to commute: the word's hole-rule blocks (``Word._blocked``)
+    with the positions of declared partners cleared.  It is built on its
+    first read, which a search makes only once every target letter has a
+    candidate, so a target with an absent letter builds nothing.
+    ``reach[i]`` holds the positions j in (i, q] that some chain of
+    dependent occurrences forces to stay after position i, and ``cover[i]``
+    is a subset of the later dependent positions of i up to q whose chains
+    already force all of ``reach[i]``.  A chain ending at or before q never
+    passes it, so these are the full closure cut at q.  ``fill(p, q)``
+    builds them right to left, once per relation, between the first and the
+    last position a search reads (its target's first and last candidates);
+    elsewhere both hold None.
     """
 
     def __init__(self, w: Word, declared: Collection[NamePair]):
+        self.word = w
         self.declared = declared
-        self.names: Dict[str, List[int]] = {}  # name -> ids of the distinct curves carrying it
-        self.curves: List[Curve] = []  # curve id -> curve
-        merged = []  # index into ``w._curves`` -> curve id
-        for c in w._curves:
-            ids = self.names.setdefault(c.name, [])
-            for k in ids:
-                if self.curves[k] == c:
-                    break
-            else:
-                k = len(self.curves)
-                ids.append(k)
-                self.curves.append(c)
-            merged.append(k)
-        # ids are handed out in order of first occurrence, so without a merge
-        # they are the word's own indices
-        self.letters = w._letters if len(merged) == len(self.curves) else [merged[k] for k in w._letters]
-        self.spots = [0] * len(self.curves)  # curve id -> bitset of its positions
-        for i, k in enumerate(self.letters):
-            self.spots[k] |= 1 << i
-        n = len(w)
         self._dep: Optional[List[int]] = None
         # None until ``fill`` reaches the position: read as 0, an unfilled
         # entry would let ``_embeddings`` accept an unsound embedding
-        self.reach: List[Optional[int]] = [None] * n
-        self.cover: List[Optional[List[int]]] = [None] * n
-        self.low, self.high = n, -1  # ``reach`` and ``cover`` hold at positions low..high
-
-    def find(self, c: Curve) -> int:
-        """The id of the word's curve equal to c, or -1 when c is absent."""
-        for k in self.names.get(c.name, ()):
-            if self.curves[k] == c:
-                return k
-        return -1
+        self.reach: List[Optional[int]] = [None] * len(w)
+        self.cover: List[Optional[List[int]]] = [None] * len(w)
 
     @property
     def dep(self) -> List[int]:
         if self._dep is None:
-            self._dep = self._tabulate()
+            w = self.word
+            names, spots = w._names, w._positions()
+            partners = [0] * len(spots)  # curve id -> positions of the curves declared disjoint from it
+            for pair in self.declared:
+                # a one-name pair covers two curves sharing a name
+                if len(pair) in (1, 2) and pair <= names.keys():
+                    x, y = min(pair), max(pair)
+                    for k in names[x]:
+                        for j in names[y]:
+                            partners[k] |= spots[j]
+                            partners[j] |= spots[k]
+            blocked = [ban & ~partner for ban, partner in zip(w._blocked(), partners)]
+            self._dep = [blocked[k] for k in w._letters]
         return self._dep
 
-    def _tabulate(self) -> List[int]:
-        """``dep``, from the per-curve bitsets."""
-        curves, names, spots = self.curves, self.names, self.spots
-        partners = [0] * len(curves)  # curve id -> positions of the curves declared disjoint from it
-        for pair in self.declared:
-            # a one-name pair covers two curves sharing a name
-            if len(pair) in (1, 2) and pair <= names.keys():
-                x, y = min(pair), max(pair)
-                for k in names[x]:
-                    for j in names[y]:
-                        partners[k] |= spots[j]
-                        partners[j] |= spots[k]
-
-        inside: Dict[int, int] = {}  # hole -> positions whose curve encloses it
-        loose = 0  # positions of the curves without a hole set
-        for c, here in zip(curves, spots):
-            if c.hole_set is None:
-                loose |= here
-            else:
-                for h in c.hole_set:
-                    inside[h] = inside.get(h, 0) | here
-        holes = list(inside.items())
-        everywhere = (1 << len(self.letters)) - 1
-        blocked = []  # curve id -> positions not certified to commute with it
-        for c, here, partner in zip(curves, spots, partners):
-            m = c.hole_set
-            if m is None:
-                ban = everywhere
-            else:
-                # hole sets meeting this one, not containing it, not inside it
-                over = out = 0
-                sup = everywhere
-                for h, there in holes:
-                    if h in m:
-                        over |= there
-                        sup &= there
-                    else:
-                        out |= there
-                ban = over & ~sup & out | loose
-            blocked.append(ban & ~(partner | here))
-        return [blocked[k] for k in self.letters]
-
-    def fill(self, p: int, q: Optional[int] = None) -> None:
-        """Fill ``reach`` and ``cover`` right to left at positions p..q, cut
-        at q (at the word's end when q is None)."""
+    def fill(self, p: int, q: int) -> None:
+        """Fill ``reach`` and ``cover`` right to left at positions p..q, cut at q."""
         dep, reach, cover = self.dep, self.reach, self.cover
-        if q is None:
-            q = len(reach) - 1
-        stop = min(p, self.low)
-        if q > self.high:  # entries cut at the old right end miss chains past it: refill them
-            start = self.high = q
-        else:
-            start = self.low - 1
-        keep = (2 << self.high) - 1  # positions up to the right end
-        for i in range(start, stop - 1, -1):
+        keep = (2 << q) - 1  # positions up to q
+        for i in range(q, p - 1, -1):
             # a later dependent position already in ``acc`` is forced after
             # i through an earlier one, and so is everything it forces
             todo = (dep[i] & keep) >> (i + 1) << (i + 1)
@@ -275,7 +283,6 @@ class _Dependence:
                 acc |= bit | reach[k]
                 todo &= ~acc
             reach[i] = acc
-        self.low = stop
 
 
 # The one dataclass of the package: the benchmark's checks build tampered
@@ -295,21 +302,21 @@ class ContainmentWitness:
     final_positions: Tuple[int, ...]
 
 
-def _match_candidates(w: Word, target: Word, rel: _Dependence) -> Optional[Tuple[List[List[int]], List[int]]]:
+def _match_candidates(w: Word, target: Word) -> Optional[Tuple[List[List[int]], List[int]]]:
     """Each target letter's positions in w, and the index of the previous
     identical target letter (or -1); None when some letter has no position.
-    Letters are told apart by their id in ``rel``'s curve table and their
-    sign, so no curve is hashed."""
+    Letters are told apart by their id in w's curve table and their sign,
+    so no curve is hashed."""
     candidates: List[List[int]] = []
     twin: List[int] = []
     last: Dict[Tuple[int, int], int] = {}  # (curve id, sign) -> its latest target index
     for t in target.twists:
-        c = rel.find(t.curve)
+        c = w._find(t.curve)
         if c < 0:
             return None
         key = (c, t.sign)
         prev = last.get(key, -1)
-        slots = candidates[prev] if prev >= 0 else [i for i in _bits(rel.spots[c]) if w.twists[i].sign == t.sign]
+        slots = candidates[prev] if prev >= 0 else [i for i in _bits(w._positions()[c]) if w.twists[i].sign == t.sign]
         if not slots:
             return None
         last[key] = len(twin)
@@ -332,7 +339,7 @@ def _embeddings(w: Word, target: Word, rel: _Dependence) -> Iterator[Tuple[int, 
     identical successors.  After ``_SEARCH_NODES`` tested positions the
     search stops, which its callers report as "unknown".
     """
-    found = _match_candidates(w, target, rel)
+    found = _match_candidates(w, target)
     if found is None:
         return
     candidates, twin = found
@@ -483,12 +490,7 @@ def contains(w: Word, target: Word, declared: Collection[NamePair] = ()) -> Opti
         raise RankMismatchError("containment across different surfaces")
     if not target.twists:
         return ContainmentWitness((), (), ())
-    return _contains(w, target, _Dependence(w, declared))
-
-
-def _contains(w: Word, target: Word, rel: _Dependence) -> Optional[ContainmentWitness]:
-    """``contains`` on a relation already built for w, so callers that
-    search one word for several targets build it once."""
+    rel = _Dependence(w, declared)
     for positions in _embeddings(w, target, rel):
         # no cycle: ``_embeddings`` forces no later target letter before an earlier one
         lin = _linearize(rel, positions, contiguous=False)
@@ -582,7 +584,7 @@ class Relator(Value):
         """The distinct curves of both sides, in order of first occurrence."""
         if self.left is None:
             return ()
-        return tuple(dict.fromkeys(self.left._curves + self.right._curves))
+        return self.left._curves + tuple(c for c in self.right._curves if self.left._find(c) < 0)
 
 
 def computed_allowable(r: Relator) -> Optional[bool]:

@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from steincalc import planarity
 from steincalc.cli import main
 from steincalc.document import chain_document, tau_boundary_document
 from steincalc.errors import NotApplicableError, UnsupportedInputError
@@ -21,7 +20,7 @@ from steincalc.planarity import (
 )
 from steincalc.relators import RelatorEntry, bounding_case
 from steincalc.surfaces import Curve, Surface
-from steincalc.words import Twist, Word, contains, word_of
+from steincalc.words import Twist, Word, contains, substitute, word_of
 
 
 def chain2_setup():
@@ -79,23 +78,23 @@ class TestDetectRelator:
             for cert in detect_relator(w, entries, doc.disjoint):
                 assert cert.verdict == NO_OBSTRUCTION
 
-    def test_one_relation_per_declared_set(self, monkeypatch):
+    def test_one_block_build_per_word(self, monkeypatch):
+        # the sequence of searches ``detect`` makes on one word, plus contains and substitute
         doc, word, entries = chain2_setup()
         e = entries[0]
         wider = RelatorEntry(relator=e.relator, obstruction=e.obstruction,
                              obstruction_asserted=e.obstruction_asserted, decomposition=e.decomposition,
                              disjoint=e.disjoint | {frozenset(("c1",))}, note=e.note)
         built = []
-
-        class Counting(planarity._Dependence):
-            def __init__(self, w, declared):
-                built.append(declared)
-                super().__init__(w, declared)
-
-        monkeypatch.setattr(planarity, "_Dependence", Counting)
+        real = Word._tabulate
+        monkeypatch.setattr(Word, "_tabulate", lambda w: built.append(w) or real(w))
         certs = detect_relator(word, [entries[0], wider, entries[0], wider], doc.disjoint)
-        assert len(built) == 2 and len(certs) == 4
+        assert len(certs) == 4
         assert all(c.witness == certs[0].witness for c in certs)
+        assert detect_bounding(word, doc.declarations[0], doc.disjoint).verdict == NON_PLANAR
+        assert contains(word, e.relator.left, doc.disjoint | wider.disjoint).positions == certs[0].witness.positions
+        substitute(word, e.relator, doc.disjoint | e.disjoint)
+        assert len(built) == 1 and built[0] is word
 
     def test_witness_is_machine_checkable(self):
         doc, word, entries = chain2_setup()
@@ -147,6 +146,21 @@ class TestDetectBounding:
         s = Surface(1, 2)
         with pytest.raises(ValueError):
             BoundingDeclaration(1, 2, (Curve("x", s.d_class(2)),))
+
+    def test_declaration_without_boundary_is_rejected(self):
+        # with no boundary the multicurve is empty, contained in every word,
+        # and bounding_case answers "obstructs" for genus 1: every word would
+        # be certified non-planar
+        s = Surface(0, 4)
+        d = Curve("d", s.d_class(2))
+        assert bounding_case(1, 0).verdict == bounding_case(1, -3).verdict == "obstructs"
+        with pytest.raises(ValueError, match="0 boundary components, not at least one"):
+            BoundingDeclaration(1, 0, ())
+        with pytest.raises(ValueError, match="-3 boundary components, not at least one"):
+            BoundingDeclaration(1, -3, ())
+        with pytest.raises(ValueError, match="negative genus -1"):
+            BoundingDeclaration(-1, 1, (d,))
+        assert detect_bounding(word_of(s, [d]), BoundingDeclaration(0, 1, (d,))).verdict == NO_OBSTRUCTION
 
 
 class TestPositiveWords:

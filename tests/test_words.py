@@ -497,8 +497,8 @@ class TestTabulatedRelation:
 
 
 class TestNameKeyedTable:
-    """The search's curve table is keyed by name, so no curve is hashed,
-    and a target with an absent letter tabulates nothing."""
+    """The word's curve table is keyed by name, so no search hashes a curve,
+    and a target with an absent letter builds nothing."""
 
     def test_search_hashes_no_curve(self, monkeypatch):
         w, target, declared = _pinned_case(27)  # 317 twists, five target letters
@@ -526,8 +526,8 @@ class TestNameKeyedTable:
         a, b = convex_curve(s, "a", {2, 3}), convex_curve(s, "b", {3, 4})
         w = word_of(s, [a, b, a, b])
         tabulated = []
-        real = _Dependence._tabulate
-        monkeypatch.setattr(_Dependence, "_tabulate", lambda rel: tabulated.append(rel) or real(rel))
+        real = Word._tabulate
+        monkeypatch.setattr(Word, "_tabulate", lambda word: tabulated.append(word) or real(word))
         for absent in (
             convex_curve(s, "z", {2, 3}),  # a's hole set under another name
             convex_curve(s, "a", {2, 4}),  # a's name on another hole set
@@ -541,37 +541,68 @@ class TestNameKeyedTable:
         assert contains(w, word_of(s, [a], [-1])) is None  # present curve, absent sign
         assert tabulated == []
         assert contains(w, word_of(s, [b, a])) is not None
-        assert len(tabulated) == 1
-        # the relation is readable as soon as it is built
+        assert len(tabulated) == 1 and tabulated[0] is w
+        # the relation is readable as soon as it is built, from the word's blocks built before
         assert _Dependence(w, ()).dep == [0b1010, 0b0101, 0b1010, 0b0101]
+        assert len(tabulated) == 1
+
+    def test_copy_and_pickle_rebuild_the_caches(self, monkeypatch):
+        w, target, declared = _pinned_case(27)
+        built = []
+        real = Word._tabulate
+        monkeypatch.setattr(Word, "_tabulate", lambda word: built.append(word) or real(word))
+        witness = contains(w, target, declared)
+        assert witness is not None and w._spots and w._blocks
+        others = (copy.copy(w), pickle.loads(pickle.dumps(w)))
+        for other in others:
+            assert other == w and not hasattr(other, "_spots") and not hasattr(other, "_blocks")
+            assert contains(other, target, declared) == witness
+        assert [id(word) for word in built] == [id(w)] + [id(other) for other in others]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        _mixed_word(),
+        st.lists(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2).map(frozenset), max_size=4),
+        st.lists(st.lists(st.sampled_from(_NAMES), min_size=1, max_size=2).map(frozenset), max_size=4),
+    )
+    def test_cached_blocks_serve_every_declared_set(self, w, first, second):
+        # partners are cleared in a relation's own list, never in the word's blocks
+        for declared in (first, second, ()):
+            assert _Dependence(w, declared).dep == _Dependence(copy.copy(w), declared).dep
 
 
 class TestCurveTable:
-    """``Word`` indexes its distinct curve objects once; the per-curve
-    passes of ``words`` and ``invariants`` read that table."""
+    """``Word`` indexes its distinct curves once, equal objects merged; the
+    search and the per-curve passes of ``invariants`` read that table."""
 
     @settings(max_examples=200, deadline=None)
     @given(_mixed_word())
     def test_table_reproduces_the_word(self, w):
         for word in (w, copy.copy(w), pickle.loads(pickle.dumps(w))):
             curves, letters = word._curves, word._letters
-            first = []  # the curve objects in order of first occurrence, told apart by identity
+            first = []  # the first object of each class of equal curves, in order of first occurrence
             for t in word.twists:
-                if all(c is not t.curve for c in first):
+                if all(c != t.curve for c in first):
                     first.append(t.curve)
             assert len(curves) == len(first) and all(a is b for a, b in zip(curves, first))
             assert len(letters) == len(word.twists)
-            assert all(curves[k] is t.curve for k, t in zip(letters, word.twists))
+            assert all(curves[k] == t.curve for k, t in zip(letters, word.twists))
             assert letters == w._letters
-        # Relator.curves: the equal curves of both sides once, in order of first occurrence
-        half = len(w) // 2
-        relator = Relator("r", Word(w.surface, w.twists[:half]), Word(w.surface, w.twists[half:]))
-        seen = []
-        for t in w.twists:
-            if t.curve not in seen:
-                seen.append(t.curve)
-        found = relator.curves()
-        assert len(found) == len(seen) and all(a is b for a, b in zip(found, seen))
+            assert word._names == {
+                c.name: [k for k, d in enumerate(curves) if d.name == c.name] for c in curves
+            }
+            assert [word._find(t.curve) for t in word.twists] == list(letters)
+            for c in curves:  # a curve under one of the word's names, which the word may lack
+                null = Curve(c.name, word.surface.zero_class())
+                assert word._find(null) == next((k for k, d in enumerate(curves) if d == null), -1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mixed_word(), st.integers(0, 12))
+    def test_relator_curves_match_a_dict_of_both_sides(self, w, split):
+        left, right = Word(w.surface, w.twists[:split]), Word(w.surface, w.twists[split:])
+        found = Relator("r", left, right).curves()
+        expected = tuple(dict.fromkeys(t.curve for t in w.twists))
+        assert len(found) == len(expected) and all(a is b for a, b in zip(found, expected))
 
 
 def _pinned_case(seed):
@@ -744,7 +775,7 @@ class TestPinnedWitnesses:
     @given(_SEARCH_WORDS, st.randoms(use_true_random=False), st.booleans())
     def test_linearize_swaps_match_full_passes(self, w, rng, contiguous):
         rel = _Dependence(w, ())
-        rel.fill(0)
+        rel.fill(0, len(w) - 1)
         selected = _search_selection(rel.reach, rng, len(w))
         lin = _linearize(rel, selected, contiguous)
         assert lin is not None or contiguous
@@ -763,7 +794,7 @@ class TestLinearizeAlarm:
             if wit is not None and wit.swaps:
                 break
         rel = _Dependence(w, declared)
-        rel.fill(min(wit.positions))
+        rel.fill(min(wit.positions), max(wit.positions))
         order, swaps = _linearize(rel, wit.positions, False)
         assert tuple(swaps) == wit.swaps
         placed = {x: r for r, x in enumerate(order)}
@@ -777,8 +808,8 @@ class TestLinearizeAlarm:
 
 class TestWindowedSearch:
     """``_linearize`` orders only the window its backward edges span, and
-    ``_Dependence`` fills its closure only between the positions a caller
-    asks for, cut at the right end; both give what the full-word
+    ``_Dependence`` fills its closure once, only between the positions a
+    caller asks for, cut at the right end; both give what the full-word
     computations give."""
 
     @settings(max_examples=200, deadline=None)
@@ -789,26 +820,19 @@ class TestWindowedSearch:
         n = len(w)
         dep = _Dependence(w, declared).dep
         reach, cover = _full_closure(dep)
-        # the second target's last position lies at or past the first's
-        targets = sorted((_search_selection(reach, rng, n) for _ in range(2)), key=max)
-        for pair in (targets, targets[::-1]):  # two targets on one relation, in either order
-            rel = _Dependence(w, declared)
-            for selected in pair:
-                rel.fill(min(selected), max(selected))
-                assert rel.low <= min(selected) and max(selected) <= rel.high
-                keep = (2 << rel.high) - 1  # the full closure cut at the right end
-                for i in range(n):
-                    if rel.low <= i <= rel.high:
-                        assert rel.reach[i] == reach[i] & keep
-                        assert rel.cover[i] == [k for k in cover[i] if k <= rel.high]
-                    else:
-                        assert rel.reach[i] is None and rel.cover[i] is None
+        for selected in (_search_selection(reach, rng, n), _search_selection(reach, rng, n), None):
+            p, q = (0, n - 1) if selected is None else (min(selected), max(selected))
+            rel = _Dependence(w, declared)  # one fill per relation
+            rel.fill(p, q)
+            keep = (2 << q) - 1  # the full closure cut at q
+            for i in range(n):
+                if p <= i <= q:
+                    assert rel.reach[i] == reach[i] & keep
+                    assert rel.cover[i] == [k for k in cover[i] if k <= q]
+                else:
+                    assert rel.reach[i] is None and rel.cover[i] is None
+            if selected is not None:
                 assert _linearize(rel, selected, contiguous) == _full_linearize(dep, reach, cover, selected, contiguous)
-        # without a right end, the fill runs to the end of the word
-        rel = _Dependence(w, declared)
-        rel.fill(min(targets[0]))
-        assert rel.high == n - 1
-        assert rel.reach[rel.low:] == reach[rel.low:] and rel.cover[rel.low:] == cover[rel.low:]
 
 
 class TestVerifyRelator:
