@@ -35,9 +35,7 @@ from .words import (
     SubstitutionRecord,
     Twist,
     Word,
-    compose,
     contains,
-    free_reduce,
     substitute,
     verify_relator,
     word_of,

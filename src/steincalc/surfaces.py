@@ -13,7 +13,12 @@ encoded by that subset (its hole set).  Two convex curves are certified
 disjoint exactly when their hole sets are nested or disjoint
 (``curves_commute``); every other geometric question is answered
 "indeterminate" unless the user declares a disjointness fact
-(``declared_pair``, ``pairwise_disjoint``).
+(``declared_pair``, ``pairwise_disjoint``).  That rule is wrong for one
+case, which is a known open defect: on b >= 5 holes, two disjoint hole sets
+can alternate around the circle of holes (a < b < c < d, with a and c in
+one set and b and d in the other).  Their convex curves cross and their
+twists do not commute, yet they are certified to commute, here and in the
+word search.
 
 Everything here is an immutable value (an ``errors.Value``: slotted, with
 equality, hash and repr from its fields, and assignment refused) and every

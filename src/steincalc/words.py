@@ -30,7 +30,8 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain, compress, repeat
+from operator import attrgetter, sub
 from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -194,30 +195,21 @@ def word_of(surface: Surface, curves: Sequence[Curve], signs: Optional[Sequence[
     return Word(surface, tuple(Twist(c, s) for c, s in zip(curves, signs)))
 
 
-def compose(w1: Word, w2: Word) -> Word:
-    """Concatenation w1 * w2 (w2 acts first). Does not normalize."""
-    if w1.surface != w2.surface:
-        raise RankMismatchError("cannot compose words on different surfaces")
-    return Word(w1.surface, w1.twists + w2.twists)
-
-
-def free_reduce(w: Word) -> Word:
-    """Cancel adjacent inverse pairs about the identical curve."""
-    stack: List[Twist] = []
-    for t in w.twists:
-        if stack and stack[-1].curve == t.curve and stack[-1].sign == -t.sign:
-            stack.pop()
-        else:
-            stack.append(t)
-    return Word(w.surface, tuple(stack))
-
-
 def _bits(mask: int) -> Iterator[int]:
     """The set bits of a bitset, lowest first."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _runs(mask: int) -> Iterator[Tuple[int, int]]:
+    """The maximal runs of set bits of a bitset, as (start, stop), lowest first."""
+    while mask:
+        low = mask & -mask
+        top = mask + low  # the run cleared and the bit above it set
+        yield low.bit_length() - 1, (top & -top).bit_length() - 1
+        mask &= top
 
 
 class _Dependence:
@@ -387,95 +379,149 @@ def _linearize(
 
     Returns (order, swaps) where ``order`` lists original indices in their
     new sequence and ``swaps`` are the adjacent transpositions realizing it,
-    or None when contiguity is blocked by a wedged occurrence.  ``order`` is
-    the least topological order of the forced precedences, found by a
-    min-heap; ``rel`` must be filled from min(selected) to max(selected).
-    Only a backward edge a -> b (a > b) moves anything: positions below the
-    smallest b, and above the largest a, have no backward edge into or out
-    of them, so they keep their place, no path between two positions of the
-    window [b, a] leaves it, and the heap runs over the window alone.  The
-    swaps are those of a bubble sort by rank in ``order``, read off the
-    placement: when the heap places x, the earlier positions still pending
-    are the ones x passes, ``passed[x]`` of them.  Such a sort moves x one
-    place left in each of its first ``passed[x]`` passes and in no other, so
-    pass p swaps at x - p for every x with ``passed[x] >= p``, in increasing
-    x.
+    or None when that order is not reachable: a selected occurrence is
+    forced before an earlier one, or (when ``contiguous``) an occurrence is
+    wedged between two matched ones.  ``rel`` must be filled from
+    min(selected) to max(selected).  ``order`` is the least order that keeps
+    every forced precedence and ``swaps`` the passes of a bubble sort into
+    it.  Only the window that a backward constraint spans moves: a
+    substitution puts the positions that go before the block first, then
+    the block, then the rest, each in index order, and containment sweeps
+    the window in index order, where only the letters a backward constraint
+    holds back wait in a min-heap for their predecessors.
     """
     dep, reach, cover = rel.dep, rel.reach, rel.cover
     n = len(dep)
-    edges = list(zip(selected, selected[1:]))
+    runs: List[Tuple[int, int, int]] = []  # (start, stop, k): the positions start..stop-1 each pass k letters
     if contiguous and selected:
-        first, last = selected[0], selected[-1]
-        sel = 0
-        forced_after = 0  # positions some matched occurrence must precede
+        sel = forced_after = 0  # matched positions; positions some matched occurrence must precede
         for s in selected:
+            if reach[s] & sel:
+                return None  # forced before an earlier matched occurrence
             sel |= 1 << s
             forced_after |= reach[s]
-        # below min(selected) nothing is forced after a matched occurrence,
-        # above max(selected) nothing is forced before one: no wedge, and
-        # the edge to or from x points forward
-        for x in range(min(selected) + 1, max(selected)):
-            if (sel >> x) & 1:
-                continue
-            before = reach[x] & sel
-            after = (forced_after >> x) & 1
-            if before and after:
-                return None  # wedged between two matched occurrences
-            if before or (not after and x < first):
-                edges.append((x, first))
-            else:
-                edges.append((last, x))
-    back = [(a, b) for a, b in edges if a > b]
-    if not back:
-        return list(range(n)), []
-    lo = min(b for _, b in back)
-    hi = max(a for a, _ in back)
+        lo, hi, first = min(selected), max(selected), selected[0]
+        between = (1 << hi) - (2 << lo) if hi > lo else 0  # the positions strictly between lo and hi
+        # below lo nothing is forced after a matched occurrence, above hi
+        # nothing before one: only the positions strictly between can move.
+        # Those forced before a matched occurrence go before the block, and
+        # so do those below its first letter that are not forced after it.
+        ahead = 0
+        for x in compress(range(lo + 1, hi), map(sel.__and__, reach[lo + 1:hi])):
+            ahead |= 1 << x
+        ahead &= ~sel
+        if ahead & forced_after:
+            return None  # wedged between two matched occurrences
+        ahead |= between & ((1 << first) - 1) & ~(sel | forced_after)
+        order = list(range(lo))
+        for start, stop in _runs(ahead):
+            order.extend(range(start, stop))
+            over = ((1 << start) - (1 << lo)) & ~ahead  # the positions each letter of the run passes
+            if over:
+                if any(map(over.__and__, dep[start:stop])):
+                    raise ConsistencyAlarmError("linearization produced an uncertified swap")
+                runs.append((start, stop, over.bit_count()))
+        order.extend(selected)
+        placed = ahead
+        for x in selected:
+            over = ((1 << x) - (1 << lo)) & ~placed
+            placed |= 1 << x
+            if over:
+                if dep[x] & over:
+                    raise ConsistencyAlarmError("linearization produced an uncertified swap")
+                runs.append((x, x + 1, over.bit_count()))
+        for start, stop in _runs(between & ~placed):  # the rest, in index order
+            order.extend(range(start, stop))
+        order.extend(range(hi + 1, n))
+    else:
+        edges = list(zip(selected, selected[1:]))
+        back = [(a, b) for a, b in edges if a > b]
+        if not back:
+            return list(range(n)), []
+        # Only a backward edge a -> b moves anything: positions below the
+        # smallest b and above the largest a keep their place, and no path
+        # between two positions of the window [lo, hi] leaves it.  A window
+        # position is held back while a predecessor is unplaced: a backward
+        # edge's source, or a held position that ``cover`` (whose closure is
+        # the dependency closure) or the target order puts before it.
+        # Successor lists and indegrees exist for those alone.
+        lo = min(b for _, b in back)
+        hi = max(a for a, _ in back)
+        after = dict(edges)
+        succ: Dict[int, List[int]] = {}
+        indegree = {b: 1 for _, b in back}
+        blocked = sources = 0  # positions with an unplaced predecessor; backward sources
+        for a, b in back:
+            blocked |= 1 << b
+            sources |= 1 << a
+        window: List[int] = []
+        held = 0  # positions the sweep has passed and not placed
+        x = lo
+        while x <= hi:
+            ahead = (blocked | sources) >> x  # nonzero: hi is a source
+            stop = x + (ahead & -ahead).bit_length() - 1
+            if stop > x:  # placed at once, each past every held letter
+                window.extend(range(x, stop))
+                if held:
+                    if any(map(held.__and__, dep[x:stop])):
+                        raise ConsistencyAlarmError("linearization produced an uncertified swap")
+                    runs.append((x, stop, held.bit_count()))
+                x = stop
+            bit = 1 << x
+            if blocked & bit:
+                held |= bit
+                later = cover[x][:bisect_right(cover[x], hi)]
+                if x < after.get(x, -1) <= hi:
+                    later.append(after[x])
+                for k in later:
+                    indegree[k] = indegree.get(k, 0) + 1
+                    blocked |= 1 << k
+                succ[x] = later
+            else:  # a backward source: place it, then every held letter it frees, least first
+                ready: List[int] = []
+                i = x
+                while True:
+                    bit = 1 << i
+                    held &= ~bit
+                    over = held & (bit - 1)
+                    if over:
+                        if dep[i] & over:
+                            raise ConsistencyAlarmError("linearization produced an uncertified swap")
+                        runs.append((i, i + 1, over.bit_count()))
+                    window.append(i)
+                    freed = succ.pop(i, [])
+                    if after.get(i, i) < i:
+                        freed.append(after[i])  # its backward target
+                    for k in freed:
+                        indegree[k] -= 1
+                        if not indegree[k]:
+                            blocked ^= 1 << k
+                            if k < x:  # held; a later k is placed by the sweep
+                                heapq.heappush(ready, k)
+                    if not ready:
+                        break
+                    i = heapq.heappop(ready)
+            x += 1
+        if held:
+            return None  # cycle: the required order is not reachable
+        order = list(range(lo)) + window + list(range(hi + 1, n))
 
-    # The min-heap order depends only on the transitive closure of the
-    # successor relation, and ``cover`` has the same closure as the full
-    # dependency relation, so it stands in for it.  The successor lists,
-    # indexed by position and empty below the window, are built only once
-    # no occurrence is wedged; an edge may repeat one of ``cover``, and
-    # ``indegree`` counts it each time, so a position still reaches 0
-    # exactly once.
-    succ = [()] * lo + [cover[i][:bisect_right(cover[i], hi)] for i in range(lo, hi + 1)]
-    for a, b in edges:
-        if lo <= a and b <= hi:  # both ends in the window
-            succ[a].append(b)
-    indegree = [0] * (hi + 1)
-    for ks in succ[lo:]:
-        for j in ks:
-            indegree[j] += 1
-    heap = [i for i in range(lo, hi + 1) if not indegree[i]]
-    heapq.heapify(heap)
-    window: List[int] = []
-    pending = (1 << (hi + 1)) - (1 << lo)  # window positions not yet placed
-    passed: Dict[int, int] = {}  # position -> earlier positions it moves past, if any
-    while heap:
-        i = heapq.heappop(heap)
-        window.append(i)
-        bit = 1 << i
-        pending ^= bit
-        over = pending & (bit - 1)
-        if over:
-            if dep[i] & over:
-                raise ConsistencyAlarmError("linearization produced an uncertified swap")
-            passed[i] = over.bit_count()
-        for j in succ[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                heapq.heappush(heap, j)
-    if len(window) != hi + 1 - lo:
-        return None  # cycle: the required order is not reachable
-
-    order = list(range(lo)) + window + list(range(hi + 1, n))
+    # A letter placed past k earlier ones moves one place left in each of the
+    # sort's first k passes and in no other, so pass p swaps at x - p for
+    # every x that passes at least p letters, in increasing x.
+    runs.sort()
     swaps: List[int] = []
-    movers = sorted(passed)
     p = 1
-    while movers:
-        swaps.extend(map(p.__rsub__, movers))
-        p += 1
-        movers = [x for x in movers if passed[x] >= p]
+    while runs:
+        # passes p..last move the same letters, each one place further left
+        last = min(k for _, _, k in runs)
+        movers: List[int] = []
+        for start, stop, _ in runs:
+            movers.extend(range(start, stop))
+        passes = chain.from_iterable(map(repeat, range(p, last + 1), repeat(len(movers))))
+        swaps.extend(map(sub, movers * (last + 1 - p), passes))
+        p = last + 1
+        runs = [r for r in runs if r[2] > last]
     return order, swaps
 
 

@@ -1,4 +1,4 @@
-"""Word calculus: composition, reduction, certified moves, containment,
+"""Word calculus: the curve table, certified moves, containment,
 substitution, and the relator checks."""
 
 import copy
@@ -26,11 +26,8 @@ from steincalc.words import (
     ContainmentWitness,
     Relator,
     SubstitutionRecord,
-    Twist,
     Word,
-    compose,
     contains,
-    free_reduce,
     substitute,
     verify_relator,
     word_of,
@@ -55,59 +52,6 @@ def planar4():
 def torus1():
     s = Surface(1, 1)
     return s, Curve("a", s.a_class(1)), Curve("b", s.b_class(1))
-
-
-class TestCompose:
-    def test_concatenation(self, torus1):
-        s, a, b = torus1
-        w = compose(word_of(s, [a]), word_of(s, [b]))
-        assert [t.curve.name for t in w.twists] == ["a", "b"]
-
-    def test_empty_identity(self, torus1):
-        s, a, b = torus1
-        w = word_of(s, [a, b])
-        assert compose(w, Word(s, ())) == w
-
-    def test_no_auto_cancel(self, torus1):
-        s, a, b = torus1
-        w = compose(word_of(s, [a, b]), Word(s, (Twist(b, -1),)))
-        assert len(w) == 3
-
-    def test_surface_mismatch(self):
-        s1, s2 = Surface(1, 1), Surface(1, 2)
-        with pytest.raises(RankMismatchError):
-            compose(Word(s1, ()), Word(s2, ()))
-
-    def test_foreign_curve_named_at_its_first_twist(self):
-        # each distinct curve is checked once, in order of first occurrence
-        s, other = Surface(0, 3), Surface(0, 4)
-        home = convex_curve(s, "home", {2})
-        far, farther = convex_curve(other, "far", {2}), convex_curve(other, "farther", {3})
-        with pytest.raises(RankMismatchError, match="twist about far lives on"):
-            word_of(s, [home, far, home, farther, far])
-        with pytest.raises(RankMismatchError, match="twist about farther lives on"):
-            word_of(s, [home] * 5 + [farther, far])
-
-
-class TestFreeReduce:
-    def test_inverse_pair_cancels(self, torus1):
-        s, a, _ = torus1
-        assert free_reduce(Word(s, (Twist(a, 1), Twist(a, -1)))) == Word(s, ())
-
-    def test_nested_cancellation(self, torus1):
-        s, a, b = torus1
-        w = Word(s, (Twist(a, 1), Twist(b, 1), Twist(b, -1), Twist(a, 1)))
-        assert free_reduce(w) == Word(s, (Twist(a, 1), Twist(a, 1)))
-
-    def test_partial_cancellation(self, torus1):
-        s, a, b = torus1
-        w = Word(s, (Twist(a, 1), Twist(b, -1), Twist(b, 1), Twist(b, 1)))
-        assert free_reduce(w) == Word(s, (Twist(a, 1), Twist(b, 1)))
-
-    def test_preserves_action(self, torus1):
-        s, a, b = torus1
-        w = Word(s, (Twist(a, 1), Twist(b, 1), Twist(b, -1), Twist(a, -1), Twist(b, 1)))
-        assert free_reduce(w).action_matrix() == w.action_matrix()
 
 
 class TestContains:
@@ -145,7 +89,7 @@ class TestContains:
             t = word_of(s, [rng.choice(pool) for _ in range(rng.randint(1, 3))])
             v = word_of(s, [rng.choice(pool) for _ in range(rng.randint(0, 4))])
             if contains(w, t) is not None:
-                assert contains(compose(w, v), t) is not None
+                assert contains(Word(s, w.twists + v.twists), t) is not None
 
     def test_repeated_letter_witness_is_pinned(self, planar4):
         s, c = planar4
@@ -286,6 +230,17 @@ class TestSubstitute:
         for bad in [(0, 1, 2, 3), (-3, 2, 3, 0), (1, 2, 3, 4), (1, 2, 3)]:
             with pytest.raises(NotApplicableError):
                 substitute(w, entry.relator, entry.disjoint, positions=bad)
+
+    def test_supplied_order_against_a_forced_precedence_is_not_applicable(self):
+        # x and y overlap without nesting, so the y of w cannot move before
+        # its x; z commutes with both.  A supplied order that asks for it is
+        # "no embedding", not a fault of the engine.
+        s = Surface(0, 5)
+        x, y, z = convex_curve(s, "x", {2, 3}), convex_curve(s, "y", {3, 4}), convex_curve(s, "z", {5})
+        yx = Relator("yx", word_of(s, [y, x]), word_of(s, [y, x]), euler_delta=0, sigma_delta=0)
+        for w, positions in ((word_of(s, [x, y]), (1, 0)), (word_of(s, [x, z, y]), (2, 0))):
+            with pytest.raises(NotApplicableError, match="no certified embedding"):
+                substitute(w, yx, positions=positions)
 
     def test_repeated_position_is_named(self, planar4):
         s, c = planar4
@@ -575,6 +530,16 @@ class TestCurveTable:
     """``Word`` indexes its distinct curves once, equal objects merged; the
     search and the per-curve passes of ``invariants`` read that table."""
 
+    def test_foreign_curve_named_at_its_first_twist(self):
+        # each distinct curve is checked once, in order of first occurrence
+        s, other = Surface(0, 3), Surface(0, 4)
+        home = convex_curve(s, "home", {2})
+        far, farther = convex_curve(other, "far", {2}), convex_curve(other, "farther", {3})
+        with pytest.raises(RankMismatchError, match="twist about far lives on"):
+            word_of(s, [home, far, home, farther, far])
+        with pytest.raises(RankMismatchError, match="twist about farther lives on"):
+            word_of(s, [home] * 5 + [farther, far])
+
     @settings(max_examples=200, deadline=None)
     @given(_mixed_word())
     def test_table_reproduces_the_word(self, w):
@@ -785,25 +750,36 @@ class TestPinnedWitnesses:
 
 
 class TestLinearizeAlarm:
-    @pytest.mark.parametrize("seed", range(12))
-    def test_an_uncertified_swap_raises(self, seed):
-        # a witness that moves letters, then one pair it inverts marked dependent
+    @pytest.mark.parametrize(
+        "seed, contiguous",
+        [pytest.param(seed, False, id=str(seed)) for seed in range(12)]
+        + [pytest.param(seed, True, id=f"contiguous-{seed}") for seed in range(12)],
+    )
+    def test_an_uncertified_swap_raises(self, seed, contiguous):
+        # a witness or substitution record that moves letters, then one pair
+        # its order inverts marked dependent
         for case in range(seed, 2000, 12):
             w, target, declared = _pinned_case(case)
-            wit = contains(w, target, declared)
-            if wit is not None and wit.swaps:
+            if contiguous:
+                try:
+                    _, found = substitute(w, Relator("same", target, target, euler_delta=0, sigma_delta=0), declared)
+                except NotApplicableError:
+                    continue
+            else:
+                found = contains(w, target, declared)
+            if found is not None and found.swaps:
                 break
         rel = _Dependence(w, declared)
-        rel.fill(min(wit.positions), max(wit.positions))
-        order, swaps = _linearize(rel, wit.positions, False)
-        assert tuple(swaps) == wit.swaps
+        rel.fill(min(found.positions), max(found.positions))
+        order, swaps = _linearize(rel, found.positions, contiguous)
+        assert tuple(swaps) == found.swaps
         placed = {x: r for r, x in enumerate(order)}
         inverted = [(y, x) for y in range(len(w)) for x in range(y + 1, len(w)) if placed[x] < placed[y]]
         y, x = random.Random(seed).choice(inverted)
         rel.dep[y] |= 1 << x
         rel.dep[x] |= 1 << y
         with pytest.raises(ConsistencyAlarmError, match="uncertified swap"):
-            _linearize(rel, wit.positions, False)
+            _linearize(rel, found.positions, contiguous)
 
 
 class TestWindowedSearch:
@@ -833,6 +809,23 @@ class TestWindowedSearch:
                     assert rel.reach[i] is None and rel.cover[i] is None
             if selected is not None:
                 assert _linearize(rel, selected, contiguous) == _full_linearize(dep, reach, cover, selected, contiguous)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_SEARCH_WORDS, st.randoms(use_true_random=False), st.booleans())
+    def test_arbitrary_positions_match_the_full_word_oracle(self, w, rng, contiguous):
+        # any order of distinct positions, not only one the search would ask
+        # for: a selected occurrence forced before an earlier one makes the
+        # order unreachable, which both must answer with None
+        n = len(w)
+        dep = _Dependence(w, ()).dep
+        reach, cover = _full_closure(dep)
+        for _ in range(3):
+            span = rng.randint(1, min(n, 24))  # a narrow span, where forced precedences are common
+            start = rng.randint(0, n - span)
+            selected = rng.sample(range(start, start + span), rng.randint(1, min(span, 5)))
+            rel = _Dependence(w, ())
+            rel.fill(min(selected), max(selected))
+            assert _linearize(rel, selected, contiguous) == _full_linearize(dep, reach, cover, selected, contiguous)
 
 
 class TestVerifyRelator:
