@@ -13,10 +13,13 @@ so no search hashes a curve.  The first search that finds a candidate
 position for every target letter also builds the word's commutation blocks,
 per distinct curve the positions it does not commute with, from per-hole
 position bitsets (the rules of ``surfaces.curves_commute``, decided on
-integers), and keeps them on the word for every later search.  Each search
-clears its declared pairs' partners in its own copy of them, closes that
-relation only between the target's first and last candidate positions,
-matches identical target letters left to right, and answers "unknown" when
+integers), and keeps them on the word for every later search.  The word
+also keeps one commutation relation per effective declared set (the
+declared pairs of one or two names that all occur in the word): the blocks
+with those pairs' partners cleared, and its closure, filled from the last
+position down to the lowest first candidate any search on the word has
+asked for.  Every search on the word under that set shares it.  A search
+matches identical target letters left to right and answers "unknown" when
 its fixed node budget runs out.  A witness reorders only the window of
 positions that the target's backward constraints span.
 
@@ -32,7 +35,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
 from operator import attrgetter, sub
-from typing import Collection, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     ConsistencyAlarmError,
@@ -74,10 +77,12 @@ class Word(Value):
     the curves carrying it, and ``_letters`` holds each position's curve
     id.  ``_spots`` (each curve id's positions) and ``_blocks`` (the
     positions each curve id does not commute with by the hole rule) are
-    int bitsets, set by the first search that reads them.
+    int bitsets, set by the first search that reads them.  ``_relations``
+    maps an effective declared set (``_effective``) to the word's
+    ``_Dependence`` under it, built by the first search that needs it.
     """
 
-    __slots__ = ("surface", "twists", "_curves", "_names", "_letters", "_spots", "_blocks")
+    __slots__ = ("surface", "twists", "_curves", "_names", "_letters", "_spots", "_blocks", "_relations")
 
     def __init__(self, surface: Surface, twists: Tuple[Twist, ...]):
         object.__setattr__(self, "surface", surface)
@@ -98,6 +103,7 @@ class Word(Value):
         object.__setattr__(self, "_curves", tuple(curves))
         object.__setattr__(self, "_names", names)
         object.__setattr__(self, "_letters", tuple([index[id(t.curve)] for t in twists]))
+        object.__setattr__(self, "_relations", {})
         for curve in curves:
             if curve.surface != surface:
                 raise RankMismatchError(f"twist about {curve.name} lives on {curve.surface}, not {surface}")
@@ -135,6 +141,22 @@ class Word(Value):
                 spots[k] |= 1 << i
             object.__setattr__(self, "_spots", spots)
             return spots
+
+    def _effective(self, declared: Collection[NamePair]) -> FrozenSet[NamePair]:
+        """The declared pairs that can clear a block: one or two names, all
+        carried by the word (a one-name pair covers two curves sharing a
+        name)."""
+        names = self._names.keys()
+        return frozenset([pair for pair in declared if len(pair) in (1, 2) and pair <= names])
+
+    def _relation(self, declared: Collection[NamePair]) -> "_Dependence":
+        """The word's relation under the declared set, built on the first
+        request for its effective set and shared by every later one."""
+        key = self._effective(declared)
+        rel = self._relations.get(key)
+        if rel is None:
+            rel = self._relations[key] = _Dependence(self, key)
+        return rel
 
     def _blocked(self) -> List[int]:
         """``_blocks``, built by ``_tabulate`` on the first read."""
@@ -214,67 +236,71 @@ def _runs(mask: int) -> Iterator[Tuple[int, int]]:
 
 class _Dependence:
     """Certified commutation among the occurrences of one word under one
-    declared set, as bitsets, and its transitive closure over one window.
+    declared set, as bitsets, and its transitive closure: the dependence
+    relation of the trace monoid over the word's letters, and plain
+    reachability in it.  ``Word._relation`` builds one per effective
+    declared set and keeps it, so every search on the word under that set
+    shares it.
 
     Bit j of ``dep[i]`` is set when the twists at positions i and j are not
     certified to commute: the word's hole-rule blocks (``Word._blocked``)
-    with the positions of declared partners cleared.  It is built on its
-    first read, which a search makes only once every target letter has a
+    with the positions of declared partners cleared.  It is built with the
+    relation, which a search asks for only once every target letter has a
     candidate, so a target with an absent letter builds nothing.
-    ``reach[i]`` holds the positions j in (i, q] that some chain of
-    dependent occurrences forces to stay after position i, and ``cover[i]``
-    is a subset of the later dependent positions of i up to q whose chains
-    already force all of ``reach[i]``.  A chain ending at or before q never
-    passes it, so these are the full closure cut at q.  ``fill(p, q)``
-    builds them right to left, once per relation, between the first and the
-    last position a search reads (its target's first and last candidates);
-    elsewhere both hold None.
+    ``reach[i]`` holds the later positions j that some chain of dependent
+    occurrences forces to stay after position i, and ``cover[i]`` (a tuple
+    in increasing order) is a subset of the later dependent positions of i
+    whose chains already force all of ``reach[i]``.  ``fill(p)`` builds
+    them right to left, from the last position down to p, and a later call
+    with a lower p extends them leftwards; ``low`` is the lowest filled
+    position, and every entry below it holds None.
+
+    Each reader masks the closure to its own window: ``_embeddings`` reads
+    ``reach[pos] & taken``, and ``_linearize`` masks with its matched
+    positions and the span between them and cuts ``cover`` at the window's
+    last position q.  A chain moves to ever larger positions, so the part
+    of ``reach[i]`` at or below q is the closure of the relation cut at q,
+    and ``cover[i]``'s entries at or below q come first and are the ones a
+    fill cut at q would list: filling to the end gives every reader what a
+    fill over its own window alone would.
     """
 
     def __init__(self, w: Word, declared: Collection[NamePair]):
-        self.word = w
-        self.declared = declared
-        self._dep: Optional[List[int]] = None
+        names, spots = w._names, w._positions()
+        partners = [0] * len(spots)  # curve id -> positions of the curves declared disjoint from it
+        for pair in w._effective(declared):
+            x, y = min(pair), max(pair)
+            for k in names[x]:
+                for j in names[y]:
+                    partners[k] |= spots[j]
+                    partners[j] |= spots[k]
+        blocked = [ban & ~partner for ban, partner in zip(w._blocked(), partners)]
+        self.dep: List[int] = [blocked[k] for k in w._letters]
         # None until ``fill`` reaches the position: read as 0, an unfilled
         # entry would let ``_embeddings`` accept an unsound embedding
         self.reach: List[Optional[int]] = [None] * len(w)
-        self.cover: List[Optional[List[int]]] = [None] * len(w)
+        self.cover: List[Optional[Tuple[int, ...]]] = [None] * len(w)
+        self.low = len(w)
 
-    @property
-    def dep(self) -> List[int]:
-        if self._dep is None:
-            w = self.word
-            names, spots = w._names, w._positions()
-            partners = [0] * len(spots)  # curve id -> positions of the curves declared disjoint from it
-            for pair in self.declared:
-                # a one-name pair covers two curves sharing a name
-                if len(pair) in (1, 2) and pair <= names.keys():
-                    x, y = min(pair), max(pair)
-                    for k in names[x]:
-                        for j in names[y]:
-                            partners[k] |= spots[j]
-                            partners[j] |= spots[k]
-            blocked = [ban & ~partner for ban, partner in zip(w._blocked(), partners)]
-            self._dep = [blocked[k] for k in w._letters]
-        return self._dep
-
-    def fill(self, p: int, q: int) -> None:
-        """Fill ``reach`` and ``cover`` right to left at positions p..q, cut at q."""
+    def fill(self, p: int) -> None:
+        """Fill ``reach`` and ``cover`` right to left down to position p."""
         dep, reach, cover = self.dep, self.reach, self.cover
-        keep = (2 << q) - 1  # positions up to q
-        for i in range(q, p - 1, -1):
+        for i in range(self.low - 1, p - 1, -1):
             # a later dependent position already in ``acc`` is forced after
             # i through an earlier one, and so is everything it forces
-            todo = (dep[i] & keep) >> (i + 1) << (i + 1)
+            todo = dep[i] >> (i + 1) << (i + 1)
             acc = 0
-            ks = cover[i] = []
+            ks = []
             while todo:
                 bit = todo & -todo
                 k = bit.bit_length() - 1
                 ks.append(k)
                 acc |= bit | reach[k]
                 todo &= ~acc
+            cover[i] = tuple(ks)  # kept for the word's life: no spare list capacity
             reach[i] = acc
+        if p < self.low:
+            self.low = p
 
 
 # The one dataclass of the package: the benchmark's checks build tampered
@@ -317,9 +343,11 @@ def _match_candidates(w: Word, target: Word) -> Optional[Tuple[List[List[int]], 
     return candidates, twin
 
 
-def _embeddings(w: Word, target: Word, rel: _Dependence) -> Iterator[Tuple[int, ...]]:
+def _embeddings(rel: _Dependence, candidates: List[List[int]], twin: List[int]) -> Iterator[Tuple[int, ...]]:
     """Injections of the target into w whose matched occurrences can be put
-    in target order by certified commutations, in lexicographic order.
+    in target order by certified commutations, in lexicographic order;
+    ``candidates`` and ``twin`` are ``_match_candidates``' answer and
+    ``rel`` is w's relation, which is filled down to the first candidate.
 
     An assignment is valid when no later target letter is forced (by a
     chain of dependent occurrences) to stay before an earlier one; this
@@ -329,43 +357,47 @@ def _embeddings(w: Word, target: Word, rel: _Dependence) -> Iterator[Tuple[int, 
     assignment with a decreasing pair has a lexicographically smaller valid
     one without it, so a letter skips the slots that leave too few for its
     identical successors.  After ``_SEARCH_NODES`` tested positions the
-    search stops, which its callers report as "unknown".
+    search stops, which its callers report as "unknown".  The depth-first
+    walk keeps one iterator over the untried slots per placed letter, on a
+    stack, so it builds no closure that refers to itself.
     """
-    found = _match_candidates(w, target)
-    if found is None:
-        return
-    candidates, twin = found
-    rel.fill(min(slots[0] for slots in candidates), max(slots[-1] for slots in candidates))
-    m = len(target.twists)
+    rel.fill(min(slots[0] for slots in candidates))
+    m = len(candidates)
     left_after = [0] * m  # identical target letters still to place after k
     for k in range(m - 1, -1, -1):
         if twin[k] >= 0:
             left_after[twin[k]] = left_after[k] + 1
     reach = rel.reach
     chosen: List[int] = []
+    stack: List[Iterator[int]] = []  # the untried slots of each placed letter
+    slots = candidates[0]
+    untried = iter(slots[:len(slots) - left_after[0]])
     taken = 0
     nodes = 0
-
-    def extend(k: int) -> Iterator[Tuple[int, ...]]:
-        nonlocal taken, nodes
+    while True:
+        pos = next(untried, -1)
+        if pos < 0:  # the letter's slots are used up: take back the previous letter's
+            if not stack:
+                return
+            untried = stack.pop()
+            taken ^= 1 << chosen.pop()
+            continue
+        if nodes == _SEARCH_NODES:
+            return
+        nodes += 1
+        if reach[pos] & taken:
+            continue
+        chosen.append(pos)
+        k = len(chosen)
         if k == m:
             yield tuple(chosen)
-            return
+            chosen.pop()
+            continue
+        taken |= 1 << pos
+        stack.append(untried)
         slots = candidates[k]
         lo = bisect_right(slots, chosen[twin[k]]) if twin[k] >= 0 else 0
-        for pos in slots[lo:len(slots) - left_after[k]]:
-            if nodes == _SEARCH_NODES:
-                return
-            nodes += 1
-            if reach[pos] & taken:
-                continue
-            chosen.append(pos)
-            taken |= 1 << pos
-            yield from extend(k + 1)
-            chosen.pop()
-            taken ^= 1 << pos
-
-    yield from extend(0)
+        untried = iter(slots[lo:len(slots) - left_after[k]])
 
 
 def _linearize(
@@ -381,8 +413,8 @@ def _linearize(
     new sequence and ``swaps`` are the adjacent transpositions realizing it,
     or None when that order is not reachable: a selected occurrence is
     forced before an earlier one, or (when ``contiguous``) an occurrence is
-    wedged between two matched ones.  ``rel`` must be filled from
-    min(selected) to max(selected).  ``order`` is the least order that keeps
+    wedged between two matched ones.  ``rel`` must be filled down to
+    min(selected).  ``order`` is the least order that keeps
     every forced precedence and ``swaps`` the passes of a bubble sort into
     it.  Only the window that a backward constraint spans moves: a
     substitution puts the positions that go before the block first, then
@@ -448,7 +480,7 @@ def _linearize(
         lo = min(b for _, b in back)
         hi = max(a for a, _ in back)
         after = dict(edges)
-        succ: Dict[int, List[int]] = {}
+        succ: Dict[int, Tuple[int, ...]] = {}
         indegree = {b: 1 for _, b in back}
         blocked = sources = 0  # positions with an unplaced predecessor; backward sources
         for a, b in back:
@@ -472,7 +504,7 @@ def _linearize(
                 held |= bit
                 later = cover[x][:bisect_right(cover[x], hi)]
                 if x < after.get(x, -1) <= hi:
-                    later.append(after[x])
+                    later += (after[x],)
                 for k in later:
                     indegree[k] = indegree.get(k, 0) + 1
                     blocked |= 1 << k
@@ -489,9 +521,9 @@ def _linearize(
                             raise ConsistencyAlarmError("linearization produced an uncertified swap")
                         runs.append((i, i + 1, over.bit_count()))
                     window.append(i)
-                    freed = succ.pop(i, [])
+                    freed = succ.pop(i, ())
                     if after.get(i, i) < i:
-                        freed.append(after[i])  # its backward target
+                        freed += (after[i],)  # its backward target
                     for k in freed:
                         indegree[k] -= 1
                         if not indegree[k]:
@@ -536,8 +568,11 @@ def contains(w: Word, target: Word, declared: Collection[NamePair] = ()) -> Opti
         raise RankMismatchError("containment across different surfaces")
     if not target.twists:
         return ContainmentWitness((), (), ())
-    rel = _Dependence(w, declared)
-    for positions in _embeddings(w, target, rel):
+    found = _match_candidates(w, target)
+    if found is None:
+        return None
+    rel = w._relation(declared)
+    for positions in _embeddings(rel, *found):
         # no cycle: ``_embeddings`` forces no later target letter before an earlier one
         lin = _linearize(rel, positions, contiguous=False)
         if lin is None:
@@ -695,10 +730,16 @@ def substitute(
             t = relator.left.twists[k]
             if w.twists[p].curve != t.curve or w.twists[p].sign != t.sign:
                 raise NotApplicableError(f"position {p} does not carry the twist {t.curve.name}")
-    rel = _Dependence(w, declared)
-    if positions is not None:
-        rel.fill(min(positions), max(positions))
-    chosen = [tuple(positions)] if positions is not None else _embeddings(w, relator.left, rel)
+        rel = w._relation(declared)
+        rel.fill(min(positions))
+        chosen = [tuple(positions)]
+    else:
+        found = _match_candidates(w, relator.left)
+        if found is None:
+            chosen = ()
+        else:
+            rel = w._relation(declared)
+            chosen = _embeddings(rel, *found)
 
     for pos in chosen:
         lin = _linearize(rel, pos, contiguous=True)

@@ -2,6 +2,7 @@
 substitution, and the relator checks."""
 
 import copy
+import gc
 import hashlib
 import heapq
 import pickle
@@ -126,8 +127,11 @@ class TestContains:
         for _ in range(300):
             w = word_of(_SPHERE5, [rng.choice(_POOL) for _ in range(rng.randint(1, 9))])
             target = word_of(_SPHERE5, [rng.choice(_POOL[:4]) for _ in range(rng.randint(1, 4))])
-            rel = _Dependence(w, ())
-            for positions in words._embeddings(w, target, rel):
+            found = words._match_candidates(w, target)
+            if found is None:
+                continue
+            rel = w._relation(())
+            for positions in words._embeddings(rel, *found):
                 assert _linearize(rel, positions, contiguous=False) is not None
 
     def test_node_budget_bounds_the_search(self):
@@ -507,11 +511,14 @@ class TestNameKeyedTable:
         real = Word._tabulate
         monkeypatch.setattr(Word, "_tabulate", lambda word: built.append(word) or real(word))
         witness = contains(w, target, declared)
-        assert witness is not None and w._spots and w._blocks
+        assert witness is not None and w._spots and w._blocks and w._relations
         others = (copy.copy(w), pickle.loads(pickle.dumps(w)))
         for other in others:
             assert other == w and not hasattr(other, "_spots") and not hasattr(other, "_blocks")
+            assert other._relations == {}
             assert contains(other, target, declared) == witness
+            assert other._relations.keys() == w._relations.keys()
+            assert all(a is not b for a, b in zip(other._relations.values(), w._relations.values()))
         assert [id(word) for word in built] == [id(w)] + [id(other) for other in others]
 
     @settings(max_examples=100, deadline=None)
@@ -740,7 +747,7 @@ class TestPinnedWitnesses:
     @given(_SEARCH_WORDS, st.randoms(use_true_random=False), st.booleans())
     def test_linearize_swaps_match_full_passes(self, w, rng, contiguous):
         rel = _Dependence(w, ())
-        rel.fill(0, len(w) - 1)
+        rel.fill(0)
         selected = _search_selection(rel.reach, rng, len(w))
         lin = _linearize(rel, selected, contiguous)
         assert lin is not None or contiguous
@@ -769,8 +776,8 @@ class TestLinearizeAlarm:
                 found = contains(w, target, declared)
             if found is not None and found.swaps:
                 break
-        rel = _Dependence(w, declared)
-        rel.fill(min(found.positions), max(found.positions))
+        rel = _Dependence(w, declared)  # its own, never the word's: the test tampers with it
+        rel.fill(min(found.positions))
         order, swaps = _linearize(rel, found.positions, contiguous)
         assert tuple(swaps) == found.swaps
         placed = {x: r for r, x in enumerate(order)}
@@ -784,9 +791,9 @@ class TestLinearizeAlarm:
 
 class TestWindowedSearch:
     """``_linearize`` orders only the window its backward edges span, and
-    ``_Dependence`` fills its closure once, only between the positions a
-    caller asks for, cut at the right end; both give what the full-word
-    computations give."""
+    ``_Dependence`` fills its closure from the last position down to the
+    lowest one a caller asks for, extending it on a later, lower request;
+    both give what the full-word computations give."""
 
     @settings(max_examples=200, deadline=None)
     @given(_SEARCH_WORDS, st.randoms(use_true_random=False), st.booleans())
@@ -796,19 +803,22 @@ class TestWindowedSearch:
         n = len(w)
         dep = _Dependence(w, declared).dep
         reach, cover = _full_closure(dep)
-        for selected in (_search_selection(reach, rng, n), _search_selection(reach, rng, n), None):
-            p, q = (0, n - 1) if selected is None else (min(selected), max(selected))
-            rel = _Dependence(w, declared)  # one fill per relation
-            rel.fill(p, q)
-            keep = (2 << q) - 1  # the full closure cut at q
+        selections = [_search_selection(reach, rng, n), _search_selection(reach, rng, n)]
+        rel = _Dependence(w, declared)  # successive fills on one relation, each as low as the last or lower
+        for selected in sorted(selections, key=min, reverse=True) + [None]:
+            p = 0 if selected is None else min(selected)
+            rel.fill(p)
+            rel.fill(n - 1)  # a higher request fills nothing more
+            assert rel.low == p
             for i in range(n):
-                if p <= i <= q:
-                    assert rel.reach[i] == reach[i] & keep
-                    assert rel.cover[i] == [k for k in cover[i] if k <= q]
+                if i >= p:
+                    assert rel.reach[i] == reach[i] and list(rel.cover[i]) == cover[i]
                 else:
                     assert rel.reach[i] is None and rel.cover[i] is None
             if selected is not None:
                 assert _linearize(rel, selected, contiguous) == _full_linearize(dep, reach, cover, selected, contiguous)
+        for selected in selections:  # on a relation filled below the selection
+            assert _linearize(rel, selected, contiguous) == _full_linearize(dep, reach, cover, selected, contiguous)
 
     @settings(max_examples=200, deadline=None)
     @given(_SEARCH_WORDS, st.randoms(use_true_random=False), st.booleans())
@@ -824,8 +834,109 @@ class TestWindowedSearch:
             start = rng.randint(0, n - span)
             selected = rng.sample(range(start, start + span), rng.randint(1, min(span, 5)))
             rel = _Dependence(w, ())
-            rel.fill(min(selected), max(selected))
+            rel.fill(min(selected))
             assert _linearize(rel, selected, contiguous) == _full_linearize(dep, reach, cover, selected, contiguous)
+
+
+def _shared_relator_entry(target, disjoint):
+    """An entry whose left side is the target, with a nonzero obstruction,
+    so ``detect_relator`` reports each admission with its witness."""
+    relator = Relator("r", target, target, euler_delta=0, sigma_delta=1, allowable=True)
+    return RelatorEntry(relator=relator, obstruction=1, disjoint=frozenset(disjoint))
+
+
+class TestRelationCache:
+    """A word keeps one ``_Dependence`` per effective declared set, shared by
+    every search on it, and its fill only grows leftwards."""
+
+    def test_a_search_leaves_no_garbage(self):
+        w, target, declared = _pinned_case(27)
+        same = Relator("same", target, target, euler_delta=0, sigma_delta=0)
+        gc.collect()
+        witness = contains(w, target, declared)
+        _, record = substitute(w, same, declared)
+        _, given = substitute(w, same, declared, positions=record.positions)
+        assert witness is not None and given == record
+        assert gc.collect() == 0
+        del w, witness, record, given  # the word and its relations go with their last reference
+        assert gc.collect() == 0
+
+    def test_relations_are_built_once_per_effective_set(self, monkeypatch):
+        s = Surface(0, 5)
+        a, b, c = convex_curve(s, "a", {2, 3}), convex_curve(s, "b", {3, 4}), convex_curve(s, "c", {5})
+        w = word_of(s, [c, a, b, c, a, b])
+        target = word_of(s, [a, b])
+        built = []
+        real = _Dependence.__init__
+        monkeypatch.setattr(_Dependence, "__init__", lambda rel, word, declared: built.append(word) or real(rel, word, declared))
+        # a pair naming a curve the word lacks clears nothing, so these share one relation
+        unread = [set(), {declared_pair("y", "z")}, {declared_pair("a", "z")}, {frozenset({"y"})}]
+        certificates = planarity.detect_relator(w, [_shared_relator_entry(target, d) for d in unread])
+        assert [cert.verdict for cert in certificates] == [planarity.NON_PLANAR] * 4
+        assert len(built) == 1 and list(w._relations) == [frozenset()]
+        # an entry whose pair names two curves of the word needs its own
+        other = copy.copy(w)
+        pairs = [{declared_pair("a", "b")}, set()]
+        planarity.detect_relator(other, [_shared_relator_entry(target, d) for d in pairs])
+        assert len(built) == 3 and set(other._relations) == {frozenset(), frozenset({declared_pair("a", "b")})}
+        # a later search whose first candidate lies lower extends the fill
+        rel = w._relations[frozenset()]
+        assert rel.low == 1 and rel.reach[0] is None
+        filled = rel.reach[1:], rel.cover[1:]
+        assert contains(w, word_of(s, [c, a]), {declared_pair("y", "z")}) is not None
+        assert len(built) == 3 and w._relations == {frozenset(): rel}
+        assert rel.low == 0 and rel.reach[0] is not None
+        assert (rel.reach[1:], rel.cover[1:]) == filled
+
+    @settings(max_examples=100, deadline=None)
+    @given(_SEARCH_WORDS, st.randoms(use_true_random=False))
+    def test_shared_relations_answer_as_fresh_ones(self, w, rng):
+        # a sequence of searches on one word, under declared sets with pairs
+        # naming absent curves, one-name pairs (over two unequal curves where
+        # the word has them) and the empty set, answers each call as the
+        # same call on a fresh copy of the word does
+        names = sorted(w._names) + ["absent"]
+
+        def draw_declared():
+            if rng.random() < 0.3:
+                return set()
+            return {frozenset(rng.sample(names, rng.randint(1, 2))) for _ in range(rng.randint(1, 3))}
+
+        def answer(call, word):
+            try:
+                return call(word)
+            except NotApplicableError as e:
+                return str(e)
+
+        n = len(w)
+        for _ in range(rng.randint(2, 8)):
+            declared = draw_declared()
+            picked = rng.sample(range(n), rng.randint(1, min(n, 4)))
+            target = word_of(w.surface, [w.twists[i].curve for i in picked])
+            same = Relator("same", target, target, euler_delta=0, sigma_delta=0)
+            op = rng.choice(("contains", "substitute", "positions", "detect"))
+            if op == "contains":
+                call = lambda word: contains(word, target, declared)
+            elif op == "substitute":
+                call = lambda word: substitute(word, same, declared)
+            elif op == "positions":
+                call = lambda word: substitute(word, same, declared, positions=picked)
+            else:
+                entries = [_shared_relator_entry(target, draw_declared()) for _ in range(rng.randint(1, 3))]
+                call = lambda word: planarity.detect_relator(word, entries, declared)
+            shared, fresh = answer(call, w), answer(call, copy.copy(w))
+            if op == "contains" and shared is not None:
+                assert (shared.positions, shared.swaps, shared.final_positions) == (
+                    fresh.positions, fresh.swaps, fresh.final_positions)
+            elif op in ("substitute", "positions") and not isinstance(shared, str):
+                (new_shared, rec), (new_fresh, rec_fresh) = shared, fresh
+                assert new_shared.twists == new_fresh.twists
+                assert [getattr(rec, f) for f in rec._fields] == [getattr(rec_fresh, f) for f in rec_fresh._fields]
+            elif op == "detect":
+                assert [(c.verdict, c.basis, c.notes) for c in shared] == [(c.verdict, c.basis, c.notes) for c in fresh]
+                assert [c.witness and [getattr(c.witness, f) for f in c.witness._fields] for c in shared] == [
+                    c.witness and [getattr(c.witness, f) for f in c.witness._fields] for c in fresh]
+            assert shared == fresh
 
 
 class TestVerifyRelator:
