@@ -9,19 +9,25 @@ in order after certified commutations; substitution additionally needs the
 matched block to become contiguous.  A ``Word`` indexes its distinct curves
 once, when it is built, in one table keyed by name (equal objects merged),
 which the search and every per-curve pass (here and in ``invariants``) read,
-so no search hashes a curve.  The first search that finds a candidate
+so no search hashes a curve; a substitution's result inherits its parent's
+table, extended by the right side's new curves and renumbered, instead of
+building one, and is positive by construction.  A word computes whether it
+is positive once.  A search takes each target letter's candidate positions
+from the word's per-curve position tuples, each read off the curve's
+position bitset on its first request and kept, and filters them by sign only
+on a word with a negative twist.  The first search that finds a candidate
 position for every target letter also builds the word's commutation blocks,
 per distinct curve the positions it does not commute with, from per-hole
 position bitsets (the rules of ``surfaces.curves_commute``, decided on
-integers), and keeps them on the word for every later search.  The word
-also keeps one commutation relation per effective declared set (the
-declared pairs of one or two names that all occur in the word): the blocks
-with those pairs' partners cleared, and its closure, filled from the last
-position down to the lowest first candidate any search on the word has
-asked for.  Every search on the word under that set shares it.  A search
-matches identical target letters left to right and answers "unknown" when
-its fixed node budget runs out.  A witness reorders only the window of
-positions that the target's backward constraints span.
+integers), and keeps them on the word for every later search.  The word also
+keeps one commutation relation per effective declared set (the declared
+pairs of one or two names that all occur in the word): the blocks with those
+pairs' partners cleared, and its closure, filled from the last position down
+to the lowest first candidate any search on the word has asked for.  Every
+search on the word under that set shares it.  A search matches identical
+target letters left to right and answers "unknown" when its fixed node
+budget runs out.  A witness reorders only the window of positions that the
+target's backward constraints span.
 
 A relator is a pair of positive words (left, right) naming the same mapping
 class.  ``verify_relator`` checks the necessary conditions that are
@@ -75,18 +81,25 @@ class Word(Value):
     name (curves with different names are never equal), so no curve is
     hashed; ``_names`` maps a name to the ids (indices into ``_curves``) of
     the curves carrying it, and ``_letters`` holds each position's curve
-    id.  ``_spots`` (each curve id's positions) and ``_blocks`` (the
-    positions each curve id does not commute with by the hole rule) are
-    int bitsets, set by the first search that reads them.  ``_relations``
-    maps an effective declared set (``_effective``) to the word's
-    ``_Dependence`` under it, built by the first search that needs it.
+    id; ``_assign`` sets them, from ``__init__``'s merge or, for a
+    substitution's result, from the parent's table (``_splice``).
+    ``_positive`` is set by the first read of ``is_positive`` (or by
+    ``_splice``, whose words are positive).  ``_spots`` (each curve id's
+    positions) and ``_blocks`` (the positions each curve id does not
+    commute with by the hole rule) are int bitsets, set by the first
+    search that reads them.  ``_places`` holds each curve id's positions
+    as a tuple, read off its bitset by the first search with a letter on
+    that curve (None until then).
+    ``_relations`` maps an effective declared set (``_effective``) to the
+    word's ``_Dependence`` under it, built by the first search that needs
+    it.
     """
 
-    __slots__ = ("surface", "twists", "_curves", "_names", "_letters", "_spots", "_blocks", "_relations")
+    __slots__ = (
+        "surface", "twists", "_curves", "_names", "_letters", "_positive", "_spots", "_places", "_blocks", "_relations"
+    )
 
     def __init__(self, surface: Surface, twists: Tuple[Twist, ...]):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "twists", twists)
         curves: List[Curve] = []
         names: Dict[str, List[int]] = {}
         index = {}  # id of a curve object -> its curve id
@@ -100,20 +113,41 @@ class Word(Value):
                 ids.append(k)
                 curves.append(c)
             index[key] = k
-        object.__setattr__(self, "_curves", tuple(curves))
-        object.__setattr__(self, "_names", names)
-        object.__setattr__(self, "_letters", tuple([index[id(t.curve)] for t in twists]))
-        object.__setattr__(self, "_relations", {})
+        self._assign(surface, twists, tuple(curves), names, tuple([index[id(t.curve)] for t in twists]))
         for curve in curves:
             if curve.surface != surface:
                 raise RankMismatchError(f"twist about {curve.name} lives on {curve.surface}, not {surface}")
+
+    def _assign(
+        self,
+        surface: Surface,
+        twists: Tuple[Twist, ...],
+        curves: Tuple[Curve, ...],
+        names: Dict[str, List[int]],
+        letters: Tuple[int, ...],
+    ) -> None:
+        """Set the fields and the curve table; the other caches start unset
+        (``_relations`` empty).  ``__init__`` and ``_splice`` build a word
+        through here alone."""
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "twists", twists)
+        object.__setattr__(self, "_curves", curves)
+        object.__setattr__(self, "_names", names)
+        object.__setattr__(self, "_letters", letters)
+        object.__setattr__(self, "_relations", {})
 
     def __len__(self) -> int:
         return len(self.twists)
 
     @property
     def is_positive(self) -> bool:
-        return -1 not in map(_sign, self.twists)
+        """No twist is negative; computed on the first read and kept."""
+        try:
+            return self._positive
+        except AttributeError:  # first read
+            positive = -1 not in map(_sign, self.twists)
+            object.__setattr__(self, "_positive", positive)
+            return positive
 
     def action_on(self, x: HomologyClass) -> HomologyClass:
         for t in reversed(self.twists):
@@ -141,6 +175,20 @@ class Word(Value):
                 spots[k] |= 1 << i
             object.__setattr__(self, "_spots", spots)
             return spots
+
+    def _occurrences(self, k: int) -> Tuple[int, ...]:
+        """Curve id k's positions in increasing order: read off its
+        ``_spots`` bitset on the first request for k, then kept in
+        ``_places``."""
+        try:
+            places = self._places
+        except AttributeError:  # first read
+            places = [None] * len(self._curves)
+            object.__setattr__(self, "_places", places)
+        slots = places[k]
+        if slots is None:
+            slots = places[k] = tuple(_bits(self._positions()[k]))
+        return slots
 
     def _effective(self, declared: Collection[NamePair]) -> FrozenSet[NamePair]:
         """The declared pairs that can clear a block: one or two names, all
@@ -320,30 +368,41 @@ class ContainmentWitness:
     final_positions: Tuple[int, ...]
 
 
-def _match_candidates(w: Word, target: Word) -> Optional[Tuple[List[List[int]], List[int]]]:
+def _match_candidates(w: Word, target: Word) -> Optional[Tuple[List[Sequence[int]], List[int]]]:
     """Each target letter's positions in w, and the index of the previous
     identical target letter (or -1); None when some letter has no position.
     Letters are told apart by their id in w's curve table and their sign,
-    so no curve is hashed."""
-    candidates: List[List[int]] = []
+    so no curve is hashed.  A letter's positions are its curve's tuple
+    (``Word._occurrences``), kept on the word and shared by every search:
+    taken as they are on a positive word, where a negative letter has
+    none, and filtered by sign only on a word with a negative twist."""
+    candidates: List[Sequence[int]] = []
     twin: List[int] = []
     last: Dict[Tuple[int, int], int] = {}  # (curve id, sign) -> its latest target index
+    positive = w.is_positive
     for t in target.twists:
         c = w._find(t.curve)
         if c < 0:
             return None
         key = (c, t.sign)
         prev = last.get(key, -1)
-        slots = candidates[prev] if prev >= 0 else [i for i in _bits(w._positions()[c]) if w.twists[i].sign == t.sign]
-        if not slots:
-            return None
+        if prev >= 0:
+            slots = candidates[prev]
+        elif positive:
+            if t.sign < 0:
+                return None
+            slots = w._occurrences(c)
+        else:
+            slots = [i for i in w._occurrences(c) if w.twists[i].sign == t.sign]
+            if not slots:
+                return None
         last[key] = len(twin)
         twin.append(prev)
         candidates.append(slots)
     return candidates, twin
 
 
-def _embeddings(rel: _Dependence, candidates: List[List[int]], twin: List[int]) -> Iterator[Tuple[int, ...]]:
+def _embeddings(rel: _Dependence, candidates: List[Sequence[int]], twin: List[int]) -> Iterator[Tuple[int, ...]]:
     """Injections of the target into w whose matched occurrences can be put
     in target order by certified commutations, in lexicographic order;
     ``candidates`` and ``twin`` are ``_match_candidates``' answer and
@@ -706,7 +765,10 @@ def substitute(
     The left side must embed as an in-order subword reachable by certified
     commutations, with the matched block commutable into a contiguous run.
     The engine searches for such an embedding (or verifies a supplied one)
-    and records the move for the signature ledger.
+    and records the move for the signature ledger.  The result inherits
+    w's curve table (``_splice``): it runs no ``Word.__init__``, and needs
+    no per-curve surface check, since the right side lives on the left
+    side's surface, which must be w's.
     """
     if relator.left is None:
         raise NotApplicableError(f"relator {relator.name} carries no words to substitute")
@@ -750,11 +812,6 @@ def substitute(
         block = order[start : start + len(pos)]
         if block != list(pos):
             raise ConsistencyAlarmError("contiguous linearization lost the matched block")
-        new_twists = (
-            tuple(w.twists[i] for i in order[:start])
-            + relator.right.twists
-            + tuple(w.twists[i] for i in order[start + len(pos):])
-        )
         record = SubstitutionRecord(
             relator_name=relator.name,
             sigma_delta=relator.sigma_delta,
@@ -762,11 +819,53 @@ def substitute(
             positions=tuple(pos),
             swaps=tuple(swaps),
         )
-        return Word(w.surface, new_twists), record
+        return _splice(w, order[:start], relator.right, order[start + len(pos):]), record
     raise NotApplicableError(
         f"no certified embedding of the left side of {relator.name} was found "
         "(which does not prove the configuration is absent)"
     )
+
+
+def _splice(w: Word, head: Sequence[int], right: Word, tail: Sequence[int]) -> Word:
+    """The positive word of w's twists at the positions ``head``, then the
+    twists of right (a positive word on w's surface), then w's twists at
+    ``tail``, with the curve table ``Word.__init__`` would build, derived
+    from the two tables.
+
+    Right's curves are looked up in w's table once each (``_find``), and
+    the ones w lacks take the next free ids, so every id names one class
+    of equal curves.  The ids are then renumbered in order of first
+    occurrence, and each class keeps the object at its first position:
+    ``__init__`` keeps the first object of a class it meets, and it meets
+    the objects in that order.
+    """
+    twists, letters = w.twists, w._letters
+    ids = []  # right's curve id -> its id in w's table, or a fresh one
+    free = len(w._curves)
+    for c in right._curves:
+        k = w._find(c)
+        if k < 0:
+            k = free
+            free += 1
+        ids.append(k)
+    new_twists = tuple([twists[i] for i in head]) + right.twists + tuple([twists[i] for i in tail])
+    spliced = [letters[i] for i in head]  # ids in w's table extended by right's new curves
+    spliced += [ids[k] for k in right._letters]
+    spliced += [letters[i] for i in tail]
+    # each id's first position: the reversed walk writes its earliest position last
+    firsts = sorted(dict(zip(reversed(spliced), range(len(spliced) - 1, -1, -1))).values())
+    renumber = [0] * free
+    curves: List[Curve] = []
+    names: Dict[str, List[int]] = {}
+    for k, i in enumerate(firsts):
+        renumber[spliced[i]] = k
+        c = new_twists[i].curve
+        curves.append(c)
+        names.setdefault(c.name, []).append(k)
+    new = Word.__new__(Word)
+    new._assign(w.surface, new_twists, tuple(curves), names, tuple([renumber[k] for k in spliced]))
+    object.__setattr__(new, "_positive", True)
+    return new
 
 
 class RelatorCheck(Value):

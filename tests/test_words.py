@@ -27,6 +27,7 @@ from steincalc.words import (
     ContainmentWitness,
     Relator,
     SubstitutionRecord,
+    Twist,
     Word,
     contains,
     substitute,
@@ -374,6 +375,18 @@ def _check_against_brute_force(surface, letters, target_letters, declared):
     assert seq[start : start + m] == list(record.positions)
     assert [letters[p] for p in record.positions] == target_letters
     assert new_w == Word(surface, tuple(w.twists[i] for i in seq))
+    _assert_table_as_built(new_w)
+
+
+def _assert_table_as_built(word):
+    """The word's curve table and positivity are what ``Word.__init__``
+    builds for its twists: the same curve objects, names and letters."""
+    fresh = Word(word.surface, word.twists)
+    assert len(word._curves) == len(fresh._curves)
+    assert all(a is b for a, b in zip(word._curves, fresh._curves))
+    assert word._names == fresh._names
+    assert word._letters == fresh._letters
+    assert word.is_positive == fresh.is_positive
 
 
 _NAMES = ("p", "q", "r", "s")  # few names, so distinct curves share them
@@ -455,6 +468,30 @@ class TestTabulatedRelation:
         assert [c.verdict for c in planarity.detect_relator(w, [entry, entry])] == [planarity.NON_PLANAR] * 2
 
 
+def _reference_candidates(w, target):
+    """``_match_candidates`` as it ran before it read ``Word._occurrences``:
+    each letter's positions read off its curve's bitset, then filtered by
+    sign on every word."""
+    candidates, twin, last = [], [], {}
+    for t in target.twists:
+        c = w._find(t.curve)
+        if c < 0:
+            return None
+        key = (c, t.sign)
+        prev = last.get(key, -1)
+        if prev >= 0:
+            slots = candidates[prev]
+        else:
+            mask = w._positions()[c]
+            slots = [i for i in range(len(w)) if (mask >> i) & 1 and w.twists[i].sign == t.sign]
+        if not slots:
+            return None
+        last[key] = len(twin)
+        twin.append(prev)
+        candidates.append(slots)
+    return candidates, twin
+
+
 class TestNameKeyedTable:
     """The word's curve table is keyed by name, so no search hashes a curve,
     and a target with an absent letter builds nothing."""
@@ -511,15 +548,58 @@ class TestNameKeyedTable:
         real = Word._tabulate
         monkeypatch.setattr(Word, "_tabulate", lambda word: built.append(word) or real(word))
         witness = contains(w, target, declared)
-        assert witness is not None and w._spots and w._blocks and w._relations
+        assert witness is not None and w._spots and w._places and w._positive and w._blocks and w._relations
         others = (copy.copy(w), pickle.loads(pickle.dumps(w)))
         for other in others:
-            assert other == w and not hasattr(other, "_spots") and not hasattr(other, "_blocks")
+            assert other == w
+            for cache in ("_spots", "_places", "_positive", "_blocks"):
+                assert not hasattr(other, cache)
             assert other._relations == {}
             assert contains(other, target, declared) == witness
+            assert other._places == w._places and other._positive is True
             assert other._relations.keys() == w._relations.keys()
             assert all(a is not b for a, b in zip(other._relations.values(), w._relations.values()))
         assert [id(word) for word in built] == [id(w)] + [id(other) for other in others]
+
+        # a substitution derives its result's table and never builds a Word
+        same = Relator("same", target, target, euler_delta=0, sigma_delta=0)
+        elsewhere = Surface(0, w.surface.boundary_count + 1)
+        far = word_of(elsewhere, [convex_curve(elsewhere, c.name, c.hole_set) for c in target._curves])
+        inits = []
+        real_init = Word.__init__
+        monkeypatch.setattr(Word, "__init__", lambda word, *args: inits.append(word) or real_init(word, *args))
+        new_w, _ = substitute(w, same, declared)
+        assert inits == [] and new_w._relations == {} and not hasattr(new_w, "_places")
+        _assert_table_as_built(new_w)
+        with pytest.raises(RankMismatchError):
+            substitute(w, Relator("far", far, far, euler_delta=0, sigma_delta=0), declared)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mixed_word(), st.randoms(use_true_random=False))
+    def test_candidates_match_the_bitset_oracle(self, w, rng):
+        # signs drawn on the word (or none negative) and on the target, whose
+        # letters are the word's curves, equal copies of them, or a curve the
+        # word lacks
+        if rng.random() < 0.5:
+            w = Word(w.surface, tuple(Twist(t.curve, rng.choice((1, -1))) for t in w.twists))
+        absent = Curve("absent", w.surface.zero_class())
+        for _ in range(5):
+            letters = []
+            for _ in range(rng.randint(1, 5)):
+                c = rng.choice(w.twists).curve
+                if rng.random() < 0.2:
+                    c = Curve(c.name, c.homology, c.hole_set, c.rotation, c.boundary_parallel_to)
+                elif rng.random() < 0.05:
+                    c = absent
+                letters.append(Twist(c, rng.choice((1, 1, -1))))
+            target = Word(w.surface, tuple(letters))
+            found, expected = words._match_candidates(w, target), _reference_candidates(w, target)
+            assert (found is None) == (expected is None)
+            if found is not None:
+                candidates, twin = found
+                assert [list(slots) for slots in candidates] == expected[0] and twin == expected[1]
+        for k, slots in enumerate(getattr(w, "_places", ())):  # the tuples kept for later searches
+            assert slots is None or list(slots) == [i for i, letter in enumerate(w._letters) if letter == k]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -535,7 +615,8 @@ class TestNameKeyedTable:
 
 class TestCurveTable:
     """``Word`` indexes its distinct curves once, equal objects merged; the
-    search and the per-curve passes of ``invariants`` read that table."""
+    search and the per-curve passes of ``invariants`` read that table, and
+    a substitution's result derives its own from its parent's."""
 
     def test_foreign_curve_named_at_its_first_twist(self):
         # each distinct curve is checked once, in order of first occurrence
@@ -575,6 +656,45 @@ class TestCurveTable:
         found = Relator("r", left, right).curves()
         expected = tuple(dict.fromkeys(t.curve for t in w.twists))
         assert len(found) == len(expected) and all(a is b for a, b in zip(found, expected))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_mixed_word().filter(lambda w: w.surface.genus == 0), st.randoms(use_true_random=False))
+    def test_substitution_inherits_the_table(self, w, rng):
+        # the result's table comes from w's and the right side's, never from
+        # Word.__init__: it must still hold the first-occurring object of each
+        # class, in order of first occurrence, when the right side brings new
+        # curves, equal but distinct copies of w's curves (which must stand
+        # for their class where they come first) and distinct curves sharing
+        # a name
+        s, n = w.surface, len(w)
+        holes = range(2, s.boundary_count + 1)
+        if rng.random() < 0.5:
+            start = rng.randrange(n)
+            picked = list(range(start, rng.randint(start + 1, min(n, start + 4))))
+        else:
+            picked = rng.sample(range(n), rng.randint(1, min(n, 3)))
+        left = word_of(s, [w.twists[i].curve for i in picked])
+        right = []
+        for _ in range(rng.randint(0, 5)):
+            kind = rng.choice(("same", "copy", "shared name", "new name"))
+            c = rng.choice(w.twists).curve
+            if kind == "copy":
+                c = Curve(c.name, c.homology, c.hole_set, c.rotation, c.boundary_parallel_to)
+            elif kind != "same":
+                name = c.name if kind == "shared name" else "new"
+                c = convex_curve(s, name, rng.sample(holes, rng.randint(1, len(holes))))
+            right += [c] * rng.randint(1, 2)
+        relator = Relator("r", left, word_of(s, right), sigma_delta=0)
+        try:
+            new_w, record = substitute(w, relator, positions=picked if rng.random() < 0.5 else None)
+        except NotApplicableError:
+            return
+        seq = _replay(w, record.swaps, ())
+        start = seq.index(record.positions[0])
+        head, tail = seq[:start], seq[start + len(left):]
+        expected = tuple(w.twists[i] for i in head) + relator.right.twists + tuple(w.twists[i] for i in tail)
+        assert new_w.twists == expected
+        _assert_table_as_built(new_w)
 
 
 def _pinned_case(seed):
