@@ -40,11 +40,12 @@ from it by a handle class, whose variation is already a relation, so no
 other choice of arcs changes the group.  On a planar page an arc's
 relative class never moves, so the arc relations are the columns of
 B S B^T, with S the diagonal of twist signs, built in one pass over the
-twists.  On pages of positive genus ``variations`` moves the 2g handle
-classes and the b - 1 arcs together in one pass over the twists, right
-to left.  Both build each curve's support (and pairing functional) once,
-from the table of distinct curves that every ``Word`` carries, and walk
-its letters.  Torsion is the payload, so nothing
+twists.  On pages of positive genus ``variations`` (in ``words``, the one
+homology mover, which ``Word.action_matrix`` reads too) moves the 2g
+handle classes and the b - 1 arcs together in one pass over the twists,
+right to left.  Both build each curve's support (and pairing functional)
+once, from the table of distinct curves that every ``Word`` carries, and
+walk its letters.  Torsion is the payload, so nothing
 is done rationally.  The h1 report and q's torsion read only H_1's Smith
 diagonal, which ``smith_diagonal`` gives without transforms; the c1 report
 reduces a class, so ``chern_pd`` alone makes H_1 run a
@@ -63,7 +64,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError, Value
 from .intlinalg import AbelianQuotient, Matrix, mat_mul, negated_gram, smith_diagonal, smith_normal_form, symmetric_signature, zeros
 from .surfaces import Surface
-from .words import SubstitutionRecord, Word
+from .words import SubstitutionRecord, Word, variations
 
 
 def euler_characteristic(word: Word) -> int:
@@ -207,51 +208,6 @@ def sigma(word: Word, ledger: Optional[SigmaLedger] = None) -> SigmaValue:
         baseline_name=ledger.baseline_name,
         offset=offset,
     )
-
-
-def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """The closed classes by which the monodromy moves relative classes.
-
-    One pass over the twists in application order (right to left) moves
-    every relative class together: at a twist about c each picks up
-    arc_pairing(rel, [c]) copies of [c], while the running relative class
-    only sees the image of [c] in relative coordinates (boundary classes
-    die there, so only its A_i/B_i part moves).  Each distinct curve of
-    the word's table has its nonzero support and pairing functional built
-    once: the arc pairing reads rel[i ^ 1] against a handle coordinate i (B_i
-    against a_i with sign -1, A_i against b_i with sign +1) and rel[j]
-    against a boundary coordinate j.  On A_i and B_i this is phi(e) - e
-    for e = a_i, b_i; on arcs the boundary multitwist gives
-    d_j + (d_2 + ... + d_b): d_j = d_k, b d_j = 0 in H_1.  A class of the
-    wrong length raises ``RankMismatchError`` before any twist is read.
-    """
-    surface = word.surface
-    rank, handles = surface.rank, 2 * surface.genus
-    for rel in rels:
-        if len(rel) != rank:
-            raise RankMismatchError(f"relative vector length {len(rel)} != rank {rank}")
-    # by coordinates: moving[i] and moved[i] hold coordinate i of every class
-    moving = [[rel[i] for rel in rels] for i in range(rank)]
-    moved = [[0] * len(rels) for _ in range(rank)]
-    table = []  # per distinct curve: its support, its handle support and its functional
-    for c in word._curves:
-        support = [(i, x) for i, x in enumerate(c.homology.coords) if x]
-        functional = [(i ^ 1, x if i & 1 else -x) if i < handles else (i, x) for i, x in support]
-        table.append((support, [(i, x) for i, x in support if i < handles], functional))
-    for t, k in zip(reversed(word.twists), reversed(word._letters)):
-        support, handle_support, functional = table[k]
-        counts = None  # arc_pairing(rel, [c]) of every class; None for a null class
-        for i, x in functional:
-            counts = [x * y for y in moving[i]] if counts is None else [k + x * y for k, y in zip(counts, moving[i])]
-        if counts is None or not any(counts):
-            continue
-        if t.sign < 0:
-            counts = [-k for k in counts]
-        for i, x in support:
-            moved[i] = [y + x * k for y, k in zip(moved[i], counts)]
-        for i, x in handle_support:
-            moving[i] = [y + x * k for y, k in zip(moving[i], counts)]
-    return list(zip(*moved)) if rank else [()] * len(rels)
 
 
 def _planar_arc_relations(word: Word) -> Matrix:

@@ -97,9 +97,6 @@ class Surface(Value):
         """Class of a curve parallel to boundary 1, i.e. -(d_2 + ... + d_b)."""
         return HomologyClass(self, self.outer_boundary_coords())
 
-    def basis_classes(self) -> Tuple["HomologyClass", ...]:
-        return tuple(self.basis_class(i) for i in range(self.rank))
-
 
 class HomologyClass(Value):
     """An element of H_1 of a fixed surface, as an integer coordinate vector."""

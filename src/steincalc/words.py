@@ -40,7 +40,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import attrgetter, sub
+from operator import add, attrgetter, sub
 from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -50,7 +50,7 @@ from .errors import (
     UnsupportedInputError,
     Value,
 )
-from .surfaces import Curve, HomologyClass, NamePair, Surface, twist_action
+from .surfaces import Curve, NamePair, Surface
 
 # Positions the embedding search may test in one call before it gives up
 # and answers "unknown"; it bounds the search on words with many identical
@@ -149,14 +149,15 @@ class Word(Value):
             object.__setattr__(self, "_positive", positive)
             return positive
 
-    def action_on(self, x: HomologyClass) -> HomologyClass:
-        for t in reversed(self.twists):
-            x = twist_action(t.curve, x, t.sign)
-        return x
-
     def action_matrix(self) -> Tuple[Tuple[int, ...], ...]:
-        """Columns of the induced map on the homology basis."""
-        return tuple(self.action_on(e).coords for e in self.surface.basis_classes())
+        """Columns of the induced map on the homology basis: a handle class
+        e_i goes to e_i plus its ``variations`` entry, and a boundary class
+        d_j, which pairs to zero with every class, is fixed (a planar page
+        runs no pass)."""
+        rank, handles = self.surface.rank, 2 * self.surface.genus
+        basis = [tuple([int(i == k) for k in range(rank)]) for i in range(rank)]
+        moved = variations(self, basis[:handles]) if handles else []
+        return tuple([tuple(map(add, e, v)) for e, v in zip(basis, moved)] + basis[handles:])
 
     def _find(self, c: Curve) -> int:
         """The id of the word's curve equal to c, or -1 when c is absent."""
@@ -263,6 +264,52 @@ def word_of(surface: Surface, curves: Sequence[Curve], signs: Optional[Sequence[
     if signs is None:
         signs = [1] * len(curves)
     return Word(surface, tuple(Twist(c, s) for c, s in zip(curves, signs)))
+
+
+def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
+    """The closed classes by which the monodromy moves relative classes.
+
+    One pass over the twists in application order (right to left) moves
+    every relative class together: at a twist about c each picks up
+    arc_pairing(rel, [c]) copies of [c], while the running relative class
+    only sees the image of [c] in relative coordinates (boundary classes
+    die there, so only its A_i/B_i part moves).  Each distinct curve of
+    the word's table has its nonzero support and pairing functional built
+    once: the arc pairing reads rel[i ^ 1] against a handle coordinate i (B_i
+    against a_i with sign -1, A_i against b_i with sign +1) and rel[j]
+    against a boundary coordinate j.  On A_i and B_i this is phi(e) - e
+    for e = a_i, b_i; on arcs the boundary multitwist gives
+    d_j + (d_2 + ... + d_b): d_j = d_k, b d_j = 0 in H_1.  The monodromy
+    fixes each d_j, which pairs to zero with every class.  A class of the
+    wrong length raises ``RankMismatchError`` before any twist is read.
+    """
+    surface = word.surface
+    rank, handles = surface.rank, 2 * surface.genus
+    for rel in rels:
+        if len(rel) != rank:
+            raise RankMismatchError(f"relative vector length {len(rel)} != rank {rank}")
+    # by coordinates: moving[i] and moved[i] hold coordinate i of every class
+    moving = [[rel[i] for rel in rels] for i in range(rank)]
+    moved = [[0] * len(rels) for _ in range(rank)]
+    table = []  # per distinct curve: its support, its handle support and its functional
+    for c in word._curves:
+        support = [(i, x) for i, x in enumerate(c.homology.coords) if x]
+        functional = [(i ^ 1, x if i & 1 else -x) if i < handles else (i, x) for i, x in support]
+        table.append((support, [(i, x) for i, x in support if i < handles], functional))
+    for t, k in zip(reversed(word.twists), reversed(word._letters)):
+        support, handle_support, functional = table[k]
+        counts = None  # arc_pairing(rel, [c]) of every class; None for a null class
+        for i, x in functional:
+            counts = [x * y for y in moving[i]] if counts is None else [k + x * y for k, y in zip(counts, moving[i])]
+        if counts is None or not any(counts):
+            continue
+        if t.sign < 0:
+            counts = [-k for k in counts]
+        for i, x in support:
+            moved[i] = [y + x * k for y, k in zip(moved[i], counts)]
+        for i, x in handle_support:
+            moving[i] = [y + x * k for y, k in zip(moving[i], counts)]
+    return list(zip(*moved)) if rank else [()] * len(rels)
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -4,9 +4,10 @@ boundary homology, Chern data, and the e + sigma comparability guard."""
 import hashlib
 import json
 import random
+import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steincalc import cli, intlinalg, invariants
 from steincalc.document import tau_boundary_document
@@ -30,8 +31,9 @@ from steincalc.invariants import (
     variations,
 )
 from steincalc.planarity import NO_OBSTRUCTION, NON_PLANAR_CONDITIONAL, esig_planarity_test
-from steincalc.surfaces import Curve, HomologyClass, Surface, arc_pairing, convex_curve
-from steincalc.words import SubstitutionRecord, Twist, Word, word_of
+from steincalc.relators import chain, standard_lantern
+from steincalc.surfaces import Curve, HomologyClass, Surface, arc_pairing, convex_curve, twist_action
+from steincalc.words import RelatorCheck, RelatorReport, SubstitutionRecord, Twist, Word, verify_relator, word_of
 
 
 def boundary_multitwist(g, b):
@@ -57,6 +59,19 @@ def _variation_oracle(word, rel):
                 if i < handles:
                     rel[i] += count * x
     return tuple(acc)
+
+
+def _action_oracle(word):
+    """The images of the basis classes under the word's monodromy, moved one
+    class and one ``twist_action`` at a time, right to left: the per-twist
+    rule that ``Word.action_matrix`` reads from one ``variations`` pass."""
+    images = []
+    for i in range(word.surface.rank):
+        x = word.surface.basis_class(i)
+        for t in reversed(word.twists):
+            x = twist_action(t.curve, x, t.sign)
+        images.append(x)
+    return images
 
 
 def _h1_oracle(word):
@@ -579,15 +594,16 @@ class TestH1Boundary:
             pool = [Curve(f"c{i}", HomologyClass(s, tuple(rng.randint(-2, 2) for _ in range(s.rank))))
                     for i in range(4)]
             w = Word(s, tuple(Twist(rng.choice(pool), rng.choice((1, -1))) for _ in range(rng.randint(0, 10))))
+            images = _action_oracle(w)
             for i in range(2 * s.genus):
                 e = s.basis_class(i)
-                assert variations(w, [e.coords]) == [(w.action_on(e) - e).coords]
+                assert variations(w, [e.coords]) == [(images[i] - e).coords]
 
     def test_h1_does_not_act_on_classes(self, monkeypatch):
-        def refuse(self, x):
-            raise AssertionError("h1_boundary applied the monodromy to a class")
+        def refuse(self):
+            raise AssertionError("h1_boundary applied the monodromy to the basis")
 
-        monkeypatch.setattr(Word, "action_on", refuse)
+        monkeypatch.setattr(Word, "action_matrix", refuse)
         for g, b in ((0, 4), (1, 2), (2, 3)):
             assert h1_boundary(boundary_multitwist(g, b)).report() == [[b], 2 * g]
         s = Surface(1, 1)
@@ -669,7 +685,7 @@ class TestH1Boundary:
             w, _ = _planar_pin_case(seed)
             seen.clear()
             h1_boundary(w)
-            assert seen == [variations(w, [e.coords for e in w.surface.basis_classes()])]
+            assert seen == [variations(w, [w.surface.basis_class(i).coords for i in range(w.surface.rank)])]
 
     def test_planar_h1_never_calls_variation(self, monkeypatch):
         def refuse(word, rels):
@@ -682,6 +698,56 @@ class TestH1Boundary:
         d2, d3 = convex_curve(s, "d2", {2}), convex_curve(s, "d3", {3})
         assert filling_invariants(word_of(s, [d2, d2, d3], signs=[1, -1, 1])).h1.report() == [[], 1]
         assert filling_invariants(word_of(s, [d2, d2, d3, d3, d3])).h1.report() == [[6], 0]
+
+
+@st.composite
+def _any_word(draw):
+    """A word on a page of genus 0..3 with 1..5 holes (the rank-0 disk
+    included), over up to five curves of arbitrary classes, with mixed
+    signs."""
+    s = Surface(draw(st.integers(0, 3)), draw(st.integers(1, 5)))
+    coords = st.lists(st.integers(-3, 3), min_size=s.rank, max_size=s.rank).map(tuple)
+    pool = [Curve(f"c{i}", HomologyClass(s, c)) for i, c in enumerate(draw(st.lists(coords, min_size=1, max_size=5)))]
+    letters = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from((1, -1))), max_size=12))
+    return Word(s, tuple(Twist(c, sign) for c, sign in letters))
+
+
+# verify_relator's reports as the twist-by-twist route gave them: every check
+# passes, with these Euler deltas and allowability flags
+_RECORDED_REPORTS = {
+    **{f"chain-{n}": (delta, n % 2 == 1) for n, delta in zip(range(1, 9), (0, 11, 10, 39, 28, 83, 54, 143))},
+    "lantern": (-1, True),
+}
+
+
+class TestActionMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(_any_word())
+    @example(Word(Surface(0, 1), ()))
+    @example(Word(Surface(2, 3), ()))
+    def test_matches_the_twist_by_twist_oracle(self, w):
+        assert w.action_matrix() == tuple(x.coords for x in _action_oracle(w))
+
+    def test_relator_reports_need_no_twist_action(self, monkeypatch):
+        entries = [chain(n) for n in range(1, 9)] + [standard_lantern()]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("twist_action was called")
+
+        # every binding of twist_action in the package, not only the one in surfaces
+        bound = [name for name, module in list(sys.modules.items())
+                 if name.split(".")[0] == "steincalc" and getattr(module, "twist_action", None) is twist_action]
+        assert "steincalc.surfaces" in bound
+        for name in bound:
+            monkeypatch.setattr(sys.modules[name], "twist_action", refuse)
+        reports = [verify_relator(e.relator) for e in entries]
+        assert [r.relator_name for r in reports] == list(_RECORDED_REPORTS)
+        for report, (delta, allowable) in zip(reports, _RECORDED_REPORTS.values()):
+            assert report == RelatorReport(report.relator_name, (
+                RelatorCheck("homology_identity", True, "both sides act identically on the homology basis"),
+                RelatorCheck("euler_delta_consistent", True, f"stored {delta}, words give {delta}"),
+                RelatorCheck("allowable_consistent", True, f"stored allowable={allowable}, homology gives {allowable}"),
+            ))
 
 
 class TestChern:

@@ -40,6 +40,13 @@ REPORT_SHA256 = {
     ("seeded", "gen"): "dc51376d8a12f1310e3f58cf0e6dae51265599aa3f9afc9f18c14577ba10b49d",
 }
 
+# sha256 of `steincalc verify-relator --chain N` stdout, on pages of genus
+# up to 24, past the --chain 1..12 documents of the generator group
+CHAIN_VERIFY_SHA256 = {
+    32: "ccc76028549f0a93348414edf0fb101aac50cc2a96673b9d026790a2eaaf4420",
+    48: "0428096f5bf4137a05b22f64dbee7496a036311ebcc20c691623524c6748998f",
+}
+
 
 def _planar_document(seed):
     """A seeded planar document: a page with 1..10 holes and one word of
@@ -146,6 +153,12 @@ def doc_dir(tmp_path_factory):
 def test_report_bytes_are_pinned(group, command, doc_dir, capsys):
     argvs = _cases(group, doc_dir)[command]
     assert _report_digest(argvs, capsys) == REPORT_SHA256[group, command]
+
+
+@pytest.mark.parametrize("n", list(CHAIN_VERIFY_SHA256))
+def test_large_chain_verify_relator_bytes_are_pinned(n, capsys):
+    assert main(["verify-relator", "--chain", str(n)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == CHAIN_VERIFY_SHA256[n]
 
 
 # -- the writer ---------------------------------------------------------------
