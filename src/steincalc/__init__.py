@@ -22,9 +22,7 @@ from .surfaces import (
     Curve,
     HomologyClass,
     Surface,
-    arc_pairing,
     convex_curve,
-    curves_commute,
     intersection_pairing,
     twist_action,
 )
@@ -46,9 +44,7 @@ from .relators import (
     RelatorEntry,
     bounding_case,
     braid_relator,
-    builtin_entries,
     chain,
-    compose_relators,
     lantern,
     non_standard_relator,
     standard_braid,

@@ -134,7 +134,7 @@ def detect_relator(
     given = frozenset(declared)
     for entry in entries:
         left = entry.relator.left
-        if left is None or left.surface != word.surface:
+        if left.surface != word.surface:
             continue
         if not left.twists:  # contained in every word, so it certifies nothing
             notes.append(f"relator {entry.name} has an empty left side, which marks no place in the word")

@@ -7,10 +7,9 @@ the exponent difference of the two sides).  Signature deltas are stored
 constants plus additivity; they are never computed from a cocycle.  The
 Euler change, the allowability and the obstruction value follow from the
 words (``words.Relator``, ``RelatorEntry``), so the functions below state
-only the signature change, apart from the ledger totals of
-``compose_relators``.  The bounded-subsurface obstruction is not a relator
-here: it is the ``bounding_case`` table, which ``planarity.detect_bounding``
-reads.
+only the signature change.  Every relator carries both of its words.  The
+bounded-subsurface obstruction is not a relator here: it is the
+``bounding_case`` table, which ``planarity.detect_bounding`` reads.
 
 The boundary curve of an even chain bounds its supporting subsurface and is
 therefore null-homologous, so even-chain relators are never allowable in
@@ -23,7 +22,7 @@ record which basis applied.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Tuple
 
 from .errors import RankMismatchError, Value
 from .surfaces import (
@@ -47,9 +46,10 @@ CHAIN3_SIGMA_DELTA = -6
 class RelatorEntry(Value):
     """A relator plus obstruction bookkeeping.
 
-    ``obstruction`` is sigma_delta + euler_delta when both are known, taken
-    from the relator when not given; a given value must agree with it.  An
-    entry certifies non-planarity only through a known nonzero value.
+    ``obstruction`` is sigma_delta + euler_delta when sigma_delta is known,
+    taken from the relator when not given; a given value must agree with
+    it.  An entry certifies non-planarity only through a known nonzero
+    value.
     ``obstruction_asserted`` marks entries whose obstruction stands on an
     external construction rather than on the homology allowability of the
     stored words (see module docstring).
@@ -354,37 +354,6 @@ def non_standard_relator() -> RelatorEntry:
         obstruction_asserted=True,
         decomposition=(("lantern", 1), ("lantern", -1), ("chain-2", 1)),
     )
-
-
-def compose_relators(parts: Sequence[RelatorEntry], name: Optional[str] = None) -> RelatorEntry:
-    """Ledger-level composition: deltas add, the word level is recorded only
-    as the decomposition list (re-deriving the pasted word is out of scope).
-
-    Any part with an unknown signature delta makes the result's unknown.
-    """
-    sigma_total: Optional[int] = 0
-    euler_total: Optional[int] = 0
-    allowable = True
-    decomposition = []
-    for part in parts:
-        if sigma_total is not None:
-            sigma = part.relator.sigma_delta
-            sigma_total = None if sigma is None else sigma_total + sigma
-        if euler_total is not None:
-            euler = part.relator.euler_delta
-            euler_total = None if euler is None else euler_total + euler
-        allowable = allowable and part.relator.allowable
-        decomposition.append((part.name, 1))
-    relator = Relator(
-        name=name or "*".join(p.name for p in parts) or "empty-composition",
-        left=None,
-        right=None,
-        euler_delta=euler_total,
-        sigma_delta=sigma_total,
-        allowable=allowable,
-        provenance="derived",
-    )
-    return RelatorEntry(relator=relator, decomposition=tuple(decomposition))
 
 
 class BoundingCase(Value):

@@ -148,25 +148,6 @@ def intersection_pairing(x: HomologyClass, y: HomologyClass) -> int:
     return total
 
 
-def arc_pairing(rel: Sequence[int], y: HomologyClass) -> int:
-    """Pairing of a relative class (coordinates A_1, B_1, ..., A_g, B_g, S_2, ..., S_b)
-    with an absolute class.
-
-    The arc basis vector S_j picks out the d_j coordinate of ``y``; A_i and
-    B_i pair like their symplectic partners a_i and b_i.
-    """
-    surface = y.surface
-    if len(rel) != surface.rank:
-        raise RankMismatchError(f"relative vector length {len(rel)} != rank {surface.rank}")
-    total = 0
-    for i in range(surface.genus):
-        total += rel[2 * i] * y.coords[2 * i + 1] - rel[2 * i + 1] * y.coords[2 * i]
-    offset = 2 * surface.genus
-    for j in range(offset, surface.rank):
-        total += rel[j] * y.coords[j]
-    return total
-
-
 class Curve(Value):
     """A simple closed curve, identified by name plus declared data.
 

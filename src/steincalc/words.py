@@ -263,6 +263,8 @@ class Word(Value):
 def word_of(surface: Surface, curves: Sequence[Curve], signs: Optional[Sequence[int]] = None) -> Word:
     if signs is None:
         signs = [1] * len(curves)
+    elif len(signs) != len(curves):
+        raise ValueError(f"{len(signs)} signs given for {len(curves)} curves")
     return Word(surface, tuple(Twist(c, s) for c, s in zip(curves, signs)))
 
 
@@ -270,15 +272,15 @@ def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...
     """The closed classes by which the monodromy moves relative classes.
 
     One pass over the twists in application order (right to left) moves
-    every relative class together: at a twist about c each picks up
-    arc_pairing(rel, [c]) copies of [c], while the running relative class
-    only sees the image of [c] in relative coordinates (boundary classes
-    die there, so only its A_i/B_i part moves).  Each distinct curve of
-    the word's table has its nonzero support and pairing functional built
-    once: the arc pairing reads rel[i ^ 1] against a handle coordinate i (B_i
-    against a_i with sign -1, A_i against b_i with sign +1) and rel[j]
-    against a boundary coordinate j.  On A_i and B_i this is phi(e) - e
-    for e = a_i, b_i; on arcs the boundary multitwist gives
+    every relative class together: at a twist about c each picks up as many
+    copies of [c] as its arc pairing with [c], while the running relative
+    class only sees the image of [c] in relative coordinates (boundary
+    classes die there, so only its A_i/B_i part moves).  Each distinct curve
+    of the word's table has its nonzero support and pairing functional built
+    once: the arc pairing reads rel[i ^ 1] against a handle coordinate i
+    (B_i against a_i with sign -1, A_i against b_i with sign +1) and rel[j]
+    against a boundary coordinate j.  On A_i and B_i this is phi(e) - e for
+    e = a_i, b_i; on arcs the boundary multitwist gives
     d_j + (d_2 + ... + d_b): d_j = d_k, b d_j = 0 in H_1.  The monodromy
     fixes each d_j, which pairs to zero with every class.  A class of the
     wrong length raises ``RankMismatchError`` before any twist is read.
@@ -298,7 +300,7 @@ def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...
         table.append((support, [(i, x) for i, x in support if i < handles], functional))
     for t, k in zip(reversed(word.twists), reversed(word._letters)):
         support, handle_support, functional = table[k]
-        counts = None  # arc_pairing(rel, [c]) of every class; None for a null class
+        counts = None  # the arc pairing of every class with [c]; None for a null class
         for i, x in functional:
             counts = [x * y for y in moving[i]] if counts is None else [k + x * y for k, y in zip(counts, moving[i])]
         if counts is None or not any(counts):
@@ -704,9 +706,8 @@ class Relator(Value):
     a stated ``euler_delta`` must match, and a stated ``allowable`` is kept
     so ``verify_relator`` can compare it.  ``sigma_delta`` is the
     corresponding signature change; it is stored (from known values and
-    additivity), never derived from the words.  A relator carries both
-    words or neither: ledger-only relators produced by composition carry
-    none, and their ``allowable`` defaults to False.
+    additivity), never derived from the words.  A relator always carries
+    both words: a missing side raises ``ValueError``.
     """
 
     __slots__ = ("name", "left", "right", "euler_delta", "sigma_delta", "allowable", "provenance")
@@ -714,8 +715,8 @@ class Relator(Value):
     def __init__(
         self,
         name: str,
-        left: Optional[Word],
-        right: Optional[Word],
+        left: Word,
+        right: Word,
         euler_delta: Optional[int] = None,
         sigma_delta: Optional[int] = None,
         allowable: Optional[bool] = None,
@@ -728,12 +729,8 @@ class Relator(Value):
         object.__setattr__(self, "sigma_delta", sigma_delta)
         object.__setattr__(self, "allowable", allowable)
         object.__setattr__(self, "provenance", provenance)
-        if (left is None) != (right is None):
-            raise ValueError(f"relator {name}: give both sides or neither")
-        if left is None:
-            if allowable is None:
-                object.__setattr__(self, "allowable", False)
-            return
+        if left is None or right is None:
+            raise ValueError(f"relator {name}: give both sides")
         if not (left.is_positive and right.is_positive):
             raise ValueError(f"relator {name}: both sides must be positive words")
         if left.surface != right.surface:
@@ -751,8 +748,9 @@ class Relator(Value):
 
     @property
     def obstruction(self) -> Optional[int]:
-        """sigma_delta + euler_delta; the planarity obstruction value."""
-        if self.sigma_delta is None or self.euler_delta is None:
+        """sigma_delta + euler_delta; the planarity obstruction value, None
+        when the signature change is not known."""
+        if self.sigma_delta is None:
             return None
         return self.sigma_delta + self.euler_delta
 
@@ -761,7 +759,7 @@ class Relator(Value):
             name=f"{self.name}^-1",
             left=self.right,
             right=self.left,
-            euler_delta=None if self.euler_delta is None else -self.euler_delta,
+            euler_delta=-self.euler_delta,
             sigma_delta=None if self.sigma_delta is None else -self.sigma_delta,
             allowable=self.allowable,
             provenance=self.provenance,
@@ -769,15 +767,11 @@ class Relator(Value):
 
     def curves(self) -> Tuple[Curve, ...]:
         """The distinct curves of both sides, in order of first occurrence."""
-        if self.left is None:
-            return ()
         return self.left._curves + tuple(c for c in self.right._curves if self.left._find(c) < 0)
 
 
-def computed_allowable(r: Relator) -> Optional[bool]:
-    """All twists about homologically non-trivial curves; None without both sides."""
-    if r.right is None:
-        return None
+def computed_allowable(r: Relator) -> bool:
+    """All twists about homologically non-trivial curves."""
     return all(c.is_allowable for side in (r.left, r.right) for c in side._curves)
 
 
@@ -817,8 +811,6 @@ def substitute(
     no per-curve surface check, since the right side lives on the left
     side's surface, which must be w's.
     """
-    if relator.left is None:
-        raise NotApplicableError(f"relator {relator.name} carries no words to substitute")
     if not relator.left.twists:
         raise NotApplicableError(f"relator {relator.name} has an empty left side, which marks no place to substitute")
     if w.surface != relator.left.surface:
@@ -916,9 +908,12 @@ def _splice(w: Word, head: Sequence[int], right: Word, tail: Sequence[int]) -> W
 
 
 class RelatorCheck(Value):
+    """One necessary condition of ``verify_relator``: its name, whether it
+    holds, and what was compared."""
+
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: Optional[bool], detail: str):
+    def __init__(self, name: str, passed: bool, detail: str):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "passed", passed)
         object.__setattr__(self, "detail", detail)
@@ -939,7 +934,7 @@ class RelatorReport(Value):
 
     @property
     def necessary_conditions_hold(self) -> bool:
-        return all(c.passed for c in self.checks if c.passed is not None)
+        return all(c.passed for c in self.checks)
 
     def check(self, name: str) -> RelatorCheck:
         for c in self.checks:
@@ -949,7 +944,8 @@ class RelatorReport(Value):
 
 
 def verify_relator(r: Relator) -> RelatorReport:
-    """Check the decidable necessary conditions for a relator.
+    """Check the decidable necessary conditions for a relator, each on its
+    two words.
 
     homology_identity: left and right act identically on every homology
     basis vector.  euler_delta_consistent: the stored exponent difference
@@ -957,12 +953,6 @@ def verify_relator(r: Relator) -> RelatorReport:
     matches the homology computation (twists about nonzero classes only).
     """
     checks: List[RelatorCheck] = []
-    if r.left is None:
-        checks.append(RelatorCheck("homology_identity", None, "skipped: ledger-only relator has no words"))
-        checks.append(RelatorCheck("euler_delta_consistent", None, "skipped: ledger-only relator has no words"))
-        checks.append(RelatorCheck("allowable_consistent", None, "skipped: ledger-only relator has no words"))
-        return RelatorReport(r.name, tuple(checks))
-
     same = r.left.action_matrix() == r.right.action_matrix()
     checks.append(
         RelatorCheck(

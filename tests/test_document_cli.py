@@ -1,6 +1,7 @@
 """Document parsing, serialization round-trip, and the command line."""
 
 import argparse
+import ast
 import contextlib
 import functools
 import hashlib
@@ -987,3 +988,20 @@ class TestReadme:
         for example_args, (code, holds) in self.CLI.items():
             assert main(example_args.split()) == code, example_args
             assert holds(json.loads(capsys.readouterr().out)["result"]), example_args
+
+    def test_every_export_has_a_caller(self):
+        # each name the package exports is read by another module of the
+        # package or by the library example
+        package = Path(cli.__file__).parent
+        init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+        exported = {alias.asname or alias.name for node in ast.walk(init)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names}
+        sources = [p.read_text(encoding="utf-8") for p in package.glob("*.py") if p.name != "__init__.py"]
+        used = set()
+        for text in sources + _readme_blocks("python"):
+            for node in ast.walk(ast.parse(text)):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+        assert sorted(exported - used) == []

@@ -32,13 +32,49 @@ from steincalc.invariants import (
 )
 from steincalc.planarity import NO_OBSTRUCTION, NON_PLANAR_CONDITIONAL, esig_planarity_test
 from steincalc.relators import chain, standard_lantern
-from steincalc.surfaces import Curve, HomologyClass, Surface, arc_pairing, convex_curve, twist_action
+from steincalc.surfaces import Curve, HomologyClass, Surface, convex_curve, twist_action
 from steincalc.words import RelatorCheck, RelatorReport, SubstitutionRecord, Twist, Word, verify_relator, word_of
 
 
 def boundary_multitwist(g, b):
     doc = tau_boundary_document(g, b)
     return doc.words["tau_del"]
+
+
+def arc_pairing(rel, y):
+    """Pairing of a relative class (coordinates A_1, B_1, ..., A_g, B_g, S_2,
+    ..., S_b) with an absolute class: the arc basis vector S_j picks out the
+    d_j coordinate of ``y``; A_i and B_i pair like their symplectic partners
+    a_i and b_i."""
+    surface = y.surface
+    if len(rel) != surface.rank:
+        raise RankMismatchError(f"relative vector length {len(rel)} != rank {surface.rank}")
+    total = 0
+    for i in range(surface.genus):
+        total += rel[2 * i] * y.coords[2 * i + 1] - rel[2 * i + 1] * y.coords[2 * i]
+    for j in range(2 * surface.genus, surface.rank):
+        total += rel[j] * y.coords[j]
+    return total
+
+
+class TestArcPairing:
+    def test_dual_basis(self):
+        s = Surface(0, 3)
+        s2 = (1, 0)  # S_2, the standard arc to boundary 2
+        assert arc_pairing(s2, s.d_class(2)) == 1
+        assert arc_pairing(s2, s.d_class(3)) == 0
+
+    def test_outer_class_against_arc(self):
+        s = Surface(0, 3)
+        s3 = (0, 1)  # S_3
+        assert arc_pairing(s3, s.outer_boundary_class()) == -1
+
+    def test_symplectic_slots(self):
+        s = Surface(1, 2)
+        a_slot = (1, 0, 0)  # A_1
+        b_slot = (0, 1, 0)  # B_1
+        assert arc_pairing(a_slot, s.b_class(1)) == 1
+        assert arc_pairing(b_slot, s.a_class(1)) == -1
 
 
 def _variation_oracle(word, rel):

@@ -1,4 +1,4 @@
-"""Relator database: ledger values, configurations, composition, bounding table."""
+"""Relator database: ledger values, configurations, additivity, bounding table."""
 
 import hashlib
 import json
@@ -13,7 +13,6 @@ from steincalc.relators import (
     builtin_entries,
     chain,
     ChainConfig,
-    compose_relators,
     lantern,
     non_standard_relator,
     standard_braid,
@@ -147,37 +146,14 @@ class TestNonStandard:
 
 
 class TestCompose:
+    """The stored ledger values add along a composition of relators."""
+
     def test_three_chain_from_lantern_and_two_chain(self):
-        composed = compose_relators([standard_lantern(), chain(2)])
-        assert composed.relator.sigma_delta == -6
-        assert composed.relator.euler_delta == 10
-        assert composed.obstruction == 4
-
-    def test_two_lanterns(self):
-        composed = compose_relators([standard_lantern(), standard_lantern()])
-        assert composed.relator.sigma_delta == 2
-        assert composed.relator.euler_delta == -2
-        assert composed.obstruction == 0
-
-    def test_empty_composition(self):
-        composed = compose_relators([])
-        assert composed.relator.sigma_delta == 0
-        assert composed.relator.euler_delta == 0
-
-    def test_unknown_part_poisons_sigma(self):
-        composed = compose_relators([standard_lantern(), chain(4)])
-        assert composed.relator.sigma_delta is None
-        assert composed.relator.euler_delta == -1 + 39
-
-    def test_ledger_associativity(self):
-        a, b, c = standard_lantern(), chain(2), chain(3)
-        left = compose_relators([compose_relators([a, b]), c])
-        right = compose_relators([a, compose_relators([b, c])])
-        flat = compose_relators([a, b, c])
-        for entry in (left, right):
-            assert entry.relator.sigma_delta == flat.relator.sigma_delta
-            assert entry.relator.euler_delta == flat.relator.euler_delta
-            assert entry.obstruction == flat.obstruction
+        parts = (standard_lantern().relator, chain(2).relator)
+        three = chain(3)
+        assert sum(r.sigma_delta for r in parts) == three.relator.sigma_delta == -6
+        assert sum(r.euler_delta for r in parts) == three.relator.euler_delta == 10
+        assert three.obstruction == 4
 
     def test_inverse_negates_ledger(self):
         inv = standard_lantern().relator.inverse()
@@ -236,7 +212,7 @@ def _entry_fields(entry):
     r = entry.relator
 
     def names(side):
-        return None if side is None else tuple(t.curve.name for t in side.twists)
+        return tuple(t.curve.name for t in side.twists)
 
     return (
         r.name, names(r.left), names(r.right), r.euler_delta, r.sigma_delta, r.allowable, r.provenance,
@@ -262,13 +238,11 @@ class TestEntryPins:
             )
             for entry in doc.relator_entries.values()
         ],
-        "composition": lambda: [compose_relators([standard_lantern(), chain(2)])],
         "user": lambda: list(parse(json.dumps(USER_RELATORS)).relator_entries.values()),
     }
     SHA256 = {
         "builtins": (9, "ceccd44b9eda49ab5cc7f32935b26cc140c2cd431d48f7aa661e43d4c8807fb4"),
         "documents": (11, "84561d2109df067bfc8f7955f420c130610b1d96832bb31cbe8c613b6ae38e9c"),
-        "composition": (1, "af2a21d948306d4d39bfe1d79883989e306bc43652f99db7dc911c862188dfc1"),
         "user": (2, "e7e6cc71322eaf26cbef3ee5a419145bb85f07ee1774a5a0f9f2e97f58307ae7"),
     }
 

@@ -9,7 +9,6 @@ from steincalc.surfaces import (
     Curve,
     HomologyClass,
     Surface,
-    arc_pairing,
     convex_curve,
     curves_commute,
     intersection_pairing,
@@ -63,26 +62,6 @@ class TestIntersectionPairing:
         z = data.draw(classes(s))
         assert intersection_pairing(x, y) == -intersection_pairing(y, x)
         assert intersection_pairing(x + z, y) == intersection_pairing(x, y) + intersection_pairing(z, y)
-
-
-class TestArcPairing:
-    def test_dual_basis(self):
-        s = Surface(0, 3)
-        s2 = (1, 0)  # S_2, the standard arc to boundary 2
-        assert arc_pairing(s2, s.d_class(2)) == 1
-        assert arc_pairing(s2, s.d_class(3)) == 0
-
-    def test_outer_class_against_arc(self):
-        s = Surface(0, 3)
-        s3 = (0, 1)  # S_3
-        assert arc_pairing(s3, s.outer_boundary_class()) == -1
-
-    def test_symplectic_slots(self):
-        s = Surface(1, 2)
-        a_slot = (1, 0, 0)  # A_1
-        b_slot = (0, 1, 0)  # B_1
-        assert arc_pairing(a_slot, s.b_class(1)) == 1
-        assert arc_pairing(b_slot, s.a_class(1)) == -1
 
 
 class TestTwistAction:

@@ -628,6 +628,15 @@ class TestCurveTable:
         with pytest.raises(RankMismatchError, match="twist about farther lives on"):
             word_of(s, [home] * 5 + [farther, far])
 
+    def test_word_of_takes_one_sign_per_curve(self):
+        # zip would truncate: two curves and one sign gave a one-twist word
+        s = Surface(0, 3)
+        a, b = convex_curve(s, "a", {2}), convex_curve(s, "b", {3})
+        assert word_of(s, [a, b], [1, -1]).twists == (Twist(a, 1), Twist(b, -1))
+        for signs in ([1], [1, 1, 1], []):
+            with pytest.raises(ValueError, match=f"{len(signs)} signs given for 2 curves"):
+                word_of(s, [a, b], signs)
+
     @settings(max_examples=200, deadline=None)
     @given(_mixed_word())
     def test_table_reproduces_the_word(self, w):
@@ -1105,10 +1114,9 @@ class TestRelatorValues:
             Relator("w", word_of(s, [a]), word_of(s, [a]), 1)
 
     def test_left_side_alone(self):
-        # a relator carries both words or neither; either side alone raises
+        # a relator always carries both words; a missing side raises
         s = Surface(0, 3)
-        a = convex_curve(s, "a", {2})
-        with pytest.raises(ValueError, match="both sides or neither"):
-            Relator("k", word_of(s, [a]), None)
-        with pytest.raises(ValueError, match="both sides or neither"):
-            Relator("k", None, word_of(s, [a]))
+        w = word_of(s, [convex_curve(s, "a", {2})])
+        for left, right in ((w, None), (None, w), (None, None)):
+            with pytest.raises(ValueError, match="give both sides"):
+                Relator("k", left, right)
