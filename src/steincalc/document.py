@@ -247,8 +247,6 @@ def _parse_relator(
         if kind == "user":
             left = _parse_word(surface, curves, spec.get("left"), f"{location}.left")
             right = _parse_word(surface, curves, spec.get("right"), f"{location}.right")
-            _require(left.is_positive and right.is_positive, location,
-                     "relator sides must be positive words")
             sigma_delta = spec.get("sigma_delta")
             _require(sigma_delta is None or _is_int(sigma_delta),
                      f"{location}.sigma_delta", "sigma_delta must be an integer when present")

@@ -53,16 +53,12 @@ class RelatorEntry(Value):
     ``obstruction_asserted`` marks entries whose obstruction stands on an
     external construction rather than on the homology allowability of the
     stored words (see module docstring).
-    ``decomposition`` lists (relator name, multiplicity) factors realizing
-    the relator as a product; negative multiplicity means the reversed
-    relator.
     """
 
     __slots__ = (
         "relator",
         "obstruction",
         "obstruction_asserted",
-        "decomposition",
         "disjoint",
         "note",
     )
@@ -72,7 +68,6 @@ class RelatorEntry(Value):
         relator: Relator,
         obstruction: Optional[int] = None,
         obstruction_asserted: bool = False,
-        decomposition: Optional[Tuple[Tuple[str, int], ...]] = None,
         disjoint: FrozenSet[NamePair] = frozenset(),
         note: str = "",
     ):
@@ -87,7 +82,6 @@ class RelatorEntry(Value):
         object.__setattr__(self, "relator", relator)
         object.__setattr__(self, "obstruction", obstruction)
         object.__setattr__(self, "obstruction_asserted", obstruction_asserted)
-        object.__setattr__(self, "decomposition", decomposition)
         object.__setattr__(self, "disjoint", disjoint)
         object.__setattr__(self, "note", note)
 
@@ -136,7 +130,6 @@ def lantern(
         left=word_of(surface, boundary),
         right=word_of(surface, interior),
         sigma_delta=LANTERN_SIGMA_DELTA,
-        provenance="tabulated",
     )
     # the boundary curves, and each interior curve with a4 and with the one
     # of a1, a2, a3 it does not enclose
@@ -271,7 +264,6 @@ def chain(n: int, config: Optional[ChainConfig] = None, name: Optional[str] = No
         left=word_of(config.surface, boundary),
         right=word_of(config.surface, list(curves) * power),
         sigma_delta={1: 0, 2: CHAIN2_SIGMA_DELTA, 3: CHAIN3_SIGMA_DELTA}.get(n),
-        provenance="tabulated" if n in (2, 3) else "derived",
     )
     # the boundary curves with each chain curve, and non-consecutive chain curves
     disjoint = frozenset().union(
@@ -306,7 +298,6 @@ def braid_relator(alpha: Curve, beta: Curve, image: Curve, name: str = "braid") 
         left=word_of(surface, (alpha, beta)),
         right=word_of(surface, (image, alpha)),
         sigma_delta=0,
-        provenance="tabulated",
     )
     return RelatorEntry(relator=relator)
 
@@ -347,13 +338,8 @@ def non_standard_relator() -> RelatorEntry:
         left=word_of(surface, (ap4, a13, a12)),
         right=word_of(surface, [alpha] + [beta, alpha] * 5 + [ap13, ap12, a1]),
         sigma_delta=CHAIN2_SIGMA_DELTA,
-        provenance="tabulated",
     )
-    return RelatorEntry(
-        relator=relator,
-        obstruction_asserted=True,
-        decomposition=(("lantern", 1), ("lantern", -1), ("chain-2", 1)),
-    )
+    return RelatorEntry(relator=relator, obstruction_asserted=True)
 
 
 class BoundingCase(Value):

@@ -12,10 +12,10 @@ which the search and every per-curve pass (here and in ``invariants``) read,
 so no search hashes a curve; a substitution's result inherits its parent's
 table, extended by the right side's new curves and renumbered, instead of
 building one, and is positive by construction.  A word computes whether it
-is positive once.  A search takes each target letter's candidate positions
-from the word's per-curve position tuples, each read off the curve's
-position bitset on its first request and kept, and filters them by sign only
-on a word with a negative twist.  The first search that finds a candidate
+is positive once.  The searches take positive words only, so a target letter
+is its curve: a search takes each letter's candidate positions from the
+word's per-curve position tuples, each read off the curve's position bitset
+on its first request and kept.  The first search that finds a candidate
 position for every target letter also builds the word's commutation blocks,
 per distinct curve the positions it does not commute with, from per-hole
 position bitsets (the rules of ``surfaces.curves_commute``, decided on
@@ -26,8 +26,9 @@ pairs' partners cleared, and its closure, filled from the last position down
 to the lowest first candidate any search on the word has asked for.  Every
 search on the word under that set shares it.  A search matches identical
 target letters left to right and answers "unknown" when its fixed node
-budget runs out.  A witness reorders only the window of positions that the
-target's backward constraints span.
+budget runs out.  A substitution always finds its own embedding.  A witness
+reorders only the window of positions that the target's backward constraints
+span.
 
 A relator is a pair of positive words (left, right) naming the same mapping
 class.  ``verify_relator`` checks the necessary conditions that are
@@ -420,34 +421,21 @@ class ContainmentWitness:
 def _match_candidates(w: Word, target: Word) -> Optional[Tuple[List[Sequence[int]], List[int]]]:
     """Each target letter's positions in w, and the index of the previous
     identical target letter (or -1); None when some letter has no position.
-    Letters are told apart by their id in w's curve table and their sign,
-    so no curve is hashed.  A letter's positions are its curve's tuple
-    (``Word._occurrences``), kept on the word and shared by every search:
-    taken as they are on a positive word, where a negative letter has
-    none, and filtered by sign only on a word with a negative twist."""
+    Both words are positive, so a letter is its curve alone: each of the
+    target's distinct curves is looked up in w's table once, and no curve
+    is hashed.  A letter's positions are its curve's tuple
+    (``Word._occurrences``), kept on the word and shared by every search."""
+    ids = [w._find(c) for c in target._curves]
+    if -1 in ids:
+        return None
     candidates: List[Sequence[int]] = []
     twin: List[int] = []
-    last: Dict[Tuple[int, int], int] = {}  # (curve id, sign) -> its latest target index
-    positive = w.is_positive
-    for t in target.twists:
-        c = w._find(t.curve)
-        if c < 0:
-            return None
-        key = (c, t.sign)
-        prev = last.get(key, -1)
-        if prev >= 0:
-            slots = candidates[prev]
-        elif positive:
-            if t.sign < 0:
-                return None
-            slots = w._occurrences(c)
-        else:
-            slots = [i for i in w._occurrences(c) if w.twists[i].sign == t.sign]
-            if not slots:
-                return None
-        last[key] = len(twin)
+    last = [-1] * len(ids)  # the target's curve id -> its latest target index
+    for k in target._letters:
+        prev = last[k]
+        candidates.append(candidates[prev] if prev >= 0 else w._occurrences(ids[k]))
+        last[k] = len(twin)
         twin.append(prev)
-        candidates.append(slots)
     return candidates, twin
 
 
@@ -668,12 +656,15 @@ def _linearize(
 def contains(w: Word, target: Word, declared: Collection[NamePair] = ()) -> Optional[ContainmentWitness]:
     """Search for the target's twists in order, up to certified commutations.
 
-    Returns a witness on success and None on failure; None means "unknown"
-    (containment quantifies over every positive factorization, which the
-    engine cannot enumerate), never a definite "no".
+    Both words must be positive.  Returns a witness on success and None on
+    failure; None means "unknown" (containment quantifies over every
+    positive factorization, which the engine cannot enumerate), never a
+    definite "no".
     """
     if w.surface != target.surface:
         raise RankMismatchError("containment across different surfaces")
+    if not (w.is_positive and target.is_positive):
+        raise UnsupportedInputError("containment is defined on positive words")
     if not target.twists:
         return ContainmentWitness((), (), ())
     found = _match_candidates(w, target)
@@ -701,16 +692,15 @@ class Relator(Value):
     ``euler_delta`` is the total exponent difference len(right) - len(left):
     the Euler-characteristic change of the filling when a substitution
     replaces the left side by the right side.  ``allowable`` says every
-    twist is about a homologically nontrivial curve.  When both sides are
-    given, both values follow from the words: an omitted one is filled in,
-    a stated ``euler_delta`` must match, and a stated ``allowable`` is kept
-    so ``verify_relator`` can compare it.  ``sigma_delta`` is the
+    twist is about a homologically nontrivial curve.  Both values follow
+    from the words: an omitted one is filled in, and a stated one must
+    match or ``ValueError`` is raised.  ``sigma_delta`` is the
     corresponding signature change; it is stored (from known values and
     additivity), never derived from the words.  A relator always carries
     both words: a missing side raises ``ValueError``.
     """
 
-    __slots__ = ("name", "left", "right", "euler_delta", "sigma_delta", "allowable", "provenance")
+    __slots__ = ("name", "left", "right", "euler_delta", "sigma_delta", "allowable")
 
     def __init__(
         self,
@@ -720,15 +710,11 @@ class Relator(Value):
         euler_delta: Optional[int] = None,
         sigma_delta: Optional[int] = None,
         allowable: Optional[bool] = None,
-        provenance: str = "user-asserted",
     ):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        object.__setattr__(self, "euler_delta", euler_delta)
         object.__setattr__(self, "sigma_delta", sigma_delta)
-        object.__setattr__(self, "allowable", allowable)
-        object.__setattr__(self, "provenance", provenance)
         if left is None or right is None:
             raise ValueError(f"relator {name}: give both sides")
         if not (left.is_positive and right.is_positive):
@@ -736,15 +722,16 @@ class Relator(Value):
         if left.surface != right.surface:
             raise RankMismatchError(f"relator {name}: sides live on different surfaces")
         derived = len(right) - len(left)
-        if euler_delta is None:
-            object.__setattr__(self, "euler_delta", derived)
-        elif euler_delta != derived:
+        if euler_delta is not None and euler_delta != derived:
             raise ValueError(
                 f"relator {name}: euler_delta {euler_delta} != "
                 f"len(right) - len(left) = {derived}"
             )
-        if allowable is None:
-            object.__setattr__(self, "allowable", computed_allowable(self))
+        object.__setattr__(self, "euler_delta", derived)
+        computed = computed_allowable(self)
+        if allowable is not None and allowable != computed:
+            raise ValueError(f"relator {name}: allowable {allowable} != {computed}, which its curves give")
+        object.__setattr__(self, "allowable", computed)
 
     @property
     def obstruction(self) -> Optional[int]:
@@ -759,10 +746,7 @@ class Relator(Value):
             name=f"{self.name}^-1",
             left=self.right,
             right=self.left,
-            euler_delta=-self.euler_delta,
             sigma_delta=None if self.sigma_delta is None else -self.sigma_delta,
-            allowable=self.allowable,
-            provenance=self.provenance,
         )
 
     def curves(self) -> Tuple[Curve, ...]:
@@ -795,21 +779,16 @@ class SubstitutionRecord(Value):
         object.__setattr__(self, "swaps", swaps)
 
 
-def substitute(
-    w: Word,
-    relator: Relator,
-    declared: Collection[NamePair] = (),
-    positions: Optional[Sequence[int]] = None,
-) -> Tuple[Word, SubstitutionRecord]:
+def substitute(w: Word, relator: Relator, declared: Collection[NamePair] = ()) -> Tuple[Word, SubstitutionRecord]:
     """Replace an occurrence of the relator's left side by its right side.
 
     The left side must embed as an in-order subword reachable by certified
     commutations, with the matched block commutable into a contiguous run.
-    The engine searches for such an embedding (or verifies a supplied one)
-    and records the move for the signature ledger.  The result inherits
-    w's curve table (``_splice``): it runs no ``Word.__init__``, and needs
-    no per-curve surface check, since the right side lives on the left
-    side's surface, which must be w's.
+    The engine searches for such an embedding and records the move for the
+    signature ledger.  The result inherits w's curve table (``_splice``):
+    it runs no ``Word.__init__``, and needs no per-curve surface check,
+    since the right side lives on the left side's surface, which must be
+    w's.
     """
     if not relator.left.twists:
         raise NotApplicableError(f"relator {relator.name} has an empty left side, which marks no place to substitute")
@@ -818,47 +797,25 @@ def substitute(
     if not w.is_positive:
         raise UnsupportedInputError("substitution is defined on positive words")
 
-    if positions is not None:
-        if len(positions) != len(relator.left):
-            raise NotApplicableError(
-                f"{len(positions)} positions given for the {len(relator.left)} twists of {relator.name}"
-            )
-        for k, p in enumerate(positions):
-            if not 0 <= p < len(w):
-                raise NotApplicableError(f"position {p} lies outside a word of length {len(w)}")
-            if p in positions[:k]:
-                raise NotApplicableError(f"position {p} is given twice")
-            t = relator.left.twists[k]
-            if w.twists[p].curve != t.curve or w.twists[p].sign != t.sign:
-                raise NotApplicableError(f"position {p} does not carry the twist {t.curve.name}")
+    found = _match_candidates(w, relator.left)
+    if found is not None:
         rel = w._relation(declared)
-        rel.fill(min(positions))
-        chosen = [tuple(positions)]
-    else:
-        found = _match_candidates(w, relator.left)
-        if found is None:
-            chosen = ()
-        else:
-            rel = w._relation(declared)
-            chosen = _embeddings(rel, *found)
-
-    for pos in chosen:
-        lin = _linearize(rel, pos, contiguous=True)
-        if lin is None:
-            continue
-        order, swaps = lin
-        start = order.index(pos[0])
-        block = order[start : start + len(pos)]
-        if block != list(pos):
-            raise ConsistencyAlarmError("contiguous linearization lost the matched block")
-        record = SubstitutionRecord(
-            relator_name=relator.name,
-            sigma_delta=relator.sigma_delta,
-            euler_delta=relator.euler_delta,
-            positions=tuple(pos),
-            swaps=tuple(swaps),
-        )
-        return _splice(w, order[:start], relator.right, order[start + len(pos):]), record
+        for pos in _embeddings(rel, *found):
+            lin = _linearize(rel, pos, contiguous=True)
+            if lin is None:
+                continue
+            order, swaps = lin
+            start = order.index(pos[0])
+            if order[start : start + len(pos)] != list(pos):
+                raise ConsistencyAlarmError("contiguous linearization lost the matched block")
+            record = SubstitutionRecord(
+                relator_name=relator.name,
+                sigma_delta=relator.sigma_delta,
+                euler_delta=relator.euler_delta,
+                positions=pos,
+                swaps=tuple(swaps),
+            )
+            return _splice(w, order[:start], relator.right, order[start + len(pos):]), record
     raise NotApplicableError(
         f"no certified embedding of the left side of {relator.name} was found "
         "(which does not prove the configuration is absent)"
@@ -951,6 +908,9 @@ def verify_relator(r: Relator) -> RelatorReport:
     basis vector.  euler_delta_consistent: the stored exponent difference
     matches the words.  allowable_consistent: the stored allowability flag
     matches the homology computation (twists about nonzero classes only).
+    ``Relator`` refuses stated values that disagree with its words, so the
+    last two hold on every relator; the report still shows what they
+    compared.
     """
     checks: List[RelatorCheck] = []
     same = r.left.action_matrix() == r.right.action_matrix()

@@ -442,8 +442,11 @@ class TestParse:
             "left": [{"curve": "d2", "sign": -1}],
             "right": [{"curve": "d2", "sign": 1}],
         }]
-        with pytest.raises(DocumentError):
+        with pytest.raises(DocumentError) as exc:
             parse(json.dumps(bad))
+        # Relator's own message, relocated to the relator entry
+        assert exc.value.location == "relators[0]"
+        assert exc.value.message == "relator r: both sides must be positive words"
 
     def test_user_relator_allowability_computed(self):
         data = json.loads(json.dumps(MINIMAL))
@@ -454,7 +457,6 @@ class TestParse:
         }]
         doc = parse(json.dumps(data))
         entry = doc.relator_entries["r"]
-        assert entry.relator.provenance == "user-asserted"
         assert entry.relator.allowable  # d2 has nonzero class
 
 

@@ -83,7 +83,7 @@ class TestDetectRelator:
         doc, word, entries = chain2_setup()
         e = entries[0]
         wider = RelatorEntry(relator=e.relator, obstruction=e.obstruction,
-                             obstruction_asserted=e.obstruction_asserted, decomposition=e.decomposition,
+                             obstruction_asserted=e.obstruction_asserted,
                              disjoint=e.disjoint | {frozenset(("c1",))}, note=e.note)
         built = []
         real = Word._tabulate

@@ -118,13 +118,13 @@ SIGNATURES = {
     Twist: [("curve", REQUIRED), ("sign", 1)],
     Word: [("surface", REQUIRED), ("twists", REQUIRED)],
     Relator: [("name", REQUIRED), ("left", REQUIRED), ("right", REQUIRED), ("euler_delta", None),
-              ("sigma_delta", None), ("allowable", None), ("provenance", "user-asserted")],
+              ("sigma_delta", None), ("allowable", None)],
     SubstitutionRecord: [("relator_name", REQUIRED), ("sigma_delta", REQUIRED), ("euler_delta", REQUIRED),
                          ("positions", REQUIRED), ("swaps", REQUIRED)],
     RelatorCheck: [("name", REQUIRED), ("passed", REQUIRED), ("detail", REQUIRED)],
     RelatorReport: [("relator_name", REQUIRED), ("checks", REQUIRED)],
     RelatorEntry: [("relator", REQUIRED), ("obstruction", None), ("obstruction_asserted", False),
-                   ("decomposition", None), ("disjoint", frozenset()), ("note", "")],
+                   ("disjoint", frozenset()), ("note", "")],
     ChainConfig: [("surface", REQUIRED), ("curves", REQUIRED), ("boundary", REQUIRED)],
     BoundingCase: [("verdict", REQUIRED), ("note", REQUIRED)],
     PlanarForm: [("matrix", REQUIRED), ("b2", REQUIRED), ("invariant_factors", REQUIRED)],

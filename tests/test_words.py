@@ -18,8 +18,9 @@ from steincalc.errors import (
     ConsistencyAlarmError,
     NotApplicableError,
     RankMismatchError,
+    UnsupportedInputError,
 )
-from steincalc.relators import RelatorEntry, standard_lantern
+from steincalc.relators import RelatorEntry, chain, standard_lantern
 from steincalc.surfaces import Curve, HomologyClass, Surface, convex_curve, curves_commute, declared_pair
 from steincalc.words import (
     _Dependence,
@@ -75,6 +76,14 @@ class TestContains:
     def test_absent_twist_is_unknown(self, planar4):
         s, c = planar4
         assert contains(word_of(s, [c["a12"]]), word_of(s, [c["a13"]])) is None
+
+    def test_signed_words_are_refused(self, planar4):
+        # containment is defined on positive words, as substitution and detection are
+        s, c = planar4
+        x, y = c["a12"], c["d2"]
+        for w, target in ((word_of(s, [x, y], [1, -1]), word_of(s, [x])), (word_of(s, [x, y]), word_of(s, [y], [-1]))):
+            with pytest.raises(UnsupportedInputError, match="containment is defined on positive words"):
+                contains(w, target)
 
     def test_order_blocked_by_intersections_is_unknown(self, planar4):
         s, c = planar4
@@ -222,39 +231,6 @@ class TestSubstitute:
         w = word_of(s, [c["d2"], c["d3"]])
         with pytest.raises(NotApplicableError):
             substitute(w, entry.relator, entry.disjoint)
-
-    def test_explicit_positions_accepted_and_validated(self, planar4):
-        s, c = planar4
-        from steincalc.relators import lantern
-
-        entry = lantern(c["d2"], c["d3"], c["d4"], c["d1"], c["a12"], c["a23"], c["a13"])
-        w = word_of(s, [c["d1"], c["d2"], c["d3"], c["d4"]])
-        new_w, record = substitute(w, entry.relator, entry.disjoint, positions=(1, 2, 3, 0))
-        assert record.positions == (1, 2, 3, 0)
-        assert len(new_w) == 3
-        for bad in [(0, 1, 2, 3), (-3, 2, 3, 0), (1, 2, 3, 4), (1, 2, 3)]:
-            with pytest.raises(NotApplicableError):
-                substitute(w, entry.relator, entry.disjoint, positions=bad)
-
-    def test_supplied_order_against_a_forced_precedence_is_not_applicable(self):
-        # x and y overlap without nesting, so the y of w cannot move before
-        # its x; z commutes with both.  A supplied order that asks for it is
-        # "no embedding", not a fault of the engine.
-        s = Surface(0, 5)
-        x, y, z = convex_curve(s, "x", {2, 3}), convex_curve(s, "y", {3, 4}), convex_curve(s, "z", {5})
-        yx = Relator("yx", word_of(s, [y, x]), word_of(s, [y, x]), euler_delta=0, sigma_delta=0)
-        for w, positions in ((word_of(s, [x, y]), (1, 0)), (word_of(s, [x, z, y]), (2, 0))):
-            with pytest.raises(NotApplicableError, match="no certified embedding"):
-                substitute(w, yx, positions=positions)
-
-    def test_repeated_position_is_named(self, planar4):
-        s, c = planar4
-        x = c["a12"]
-        w = word_of(s, [x, x])
-        twice = Relator("twice", w, w, euler_delta=0, sigma_delta=0)
-        with pytest.raises(NotApplicableError, match="position 0 is given twice"):
-            substitute(w, twice, positions=(0, 0))
-        assert substitute(w, twice, positions=(0, 1))[1].positions == (0, 1)
 
     def test_repeated_letter_record_is_pinned(self, planar4):
         s, c = planar4
@@ -463,7 +439,7 @@ class TestTabulatedRelation:
         one = word_of(s, [w.twists[0].curve])
         _, record = substitute(w, Relator("same", one, one, euler_delta=0, sigma_delta=0))
         assert record.positions == (0,)
-        relator = Relator("r", target, target, euler_delta=0, sigma_delta=1, allowable=True)
+        relator = Relator("r", target, target, euler_delta=0, sigma_delta=1)
         entry = RelatorEntry(relator=relator, obstruction=1)
         assert [c.verdict for c in planarity.detect_relator(w, [entry, entry])] == [planarity.NON_PLANAR] * 2
 
@@ -500,7 +476,7 @@ class TestNameKeyedTable:
         w, target, declared = _pinned_case(27)  # 317 twists, five target letters
         assert len(w) == 317
         same = Relator("same", target, target, euler_delta=0, sigma_delta=0)
-        entry = RelatorEntry(relator=Relator("r", target, target, euler_delta=0, sigma_delta=1, allowable=True),
+        entry = RelatorEntry(relator=Relator("r", target, target, euler_delta=0, sigma_delta=1),
                              obstruction=1, disjoint=frozenset(declared))
         bounding = planarity.BoundingDeclaration(1, 2, w._curves[:2])
         hashed = []
@@ -534,7 +510,6 @@ class TestNameKeyedTable:
                 substitute(w, Relator("r", target, target, euler_delta=0, sigma_delta=0))
             with pytest.raises(NotApplicableError):
                 planarity.detect_bounding(w, planarity.BoundingDeclaration(1, 2, (a, absent)))
-        assert contains(w, word_of(s, [a], [-1])) is None  # present curve, absent sign
         assert tabulated == []
         assert contains(w, word_of(s, [b, a])) is not None
         assert len(tabulated) == 1 and tabulated[0] is w
@@ -577,11 +552,8 @@ class TestNameKeyedTable:
     @settings(max_examples=200, deadline=None)
     @given(_mixed_word(), st.randoms(use_true_random=False))
     def test_candidates_match_the_bitset_oracle(self, w, rng):
-        # signs drawn on the word (or none negative) and on the target, whose
-        # letters are the word's curves, equal copies of them, or a curve the
-        # word lacks
-        if rng.random() < 0.5:
-            w = Word(w.surface, tuple(Twist(t.curve, rng.choice((1, -1))) for t in w.twists))
+        # a target whose letters are the word's curves, equal copies of them,
+        # or a curve the word lacks
         absent = Curve("absent", w.surface.zero_class())
         for _ in range(5):
             letters = []
@@ -591,8 +563,8 @@ class TestNameKeyedTable:
                     c = Curve(c.name, c.homology, c.hole_set, c.rotation, c.boundary_parallel_to)
                 elif rng.random() < 0.05:
                     c = absent
-                letters.append(Twist(c, rng.choice((1, 1, -1))))
-            target = Word(w.surface, tuple(letters))
+                letters.append(c)
+            target = word_of(w.surface, letters)
             found, expected = words._match_candidates(w, target), _reference_candidates(w, target)
             assert (found is None) == (expected is None)
             if found is not None:
@@ -695,7 +667,7 @@ class TestCurveTable:
             right += [c] * rng.randint(1, 2)
         relator = Relator("r", left, word_of(s, right), sigma_delta=0)
         try:
-            new_w, record = substitute(w, relator, positions=picked if rng.random() < 0.5 else None)
+            new_w, record = substitute(w, relator)
         except NotApplicableError:
             return
         seq = _replay(w, record.swaps, ())
@@ -968,10 +940,11 @@ class TestWindowedSearch:
 
 
 def _shared_relator_entry(target, disjoint):
-    """An entry whose left side is the target, with a nonzero obstruction,
-    so ``detect_relator`` reports each admission with its witness."""
-    relator = Relator("r", target, target, euler_delta=0, sigma_delta=1, allowable=True)
-    return RelatorEntry(relator=relator, obstruction=1, disjoint=frozenset(disjoint))
+    """An entry whose left side is the target, with a nonzero obstruction
+    asserted whatever the target's curves, so ``detect_relator`` reports
+    each admission with its witness."""
+    relator = Relator("r", target, target, euler_delta=0, sigma_delta=1)
+    return RelatorEntry(relator=relator, obstruction=1, obstruction_asserted=True, disjoint=frozenset(disjoint))
 
 
 class TestRelationCache:
@@ -984,10 +957,9 @@ class TestRelationCache:
         gc.collect()
         witness = contains(w, target, declared)
         _, record = substitute(w, same, declared)
-        _, given = substitute(w, same, declared, positions=record.positions)
-        assert witness is not None and given == record
+        assert witness is not None and record.positions
         assert gc.collect() == 0
-        del w, witness, record, given  # the word and its relations go with their last reference
+        del w, witness, record  # the word and its relations go with their last reference
         assert gc.collect() == 0
 
     def test_relations_are_built_once_per_effective_set(self, monkeypatch):
@@ -1043,13 +1015,11 @@ class TestRelationCache:
             picked = rng.sample(range(n), rng.randint(1, min(n, 4)))
             target = word_of(w.surface, [w.twists[i].curve for i in picked])
             same = Relator("same", target, target, euler_delta=0, sigma_delta=0)
-            op = rng.choice(("contains", "substitute", "positions", "detect"))
+            op = rng.choice(("contains", "substitute", "detect"))
             if op == "contains":
                 call = lambda word: contains(word, target, declared)
             elif op == "substitute":
                 call = lambda word: substitute(word, same, declared)
-            elif op == "positions":
-                call = lambda word: substitute(word, same, declared, positions=picked)
             else:
                 entries = [_shared_relator_entry(target, draw_declared()) for _ in range(rng.randint(1, 3))]
                 call = lambda word: planarity.detect_relator(word, entries, declared)
@@ -1057,7 +1027,7 @@ class TestRelationCache:
             if op == "contains" and shared is not None:
                 assert (shared.positions, shared.swaps, shared.final_positions) == (
                     fresh.positions, fresh.swaps, fresh.final_positions)
-            elif op in ("substitute", "positions") and not isinstance(shared, str):
+            elif op == "substitute" and not isinstance(shared, str):
                 (new_shared, rec), (new_fresh, rec_fresh) = shared, fresh
                 assert new_shared.twists == new_fresh.twists
                 assert [getattr(rec, f) for f in rec._fields] == [getattr(rec_fresh, f) for f in rec_fresh._fields]
@@ -1107,9 +1077,12 @@ class TestRelatorValues:
     def test_stated_values(self):
         s = Surface(0, 3)
         a = convex_curve(s, "a", {2})
-        kept = Relator("w", word_of(s, [a]), word_of(s, [a]), allowable=False)
-        assert kept.allowable is False  # kept as stated, so verify_relator can disagree
-        assert verify_relator(kept).check("allowable_consistent").passed is False
+        assert Relator("w", word_of(s, [a]), word_of(s, [a]), allowable=True).allowable is True
+        with pytest.raises(ValueError, match="allowable False != True"):
+            Relator("w", word_of(s, [a]), word_of(s, [a]), allowable=False)
+        two = chain(2).relator  # its boundary curve is null-homologous
+        with pytest.raises(ValueError, match="allowable True != False"):
+            Relator("fake", two.left, two.right, sigma_delta=-7, allowable=True)
         with pytest.raises(ValueError, match="euler_delta 1 != len"):
             Relator("w", word_of(s, [a]), word_of(s, [a]), 1)
 
