@@ -6,15 +6,20 @@ and finitely generated abelian quotients.  The Smith form eliminates on the
 augmented rows [A | X] for columns X the caller passes, so the right block
 ends as U X and a row swap, negation or addition is one list operation;
 column steps and the pivot search read the left block only, so D and V do
-not depend on X.  X = I, the default, gives U itself.  It holds each column
-of V as a ``{row: value}`` dict, so a column operation costs the nonzeros
-of one column (kernel columns of a boundary map carry a handful of
-nonzeros among hundreds of rows) and a column swap exchanges two
+not depend on X.  X = I, the default, gives U itself, and X = () gives no
+U, which is what ``kernel_basis`` and a planar form's boundary map carry.
+A row operation at step t rewrites only the part of its rows from column
+t on (the invariant is stated in ``smith_normal_form``).  It holds each
+column of V as a ``{row: value}`` dict, so a column operation costs the
+nonzeros of one column (kernel columns of a boundary map carry a handful
+of nonzeros among hundreds of rows) and a column swap exchanges two
 references; it returns V in that form, and the kernel of A is the tail of
 that column list.  ``smith_diagonal`` gives D alone, by Euclidean
 elimination with no transforms: a quotient's invariant factors and free
-rank read only D.  A quotient is the value of n and its relation columns,
-and its one query, ``order_and_reduce``, gives the order and the canonical
+rank read only D.  A quotient is the value of n and the rows of its
+relation matrix, the layout both eliminations read, so a caller that
+builds its relations by rows hands them over with no transpose.  Its one
+query, ``order_and_reduce``, gives the order and the canonical
 representative of a class v from one ``smith_normal_form`` carrying X = v,
 which gives U v and V but no U, and subtracts A (V k) with
 k_i = (U v)_i // d_i, so neither U nor A V is built.
@@ -29,7 +34,9 @@ form stores.
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
+from operator import add, mul, neg, sub
 from typing import Dict, List, Mapping, Sequence, Tuple
 
 from .errors import ConsistencyAlarmError, Value
@@ -39,6 +46,25 @@ Matrix = List[List[int]]
 
 def zeros(rows: int, cols: int) -> Matrix:
     return [[0] * cols for _ in range(rows)]
+
+
+def _as_ints(matrix: Sequence[Sequence[int]]) -> Sequence[Sequence[int]]:
+    """``matrix`` itself when every entry is a Python int, else a copy with
+    each entry passed through ``int``: the eliminations then meet no bool
+    and no fixed-width integer, and skip converting the usual input."""
+    if {*map(type, chain.from_iterable(matrix))} <= {int}:
+        return matrix
+    return [list(map(int, row)) for row in matrix]
+
+
+def add_multiple(row: Sequence[int], x: int, other: Sequence[int]) -> List[int]:
+    """row + x * other, entry by entry; x = 1 and x = -1, the usual
+    multipliers on 0/1 and unit-pivot matrices, skip the products."""
+    if x == 1:
+        return list(map(add, row, other))
+    if x == -1:
+        return list(map(sub, row, other))
+    return [y + x * z for y, z in zip(row, other)]
 
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
@@ -116,7 +142,19 @@ def smith_normal_form(
 ) -> SmithForm:
     """U A V = D for ``matrix`` (A).  ``carried`` are columns X of length
     ``rows`` that ride along as the right block of [A | X], so ``row_ops``
-    is U X by rows; the default X = I gives U itself."""
+    is U X by rows; the default X = I gives U itself, and ``()`` gives no
+    U at all.
+
+    Step t pivots on an entry of least absolute value in the live block
+    a[t:, t:cols] and runs Euclid through remainders until the pivot
+    divides its row and column.  Every row at or below t is zero left of
+    column t (each earlier step cleared its column below its pivot), so a
+    row operation rewrites ``row[t:]`` only, the live block and the
+    carried block; the rows above hold nothing but their pivot, so a
+    column operation touches rows t.. only.  After the row steps a unit
+    pivot has only zeros below it, so one pass clears its row and updates
+    V, with no re-check.
+    """
     if rows is None:
         rows = len(matrix)
     if cols is None:
@@ -125,17 +163,18 @@ def smith_normal_form(
     # U X in one list operation.  Column steps, the pivot search and the
     # divisibility scan read columns < cols only, so X never enters them and
     # D and V do not depend on it.
+    matrix = _as_ints(matrix)
     if carried is None:
-        a = [[*map(int, row), *(0,) * i, 1, *(0,) * (rows - 1 - i)] for i, row in enumerate(matrix)]
+        a = [[*row, *(0,) * i, 1, *(0,) * (rows - 1 - i)] for i, row in enumerate(matrix)]
+    elif not carried:
+        a = [list(row) for row in matrix]
     else:
         for k, column in enumerate(carried):
             if len(column) != rows:
                 raise ValueError(f"carried column {k} has length {len(column)} != {rows} rows")
-        a = [[*map(int, row), *(int(column[i]) for column in carried)] for i, row in enumerate(matrix)]
+        a = [[*row, *x] for row, x in zip(matrix, zip(*_as_ints(carried)))]
     v = [{j: 1} for j in range(cols)]  # v[j] is column j of V, sparse
 
-    # Column operations at step t touch rows t.. only: the rows above hold
-    # nothing but their pivot, so columns t.. are zero there.
     def col_swap(t: int, j: int) -> None:
         for row in a[t:]:
             row[t], row[j] = row[j], row[t]
@@ -172,20 +211,26 @@ def smith_normal_form(
                 col_swap(t, j)
             top = a[t]
             if top[t] < 0:
-                a[t] = top = [-x for x in top]
+                top[t:] = map(neg, top[t:])
             pivot = top[t]
-            for i in range(t + 1, rows):
-                q = a[i][t] // pivot
+            tail = top[t:]
+            for row in a[t + 1:]:
+                q = row[t] // pivot
                 if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], top)]
-            # col_j -= q col_t changes only the rows with a nonzero in column t
-            live = [row for row in a[t:] if row[t]]
+                    row[t:] = add_multiple(row[t:], -q, tail)
+            # col_j -= q col_t changes only the rows with a nonzero in
+            # column t, which after a unit pivot's row steps is row t alone
+            unit = pivot == 1
+            live = () if unit else [row for row in a[t:] if row[t]]
             vt = v[t]
-            for j in range(t + 1, cols):
-                q = top[j] // pivot
+            for j, x in enumerate(top[t + 1:cols], t + 1):
+                q = x // pivot if x else 0
                 if q:
-                    for row in live:
-                        row[j] -= q * row[t]
+                    if unit:
+                        top[j] = 0
+                    else:
+                        for row in live:
+                            row[j] -= q * row[t]
                     vj = v[j]
                     for k, y in vt.items():
                         x = vj.get(k, 0) - q * y
@@ -193,7 +238,7 @@ def smith_normal_form(
                             vj[k] = x
                         else:  # q != 0, so only an entry of vj cancels
                             del vj[k]
-            if len(live) == 1 and not any(top[t + 1:cols]):
+            if unit or (len(live) == 1 and not any(top[t + 1:cols])):
                 return True
 
     limit = min(rows, cols)
@@ -207,9 +252,10 @@ def smith_normal_form(
         while fixed:
             fixed = False
             pivot = a[t][t]
-            for i in range(t + 1, rows):
-                if any(x % pivot for x in a[i][t + 1:cols]):
-                    a[t] = [x + y for x, y in zip(a[t], a[i])]
+            for row in a[t + 1:]:
+                if any(map(pivot.__rmod__, row[t + 1:cols])):
+                    top = a[t]
+                    top[t:] = [x + y for x, y in zip(top[t:], row[t:])]
                     clean_pivot(t)
                     fixed = True
                     break
@@ -229,7 +275,7 @@ def kernel_basis(matrix: Sequence[Sequence[int]], cols: int | None = None) -> Li
     rows = len(matrix)
     if cols is None:
         cols = len(matrix[0]) if rows else 0
-    snf = smith_normal_form(matrix, rows=rows, cols=cols)
+    snf = smith_normal_form(matrix, rows=rows, cols=cols, carried=())
     return snf.col_ops[snf.rank:]
 
 
@@ -249,7 +295,7 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> Tuple[int, ...]:
     entries found turns them into the divisor chain d_1 | d_2 | ... (per
     prime it sorts the exponents); zeros fill the rest.
     """
-    a = [list(map(int, row)) for row in matrix]
+    a = [list(row) for row in _as_ints(matrix)]
     size = min(len(a), len(a[0])) if a else 0
     a = [row for row in a if any(row)]
     found = []
@@ -293,9 +339,10 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> Tuple[int, ...]:
 class AbelianQuotient(Value):
     """The quotient of Z^n by the column lattice of a relation matrix A.
 
-    Its fields are ``n`` and ``columns``, the columns of A as tuples, so
-    two quotients are equal when their presentations are.  ``diag``, all
-    that ``report``, ``invariant_factors`` and ``free_rank`` read, comes
+    Its fields are ``n`` and ``rows``, the n rows of A as tuples (one entry
+    per relation), so two quotients are equal when their presentations
+    are; ``from_relations`` builds one from the relation columns.  ``diag``,
+    all that ``report``, ``invariant_factors`` and ``free_rank`` read, comes
     from ``smith_diagonal``; a copy or a pickle rebuilds it when read.
     ``order_and_reduce`` runs one ``smith_normal_form`` carrying v as the
     one column of [A | v], which gives D, V and y = U v, and no U.  The
@@ -307,28 +354,32 @@ class AbelianQuotient(Value):
 
     # _diag caches the Smith diagonal, set by the first read of ``diag`` or
     # the first ``order_and_reduce``
-    __slots__ = ("n", "columns", "_diag")
+    __slots__ = ("n", "rows", "_diag")
 
-    def __init__(self, n: int, columns: Sequence[Sequence[int]]):
-        for j, column in enumerate(columns):
-            if len(column) != n:
-                raise ValueError(f"relation column {j} has length {len(column)} != ambient rank {n}")
+    def __init__(self, n: int, rows: Sequence[Sequence[int]]):
+        if len(rows) != n:
+            raise ValueError(f"{len(rows)} relation rows != ambient rank {n}")
+        width = len(rows[0]) if rows else 0
+        for i, row in enumerate(rows):
+            if len(row) != width:
+                raise ValueError(f"relation row {i} has length {len(row)} != {width} relations")
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "columns", tuple(map(tuple, columns)))
+        object.__setattr__(self, "rows", tuple(map(tuple, rows)))
 
     @classmethod
     def from_relations(cls, n: int, columns: Sequence[Sequence[int]]) -> "AbelianQuotient":
-        return cls(n, columns)
-
-    def _matrix(self) -> Matrix:
-        return [[column[i] for column in self.columns] for i in range(self.n)]
+        """The quotient of Z^n by the given relation columns."""
+        for j, column in enumerate(columns):
+            if len(column) != n:
+                raise ValueError(f"relation column {j} has length {len(column)} != ambient rank {n}")
+        return cls(n, tuple(zip(*columns)) if columns else ((),) * n)
 
     @property
     def diag(self) -> Tuple[int, ...]:
         try:
             return self._diag
         except AttributeError:  # first read
-            object.__setattr__(self, "_diag", smith_diagonal(self._matrix()))
+            object.__setattr__(self, "_diag", smith_diagonal(self.rows))
             return self._diag
 
     @property
@@ -348,7 +399,7 @@ class AbelianQuotient(Value):
         canonical representative U^-1 (U v mod D), v minus relations."""
         if len(v) != self.n:
             raise ValueError(f"vector length {len(v)} != ambient rank {self.n}")
-        snf = smith_normal_form(self._matrix(), rows=self.n, cols=len(self.columns), carried=(v,))
+        snf = smith_normal_form(self.rows, rows=self.n, carried=(v,))
         diag = snf.diag
         try:
             known = self._diag
@@ -358,7 +409,7 @@ class AbelianQuotient(Value):
             if known != diag:
                 raise ConsistencyAlarmError(f"Smith diagonal {known} differs from the Smith form's {diag}")
         order: int | None = 1
-        combination: Dict[int, int] = {}  # V k, sparse
+        combination = [0] * len(snf.columns)  # V k
         for i, (y,) in enumerate(snf.row_ops):
             d = diag[i] if i < len(diag) else 0
             if not d:
@@ -370,13 +421,8 @@ class AbelianQuotient(Value):
                 order = lcm(order, d // gcd(d, rest))
             if k:
                 for j, x in snf.columns[i].items():
-                    combination[j] = combination.get(j, 0) + k * x
-        rep = list(v)
-        for j, k in combination.items():
-            if k:
-                for i, x in enumerate(self.columns[j]):
-                    if x:
-                        rep[i] -= k * x
+                    combination[j] += k * x
+        rep = [y - sum(map(mul, row, combination)) for y, row in zip(v, self.rows)]
         return order, rep
 
 
@@ -393,7 +439,7 @@ def symmetric_signature(q: Sequence[Sequence[int]]) -> int:
     e_i <- e_i + e_j produces a nonzero diagonal entry (2 * m[i][j]) and
     keeps the divisions exact.
     """
-    m = [list(map(int, row)) for row in q]
+    m = [list(row) for row in _as_ints(q)]
     prev, signature = 1, 0
     while m:
         p = next((i for i, row in enumerate(m) if row[i]), None)

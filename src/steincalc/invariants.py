@@ -12,17 +12,18 @@ to minus the standard dot product of coefficient vectors (hole-bilinear
 corrections vanish on the kernel, so this representative is well defined;
 it is pinned by the <-b> boundary-multitwist calibration and the lantern
 substitution check).  One Smith normal form U B V = D of the boundary map
-B yields the kernel K (the columns of V past the rank, as sparse columns),
-whose form -K^T K ``negated_gram`` builds from one triangle as the tuple
-rows ``PlanarForm.matrix`` stores, and its orthogonal complement, the
-saturated row space C (rows of V^-1); the two have isomorphic
-discriminant groups, so the form's invariant factors above 1 are those of
-C C^T.  When every nonzero d_i is 1, B B^T is U^-1 (C C^T + 0)
-U^-T, so they are the torsion of H_1 of the boundary below, which
-``filling_invariants`` builds once per word and hands to the form;
-otherwise they come from the Smith diagonal (``smith_diagonal``, no
+B, carrying no U, yields the kernel K (the columns of V past the rank, as
+sparse columns), whose form -K^T K ``negated_gram`` builds from one
+triangle as the tuple rows ``PlanarForm.matrix`` stores, and its
+orthogonal complement, the saturated row space C (rows of V^-1); the two
+have isomorphic discriminant groups, so the form's invariant factors
+above 1 are those of C C^T.  When every nonzero d_i is 1, B B^T is
+U^-1 (C C^T + 0) U^-T, so they are the torsion of H_1 of the boundary
+below, which ``filling_invariants`` builds once per word and hands to the
+form; otherwise they come from the Smith diagonal (``smith_diagonal``, no
 transforms) of the smaller of the two Gram matrices, of size min(b2, r)
-with r <= b-1 the rank of B.  The form is negative
+with r <= b-1 the rank of B, and only when that is C C^T does the form
+eliminate B again, carrying U, whose rows give C.  The form is negative
 definite, so its signature is rank B - n, and ``sigma`` reads rank B as
 the signature of the positive semidefinite B B^T (the planar arc
 relations) by ``symmetric_signature``, with no Smith form, no Gram matrix
@@ -40,13 +41,16 @@ from it by a handle class, whose variation is already a relation, so no
 other choice of arcs changes the group.  On a planar page an arc's
 relative class never moves, so the arc relations are the columns of
 B S B^T, with S the diagonal of twist signs, built in one pass over the
-twists.  On pages of positive genus ``variations`` (in ``words``, the one
-homology mover, which ``Word.action_matrix`` reads too) moves the 2g
-handle classes and the b - 1 arcs together in one pass over the twists,
-right to left.  Both build each curve's support (and pairing functional)
-once, from the table of distinct curves that every ``Word`` carries, and
-walk its letters.  Torsion is the payload, so nothing
-is done rationally.  The h1 report and q's torsion read only H_1's Smith
+twists.  On pages of positive genus ``variation_rows`` (in ``words``, the
+one homology mover, which ``Word.action_matrix`` reads through
+``variations``) moves the 2g handle classes and the b - 1 arcs together in
+one pass over the twists, right to left.  Both build each curve's support
+(and pairing functional) once, from the table of distinct curves that
+every ``Word`` carries, and walk its letters.  The relations reach the
+quotient by rows, the layout its eliminations read: B S B^T is
+symmetric, and ``variation_rows`` moves the classes by coordinates, so
+neither is transposed.  Torsion is the payload, so nothing is done
+rationally.  The h1 report and q's torsion read only H_1's Smith
 diagonal, which ``smith_diagonal`` gives without transforms; the c1 report
 reduces a class, so ``chern_pd`` alone makes H_1 run a
 ``smith_normal_form``, in the quotient's one query ``order_and_reduce``,
@@ -62,9 +66,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError, Value
-from .intlinalg import AbelianQuotient, Matrix, mat_mul, negated_gram, smith_diagonal, smith_normal_form, symmetric_signature, zeros
+from .intlinalg import AbelianQuotient, Matrix, add_multiple, mat_mul, negated_gram, smith_diagonal, smith_normal_form, symmetric_signature, zeros
 from .surfaces import Surface
-from .words import SubstitutionRecord, Word, variations
+from .words import SubstitutionRecord, Word, unit_basis, variation_rows
 
 
 def euler_characteristic(word: Word) -> int:
@@ -104,7 +108,10 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
 
     Requires every curve to carry a hole set (the decidable planar
     fragment).  The torsion is read off ``h1``, H_1 of the boundary (built
-    here when None), when the boundary map allows it.
+    here when None), when the boundary map allows it.  The boundary map's
+    Smith form carries no U; the scaled branch alone, where some d_i > 1
+    and the complement Gram matrix is the smaller one, eliminates it again
+    with U to read rows of U B.
     """
     if not has_exact_form(word):
         raise UnsupportedInputError(
@@ -113,8 +120,11 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
     n = len(word)
     # the boundary map B: one column per twist, the homology class of its
     # curve (outer-parallel curves enter through their stored negated class)
-    boundary_map = [[t.curve.homology.coords[i] for t in word.twists] for i in range(word.surface.rank)]
-    snf = smith_normal_form(boundary_map, rows=word.surface.rank, cols=n)
+    rank = word.surface.rank
+    coords = [c.homology.coords for c in word._curves]
+    columns = [coords[k] for k in word._letters]
+    boundary_map = [[column[i] for column in columns] for i in range(rank)]
+    snf = smith_normal_form(boundary_map, rows=rank, cols=n, carried=())
     r = snf.rank
     matrix = negated_gram(snf.columns[r:])  # -K^T K
     b2 = n - r
@@ -130,11 +140,13 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
     else:
         # Some d_i > 1 scales the row space; take the Smith diagonal of the
         # smaller Gram matrix, whose sign it does not see.  Row i < r of
-        # V^-1 is row i of U B / d_i.
+        # V^-1 is row i of U B / d_i, so this branch alone eliminates again
+        # carrying U.
         if b2 < r:
             smaller = matrix
         else:
-            scaled = mat_mul(snf.row_ops[:r], boundary_map)
+            u = smith_normal_form(boundary_map, rows=rank, cols=n).row_ops
+            scaled = mat_mul(u[:r], boundary_map)
             smaller = negated_gram([{k: x // d for k, x in enumerate(row) if x} for row, d in zip(scaled, snf.diag)])
         torsion = tuple(d for d in smith_diagonal(smaller) if d > 1)
     # The kernel basis has full column rank, so q = -K^T K is negative
@@ -235,15 +247,22 @@ def h1_boundary(word: Word) -> AbelianQuotient:
     and of the standard arc to each boundary component beyond the first.
     """
     surface = word.surface
+    rank = surface.rank
     if surface.genus == 0:
         # the standard arc to boundary j has relative class S_j, so its
-        # relation is column j of the symmetric B S B^T
-        return AbelianQuotient.from_relations(surface.rank, _planar_arc_relations(word))
+        # relation is column j of the symmetric B S B^T, which is row j
+        return AbelianQuotient(rank, _planar_arc_relations(word))
     handles = 2 * surface.genus
-    # the unit vectors A_1, B_1, ..., A_g, B_g, then S_2, ..., S_b: the standard arcs
-    moved = variations(word, [[int(i == k) for k in range(surface.rank)] for i in range(surface.rank)])
-    relations = [m for m in moved[:handles] if any(m)] + moved[handles:]
-    return AbelianQuotient.from_relations(surface.rank, relations)
+    # the unit vectors A_1, B_1, ..., A_g, B_g, then S_2, ..., S_b: the
+    # standard arcs; row i holds coordinate i of every variation, and the
+    # handle classes the monodromy fixes give no relation
+    rows = variation_rows(word, unit_basis(rank))
+    kept = [k for k, column in enumerate(zip(*[row[:handles] for row in rows])) if any(column)]
+    if not kept:
+        rows = [row[handles:] for row in rows]
+    elif len(kept) < handles:
+        rows = [[row[k] for k in kept] + row[handles:] for row in rows]
+    return AbelianQuotient(rank, rows)
 
 
 class ChernData(Value):
@@ -293,9 +312,11 @@ def boundary_multitwist_defaults(word: Word) -> Optional[Tuple[Tuple[int, ...], 
         return None
     rotations = [0] * b
     mu: List[Tuple[int, ...]] = [()] * b
+    basis, handles = unit_basis(surface.rank), 2 * surface.genus
     for j, idx in seen.items():
         rotations[idx] = boundary_rotation(surface.genus, b, j)
-        mu[idx] = surface.outer_boundary_coords() if j == 1 else surface.d_coords(j)
+        # d_j is the basis vector past the handles at j - 2
+        mu[idx] = surface.outer_boundary_coords() if j == 1 else basis[handles + j - 2]
     return tuple(rotations), tuple(mu)
 
 
@@ -347,8 +368,8 @@ def chern_pd(
         h1 = h1_boundary(word)
     vector = [0] * rank
     for r, mu in zip(rotations, mu_map):
-        for i, x in enumerate(mu):
-            vector[i] += r * x
+        if r:
+            vector = add_multiple(vector, r, mu)
     order, reduced = h1.order_and_reduce(vector)
     return ChernData(vector=tuple(vector), reduced=tuple(reduced), order=order)
 

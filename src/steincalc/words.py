@@ -51,6 +51,7 @@ from .errors import (
     UnsupportedInputError,
     Value,
 )
+from .intlinalg import add_multiple
 from .surfaces import Curve, NamePair, Surface
 
 # Positions the embedding search may test in one call before it gives up
@@ -156,7 +157,7 @@ class Word(Value):
         d_j, which pairs to zero with every class, is fixed (a planar page
         runs no pass)."""
         rank, handles = self.surface.rank, 2 * self.surface.genus
-        basis = [tuple([int(i == k) for k in range(rank)]) for i in range(rank)]
+        basis = unit_basis(rank)
         moved = variations(self, basis[:handles]) if handles else []
         return tuple([tuple(map(add, e, v)) for e, v in zip(basis, moved)] + basis[handles:])
 
@@ -269,8 +270,22 @@ def word_of(surface: Surface, curves: Sequence[Curve], signs: Optional[Sequence[
     return Word(surface, tuple(Twist(c, s) for c, s in zip(curves, signs)))
 
 
+def unit_basis(rank: int) -> List[Tuple[int, ...]]:
+    """The unit vectors of Z^rank, each a slice of one tuple."""
+    unit = (0,) * (rank - 1) + (1,) + (0,) * (rank - 1)
+    return [unit[rank - 1 - i:2 * rank - 1 - i] for i in range(rank)]
+
+
 def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """The closed classes by which the monodromy moves relative classes.
+    """The closed classes by which the monodromy moves relative classes,
+    one tuple per class: ``variation_rows`` transposed."""
+    rows = variation_rows(word, rels)
+    return list(zip(*rows)) if rows else [()] * len(rels)
+
+
+def variation_rows(word: Word, rels: Sequence[Sequence[int]]) -> List[List[int]]:
+    """The closed classes by which the monodromy moves relative classes, by
+    coordinates: row i holds coordinate i of every class's variation.
 
     One pass over the twists in application order (right to left) moves
     every relative class together: at a twist about c each picks up as many
@@ -292,7 +307,7 @@ def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...
         if len(rel) != rank:
             raise RankMismatchError(f"relative vector length {len(rel)} != rank {rank}")
     # by coordinates: moving[i] and moved[i] hold coordinate i of every class
-    moving = [[rel[i] for rel in rels] for i in range(rank)]
+    moving = [list(column) for column in zip(*rels)] if rels else [[] for _ in range(rank)]
     moved = [[0] * len(rels) for _ in range(rank)]
     table = []  # per distinct curve: its support, its handle support and its functional
     for c in word._curves:
@@ -303,16 +318,19 @@ def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...
         support, handle_support, functional = table[k]
         counts = None  # the arc pairing of every class with [c]; None for a null class
         for i, x in functional:
-            counts = [x * y for y in moving[i]] if counts is None else [k + x * y for k, y in zip(counts, moving[i])]
+            # rows are replaced, never changed in place, so counts may share one
+            if counts is None:
+                counts = moving[i] if x == 1 else [x * y for y in moving[i]]
+            else:
+                counts = add_multiple(counts, x, moving[i])
         if counts is None or not any(counts):
             continue
-        if t.sign < 0:
-            counts = [-k for k in counts]
-        for i, x in support:
-            moved[i] = [y + x * k for y, k in zip(moved[i], counts)]
-        for i, x in handle_support:
-            moving[i] = [y + x * k for y, k in zip(moving[i], counts)]
-    return list(zip(*moved)) if rank else [()] * len(rels)
+        x = t.sign
+        for i, y in support:
+            moved[i] = add_multiple(moved[i], x * y, counts)
+        for i, y in handle_support:
+            moving[i] = add_multiple(moving[i], x * y, counts)
+    return moved
 
 
 def _bits(mask: int) -> Iterator[int]:

@@ -5,6 +5,7 @@ import pickle
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Sequence
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from steincalc.document import tau_boundary_document
 from steincalc.errors import ConsistencyAlarmError
 from steincalc.intlinalg import (
     AbelianQuotient,
+    SmithForm,
     kernel_basis,
     mat_mul,
     negated_gram,
@@ -22,6 +24,8 @@ from steincalc.intlinalg import (
     symmetric_signature,
 )
 from steincalc.invariants import h1_boundary
+from steincalc.surfaces import Surface, convex_curve
+from steincalc.words import word_of
 
 
 def small_matrix(max_dim=5, max_entry=6):
@@ -186,24 +190,196 @@ class TestSmithNormalForm:
         # sha256 of (diag, rank, row_ops, columns) on the H_1 relation
         # matrices of the boundary multitwist at g 0..3, b 2..12, whose 2g
         # handle rows are all zero; recorded when U was still kept apart
-        # from A during the elimination
+        # from A during the elimination, and when the quotient still held
+        # the relations by columns
         h = hashlib.sha256()
         zero_rows = 0
         for g in range(4):
             for b in range(2, 13):
                 q = h1_boundary(tau_boundary_document(g, b).words["tau_del"])
-                a = [[column[i] for column in q.columns] for i in range(q.n)]
+                a = [list(row) for row in q.rows]
                 zero_rows += sum(1 for row in a if not any(row))
-                snf = smith_normal_form(a, rows=q.n, cols=len(q.columns))
+                snf = smith_normal_form(a, rows=q.n, cols=len(a[0]))
                 h.update(repr((snf.diag, snf.rank, snf.row_ops, snf.columns)).encode())
         assert zero_rows == 11 * (0 + 2 + 4 + 6)
         assert h.hexdigest() == "51bf26929c2e34cc9d968c67bf598f315c72cf5f2bd5f0f544a2a882af6b9db6"
+
+    def test_entries_are_converted_to_python_ints(self):
+        # a bool (or any other int-like) entry is converted before the
+        # elimination, so no output carries its type
+        snf = smith_normal_form([[True, False], [False, True]], carried=[[True, False]])
+        assert snf.diag == (1, 1) and snf.row_ops == [[1], [0]]
+        assert {type(x) for x in snf.diag + tuple(x for row in snf.row_ops for x in row)} == {int}
+        assert [type(d) for d in smith_diagonal([[True, False], [False, True]])] == [int, int]
+        assert symmetric_signature([[True, False], [False, True]]) == 2
 
     def test_determinant_helper(self):
         assert determinant([]) == 1
         assert determinant([[0, 1], [1, 0]]) == -1
         assert determinant([[2, 4, 4], [-6, 6, 12], [10, 4, 16]]) == 2 * 2 * 156
         assert determinant([[1, 2], [2, 4]]) == 0
+
+
+# The elimination as it was before it rewrote only the live block: every
+# row operation ran over whole rows and every pivot, unit or not, cleared
+# its row through the list of live rows and a re-check.  Kept verbatim as
+# the oracle of TestReferenceOracle.
+def _reference_smith_normal_form(
+    matrix: Sequence[Sequence[int]],
+    rows: int | None = None,
+    cols: int | None = None,
+    carried: Sequence[Sequence[int]] | None = None,
+) -> SmithForm:
+    """U A V = D for ``matrix`` (A).  ``carried`` are columns X of length
+    ``rows`` that ride along as the right block of [A | X], so ``row_ops``
+    is U X by rows; the default X = I gives U itself."""
+    if rows is None:
+        rows = len(matrix)
+    if cols is None:
+        cols = len(matrix[0]) if matrix else 0
+    # Row i is [A_i | X_i], the augmented row [A | X]: a row step moves A and
+    # U X in one list operation.  Column steps, the pivot search and the
+    # divisibility scan read columns < cols only, so X never enters them and
+    # D and V do not depend on it.
+    if carried is None:
+        a = [[*map(int, row), *(0,) * i, 1, *(0,) * (rows - 1 - i)] for i, row in enumerate(matrix)]
+    else:
+        for k, column in enumerate(carried):
+            if len(column) != rows:
+                raise ValueError(f"carried column {k} has length {len(column)} != {rows} rows")
+        a = [[*map(int, row), *(int(column[i]) for column in carried)] for i, row in enumerate(matrix)]
+    v = [{j: 1} for j in range(cols)]  # v[j] is column j of V, sparse
+
+    # Column operations at step t touch rows t.. only: the rows above hold
+    # nothing but their pivot, so columns t.. are zero there.
+    def col_swap(t: int, j: int) -> None:
+        for row in a[t:]:
+            row[t], row[j] = row[j], row[t]
+        v[t], v[j] = v[j], v[t]
+
+    def smallest_pivot(t: int):
+        """The first entry of least nonzero absolute value in row-major
+        order over the block a[t:, t:cols]."""
+        best, least = None, 0
+        for i in range(t, rows):
+            row = a[i]
+            for j in range(t, cols):
+                x = row[j]
+                if x:
+                    x = abs(x)
+                    if best is None or x < least:
+                        best, least = (i, j), x
+                        if x == 1:
+                            return best
+        return best
+
+    def clean_pivot(t: int) -> bool:
+        """Clear row t and column t beyond the pivot, re-selecting the
+        smallest entry as pivot after every pass; this keeps coefficient
+        growth in check (each re-selection strictly shrinks the pivot)."""
+        while True:
+            best = smallest_pivot(t)
+            if best is None:
+                return False
+            i, j = best
+            if i != t:
+                a[t], a[i] = a[i], a[t]
+            if j != t:
+                col_swap(t, j)
+            top = a[t]
+            if top[t] < 0:
+                a[t] = top = [-x for x in top]
+            pivot = top[t]
+            for i in range(t + 1, rows):
+                q = a[i][t] // pivot
+                if q:
+                    a[i] = [x - q * y for x, y in zip(a[i], top)]
+            # col_j -= q col_t changes only the rows with a nonzero in column t
+            live = [row for row in a[t:] if row[t]]
+            vt = v[t]
+            for j in range(t + 1, cols):
+                q = top[j] // pivot
+                if q:
+                    for row in live:
+                        row[j] -= q * row[t]
+                    vj = v[j]
+                    for k, y in vt.items():
+                        x = vj.get(k, 0) - q * y
+                        if x:
+                            vj[k] = x
+                        else:  # q != 0, so only an entry of vj cancels
+                            del vj[k]
+            if len(live) == 1 and not any(top[t + 1:cols]):
+                return True
+
+    limit = min(rows, cols)
+    t = 0
+    while t < limit:
+        if not clean_pivot(t):
+            break
+        # Enforce divisibility of the remaining block by the pivot (a unit
+        # pivot divides everything).
+        fixed = a[t][t] != 1
+        while fixed:
+            fixed = False
+            pivot = a[t][t]
+            for i in range(t + 1, rows):
+                if any(x % pivot for x in a[i][t + 1:cols]):
+                    a[t] = [x + y for x, y in zip(a[t], a[i])]
+                    clean_pivot(t)
+                    fixed = True
+                    break
+        t += 1
+
+    diag = tuple(a[i][i] for i in range(limit))
+    rank = sum(1 for d in diag if d != 0)
+    return SmithForm(diag=diag, rank=rank, row_ops=[row[cols:] for row in a], columns=v)
+
+
+class TestReferenceOracle:
+    """The live-block elimination makes the same pivots, swaps and
+    quotients as the whole-row reference, so D, U X and V agree exactly."""
+
+    @staticmethod
+    def _inputs(rng):
+        """(matrix, rows, cols) on the three shapes the package eliminates."""
+        cases = []
+        # dense -3..3 entries: non-unit pivots and the divisibility fix
+        for _ in range(150):
+            rows, cols = rng.randint(0, 8), rng.randint(0, 8)
+            cases.append(([[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)], rows, cols))
+        # 0/1 boundary maps of random planar words, outer-parallel curves included
+        for _ in range(100):
+            b = rng.randint(2, 10)
+            s = Surface(0, b)
+            pool = [convex_curve(s, f"c{k}", rng.sample(range(2, b + 1), rng.randint(1, b - 1)))
+                    for k in range(rng.randint(1, 6))]
+            w = word_of(s, [rng.choice(pool) for _ in range(rng.randint(0, 40))])
+            boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(s.rank)]
+            cases.append((boundary_map, s.rank, len(w)))
+        # I + J under 2g zero rows: the H_1 relations of the boundary multitwist
+        for g in range(4):
+            for b in range(2, 13):
+                a = [[0] * (b - 1) for _ in range(2 * g)] + [[1 + (i == j) for j in range(b - 1)] for i in range(b - 1)]
+                w = tau_boundary_document(g, b).words["tau_del"]
+                assert h1_boundary(w).rows == tuple(map(tuple, a))
+                cases.append((a, 2 * g + b - 1, b - 1))
+        return cases
+
+    def test_same_operations_as_the_reference(self):
+        rng = random.Random(3701)
+        checked = unit = 0
+        for a, rows, cols in self._inputs(rng):
+            for width in (None, 0, 1, 2):
+                carried = None if width is None else [[rng.randint(-9, 9) for _ in range(rows)] for _ in range(width)]
+                if carried == []:
+                    carried = ()
+                new = smith_normal_form(a, rows=rows, cols=cols, carried=carried)
+                old = _reference_smith_normal_form(a, rows=rows, cols=cols, carried=carried)
+                assert (new.diag, new.rank, new.row_ops, new.columns) == (old.diag, old.rank, old.row_ops, old.columns)
+                checked += 1
+            unit += all(d in (0, 1) for d in new.diag)
+        assert checked == 4 * (150 + 100 + 44) and 0 < unit < checked // 4
 
 
 def entries(rows, cols, span):
@@ -376,8 +552,23 @@ class TestAbelianQuotient:
         # a long column used to lose its tail silently, a short one to raise IndexError
         with pytest.raises(ValueError, match=f"relation column {bad} has length"):
             AbelianQuotient.from_relations(2, columns)
-        with pytest.raises(ValueError, match=f"relation column {bad} has length"):
-            AbelianQuotient(2, columns)
+
+    @pytest.mark.parametrize("rows,message", [
+        ([[2, 0, 5]], "1 relation rows != ambient rank 2"),
+        ([[2], [0], [5]], "3 relation rows != ambient rank 2"),
+        ([[1, 0], [3]], "relation row 1 has length 1 != 2 relations"),
+        ([[], [3]], "relation row 1 has length 1 != 0 relations"),
+    ])
+    def test_ragged_relation_rows_are_rejected(self, rows, message):
+        with pytest.raises(ValueError, match=message):
+            AbelianQuotient(2, rows)
+
+    def test_rows_are_the_transposed_columns(self):
+        q = AbelianQuotient.from_relations(3, [[2, 0, 0], [0, 3, 0]])
+        assert (q.n, q.rows) == (3, ((2, 0), (0, 3), (0, 0)))
+        assert q == AbelianQuotient(3, [[2, 0], [0, 3], [0, 0]])
+        assert AbelianQuotient.from_relations(2, []).rows == ((), ())
+        assert AbelianQuotient.from_relations(0, [[], []]).rows == ()
 
     def test_no_relations(self):
         q = AbelianQuotient.from_relations(2, [])
@@ -438,10 +629,11 @@ class TestAbelianQuotient:
             q.order_and_reduce([1])
 
     def test_value_equality(self):
-        # a quotient is the value of its presentation: n and the relation
-        # columns in order
+        # a quotient is the value of its presentation: n and the rows of
+        # the relation matrix, the relations in order
         q = AbelianQuotient.from_relations(2, [[4, 0], [0, 1]])
         twin = AbelianQuotient.from_relations(2, [(4, 0), (0, 1)])
+        assert q == AbelianQuotient(2, [(4, 0), (0, 1)])
         assert q == twin and hash(q) == hash(twin) == hash((2, ((4, 0), (0, 1))))
         assert q != AbelianQuotient.from_relations(2, [[0, 1], [4, 0]])  # the columns permuted
         assert q != AbelianQuotient.from_relations(2, [[4, 0], [0, -1]])  # same group, another presentation
@@ -474,7 +666,7 @@ class TestAbelianQuotient:
     @pytest.mark.parametrize("n,columns,diag,row_ops,relations,report,v,rep,order", ANCHORS)
     def test_anchors(self, n, columns, diag, row_ops, relations, report, v, rep, order):
         # no relations (n x 0, 1 x 0 among them) and one relation (n x 1)
-        q = AbelianQuotient(n, columns)
+        q = AbelianQuotient.from_relations(n, columns)
         assert (q.report(), q.order_and_reduce(v), q.diag) == (report, (order, rep), diag)
         a = [[column[i] for column in columns] for i in range(n)]
         snf = smith_normal_form(a, rows=n, cols=len(columns))
@@ -564,8 +756,9 @@ def check_queries(n, columns, vectors):
     [A | v], or None when v raises the rank; v - reduce(v) lies in the
     rational span of A (a rational solve) with index 1.
     """
-    q = AbelianQuotient(n, columns)
+    q = AbelianQuotient.from_relations(n, columns)
     a = [[column[i] for column in columns] for i in range(n)]
+    assert q.rows == tuple(map(tuple, a))
     snf = smith_normal_form(a, rows=n, cols=len(columns))
     relations = [[sum(a[i][k] * x for k, x in column.items()) for i in range(n)] for column in snf.columns]
     rank = rational_rank(columns, n)

@@ -28,12 +28,11 @@ from steincalc.invariants import (
     has_exact_form,
     planar_intersection_form,
     sigma,
-    variations,
 )
 from steincalc.planarity import NO_OBSTRUCTION, NON_PLANAR_CONDITIONAL, esig_planarity_test
 from steincalc.relators import chain, standard_lantern
 from steincalc.surfaces import Curve, HomologyClass, Surface, convex_curve, twist_action
-from steincalc.words import RelatorCheck, RelatorReport, SubstitutionRecord, Twist, Word, verify_relator, word_of
+from steincalc.words import RelatorCheck, RelatorReport, SubstitutionRecord, Twist, Word, variations, verify_relator, word_of
 
 
 def boundary_multitwist(g, b):
@@ -117,7 +116,7 @@ def _h1_oracle(word):
     s = word.surface
     handles = 2 * s.genus
     moved = [_variation_oracle(word, s.basis_class(i).coords) for i in range(s.rank)]
-    return AbelianQuotient(s.rank, [m for m in moved[:handles] if any(m)] + moved[handles:])
+    return AbelianQuotient.from_relations(s.rank, [m for m in moved[:handles] if any(m)] + moved[handles:])
 
 
 def _planar_pin_case(seed):
@@ -241,21 +240,23 @@ class TestPlanarForm:
         assert form.invariant_factors == (1, 1, 2, 4)
 
     def test_no_snf_of_the_form_itself(self, monkeypatch):
-        # filling_invariants runs the boundary SNF (with U, which the form
-        # reads when B's diagonal scales) and reads H_1's (b-1) x (b-1)
-        # Smith diagonal, which also gives q's torsion when the nonzero
-        # diagonal of B is all 1; only otherwise one more Smith diagonal, of
-        # the smaller Gram matrix.  H_1 runs a Smith form only for a word
-        # with Chern inputs, carrying c1's one vector and no U, and then
-        # reads its diagonal from it.  Besides the boundary SNF nothing is
-        # larger than (b-1) x (b-1) and nothing is b2 x b2 for b2 > b-1.
-        # The shapes are compared as multisets, since the order of the calls
-        # is no part of the claim.
+        # filling_invariants runs the boundary SNF (carrying nothing: only
+        # the branch where B's diagonal scales reads U, and it eliminates
+        # again with U) and reads H_1's (b-1) x (b-1) Smith diagonal, which
+        # also gives q's torsion when the nonzero diagonal of B is all 1;
+        # only otherwise one more Smith diagonal, of the smaller Gram
+        # matrix.  H_1 runs a Smith form only for a word with Chern inputs,
+        # carrying c1's one vector and no U, and then reads its diagonal
+        # from it.  Besides the boundary SNF nothing is larger than
+        # (b-1) x (b-1) and nothing is b2 x b2 for b2 > b-1.  A Smith form
+        # records "U" when it builds U and "X k" when it carries k columns.
+        # The shapes are compared as multisets, since the order of the
+        # calls is no part of the claim.
         shapes = []
         real_snf, real_diagonal = smith_normal_form, smith_diagonal
 
         def recording_snf(matrix, rows=None, cols=None, carried=None):
-            shapes.append(("snf", len(matrix), len(matrix[0]) if matrix else 0, "U" if carried is None else len(carried)))
+            shapes.append(("snf", len(matrix), len(matrix[0]) if matrix else 0, "U" if carried is None else f"X {len(carried)}"))
             return real_snf(matrix, rows=rows, cols=cols, carried=carried)
 
         def recording_diagonal(matrix):
@@ -272,22 +273,24 @@ class TestPlanarForm:
         word = word_of(s, curves * 3)
         inv = filling_invariants(word)
         assert inv.b2 > s.rank and inv.c1 is None
-        assert sorted(shapes) == sorted([("snf", s.rank, len(word), "U"), ("diagonal", s.rank, s.rank)])
+        assert sorted(shapes) == sorted([("snf", s.rank, len(word), "X 0"), ("diagonal", s.rank, s.rank)])
         # the boundary multitwist (b2 = 1 below r = 5) reduces c1 in H_1
         shapes.clear()
         word = boundary_multitwist(0, 6)
         inv = filling_invariants(word)
         assert inv.b2 == 1 and inv.c1 is not None
-        assert sorted(shapes) == sorted([("snf", s.rank, len(word), "U"), ("snf", s.rank, s.rank, 1)])
-        # the triangle word: B has diagonal (1, 1, 2), so the form's torsion
-        # needs its own Smith diagonal, of the 3 x 3 complement Gram matrix;
-        # H_1's diagonal waits until its report reads it
+        assert sorted(shapes) == sorted([("snf", s.rank, len(word), "X 0"), ("snf", s.rank, s.rank, "X 1")])
+        # the triangle word: B has diagonal (1, 1, 2) and b2 = r = 3, so the
+        # form's torsion needs its own Smith diagonal, of the 3 x 3
+        # complement Gram matrix, whose rows U B / d_i need U: of these
+        # three words it is the only one that builds U; H_1's diagonal
+        # waits until its report reads it
         shapes.clear()
         inv = filling_invariants(_triangle_word())
-        assert inv.b2 == 3 and inv.c1 is None
-        assert sorted(shapes) == sorted([("snf", 3, 6, "U"), ("diagonal", 3, 3)])
+        assert inv.b2 == 3 and inv.c1 is None and inv.q_invariant_factors == (2, 2, 2)
+        assert sorted(shapes) == sorted([("snf", 3, 6, "X 0"), ("snf", 3, 6, "U"), ("diagonal", 3, 3)])
         assert inv.h1.report() == [[2, 2, 8], 0]
-        assert sorted(shapes) == sorted([("snf", 3, 6, "U"), ("diagonal", 3, 3), ("diagonal", 3, 3)])
+        assert sorted(shapes) == sorted([("snf", 3, 6, "X 0"), ("snf", 3, 6, "U"), ("diagonal", 3, 3), ("diagonal", 3, 3)])
 
     def test_missing_hole_set_rejected(self):
         s = Surface(0, 3)
@@ -399,7 +402,7 @@ class TestLazyH1:
 
     def test_no_chern_inputs_build_no_u(self, monkeypatch, capsys):
         seen = _recording_snf(monkeypatch)
-        checked = 0
+        checked = scaled = 0
         for seed in range(300):
             w, _ = _planar_pin_case(seed)
             seen.clear()
@@ -409,34 +412,43 @@ class TestLazyH1:
             inv.h1.report()
             rows = w.surface.rank
             boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(rows)]
-            # the boundary SNF of an exact form, and nothing for H_1
-            assert seen == ([(boundary_map, None)] if has_exact_form(w) else [])
+            # the boundary SNF of an exact form, carrying nothing, and
+            # nothing for H_1; U only where B's diagonal scales and the
+            # complement Gram matrix is the smaller one
+            expected = []
+            if has_exact_form(w):
+                diag = smith_diagonal(boundary_map) if rows else ()
+                r = sum(1 for d in diag if d)
+                needs_u = any(d > 1 for d in diag) and len(w) - r >= r
+                expected = [(boundary_map, [])] + [(boundary_map, None)] * needs_u
+                scaled += needs_u
+            assert seen == expected
             checked += 1
-        assert checked > 250
+        assert checked > 250 and scaled > 0
         seen.clear()
         assert cli.main(["invariants", "--lantern", "--word", "lantern_right"]) == 0
         assert json.loads(capsys.readouterr().out)["result"]["c1_pd"] is None
-        assert len(seen) == 1 and seen[0][1] is None and len(seen[0][0]) == 3  # the 3 x 3 boundary map
+        assert len(seen) == 1 and seen[0][1] == [] and len(seen[0][0]) == 3  # the 3 x 3 boundary map
 
     @pytest.mark.parametrize("g", range(0, 3))
     def test_boundary_multitwist_one_snf_per_h1(self, g, monkeypatch):
         # c1 is reduced, so H_1 runs one Smith form, carrying c1's vector
         # and building no U, whose diagonal the report and the planar form
-        # then read; a planar page adds the boundary SNF, with U
+        # then read; a planar page adds the boundary SNF, carrying nothing
         seen = _recording_snf(monkeypatch)
         for b in range(2, 9):
             w = boundary_multitwist(g, b)
             seen.clear()
             inv = filling_invariants(w)
             assert inv.c1 is not None and inv.h1.report() == [[b], 2 * g]
-            h1_matrix = inv.h1._matrix()
-            assert [(m, c) for m, c in seen if c is not None] == [(h1_matrix, [list(inv.c1.vector)])]
-            assert len(seen) == (2 if g == 0 else 1)
+            h1_matrix = [list(row) for row in inv.h1.rows]
+            assert [(m, c) for m, c in seen if c] == [(h1_matrix, [list(inv.c1.vector)])]
+            assert len(seen) == (2 if g == 0 else 1) and None not in [c for _, c in seen]
             if g == 0:
                 assert h1_matrix == invariants._planar_arc_relations(w)
                 rows = w.surface.rank
                 boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(rows)]
-                assert (boundary_map, None) in seen
+                assert (boundary_map, []) in seen
             assert inv.h1.order_and_reduce(inv.c1.vector) == (inv.c1.order, list(inv.c1.reduced))
 
     def test_no_package_path_reads_u_or_a_v(self, capsys):
@@ -706,28 +718,20 @@ class TestH1Boundary:
                 with pytest.raises(RankMismatchError, match="relative vector length"):
                     variations(w, [(0,) * rank, rel])
 
-    def test_planar_relations_are_the_variation(self, monkeypatch):
+    def test_planar_relations_are_the_variation(self):
         # on a planar page the arc relations come from B S B^T and must be
-        # the vectors ``variations`` gives twist by twist
-        seen = []
-        real = AbelianQuotient.from_relations.__func__
-
-        def recording(cls, n, columns):
-            seen.append([tuple(col) for col in columns])
-            return real(cls, n, columns)
-
-        monkeypatch.setattr(AbelianQuotient, "from_relations", classmethod(recording))
+        # the vectors ``variations`` gives twist by twist, as the relation
+        # columns of H_1
         for seed in range(300):
             w, _ = _planar_pin_case(seed)
-            seen.clear()
-            h1_boundary(w)
-            assert seen == [variations(w, [w.surface.basis_class(i).coords for i in range(w.surface.rank)])]
+            columns = list(zip(*h1_boundary(w).rows))
+            assert columns == variations(w, [w.surface.basis_class(i).coords for i in range(w.surface.rank)])
 
     def test_planar_h1_never_calls_variation(self, monkeypatch):
         def refuse(word, rels):
-            raise AssertionError("h1_boundary called variations on a planar page")
+            raise AssertionError("h1_boundary called variation_rows on a planar page")
 
-        monkeypatch.setattr(invariants, "variations", refuse)
+        monkeypatch.setattr(invariants, "variation_rows", refuse)
         for b in range(1, 8):
             assert h1_boundary(boundary_multitwist(0, b)).report() == [[b] if b > 1 else [], 0]
         s = Surface(0, 3)

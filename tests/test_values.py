@@ -95,7 +95,7 @@ BUILDERS = {
     ChernData: lambda: _filling().c1,
     FillingInvariants: _filling,
     SmithForm: lambda: smith_normal_form([[2, 4, 4], [-6, 6, 12], [10, -4, -16]]),
-    AbelianQuotient: lambda: AbelianQuotient(3, [[2, 0, 0], [0, 3, 0]]),
+    AbelianQuotient: lambda: AbelianQuotient(3, [[2, 0], [0, 3], [0, 0]]),
     RelatorWitness: lambda: _relator_certificate().witness,
     BoundingWitness: lambda: _bounding_certificate().witness,
     PlanarityCertificate: _bounding_certificate,
@@ -134,7 +134,7 @@ SIGNATURES = {
     FillingInvariants: [("surface", REQUIRED), ("euler", REQUIRED), ("sigma", REQUIRED), ("b2", None),
                         ("q_matrix", None), ("q_invariant_factors", None), ("h1", None), ("c1", None)],
     SmithForm: [("diag", REQUIRED), ("rank", REQUIRED), ("row_ops", REQUIRED), ("columns", REQUIRED)],
-    AbelianQuotient: [("n", REQUIRED), ("columns", REQUIRED)],
+    AbelianQuotient: [("n", REQUIRED), ("rows", REQUIRED)],
     RelatorWitness: [("relator_name", REQUIRED), ("obstruction", REQUIRED), ("obstruction_nonzero", REQUIRED),
                      ("positions", REQUIRED), ("swaps", REQUIRED), ("homology_allowable", REQUIRED),
                      ("obstruction_asserted", REQUIRED)],
