@@ -1,13 +1,14 @@
 """Exact integer linear algebra.
 
-Smith normal form U A V = D with its unimodular U and V (each inverse a
-caller needs comes from U A = D V^-1 or A V = U^-1 D), integer kernel bases
-and finitely generated abelian quotients.  The Smith form eliminates on the
+Smith normal form U A V = D with its unimodular V (each inverse a caller
+needs comes from U A = D V^-1 or A V = U^-1 D), integer kernel bases and
+finitely generated abelian quotients.  The Smith form eliminates on the
 augmented rows [A | X] for columns X the caller passes, so the right block
 ends as U X and a row swap, negation or addition is one list operation;
 column steps and the pivot search read the left block only, so D and V do
-not depend on X.  X = I, the default, gives U itself, and X = () gives no
-U, which is what ``kernel_basis`` and a planar form's boundary map carry.
+not depend on X.  No caller reads U itself: X = (), the default, carries
+nothing, which is what ``kernel_basis`` and a planar form's boundary map
+need, and a caller that needs U B for some B passes B's columns.
 A row operation at step t rewrites only the part of its rows from column
 t on (the invariant is stated in ``smith_normal_form``).  It holds each
 column of V as a ``{row: value}`` dict, so a column operation costs the
@@ -21,15 +22,14 @@ relation matrix, the layout both eliminations read, so a caller that
 builds its relations by rows hands them over with no transpose.  Its one
 query, ``order_and_reduce``, gives the order and the canonical
 representative of a class v from one ``smith_normal_form`` carrying X = v,
-which gives U v and V but no U, and subtracts A (V k) with
-k_i = (U v)_i // d_i, so neither U nor A V is built.
+which gives U v and V, and subtracts A (V k) with k_i = (U v)_i // d_i, so
+neither U nor A V is built.
 ``symmetric_signature`` is a fraction-free (Bareiss) congruence
 elimination, the one route to a signature; ``invariants.sigma`` reads a
 rank off it.  Matrices are plain lists of lists of Python ints, so nothing
-overflows; every computation here is exact.  ``mat_mul`` skips zero
-entries in both factors; ``negated_gram`` builds the symmetric matrix
--(u . v) of sparse vectors from one triangle, as the tuple rows a planar
-form stores.
+overflows; every computation here is exact.  ``negated_gram`` builds the
+symmetric matrix -(u . v) of sparse vectors from one triangle, as the
+tuple rows a planar form stores.
 """
 
 from __future__ import annotations
@@ -67,22 +67,6 @@ def add_multiple(row: Sequence[int], x: int, other: Sequence[int]) -> List[int]:
     return [y + x * z for y, z in zip(row, other)]
 
 
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    """The product a b, skipping zeros in both factors: each nonzero a_ik
-    costs the nonzeros of row k of b, collected once as (j, x) pairs."""
-    cols = len(b[0]) if b else 0
-    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
-    out = []
-    for ai in a:
-        oi = [0] * cols
-        for aik, bk in zip(ai, nonzero):
-            if aik:
-                for j, x in bk:
-                    oi[j] += aik * x
-        out.append(oi)
-    return out
-
-
 def negated_gram(vectors: Sequence[Mapping[int, int]]) -> Tuple[Tuple[int, ...], ...]:
     """The negated Gram matrix -(u . v) of sparse ``{coord: value}``
     vectors, as tuple rows.  Entries are grouped by coordinate, each group
@@ -111,9 +95,11 @@ class SmithForm(Value):
 
     ``diag`` is the full diagonal of D (length min(rows, cols)), entries
     non-negative with d_1 | d_2 | ... ; ``rank`` counts the nonzero ones.
-    ``row_ops`` holds the rows of U and ``columns`` the columns of V as
-    sparse ``{row: value}`` dicts, so ``columns[rank:]`` is a basis of the
-    integer kernel of A; ``col_ops`` expands them to dense lists.
+    ``row_ops`` holds the rows of U X for the columns X the elimination
+    carried (one empty row per row of A when it carried none), and
+    ``columns`` the columns of V as sparse ``{row: value}`` dicts, so
+    ``columns[rank:]`` is a basis of the integer kernel of A; ``col_ops``
+    expands them to dense lists.
     """
 
     __slots__ = ("diag", "rank", "row_ops", "columns")
@@ -136,14 +122,12 @@ class SmithForm(Value):
 
 def smith_normal_form(
     matrix: Sequence[Sequence[int]],
-    rows: int | None = None,
     cols: int | None = None,
-    carried: Sequence[Sequence[int]] | None = None,
+    carried: Sequence[Sequence[int]] = (),
 ) -> SmithForm:
-    """U A V = D for ``matrix`` (A).  ``carried`` are columns X of length
-    ``rows`` that ride along as the right block of [A | X], so ``row_ops``
-    is U X by rows; the default X = I gives U itself, and ``()`` gives no
-    U at all.
+    """U A V = D for ``matrix`` (A).  ``carried`` are columns X, one entry
+    per row of A, that ride along as the right block of [A | X], so
+    ``row_ops`` is U X by rows; the default carries nothing.
 
     Step t pivots on an entry of least absolute value in the live block
     a[t:, t:cols] and runs Euclid through remainders until the pivot
@@ -155,8 +139,7 @@ def smith_normal_form(
     pivot has only zeros below it, so one pass clears its row and updates
     V, with no re-check.
     """
-    if rows is None:
-        rows = len(matrix)
+    rows = len(matrix)
     if cols is None:
         cols = len(matrix[0]) if matrix else 0
     # Row i is [A_i | X_i], the augmented row [A | X]: a row step moves A and
@@ -164,9 +147,7 @@ def smith_normal_form(
     # divisibility scan read columns < cols only, so X never enters them and
     # D and V do not depend on it.
     matrix = _as_ints(matrix)
-    if carried is None:
-        a = [[*row, *(0,) * i, 1, *(0,) * (rows - 1 - i)] for i, row in enumerate(matrix)]
-    elif not carried:
+    if not carried:
         a = [list(row) for row in matrix]
     else:
         for k, column in enumerate(carried):
@@ -272,10 +253,7 @@ def kernel_basis(matrix: Sequence[Sequence[int]], cols: int | None = None) -> Li
     The basis is primitive (the kernel lattice is saturated) because it
     consists of columns of a unimodular matrix.
     """
-    rows = len(matrix)
-    if cols is None:
-        cols = len(matrix[0]) if rows else 0
-    snf = smith_normal_form(matrix, rows=rows, cols=cols, carried=())
+    snf = smith_normal_form(matrix, cols=cols)
     return snf.col_ops[snf.rank:]
 
 
@@ -399,7 +377,7 @@ class AbelianQuotient(Value):
         canonical representative U^-1 (U v mod D), v minus relations."""
         if len(v) != self.n:
             raise ValueError(f"vector length {len(v)} != ambient rank {self.n}")
-        snf = smith_normal_form(self.rows, rows=self.n, carried=(v,))
+        snf = smith_normal_form(self.rows, carried=(v,))
         diag = snf.diag
         try:
             known = self._diag

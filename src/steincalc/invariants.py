@@ -12,7 +12,7 @@ to minus the standard dot product of coefficient vectors (hole-bilinear
 corrections vanish on the kernel, so this representative is well defined;
 it is pinned by the <-b> boundary-multitwist calibration and the lantern
 substitution check).  One Smith normal form U B V = D of the boundary map
-B, carrying no U, yields the kernel K (the columns of V past the rank, as
+B, carrying nothing, yields the kernel K (the columns of V past the rank, as
 sparse columns), whose form -K^T K ``negated_gram`` builds from one
 triangle as the tuple rows ``PlanarForm.matrix`` stores, and its
 orthogonal complement, the saturated row space C (rows of V^-1); the two
@@ -23,11 +23,11 @@ below, which ``filling_invariants`` builds once per word and hands to the
 form; otherwise they come from the Smith diagonal (``smith_diagonal``, no
 transforms) of the smaller of the two Gram matrices, of size min(b2, r)
 with r <= b-1 the rank of B, and only when that is C C^T does the form
-eliminate B again, carrying U, whose rows give C.  The form is negative
-definite, so its signature is rank B - n, and ``sigma`` reads rank B as
-the signature of the positive semidefinite B B^T (the planar arc
-relations) by ``symmetric_signature``, with no Smith form, no Gram matrix
-and no H_1.  Off the planar page the signature is ledger-relative only:
+eliminate B again, carrying B's own columns, whose rows of U B are those
+of C scaled by d_i.  The form is negative definite, so its signature is
+rank B - n, and ``sigma`` reads rank B as the signature of the positive
+semidefinite B B^T (the planar arc relations) by ``symmetric_signature``,
+with no Smith form, no Gram matrix and no H_1.  Off the planar page the signature is ledger-relative only:
 an asserted baseline plus the signature deltas of the substitutions
 applied since, and "unknown" without one.
 ``check_comparable`` says whether two signatures can enter one e + sigma
@@ -42,20 +42,19 @@ other choice of arcs changes the group.  On a planar page an arc's
 relative class never moves, so the arc relations are the columns of
 B S B^T, with S the diagonal of twist signs, built in one pass over the
 twists.  On pages of positive genus ``variation_rows`` (in ``words``, the
-one homology mover, which ``Word.action_matrix`` reads through
-``variations``) moves the 2g handle classes and the b - 1 arcs together in
-one pass over the twists, right to left.  Both build each curve's support
-(and pairing functional) once, from the table of distinct curves that
-every ``Word`` carries, and walk its letters.  The relations reach the
-quotient by rows, the layout its eliminations read: B S B^T is
-symmetric, and ``variation_rows`` moves the classes by coordinates, so
-neither is transposed.  Torsion is the payload, so nothing is done
+one homology mover, which ``verify_relator`` also reads) moves the 2g
+handle classes and the b - 1 arcs together in one pass over the twists,
+right to left.  Both build each curve's support (and pairing functional)
+once, from the table of distinct curves that every ``Word`` carries, and
+walk its letters.  The relations reach the quotient by rows, the layout
+its eliminations read: B S B^T is symmetric, and ``variation_rows`` moves
+the classes by coordinates, so neither is transposed.  Torsion is the payload, so nothing is done
 rationally.  The h1 report and q's torsion read only H_1's Smith
 diagonal, which ``smith_diagonal`` gives without transforms; the c1 report
 reduces a class, so ``chern_pd`` alone makes H_1 run a
 ``smith_normal_form``, in the quotient's one query ``order_and_reduce``,
-which carries c1's vector v in place of U and reads the order and the
-representative of c1 from U v, with no U and no A V.
+which carries c1's vector v and reads the order and the representative
+of c1 from U v, with no U and no A V.
 ``filling_invariants`` runs it before the planar form, so a word with
 Chern inputs runs one Smith form per H_1 and reads its diagonal from it,
 and a word without them runs none.
@@ -66,7 +65,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError, Value
-from .intlinalg import AbelianQuotient, Matrix, add_multiple, mat_mul, negated_gram, smith_diagonal, smith_normal_form, symmetric_signature, zeros
+from .intlinalg import AbelianQuotient, Matrix, add_multiple, negated_gram, smith_diagonal, smith_normal_form, symmetric_signature, zeros
 from .surfaces import Surface
 from .words import SubstitutionRecord, Word, unit_basis, variation_rows
 
@@ -109,9 +108,9 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
     Requires every curve to carry a hole set (the decidable planar
     fragment).  The torsion is read off ``h1``, H_1 of the boundary (built
     here when None), when the boundary map allows it.  The boundary map's
-    Smith form carries no U; the scaled branch alone, where some d_i > 1
-    and the complement Gram matrix is the smaller one, eliminates it again
-    with U to read rows of U B.
+    Smith form carries nothing; the scaled branch alone, where some
+    d_i > 1 and the complement Gram matrix is the smaller one, eliminates
+    it again carrying its own columns, to read the rows of U B.
     """
     if not has_exact_form(word):
         raise UnsupportedInputError(
@@ -124,7 +123,7 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
     coords = [c.homology.coords for c in word._curves]
     columns = [coords[k] for k in word._letters]
     boundary_map = [[column[i] for column in columns] for i in range(rank)]
-    snf = smith_normal_form(boundary_map, rows=rank, cols=n, carried=())
+    snf = smith_normal_form(boundary_map, cols=n)
     r = snf.rank
     matrix = negated_gram(snf.columns[r:])  # -K^T K
     b2 = n - r
@@ -141,12 +140,11 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
         # Some d_i > 1 scales the row space; take the Smith diagonal of the
         # smaller Gram matrix, whose sign it does not see.  Row i < r of
         # V^-1 is row i of U B / d_i, so this branch alone eliminates again
-        # carrying U.
+        # carrying B, whose first r rows of U B it then reads.
         if b2 < r:
             smaller = matrix
         else:
-            u = smith_normal_form(boundary_map, rows=rank, cols=n).row_ops
-            scaled = mat_mul(u[:r], boundary_map)
+            scaled = smith_normal_form(boundary_map, cols=n, carried=columns).row_ops[:r]
             smaller = negated_gram([{k: x // d for k, x in enumerate(row) if x} for row, d in zip(scaled, snf.diag)])
         torsion = tuple(d for d in smith_diagonal(smaller) if d > 1)
     # The kernel basis has full column rank, so q = -K^T K is negative
@@ -337,24 +335,25 @@ def chern_pd(
     ``RankMismatchError``.
     """
     surface = word.surface
-    defaults = boundary_multitwist_defaults(word)
+    defaults = None  # built only when an input falls back to it
     if rotations is None:
         stored = [t.curve.rotation for t in word.twists]
         if all(r is not None for r in stored):
             rotations = [int(r) for r in stored]  # type: ignore[arg-type]
-        elif defaults is not None:
+        else:
+            defaults = boundary_multitwist_defaults(word)
+            if defaults is None:
+                raise UnsupportedInputError(
+                    "rotation numbers are required outside the boundary-multitwist configuration"
+                )
             rotations = list(defaults[0])
-        else:
-            raise UnsupportedInputError(
-                "rotation numbers are required outside the boundary-multitwist configuration"
-            )
     if mu_map is None:
-        if defaults is not None:
-            mu_map = list(defaults[1])
-        else:
+        defaults = defaults or boundary_multitwist_defaults(word)
+        if defaults is None:
             raise UnsupportedInputError(
                 "a meridian-to-homology map is required outside the boundary-multitwist configuration"
             )
+        mu_map = list(defaults[1])
     if len(rotations) != len(word) or len(mu_map) != len(word):
         raise ValueError(
             f"{len(rotations)} rotations and {len(mu_map)} meridian classes for {len(word)} twists: "

@@ -33,6 +33,9 @@ span.
 A relator is a pair of positive words (left, right) naming the same mapping
 class.  ``verify_relator`` checks the necessary conditions that are
 decidable at the homology level; passing them does not prove the relation.
+Its homology check compares the two sides' ``variation_rows`` on the handle
+classes: the one pass over the twists that ``invariants`` reads for H_1,
+by coordinates, so no action matrix is built or transposed.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import heapq
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, compress, repeat
-from operator import add, attrgetter, sub
+from operator import attrgetter, sub
 from typing import Collection, Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -150,16 +153,6 @@ class Word(Value):
             positive = -1 not in map(_sign, self.twists)
             object.__setattr__(self, "_positive", positive)
             return positive
-
-    def action_matrix(self) -> Tuple[Tuple[int, ...], ...]:
-        """Columns of the induced map on the homology basis: a handle class
-        e_i goes to e_i plus its ``variations`` entry, and a boundary class
-        d_j, which pairs to zero with every class, is fixed (a planar page
-        runs no pass)."""
-        rank, handles = self.surface.rank, 2 * self.surface.genus
-        basis = unit_basis(rank)
-        moved = variations(self, basis[:handles]) if handles else []
-        return tuple([tuple(map(add, e, v)) for e, v in zip(basis, moved)] + basis[handles:])
 
     def _find(self, c: Curve) -> int:
         """The id of the word's curve equal to c, or -1 when c is absent."""
@@ -274,13 +267,6 @@ def unit_basis(rank: int) -> List[Tuple[int, ...]]:
     """The unit vectors of Z^rank, each a slice of one tuple."""
     unit = (0,) * (rank - 1) + (1,) + (0,) * (rank - 1)
     return [unit[rank - 1 - i:2 * rank - 1 - i] for i in range(rank)]
-
-
-def variations(word: Word, rels: Sequence[Sequence[int]]) -> List[Tuple[int, ...]]:
-    """The closed classes by which the monodromy moves relative classes,
-    one tuple per class: ``variation_rows`` transposed."""
-    rows = variation_rows(word, rels)
-    return list(zip(*rows)) if rows else [()] * len(rels)
 
 
 def variation_rows(word: Word, rels: Sequence[Sequence[int]]) -> List[List[int]]:
@@ -931,7 +917,12 @@ def verify_relator(r: Relator) -> RelatorReport:
     compared.
     """
     checks: List[RelatorCheck] = []
-    same = r.left.action_matrix() == r.right.action_matrix()
+    # each side moves the handle classes by its variations and fixes the
+    # boundary classes, so equal variation rows are equal actions (a planar
+    # page has no handle class, and runs no pass)
+    surface = r.left.surface
+    handles = unit_basis(surface.rank)[:2 * surface.genus]
+    same = not handles or variation_rows(r.left, handles) == variation_rows(r.right, handles)
     checks.append(
         RelatorCheck(
             "homology_identity",

@@ -17,7 +17,6 @@ from steincalc.intlinalg import (
     AbelianQuotient,
     SmithForm,
     kernel_basis,
-    mat_mul,
     negated_gram,
     smith_diagonal,
     smith_normal_form,
@@ -42,6 +41,28 @@ def small_matrix(max_dim=5, max_entry=6):
 
 def transpose(m):
     return [list(row) for row in zip(*m)]
+
+
+def identity(n):
+    """The columns of the n x n identity: carried through a Smith form, they
+    come out as U itself."""
+    return [[int(i == j) for i in range(n)] for j in range(n)]
+
+
+def mat_mul(a, b):
+    """The product a b, skipping zeros in both factors: each nonzero a_ik
+    costs the nonzeros of row k of b, collected once as (j, x) pairs."""
+    cols = len(b[0]) if b else 0
+    nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in b]
+    out = []
+    for ai in a:
+        oi = [0] * cols
+        for aik, bk in zip(ai, nonzero):
+            if aik:
+                for j, x in bk:
+                    oi[j] += aik * x
+        out.append(oi)
+    return out
 
 
 def naive_mul(a, b):
@@ -81,7 +102,7 @@ class TestSmithNormalForm:
 
     def test_identity_transforms_on_known_matrix(self):
         a = [[6, 4], [2, 8]]
-        snf = smith_normal_form(a)
+        snf = smith_normal_form(a, carried=identity(2))
         assert mat_mul(mat_mul(snf.row_ops, a), transpose(snf.col_ops)) == [
             [snf.diag[0], 0],
             [0, snf.diag[1]],
@@ -91,7 +112,7 @@ class TestSmithNormalForm:
     @given(small_matrix())
     def test_reconstruction_and_unimodularity(self, a):
         rows, cols = len(a), len(a[0])
-        snf = smith_normal_form(a)
+        snf = smith_normal_form(a, carried=identity(rows))
         d = mat_mul(mat_mul(snf.row_ops, a), transpose(snf.col_ops))
         for i in range(rows):
             for j in range(cols):
@@ -118,7 +139,7 @@ class TestSmithNormalForm:
             rows, cols = shapes[trial % len(shapes)]
             density = rng.choice([0.0, 0.1, 0.5, 1.0])
             a = [[rng.randint(-4, 4) if rng.random() < density else 0 for _ in range(cols)] for _ in range(rows)]
-            snf = smith_normal_form(a, rows=rows, cols=cols)
+            snf = smith_normal_form(a, cols=cols, carried=identity(rows))
             assert len(snf.col_ops) == cols and all(len(col) == cols for col in snf.col_ops)
             for j, col in enumerate(snf.col_ops):
                 image = [sum(x * y for x, y in zip(row, col)) for row in a]  # A v_j
@@ -131,15 +152,18 @@ class TestSmithNormalForm:
         assert 0 in ranks and max(ranks) >= 7
 
     def test_carried_columns_ride_along(self):
-        # eliminating on [A | X] gives the D and V of [A | I] and U X as row_ops
+        # eliminating on [A | X] gives the D and V of [A | I] and U X as row_ops;
+        # the default carries nothing, one empty row per row of A
         rng = random.Random(31)
         for trial in range(200):
             rows, cols, width = rng.randint(0, 8), rng.randint(0, 8), rng.randint(0, 3)
             a = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
             carried = [[rng.randint(-9, 9) for _ in range(rows)] for _ in range(width)]
-            full = smith_normal_form(a, rows=rows, cols=cols)
-            snf = smith_normal_form(a, rows=rows, cols=cols, carried=carried)
+            full = smith_normal_form(a, cols=cols, carried=identity(rows))
+            snf = smith_normal_form(a, cols=cols, carried=carried)
+            bare = smith_normal_form(a, cols=cols)
             assert (snf.diag, snf.rank, snf.columns) == (full.diag, full.rank, full.columns)
+            assert (bare.diag, bare.rank, bare.columns, bare.row_ops) == (full.diag, full.rank, full.columns, [[]] * rows)
             assert snf.row_ops == [[sum(u * x for u, x in zip(urow, column)) for column in carried]
                                    for urow in full.row_ops]
         with pytest.raises(ValueError, match="carried column 0 has length 1 != 2 rows"):
@@ -155,7 +179,7 @@ class TestSmithNormalForm:
         h = hashlib.sha256()
 
         def record(a, rows, cols):
-            snf = smith_normal_form(a, rows=rows, cols=cols)
+            snf = smith_normal_form(a, cols=cols, carried=identity(rows))
             h.update(repr((snf.diag, snf.rank, snf.row_ops, snf.col_ops)).encode())
 
         for _ in range(300):
@@ -199,7 +223,7 @@ class TestSmithNormalForm:
                 q = h1_boundary(tau_boundary_document(g, b).words["tau_del"])
                 a = [list(row) for row in q.rows]
                 zero_rows += sum(1 for row in a if not any(row))
-                snf = smith_normal_form(a, rows=q.n, cols=len(a[0]))
+                snf = smith_normal_form(a, cols=len(a[0]), carried=identity(q.n))
                 h.update(repr((snf.diag, snf.rank, snf.row_ops, snf.columns)).encode())
         assert zero_rows == 11 * (0 + 2 + 4 + 6)
         assert h.hexdigest() == "51bf26929c2e34cc9d968c67bf598f315c72cf5f2bd5f0f544a2a882af6b9db6"
@@ -338,7 +362,9 @@ def _reference_smith_normal_form(
 
 class TestReferenceOracle:
     """The live-block elimination makes the same pivots, swaps and
-    quotients as the whole-row reference, so D, U X and V agree exactly."""
+    quotients as the whole-row reference, so D, U X and V agree exactly;
+    carrying the identity columns, it gives the U the reference builds by
+    default."""
 
     @staticmethod
     def _inputs(rng):
@@ -374,7 +400,7 @@ class TestReferenceOracle:
                 carried = None if width is None else [[rng.randint(-9, 9) for _ in range(rows)] for _ in range(width)]
                 if carried == []:
                     carried = ()
-                new = smith_normal_form(a, rows=rows, cols=cols, carried=carried)
+                new = smith_normal_form(a, cols=cols, carried=identity(rows) if carried is None else carried)
                 old = _reference_smith_normal_form(a, rows=rows, cols=cols, carried=carried)
                 assert (new.diag, new.rank, new.row_ops, new.columns) == (old.diag, old.rank, old.row_ops, old.columns)
                 checked += 1
@@ -419,7 +445,7 @@ class TestSmithDiagonal:
     @given(smith_inputs())
     def test_matches_the_smith_form(self, data):
         a, rows, cols = data
-        assert smith_diagonal(a) == smith_normal_form(a, rows=rows, cols=cols).diag
+        assert smith_diagonal(a) == smith_normal_form(a, cols=cols).diag
 
     def test_matches_the_smith_form_on_larger_seeded_matrices(self):
         rng = random.Random(61)
@@ -427,7 +453,7 @@ class TestSmithDiagonal:
             rows, cols, span = rng.randint(9, 20), rng.randint(9, 20), rng.choice([2, 9, 80])
             a = [[rng.randint(-span, span) for _ in range(cols)] for _ in range(rows)]
             for m in (a, [[sum(x * y for x, y in zip(u, v)) for v in a] for u in a]):
-                assert smith_diagonal(m) == smith_normal_form(m, rows=len(m), cols=len(m[0])).diag
+                assert smith_diagonal(m) == smith_normal_form(m).diag
 
     def test_dense_40_by_40_gram_matrix(self):
         # unreduced extended-gcd steps let the coefficients of such a matrix
@@ -604,8 +630,8 @@ class TestAbelianQuotient:
         calls = []
         real_snf, real_diagonal = intlinalg.smith_normal_form, intlinalg.smith_diagonal
 
-        def recording_snf(*a, carried=None, **k):
-            calls.append(("snf", None if carried is None else [list(c) for c in carried]))
+        def recording_snf(*a, carried=(), **k):
+            calls.append(("snf", [list(c) for c in carried]))
             return real_snf(*a, carried=carried, **k)
 
         monkeypatch.setattr(intlinalg, "smith_normal_form", recording_snf)
@@ -669,7 +695,7 @@ class TestAbelianQuotient:
         q = AbelianQuotient.from_relations(n, columns)
         assert (q.report(), q.order_and_reduce(v), q.diag) == (report, (order, rep), diag)
         a = [[column[i] for column in columns] for i in range(n)]
-        snf = smith_normal_form(a, rows=n, cols=len(columns))
+        snf = smith_normal_form(a, cols=len(columns), carried=identity(n))
         product = [[sum(a[i][k] * x for k, x in column.items()) for i in range(n)] for column in snf.columns]
         assert (snf.diag, snf.row_ops, product) == (diag, row_ops, relations)
 
@@ -759,7 +785,7 @@ def check_queries(n, columns, vectors):
     q = AbelianQuotient.from_relations(n, columns)
     a = [[column[i] for column in columns] for i in range(n)]
     assert q.rows == tuple(map(tuple, a))
-    snf = smith_normal_form(a, rows=n, cols=len(columns))
+    snf = smith_normal_form(a, cols=len(columns), carried=identity(n))
     relations = [[sum(a[i][k] * x for k, x in column.items()) for i in range(n)] for column in snf.columns]
     rank = rational_rank(columns, n)
     lattice = torsion_order(columns, n)

@@ -32,7 +32,17 @@ from steincalc.invariants import (
 from steincalc.planarity import NO_OBSTRUCTION, NON_PLANAR_CONDITIONAL, esig_planarity_test
 from steincalc.relators import chain, standard_lantern
 from steincalc.surfaces import Curve, HomologyClass, Surface, convex_curve, twist_action
-from steincalc.words import RelatorCheck, RelatorReport, SubstitutionRecord, Twist, Word, variations, verify_relator, word_of
+from steincalc.words import (
+    RelatorCheck,
+    RelatorReport,
+    SubstitutionRecord,
+    Twist,
+    Word,
+    unit_basis,
+    variation_rows,
+    verify_relator,
+    word_of,
+)
 
 
 def boundary_multitwist(g, b):
@@ -79,7 +89,7 @@ class TestArcPairing:
 def _variation_oracle(word, rel):
     """The closed class by which the monodromy moves ``rel``: one vector at
     a time, one ``arc_pairing`` per twist, the rule the one-pass
-    ``variations`` replaces."""
+    ``variation_rows`` replaces."""
     handles = 2 * word.surface.genus
     rel = list(rel)
     acc = [0] * word.surface.rank
@@ -99,7 +109,7 @@ def _variation_oracle(word, rel):
 def _action_oracle(word):
     """The images of the basis classes under the word's monodromy, moved one
     class and one ``twist_action`` at a time, right to left: the per-twist
-    rule that ``Word.action_matrix`` reads from one ``variations`` pass."""
+    rule that ``variation_rows`` gives on the handle classes in one pass."""
     images = []
     for i in range(word.surface.rank):
         x = word.surface.basis_class(i)
@@ -210,7 +220,7 @@ class TestPlanarForm:
                 pool.append(convex_curve(s, f"c{i}", {h for h in range(2, b + 1) if rng.random() < 0.4}))
             w = word_of(s, [rng.choice(pool) for _ in range(rng.randint(0, 40))])
             form = planar_intersection_form(w)
-            full = smith_normal_form(form.matrix, rows=form.b2, cols=form.b2)
+            full = smith_normal_form(form.matrix, cols=form.b2)
             assert form.invariant_factors == tuple(d for d in full.diag if d != 0)
             multi += sum(d > 1 for d in form.invariant_factors) > 1
         assert multi > 0
@@ -241,23 +251,23 @@ class TestPlanarForm:
 
     def test_no_snf_of_the_form_itself(self, monkeypatch):
         # filling_invariants runs the boundary SNF (carrying nothing: only
-        # the branch where B's diagonal scales reads U, and it eliminates
-        # again with U) and reads H_1's (b-1) x (b-1) Smith diagonal, which
-        # also gives q's torsion when the nonzero diagonal of B is all 1;
-        # only otherwise one more Smith diagonal, of the smaller Gram
-        # matrix.  H_1 runs a Smith form only for a word with Chern inputs,
-        # carrying c1's one vector and no U, and then reads its diagonal
-        # from it.  Besides the boundary SNF nothing is larger than
-        # (b-1) x (b-1) and nothing is b2 x b2 for b2 > b-1.  A Smith form
-        # records "U" when it builds U and "X k" when it carries k columns.
+        # the branch where B's diagonal scales reads U B, and it eliminates
+        # again carrying B's n columns) and reads H_1's (b-1) x (b-1) Smith
+        # diagonal, which also gives q's torsion when the nonzero diagonal
+        # of B is all 1; only otherwise one more Smith diagonal, of the
+        # smaller Gram matrix.  H_1 runs a Smith form only for a word with Chern inputs,
+        # carrying c1's one vector, and then reads its diagonal from it.
+        # Besides the boundary SNF nothing is larger than (b-1) x (b-1) and
+        # nothing is b2 x b2 for b2 > b-1.  A Smith form records "X k" when
+        # it carries k columns.
         # The shapes are compared as multisets, since the order of the
         # calls is no part of the claim.
         shapes = []
         real_snf, real_diagonal = smith_normal_form, smith_diagonal
 
-        def recording_snf(matrix, rows=None, cols=None, carried=None):
-            shapes.append(("snf", len(matrix), len(matrix[0]) if matrix else 0, "U" if carried is None else f"X {len(carried)}"))
-            return real_snf(matrix, rows=rows, cols=cols, carried=carried)
+        def recording_snf(matrix, cols=None, carried=()):
+            shapes.append(("snf", len(matrix), len(matrix[0]) if matrix else 0, f"X {len(carried)}"))
+            return real_snf(matrix, cols=cols, carried=carried)
 
         def recording_diagonal(matrix):
             shapes.append(("diagonal", len(matrix), len(matrix[0]) if matrix else 0))
@@ -282,15 +292,16 @@ class TestPlanarForm:
         assert sorted(shapes) == sorted([("snf", s.rank, len(word), "X 0"), ("snf", s.rank, s.rank, "X 1")])
         # the triangle word: B has diagonal (1, 1, 2) and b2 = r = 3, so the
         # form's torsion needs its own Smith diagonal, of the 3 x 3
-        # complement Gram matrix, whose rows U B / d_i need U: of these
-        # three words it is the only one that builds U; H_1's diagonal
-        # waits until its report reads it
+        # complement Gram matrix, whose rows U B / d_i come from eliminating
+        # B again carrying its 6 columns: of these three words it is the
+        # only one that reads U B; H_1's diagonal waits until its report
+        # reads it
         shapes.clear()
         inv = filling_invariants(_triangle_word())
         assert inv.b2 == 3 and inv.c1 is None and inv.q_invariant_factors == (2, 2, 2)
-        assert sorted(shapes) == sorted([("snf", 3, 6, "X 0"), ("snf", 3, 6, "U"), ("diagonal", 3, 3)])
+        assert sorted(shapes) == sorted([("snf", 3, 6, "X 0"), ("snf", 3, 6, "X 6"), ("diagonal", 3, 3)])
         assert inv.h1.report() == [[2, 2, 8], 0]
-        assert sorted(shapes) == sorted([("snf", 3, 6, "X 0"), ("snf", 3, 6, "U"), ("diagonal", 3, 3), ("diagonal", 3, 3)])
+        assert sorted(shapes) == sorted([("snf", 3, 6, "X 0"), ("snf", 3, 6, "X 6"), ("diagonal", 3, 3), ("diagonal", 3, 3)])
 
     def test_missing_hole_set_rejected(self):
         s = Surface(0, 3)
@@ -375,13 +386,12 @@ def _uncovered_planar_case(rng):
 
 def _recording_snf(monkeypatch):
     """Patch smith_normal_form where the package calls it; returns the list
-    of (matrix, carried columns) pairs it is then called on, with None for
-    the carried columns of a call that builds U."""
+    of (matrix, carried columns) pairs it is then called on."""
     seen = []
     real = smith_normal_form
 
-    def recording(matrix, *args, carried=None, **kwargs):
-        seen.append(([list(row) for row in matrix], None if carried is None else [list(c) for c in carried]))
+    def recording(matrix, *args, carried=(), **kwargs):
+        seen.append(([list(row) for row in matrix], [list(c) for c in carried]))
         return real(matrix, *args, carried=carried, **kwargs)
 
     monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
@@ -391,14 +401,14 @@ def _recording_snf(monkeypatch):
 
 class TestLazyH1:
     # H_1's report and q's torsion read only its Smith diagonal; one
-    # smith_normal_form, carrying c1's vector and building no U or A V, runs
+    # smith_normal_form, carrying c1's vector and building no A V, runs
     # only when chern_pd reduces c1
 
     def test_diagonal_of_seeded_h1_matrices(self):
         for seed in range(2000):
             w, _ = _planar_pin_case(seed)
             m = invariants._planar_arc_relations(w)
-            assert smith_diagonal(m) == smith_normal_form(m, rows=len(m), cols=len(m)).diag
+            assert smith_diagonal(m) == smith_normal_form(m, cols=len(m)).diag
 
     def test_no_chern_inputs_build_no_u(self, monkeypatch, capsys):
         seen = _recording_snf(monkeypatch)
@@ -413,15 +423,17 @@ class TestLazyH1:
             rows = w.surface.rank
             boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(rows)]
             # the boundary SNF of an exact form, carrying nothing, and
-            # nothing for H_1; U only where B's diagonal scales and the
-            # complement Gram matrix is the smaller one
+            # nothing for H_1; B again, carrying B's own columns for U B,
+            # only where B's diagonal scales and the complement Gram matrix
+            # is the smaller one
             expected = []
             if has_exact_form(w):
                 diag = smith_diagonal(boundary_map) if rows else ()
                 r = sum(1 for d in diag if d)
-                needs_u = any(d > 1 for d in diag) and len(w) - r >= r
-                expected = [(boundary_map, [])] + [(boundary_map, None)] * needs_u
-                scaled += needs_u
+                needs_ub = any(d > 1 for d in diag) and len(w) - r >= r
+                columns = [list(t.curve.homology.coords) for t in w.twists]
+                expected = [(boundary_map, [])] + [(boundary_map, columns)] * needs_ub
+                scaled += needs_ub
             assert seen == expected
             checked += 1
         assert checked > 250 and scaled > 0
@@ -433,8 +445,8 @@ class TestLazyH1:
     @pytest.mark.parametrize("g", range(0, 3))
     def test_boundary_multitwist_one_snf_per_h1(self, g, monkeypatch):
         # c1 is reduced, so H_1 runs one Smith form, carrying c1's vector
-        # and building no U, whose diagonal the report and the planar form
-        # then read; a planar page adds the boundary SNF, carrying nothing
+        # alone, whose diagonal the report and the planar form then read; a
+        # planar page adds the boundary SNF, carrying nothing
         seen = _recording_snf(monkeypatch)
         for b in range(2, 9):
             w = boundary_multitwist(g, b)
@@ -443,7 +455,7 @@ class TestLazyH1:
             assert inv.c1 is not None and inv.h1.report() == [[b], 2 * g]
             h1_matrix = [list(row) for row in inv.h1.rows]
             assert [(m, c) for m, c in seen if c] == [(h1_matrix, [list(inv.c1.vector)])]
-            assert len(seen) == (2 if g == 0 else 1) and None not in [c for _, c in seen]
+            assert len(seen) == (2 if g == 0 else 1)
             if g == 0:
                 assert h1_matrix == invariants._planar_arc_relations(w)
                 rows = w.surface.rank
@@ -480,12 +492,12 @@ class TestTorsionFromH1:
         for _ in range(2000):
             w = _uncovered_planar_case(rng)
             inv = filling_invariants(w)
-            full = smith_normal_form(inv.q_matrix, rows=inv.b2, cols=inv.b2)
+            full = smith_normal_form(inv.q_matrix, cols=inv.b2)
             assert inv.q_invariant_factors == tuple(d for d in full.diag if d != 0)
             assert sigma(w).value == -inv.b2
             rows = w.surface.rank
             boundary_map = [[t.curve.homology.coords[i] for t in w.twists] for i in range(rows)]
-            snf = smith_normal_form(boundary_map, rows=rows, cols=len(w))
+            snf = smith_normal_form(boundary_map, cols=len(w))
             rank_deficient += snf.rank < rows
             if all(d <= 1 for d in snf.diag):
                 unit += 1
@@ -494,6 +506,34 @@ class TestTorsionFromH1:
             else:
                 scaled += 1
         assert unit > 1000 and scaled > 10 and rank_deficient > 200
+
+    def test_scaled_branch_diagonal_is_r_by_r(self, monkeypatch):
+        # where some d_i > 1 and b2 >= r, q's torsion comes from the r x r
+        # complement Gram matrix read off U B, and the planar form takes no
+        # b2 x b2 Smith diagonal: the lantern right side's powers
+        # (a12 a23 a13)^k on the 4-holed sphere (B's diagonal (1, 1, 2),
+        # b2 = 3k - 3, torsion (k, k, k)) and seeded planar words of that kind
+        shapes = []
+        monkeypatch.setattr(invariants, "smith_diagonal", lambda m: shapes.append((len(m), len(m[0]) if m else 0)) or smith_diagonal(m))
+        s = Surface(0, 4)
+        a12, a23, a13 = (convex_curve(s, name, holes) for name, holes in (("a12", {2, 3}), ("a23", {3, 4}), ("a13", {2, 4})))
+        words = [word_of(s, [a12, a23, a13] * k) for k in range(2, 13)]
+        rng = random.Random(8191)
+        for _ in range(2000):
+            w = _uncovered_planar_case(rng)
+            rows = w.surface.rank
+            diag = smith_diagonal([[t.curve.homology.coords[i] for t in w.twists] for i in range(rows)]) if rows else ()
+            r = sum(1 for d in diag if d)
+            if any(d > 1 for d in diag) and len(w) - r >= r:
+                words.append(w)
+        assert len(words) > 11 + 20
+        for w in words:
+            shapes.clear()
+            form = planar_intersection_form(w)
+            r = len(w) - form.b2
+            assert form.b2 >= r and shapes == [(r, r)]
+            assert tuple(d for d in form.invariant_factors if d > 1) == tuple(d for d in smith_diagonal(form.matrix) if d > 1)
+        assert [planar_intersection_form(w).invariant_factors[-3:] for w in words[:11]] == [(k,) * 3 for k in range(2, 13)]
 
     def test_triangle_word_keeps_its_own_torsion(self):
         # B has diagonal (1, 1, 2): q is 2 I_3, while H_1 is Z/2 + Z/2 + Z/8
@@ -570,9 +610,9 @@ class TestSigma:
         shapes = []
         real = smith_normal_form
 
-        def recording(matrix, rows=None, cols=None):
+        def recording(matrix, cols=None, carried=()):
             shapes.append((len(matrix), len(matrix[0]) if matrix else 0))
-            return real(matrix, rows=rows, cols=cols)
+            return real(matrix, cols=cols, carried=carried)
 
         monkeypatch.setattr(intlinalg, "smith_normal_form", recording)
         monkeypatch.setattr(invariants, "smith_normal_form", recording)
@@ -632,8 +672,8 @@ class TestH1Boundary:
 
     def test_arc_relation_vector_boundary_multitwist(self):
         w = boundary_multitwist(0, 4)
-        vec = variations(w, [(1, 0, 0)])[0]  # S_2, the standard arc to boundary 2
-        assert vec == (2, 1, 1)  # d_2 + (d_2 + d_3 + d_4)
+        rows = variation_rows(w, [(1, 0, 0)])  # S_2, the standard arc to boundary 2
+        assert rows == [[2], [1], [1]]  # d_2 + (d_2 + d_3 + d_4), by coordinates
 
     def test_variation_on_handles_is_the_action(self):
         rng = random.Random(17)
@@ -645,13 +685,16 @@ class TestH1Boundary:
             images = _action_oracle(w)
             for i in range(2 * s.genus):
                 e = s.basis_class(i)
-                assert variations(w, [e.coords]) == [(images[i] - e).coords]
+                assert variation_rows(w, [e.coords]) == [[x] for x in (images[i] - e).coords]
 
     def test_h1_does_not_act_on_classes(self, monkeypatch):
-        def refuse(self):
-            raise AssertionError("h1_boundary applied the monodromy to the basis")
+        def refuse(*args, **kwargs):
+            raise AssertionError("h1_boundary applied the monodromy to a class")
 
-        monkeypatch.setattr(Word, "action_matrix", refuse)
+        # every binding of twist_action in the package, not only the one in surfaces
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "steincalc" and getattr(module, "twist_action", None) is twist_action:
+                monkeypatch.setattr(module, "twist_action", refuse)
         for g, b in ((0, 4), (1, 2), (2, 3)):
             assert h1_boundary(boundary_multitwist(g, b)).report() == [[b], 2 * g]
         s = Surface(1, 1)
@@ -671,7 +714,7 @@ class TestH1Boundary:
             handles = 2 * s.genus
             basis = [s.basis_class(i).coords for i in range(s.rank)]
             arcs = [tuple(rng.randint(-3, 3) for _ in range(handles)) + e[handles:] for e in basis[handles:]]
-            declared = AbelianQuotient.from_relations(s.rank, variations(w, basis[:handles] + arcs))
+            declared = AbelianQuotient(s.rank, variation_rows(w, basis[:handles] + arcs))
             standard = h1_boundary(w)
             assert declared.report() == standard.report()
             for _ in range(3):
@@ -698,8 +741,9 @@ class TestH1Boundary:
         arcs = data.draw(st.permutations(arcs))
         assert h1_boundary(w) == _h1_oracle(w)
         rels = arcs + basis
-        assert variations(w, rels) == [_variation_oracle(w, rel) for rel in rels]
-        assert [variations(w, [rel])[0] for rel in rels] == [_variation_oracle(w, rel) for rel in rels]
+        expected = [_variation_oracle(w, rel) for rel in rels]
+        assert variation_rows(w, rels) == [list(row) for row in zip(*expected)]
+        assert [[row for (row,) in variation_rows(w, [rel])] for rel in rels] == [list(x) for x in expected]
 
     def test_wrong_length_is_rejected_before_any_twist(self):
         # an empty word used to return zeros for a class of any length
@@ -714,18 +758,17 @@ class TestH1Boundary:
             rank = w.surface.rank
             for rel in ((), (0,) * (rank - 1), (1,) * (rank + 1)):
                 with pytest.raises(RankMismatchError, match=f"relative vector length {len(rel)} != rank {rank}"):
-                    variations(w, [rel])
+                    variation_rows(w, [rel])
                 with pytest.raises(RankMismatchError, match="relative vector length"):
-                    variations(w, [(0,) * rank, rel])
+                    variation_rows(w, [(0,) * rank, rel])
 
     def test_planar_relations_are_the_variation(self):
         # on a planar page the arc relations come from B S B^T and must be
-        # the vectors ``variations`` gives twist by twist, as the relation
-        # columns of H_1
+        # the rows ``variation_rows`` gives in its pass over the twists, as
+        # the relation rows of H_1
         for seed in range(300):
             w, _ = _planar_pin_case(seed)
-            columns = list(zip(*h1_boundary(w).rows))
-            assert columns == variations(w, [w.surface.basis_class(i).coords for i in range(w.surface.rank)])
+            assert h1_boundary(w).rows == tuple(map(tuple, variation_rows(w, unit_basis(w.surface.rank))))
 
     def test_planar_h1_never_calls_variation(self, monkeypatch):
         def refuse(word, rels):
@@ -760,13 +803,22 @@ _RECORDED_REPORTS = {
 }
 
 
-class TestActionMatrix:
+class TestVariationRows:
     @settings(max_examples=200, deadline=None)
     @given(_any_word())
     @example(Word(Surface(0, 1), ()))
     @example(Word(Surface(2, 3), ()))
     def test_matches_the_twist_by_twist_oracle(self, w):
-        assert w.action_matrix() == tuple(x.coords for x in _action_oracle(w))
+        # the variation rows of the handle classes are the oracle's images
+        # minus the classes, by coordinates, and the oracle fixes every
+        # boundary class: what verify_relator compares on its two sides
+        s = w.surface
+        handles = 2 * s.genus
+        images = _action_oracle(w)
+        basis = unit_basis(s.rank)
+        moved = [(images[i] - s.basis_class(i)).coords for i in range(handles)]
+        assert variation_rows(w, basis[:handles]) == [[x[i] for x in moved] for i in range(s.rank)]
+        assert [x.coords for x in images[handles:]] == basis[handles:]
 
     def test_relator_reports_need_no_twist_action(self, monkeypatch):
         entries = [chain(n) for n in range(1, 9)] + [standard_lantern()]
@@ -837,6 +889,35 @@ class TestChern:
         calls.clear()
         inv = filling_invariants(boundary_multitwist(1, 4))
         assert calls == [inv.c1.vector]
+
+    def test_defaults_only_when_read(self, monkeypatch):
+        # the boundary-multitwist defaults are built only when the rotations
+        # fall back past the curves' stored ones, or when no meridian map is
+        # given, and then once for both
+        calls = []
+        real = invariants.boundary_multitwist_defaults
+        monkeypatch.setattr(invariants, "boundary_multitwist_defaults", lambda w: calls.append(w) or real(w))
+        stored = boundary_multitwist(1, 3)  # its curves store their rotations
+        s = Surface(0, 3)
+        bare = word_of(s, [convex_curve(s, "d1", {2, 3}, outer=True)]
+                       + [convex_curve(s, f"d{j}", {j}, boundary_parallel_to=j) for j in (2, 3)])
+        mu, bare_mu = [(0, 0, 1, 0)] * 3, [(-1, -1), (1, 0), (0, 1)]
+        for w, kwargs in ((stored, {"rotations": [0, 1, 2], "mu_map": mu}), (stored, {"mu_map": mu}),
+                          (bare, {"rotations": [0, 1, 0], "mu_map": bare_mu})):
+            calls.clear()
+            chern_pd(w, **kwargs)
+            assert calls == []
+        for w, kwargs in ((stored, {}), (bare, {}), (bare, {"mu_map": bare_mu}), (bare, {"rotations": [0, 1, 0]})):
+            calls.clear()
+            rotations, mu_map = real(w)
+            assert chern_pd(w, **kwargs) == chern_pd(w, rotations=rotations, mu_map=mu_map)
+            assert calls == [w]
+        # the raise order: rotations first, then the meridian map
+        lone = word_of(Surface(0, 3), [convex_curve(Surface(0, 3), "d2", {2})])
+        with pytest.raises(UnsupportedInputError, match="rotation numbers are required"):
+            chern_pd(lone, mu_map=[(1, 0)])
+        with pytest.raises(UnsupportedInputError, match="a meridian-to-homology map is required"):
+            chern_pd(lone, rotations=[1])
 
     def test_rotations_required_off_the_multitwist(self):
         s = Surface(1, 1)

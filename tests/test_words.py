@@ -32,6 +32,8 @@ from steincalc.words import (
     Word,
     contains,
     substitute,
+    unit_basis,
+    variation_rows,
     verify_relator,
     word_of,
 )
@@ -221,7 +223,10 @@ class TestSubstitute:
         entry = lantern(c["d2"], c["d3"], c["d4"], c["d1"], c["a12"], c["a23"], c["a13"])
         w = word_of(s, [c["a13"], c["d1"], c["d2"], c["d3"], c["d4"]])
         new_w, _ = substitute(w, entry.relator, entry.disjoint)
-        assert new_w.action_matrix() == w.action_matrix()
+        # a planar page has no handle classes, so the variations of the
+        # standard arcs carry the whole action
+        arcs = unit_basis(s.rank)
+        assert variation_rows(new_w, arcs) == variation_rows(w, arcs) != [[0] * s.rank] * s.rank
 
     def test_not_applicable(self, planar4):
         s, c = planar4
