@@ -143,12 +143,7 @@ def _parse_curve(surface: Surface, spec: dict, location: str) -> Curve:
                     "boundary 1 is the outer boundary; declare the curve parallel to it with "
                     "boundary_parallel_to: 1 and holes [2..b]",
                 )
-            return convex_curve(
-                surface, name, holes,
-                outer=parallel == 1,
-                rotation=rotation,
-                boundary_parallel_to=parallel,
-            )
+            return convex_curve(surface, name, holes, rotation=rotation, boundary_parallel_to=parallel)
         if not (isinstance(homology, list) and set(map(type, homology)) <= {int}):
             raise DocumentError(f"{location}.homology", "homology must be a list of integers")
         if len(homology) != surface.rank:
@@ -537,8 +532,7 @@ def tau_boundary_word(g: int, b: int) -> Tuple[Word, int]:
         rotation = boundary_rotation(g, b, j)
         if g == 0:
             holes = range(2, b + 1) if j == 1 else (j,)
-            boundary.append(convex_curve(surface, f"d{j}", holes, outer=j == 1, rotation=rotation,
-                                         boundary_parallel_to=j))
+            boundary.append(convex_curve(surface, f"d{j}", holes, rotation=rotation, boundary_parallel_to=j))
         else:
             homology = surface.outer_boundary_class() if j == 1 else surface.d_class(j)
             boundary.append(Curve(f"d{j}", homology, rotation=rotation, boundary_parallel_to=j))

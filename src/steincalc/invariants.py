@@ -21,10 +21,10 @@ above 1 are those of C C^T.  When every nonzero d_i is 1, B B^T is
 U^-1 (C C^T + 0) U^-T, so they are the torsion of H_1 of the boundary
 below, which ``filling_invariants`` builds once per word and hands to the
 form; otherwise they come from the Smith diagonal (``smith_diagonal``, no
-transforms) of the smaller of the two Gram matrices, of size min(b2, r)
-with r <= b-1 the rank of B, and only when that is C C^T does the form
-eliminate B again, carrying B's own columns, whose rows of U B are those
-of C scaled by d_i.  The form is negative definite, so its signature is
+transforms) of the r x r Gram matrix C C^T, with r <= b-1 the rank of B,
+and the form eliminates B again, carrying B's own columns, whose rows of
+U B are those of C scaled by d_i.  So q itself is read by the report
+alone.  The form is negative definite, so its signature is
 rank B - n, and ``sigma`` reads rank B as the signature of the positive
 semidefinite B B^T (the planar arc relations) by ``symmetric_signature``,
 with no Smith form, no Gram matrix and no H_1.  Off the planar page the signature is ledger-relative only:
@@ -107,10 +107,10 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
 
     Requires every curve to carry a hole set (the decidable planar
     fragment).  The torsion is read off ``h1``, H_1 of the boundary (built
-    here when None), when the boundary map allows it.  The boundary map's
-    Smith form carries nothing; the scaled branch alone, where some
-    d_i > 1 and the complement Gram matrix is the smaller one, eliminates
-    it again carrying its own columns, to read the rows of U B.
+    here when None), when every d_i of the boundary map is at most 1.  The
+    boundary map's Smith form carries nothing; the scaled branch alone,
+    where some d_i > 1, eliminates it again carrying its own columns, to
+    read the rows of U B.
     """
     if not has_exact_form(word):
         raise UnsupportedInputError(
@@ -137,16 +137,13 @@ def planar_intersection_form(word: Word, h1: Optional[AbelianQuotient] = None) -
         # word is positive, so B S B^T = B B^T), has the torsion of C C^T.
         torsion = (h1 if h1 is not None else h1_boundary(word)).invariant_factors
     else:
-        # Some d_i > 1 scales the row space; take the Smith diagonal of the
-        # smaller Gram matrix, whose sign it does not see.  Row i < r of
-        # V^-1 is row i of U B / d_i, so this branch alone eliminates again
-        # carrying B, whose first r rows of U B it then reads.
-        if b2 < r:
-            smaller = matrix
-        else:
-            scaled = smith_normal_form(boundary_map, cols=n, carried=columns).row_ops[:r]
-            smaller = negated_gram([{k: x // d for k, x in enumerate(row) if x} for row, d in zip(scaled, snf.diag)])
-        torsion = tuple(d for d in smith_diagonal(smaller) if d > 1)
+        # Some d_i > 1 scales the row space.  Row i < r of V^-1 is row i of
+        # U B / d_i, so this branch alone eliminates again carrying B, reads
+        # the first r rows of U B, and takes the Smith diagonal of the r x r
+        # Gram matrix of C, whose sign it does not see.
+        scaled = smith_normal_form(boundary_map, cols=n, carried=columns).row_ops[:r]
+        complement = negated_gram([{k: x // d for k, x in enumerate(row) if x} for row, d in zip(scaled, snf.diag)])
+        torsion = tuple(d for d in smith_diagonal(complement) if d > 1)
     # The kernel basis has full column rank, so q = -K^T K is negative
     # definite and its signature is -b2.
     return PlanarForm(
@@ -256,11 +253,7 @@ def h1_boundary(word: Word) -> AbelianQuotient:
     # handle classes the monodromy fixes give no relation
     rows = variation_rows(word, unit_basis(rank))
     kept = [k for k, column in enumerate(zip(*[row[:handles] for row in rows])) if any(column)]
-    if not kept:
-        rows = [row[handles:] for row in rows]
-    elif len(kept) < handles:
-        rows = [[row[k] for k in kept] + row[handles:] for row in rows]
-    return AbelianQuotient(rank, rows)
+    return AbelianQuotient(rank, [[row[k] for k in kept] + row[handles:] for row in rows])
 
 
 class ChernData(Value):

@@ -145,7 +145,7 @@ def standard_lantern() -> RelatorEntry:
     a1 = convex_curve(surface, "a1", {2})
     a2 = convex_curve(surface, "a2", {3})
     a3 = convex_curve(surface, "a3", {4})
-    a4 = convex_curve(surface, "a4", {2, 3, 4}, outer=True)
+    a4 = convex_curve(surface, "a4", {2, 3, 4}, boundary_parallel_to=1)
     a12 = convex_curve(surface, "a12", {2, 3})
     a23 = convex_curve(surface, "a23", {3, 4})
     a13 = convex_curve(surface, "a13", {2, 4})

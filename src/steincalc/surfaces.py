@@ -7,7 +7,9 @@ hole beyond the first.  Boundary component 1 is the "outer" one; the class
 of a curve parallel to it is ``-(d_2 + ... + d_b)``, and such a curve is
 stored with the ``boundary_parallel_to = 1`` flag.
 
-On a planar surface (g = 0) the decidable curves are the convex ones: each
+On a planar surface (g = 0) the holes 2..b sit on a circle in index order,
+and a word's rightmost twist acts first; the lantern's interior order
+a12 a23 a13 rests on both.  The decidable curves are the convex ones: each
 is isotopic to the round boundary of a sub-collection of holes and is
 encoded by that subset (its hole set).  Two convex curves are certified
 disjoint exactly when their hole sets are nested or disjoint
@@ -172,7 +174,7 @@ class Curve(Value):
             surface = homology.surface
             if surface.genus != 0:
                 raise ValueError(f"curve {name}: hole sets only make sense on planar surfaces")
-            expected = _hole_set_coords(surface, name, hole_set, boundary_parallel_to == 1)
+            expected = _hole_set_coords(surface, name, hole_set, boundary_parallel_to)
             if homology.coords != expected:
                 raise ValueError(
                     f"curve {name}: homology {homology.coords} does not match "
@@ -226,7 +228,7 @@ class Curve(Value):
         return not self.homology.is_zero()
 
 
-def _hole_set_coords(surface: Surface, name: str, holes: Collection[int], outer: bool) -> Tuple[int, ...]:
+def _hole_set_coords(surface: Surface, name: str, holes: Collection[int], parallel: Optional[int]) -> Tuple[int, ...]:
     # the range check comes before any hole indexes a coordinate
     b = surface.boundary_count
     if holes and not (2 <= min(holes) and max(holes) <= b):
@@ -234,7 +236,7 @@ def _hole_set_coords(surface: Surface, name: str, holes: Collection[int], outer:
         raise ValueError(f"curve {name}: hole indices {bad} outside 2..{b}")
     coords = [0] * surface.rank
     for j in holes:
-        coords[j - 2] = -1 if outer else 1
+        coords[j - 2] = -1 if parallel == 1 else 1
     return tuple(coords)
 
 
@@ -243,21 +245,19 @@ def convex_curve(
     name: str,
     holes: Iterable[int],
     *,
-    outer: bool = False,
     rotation: Optional[int] = None,
     boundary_parallel_to: Optional[int] = None,
 ) -> Curve:
     """A convex planar curve enclosing the given holes.
 
-    With ``outer=True`` the curve is the one parallel to boundary 1 (its
-    hole set must then be all of {2, ..., b}).
+    With ``boundary_parallel_to=1`` the curve is the one parallel to
+    boundary 1: its hole set must be all of {2, ..., b}, and its class is
+    -(d_2 + ... + d_b).
     """
     hole_set = frozenset(holes)
-    if outer:
-        boundary_parallel_to = 1
-    homology = HomologyClass(surface, _hole_set_coords(surface, name, hole_set, outer))
-    if surface.genus != 0 or boundary_parallel_to == 1 and not outer:
-        # a class that may not fit the hole set: ``Curve`` compares them
+    homology = HomologyClass(surface, _hole_set_coords(surface, name, hole_set, boundary_parallel_to))
+    if surface.genus != 0:
+        # ``Curve`` refuses a hole set off the planar page
         return Curve(name, homology, hole_set, rotation, boundary_parallel_to)
     # ``Curve`` would rebuild this class from the hole set only to find it equal
     curve = object.__new__(Curve)

@@ -1,9 +1,12 @@
 """Surface model: pairings, twists, convex curves, commutation certificates."""
 
+import itertools
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from steincalc import surfaces
+from steincalc.document import lantern_document, tau_boundary_document
 from steincalc.errors import RankMismatchError
 from steincalc.surfaces import (
     Curve,
@@ -14,6 +17,8 @@ from steincalc.surfaces import (
     intersection_pairing,
     twist_action,
 )
+from steincalc.relators import lantern, standard_lantern
+from steincalc.words import word_of
 
 
 def classes(surface, max_entry=8):
@@ -106,7 +111,7 @@ class TestConvexCurves:
 
     def test_outer_curve_stores_negated_class(self):
         s = Surface(0, 4)
-        c = convex_curve(s, "outer", {2, 3, 4}, outer=True)
+        c = convex_curve(s, "outer", {2, 3, 4}, boundary_parallel_to=1)
         assert c.homology.coords == (-1, -1, -1)
         assert c.boundary_parallel_to == 1
 
@@ -126,15 +131,16 @@ class TestConvexCurves:
         real = surfaces._hole_set_coords
         monkeypatch.setattr(surfaces, "_hole_set_coords", lambda *args: built.append(args[2]) or real(*args))
         assert convex_curve(s, "c", {2, 4}).homology.coords == (1, 0, 1, 0)
-        assert convex_curve(s, "o", {2, 3, 4, 5}, outer=True).homology.coords == (-1, -1, -1, -1)
+        assert convex_curve(s, "o", {2, 3, 4, 5}, boundary_parallel_to=1).homology.coords == (-1, -1, -1, -1)
         assert built == [frozenset({2, 4}), frozenset({2, 3, 4, 5})]
         # a class that disagrees with the hole set still raises, named by the check
         with pytest.raises(ValueError, match=r"^curve c: homology \(1, 0, 0, 0\) does not match hole set \[3\] "
                                              r"\(expected \(0, 1, 0, 0\)\)$"):
             Curve("c", s.d_class(2), hole_set=frozenset({3}))
-        # flagged parallel to boundary 1 without outer=True: the indicator class is not the outer one
-        with pytest.raises(ValueError, match=r"^curve o: homology \(1, 1, 1, 1\) does not match"):
-            convex_curve(s, "o", {2, 3, 4, 5}, boundary_parallel_to=1)
+        # the flag alone makes the class the outer one, and an outer-parallel
+        # curve must enclose every hole
+        with pytest.raises(ValueError, match="^curve o: an outer-parallel curve encloses every hole$"):
+            convex_curve(s, "o", {2, 3, 4}, boundary_parallel_to=1)
         # the range check runs before any hole indexes a coordinate
         built.clear()
         with pytest.raises(ValueError, match=r"^curve c: hole indices \[6\] outside 2..5$"):
@@ -191,7 +197,7 @@ class TestCurvesCommute:
 
     def test_outer_flagged_curve_nests_everything(self):
         s = Surface(0, 4)
-        outer = convex_curve(s, "outer", {2, 3, 4}, outer=True)
+        outer = convex_curve(s, "outer", {2, 3, 4}, boundary_parallel_to=1)
         assert curves_commute(outer, convex_curve(s, "x", {2, 3})) is True
 
 
@@ -285,3 +291,45 @@ class TestBraidOracle:
         s = Surface(0, 5)
         a, c = convex_curve(s, "a", {2, 4}), convex_curve(s, "c", {3, 5})
         assert curves_commute(a, c) is not True or _braid_twists_commute({2, 4}, {3, 5}, 5)
+
+
+def _framed_action(word):
+    """The word in P_{b-1} x Z^{b-1}, the mapping classes of the disk with
+    the holes 2..b fixing them pointwise: the braid images of its twists,
+    the rightmost acting first, and its framing vector, the number of
+    twists whose curve encloses each hole."""
+    b = word.surface.boundary_count
+    braid = [g for t in reversed(word.twists) for g in _convex_twist(t.curve.hole_set)]
+    framing = tuple(sum(h in t.curve.hole_set for t in word.twists) for h in range(2, b + 1))
+    return _braid_images(braid, b - 1), framing
+
+
+class TestLanternOrientation:
+    # holes sit on a circle in index order and a word's rightmost twist
+    # acts first: then a12 a23 a13 is a1 a2 a3 a4, and a13 a23 a12 is not
+
+    def test_every_hole_triple(self):
+        checked = 0
+        for b in range(4, 8):
+            s = Surface(0, b)
+            for i, j, k in itertools.combinations(range(2, b + 1), 3):
+                a1, a2, a3, a4, a12, a23, a13 = (
+                    convex_curve(s, name, holes) for name, holes in (
+                        ("a1", {i}), ("a2", {j}), ("a3", {k}), ("a4", {i, j, k}),
+                        ("a12", {i, j}), ("a23", {j, k}), ("a13", {i, k})))
+                relator = lantern(a1, a2, a3, a4, a12, a23, a13).relator
+                boundary = _framed_action(relator.left)
+                assert _framed_action(relator.right) == boundary
+                assert _framed_action(word_of(s, [a13, a23, a12])) != boundary
+                checked += 1
+        assert checked == 35
+
+    def test_stock_lanterns(self):
+        doc = lantern_document()
+        sides = [(e.relator.left, e.relator.right)
+                 for e in (standard_lantern(), tau_boundary_document(0, 4).relator_entries["lantern"])]
+        sides.append((doc.words["lantern_left"], doc.words["lantern_right"]))
+        for left, right in sides:
+            boundary = _framed_action(left)
+            assert _framed_action(right) == boundary
+            assert _framed_action(word_of(left.surface, [t.curve for t in reversed(right.twists)])) != boundary

@@ -43,7 +43,7 @@ from steincalc.words import (
 def planar4():
     s = Surface(0, 4)
     return s, {
-        "d1": convex_curve(s, "d1", {2, 3, 4}, outer=True),
+        "d1": convex_curve(s, "d1", {2, 3, 4}, boundary_parallel_to=1),
         "d2": convex_curve(s, "d2", {2}),
         "d3": convex_curve(s, "d3", {3}),
         "d4": convex_curve(s, "d4", {4}),
@@ -393,7 +393,7 @@ def _mixed_word(draw):
             size = rng.randint(2, b - 2) if rng.random() < 0.75 else rng.randint(0, b - 1)
             pool.append(convex_curve(surface, name, rng.sample(range(2, b + 1), size)))
         elif kind == "outer":
-            pool.append(convex_curve(surface, name, range(2, b + 1), outer=True))
+            pool.append(convex_curve(surface, name, range(2, b + 1), boundary_parallel_to=1))
         else:
             pool.append(Curve(name, HomologyClass(surface, tuple(rng.choices((-1, 0, 1), k=surface.rank)))))
     # equal but distinct curve objects
@@ -710,7 +710,7 @@ def _pinned_case(seed):
             hs = rng.sample(holes, rng.randint(2, len(holes) - 1))
         pool.append(convex_curve(s, f"f{i}", hs))
     if rng.random() < 0.3:
-        pool.append(convex_curve(s, "outer", holes, outer=True))
+        pool.append(convex_curve(s, "outer", holes, boundary_parallel_to=1))
     seq = [rng.choice(pool) for _ in range(rng.randint(0, 310))]
     for c in core:
         for _ in range(rng.randint(1, 3)):
