@@ -231,7 +231,7 @@ def _parse_relator(
                      "a braid takes three curve names: alpha, beta, image")
             return name, braid_relator(*_resolve_curves(curves, names, location), name=name)
         if kind == "non-standard":
-            entry = non_standard_relator()
+            entry = non_standard_relator(name=name)
             for c in entry.relator.curves():
                 _require(
                     curves.get(c.name) == c,

@@ -5,16 +5,22 @@ that fails raises ``NotApplicableError`` (or answers "unknown") rather than
 claiming a definite negative.
 """
 
+from keyword import iskeyword
 from operator import attrgetter
 
 
 class Value:
     """Base of the package's immutable values.
 
-    A subclass names its fields in ``__slots__`` and sets them in its
-    ``__init__`` with ``object.__setattr__``; a slot whose name starts with
-    an underscore is a cache, not a field.  ``_fields`` names the fields in
-    order, as on a named tuple.  Two values are equal when they are of the
+    A subclass names its fields in ``__slots__``; a slot whose name starts
+    with an underscore is a cache, not a field.  ``_fields`` names the
+    fields in order, as on a named tuple.  A subclass that defines no
+    ``__init__`` gets one built from its fields, as a named tuple's is:
+    one parameter per field, in order, storing each argument, with the
+    trailing fields that the optional class mapping ``_defaults`` names
+    taking its values as defaults.  A class whose constructor checks or
+    derives a field writes its own and sets each field with
+    ``object.__setattr__``.  Two values are equal when they are of the
     same class with equal fields, a value hashes as the tuple of its
     fields, and its repr names each field.  Assigning or deleting an
     attribute raises ``AttributeError``.
@@ -30,6 +36,8 @@ class Value:
             raise TypeError(f"{cls.__name__}: a value class needs at least two fields")
         cls._fields = fields
         cls._key = attrgetter(*fields)
+        if "__init__" not in cls.__dict__:
+            cls.__init__ = _storing_init(cls, fields, cls.__dict__.get("_defaults", {}))
 
     def __eq__(self, other):
         if other is self:
@@ -55,6 +63,26 @@ class Value:
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _storing_init(cls, fields, defaults):
+    """Compile, as ``namedtuple`` does, an ``__init__(self, *fields)`` that
+    stores each argument, its trailing parameters defaulting to ``defaults``."""
+    for name in fields:  # type() has already refused slots that are not identifiers
+        if iskeyword(name) or name == "self":
+            raise TypeError(f"{cls.__name__}: field {name!r} cannot name a parameter")
+    if not set(defaults) <= set(fields):
+        raise TypeError(f"{cls.__name__}: defaults for non-fields {sorted(set(defaults) - set(fields))}")
+    tail = fields[len(fields) - len(defaults):]
+    if set(tail) != set(defaults):
+        raise TypeError(f"{cls.__name__}: a field without a default follows a field with one")
+    namespace = {"_setattr": object.__setattr__, "__name__": cls.__module__}
+    body = "".join(f"\n    _setattr(self, {name!r}, {name})" for name in fields)
+    exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
+    init = namespace["__init__"]
+    init.__defaults__ = tuple(defaults[name] for name in tail)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
 
 
 class SteincalcError(Exception):

@@ -104,12 +104,6 @@ class SmithForm(Value):
 
     __slots__ = ("diag", "rank", "row_ops", "columns")
 
-    def __init__(self, diag: Tuple[int, ...], rank: int, row_ops: Matrix, columns: List[Dict[int, int]]):
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "row_ops", row_ops)
-        object.__setattr__(self, "columns", columns)
-
     @property
     def col_ops(self) -> Matrix:
         """V by dense columns."""

@@ -66,8 +66,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import IncomparableSigmaError, RankMismatchError, UnsupportedInputError, Value
 from .intlinalg import AbelianQuotient, Matrix, add_multiple, negated_gram, smith_diagonal, smith_normal_form, symmetric_signature, zeros
-from .surfaces import Surface
-from .words import SubstitutionRecord, Word, unit_basis, variation_rows
+from .words import Word, unit_basis, variation_rows
 
 
 def euler_characteristic(word: Word) -> int:
@@ -80,11 +79,6 @@ class PlanarForm(Value):
     """Exact intersection form data of a planar filling."""
 
     __slots__ = ("matrix", "b2", "invariant_factors")
-
-    def __init__(self, matrix: Tuple[Tuple[int, ...], ...], b2: int, invariant_factors: Tuple[int, ...]):
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "invariant_factors", invariant_factors)
 
     @property
     def sigma(self) -> int:
@@ -157,11 +151,7 @@ class SigmaLedger(Value):
     """An asserted signature for one factorization plus applied substitutions."""
 
     __slots__ = ("baseline_name", "baseline_sigma", "records")
-
-    def __init__(self, baseline_name: str, baseline_sigma: int, records: Tuple[SubstitutionRecord, ...] = ()):
-        object.__setattr__(self, "baseline_name", baseline_name)
-        object.__setattr__(self, "baseline_sigma", baseline_sigma)
-        object.__setattr__(self, "records", records)
+    _defaults = {"records": ()}
 
     @property
     def offset(self) -> Optional[int]:
@@ -177,18 +167,7 @@ class SigmaValue(Value):
     """An exact, baseline-relative, or unknown signature."""
 
     __slots__ = ("mode", "value", "baseline_name", "offset")  # mode: "exact" | "relative" | "unknown"
-
-    def __init__(
-        self,
-        mode: str,
-        value: Optional[int],
-        baseline_name: Optional[str] = None,
-        offset: Optional[int] = None,
-    ):
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "baseline_name", baseline_name)
-        object.__setattr__(self, "offset", offset)
+    _defaults = {"baseline_name": None, "offset": None}
 
 
 def sigma(word: Word, ledger: Optional[SigmaLedger] = None) -> SigmaValue:
@@ -261,11 +240,6 @@ class ChernData(Value):
     structure, as a vector over the surface basis reduced in H_1(M)."""
 
     __slots__ = ("vector", "reduced", "order")
-
-    def __init__(self, vector: Tuple[int, ...], reduced: Tuple[int, ...], order: Optional[int]):
-        object.__setattr__(self, "vector", vector)
-        object.__setattr__(self, "reduced", reduced)
-        object.__setattr__(self, "order", order)
 
     @property
     def is_zero(self) -> bool:
@@ -370,26 +344,7 @@ class FillingInvariants(Value):
     """The full invariant record of one positive factorization."""
 
     __slots__ = ("surface", "euler", "sigma", "b2", "q_matrix", "q_invariant_factors", "h1", "c1")
-
-    def __init__(
-        self,
-        surface: Surface,
-        euler: int,
-        sigma: SigmaValue,
-        b2: Optional[int] = None,
-        q_matrix: Optional[Tuple[Tuple[int, ...], ...]] = None,
-        q_invariant_factors: Optional[Tuple[int, ...]] = None,
-        h1: Optional[AbelianQuotient] = None,
-        c1: Optional[ChernData] = None,
-    ):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "euler", euler)
-        object.__setattr__(self, "sigma", sigma)
-        object.__setattr__(self, "b2", b2)
-        object.__setattr__(self, "q_matrix", q_matrix)
-        object.__setattr__(self, "q_invariant_factors", q_invariant_factors)
-        object.__setattr__(self, "h1", h1)
-        object.__setattr__(self, "c1", c1)
+    _defaults = dict.fromkeys(("b2", "q_matrix", "q_invariant_factors", "h1", "c1"))
 
     @property
     def esig(self) -> Optional[int]:

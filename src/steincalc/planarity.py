@@ -15,7 +15,7 @@ is always reported as inconclusive, never as "planar".
 
 from __future__ import annotations
 
-from typing import Collection, Optional, Sequence, Tuple
+from typing import Collection, Sequence, Tuple
 
 from .errors import NotApplicableError, UnsupportedInputError, Value
 from .relators import RelatorEntry, bounding_case
@@ -42,53 +42,16 @@ class RelatorWitness(Value):
         "obstruction_asserted",
     )
 
-    def __init__(
-        self,
-        relator_name: str,
-        obstruction: Optional[int],
-        obstruction_nonzero: bool,
-        positions: Tuple[int, ...],
-        swaps: Tuple[int, ...],
-        homology_allowable: bool,
-        obstruction_asserted: bool,
-    ):
-        object.__setattr__(self, "relator_name", relator_name)
-        object.__setattr__(self, "obstruction", obstruction)
-        object.__setattr__(self, "obstruction_nonzero", obstruction_nonzero)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "swaps", swaps)
-        object.__setattr__(self, "homology_allowable", homology_allowable)
-        object.__setattr__(self, "obstruction_asserted", obstruction_asserted)
-
 
 class BoundingWitness(Value):
     """Evidence for a bounded-subsurface certificate."""
 
     __slots__ = ("genus", "boundary_count", "multicurve", "positions", "swaps")
 
-    def __init__(
-        self,
-        genus: int,
-        boundary_count: int,
-        multicurve: Tuple[str, ...],
-        positions: Tuple[int, ...],
-        swaps: Tuple[int, ...],
-    ):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary_count", boundary_count)
-        object.__setattr__(self, "multicurve", multicurve)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "swaps", swaps)
-
 
 class PlanarityCertificate(Value):
     __slots__ = ("verdict", "basis", "witness", "notes")
-
-    def __init__(self, verdict: str, basis: str, witness: Optional[object] = None, notes: Tuple[str, ...] = ()):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "notes", notes)
+    _defaults = {"witness": None, "notes": ()}
 
 
 class BoundingDeclaration(Value):

@@ -311,7 +311,7 @@ def standard_braid() -> RelatorEntry:
     return braid_relator(alpha, beta, image)
 
 
-def non_standard_relator() -> RelatorEntry:
+def non_standard_relator(name: str = "non-standard") -> RelatorEntry:
     """A relator on the genus-1, 3-holed surface built from two lanterns of
     opposite orientation and a 2-chain, with no bounded subsurface in sight.
 
@@ -334,7 +334,7 @@ def non_standard_relator() -> RelatorEntry:
     ap4 = Curve("ap4", cls(0, -1, -1, -1))
 
     relator = Relator(
-        name="non-standard",
+        name=name,
         left=word_of(surface, (ap4, a13, a12)),
         right=word_of(surface, [alpha] + [beta, alpha] * 5 + [ap13, ap12, a1]),
         sigma_delta=CHAIN2_SIGMA_DELTA,
@@ -346,10 +346,6 @@ class BoundingCase(Value):
     """What is known when a factorization bounds a genus-g, b-holed subsurface."""
 
     __slots__ = ("verdict", "note")  # verdict: "obstructs" | "unknown" | "no-relator" | "none"
-
-    def __init__(self, verdict: str, note: str):
-        object.__setattr__(self, "verdict", verdict)
-        object.__setattr__(self, "note", note)
 
 
 def bounding_case(g: int, b: int) -> BoundingCase:

@@ -768,20 +768,6 @@ class SubstitutionRecord(Value):
 
     __slots__ = ("relator_name", "sigma_delta", "euler_delta", "positions", "swaps")
 
-    def __init__(
-        self,
-        relator_name: str,
-        sigma_delta: Optional[int],
-        euler_delta: int,
-        positions: Tuple[int, ...],
-        swaps: Tuple[int, ...],
-    ):
-        object.__setattr__(self, "relator_name", relator_name)
-        object.__setattr__(self, "sigma_delta", sigma_delta)
-        object.__setattr__(self, "euler_delta", euler_delta)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "swaps", swaps)
-
 
 def substitute(w: Word, relator: Relator, declared: Collection[NamePair] = ()) -> Tuple[Word, SubstitutionRecord]:
     """Replace an occurrence of the relator's left side by its right side.
@@ -874,11 +860,6 @@ class RelatorCheck(Value):
 
     __slots__ = ("name", "passed", "detail")
 
-    def __init__(self, name: str, passed: bool, detail: str):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "passed", passed)
-        object.__setattr__(self, "detail", detail)
-
 
 class RelatorReport(Value):
     """Per-check results of the necessary-condition suite for a relator.
@@ -888,10 +869,6 @@ class RelatorReport(Value):
     """
 
     __slots__ = ("relator_name", "checks")
-
-    def __init__(self, relator_name: str, checks: Tuple[RelatorCheck, ...]):
-        object.__setattr__(self, "relator_name", relator_name)
-        object.__setattr__(self, "checks", checks)
 
     @property
     def necessary_conditions_hold(self) -> bool:

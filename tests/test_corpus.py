@@ -6,13 +6,28 @@ four of its own twists.  The search yields embeddings in lexicographic
 order, and on some seeds tens of thousands of them are wedged (a matched
 block that an unmatched twist is forced into), each costing one
 ``_linearize`` call that the node budget does not count.
+
+Dense-Chern pages: genus 8, 16 or 30 with 5 holes (rank 20, 36 or 64), 300
+handle twists with random rotations and meridians.  ``invariants`` runs on
+each in a child process killed at a ceiling, so no run is left unbounded.
+
+``verify-relator --chain 128``: the chain relator on the largest page the
+reader admits, checked by its stdout digest.
 """
 
+import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import steincalc
 from steincalc import words
+from steincalc.document import MAX_PAGE_RANK
 from steincalc.errors import NotApplicableError
 from steincalc.surfaces import Surface, convex_curve
 from steincalc.words import Relator, substitute, word_of
@@ -96,3 +111,65 @@ class TestWedgedSubstitution:
                 positions = None
             if seed in hits:
                 assert positions == hits[seed], seed
+
+
+def dense_chern_page(genus, seed=0):
+    """A document on the genus-``genus`` page with 5 holes and one word of
+    300 positive twists, each about its own curve h0, h1, ... whose class
+    has nonzero handle coordinates in -1..1 and none on the holes, with
+    rotations in -2..2 and meridian vectors with entries in -1..1."""
+    rng = random.Random(seed)
+    boundary = 5
+    curves = []
+    for i in range(300):
+        handle = [0] * (2 * genus)
+        while not any(handle):
+            handle = [rng.randint(-1, 1) for _ in handle]
+        curves.append({"name": f"h{i}", "homology": handle + [0] * (boundary - 1)})
+    twists = [{"curve": c["name"], "sign": 1} for c in curves]
+    rank = 2 * genus + boundary - 1
+    return {
+        "surface": {"genus": genus, "boundary": boundary},
+        "curves": curves,
+        "words": {"w": twists},
+        "rotations": {"w": [rng.randint(-2, 2) for _ in twists]},
+        "mu_maps": {"w": [[rng.randint(-1, 1) for _ in range(rank)] for _ in twists]},
+    }
+
+
+def run_cli(argv, ceiling):
+    """``steincalc.cli`` in a child process: its exit code and stdout, or
+    None when it is still running at ``ceiling`` seconds and is killed."""
+    env = {**os.environ, "PYTHONPATH": str(Path(steincalc.__file__).parents[1])}
+    try:
+        out = subprocess.run([sys.executable, "-m", "steincalc.cli", *argv], capture_output=True, env=env,
+                             timeout=ceiling)
+    except subprocess.TimeoutExpired:
+        return None
+    return out.returncode, out.stdout
+
+
+class TestDenseChern:
+    @pytest.mark.parametrize("genus", [8, 16, 30], ids=lambda g: f"rank{2 * g + 4}")
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="ROADMAP item 5: exit 0 within the ceiling; reduced grows past the int-to-str "
+                              "limit at rank 20 (exit 3), and the Smith form runs for seconds to minutes above")
+    def test_invariants_exit_0_within_the_ceiling(self, genus, tmp_path):
+        path = tmp_path / "page.json"
+        path.write_text(json.dumps(dense_chern_page(genus)))
+        result = run_cli(["invariants", "--in", str(path)], ceiling=2)
+        assert result is not None, "killed at the 2 s ceiling"
+        assert result[0] == 0, f"exit {result[0]}"
+
+
+# sha256 of `steincalc verify-relator --chain 128` stdout
+CHAIN_128_SHA256 = "0a453fea5bafe727bec9f72b9e51b298f5c8686369705261c06f593aa8805e6d"
+
+
+def test_verify_relator_on_the_largest_chain():
+    # about 1 s on a 2-CPU Xeon VM with interpreter start
+    assert MAX_PAGE_RANK == 128
+    result = run_cli(["verify-relator", "--chain", "128"], ceiling=5)
+    assert result is not None, "killed at the 5 s ceiling"
+    code, stdout = result
+    assert code == 0 and hashlib.sha256(stdout).hexdigest() == CHAIN_128_SHA256

@@ -239,6 +239,34 @@ def _fuzz_documents(draw):
     return json.dumps(doc)
 
 
+def _generated(factory, word):
+    return lambda: (json.loads(serialize(factory())), word)
+
+
+_TORUS_WORD = [{"curve": "a1", "sign": 1}, {"curve": "b1", "sign": 1}]
+
+
+def _on_the_torus(spec):
+    # a one-holed torus page whose word w is the relator's left side a1 b1
+    return lambda: ({
+        "surface": {"genus": 1, "boundary": 1},
+        "curves": [{"name": "a1", "homology": [1, 0]}, {"name": "b1", "homology": [0, 1]},
+                   {"name": "a1_b1", "homology": [-1, 1]}],
+        "words": {"w": _TORUS_WORD},
+        "relators": [dict(spec)],
+    }, "w")
+
+
+# one document per relator kind, with the word that holds its left side
+RENAMED_RELATORS = {
+    "lantern": _generated(lantern_document, "lantern_left"),
+    "chain": _generated(functools.partial(chain_document, 2), "boundary"),
+    "braid": _on_the_torus({"name": "braid", "kind": "braid", "curves": ["a1", "b1", "a1_b1"]}),
+    "non-standard": _generated(non_standard_document, "short_side"),
+    "user": _on_the_torus({"name": "user", "kind": "user", "left": _TORUS_WORD, "right": _TORUS_WORD[::-1]}),
+}
+
+
 class TestParse:
     def test_minimal_document(self):
         doc = parse(json.dumps(MINIMAL))
@@ -755,6 +783,22 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["result"]["certificates"][0]["verdict"] == "non-planar"
         assert report["result"]["certificates"][0]["witness"]["obstruction"] == 4
+
+    @pytest.mark.parametrize("kind", RENAMED_RELATORS)
+    def test_a_relator_declared_under_its_own_name_reports_it(self, kind, tmp_path, capsys):
+        # every kind's builder takes the declared name; the notes and
+        # certificates of detect, and substitute's report, carry it
+        data, word = RENAMED_RELATORS[kind]()
+        data["relators"][0]["name"] = "own"
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(data))
+        assert main(["detect", "--in", str(path), "--word", word]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        named = [c["witness"]["relator_name"] for c in result["certificates"] if c["witness"]]
+        notes = [note for c in result["certificates"] for note in c["notes"] if note.startswith("relator ")]
+        assert named + [note.split()[1] for note in notes] == ["own"]
+        assert main(["substitute", "--in", str(path), "--word", word, "--relator", "own"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["relator"] == "own"
 
     @pytest.mark.parametrize("json_out", [False, True])
     def test_report_integer_over_the_str_limit_exits_3(self, json_out, monkeypatch, tmp_path, capsys):

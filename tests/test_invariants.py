@@ -873,6 +873,39 @@ class TestHurwitzMoves:
         assert variation_rows(moved, handles) == variation_rows(w, handles)
 
 
+@st.composite
+def _planar_stabilization(draw):
+    """A positive word on a planar page of 1..8 holes over up to six convex
+    curves (the outer-parallel one among them), the hole set of a convex
+    curve holding the new hole b + 1, and where its twist goes."""
+    b = draw(st.integers(1, 8))
+    s = Surface(0, b)
+    subsets = st.frozensets(st.integers(2, b), max_size=b - 1) if b > 1 else st.just(frozenset())
+    pool = [convex_curve(s, "outer", range(2, b + 1), boundary_parallel_to=1)]
+    pool += [convex_curve(s, f"c{i}", holes) for i, holes in enumerate(draw(st.lists(subsets, max_size=5)))]
+    w = word_of(s, draw(st.lists(st.sampled_from(pool), max_size=16)))
+    return w, draw(subsets) | {b + 1}, draw(st.integers(0, len(w)))
+
+
+class TestPlanarStabilization:
+    @settings(max_examples=300, deadline=None)
+    @given(_planar_stabilization())
+    def test_a_stabilization_keeps_the_invariants(self, stabilization):
+        # hole b + 1 is a 1-handle on the outer boundary, and a twist about a
+        # curve through it once cancels it, at any position: the filling and
+        # its boundary stay, so e, sigma, the form's factors and H_1 do.  The
+        # old curves keep their hole sets; the outer-parallel one now misses
+        # hole b + 1, so it is a plain convex curve
+        w, holes, p = stabilization
+        s = Surface(0, w.surface.boundary_count + 1)
+        curves = [convex_curve(s, t.curve.name, t.curve.hole_set) for t in w.twists]
+        stabilized = word_of(s, curves[:p] + [convex_curve(s, "stab", holes)] + curves[p:])
+        before, after = filling_invariants(w), filling_invariants(stabilized)
+        assert (after.euler, after.sigma, after.q_invariant_factors) == (before.euler, before.sigma,
+                                                                        before.q_invariant_factors)
+        assert after.h1.report() == before.h1.report()
+
+
 class TestChern:
     def test_two_holes_positive_genus_vanishes(self):
         for g in (1, 2, 3, 4):

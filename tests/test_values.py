@@ -285,3 +285,49 @@ def test_a_value_class_needs_two_fields():
     with pytest.raises(TypeError):
         type("OneField", (Value,), {"__slots__": ("only",)})
 
+
+# The classes whose constructors only store their arguments: Value builds
+# those from __slots__ and _defaults.
+STORING = {SmithForm, PlanarForm, SigmaLedger, SigmaValue, ChernData, FillingInvariants, RelatorWitness,
+           BoundingWitness, PlanarityCertificate, BoundingCase, SubstitutionRecord, RelatorCheck, RelatorReport}
+
+
+def test_storing_constructors_are_generated():
+    assert {cls for cls in BUILDERS if cls.__init__.__code__.co_filename == "<string>"} == STORING
+    for cls in STORING:
+        assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+        assert cls.__init__.__module__ == cls.__module__
+
+
+def test_generated_constructor_calls_as_a_written_one():
+    fields = ("a", "b", "c", "_cache")
+    cls = type("Triple", (Value,), {"__slots__": fields, "_defaults": {"c": 0}})
+    assert repr(cls(1, 2)) == "Triple(a=1, b=2, c=0)"
+    assert _fields(cls(1, c=3, b=2)) == (1, 2, 3)
+    assert not hasattr(cls(1, 2), "_cache")
+    with pytest.raises(TypeError, match=r"^Triple\.__init__\(\) missing 1 required positional argument: 'b'$"):
+        cls(1)
+    with pytest.raises(TypeError, match=r"^Triple\.__init__\(\) got an unexpected keyword argument 'd'$"):
+        cls(1, 2, d=4)
+    with pytest.raises(TypeError, match=r"^Triple\.__init__\(\) takes from 3 to 4 positional arguments but 5"):
+        cls(1, 2, 3, 4)
+    with pytest.raises(TypeError, match=r"got multiple values for argument 'a'"):
+        cls(1, 2, a=1)
+
+
+def test_defaults_must_name_fields():
+    with pytest.raises(TypeError, match=r"^Stray: defaults for non-fields \['_cache', 'z'\]$"):
+        type("Stray", (Value,), {"__slots__": ("a", "b", "_cache"), "_defaults": {"b": 1, "z": 2, "_cache": 3}})
+
+
+def test_defaults_must_trail():
+    with pytest.raises(TypeError, match=r"^Gap: a field without a default follows a field with one$"):
+        type("Gap", (Value,), {"__slots__": ("a", "b", "c"), "_defaults": {"b": 1}})
+
+
+@pytest.mark.parametrize("name", ["lambda", "self"])
+def test_field_names_must_be_parameter_names(name):
+    with pytest.raises(TypeError, match=rf"^Keyword: field '{name}' cannot name a parameter$"):
+        type("Keyword", (Value,), {"__slots__": ("a", name)})
+    # a class writing its own constructor may still use such a field
+    assert type("Own", (Value,), {"__slots__": ("a", name), "__init__": lambda self: None})._fields == ("a", name)
