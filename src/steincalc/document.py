@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import DocumentError, Value
 from .invariants import boundary_rotation
@@ -31,7 +31,7 @@ from .relators import (
     non_standard_relator,
     standard_chain_config,
 )
-from .surfaces import Curve, HomologyClass, NamePair, Surface, convex_curve
+from .surfaces import Curve, HomologyClass, Surface, convex_curve
 from .words import Relator, Twist, Word, word_of
 
 
@@ -59,29 +59,15 @@ class Document(Value):
         "mu_maps",
     )
 
-    def __init__(
-        self,
-        surface: Surface,
-        curves: Dict[str, Curve],
-        words: Dict[str, Word],
-        relator_entries: Dict[str, RelatorEntry],
-        relator_decls: Tuple[dict, ...] = (),
-        declarations: Tuple[BoundingDeclaration, ...] = (),
-        baselines: Optional[Dict[str, int]] = None,
-        disjoint: FrozenSet[NamePair] = frozenset(),
-        rotations: Optional[Dict[str, Tuple[int, ...]]] = None,
-        mu_maps: Optional[Dict[str, Tuple[Tuple[int, ...], ...]]] = None,
-    ):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "words", words)
-        object.__setattr__(self, "relator_entries", relator_entries)
-        object.__setattr__(self, "relator_decls", relator_decls)
-        object.__setattr__(self, "declarations", declarations)
-        object.__setattr__(self, "baselines", {} if baselines is None else baselines)
-        object.__setattr__(self, "disjoint", disjoint)
-        object.__setattr__(self, "rotations", {} if rotations is None else rotations)
-        object.__setattr__(self, "mu_maps", {} if mu_maps is None else mu_maps)
+    # None stands for a fresh dict: cli._apply_baseline_flags and
+    # lantern_document fill these in place, so no two documents share one
+    _defaults = {"relator_decls": (), "declarations": (), "baselines": None, "disjoint": frozenset(),
+                 "rotations": None, "mu_maps": None}
+
+    def __post_init__(self):
+        for name in ("baselines", "rotations", "mu_maps"):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, {})
 
 
 def _is_int(value) -> bool:

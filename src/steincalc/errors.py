@@ -18,12 +18,17 @@ class Value:
     ``__init__`` gets one built from its fields, as a named tuple's is:
     one parameter per field, in order, storing each argument, with the
     trailing fields that the optional class mapping ``_defaults`` names
-    taking its values as defaults.  A class whose constructor checks or
-    derives a field writes its own and sets each field with
-    ``object.__setattr__``.  Two values are equal when they are of the
-    same class with equal fields, a value hashes as the tuple of its
-    fields, and its repr names each field.  Assigning or deleting an
-    attribute raises ``AttributeError``.
+    taking its values as defaults.  When the class has a
+    ``__post_init__``, as a dataclass may (PEP 557), that constructor
+    calls it once after the last store; there the class checks its
+    fields and sets the derived ones with ``object.__setattr__``.  Two
+    classes write their own constructor, and may not also define the
+    hook: ``Word``, which builds its curve table there and shares it with
+    ``_splice``, and ``Curve``, whose ``_settle`` lets ``convex_curve``
+    skip recomputing the class from the hole set.  Two values are equal
+    when they are of the same class with equal fields, a value hashes as
+    the tuple of its fields, and its repr names each field.  Assigning or
+    deleting an attribute raises ``AttributeError``.
     """
 
     __slots__ = ()
@@ -38,6 +43,8 @@ class Value:
         cls._key = attrgetter(*fields)
         if "__init__" not in cls.__dict__:
             cls.__init__ = _storing_init(cls, fields, cls.__dict__.get("_defaults", {}))
+        elif "__post_init__" in cls.__dict__:
+            raise TypeError(f"{cls.__name__}: a class writing its own __init__ cannot define __post_init__")
 
     def __eq__(self, other):
         if other is self:
@@ -67,7 +74,8 @@ class Value:
 
 def _storing_init(cls, fields, defaults):
     """Compile, as ``namedtuple`` does, an ``__init__(self, *fields)`` that
-    stores each argument, its trailing parameters defaulting to ``defaults``."""
+    stores each argument, its trailing parameters defaulting to ``defaults``,
+    and then calls the class's ``__post_init__``, if it has one."""
     for name in fields:  # type() has already refused slots that are not identifiers
         if iskeyword(name) or name == "self":
             raise TypeError(f"{cls.__name__}: field {name!r} cannot name a parameter")
@@ -76,8 +84,10 @@ def _storing_init(cls, fields, defaults):
     tail = fields[len(fields) - len(defaults):]
     if set(tail) != set(defaults):
         raise TypeError(f"{cls.__name__}: a field without a default follows a field with one")
-    namespace = {"_setattr": object.__setattr__, "__name__": cls.__module__}
+    post = getattr(cls, "__post_init__", None)
+    namespace = {"_setattr": object.__setattr__, "_post": post, "__name__": cls.__module__}
     body = "".join(f"\n    _setattr(self, {name!r}, {name})" for name in fields)
+    body += "\n    _post(self)" if post is not None else ""
     exec(f"def __init__(self, {', '.join(fields)}):{body}", namespace)
     init = namespace["__init__"]
     init.__defaults__ = tuple(defaults[name] for name in tail)

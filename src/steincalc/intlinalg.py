@@ -328,14 +328,14 @@ class AbelianQuotient(Value):
     # the first ``order_and_reduce``
     __slots__ = ("n", "rows", "_diag")
 
-    def __init__(self, n: int, rows: Sequence[Sequence[int]]):
-        if len(rows) != n:
-            raise ValueError(f"{len(rows)} relation rows != ambient rank {n}")
+    def __post_init__(self):
+        rows = self.rows
+        if len(rows) != self.n:
+            raise ValueError(f"{len(rows)} relation rows != ambient rank {self.n}")
         width = len(rows[0]) if rows else 0
         for i, row in enumerate(rows):
             if len(row) != width:
                 raise ValueError(f"relation row {i} has length {len(row)} != {width} relations")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", tuple(map(tuple, rows)))
 
     @classmethod

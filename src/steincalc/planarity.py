@@ -19,7 +19,7 @@ from typing import Collection, Sequence, Tuple
 
 from .errors import NotApplicableError, UnsupportedInputError, Value
 from .relators import RelatorEntry, bounding_case
-from .surfaces import Curve, NamePair, pairwise_disjoint
+from .surfaces import NamePair, pairwise_disjoint
 from .words import Twist, Word, contains
 
 NON_PLANAR = "non-planar"
@@ -60,18 +60,15 @@ class BoundingDeclaration(Value):
 
     __slots__ = ("genus", "boundary_count", "multicurve")
 
-    def __init__(self, genus: int, boundary_count: int, multicurve: Tuple[Curve, ...]):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary_count", boundary_count)
-        object.__setattr__(self, "multicurve", multicurve)
-        if genus < 0:
-            raise ValueError(f"declared subsurface has negative genus {genus}")
-        if boundary_count < 1:
-            raise ValueError(f"declared subsurface has {boundary_count} boundary components, not at least one")
-        if len(multicurve) != boundary_count:
+    def __post_init__(self):
+        if self.genus < 0:
+            raise ValueError(f"declared subsurface has negative genus {self.genus}")
+        if self.boundary_count < 1:
+            raise ValueError(f"declared subsurface has {self.boundary_count} boundary components, not at least one")
+        if len(self.multicurve) != self.boundary_count:
             raise ValueError(
-                f"declared subsurface has {boundary_count} boundary components "
-                f"but the multicurve lists {len(multicurve)} curves"
+                f"declared subsurface has {self.boundary_count} boundary components "
+                f"but the multicurve lists {len(self.multicurve)} curves"
             )
 
 

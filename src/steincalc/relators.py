@@ -22,13 +22,12 @@ record which basis applied.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Optional, Tuple
+from typing import Optional, Tuple
 
 from .errors import RankMismatchError, Value
 from .surfaces import (
     Curve,
     HomologyClass,
-    NamePair,
     Surface,
     convex_curve,
     declared_pair,
@@ -62,28 +61,17 @@ class RelatorEntry(Value):
         "disjoint",
         "note",
     )
+    _defaults = {"obstruction": None, "obstruction_asserted": False, "disjoint": frozenset(), "note": ""}
 
-    def __init__(
-        self,
-        relator: Relator,
-        obstruction: Optional[int] = None,
-        obstruction_asserted: bool = False,
-        disjoint: FrozenSet[NamePair] = frozenset(),
-        note: str = "",
-    ):
-        derived = relator.obstruction
-        if obstruction is None:
-            obstruction = derived
-        elif derived is not None and obstruction != derived:
+    def __post_init__(self):
+        derived = self.relator.obstruction
+        if self.obstruction is None:
+            object.__setattr__(self, "obstruction", derived)
+        elif derived is not None and self.obstruction != derived:
             raise ValueError(
-                f"entry {relator.name}: obstruction {obstruction} != "
+                f"entry {self.relator.name}: obstruction {self.obstruction} != "
                 f"sigma_delta + euler_delta = {derived}"
             )
-        object.__setattr__(self, "relator", relator)
-        object.__setattr__(self, "obstruction", obstruction)
-        object.__setattr__(self, "obstruction_asserted", obstruction_asserted)
-        object.__setattr__(self, "disjoint", disjoint)
-        object.__setattr__(self, "note", note)
 
     @property
     def name(self) -> str:
@@ -163,10 +151,7 @@ class ChainConfig(Value):
 
     __slots__ = ("surface", "curves", "boundary")
 
-    def __init__(self, surface: Surface, curves: Tuple[Curve, ...], boundary: Tuple[Curve, ...]):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "curves", curves)
-        object.__setattr__(self, "boundary", boundary)
+    def __post_init__(self):
         n = len(self.curves)
         if n < 1:
             raise ValueError("a chain needs at least one curve")

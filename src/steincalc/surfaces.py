@@ -51,12 +51,10 @@ class Surface(Value):
 
     __slots__ = ("genus", "boundary_count")
 
-    def __init__(self, genus: int, boundary_count: int):
-        object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "boundary_count", boundary_count)
-        if genus < 0:
-            raise ValueError(f"genus must be non-negative, got {genus}")
-        if boundary_count < 1:
+    def __post_init__(self):
+        if self.genus < 0:
+            raise ValueError(f"genus must be non-negative, got {self.genus}")
+        if self.boundary_count < 1:
             raise ValueError("pages of open books always have boundary (b >= 1)")
 
     @property
@@ -67,6 +65,8 @@ class Surface(Value):
         return HomologyClass(self, (0,) * self.rank)
 
     def basis_class(self, index: int) -> "HomologyClass":
+        if not 0 <= index < self.rank:
+            raise ValueError(f"basis class {index} does not exist (valid range 0..{self.rank - 1})")
         coords = [0] * self.rank
         coords[index] = 1
         return HomologyClass(self, tuple(coords))
@@ -105,12 +105,11 @@ class HomologyClass(Value):
 
     __slots__ = ("surface", "coords")
 
-    def __init__(self, surface: Surface, coords: Tuple[int, ...]):
-        object.__setattr__(self, "surface", surface)
-        object.__setattr__(self, "coords", coords)
-        if len(coords) != surface.rank:
+    def __post_init__(self):
+        surface = self.surface
+        if len(self.coords) != surface.rank:
             raise RankMismatchError(
-                f"vector length {len(coords)} != rank {surface.rank} "
+                f"vector length {len(self.coords)} != rank {surface.rank} "
                 f"of surface ({surface.genus},{surface.boundary_count})"
             )
 

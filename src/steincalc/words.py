@@ -69,12 +69,11 @@ class Twist(Value):
     """A signed Dehn twist: sign +1 is the positive (right-handed) twist."""
 
     __slots__ = ("curve", "sign")
+    _defaults = {"sign": 1}
 
-    def __init__(self, curve: Curve, sign: int = 1):
-        object.__setattr__(self, "curve", curve)
-        object.__setattr__(self, "sign", sign)
-        if sign not in (1, -1):
-            raise ValueError(f"twist sign must be +1 or -1, got {sign}")
+    def __post_init__(self):
+        if self.sign not in (1, -1):
+            raise ValueError(f"twist sign must be +1 or -1, got {self.sign}")
 
 
 class Word(Value):
@@ -705,20 +704,10 @@ class Relator(Value):
     """
 
     __slots__ = ("name", "left", "right", "euler_delta", "sigma_delta", "allowable")
+    _defaults = dict.fromkeys(("euler_delta", "sigma_delta", "allowable"))
 
-    def __init__(
-        self,
-        name: str,
-        left: Word,
-        right: Word,
-        euler_delta: Optional[int] = None,
-        sigma_delta: Optional[int] = None,
-        allowable: Optional[bool] = None,
-    ):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        object.__setattr__(self, "sigma_delta", sigma_delta)
+    def __post_init__(self):
+        name, left, right = self.name, self.left, self.right
         if left is None or right is None:
             raise ValueError(f"relator {name}: give both sides")
         if not (left.is_positive and right.is_positive):
@@ -726,15 +715,15 @@ class Relator(Value):
         if left.surface != right.surface:
             raise RankMismatchError(f"relator {name}: sides live on different surfaces")
         derived = len(right) - len(left)
-        if euler_delta is not None and euler_delta != derived:
+        if self.euler_delta is not None and self.euler_delta != derived:
             raise ValueError(
-                f"relator {name}: euler_delta {euler_delta} != "
+                f"relator {name}: euler_delta {self.euler_delta} != "
                 f"len(right) - len(left) = {derived}"
             )
         object.__setattr__(self, "euler_delta", derived)
         computed = computed_allowable(self)
-        if allowable is not None and allowable != computed:
-            raise ValueError(f"relator {name}: allowable {allowable} != {computed}, which its curves give")
+        if self.allowable is not None and self.allowable != computed:
+            raise ValueError(f"relator {name}: allowable {self.allowable} != {computed}, which its curves give")
         object.__setattr__(self, "allowable", computed)
 
     @property

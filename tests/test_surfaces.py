@@ -1,5 +1,6 @@
 """Surface model: pairings, twists, convex curves, commutation certificates."""
 
+import functools
 import itertools
 
 import pytest
@@ -18,7 +19,7 @@ from steincalc.surfaces import (
     twist_action,
 )
 from steincalc.relators import lantern, standard_lantern
-from steincalc.words import word_of
+from steincalc.words import Twist, Word, word_of
 
 
 def classes(surface, max_entry=8):
@@ -39,6 +40,13 @@ class TestSurface:
     def test_outer_boundary_class(self):
         s = Surface(1, 3)
         assert s.outer_boundary_class().coords == (0, 0, -1, -1)
+
+    def test_basis_class_checks_its_index(self):
+        s = Surface(0, 4)
+        assert [s.basis_class(i).coords for i in range(3)] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+        for index in (-1, 3):
+            with pytest.raises(ValueError, match=rf"^basis class {index} does not exist \(valid range 0\.\.2\)$"):
+                s.basis_class(index)
 
 
 class TestIntersectionPairing:
@@ -262,6 +270,25 @@ def _alternate(holes1, holes2):
     return sum(x != y for x, y in zip(owners, owners[1:])) >= 3
 
 
+@functools.lru_cache(maxsize=None)
+def _convex_pair_audit():
+    """Every ordered pair of distinct hole sets on b = 3..6 (1188 pairs), as
+    (b, holes1, holes2, rule, table, commute): whether ``curves_commute``
+    certifies the pair, whether the two-letter word's ``_blocked`` table
+    leaves the second position free of the first curve, and whether the
+    braid oracle says the twists commute."""
+    audit = []
+    for b in range(3, 7):
+        s = Surface(0, b)
+        sets = [frozenset(c) for k in range(1, b) for c in itertools.combinations(range(2, b + 1), k)]
+        for holes1, holes2 in itertools.permutations(sets, 2):
+            x, y = convex_curve(s, "x", holes1), convex_curve(s, "y", holes2)
+            table = not Word(s, (Twist(x), Twist(y)))._blocked()[0] >> 1 & 1
+            audit.append((b, holes1, holes2, curves_commute(x, y) is True, table,
+                          _braid_twists_commute(holes1, holes2, b)))
+    return tuple(audit)
+
+
 @st.composite
 def _convex_pairs(draw):
     b = draw(st.integers(3, 8))
@@ -291,6 +318,21 @@ class TestBraidOracle:
         s = Surface(0, 5)
         a, c = convex_curve(s, "a", {2, 4}), convex_curve(s, "c", {3, 5})
         assert curves_commute(a, c) is not True or _braid_twists_commute({2, 4}, {3, 5}, 5)
+
+    def test_convex_pair_mismatches_are_the_alternating_pairs(self):
+        # pins item 1's defect exactly: both certificate rules agree with each
+        # other everywhere, miss no commuting pair, and certify nothing false
+        # but the alternating pairs
+        audit = _convex_pair_audit()
+        assert len(audit) == 1188
+        mismatches = [(b, h1, h2) for b, h1, h2, rule, table, commute in audit if not rule == table == commute]
+        assert mismatches == [(b, h1, h2) for b, h1, h2, *_ in audit if _alternate(h1, h2)]
+        assert [sum(b == n for b, *_ in mismatches) for n in (3, 4, 5, 6)] == [0, 0, 2, 20]
+        assert all(pair[3:] == (True, True, False) for pair in audit if pair[:3] in mismatches)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: curves_commute and Word._tabulate certify alternating hole sets")
+    def test_no_non_commuting_convex_pair_is_certified(self):
+        assert [pair[:3] for pair in _convex_pair_audit() if (pair[3] or pair[4]) and not pair[5]] == []
 
 
 def _framed_action(word):

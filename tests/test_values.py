@@ -286,10 +286,11 @@ def test_a_value_class_needs_two_fields():
         type("OneField", (Value,), {"__slots__": ("only",)})
 
 
-# The classes whose constructors only store their arguments: Value builds
-# those from __slots__ and _defaults.
-STORING = {SmithForm, PlanarForm, SigmaLedger, SigmaValue, ChernData, FillingInvariants, RelatorWitness,
-           BoundingWitness, PlanarityCertificate, BoundingCase, SubstitutionRecord, RelatorCheck, RelatorReport}
+# The classes whose constructors Value builds from __slots__ and _defaults,
+# calling the class's __post_init__ after the stores: all but Word and Curve.
+STORING = {Surface, HomologyClass, Twist, Relator, SubstitutionRecord, RelatorCheck, RelatorReport, RelatorEntry,
+           ChainConfig, BoundingCase, PlanarForm, SigmaLedger, SigmaValue, ChernData, FillingInvariants, SmithForm,
+           AbelianQuotient, RelatorWitness, BoundingWitness, PlanarityCertificate, BoundingDeclaration, Document}
 
 
 def test_storing_constructors_are_generated():
@@ -313,6 +314,46 @@ def test_generated_constructor_calls_as_a_written_one():
         cls(1, 2, 3, 4)
     with pytest.raises(TypeError, match=r"got multiple values for argument 'a'"):
         cls(1, 2, a=1)
+
+
+def test_generated_constructor_runs_the_hook_after_the_stores():
+    seen = []
+
+    def post(self):
+        seen.append(tuple(getattr(self, name, None) for name in ("a", "b", "c")))
+
+    cls = type("Hooked", (Value,), {"__slots__": ("a", "b", "c"), "_defaults": {"c": 0}, "__post_init__": post})
+    cls(1, 2)
+    cls(b=2, a=1, c=3)
+    cls(1, 2, 3)
+    assert seen == [(1, 2, 0), (1, 2, 3), (1, 2, 3)]
+    # a copy rebuilds through the constructor, so it runs the hook too
+    copy.copy(cls(4, 5))
+    assert seen[3:] == [(4, 5, 0), (4, 5, 0)]
+
+
+def test_a_hook_error_propagates():
+    def post(self):
+        raise ValueError(f"refused {self.a}")
+
+    cls = type("Refusing", (Value,), {"__slots__": ("a", "b"), "__post_init__": post})
+    with pytest.raises(ValueError, match=r"^refused 1$"):
+        cls(1, 2)
+
+
+def test_a_written_constructor_takes_no_hook():
+    with pytest.raises(TypeError, match=r"^Both: a class writing its own __init__ cannot define __post_init__$"):
+        type("Both", (Value,), {"__slots__": ("a", "b"), "__init__": lambda self: None,
+                                "__post_init__": lambda self: None})
+
+
+def test_documents_get_fresh_dicts():
+    surface = Surface(0, 4)
+    a, b = Document(surface, {}, {}, {}), Document(surface, {}, {}, {})
+    fresh = [getattr(doc, name) for doc in (a, b) for name in ("baselines", "rotations", "mu_maps")]
+    assert fresh == [{}] * 6 and len({id(d) for d in fresh}) == 6
+    given = {"tau_del": 0}
+    assert Document(surface, {}, {}, {}, baselines=given).baselines is given
 
 
 def test_defaults_must_name_fields():
